@@ -15,7 +15,9 @@
 //!
 //! Usage: `journal_overhead [--ops N] [--seed S] [--min-ratio R]`
 
-use commalloc_service::{AllocOutcome, AllocationService, FileJournal, FsyncPolicy, JournalConfig};
+use commalloc_service::{
+    AllocArgs, AllocOutcome, AllocationService, FileJournal, FsyncPolicy, JournalConfig, RequestCtx,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Map, Serialize, Value};
@@ -36,6 +38,7 @@ fn temp_journal_dir(tag: &str) -> PathBuf {
 
 /// One churn run; returns ops/second.
 fn bench_mode(service: &AllocationService, occupancy: f64, ops: usize, seed: u64) -> f64 {
+    let inert = RequestCtx::inert();
     service
         .register("bench", "16x16", Some("Hilbert w/BF"), None, None)
         .expect("fresh service accepts registration");
@@ -47,7 +50,7 @@ fn bench_mode(service: &AllocationService, occupancy: f64, ops: usize, seed: u64
 
     while busy < target {
         let size = rng.gen_range(1usize..=8);
-        match service.allocate("bench", next_job, size, false, None) {
+        match service.alloc("bench", &AllocArgs::new(next_job, size), &inert) {
             Ok(AllocOutcome::Granted(nodes)) => {
                 busy += nodes.len();
                 live.push(next_job);
@@ -61,11 +64,13 @@ fn bench_mode(service: &AllocationService, occupancy: f64, ops: usize, seed: u64
     let mut performed = 0usize;
     while performed < ops {
         let victim = live.swap_remove(rng.gen_range(0..live.len()));
-        service.release("bench", victim).expect("victim is live");
+        service
+            .release("bench", victim, &inert)
+            .expect("victim is live");
         performed += 1;
         while performed < ops {
             let size = rng.gen_range(1usize..=8);
-            match service.allocate("bench", next_job, size, false, None) {
+            match service.alloc("bench", &AllocArgs::new(next_job, size), &inert) {
                 Ok(AllocOutcome::Granted(_)) => {
                     live.push(next_job);
                     next_job += 1;

@@ -19,7 +19,7 @@ use commalloc_alloc::curve_alloc::{CurveAllocator, SelectionStrategy};
 use commalloc_alloc::{AllocRequest, Allocation, Allocator, MachineState};
 use commalloc_mesh::curve::CurveKind;
 use commalloc_mesh::Mesh2D;
-use commalloc_service::{AllocOutcome, AllocationService};
+use commalloc_service::{AllocArgs, AllocOutcome, AllocationService, RequestCtx};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Map, Serialize, Value};
@@ -98,6 +98,7 @@ fn bench_allocator(
 /// The same churn through the full service stack (registry lock, admission
 /// bookkeeping, metrics); returns ops/second.
 fn bench_service(occupancy: f64, ops: usize, seed: u64) -> f64 {
+    let inert = RequestCtx::inert();
     let service = AllocationService::new();
     service
         .register("bench", "16x16", Some("Hilbert w/BF"), None, None)
@@ -110,7 +111,7 @@ fn bench_service(occupancy: f64, ops: usize, seed: u64) -> f64 {
 
     while busy < target {
         let size = rng.gen_range(1usize..=8);
-        match service.allocate("bench", next_job, size, false, None) {
+        match service.alloc("bench", &AllocArgs::new(next_job, size), &inert) {
             Ok(AllocOutcome::Granted(nodes)) => {
                 busy += nodes.len();
                 live.push(next_job);
@@ -124,11 +125,13 @@ fn bench_service(occupancy: f64, ops: usize, seed: u64) -> f64 {
     let mut performed = 0usize;
     while performed < ops {
         let victim = live.swap_remove(rng.gen_range(0..live.len()));
-        service.release("bench", victim).expect("victim is live");
+        service
+            .release("bench", victim, &inert)
+            .expect("victim is live");
         performed += 1;
         while performed < ops {
             let size = rng.gen_range(1usize..=8);
-            match service.allocate("bench", next_job, size, false, None) {
+            match service.alloc("bench", &AllocArgs::new(next_job, size), &inert) {
                 Ok(AllocOutcome::Granted(_)) => {
                     live.push(next_job);
                     next_job += 1;

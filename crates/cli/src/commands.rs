@@ -529,7 +529,7 @@ fn run_trace_online(addr: &str, opts: &TraceOptions) -> Result<String, RunError>
         .map_err(|e| RunError::Trace(format!("connect {addr}: {e}")))?;
     if let Some(enabled) = opts.set {
         let state = client
-            .set_trace(enabled)
+            .set_trace(enabled, None)
             .map_err(|e| RunError::Trace(e.to_string()))?;
         return Ok(format!(
             "tracing {}\n",
@@ -832,7 +832,7 @@ fn run_watch(opts: &WatchOptions) -> Result<String, RunError> {
     let mut frame = 0usize;
     loop {
         let metrics = client
-            .metrics_windowed("json", Some(&opts.window))
+            .metrics("json", Some(&opts.window))
             .map_err(|e| RunError::Trace(e.to_string()))?;
         frame += 1;
         let rendered = render_watch_frame(&metrics, &opts.addr, &opts.window, frame);

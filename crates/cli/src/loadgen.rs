@@ -31,7 +31,7 @@
 //! machine empty) still bounds such escapes.
 
 use commalloc_service::client::{ClientAllocOutcome, ServiceClient};
-use commalloc_service::{ClientError, Framing, JobRef, Request, Response};
+use commalloc_service::{AllocArgs, ClientError, Framing, JobRef, Request, Response};
 use commalloc_workload::CommPattern;
 use rand::prelude::*;
 use serde::{Map, Serialize, Value};
@@ -469,9 +469,12 @@ fn drive_connection(
                 .map(|max| rng.gen_range(1.0..=max.max(1.0)));
             let job = next_job;
             next_job += 1;
-            let (machine, outcome) = client
-                .alloc_routed(&config.machine, job, size, false, walltime, config.pattern)
-                .map_err(fail)?;
+            let args = AllocArgs {
+                walltime,
+                pattern: config.pattern,
+                ..AllocArgs::new(job, size)
+            };
+            let (machine, outcome) = client.alloc(&config.machine, &args).map_err(fail)?;
             match outcome {
                 ClientAllocOutcome::Granted(nodes) => {
                     shared.check_placement(&machine, size);

@@ -1,10 +1,9 @@
 //! A blocking TCP client for the service protocol.
 
 use crate::framing::{self, FrameBuffer, Framing};
-use crate::protocol::{JobRef, Request, Response};
+use crate::protocol::{AllocArgs, JobRef, Request, Response};
 use crate::registry::JobStatus;
 use commalloc_mesh::NodeId;
-use commalloc_workload::CommPattern;
 use serde::Value;
 use std::fmt;
 use std::io::{self, BufRead, BufReader, Write};
@@ -337,144 +336,45 @@ impl ServiceClient {
         })
     }
 
-    /// Requests `size` processors for `job`, without a runtime estimate.
+    /// Requests processors for a job from `target` — a machine name or a
+    /// `"@pool"` cluster address — and returns the machine that actually
+    /// took the request alongside the outcome. For a routed request the
+    /// server names the chosen member; a direct request echoes `target`
+    /// itself. A `None` tenant falls back to the connection's `hello`
+    /// binding (or the default tenant).
     pub fn alloc(
         &mut self,
-        machine: &str,
-        job: u64,
-        size: usize,
-        wait: bool,
-    ) -> Result<ClientAllocOutcome, ClientError> {
-        self.alloc_with_walltime(machine, job, size, wait, None)
-    }
-
-    /// Requests `size` processors for `job`, supplying the runtime
-    /// estimate in seconds that EASY backfilling plans with.
-    pub fn alloc_with_walltime(
-        &mut self,
-        machine: &str,
-        job: u64,
-        size: usize,
-        wait: bool,
-        walltime: Option<f64>,
-    ) -> Result<ClientAllocOutcome, ClientError> {
-        self.alloc_patterned(machine, job, size, wait, walltime, None)
-    }
-
-    /// Requests `size` processors for `job`, declaring the job's
-    /// communication pattern so the server can score candidate
-    /// placements by predicted contention.
-    pub fn alloc_patterned(
-        &mut self,
-        machine: &str,
-        job: u64,
-        size: usize,
-        wait: bool,
-        walltime: Option<f64>,
-        pattern: Option<CommPattern>,
-    ) -> Result<ClientAllocOutcome, ClientError> {
-        self.alloc_as(machine, job, size, wait, walltime, pattern, None)
-    }
-
-    /// [`ServiceClient::alloc_patterned`] on behalf of a tenant. `None`
-    /// falls back to the connection's `hello` binding (or the default
-    /// tenant).
-    #[allow(clippy::too_many_arguments)]
-    pub fn alloc_as(
-        &mut self,
-        machine: &str,
-        job: u64,
-        size: usize,
-        wait: bool,
-        walltime: Option<f64>,
-        pattern: Option<CommPattern>,
-        tenant: Option<&str>,
-    ) -> Result<ClientAllocOutcome, ClientError> {
-        validate_walltime(walltime)?;
-        let request = Request::Alloc {
-            machine: machine.to_string(),
-            job,
-            size,
-            wait,
-            walltime,
-            pattern,
-            tenant: tenant.map(str::to_string),
-        };
-        self.expect(&request, |r| match r {
-            Response::Granted { nodes, .. } => Ok(ClientAllocOutcome::Granted(nodes)),
-            Response::Queued { position, .. } => Ok(ClientAllocOutcome::Queued(position)),
-            Response::Rejected { reason, .. } => Ok(ClientAllocOutcome::Rejected(reason)),
-            other => Err(other),
-        })
-    }
-
-    /// Requests `size` processors for `job` from `target` — a machine
-    /// name or a `"@pool"` cluster address — and returns the machine
-    /// that actually took the request alongside the outcome. For a
-    /// routed request the server names the chosen member; a direct
-    /// request echoes `target` itself.
-    pub fn alloc_routed(
-        &mut self,
         target: &str,
-        job: u64,
-        size: usize,
-        wait: bool,
-        walltime: Option<f64>,
-        pattern: Option<CommPattern>,
+        args: &AllocArgs<'_>,
     ) -> Result<(String, ClientAllocOutcome), ClientError> {
-        self.alloc_routed_as(target, job, size, wait, walltime, pattern, None)
-    }
-
-    /// [`ServiceClient::alloc_routed`] on behalf of a tenant.
-    #[allow(clippy::too_many_arguments)]
-    pub fn alloc_routed_as(
-        &mut self,
-        target: &str,
-        job: u64,
-        size: usize,
-        wait: bool,
-        walltime: Option<f64>,
-        pattern: Option<CommPattern>,
-        tenant: Option<&str>,
-    ) -> Result<(String, ClientAllocOutcome), ClientError> {
-        validate_walltime(walltime)?;
+        validate_walltime(args.walltime)?;
         let request = Request::Alloc {
             machine: target.to_string(),
-            job,
-            size,
-            wait,
-            walltime,
-            pattern,
-            tenant: tenant.map(str::to_string),
+            job: args.job,
+            size: args.size,
+            wait: args.wait,
+            walltime: args.walltime,
+            pattern: args.pattern,
+            tenant: args.tenant.map(str::to_string),
         };
-        let routed = target.starts_with('@');
-        let resolve = move |machine: Option<String>| -> Result<String, ClientError> {
-            match machine {
-                Some(m) => Ok(m),
-                None if !routed => Ok(target.to_string()),
-                None => Err(ClientError::Protocol(
-                    "routed alloc response names no machine".to_string(),
-                )),
-            }
-        };
-        match self.roundtrip(&request)? {
-            Response::Error {
-                message,
-                code,
-                detail,
-            } => Err(decode_service_error(message, code, detail)),
+        let (machine, outcome) = self.expect(&request, |r| match r {
             Response::Granted { nodes, machine, .. } => {
-                Ok((resolve(machine)?, ClientAllocOutcome::Granted(nodes)))
+                Ok((machine, ClientAllocOutcome::Granted(nodes)))
             }
             Response::Queued {
                 position, machine, ..
-            } => Ok((resolve(machine)?, ClientAllocOutcome::Queued(position))),
+            } => Ok((machine, ClientAllocOutcome::Queued(position))),
             Response::Rejected {
                 reason, machine, ..
-            } => Ok((resolve(machine)?, ClientAllocOutcome::Rejected(reason))),
-            other => Err(ClientError::Protocol(format!(
-                "unexpected response {other:?}"
-            ))),
+            } => Ok((machine, ClientAllocOutcome::Rejected(reason))),
+            other => Err(other),
+        })?;
+        match machine {
+            Some(member) => Ok((member, outcome)),
+            None if !target.starts_with('@') => Ok((target.to_string(), outcome)),
+            None => Err(ClientError::Protocol(
+                "routed alloc response names no machine".to_string(),
+            )),
         }
     }
 
@@ -691,15 +591,11 @@ impl ServiceClient {
         })
     }
 
-    /// Turns the daemon's flight recorder on or off; returns the new
-    /// state as the server confirmed it.
-    pub fn set_trace(&mut self, enabled: bool) -> Result<bool, ClientError> {
-        self.set_trace_with_calibration(enabled, None)
-    }
-
-    /// [`ServiceClient::set_trace`] that also flips the placement
-    /// calibration plane (`Some(state)`; `None` leaves it unchanged).
-    pub fn set_trace_with_calibration(
+    /// Turns the daemon's flight recorder on or off, and with
+    /// `Some(state)` the placement calibration plane too (`None` leaves
+    /// it unchanged); returns the recorder's new state as the server
+    /// confirmed it.
+    pub fn set_trace(
         &mut self,
         enabled: bool,
         calibration: Option<bool>,
@@ -740,18 +636,9 @@ impl ServiceClient {
 
     /// Daemon-wide metrics. `format` is `"json"` (structured
     /// [`Value`]) or `"prometheus"` (the exposition text as a
-    /// `Value::Str`).
-    pub fn metrics(&mut self, format: &str) -> Result<Value, ClientError> {
-        self.metrics_windowed(format, None)
-    }
-
-    /// [`ServiceClient::metrics`] with the stage and pool histograms
-    /// restricted to a trailing window (`"10s"` or `"60s"`).
-    pub fn metrics_windowed(
-        &mut self,
-        format: &str,
-        window: Option<&str>,
-    ) -> Result<Value, ClientError> {
+    /// `Value::Str`); `window` restricts the stage and pool histograms
+    /// to a trailing `"10s"` or `"60s"` (`None` = since boot).
+    pub fn metrics(&mut self, format: &str, window: Option<&str>) -> Result<Value, ClientError> {
         let request = Request::Metrics {
             format: format.to_string(),
             window: window.map(str::to_string),
@@ -800,9 +687,12 @@ mod tests {
         client.register("m0", "8x8", None, None, None).unwrap();
         assert_eq!(client.list().unwrap(), vec!["m0".to_string()]);
 
-        let ClientAllocOutcome::Granted(nodes) = client.alloc("m0", 1, 10, false).unwrap() else {
+        let (machine, ClientAllocOutcome::Granted(nodes)) =
+            client.alloc("m0", &AllocArgs::new(1, 10)).unwrap()
+        else {
             panic!("grant expected");
         };
+        assert_eq!(machine, "m0", "a direct target echoes itself");
         assert_eq!(nodes.len(), 10);
         assert_eq!(client.poll("m0", 1).unwrap(), JobStatus::Running(nodes));
 
@@ -810,23 +700,18 @@ mod tests {
         assert_eq!(snapshot.get("busy").and_then(Value::as_u64), Some(10));
 
         // Service-level failures surface as ClientError::Service.
-        let err = client.alloc("nope", 1, 1, false).unwrap_err();
+        let err = client.alloc("nope", &AllocArgs::new(1, 1)).unwrap_err();
         assert!(matches!(err, ClientError::Service(_)), "got {err:?}");
 
         // Poisoned walltime estimates are refused before any bytes move:
         // a typed error, never a grant with NaN in the reservation math.
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -5.0] {
-            let err = client
-                .alloc_with_walltime("m0", 99, 1, true, Some(bad))
-                .unwrap_err();
+            let args = AllocArgs::new(99, 1).or_wait().with_walltime(bad);
+            let err = client.alloc("m0", &args).unwrap_err();
             assert!(
                 matches!(err, ClientError::InvalidRequest(_)),
                 "walltime {bad} gave {err:?}"
             );
-            let err = client
-                .alloc_routed("m0", 99, 1, true, Some(bad), None)
-                .unwrap_err();
-            assert!(matches!(err, ClientError::InvalidRequest(_)));
         }
         assert_eq!(
             client.poll("m0", 99).unwrap(),
@@ -861,10 +746,8 @@ mod tests {
         client.ping().unwrap();
         client.register("b0", "8x8", None, None, None).unwrap();
         assert_eq!(client.list().unwrap(), vec!["b0".to_string()]);
-        let ClientAllocOutcome::Granted(nodes) = client
-            .alloc_with_walltime("b0", 1, 10, false, Some(60.0))
-            .unwrap()
-        else {
+        let args = AllocArgs::new(1, 10).with_walltime(60.0);
+        let (_, ClientAllocOutcome::Granted(nodes)) = client.alloc("b0", &args).unwrap() else {
             panic!("grant expected");
         };
         assert_eq!(nodes.len(), 10);
@@ -880,7 +763,7 @@ mod tests {
         );
 
         // Service-level failures still decode as typed errors.
-        let err = client.alloc("nope", 1, 1, false).unwrap_err();
+        let err = client.alloc("nope", &AllocArgs::new(1, 1)).unwrap_err();
         assert!(matches!(err, ClientError::Service(_)), "got {err:?}");
 
         drop(client);

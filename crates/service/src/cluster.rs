@@ -43,6 +43,7 @@
 use crate::registry::ServiceError;
 use crate::replay::ReplayJob;
 use crate::service::AllocationService;
+use crate::trace::RequestCtx;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -608,14 +609,7 @@ pub fn route_offline(
             let target_at = names.binary_search(&target).expect("member is registered");
             routes.push((job.id, Some(target.clone())));
             match service
-                .allocate_patterned(
-                    &target,
-                    job.id,
-                    job.size,
-                    true,
-                    Some(job.duration),
-                    job.pattern,
-                )
+                .alloc(&target, &job.alloc_args(), &RequestCtx::inert())
                 .expect("well-formed offline route")
             {
                 crate::registry::AllocOutcome::Granted(_) => {
@@ -629,7 +623,7 @@ pub fn route_offline(
             let machine = names[machine_at].clone();
             let (done, _) = running[machine_at].swap_remove(idx);
             let granted = service
-                .release(&machine, done)
+                .release(&machine, done, &RequestCtx::inert())
                 .expect("running job releases cleanly");
             for (job_id, _) in granted {
                 let duration = durations[&job_id];

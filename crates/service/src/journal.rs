@@ -314,8 +314,9 @@ pub struct PoolImage {
 // Wire format
 // ---------------------------------------------------------------------------
 
-/// JSON string escaping identical to the workspace serde shim's, so the
-/// fast record path and the [`Value`]-tree path emit the same bytes.
+/// JSON string escaping identical to the workspace serde shim's, so a
+/// string reads the same in a hand-written record line and in a
+/// tree-rendered snapshot image.
 fn write_json_str(out: &mut String, s: &str) {
     use std::fmt::Write as _;
     out.push('"');
@@ -391,8 +392,8 @@ fn get_pattern_opt(v: &Value) -> Result<Option<CommPattern>, Error> {
     }
 }
 
-/// Appends the optional `"pattern"` entry to a record's value tree —
-/// present only when declared, so unpatterned records keep their
+/// Appends the optional `"pattern"` entry to a snapshot image's job —
+/// present only when declared, so unpatterned images keep their
 /// pre-pattern wire form byte-for-byte.
 fn push_pattern_entry(entries: &mut Vec<(&'static str, Value)>, pattern: &Option<CommPattern>) {
     if let Some(p) = pattern {
@@ -400,16 +401,17 @@ fn push_pattern_entry(entries: &mut Vec<(&'static str, Value)>, pattern: &Option
     }
 }
 
-/// Appends the optional `"tenant"` entry — present only when tagged, so
-/// untenanted records keep their pre-tenant wire form byte-for-byte.
+/// Appends the optional `"tenant"` entry to a snapshot image's job —
+/// present only when tagged, so untenanted images keep their
+/// pre-tenant wire form byte-for-byte.
 fn push_tenant_entry(entries: &mut Vec<(&'static str, Value)>, tenant: &Option<String>) {
     if let Some(t) = tenant {
         entries.push(("tenant", str_value(t)));
     }
 }
 
-/// Appends the optional hand-written `"tenant"` suffix to a fast-path
-/// line (must emit exactly what [`push_tenant_entry`] renders).
+/// Appends the optional `"tenant"` suffix to a record line — present
+/// only when tagged, so untenanted records keep their pre-tenant bytes.
 fn write_tenant_suffix(out: &mut String, tenant: &Option<String>) {
     if let Some(t) = tenant {
         out.push_str(",\"tenant\":");
@@ -645,122 +647,6 @@ impl SnapshotImage {
 }
 
 impl JournalRecord {
-    /// Renders the record with its assigned sequence number as its wire
-    /// value.
-    pub fn to_value(&self, seq: u64) -> Value {
-        let mut entries = vec![("seq", Value::UInt(seq))];
-        match self {
-            JournalRecord::Register {
-                machine,
-                mesh,
-                allocator,
-                strategy,
-                scheduler,
-                pool,
-            } => {
-                entries.push(("rec", str_value("register")));
-                entries.push(("machine", str_value(machine)));
-                entries.push(("mesh", str_value(mesh)));
-                entries.push(("allocator", opt_str_value(allocator)));
-                entries.push(("strategy", opt_str_value(strategy)));
-                entries.push(("scheduler", opt_str_value(scheduler)));
-                entries.push(("pool", opt_str_value(pool)));
-            }
-            JournalRecord::Grant {
-                machine,
-                job,
-                nodes,
-                walltime,
-                start,
-                pattern,
-                tenant,
-            } => {
-                entries.push(("rec", str_value("grant")));
-                entries.push(("machine", str_value(machine)));
-                entries.push(("job", Value::UInt(*job)));
-                entries.push(("nodes", nodes_value(nodes)));
-                entries.push(("walltime", opt_f64_value(walltime)));
-                entries.push(("start", Value::Float(*start)));
-                push_pattern_entry(&mut entries, pattern);
-                push_tenant_entry(&mut entries, tenant);
-            }
-            JournalRecord::Queue {
-                machine,
-                job,
-                size,
-                walltime,
-                enqueued_at,
-                pattern,
-                tenant,
-            } => {
-                entries.push(("rec", str_value("queue")));
-                entries.push(("machine", str_value(machine)));
-                entries.push(("job", Value::UInt(*job)));
-                entries.push(("size", Value::UInt(*size as u64)));
-                entries.push(("walltime", opt_f64_value(walltime)));
-                entries.push(("enqueued_at", Value::Float(*enqueued_at)));
-                push_pattern_entry(&mut entries, pattern);
-                push_tenant_entry(&mut entries, tenant);
-            }
-            JournalRecord::Release { machine, job } => {
-                entries.push(("rec", str_value("release")));
-                entries.push(("machine", str_value(machine)));
-                entries.push(("job", Value::UInt(*job)));
-            }
-            JournalRecord::Cancel { machine, job } => {
-                entries.push(("rec", str_value("cancel")));
-                entries.push(("machine", str_value(machine)));
-                entries.push(("job", Value::UInt(*job)));
-            }
-            JournalRecord::SetScheduler { machine, scheduler } => {
-                entries.push(("rec", str_value("set_scheduler")));
-                entries.push(("machine", str_value(machine)));
-                entries.push(("scheduler", str_value(scheduler)));
-            }
-            JournalRecord::SetRouter { pool, policy } => {
-                entries.push(("rec", str_value("set_router")));
-                entries.push(("pool", str_value(pool)));
-                entries.push(("policy", str_value(policy)));
-            }
-            JournalRecord::SetTenant {
-                tenant,
-                weight,
-                quota,
-                max_in_flight,
-            } => {
-                entries.push(("rec", str_value("set_tenant")));
-                entries.push(("tenant", str_value(tenant)));
-                entries.push(("weight", Value::Float(*weight)));
-                if let Some(q) = quota {
-                    entries.push(("quota", Value::Float(*q)));
-                }
-                if let Some(cap) = max_in_flight {
-                    entries.push(("max_in_flight", Value::UInt(*cap)));
-                }
-            }
-            JournalRecord::SetFairShare { machine, enabled } => {
-                entries.push(("rec", str_value("set_fair_share")));
-                entries.push(("machine", str_value(machine)));
-                entries.push(("enabled", Value::Bool(*enabled)));
-            }
-            JournalRecord::Snapshot(image) => {
-                entries.push(("rec", str_value("snapshot")));
-                if let Value::Object(m) = image.to_value() {
-                    let mut out = Map::new();
-                    for (k, v) in entries {
-                        out.insert(k.to_string(), v);
-                    }
-                    for (k, v) in m.iter() {
-                        out.insert(k.clone(), v.clone());
-                    }
-                    return Value::Object(out);
-                }
-                unreachable!("snapshot images render as objects");
-            }
-        }
-        obj(entries)
-    }
-
     /// Parses a record and its sequence number from a wire value.
     pub fn from_value(v: &Value) -> Result<(u64, JournalRecord), Error> {
         let seq = get_u64(v, "seq")?;
@@ -835,11 +721,11 @@ impl JournalRecord {
 
     /// Renders the record as one wire line (no trailing newline).
     ///
-    /// Per-operation records take a hand-written fast path (the sink
-    /// appends one of these per grant, so a [`Value`]-tree build per
-    /// record would dominate the journaling cost); snapshots — rare and
-    /// large — go through the tree. The round-trip property tests pin
-    /// both paths to parse back identically.
+    /// Per-operation records are written by hand (the sink appends one
+    /// per grant, so a [`Value`]-tree build per record would dominate
+    /// the journaling cost); a snapshot — rare and large — renders its
+    /// image through the tree. The round-trip tests pin every kind to
+    /// parse back identically, and two byte pins hold the format still.
     pub fn to_line(&self, seq: u64) -> String {
         let mut out = String::with_capacity(96);
         self.write_line(seq, &mut out);
@@ -849,7 +735,6 @@ impl JournalRecord {
     /// Appends the wire line to `out` (no trailing newline).
     pub fn write_line(&self, seq: u64, out: &mut String) {
         use std::fmt::Write as _;
-        let base = out.len();
         let _ = write!(out, "{{\"seq\":{seq},");
         match self {
             JournalRecord::Register {
@@ -973,14 +858,13 @@ impl JournalRecord {
                 write_json_str(out, machine);
                 let _ = write!(out, ",\"enabled\":{enabled}}}");
             }
-            JournalRecord::Snapshot(_) => {
-                // Cold path: rebuild through the tree for the whole
-                // record (drop the hand-written prefix first).
-                out.truncate(base);
-                out.push_str(
-                    &serde_json::to_string(&self.to_value(seq))
-                        .expect("value rendering is infallible"),
-                );
+            JournalRecord::Snapshot(image) => {
+                // Cold path: the image renders through the tree and its
+                // fields continue the object the prefix opened.
+                let body = serde_json::to_string(&image.to_value())
+                    .expect("value rendering is infallible");
+                out.push_str("\"rec\":\"snapshot\",");
+                out.push_str(&body[1..]);
             }
         }
     }
@@ -1880,6 +1764,85 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_line_keeps_its_bytes() {
+        // Recovery reads the snapshot file, and nothing else pins what
+        // it holds byte for byte: two machines (a tenanted 2-D one with
+        // a running and a queued job, an idle 3-D one), one pool, one
+        // tenant.
+        let snapshot = JournalRecord::Snapshot(SnapshotImage {
+            epoch: 1,
+            covers: 2,
+            machines: vec![
+                MachineImage {
+                    machine: "m0".into(),
+                    mesh: "4x4".into(),
+                    allocator: "Hilbert w/BF".into(),
+                    strategy: None,
+                    scheduler: "EASY backfill".into(),
+                    seq: 12,
+                    clock: Some(8.5),
+                    fair_share: true,
+                    running: vec![RunningImage {
+                        job: 1,
+                        nodes: vec![NodeId(0), NodeId(1)],
+                        walltime: Some(30.0),
+                        start: 1.5,
+                        pattern: Some(CommPattern::Ring),
+                        tenant: Some("acme".into()),
+                    }],
+                    queue: vec![QueuedImage {
+                        job: 2,
+                        size: 16,
+                        walltime: None,
+                        enqueued_at: 2.0,
+                        pattern: None,
+                        tenant: None,
+                    }],
+                },
+                MachineImage {
+                    machine: "m1".into(),
+                    mesh: "2x2x2".into(),
+                    allocator: "snake-3d".into(),
+                    strategy: Some("FF".into()),
+                    scheduler: "FCFS".into(),
+                    seq: 0,
+                    clock: None,
+                    fair_share: false,
+                    running: vec![],
+                    queue: vec![],
+                },
+            ],
+            pools: vec![PoolImage {
+                pool: "grid".into(),
+                members: vec!["m0".into(), "m1".into()],
+                policy: "shortest-queue".into(),
+            }],
+            tenants: vec![TenantImage {
+                tenant: "acme".into(),
+                weight: 2.0,
+                quota: Some(5e5),
+                max_in_flight: Some(8),
+                consumed: 45.0,
+            }],
+        });
+        assert_eq!(
+            snapshot.to_line(40),
+            "{\"seq\":40,\"rec\":\"snapshot\",\"epoch\":1,\"covers\":2,\
+             \"machines\":[{\"machine\":\"m0\",\"mesh\":\"4x4\",\
+             \"allocator\":\"Hilbert w/BF\",\"strategy\":null,\
+             \"scheduler\":\"EASY backfill\",\"seq\":12,\"clock\":8.5,\"fair_share\":true,\
+             \"running\":[{\"job\":1,\"nodes\":[0,1],\"walltime\":30,\
+             \"start\":1.5,\"pattern\":\"ring\",\"tenant\":\"acme\"}],\
+             \"queue\":[{\"job\":2,\"size\":16,\"walltime\":null,\"enqueued_at\":2}]},\
+             {\"machine\":\"m1\",\"mesh\":\"2x2x2\",\"allocator\":\"snake-3d\",\"strategy\":\"FF\",\
+             \"scheduler\":\"FCFS\",\"seq\":0,\"clock\":null,\"running\":[],\"queue\":[]}],\
+             \"pools\":[{\"pool\":\"grid\",\"members\":[\"m0\",\"m1\"],\"policy\":\"shortest-queue\"}],\
+             \"tenants\":[{\"tenant\":\"acme\",\"weight\":2,\"quota\":500000,\
+             \"max_in_flight\":8,\"consumed\":45}]}"
+        );
+    }
+
+    #[test]
     fn every_record_kind_round_trips_through_the_wire_format() {
         for (i, record) in sample_records().into_iter().enumerate() {
             let seq = i as u64 + 1;
@@ -1888,20 +1851,6 @@ mod tests {
             let (parsed_seq, parsed) = JournalRecord::from_line(&line).unwrap();
             assert_eq!(parsed_seq, seq);
             assert_eq!(parsed, record, "line was {line}");
-        }
-    }
-
-    #[test]
-    fn fast_line_rendering_matches_the_value_tree() {
-        // The hot append path hand-writes JSON; it must emit byte-for-
-        // byte what the Value-tree path would (one canonical format).
-        for (i, record) in sample_records().into_iter().enumerate() {
-            let seq = i as u64 + 1;
-            assert_eq!(
-                record.to_line(seq),
-                serde_json::to_string(&record.to_value(seq)).unwrap(),
-                "paths diverged on {record:?}"
-            );
         }
     }
 

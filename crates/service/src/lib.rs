@@ -101,21 +101,25 @@
 //! ([`server::Server`]; nonblocking sockets driven by the `polling`
 //! compat shim's epoll/poll surface). Each worker drains every complete
 //! frame per readiness wakeup (pipelining) and writes responses through
-//! a per-connection outbox with backpressure. The original blocking
-//! thread-per-connection pool survives as [`server::BlockingServer`] —
-//! the `wire_throughput` bench's baseline.
+//! a per-connection outbox with backpressure.
 //!
 //! ## Example
 //!
 //! ```
-//! use commalloc_service::{AllocationService, AllocOutcome};
+//! use commalloc_service::{AllocArgs, AllocOutcome, AllocationService, RequestCtx};
 //!
 //! let service = AllocationService::new();
-//! service.register_2d("m0", "16x16", "Hilbert w/BF").unwrap();
-//! let granted = service.allocate("m0", 1, 17, false, Some(60.0)).unwrap();
+//! service.register("m0", "16x16", Some("Hilbert w/BF"), None, None).unwrap();
+//! // Every operation has one method; its optional attributes (walltime,
+//! // pattern, tenant, ...) are arguments, and the context says whether
+//! // the flight recorder follows the call. In-process callers pass the
+//! // inert one.
+//! let ctx = RequestCtx::inert();
+//! let args = AllocArgs::new(1, 17).with_walltime(60.0);
+//! let granted = service.alloc("m0", &args, &ctx).unwrap();
 //! let AllocOutcome::Granted(nodes) = granted else { panic!("empty machine") };
 //! assert_eq!(nodes.len(), 17);
-//! let newly_runnable = service.release("m0", 1).unwrap();
+//! let newly_runnable = service.release("m0", 1, &ctx).unwrap();
 //! assert!(newly_runnable.is_empty());
 //! ```
 
@@ -147,11 +151,11 @@ pub use metrics::{
     LogLinearHistogram, MachineMetrics, ServiceMetrics, SlowdownReservoir, WaitStats, WindowRing,
     LOG_LINEAR_SLOTS, SLOWDOWN_RESERVOIR_CAPACITY, SLOWDOWN_TAU_SECONDS, WINDOW_SLOTS,
 };
-pub use protocol::{JobRef, Request, Response};
+pub use protocol::{AllocArgs, JobRef, Request, Response};
 pub use registry::{MachineSnapshot, Registry, ServiceError};
 pub use replay::{replay, replay_cluster, ClusterReplayLog, ReplayGrant, ReplayJob, ReplayLog};
 pub use score::ScoreBreakdown;
-pub use server::{BlockingServer, Server, ServerHandle};
+pub use server::{Server, ServerHandle};
 pub use service::{AllocOutcome, AllocationService, JobStatus};
 pub use tenant::{job_cost, tenant_or_default, TenantConfig, TenantExport, TenantTable};
 pub use trace::{FlightRecorder, RequestCtx, SpanEvent, Stage};

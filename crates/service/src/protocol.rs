@@ -152,6 +152,62 @@ pub(crate) fn get_job_ref(v: &Value) -> Result<JobRef, Error> {
     JobRef::from_wire(field)
 }
 
+/// The attributes of one `alloc`, borrowed: exactly what
+/// [`Request::Alloc`] carries beside its machine address. The client,
+/// the service and the machine entry all take the operation in this one
+/// shape, built up from [`AllocArgs::new`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AllocArgs<'a> {
+    /// Job identifier (client-chosen, unique per machine).
+    pub job: u64,
+    /// Number of processors.
+    pub size: usize,
+    /// Queue instead of rejecting on capacity shortfall.
+    pub wait: bool,
+    /// Runtime estimate in seconds; finite and positive when present.
+    pub walltime: Option<f64>,
+    /// Declared communication pattern; `None` = pattern-oblivious.
+    pub pattern: Option<CommPattern>,
+    /// Tenant the job is attributed to; `None` = the default tenant.
+    pub tenant: Option<&'a str>,
+}
+
+impl<'a> AllocArgs<'a> {
+    /// `size` processors for `job`: no waiting, no estimate, no
+    /// pattern, the default tenant.
+    pub fn new(job: u64, size: usize) -> AllocArgs<'a> {
+        AllocArgs {
+            job,
+            size,
+            wait: false,
+            walltime: None,
+            pattern: None,
+            tenant: None,
+        }
+    }
+
+    /// The same request, queued when it cannot be served at once.
+    pub fn or_wait(self) -> AllocArgs<'a> {
+        AllocArgs { wait: true, ..self }
+    }
+
+    /// The same request with a runtime estimate of `seconds`.
+    pub fn with_walltime(self, seconds: f64) -> AllocArgs<'a> {
+        AllocArgs {
+            walltime: Some(seconds),
+            ..self
+        }
+    }
+
+    /// The same request billed to `tenant`.
+    pub fn for_tenant(self, tenant: &'a str) -> AllocArgs<'a> {
+        AllocArgs {
+            tenant: Some(tenant),
+            ..self
+        }
+    }
+}
+
 /// A client request.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {

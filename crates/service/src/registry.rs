@@ -11,6 +11,7 @@ use crate::admission::{AdmissionQueue, PendingRequest};
 use crate::calibration::{CalibrationSample, CalibrationStore, PlacementRecord, PLACEMENT_CAP};
 use crate::journal::{JournalRecord, MachineImage, QueuedImage, RunningImage};
 use crate::metrics::MachineMetrics;
+use crate::protocol::AllocArgs;
 use crate::score::ScoreBreakdown;
 use crate::tenant::{job_cost, TenantTable};
 use crate::trace::{RequestCtx, Stage};
@@ -644,13 +645,7 @@ impl MachineEntry {
     /// (disabling it may admit a request the re-ordering was holding
     /// behind a heavier tenant, and vice versa). Returns the newly
     /// granted jobs in grant order.
-    pub fn set_fair_share(&mut self, enabled: bool) -> Vec<(u64, Vec<NodeId>)> {
-        self.set_fair_share_traced(enabled, &RequestCtx::inert())
-    }
-
-    /// [`MachineEntry::set_fair_share`] with a tracing context (the
-    /// wire path; in-process callers use the untraced wrapper).
-    pub fn set_fair_share_traced(
+    pub fn set_fair_share(
         &mut self,
         enabled: bool,
         ctx: &RequestCtx<'_>,
@@ -1002,13 +997,7 @@ impl MachineEntry {
     /// Switches the scheduling policy at runtime and re-drains the queue
     /// (a switch to a backfilling policy may immediately admit requests
     /// FCFS was blocking). Returns the newly granted jobs in grant order.
-    pub fn set_scheduler(&mut self, scheduler: SchedulerKind) -> Vec<(u64, Vec<NodeId>)> {
-        self.set_scheduler_traced(scheduler, &RequestCtx::inert())
-    }
-
-    /// [`MachineEntry::set_scheduler`] with a tracing context (the wire
-    /// path; in-process callers use the untraced wrapper).
-    pub fn set_scheduler_traced(
+    pub fn set_scheduler(
         &mut self,
         scheduler: SchedulerKind,
         ctx: &RequestCtx<'_>,
@@ -1041,59 +1030,39 @@ impl MachineEntry {
         self.backing.num_busy()
     }
 
-    /// Serves an allocation request: immediate grant, queue (when `wait`),
-    /// or rejection. The request is logically appended to the admission
-    /// queue and the queue is drained under the active policy — under
-    /// FCFS a non-empty queue therefore still blocks every newcomer, while
-    /// the backfilling policies may start the newcomer at once.
-    /// `walltime` is the client's runtime estimate in seconds (EASY's
-    /// shadow-time input); it must be finite and positive when present.
+    /// Serves an allocation request: immediate grant, queue (when
+    /// `args.wait`), or rejection. The request is logically appended to
+    /// the admission queue and the queue is drained under the active
+    /// policy — under FCFS a non-empty queue therefore still blocks every
+    /// newcomer, while the backfilling policies may start the newcomer at
+    /// once. `args.walltime` is the client's runtime estimate in seconds
+    /// (EASY's shadow-time input); it must be finite and positive when
+    /// present.
+    ///
+    /// `placed_by` is the placement provenance label the calibration
+    /// plane files under (the routing-policy name for pool-routed
+    /// requests, `"direct"` otherwise). Quota admission happens at the
+    /// service layer *before* this call; here `args.tenant` only rides
+    /// the request into the queue, the journal and the running metadata.
+    ///
+    /// The enqueued request remembers the context's request ID, so a
+    /// later grant-from-queue attaches its events to the request that
+    /// enqueued the job; a queued or rejected outcome emits a `Deny`
+    /// event carrying the scheduler's explanation of what blocked it.
     pub fn allocate(
         &mut self,
-        job_id: u64,
-        size: usize,
-        wait: bool,
-        walltime: Option<f64>,
-    ) -> Result<AllocOutcome, ServiceError> {
-        self.allocate_traced(job_id, size, wait, walltime, None, &RequestCtx::inert())
-    }
-
-    /// [`MachineEntry::allocate`] with a tracing context. The enqueued
-    /// request remembers the context's request ID, so a later
-    /// grant-from-queue attaches its events to the request that enqueued
-    /// the job; a queued or rejected outcome emits a `Deny` event
-    /// carrying the scheduler's explanation of what blocked it.
-    pub fn allocate_traced(
-        &mut self,
-        job_id: u64,
-        size: usize,
-        wait: bool,
-        walltime: Option<f64>,
-        pattern: Option<CommPattern>,
-        ctx: &RequestCtx<'_>,
-    ) -> Result<AllocOutcome, ServiceError> {
-        self.allocate_placed(job_id, size, wait, walltime, pattern, "direct", None, ctx)
-    }
-
-    /// [`MachineEntry::allocate_traced`] with the placement provenance
-    /// label the calibration plane files under (the routing-policy name
-    /// for pool-routed requests, `"direct"` otherwise) and the tenant
-    /// the job is attributed to (`None` = the default tenant). Quota
-    /// admission happens at the service layer *before* this call; here
-    /// the tenant only rides the request into the queue, the journal
-    /// and the running metadata.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn allocate_placed(
-        &mut self,
-        job_id: u64,
-        size: usize,
-        wait: bool,
-        walltime: Option<f64>,
-        pattern: Option<CommPattern>,
+        args: &AllocArgs<'_>,
         placed_by: &'static str,
-        tenant: Option<String>,
         ctx: &RequestCtx<'_>,
     ) -> Result<AllocOutcome, ServiceError> {
+        let AllocArgs {
+            job: job_id,
+            size,
+            wait,
+            walltime,
+            pattern,
+            tenant,
+        } = *args;
         if self.allocations.contains_key(&job_id) || self.queue.contains(job_id) {
             return Err(ServiceError::DuplicateJob {
                 machine: self.name.clone(),
@@ -1129,7 +1098,7 @@ impl MachineEntry {
             trace_request: ctx.request(),
             enqueued_micros: ctx.now_micros(),
             placed_by,
-            tenant: tenant.clone(),
+            tenant: tenant.map(str::to_string),
             arrival_seq: 0,
         });
         let granted = self.drain_queue(Some(job_id), ctx);
@@ -1190,11 +1159,11 @@ impl MachineEntry {
                     walltime,
                     enqueued_at,
                     pattern,
-                    tenant: tenant.clone(),
+                    tenant: tenant.map(str::to_string),
                 });
             }
             if let Some(table) = &self.tenants {
-                table.note_enqueued(tenant.as_deref());
+                table.note_enqueued(tenant);
             }
             Ok(AllocOutcome::Queued(
                 self.queue.position(job_id).expect("job is queued"),
@@ -1214,13 +1183,7 @@ impl MachineEntry {
     /// Releases `job_id` (or cancels it if still queued), then drains the
     /// admission queue under the active policy. Returns the jobs granted
     /// from the queue as `(job_id, nodes)` pairs, in grant order.
-    pub fn release(&mut self, job_id: u64) -> Result<Vec<(u64, Vec<NodeId>)>, ServiceError> {
-        self.release_traced(job_id, &RequestCtx::inert())
-    }
-
-    /// [`MachineEntry::release`] with a tracing context (the wire path;
-    /// in-process callers use the untraced wrapper).
-    pub fn release_traced(
+    pub fn release(
         &mut self,
         job_id: u64,
         ctx: &RequestCtx<'_>,
@@ -1851,6 +1814,23 @@ impl Registry {
 mod tests {
     use super::*;
 
+    /// An untenanted, unpatterned, untraced direct alloc — the shape
+    /// most of these tests submit.
+    fn alloc(
+        m: &mut MachineEntry,
+        job: u64,
+        size: usize,
+        wait: bool,
+        walltime: Option<f64>,
+    ) -> Result<AllocOutcome, ServiceError> {
+        let args = AllocArgs {
+            wait,
+            walltime,
+            ..AllocArgs::new(job, size)
+        };
+        m.allocate(&args, "direct", &RequestCtx::inert())
+    }
+
     fn registry_with_m0() -> Registry {
         let r = Registry::default();
         r.register_2d(
@@ -1918,7 +1898,7 @@ mod tests {
     fn allocate_release_cycle_keeps_invariants() {
         let r = registry_with_m0();
         let outcome = r
-            .with_entry("m0", |m| m.allocate(1, 30, false, None))
+            .with_entry("m0", |m| alloc(m, 1, 30, false, None))
             .unwrap();
         let AllocOutcome::Granted(nodes) = outcome else {
             panic!("expected a grant, got {outcome:?}");
@@ -1932,7 +1912,9 @@ mod tests {
             r.with_entry("m0", |m| Ok(m.poll(1))).unwrap(),
             JobStatus::Running(nodes)
         );
-        let granted = r.with_entry("m0", |m| m.release(1)).unwrap();
+        let granted = r
+            .with_entry("m0", |m| m.release(1, &RequestCtx::inert()))
+            .unwrap();
         assert!(granted.is_empty());
         assert_eq!(r.with_entry("m0", |m| Ok(m.num_free())).unwrap(), 256);
     }
@@ -1942,29 +1924,27 @@ mod tests {
         let r = registry_with_m0();
         // Fill the machine almost completely.
         let AllocOutcome::Granted(_) = r
-            .with_entry("m0", |m| m.allocate(1, 250, false, None))
+            .with_entry("m0", |m| alloc(m, 1, 250, false, None))
             .unwrap()
         else {
             panic!("grant expected");
         };
         // 20 does not fit -> queued; 3 would fit but must wait behind it.
         assert_eq!(
-            r.with_entry("m0", |m| m.allocate(2, 20, true, None))
-                .unwrap(),
+            r.with_entry("m0", |m| alloc(m, 2, 20, true, None)).unwrap(),
             AllocOutcome::Queued(1)
         );
         assert_eq!(
-            r.with_entry("m0", |m| m.allocate(3, 3, true, None))
-                .unwrap(),
+            r.with_entry("m0", |m| alloc(m, 3, 3, true, None)).unwrap(),
             AllocOutcome::Queued(2)
         );
         // Without wait, the same situation is a rejection.
-        let outcome = r
-            .with_entry("m0", |m| m.allocate(4, 1, false, None))
-            .unwrap();
+        let outcome = r.with_entry("m0", |m| alloc(m, 4, 1, false, None)).unwrap();
         assert!(matches!(outcome, AllocOutcome::Rejected(_)));
         // Releasing the big job grants both queued jobs, in order.
-        let granted = r.with_entry("m0", |m| m.release(1)).unwrap();
+        let granted = r
+            .with_entry("m0", |m| m.release(1, &RequestCtx::inert()))
+            .unwrap();
         let ids: Vec<u64> = granted.iter().map(|(id, _)| *id).collect();
         assert_eq!(ids, vec![2, 3]);
         r.with_entry("m0", |m| {
@@ -1976,14 +1956,15 @@ mod tests {
     #[test]
     fn cancelling_a_queued_head_unblocks_the_queue() {
         let r = registry_with_m0();
-        r.with_entry("m0", |m| m.allocate(1, 250, false, None))
+        r.with_entry("m0", |m| alloc(m, 1, 250, false, None))
             .unwrap();
-        r.with_entry("m0", |m| m.allocate(2, 100, true, None))
+        r.with_entry("m0", |m| alloc(m, 2, 100, true, None))
             .unwrap();
-        r.with_entry("m0", |m| m.allocate(3, 5, true, None))
-            .unwrap();
+        r.with_entry("m0", |m| alloc(m, 3, 5, true, None)).unwrap();
         // Cancel the blocking head; job 3 fits the 6 free processors.
-        let granted = r.with_entry("m0", |m| m.release(2)).unwrap();
+        let granted = r
+            .with_entry("m0", |m| m.release(2, &RequestCtx::inert()))
+            .unwrap();
         let ids: Vec<u64> = granted.iter().map(|(id, _)| *id).collect();
         assert_eq!(ids, vec![3]);
     }
@@ -1991,38 +1972,37 @@ mod tests {
     #[test]
     fn duplicate_and_unknown_jobs_are_errors() {
         let r = registry_with_m0();
-        r.with_entry("m0", |m| m.allocate(1, 4, false, None))
-            .unwrap();
+        r.with_entry("m0", |m| alloc(m, 1, 4, false, None)).unwrap();
         assert_eq!(
-            r.with_entry("m0", |m| m.allocate(1, 4, false, None)),
+            r.with_entry("m0", |m| alloc(m, 1, 4, false, None)),
             Err(ServiceError::DuplicateJob {
                 machine: "m0".to_string(),
                 job_id: 1
             })
         );
         assert_eq!(
-            r.with_entry("m0", |m| m.release(99)),
+            r.with_entry("m0", |m| m.release(99, &RequestCtx::inert())),
             Err(ServiceError::UnknownJob {
                 machine: "m0".to_string(),
                 job_id: 99
             })
         );
         assert!(matches!(
-            r.with_entry("m0", |m| m.allocate(5, 0, false, None)),
+            r.with_entry("m0", |m| alloc(m, 5, 0, false, None)),
             Err(ServiceError::InvalidRequest(_))
         ));
         assert!(matches!(
-            r.with_entry("m0", |m| m.allocate(5, 1000, false, None)),
+            r.with_entry("m0", |m| alloc(m, 5, 1000, false, None)),
             Err(ServiceError::InvalidRequest(_))
         ));
         for bad_walltime in [0.0, -1.0, f64::NAN, f64::INFINITY] {
             assert!(matches!(
-                r.with_entry("m0", |m| m.allocate(5, 1, false, Some(bad_walltime))),
+                r.with_entry("m0", |m| alloc(m, 5, 1, false, Some(bad_walltime))),
                 Err(ServiceError::InvalidRequest(_))
             ));
         }
         assert!(matches!(
-            r.with_entry("nope", |m| m.allocate(1, 1, false, None)),
+            r.with_entry("nope", |m| alloc(m, 1, 1, false, None)),
             Err(ServiceError::UnknownMachine(_))
         ));
     }
@@ -2037,18 +2017,16 @@ mod tests {
             SchedulerKind::FirstFitBackfill,
         )
         .unwrap();
-        r.with_entry("bf", |m| m.allocate(1, 250, false, None))
+        r.with_entry("bf", |m| alloc(m, 1, 250, false, None))
             .unwrap();
         // Job 2 blocks as the head; job 3 fits the 6 free processors and
         // starts immediately under first-fit backfill.
         assert_eq!(
-            r.with_entry("bf", |m| m.allocate(2, 100, true, None))
+            r.with_entry("bf", |m| alloc(m, 2, 100, true, None))
                 .unwrap(),
             AllocOutcome::Queued(1)
         );
-        let outcome = r
-            .with_entry("bf", |m| m.allocate(3, 5, true, None))
-            .unwrap();
+        let outcome = r.with_entry("bf", |m| alloc(m, 3, 5, true, None)).unwrap();
         assert!(
             matches!(outcome, AllocOutcome::Granted(ref nodes) if nodes.len() == 5),
             "backfill should start job 3 at once, got {outcome:?}"
@@ -2072,20 +2050,20 @@ mod tests {
         r.with_entry("easy", |m| {
             m.set_time(0.0);
             // 200 processors for 100 s: releases at t = 100.
-            m.allocate(1, 200, false, Some(100.0))
+            alloc(m, 1, 200, false, Some(100.0))
         })
         .unwrap();
         // The head needs 100 (only 56 free): the shadow time is t = 100
         // (job 1's release), with 256 − 100 = 156 extra processors free
         // at that instant.
         assert_eq!(
-            r.with_entry("easy", |m| m.allocate(2, 100, true, Some(50.0)))
+            r.with_entry("easy", |m| alloc(m, 2, 100, true, Some(50.0)))
                 .unwrap(),
             AllocOutcome::Queued(1)
         );
         // A short job (done by t = 50 < 100) backfills.
         let outcome = r
-            .with_entry("easy", |m| m.allocate(3, 40, true, Some(50.0)))
+            .with_entry("easy", |m| alloc(m, 3, 40, true, Some(50.0)))
             .unwrap();
         assert!(
             matches!(outcome, AllocOutcome::Granted(_)),
@@ -2095,12 +2073,12 @@ mod tests {
         // the 156 extras is granted even though it outlives the shadow
         // time (it can never delay the head).
         let outcome = r
-            .with_entry("easy", |m| m.allocate(4, 16, true, Some(1000.0)))
+            .with_entry("easy", |m| alloc(m, 4, 16, true, Some(1000.0)))
             .unwrap();
         assert!(matches!(outcome, AllocOutcome::Granted(_)));
         // Nothing is free any more: the next job queues behind the head.
         assert_eq!(
-            r.with_entry("easy", |m| m.allocate(5, 10, true, Some(1000.0)))
+            r.with_entry("easy", |m| alloc(m, 5, 10, true, Some(1000.0)))
                 .unwrap(),
             AllocOutcome::Queued(2)
         );
@@ -2130,29 +2108,26 @@ mod tests {
                 m.set_time(0.0);
                 // 200 processors until t = 100: 56 free.
                 assert!(matches!(
-                    m.allocate(1, 200, false, Some(100.0))?,
+                    alloc(m, 1, 200, false, Some(100.0))?,
                     AllocOutcome::Granted(_)
                 ));
                 // Head: 100 processors, reserved at t = 100.
-                assert_eq!(
-                    m.allocate(2, 100, true, Some(50.0))?,
-                    AllocOutcome::Queued(1)
-                );
+                assert_eq!(alloc(m, 2, 100, true, Some(50.0))?, AllocOutcome::Queued(1));
                 // A short small job backfills under both policies.
                 assert!(matches!(
-                    m.allocate(3, 30, true, Some(40.0))?,
+                    alloc(m, 3, 30, true, Some(40.0))?,
                     AllocOutcome::Granted(_)
                 ));
                 // 250 processors: reserved at t = 150 (after the head's
                 // [100, 150) window) with only 6 spare during its run.
                 assert_eq!(
-                    m.allocate(4, 250, true, Some(100.0))?,
+                    alloc(m, 4, 250, true, Some(100.0))?,
                     AllocOutcome::Queued(2)
                 );
                 // The probe: 26 processors (exactly the free count) for
                 // 1000 seconds — it would hold processors job 4's
                 // reservation needs at t = 150.
-                m.allocate(5, 26, true, Some(1000.0))
+                alloc(m, 5, 26, true, Some(1000.0))
             })
             .unwrap()
         };
@@ -2182,13 +2157,13 @@ mod tests {
         .unwrap();
         r.with_entry("m", |m| {
             m.set_time(0.0);
-            m.allocate(1, 200, false, Some(100.0))?;
-            m.allocate(2, 100, true, Some(50.0))?;
-            m.allocate(3, 30, true, Some(40.0))?;
-            m.allocate(4, 250, true, Some(100.0))?;
+            alloc(m, 1, 200, false, Some(100.0))?;
+            alloc(m, 2, 100, true, Some(50.0))?;
+            alloc(m, 3, 30, true, Some(40.0))?;
+            alloc(m, 4, 250, true, Some(100.0))?;
             // Blocked only by job 4's carve (6 spare during [150, 250)).
             assert_eq!(
-                m.allocate(5, 26, true, Some(1000.0))?,
+                alloc(m, 5, 26, true, Some(1000.0))?,
                 AllocOutcome::Queued(3)
             );
             Ok(())
@@ -2196,7 +2171,9 @@ mod tests {
         .unwrap();
         // Cancelling the mid-queue job recomputes the table: job 5's
         // window no longer collides with any carve and it starts at once.
-        let granted = r.with_entry("m", |m| m.release(4)).unwrap();
+        let granted = r
+            .with_entry("m", |m| m.release(4, &RequestCtx::inert()))
+            .unwrap();
         let ids: Vec<u64> = granted.iter().map(|(id, _)| *id).collect();
         assert_eq!(ids, vec![5], "cancel must re-plan the queue");
         r.with_entry("m", |m| {
@@ -2211,16 +2188,15 @@ mod tests {
     #[test]
     fn set_scheduler_redrains_the_queue() {
         let r = registry_with_m0();
-        r.with_entry("m0", |m| m.allocate(1, 250, false, None))
+        r.with_entry("m0", |m| alloc(m, 1, 250, false, None))
             .unwrap();
-        r.with_entry("m0", |m| m.allocate(2, 100, true, None))
+        r.with_entry("m0", |m| alloc(m, 2, 100, true, None))
             .unwrap();
-        r.with_entry("m0", |m| m.allocate(3, 5, true, None))
-            .unwrap();
+        r.with_entry("m0", |m| alloc(m, 3, 5, true, None)).unwrap();
         // FCFS blocks job 3 behind job 2; switching to backfill admits it.
         let granted = r
             .with_entry("m0", |m| {
-                Ok(m.set_scheduler(SchedulerKind::FirstFitBackfill))
+                Ok(m.set_scheduler(SchedulerKind::FirstFitBackfill, &RequestCtx::inert()))
             })
             .unwrap();
         let ids: Vec<u64> = granted.iter().map(|(id, _)| *id).collect();
@@ -2246,19 +2222,11 @@ mod tests {
         tenants.admit(Some("hog"), 1_000_000.0).unwrap();
         tenants.admit(Some("mouse"), 10.0).unwrap();
         let submit = |m: &mut MachineEntry, id: u64, tenant: &str| {
-            m.allocate_placed(
-                id,
-                200,
-                true,
-                None,
-                None,
-                "direct",
-                Some(tenant.to_string()),
-                &RequestCtx::inert(),
-            )
+            let args = AllocArgs::new(id, 200).or_wait().for_tenant(tenant);
+            m.allocate(&args, "direct", &RequestCtx::inert())
         };
         r.with_entry("m0", |m| {
-            m.allocate(1, 250, false, None)?;
+            alloc(m, 1, 250, false, None)?;
             submit(m, 2, "hog")?;
             submit(m, 3, "hog")?;
             submit(m, 4, "mouse")?;
@@ -2268,9 +2236,9 @@ mod tests {
         .unwrap();
         let granted = r
             .with_entry("m0", |m| {
-                m.set_fair_share(true);
+                m.set_fair_share(true, &RequestCtx::inert());
                 assert!(m.fair_share());
-                m.release(1)
+                m.release(1, &RequestCtx::inert())
             })
             .unwrap();
         let ids: Vec<u64> = granted.iter().map(|(id, _)| *id).collect();
@@ -2292,21 +2260,15 @@ mod tests {
             .unwrap();
         r.with_entry("m0", |m| {
             m.set_time(0.0);
-            m.allocate_placed(
-                1,
-                30,
-                false,
-                Some(100.0),
-                None,
-                "direct",
-                Some("acme".to_string()),
-                &RequestCtx::inert(),
-            )
+            let args = AllocArgs::new(1, 30)
+                .with_walltime(100.0)
+                .for_tenant("acme");
+            m.allocate(&args, "direct", &RequestCtx::inert())
         })
         .unwrap();
         r.with_entry("m0", |m| {
             m.set_time(40.0);
-            m.release(1)
+            m.release(1, &RequestCtx::inert())
         })
         .unwrap();
         let row = tenants
@@ -2327,11 +2289,10 @@ mod tests {
         let r = registry_with_m0();
         r.with_entry("m0", |m| {
             m.set_time(10.0);
-            m.allocate(1, 250, false, None)
+            alloc(m, 1, 250, false, None)
         })
         .unwrap();
-        r.with_entry("m0", |m| m.allocate(2, 20, true, None))
-            .unwrap();
+        r.with_entry("m0", |m| alloc(m, 2, 20, true, None)).unwrap();
         r.with_entry("m0", |m| {
             m.set_time(35.0);
             m.set_time(1.0); // clamped: virtual time never rewinds
@@ -2339,7 +2300,9 @@ mod tests {
             Ok(())
         })
         .unwrap();
-        let granted = r.with_entry("m0", |m| m.release(1)).unwrap();
+        let granted = r
+            .with_entry("m0", |m| m.release(1, &RequestCtx::inert()))
+            .unwrap();
         assert_eq!(granted.len(), 1);
         let (count, mean, max) = r
             .with_entry("m0", |m| {
@@ -2377,7 +2340,9 @@ mod tests {
         .unwrap();
         // Releasing the recovered job drains the recovered queue with a
         // sane (small, non-negative) recorded wait.
-        let granted = r.with_entry("m0", |m| m.release(1)).unwrap();
+        let granted = r
+            .with_entry("m0", |m| m.release(1, &RequestCtx::inert()))
+            .unwrap();
         assert_eq!(granted.len(), 1);
         assert_eq!(granted[0].0, 2);
         let mean = r
@@ -2401,7 +2366,7 @@ mod tests {
         )
         .unwrap();
         let AllocOutcome::Granted(nodes) = r
-            .with_entry("cube", |m| m.allocate(1, 32, false, None))
+            .with_entry("cube", |m| alloc(m, 1, 32, false, None))
             .unwrap()
         else {
             panic!("grant expected");

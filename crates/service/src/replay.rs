@@ -23,9 +23,10 @@
 //! integers) keep every event time exact in `f64`, making tie-breaking
 //! reproducible rather than rounding-dependent.
 
-use crate::protocol::JobRef;
+use crate::protocol::{AllocArgs, JobRef};
 use crate::registry::AllocOutcome;
 use crate::service::AllocationService;
+use crate::trace::RequestCtx;
 use commalloc_mesh::NodeId;
 use commalloc_workload::CommPattern;
 use std::collections::HashMap;
@@ -58,6 +59,17 @@ impl ReplayJob {
             arrival,
             duration,
             pattern: None,
+        }
+    }
+
+    /// The alloc a replay submits for this job: queue when blocked, the
+    /// duration as the walltime estimate, the declared pattern.
+    pub(crate) fn alloc_args(&self) -> AllocArgs<'static> {
+        AllocArgs {
+            wait: true,
+            walltime: Some(self.duration),
+            pattern: self.pattern,
+            ..AllocArgs::new(self.id, self.size)
         }
     }
 
@@ -169,14 +181,7 @@ pub fn replay(
             let job = jobs[next_arrival];
             next_arrival += 1;
             match service
-                .allocate_patterned(
-                    machine,
-                    job.id,
-                    job.size,
-                    true,
-                    Some(job.duration),
-                    job.pattern,
-                )
+                .alloc(machine, &job.alloc_args(), &RequestCtx::inert())
                 .expect("well-formed replay request")
             {
                 AllocOutcome::Granted(nodes) => {
@@ -194,7 +199,7 @@ pub fn replay(
             let (_, idx) = completion.expect("completion event requires a running job");
             let (done, _) = running.swap_remove(idx);
             let granted = service
-                .release(machine, done)
+                .release(machine, done, &RequestCtx::inert())
                 .expect("running job releases cleanly");
             for (job_id, nodes) in granted {
                 running.push((job_id, now + duration_of(job_id)));
@@ -323,14 +328,7 @@ pub fn replay_cluster(
         if is_arrival {
             let job = jobs[next_arrival];
             next_arrival += 1;
-            match service.route(
-                pool,
-                job.id,
-                job.size,
-                true,
-                Some(job.duration),
-                job.pattern,
-            ) {
+            match service.route(pool, &job.alloc_args(), &RequestCtx::inert()) {
                 Ok((machine, outcome)) => {
                     routes.push((job.id, Some(machine.clone())));
                     match outcome {
@@ -363,7 +361,11 @@ pub fn replay_cluster(
             // cluster replay also proves the index agrees with the
             // router's bookkeeping.
             let (resolved, granted) = service
-                .release_ref(Some(&pool_address), &JobRef::Bare(done))
+                .release_ref(
+                    Some(&pool_address),
+                    &JobRef::Bare(done),
+                    &RequestCtx::inert(),
+                )
                 .expect("running job releases cleanly");
             assert_eq!(
                 resolved, machine,

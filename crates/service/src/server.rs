@@ -14,12 +14,7 @@
 //! Framing is discriminated per frame by the first byte (see
 //! [`crate::framing`]); responses return in the framing the request
 //! arrived in, so `nc` keeps working while binary clients skip JSON
-//! entirely.
-//!
-//! The original blocking thread-per-connection pool survives as
-//! [`BlockingServer`] — it is the measured baseline for the
-//! `wire_throughput` bench, not a fallback the service selects at
-//! runtime. Everything is `std`-only.
+//! entirely. Everything is `std`-only.
 
 use crate::framing::{self, Frame, FrameBuffer, Framing};
 use crate::metrics::ServiceMetrics;
@@ -28,11 +23,11 @@ use crate::service::AllocationService;
 use crate::trace::Stage;
 use polling::{Event, Poller, Waker};
 use std::collections::HashMap;
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 /// Outbox size above which a connection's read interest is paused until
@@ -590,165 +585,10 @@ impl ServerHandle {
     }
 }
 
-// ---------------------------------------------------------------------------
-// The blocking baseline.
-// ---------------------------------------------------------------------------
-
-/// The original transport: newline-delimited JSON over a bounded
-/// thread-per-connection worker pool (at most `workers` connections are
-/// served at once; further accepted connections wait in the channel).
-///
-/// Kept as the measured baseline for the `wire_throughput` bench — the
-/// readiness-loop [`Server`] is what `serve` runs.
-pub struct BlockingServer {
-    listener: TcpListener,
-    service: AllocationService,
-    workers: usize,
-}
-
-impl BlockingServer {
-    /// Binds to `addr` serving `service` with a pool of `workers`
-    /// connection handlers.
-    pub fn bind(
-        addr: impl ToSocketAddrs,
-        service: AllocationService,
-        workers: usize,
-    ) -> io::Result<BlockingServer> {
-        Ok(BlockingServer {
-            listener: TcpListener::bind(addr)?,
-            service,
-            workers: workers.max(1),
-        })
-    }
-
-    /// The bound address (useful with ephemeral ports).
-    pub fn local_addr(&self) -> io::Result<SocketAddr> {
-        self.listener.local_addr()
-    }
-
-    /// Runs the server on background threads, returning a handle that can
-    /// stop it.
-    pub fn spawn(self) -> io::Result<ServerHandle> {
-        let addr = self.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let shutdown_for_accept = Arc::clone(&shutdown);
-        let accept_thread = std::thread::spawn(move || {
-            let (result, workers) = self.serve(shutdown_for_accept);
-            for worker in workers {
-                let _ = worker.join();
-            }
-            result
-        });
-        Ok(ServerHandle {
-            addr,
-            shutdown,
-            accept_thread,
-        })
-    }
-
-    fn serve(self, shutdown: Arc<AtomicBool>) -> (io::Result<()>, Vec<JoinHandle<()>>) {
-        let (tx, rx) = mpsc::channel::<TcpStream>();
-        let rx = Arc::new(Mutex::new(rx));
-        let workers: Vec<JoinHandle<()>> = (0..self.workers)
-            .map(|_| {
-                let rx = Arc::clone(&rx);
-                let service = self.service.clone();
-                std::thread::spawn(move || loop {
-                    // Hold the lock only while receiving, not while serving.
-                    let next = rx.lock().expect("worker queue poisoned").recv();
-                    match next {
-                        Ok(stream) => {
-                            let outcome =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    handle_blocking_connection(stream, &service)
-                                }));
-                            if outcome.is_err() {
-                                eprintln!(
-                                    "commalloc-service: connection handler \
-                                     panicked; worker continuing"
-                                );
-                            }
-                        }
-                        Err(_) => break, // channel closed: server shutting down
-                    }
-                })
-            })
-            .collect();
-        let result = loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    if shutdown.load(Ordering::SeqCst) {
-                        break Ok(());
-                    }
-                    ServiceMetrics::bump(&self.service.metrics().connections);
-                    if tx.send(stream).is_err() {
-                        break Ok(());
-                    }
-                }
-                Err(e) => {
-                    if shutdown.load(Ordering::SeqCst) {
-                        break Ok(());
-                    }
-                    break Err(e);
-                }
-            }
-        };
-        drop(tx); // close the channel: idle workers wake up and exit
-        (result, workers)
-    }
-}
-
-/// Serves one blocking connection: one JSON request per line, one JSON
-/// response per line, flushed per response.
-fn handle_blocking_connection(stream: TcpStream, service: &AllocationService) {
-    let _ = stream.set_nodelay(true);
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    let mut writer = write_half;
-    let reader = BufReader::new(stream);
-    let mut conn_tenant: Option<String> = None;
-    for line in reader.lines() {
-        let Ok(line) = line else {
-            return;
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let ctx = service.recorder().begin();
-        let parse_start = ctx.now_micros();
-        let response = match Request::from_line(&line) {
-            Ok(mut request) => {
-                ctx.span(Stage::Parse, 0, 0, parse_start, ctx.now_micros());
-                bind_tenant(&mut request, &conn_tenant);
-                let response = service.handle_traced(&request, &ctx);
-                if let (Request::Hello { tenant }, Response::Hello { .. }) = (&request, &response) {
-                    conn_tenant = Some(tenant.clone());
-                }
-                response
-            }
-            Err(e) => {
-                ctx.span(Stage::Parse, 0, 1, parse_start, ctx.now_micros());
-                ServiceMetrics::bump(&service.metrics().protocol_errors);
-                Response::Error {
-                    message: format!("bad request: {e}"),
-                    code: None,
-                    detail: None,
-                }
-            }
-        };
-        if writeln!(writer, "{}", response.to_line())
-            .and_then(|()| writer.flush())
-            .is_err()
-        {
-            return;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{BufRead, BufReader};
     use std::net::Shutdown;
 
     fn spawn_server() -> (AllocationService, ServerHandle) {
@@ -941,18 +781,26 @@ mod tests {
     }
 
     #[test]
-    fn blocking_baseline_still_serves_ndjson() {
-        let service = AllocationService::new();
-        let server = BlockingServer::bind("127.0.0.1:0", service.clone(), 2).unwrap();
-        let handle = server.spawn().unwrap();
+    fn blank_ndjson_lines_are_skipped_without_an_answer() {
+        let (service, handle) = spawn_server();
         let mut stream = TcpStream::connect(handle.addr()).unwrap();
-        writeln!(stream, "{}", Request::Ping.to_line()).unwrap();
-        stream.flush().unwrap();
-        let mut reader = BufReader::new(stream);
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        assert_eq!(Response::from_line(&line).unwrap(), Response::Pong);
-        drop(reader);
+        let ping = Request::Ping.to_line();
+        let mut wire = format!("{ping}\n\n  \t\n{ping}\n").into_bytes();
+        wire.extend_from_slice(&framing::encode_frame(&Request::Ping.to_value()).unwrap());
+        stream.write_all(&wire).unwrap();
+        stream.shutdown(Shutdown::Write).unwrap();
+
+        // Reading to EOF proves the blank lines drew no answer at all.
+        let frames = read_frames(&mut stream, usize::MAX);
+        let framings: Vec<Framing> = frames.iter().map(|f| f.framing).collect();
+        assert_eq!(
+            framings,
+            vec![Framing::Ndjson, Framing::Ndjson, Framing::Binary]
+        );
+        for frame in &frames {
+            assert_eq!(decode_response(frame), Response::Pong);
+        }
+        assert_eq!(service.metrics().protocol_errors.load(Ordering::Relaxed), 0);
         handle.shutdown().unwrap();
     }
 }

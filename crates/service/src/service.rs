@@ -11,7 +11,7 @@ use crate::journal::{
     JournalRecord, JournalSink, NoopJournal, PoolImage, SnapshotImage, TenantImage,
 };
 use crate::metrics::{LogLinearHistogram, ServiceMetrics, WindowRing};
-use crate::protocol::{JobRef, Request, Response};
+use crate::protocol::{AllocArgs, JobRef, Request, Response};
 use crate::registry::{MachineEntry, MachineSnapshot, Registry, ServiceError};
 use crate::tenant::{job_cost, tenant_or_default, TenantConfig, TenantTable};
 use crate::trace::{FlightRecorder, RequestCtx, Stage};
@@ -459,64 +459,6 @@ impl AllocationService {
         Ok(())
     }
 
-    /// Registers a 2-D machine under FCFS (convenience wrapper over
-    /// [`AllocationService::register`]).
-    pub fn register_2d(
-        &self,
-        machine: &str,
-        mesh: &str,
-        allocator: &str,
-    ) -> Result<(), ServiceError> {
-        self.register(machine, mesh, Some(allocator), None, None)
-    }
-
-    /// Allocates `size` processors for `job` on `machine`. `walltime` is
-    /// the client's runtime estimate in seconds (used by EASY
-    /// backfilling; pass `None` when unknown).
-    pub fn allocate(
-        &self,
-        machine: &str,
-        job: u64,
-        size: usize,
-        wait: bool,
-        walltime: Option<f64>,
-    ) -> Result<AllocOutcome, ServiceError> {
-        self.allocate_traced(
-            machine,
-            job,
-            size,
-            wait,
-            walltime,
-            None,
-            None,
-            &RequestCtx::inert(),
-        )
-    }
-
-    /// [`AllocationService::allocate`] for a job that declared a
-    /// communication pattern: the machine scores its candidate
-    /// placements by predicted contention and commits the best one.
-    pub fn allocate_patterned(
-        &self,
-        machine: &str,
-        job: u64,
-        size: usize,
-        wait: bool,
-        walltime: Option<f64>,
-        pattern: Option<CommPattern>,
-    ) -> Result<AllocOutcome, ServiceError> {
-        self.allocate_traced(
-            machine,
-            job,
-            size,
-            wait,
-            walltime,
-            pattern,
-            None,
-            &RequestCtx::inert(),
-        )
-    }
-
     /// Maps a quota check onto the typed admission error. The
     /// commitment is taken here, *before* the machine lock; the
     /// caller settles it against the outcome (refund on reject/error,
@@ -557,39 +499,46 @@ impl AllocationService {
         result
     }
 
-    /// [`AllocationService::allocate`] with a tenant attribution and a
-    /// tracing context (the wire path; in-process callers use the
-    /// untraced wrappers, which bill the default tenant).
-    #[allow(clippy::too_many_arguments)]
-    pub fn allocate_traced(
+    /// Allocates `args.size` processors for `args.job` on `machine`,
+    /// billed to `args.tenant`. `args.walltime` is the client's runtime
+    /// estimate in seconds (the backfilling policies plan with it);
+    /// a declared `args.pattern` makes the machine score its candidate
+    /// placements by predicted contention and commit the best one.
+    pub fn alloc(
+        &self,
+        machine: &str,
+        args: &AllocArgs<'_>,
+        ctx: &RequestCtx<'_>,
+    ) -> Result<AllocOutcome, ServiceError> {
+        let ctx = ctx.with_machine(machine);
+        let cost = job_cost(args.size, args.walltime);
+        self.admit_quota(args.tenant, cost)?;
+        let result = self.registry.with_entry(machine, |entry| {
+            let outcome = entry.allocate(args, "direct", &ctx);
+            self.flush_outbox(entry, &ctx);
+            outcome
+        });
+        self.finish_admission(machine, args.job, args.tenant, cost, result)
+    }
+
+    /// Positional form of [`AllocationService::alloc`] for an
+    /// untenanted, unpatterned, untraced request. Kept only because the
+    /// frozen benchmark package (`commbench/`) calls it by this
+    /// signature; everything else calls `alloc`.
+    pub fn allocate(
         &self,
         machine: &str,
         job: u64,
         size: usize,
         wait: bool,
         walltime: Option<f64>,
-        pattern: Option<CommPattern>,
-        tenant: Option<&str>,
-        ctx: &RequestCtx<'_>,
     ) -> Result<AllocOutcome, ServiceError> {
-        let ctx = ctx.with_machine(machine);
-        let cost = job_cost(size, walltime);
-        self.admit_quota(tenant, cost)?;
-        let result = self.registry.with_entry(machine, |entry| {
-            let outcome = entry.allocate_placed(
-                job,
-                size,
-                wait,
-                walltime,
-                pattern,
-                "direct",
-                tenant.map(str::to_string),
-                &ctx,
-            );
-            self.flush_outbox(entry, &ctx);
-            outcome
-        });
-        self.finish_admission(machine, job, tenant, cost, result)
+        let args = AllocArgs {
+            wait,
+            walltime,
+            ..AllocArgs::new(job, size)
+        };
+        self.alloc(machine, &args, &RequestCtx::inert())
     }
 
     /// The routing-relevant sample of `machine`, captured under its
@@ -627,78 +576,48 @@ impl AllocationService {
     /// rounds the commit proceeds regardless (a stale sample can only
     /// cost placement quality, never soundness). Returns the chosen
     /// machine together with the outcome.
+    ///
+    /// The whole sample-pick-commit loop is timed as one `route` span
+    /// (its `code` counts the stale-sample retries), bound to the member
+    /// that took the job. A routed id already live anywhere in the pool
+    /// is refused up front as the typed duplicate it would otherwise
+    /// become in the pool index.
     pub fn route(
         &self,
         pool: &str,
-        job: u64,
-        size: usize,
-        wait: bool,
-        walltime: Option<f64>,
-        pattern: Option<CommPattern>,
-    ) -> Result<(String, AllocOutcome), ServiceError> {
-        self.route_traced(
-            pool,
-            job,
-            size,
-            wait,
-            walltime,
-            pattern,
-            None,
-            &RequestCtx::inert(),
-        )
-    }
-
-    /// [`AllocationService::route`] with a tenant attribution and a
-    /// tracing context: the whole sample-pick-commit loop is timed as
-    /// one `route` span (its `code` counts the stale-sample retries),
-    /// bound to the member that took the job. A routed id already live
-    /// anywhere in the pool is refused up front as the typed duplicate
-    /// it would otherwise become in the pool index.
-    #[allow(clippy::too_many_arguments)]
-    pub fn route_traced(
-        &self,
-        pool: &str,
-        job: u64,
-        size: usize,
-        wait: bool,
-        walltime: Option<f64>,
-        pattern: Option<CommPattern>,
-        tenant: Option<&str>,
+        args: &AllocArgs<'_>,
         ctx: &RequestCtx<'_>,
     ) -> Result<(String, AllocOutcome), ServiceError> {
-        if let Some(owner) = self.job_index.owners(pool, job).first() {
+        if let Some(owner) = self.job_index.owners(pool, args.job).first() {
             return Err(ServiceError::DuplicateJob {
                 machine: owner.clone(),
-                job_id: job,
+                job_id: args.job,
             });
         }
-        let cost = job_cost(size, walltime);
-        self.admit_quota(tenant, cost)?;
-        let result = self.route_inner(pool, job, size, wait, walltime, pattern, tenant, ctx);
+        let cost = job_cost(args.size, args.walltime);
+        self.admit_quota(args.tenant, cost)?;
+        let result = self.route_inner(pool, args, ctx);
         match &result {
             Ok((target, AllocOutcome::Granted(_))) | Ok((target, AllocOutcome::Queued(_))) => {
-                self.job_index.insert(pool, job, target);
+                self.job_index.insert(pool, args.job, target);
             }
             Ok((_, AllocOutcome::Rejected(_))) | Err(_) => {
-                self.registry.tenants().refund(tenant, cost);
+                self.registry.tenants().refund(args.tenant, cost);
             }
         }
         result
     }
 
     /// The routing loop body (sample, pick, generation-checked commit).
-    #[allow(clippy::too_many_arguments)]
     fn route_inner(
         &self,
         pool: &str,
-        job: u64,
-        size: usize,
-        wait: bool,
-        walltime: Option<f64>,
-        pattern: Option<CommPattern>,
-        tenant: Option<&str>,
+        args: &AllocArgs<'_>,
         ctx: &RequestCtx<'_>,
     ) -> Result<(String, AllocOutcome), ServiceError> {
+        let AllocArgs {
+            job, size, pattern, ..
+        } = *args;
         let route_start = ctx.now_micros();
         for attempt in 0..=ROUTE_STALE_RETRIES {
             let view = self.router.view(pool)?;
@@ -736,18 +655,7 @@ impl AllocationService {
                     route_start,
                     mctx.now_micros(),
                 );
-                let outcome = entry
-                    .allocate_placed(
-                        job,
-                        size,
-                        wait,
-                        walltime,
-                        pattern,
-                        policy.name(),
-                        tenant.map(str::to_string),
-                        &mctx,
-                    )
-                    .map(Some);
+                let outcome = entry.allocate(args, policy.name(), &mctx).map(Some);
                 self.flush_outbox(entry, &mctx);
                 outcome
             })?;
@@ -851,21 +759,10 @@ impl AllocationService {
     }
 
     /// Switches the scheduling policy of `machine` at runtime, returning
-    /// the now-active kind and any jobs the re-drain granted.
+    /// the now-active kind and any jobs the re-drain granted (which
+    /// trace as the requests that enqueued them).
     #[allow(clippy::type_complexity)]
     pub fn set_scheduler(
-        &self,
-        machine: &str,
-        scheduler: &str,
-    ) -> Result<(SchedulerKind, Vec<(u64, Vec<NodeId>)>), ServiceError> {
-        self.set_scheduler_traced(machine, scheduler, &RequestCtx::inert())
-    }
-
-    /// [`AllocationService::set_scheduler`] with a tracing context
-    /// (grants admitted by the re-drain trace as the requests that
-    /// enqueued them).
-    #[allow(clippy::type_complexity)]
-    pub fn set_scheduler_traced(
         &self,
         machine: &str,
         scheduler: &str,
@@ -874,7 +771,7 @@ impl AllocationService {
         let kind = parse_scheduler(scheduler)?;
         let ctx = ctx.with_machine(machine);
         self.registry.with_entry(machine, |entry| {
-            let granted = entry.set_scheduler_traced(kind, &ctx);
+            let granted = entry.set_scheduler(kind, &ctx);
             self.flush_outbox(entry, &ctx);
             Ok((kind, granted))
         })
@@ -944,18 +841,7 @@ impl AllocationService {
 
     /// Toggles the weighted fair-share admission layer of `machine`,
     /// returning jobs the re-drain granted.
-    #[allow(clippy::type_complexity)]
     pub fn set_fair_share(
-        &self,
-        machine: &str,
-        enabled: bool,
-    ) -> Result<Vec<(u64, Vec<NodeId>)>, ServiceError> {
-        self.set_fair_share_traced(machine, enabled, &RequestCtx::inert())
-    }
-
-    /// [`AllocationService::set_fair_share`] with a tracing context.
-    #[allow(clippy::type_complexity)]
-    pub fn set_fair_share_traced(
         &self,
         machine: &str,
         enabled: bool,
@@ -963,7 +849,7 @@ impl AllocationService {
     ) -> Result<Vec<(u64, Vec<NodeId>)>, ServiceError> {
         let ctx = ctx.with_machine(machine);
         self.registry.with_entry(machine, |entry| {
-            let granted = entry.set_fair_share_traced(enabled, &ctx);
+            let granted = entry.set_fair_share(enabled, &ctx);
             self.flush_outbox(entry, &ctx);
             Ok(granted)
         })
@@ -1032,21 +918,11 @@ impl AllocationService {
         &self,
         machine: &str,
         job: u64,
-    ) -> Result<Vec<(u64, Vec<NodeId>)>, ServiceError> {
-        self.release_traced(machine, job, &RequestCtx::inert())
-    }
-
-    /// [`AllocationService::release`] with a tracing context (the wire
-    /// path; in-process callers use the untraced wrapper).
-    pub fn release_traced(
-        &self,
-        machine: &str,
-        job: u64,
         ctx: &RequestCtx<'_>,
     ) -> Result<Vec<(u64, Vec<NodeId>)>, ServiceError> {
         let ctx = ctx.with_machine(machine);
         let granted = self.registry.with_entry(machine, |entry| {
-            let granted = entry.release_traced(job, &ctx);
+            let granted = entry.release(job, &ctx);
             self.flush_outbox(entry, &ctx);
             granted
         })?;
@@ -1133,9 +1009,10 @@ impl AllocationService {
         &self,
         machine: Option<&str>,
         job: &JobRef,
+        ctx: &RequestCtx<'_>,
     ) -> Result<(String, Vec<(u64, Vec<NodeId>)>), ServiceError> {
         let target = self.resolve_job(machine, job)?;
-        let granted = self.release_traced(&target, job.id(), &RequestCtx::inert())?;
+        let granted = self.release(&target, job.id(), ctx)?;
         Ok((target, granted))
     }
 
@@ -1206,7 +1083,7 @@ impl AllocationService {
         // Request-pipeline stage latencies from the flight recorder
         // (process-wide, microsecond ticks; populated while tracing is
         // enabled). Sparse: an idle recorder costs a few bytes per stage.
-        m.insert("stages".into(), self.stage_histograms_value());
+        m.insert("stages".into(), self.stage_histograms_value(None));
         Ok(Value::Object(m))
     }
 
@@ -1231,15 +1108,10 @@ impl AllocationService {
         }
     }
 
-    /// The per-stage latency histograms as a JSON object keyed by stage
-    /// name (shared by `stats` and `metrics`).
-    fn stage_histograms_value(&self) -> Value {
-        self.stage_histograms_value_for(None)
-    }
-
-    /// [`AllocationService::stage_histograms_value`] over a trailing
-    /// window.
-    fn stage_histograms_value_for(&self, span: Option<u64>) -> Value {
+    /// The per-stage latency histograms (cumulative, or over a trailing
+    /// window) as a JSON object keyed by stage name (shared by `stats`
+    /// and `metrics`).
+    fn stage_histograms_value(&self, span: Option<u64>) -> Value {
         let histograms = self.stage_histograms_for(span);
         let mut stages = Map::new();
         for (stage, histogram) in Stage::histogrammed().iter().zip(&histograms) {
@@ -1270,14 +1142,9 @@ impl AllocationService {
 
     /// The `metrics` op's JSON body: process-wide counters, recorder
     /// state, the stage-latency histograms and the per-pool routing
-    /// section (cumulative by default).
-    pub fn metrics_value(&self) -> Value {
-        self.metrics_value_windowed(None)
-    }
-
-    /// [`AllocationService::metrics_value`] restricted to a trailing
-    /// window (`"10s"` / `"60s"`; `None` = since boot).
-    pub fn metrics_value_windowed(&self, window: Option<&str>) -> Value {
+    /// section, restricted to a trailing window (`"10s"` / `"60s"`;
+    /// `None` = since boot).
+    pub fn metrics_value(&self, window: Option<&str>) -> Value {
         let span = Self::window_secs(window);
         let mut m = Map::new();
         m.insert("server".into(), self.metrics.snapshot());
@@ -1295,7 +1162,7 @@ impl AllocationService {
         if let Some(window) = window {
             m.insert("window".into(), window.to_value());
         }
-        m.insert("stages".into(), self.stage_histograms_value_for(span));
+        m.insert("stages".into(), self.stage_histograms_value(span));
         m.insert("pools".into(), self.pools_value(span));
         m.insert("tenants".into(), self.tenants_value());
         Value::Object(m)
@@ -1306,15 +1173,11 @@ impl AllocationService {
     /// journal recovery epoch as gauges, the lifetime span-drop total,
     /// one `commalloc_stage_latency_micros` histogram per pipeline
     /// stage, and one pool/policy-labeled
-    /// `commalloc_pool_route_latency_micros` histogram per pool.
-    pub fn prometheus_text(&self) -> String {
-        self.prometheus_text_windowed(None)
-    }
-
-    /// [`AllocationService::prometheus_text`] with the stage and pool
-    /// histograms restricted to a trailing window (counters and gauges
-    /// stay cumulative — Prometheus rates them itself).
-    pub fn prometheus_text_windowed(&self, window: Option<&str>) -> String {
+    /// `commalloc_pool_route_latency_micros` histogram per pool. A
+    /// `window` restricts the stage and pool histograms to a trailing
+    /// window (counters and gauges stay cumulative — Prometheus rates
+    /// them itself).
+    pub fn prometheus_text(&self, window: Option<&str>) -> String {
         use std::fmt::Write;
         let span = Self::window_secs(window);
         let mut out = String::new();
@@ -1774,11 +1637,10 @@ impl AllocationService {
         }
     }
 
-    /// Dispatches one protocol request to the state layer — the single
-    /// entry point shared by the TCP server, tests and the loadgen
-    /// driver. Untraced: in-process callers pay nothing for the flight
-    /// recorder; the TCP server mints a context and calls
-    /// [`AllocationService::handle_traced`] instead.
+    /// Dispatches one wire-shaped request from an in-process caller
+    /// (tests, benches, the loadgen driver) under an inert context, so
+    /// it pays nothing for the flight recorder. The TCP server mints a
+    /// context per frame and calls [`AllocationService::handle_traced`].
     pub fn handle(&self, request: &Request) -> Response {
         self.handle_traced(request, &RequestCtx::inert())
     }
@@ -1833,64 +1695,24 @@ impl AllocationService {
                 walltime,
                 pattern,
                 tenant,
-            } => match pool_of(machine) {
-                Some(pool) => self
-                    .route_traced(
-                        pool,
-                        *job,
-                        *size,
-                        *wait,
-                        *walltime,
-                        *pattern,
-                        tenant.as_deref(),
-                        ctx,
-                    )
-                    .map(|(target, outcome)| match outcome {
-                        AllocOutcome::Granted(nodes) => Response::Granted {
-                            job: *job,
-                            nodes,
-                            machine: Some(target),
-                        },
-                        AllocOutcome::Queued(position) => Response::Queued {
-                            job: *job,
-                            position,
-                            machine: Some(target),
-                        },
-                        AllocOutcome::Rejected(reason) => Response::Rejected {
-                            job: *job,
-                            reason,
-                            machine: Some(target),
-                        },
-                    }),
-                None => self
-                    .allocate_traced(
-                        machine,
-                        *job,
-                        *size,
-                        *wait,
-                        *walltime,
-                        *pattern,
-                        tenant.as_deref(),
-                        ctx,
-                    )
-                    .map(|outcome| match outcome {
-                        AllocOutcome::Granted(nodes) => Response::Granted {
-                            job: *job,
-                            nodes,
-                            machine: None,
-                        },
-                        AllocOutcome::Queued(position) => Response::Queued {
-                            job: *job,
-                            position,
-                            machine: None,
-                        },
-                        AllocOutcome::Rejected(reason) => Response::Rejected {
-                            job: *job,
-                            reason,
-                            machine: None,
-                        },
-                    }),
-            },
+            } => {
+                let args = AllocArgs {
+                    job: *job,
+                    size: *size,
+                    wait: *wait,
+                    walltime: *walltime,
+                    pattern: *pattern,
+                    tenant: tenant.as_deref(),
+                };
+                match pool_of(machine) {
+                    Some(pool) => self
+                        .route(pool, &args, ctx)
+                        .map(|(target, outcome)| alloc_response(*job, outcome, Some(target))),
+                    None => self
+                        .alloc(machine, &args, ctx)
+                        .map(|outcome| alloc_response(*job, outcome, None)),
+                }
+            }
             Request::SetRouter { pool, policy } => {
                 self.set_router(pool, policy)
                     .map(|active| Response::RouterSet {
@@ -1899,32 +1721,23 @@ impl AllocationService {
                     })
             }
             Request::SetScheduler { machine, scheduler } => self
-                .set_scheduler_traced(machine, scheduler, ctx)
+                .set_scheduler(machine, scheduler, ctx)
                 .map(|(kind, granted)| Response::SchedulerSet {
                     machine: machine.clone(),
                     scheduler: kind.name().to_string(),
                     granted,
                 }),
             Request::Release { machine, job } => {
-                // The resolved member travels back exactly when the
-                // request used the new addressing (a pool address or a
-                // qualified ref) — plain `machine + bare id` answers
-                // keep their pre-refactor bytes.
-                let qualified = machine.as_deref().is_none_or(|m| m.starts_with('@'))
-                    || job.machine().is_some();
-                self.resolve_job(machine.as_deref(), job)
-                    .and_then(|target| {
-                        let granted = self.release_traced(&target, job.id(), ctx)?;
-                        Ok(Response::Released {
-                            job: job.id(),
-                            granted,
-                            machine: qualified.then_some(target),
-                        })
+                let qualified = names_its_member(machine.as_deref(), job);
+                self.release_ref(machine.as_deref(), job, ctx)
+                    .map(|(target, granted)| Response::Released {
+                        job: job.id(),
+                        granted,
+                        machine: qualified.then_some(target),
                     })
             }
             Request::Poll { machine, job } => {
-                let qualified = machine.as_deref().is_none_or(|m| m.starts_with('@'))
-                    || job.machine().is_some();
+                let qualified = names_its_member(machine.as_deref(), job);
                 self.resolve_job(machine.as_deref(), job)
                     .and_then(|target| {
                         let job = job.id();
@@ -1974,7 +1787,7 @@ impl AllocationService {
                 }),
             Request::Tenants => Ok(Response::Tenants(self.tenants_value())),
             Request::SetFairShare { machine, enabled } => self
-                .set_fair_share_traced(machine, *enabled, ctx)
+                .set_fair_share(machine, *enabled, ctx)
                 .map(|granted| Response::FairShareSet {
                     machine: machine.clone(),
                     enabled: *enabled,
@@ -2013,9 +1826,9 @@ impl AllocationService {
             Request::Metrics { format, window } => Ok(Response::Metrics {
                 format: format.clone(),
                 metrics: if format == "prometheus" {
-                    Value::Str(self.prometheus_text_windowed(window.as_deref()))
+                    Value::Str(self.prometheus_text(window.as_deref()))
                 } else {
-                    self.metrics_value_windowed(window.as_deref())
+                    self.metrics_value(window.as_deref())
                 },
             }),
             Request::Calibration => Ok(Response::Calibration(
@@ -2037,6 +1850,36 @@ impl AllocationService {
             ServiceMetrics::bump(&self.metrics.errors);
             error_response(&err)
         })
+    }
+}
+
+/// Whether a `release`/`poll` answer names the member the job resolved
+/// to: exactly when the request used pool-scoped addressing (a pool
+/// address, no address, or a qualified ref). Plain `machine + bare id`
+/// answers keep their pre-`JobRef` bytes.
+fn names_its_member(machine: Option<&str>, job: &JobRef) -> bool {
+    machine.is_none_or(|m| m.starts_with('@')) || job.machine().is_some()
+}
+
+/// Maps an alloc outcome onto its wire response; `machine` is the
+/// member a pool-routed request landed on (`None` for a direct one).
+fn alloc_response(job: u64, outcome: AllocOutcome, machine: Option<String>) -> Response {
+    match outcome {
+        AllocOutcome::Granted(nodes) => Response::Granted {
+            job,
+            nodes,
+            machine,
+        },
+        AllocOutcome::Queued(position) => Response::Queued {
+            job,
+            position,
+            machine,
+        },
+        AllocOutcome::Rejected(reason) => Response::Rejected {
+            job,
+            reason,
+            machine,
+        },
     }
 }
 
@@ -2129,16 +1972,21 @@ mod tests {
     fn set_scheduler_dispatches_and_reports_grants() {
         let service = AllocationService::new();
         service.register("m0", "4x4", None, None, None).unwrap();
-        service.allocate("m0", 1, 15, false, None).unwrap();
-        service.allocate("m0", 2, 8, true, None).unwrap();
-        service.allocate("m0", 3, 1, true, None).unwrap();
+        let inert = RequestCtx::inert();
+        for (job, size, wait) in [(1, 15, false), (2, 8, true), (3, 1, true)] {
+            let args = AllocArgs {
+                wait,
+                ..AllocArgs::new(job, size)
+            };
+            service.alloc("m0", &args, &inert).unwrap();
+        }
         // Unknown policy and unknown machine are errors.
         assert!(matches!(
-            service.set_scheduler("m0", "round-robin"),
+            service.set_scheduler("m0", "round-robin", &inert),
             Err(ServiceError::InvalidSpec(_))
         ));
         assert!(matches!(
-            service.set_scheduler("nope", "easy"),
+            service.set_scheduler("nope", "easy", &inert),
             Err(ServiceError::UnknownMachine(_))
         ));
         // Switching to backfill over the protocol admits job 3.
@@ -2239,20 +2087,22 @@ mod tests {
         };
         assert_eq!(target, "m0");
         assert_eq!(nodes.len(), 4);
-        let (target, outcome) = service.route("grid", 2, 4, false, None, None).unwrap();
+        let inert = RequestCtx::inert();
+        let route = |job, size| service.route("grid", &AllocArgs::new(job, size), &inert);
+        let (target, outcome) = route(2, 4).unwrap();
         assert_eq!(target, "m1");
         assert!(matches!(outcome, AllocOutcome::Granted(_)));
         // A 40-processor job fits only m0 (64 nodes): eligibility filters
         // m1 (16 nodes) out before the pick.
-        let (target, _) = service.route("grid", 3, 40, false, None, None).unwrap();
+        let (target, _) = route(3, 40).unwrap();
         assert_eq!(target, "m0");
         // Nothing in the pool fits 100 processors.
         assert!(matches!(
-            service.route("grid", 4, 100, false, None, None),
+            route(4, 100),
             Err(ServiceError::InvalidRequest(_))
         ));
         assert!(matches!(
-            service.route("nope", 5, 1, false, None, None),
+            service.route("nope", &AllocArgs::new(5, 1), &inert),
             Err(ServiceError::UnknownPool(_))
         ));
         // Policy switch over the protocol, with alias expansion.

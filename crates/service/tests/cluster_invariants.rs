@@ -13,7 +13,7 @@
 //! across the service call. Routed allocations stay fully concurrent —
 //! exactly where the router's sample-then-commit hazard lives.
 
-use commalloc_service::{AllocOutcome, AllocationService, RoutingPolicy};
+use commalloc_service::{AllocArgs, AllocOutcome, AllocationService, RequestCtx, RoutingPolicy};
 use rand::prelude::*;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -66,7 +66,7 @@ impl Shared {
             assert_eq!(held_machine, machine, "job {job} moved machines");
             self.unclaim(machine, &nodes);
         }
-        let granted = service.release(machine, job).unwrap();
+        let granted = service.release(machine, job, &RequestCtx::inert()).unwrap();
         for (granted_job, granted_nodes) in granted {
             self.claim(machine, &granted_nodes);
             ledger.insert(granted_job, (machine.to_string(), granted_nodes));
@@ -120,9 +120,13 @@ fn concurrent_routed_traffic_with_router_switches_never_violates_invariants() {
                         let walltime = rng.gen_bool(0.7).then(|| rng.gen_range(1.0..500.0));
                         let job = next;
                         next += 1;
-                        let (machine, outcome) = service
-                            .route("grid", job, size, wait, walltime, None)
-                            .unwrap();
+                        let args = AllocArgs {
+                            wait,
+                            walltime,
+                            ..AllocArgs::new(job, size)
+                        };
+                        let (machine, outcome) =
+                            service.route("grid", &args, &RequestCtx::inert()).unwrap();
                         assert!(
                             size <= sizes[machine.as_str()],
                             "job of {size} processors routed to {machine} \

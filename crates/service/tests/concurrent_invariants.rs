@@ -12,7 +12,7 @@
 //! concurrent, which is where the double-grant hazard lives.
 
 use commalloc::scheduler::SchedulerKind;
-use commalloc_service::{AllocOutcome, AllocationService, JobStatus};
+use commalloc_service::{AllocArgs, AllocOutcome, AllocationService, JobStatus, RequestCtx};
 use rand::prelude::*;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -64,7 +64,7 @@ impl Shared {
         if let Some(nodes) = &held {
             self.unclaim(nodes);
         }
-        let granted = service.release(machine, job).unwrap();
+        let granted = service.release(machine, job, &RequestCtx::inert()).unwrap();
         for (granted_job, granted_nodes) in granted {
             self.claim(&granted_nodes);
             ledger.insert(granted_job, granted_nodes);
@@ -128,10 +128,12 @@ fn hammer(scheduler: SchedulerKind) {
                         };
                         let job = next;
                         next += 1;
-                        match service
-                            .allocate(machine, job, size, wait, walltime)
-                            .unwrap()
-                        {
+                        let args = AllocArgs {
+                            wait,
+                            walltime,
+                            ..AllocArgs::new(job, size)
+                        };
+                        match service.alloc(machine, &args, &RequestCtx::inert()).unwrap() {
                             AllocOutcome::Granted(nodes) => {
                                 shared.claim(&nodes);
                                 live.push((job, nodes));

@@ -4,7 +4,7 @@
 //! (every queued job eventually starts, whatever arrives after it) must
 //! hold for every weight vector — including pathologically skewed ones.
 
-use commalloc_service::{AllocOutcome, AllocationService, RequestCtx};
+use commalloc_service::{AllocArgs, AllocOutcome, AllocationService, RequestCtx};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -36,13 +36,15 @@ proptest! {
                 .set_tenant(&format!("t{i}"), Some(*weight), None, None)
                 .unwrap();
         }
-        service.set_fair_share("m0", true).unwrap();
+        service.set_fair_share("m0", true, &RequestCtx::inert()).unwrap();
         service.set_time("m0", 0.0).unwrap();
 
         // One holder pins the whole machine so everything else queues.
         let holder = 1_000u64;
         prop_assert!(matches!(
-            service.allocate("m0", holder, 64, false, Some(50.0)).unwrap(),
+            service
+                .alloc("m0", &AllocArgs::new(holder, 64).with_walltime(50.0), &RequestCtx::inert())
+                .unwrap(),
             AllocOutcome::Granted(_)
         ));
 
@@ -54,18 +56,12 @@ proptest! {
             for (i, _) in weights.iter().enumerate() {
                 let size = sizes[(round * weights.len() + i) % sizes.len()];
                 let walltime = (walltime_seed * (job + 1)) % 97 + 1;
-                let outcome = service
-                    .allocate_traced(
-                        "m0",
-                        job,
-                        size,
-                        true,
-                        Some(walltime as f64),
-                        None,
-                        Some(&format!("t{i}")),
-                        &ctx,
-                    )
-                    .unwrap();
+                let tenant = format!("t{i}");
+                let args = AllocArgs::new(job, size)
+                    .or_wait()
+                    .with_walltime(walltime as f64)
+                    .for_tenant(&tenant);
+                let outcome = service.alloc("m0", &args, &ctx).unwrap();
                 prop_assert!(
                     matches!(outcome, AllocOutcome::Queued(_)),
                     "the machine is full, job {job} must queue (got {outcome:?})"
@@ -91,7 +87,7 @@ proptest! {
             service.set_time("m0", clock).unwrap();
             let mut admitted: Vec<u64> = Vec::new();
             for victim in running.drain(..) {
-                for (granted, _) in service.release("m0", victim).unwrap() {
+                for (granted, _) in service.release("m0", victim, &RequestCtx::inert()).unwrap() {
                     prop_assert!(started.insert(granted), "job {granted} started twice");
                     admitted.push(granted);
                 }

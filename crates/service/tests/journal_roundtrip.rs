@@ -9,10 +9,13 @@ use commalloc_service::journal::{
     read_journal_dir, FileJournal, MachineImage, PoolImage, QueuedImage, RunningImage,
     SnapshotImage, TenantImage,
 };
-use commalloc_service::{open_journaled, JournalConfig, JournalRecord};
+use commalloc_service::{open_journaled, AllocArgs, JournalConfig, JournalRecord, RequestCtx};
 use commalloc_workload::CommPattern;
 use proptest::prelude::*;
 use std::path::PathBuf;
+
+/// In-process callers trace nothing.
+const INERT: RequestCtx<'static> = RequestCtx::inert();
 
 /// Names with escaping hazards baked in (the same adversarial set the
 /// protocol round-trip suite uses).
@@ -324,9 +327,9 @@ fn recovery_ignores_a_torn_final_line() {
         let (service, report) = open_journaled(&dir, JournalConfig::default()).unwrap();
         assert_eq!(report.epoch, 0);
         service.register("m0", "8x8", None, None, None).unwrap();
-        service.allocate("m0", 1, 10, false, None).unwrap();
-        service.allocate("m0", 2, 5, false, None).unwrap();
-        service.release("m0", 1).unwrap();
+        service.alloc("m0", &AllocArgs::new(1, 10), &INERT).unwrap();
+        service.alloc("m0", &AllocArgs::new(2, 5), &INERT).unwrap();
+        service.release("m0", 1, &INERT).unwrap();
     }
     // Tear the last record (job 1's release... no: the drain order makes
     // the release the final line) mid-write, like a crash would.
@@ -364,8 +367,8 @@ fn recovery_refuses_corruption_before_the_tail() {
     {
         let (service, _) = open_journaled(&dir, JournalConfig::default()).unwrap();
         service.register("m0", "4x4", None, None, None).unwrap();
-        service.allocate("m0", 1, 4, false, None).unwrap();
-        service.release("m0", 1).unwrap();
+        service.alloc("m0", &AllocArgs::new(1, 4), &INERT).unwrap();
+        service.release("m0", 1, &INERT).unwrap();
     }
     let contents = read_journal_dir(&dir).unwrap();
     let segment = dir.join(format!("wal-{:06}.ndjson", contents.max_segment));
@@ -383,7 +386,7 @@ fn journal_stats_reflect_appends_and_epochs() {
     let dir = temp_dir("stats");
     let (service, _) = open_journaled(&dir, JournalConfig::default()).unwrap();
     service.register("m0", "4x4", None, None, None).unwrap();
-    service.allocate("m0", 1, 4, false, None).unwrap();
+    service.alloc("m0", &AllocArgs::new(1, 4), &INERT).unwrap();
     let stats = service.journal_stats();
     assert_eq!(stats.get("enabled").and_then(Value::as_bool), Some(true));
     assert_eq!(stats.get("epoch").and_then(Value::as_u64), Some(0));
@@ -417,8 +420,16 @@ fn explicit_sink_attachment_round_trips_state() {
             .register_in_pool("m1", "4x4", None, None, None, Some("grid"))
             .unwrap();
         service.set_router("grid", "p2c").unwrap();
-        service.allocate("m0", 1, 60, false, Some(50.0)).unwrap();
-        service.allocate("m0", 2, 10, true, Some(10.0)).unwrap();
+        service
+            .alloc("m0", &AllocArgs::new(1, 60).with_walltime(50.0), &INERT)
+            .unwrap();
+        service
+            .alloc(
+                "m0",
+                &AllocArgs::new(2, 10).or_wait().with_walltime(10.0),
+                &INERT,
+            )
+            .unwrap();
         service.handle(&commalloc_service::Request::Alloc {
             machine: "@grid".into(),
             job: 3,
@@ -465,14 +476,28 @@ fn conservative_kind_round_trips_through_register_and_set_scheduler() {
             .register("m0", "16x16", None, None, Some("conservative"))
             .unwrap();
         service.register("m1", "8x8", None, None, None).unwrap();
-        service.set_scheduler("m1", "conservative").unwrap();
+        service.set_scheduler("m1", "conservative", &INERT).unwrap();
         // Leave running + queued state behind so recovery exercises the
         // conservative drain: job 1 holds 200 until t = 100, job 2 is
         // the reserved head, job 3 would be an unsafe backfill.
         service.set_time("m0", 0.0).unwrap();
-        service.allocate("m0", 1, 200, false, Some(100.0)).unwrap();
-        service.allocate("m0", 2, 100, true, Some(50.0)).unwrap();
-        service.allocate("m0", 3, 250, true, Some(100.0)).unwrap();
+        service
+            .alloc("m0", &AllocArgs::new(1, 200).with_walltime(100.0), &INERT)
+            .unwrap();
+        service
+            .alloc(
+                "m0",
+                &AllocArgs::new(2, 100).or_wait().with_walltime(50.0),
+                &INERT,
+            )
+            .unwrap();
+        service
+            .alloc(
+                "m0",
+                &AllocArgs::new(3, 250).or_wait().with_walltime(100.0),
+                &INERT,
+            )
+            .unwrap();
     }
     let (recovered, report) = open_journaled(&dir, JournalConfig::default()).unwrap();
     assert_eq!(report.epoch, 1);
@@ -493,12 +518,22 @@ fn conservative_kind_round_trips_through_register_and_set_scheduler() {
     use commalloc_service::AllocOutcome;
     assert!(matches!(
         recovered
-            .allocate("m0", 4, 56, true, Some(10_000.0))
+            .alloc(
+                "m0",
+                &AllocArgs::new(4, 56).or_wait().with_walltime(10_000.0),
+                &INERT
+            )
             .unwrap(),
         AllocOutcome::Queued(_)
     ));
     assert!(matches!(
-        recovered.allocate("m0", 5, 30, true, Some(40.0)).unwrap(),
+        recovered
+            .alloc(
+                "m0",
+                &AllocArgs::new(5, 30).or_wait().with_walltime(40.0),
+                &INERT
+            )
+            .unwrap(),
         AllocOutcome::Granted(_)
     ));
     std::fs::remove_dir_all(&dir).unwrap();

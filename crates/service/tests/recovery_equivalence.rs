@@ -28,11 +28,14 @@ use commalloc::scheduler::SchedulerKind;
 use commalloc_mesh::NodeId;
 use commalloc_service::journal::MachineImage;
 use commalloc_service::{
-    open_journaled, replay, replay_cluster, AllocationService, JobStatus, JournalConfig, ReplayJob,
-    RoutingPolicy,
+    open_journaled, replay, replay_cluster, AllocArgs, AllocationService, JobStatus, JournalConfig,
+    ReplayJob, RequestCtx, RoutingPolicy,
 };
 use commalloc_workload::Job;
 use std::path::PathBuf;
+
+/// In-process callers trace nothing.
+const INERT: RequestCtx<'static> = RequestCtx::inert();
 
 /// A congested, integerised trace (the sim-equivalence recipe: exact
 /// event times in `f64`, queues that actually form).
@@ -233,7 +236,7 @@ fn operations_after_a_restart_survive_the_next_restart() {
     {
         let (service, _) = open_journaled(&dir, JournalConfig::default()).unwrap();
         service.register("m", "8x8", None, None, None).unwrap();
-        service.allocate("m", 1, 4, false, None).unwrap();
+        service.alloc("m", &AllocArgs::new(1, 4), &INERT).unwrap();
         // Compact: the snapshot carries the machine's journal watermark
         // and prunes the WAL, leaving an empty tail for the next boot.
         service.install_journal_snapshot().unwrap();
@@ -243,8 +246,8 @@ fn operations_after_a_restart_survive_the_next_restart() {
     {
         let (service, report) = open_journaled(&dir, JournalConfig::default()).unwrap();
         assert_eq!(report.epoch, 1);
-        service.allocate("m", 2, 8, false, None).unwrap();
-        service.release("m", 1).unwrap();
+        service.alloc("m", &AllocArgs::new(2, 8), &INERT).unwrap();
+        service.release("m", 1, &INERT).unwrap();
     }
     // Restart #2: the post-restart grant and release both recovered.
     let (recovered, report) = open_journaled(&dir, JournalConfig::default()).unwrap();
@@ -268,15 +271,19 @@ fn recovered_service_keeps_scheduling_correctly() {
     {
         let (service, _) = open_journaled(&dir, JournalConfig::default()).unwrap();
         service.register("m", "8x8", None, None, None).unwrap();
-        service.allocate("m", 1, 60, false, None).unwrap();
-        service.allocate("m", 2, 10, true, None).unwrap(); // queued
-        service.allocate("m", 3, 2, true, None).unwrap(); // queued behind it
+        service.alloc("m", &AllocArgs::new(1, 60), &INERT).unwrap();
+        service
+            .alloc("m", &AllocArgs::new(2, 10).or_wait(), &INERT)
+            .unwrap(); // queued
+        service
+            .alloc("m", &AllocArgs::new(3, 2).or_wait(), &INERT)
+            .unwrap(); // queued behind it
     }
     let (recovered, _) = open_journaled(&dir, JournalConfig::default()).unwrap();
     assert_eq!(recovered.poll("m", 2).unwrap(), JobStatus::Queued(1));
     assert_eq!(recovered.poll("m", 3).unwrap(), JobStatus::Queued(2));
     // Releasing the hog admits the recovered queue in FCFS order.
-    let granted = recovered.release("m", 1).unwrap();
+    let granted = recovered.release("m", 1, &INERT).unwrap();
     let ids: Vec<u64> = granted.iter().map(|(id, _)| *id).collect();
     assert_eq!(ids, vec![2, 3]);
     let nodes: Vec<NodeId> = granted.into_iter().flat_map(|(_, n)| n).collect();

@@ -5,8 +5,8 @@
 //! drain order, and tenant-table recovery through a simulated crash.
 
 use commalloc_service::{
-    open_journaled, AllocOutcome, AllocationService, ClientAllocOutcome, ClientError, JobRef,
-    JobStatus, JournalConfig, RequestCtx, Server, ServiceClient,
+    open_journaled, AllocArgs, AllocOutcome, AllocationService, ClientAllocOutcome, ClientError,
+    JobRef, JobStatus, JournalConfig, RequestCtx, Server, ServiceClient,
 };
 use serde::Value;
 use std::collections::HashMap;
@@ -42,7 +42,7 @@ fn pool_scoped_job_refs_resolve_over_tcp() {
     let mut owners: HashMap<u64, String> = HashMap::new();
     for job in 1..=6u64 {
         let (machine, outcome) = client
-            .alloc_routed("@grid", job, 8, false, Some(60.0), None)
+            .alloc("@grid", &AllocArgs::new(job, 8).with_walltime(60.0))
             .unwrap();
         assert!(matches!(outcome, ClientAllocOutcome::Granted(_)));
         owners.insert(job, machine);
@@ -109,7 +109,7 @@ fn duplicate_bare_ids_across_members_are_typed_ambiguous() {
     // The same client-chosen id placed directly on both members.
     for machine in ["m0", "m1"] {
         assert!(matches!(
-            client.alloc(machine, 7, 4, false).unwrap(),
+            client.alloc(machine, &AllocArgs::new(7, 4)).unwrap().1,
             ClientAllocOutcome::Granted(_)
         ));
     }
@@ -165,13 +165,14 @@ fn quota_denials_are_typed_and_accounted() {
     // 8 nodes x 100 s = 800 node-seconds: admitted.
     assert!(matches!(
         client
-            .alloc_as("m0", 1, 8, false, Some(100.0), None, None)
-            .unwrap(),
+            .alloc("m0", &AllocArgs::new(1, 8).with_walltime(100.0))
+            .unwrap()
+            .1,
         ClientAllocOutcome::Granted(_)
     ));
     // Another 800 would take acme to 1600 > 1000: typed denial.
     let err = client
-        .alloc_as("m0", 2, 8, false, Some(100.0), None, None)
+        .alloc("m0", &AllocArgs::new(2, 8).with_walltime(100.0))
         .unwrap_err();
     let ClientError::QuotaExceeded {
         tenant,
@@ -188,8 +189,12 @@ fn quota_denials_are_typed_and_accounted() {
     // An explicit per-request tenant overrides the connection binding.
     assert!(matches!(
         client
-            .alloc_as("m0", 3, 4, false, Some(10.0), None, Some("other"))
-            .unwrap(),
+            .alloc(
+                "m0",
+                &AllocArgs::new(3, 4).with_walltime(10.0).for_tenant("other")
+            )
+            .unwrap()
+            .1,
         ClientAllocOutcome::Granted(_)
     ));
 
@@ -225,18 +230,18 @@ fn weighted_fair_share_shifts_tenant_mean_wait() {
     let run = |fair_share: bool| -> (f64, f64) {
         let service = AllocationService::new();
         service.register("m0", "8x8", None, None, None).unwrap();
+        let ctx = RequestCtx::inert();
         service.set_tenant("heavy", Some(8.0), None, None).unwrap();
         service.set_tenant("light", Some(1.0), None, None).unwrap();
         if fair_share {
-            service.set_fair_share("m0", true).unwrap();
+            service.set_fair_share("m0", true, &ctx).unwrap();
         }
         service.set_time("m0", 0.0).unwrap();
-        let ctx = RequestCtx::inert();
         // Fill all 64 processors with four untenanted holders.
         for job in 100..104u64 {
             assert!(matches!(
                 service
-                    .allocate("m0", job, 16, false, Some(1000.0))
+                    .alloc("m0", &AllocArgs::new(job, 16).with_walltime(1000.0), &ctx)
                     .unwrap(),
                 AllocOutcome::Granted(_)
             ));
@@ -244,13 +249,27 @@ fn weighted_fair_share_shifts_tenant_mean_wait() {
         // Light arrives first, heavy second; same shapes throughout.
         for job in 200..204u64 {
             let outcome = service
-                .allocate_traced("m0", job, 16, true, Some(10.0), None, Some("light"), &ctx)
+                .alloc(
+                    "m0",
+                    &AllocArgs::new(job, 16)
+                        .or_wait()
+                        .with_walltime(10.0)
+                        .for_tenant("light"),
+                    &ctx,
+                )
                 .unwrap();
             assert!(matches!(outcome, AllocOutcome::Queued(_)));
         }
         for job in 300..304u64 {
             let outcome = service
-                .allocate_traced("m0", job, 16, true, Some(10.0), None, Some("heavy"), &ctx)
+                .alloc(
+                    "m0",
+                    &AllocArgs::new(job, 16)
+                        .or_wait()
+                        .with_walltime(10.0)
+                        .for_tenant("heavy"),
+                    &ctx,
+                )
                 .unwrap();
             assert!(matches!(outcome, AllocOutcome::Queued(_)));
         }
@@ -263,7 +282,7 @@ fn weighted_fair_share_shifts_tenant_mean_wait() {
             let t = tick as f64 * 10.0;
             service.set_time("m0", t).unwrap();
             let victim = to_release.remove(0);
-            for (job, _) in service.release("m0", victim).unwrap() {
+            for (job, _) in service.release("m0", victim, &ctx).unwrap() {
                 started.insert(job, t);
                 to_release.push(job);
             }
@@ -311,10 +330,14 @@ fn tenant_table_and_pool_index_survive_recovery() {
         service
             .set_tenant("acme", Some(2.5), Some(2000.0), Some(64))
             .unwrap();
-        service.set_fair_share("m0", true).unwrap();
+        service.set_fair_share("m0", true, &ctx).unwrap();
         // 8 nodes x 100 s = 800 node-seconds outstanding for acme.
         let outcome = service
-            .allocate_traced("m0", 1, 8, false, Some(100.0), None, Some("acme"), &ctx)
+            .alloc(
+                "m0",
+                &AllocArgs::new(1, 8).with_walltime(100.0).for_tenant("acme"),
+                &ctx,
+            )
             .unwrap();
         assert!(matches!(outcome, AllocOutcome::Granted(_)));
         // Dropped without release: a kill -9 equivalent.
@@ -339,7 +362,13 @@ fn tenant_table_and_pool_index_survive_recovery() {
     // The quota keeps enforcing from the recovered usage: another
     // 1600 node-seconds would cross 2000.
     let err = recovered
-        .allocate_traced("m0", 2, 16, false, Some(100.0), None, Some("acme"), &ctx)
+        .alloc(
+            "m0",
+            &AllocArgs::new(2, 16)
+                .with_walltime(100.0)
+                .for_tenant("acme"),
+            &ctx,
+        )
         .unwrap_err();
     assert!(
         format!("{err}").contains("quota"),

@@ -6,8 +6,8 @@
 //! ring overflow must surface as a drop counter, not an error.
 
 use commalloc_service::{
-    open_journaled, ClientAllocOutcome, FsyncPolicy, JournalConfig, Request, Response, Server,
-    ServiceClient,
+    open_journaled, AllocArgs, ClientAllocOutcome, FsyncPolicy, JournalConfig, Request, Response,
+    Server, ServiceClient,
 };
 use serde::Value;
 use std::path::PathBuf;
@@ -66,20 +66,22 @@ fn granted_requests_trace_complete_ordered_spans() {
         .unwrap();
     let mut client = ServiceClient::connect(handle.addr()).unwrap();
 
-    assert!(client.set_trace(true).unwrap());
+    assert!(client.set_trace(true, None).unwrap());
 
     // Request A: an immediate grant.
     let ClientAllocOutcome::Granted(nodes) = client
-        .alloc_with_walltime("m0", 1, 10, false, Some(60.0))
+        .alloc("m0", &AllocArgs::new(1, 10).with_walltime(60.0))
         .unwrap()
+        .1
     else {
         panic!("grant expected");
     };
     assert_eq!(nodes.len(), 10);
     // Request B: cannot fit (64-node machine, 10 busy), waits.
     let ClientAllocOutcome::Queued(1) = client
-        .alloc_with_walltime("m0", 2, 60, true, Some(30.0))
+        .alloc("m0", &AllocArgs::new(2, 60).or_wait().with_walltime(30.0))
         .unwrap()
+        .1
     else {
         panic!("queue expected");
     };
@@ -203,20 +205,23 @@ fn poll_and_query_expose_reservations_and_explains() {
     // its 200 s walltime would delay job 2's reservation.
     assert!(matches!(
         client
-            .alloc_with_walltime("m0", 1, 32, false, Some(100.0))
-            .unwrap(),
+            .alloc("m0", &AllocArgs::new(1, 32).with_walltime(100.0))
+            .unwrap()
+            .1,
         ClientAllocOutcome::Granted(_)
     ));
     assert!(matches!(
         client
-            .alloc_with_walltime("m0", 2, 64, true, Some(50.0))
-            .unwrap(),
+            .alloc("m0", &AllocArgs::new(2, 64).or_wait().with_walltime(50.0))
+            .unwrap()
+            .1,
         ClientAllocOutcome::Queued(1)
     ));
     assert!(matches!(
         client
-            .alloc_with_walltime("m0", 3, 16, true, Some(200.0))
-            .unwrap(),
+            .alloc("m0", &AllocArgs::new(3, 16).or_wait().with_walltime(200.0))
+            .unwrap()
+            .1,
         ClientAllocOutcome::Queued(2)
     ));
 
@@ -308,7 +313,7 @@ fn set_trace_off_emits_nothing() {
 
     // Tracing starts disabled: traffic leaves no events behind.
     assert!(matches!(
-        client.alloc("m0", 1, 10, false).unwrap(),
+        client.alloc("m0", &AllocArgs::new(1, 10)).unwrap().1,
         ClientAllocOutcome::Granted(_)
     ));
     let dump = client.trace_events(None, false).unwrap();
@@ -317,14 +322,14 @@ fn set_trace_off_emits_nothing() {
     assert_eq!(dump.dropped, 0);
 
     // On, traffic, off again: the drain sees only the traced window.
-    assert!(client.set_trace(true).unwrap());
+    assert!(client.set_trace(true, None).unwrap());
     assert!(matches!(
-        client.alloc("m0", 2, 10, false).unwrap(),
+        client.alloc("m0", &AllocArgs::new(2, 10)).unwrap().1,
         ClientAllocOutcome::Granted(_)
     ));
-    assert!(!client.set_trace(false).unwrap());
+    assert!(!client.set_trace(false, None).unwrap());
     assert!(matches!(
-        client.alloc("m0", 3, 10, false).unwrap(),
+        client.alloc("m0", &AllocArgs::new(3, 10)).unwrap().1,
         ClientAllocOutcome::Granted(_)
     ));
     let dump = client.trace_events(None, true).unwrap();
@@ -354,7 +359,7 @@ fn ring_overflow_surfaces_a_drop_counter_over_the_wire() {
         .spawn()
         .unwrap();
     let mut client = ServiceClient::connect(handle.addr()).unwrap();
-    assert!(client.set_trace(true).unwrap());
+    assert!(client.set_trace(true, None).unwrap());
 
     // One worker = one recording thread = one shard. Every wire line
     // leaves a parse span, so 4600 pings overflow the 4096-slot ring.
@@ -397,7 +402,7 @@ fn calibration_joins_every_released_job_and_decisions_drain() {
         .spawn()
         .unwrap();
     let mut client = ServiceClient::connect(handle.addr()).unwrap();
-    assert!(client.set_trace_with_calibration(true, Some(true)).unwrap());
+    assert!(client.set_trace(true, Some(true)).unwrap());
 
     // Patterned, walltimed allocations routed through the pool.
     let jobs = 6u64;
@@ -528,7 +533,7 @@ fn windowed_pool_metrics_and_prometheus_labels() {
         .spawn()
         .unwrap();
     let mut client = ServiceClient::connect(handle.addr()).unwrap();
-    assert!(client.set_trace_with_calibration(true, Some(true)).unwrap());
+    assert!(client.set_trace(true, Some(true)).unwrap());
 
     // Unpatterned traffic through a comm-aware pool: the router falls
     // back to shortest-queue and the fallback counter says so.
@@ -549,7 +554,7 @@ fn windowed_pool_metrics_and_prometheus_labels() {
         };
     }
 
-    let windowed = client.metrics_windowed("json", Some("60s")).unwrap();
+    let windowed = client.metrics("json", Some("60s")).unwrap();
     assert_eq!(windowed.get("window").and_then(Value::as_str), Some("60s"));
     let pool = windowed
         .get("pools")
@@ -568,7 +573,7 @@ fn windowed_pool_metrics_and_prometheus_labels() {
 
     // The cumulative export agrees while everything is recent, and the
     // fallback counter reports the unscored comm-aware routes.
-    let cumulative = client.metrics("json").unwrap();
+    let cumulative = client.metrics("json", None).unwrap();
     assert!(cumulative.get("window").is_none());
     assert_eq!(
         cumulative
@@ -611,7 +616,7 @@ fn windowed_pool_metrics_and_prometheus_labels() {
 
     // Prometheus: per-pool series with pool/policy labels, plus the
     // drop total, recovery epoch and calibration gauges.
-    let Value::Str(text) = client.metrics_windowed("prometheus", Some("10s")).unwrap() else {
+    let Value::Str(text) = client.metrics("prometheus", Some("10s")).unwrap() else {
         panic!("prometheus metrics render as exposition text");
     };
     assert!(text.contains(
@@ -637,13 +642,13 @@ fn metrics_surface_stage_histograms_in_both_formats() {
         .spawn()
         .unwrap();
     let mut client = ServiceClient::connect(handle.addr()).unwrap();
-    assert!(client.set_trace(true).unwrap());
+    assert!(client.set_trace(true, None).unwrap());
     assert!(matches!(
-        client.alloc("m0", 1, 10, false).unwrap(),
+        client.alloc("m0", &AllocArgs::new(1, 10)).unwrap().1,
         ClientAllocOutcome::Granted(_)
     ));
 
-    let metrics = client.metrics("json").unwrap();
+    let metrics = client.metrics("json", None).unwrap();
     assert!(
         metrics
             .get("server")
@@ -674,7 +679,7 @@ fn metrics_surface_stage_histograms_in_both_formats() {
         .expect("allocator stage histogram");
     assert!(allocator_count > 0);
 
-    let Value::Str(text) = client.metrics("prometheus").unwrap() else {
+    let Value::Str(text) = client.metrics("prometheus", None).unwrap() else {
         panic!("prometheus metrics render as exposition text");
     };
     assert!(text.contains("# TYPE commalloc_stage_latency_micros histogram"));

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --example service_demo`
 
-use commalloc_service::{AllocationService, ClientAllocOutcome, Server, ServiceClient};
+use commalloc_service::{AllocArgs, AllocationService, ClientAllocOutcome, Server, ServiceClient};
 use serde::Value;
 
 fn main() {
@@ -33,7 +33,11 @@ fn main() {
     // A short arrival/departure history on the square machine.
     let sizes = [17usize, 8, 30, 4, 64, 12];
     for (job, &size) in sizes.iter().enumerate() {
-        match client.alloc("square", job as u64, size, true).unwrap() {
+        match client
+            .alloc("square", &AllocArgs::new(job as u64, size).or_wait())
+            .unwrap()
+            .1
+        {
             ClientAllocOutcome::Granted(nodes) => {
                 println!(
                     "job {job}: granted {size} processors (first node {})",
@@ -60,7 +64,9 @@ fn main() {
     }
 
     // A 3-D allocation for contrast.
-    if let ClientAllocOutcome::Granted(nodes) = client.alloc("cube", 100, 32, false).unwrap() {
+    if let ClientAllocOutcome::Granted(nodes) =
+        client.alloc("cube", &AllocArgs::new(100, 32)).unwrap().1
+    {
         println!("cube: granted 32 processors, e.g. node {}", nodes[0]);
     }
 

@@ -4,7 +4,9 @@
 //! occupancy-invariant violations.
 
 use commalloc_cli::loadgen::{self, LoadgenConfig};
-use commalloc_service::{AllocationService, ClientAllocOutcome, JobStatus, Server, ServiceClient};
+use commalloc_service::{
+    AllocArgs, AllocationService, ClientAllocOutcome, JobStatus, Server, ServiceClient,
+};
 use serde::Value;
 
 fn spawn_server() -> (AllocationService, commalloc_service::ServerHandle) {
@@ -27,21 +29,28 @@ fn tcp_protocol_round_trip_with_fcfs_queueing() {
         .unwrap();
 
     // Fill the machine, queue two jobs, verify FCFS drain on release.
-    let ClientAllocOutcome::Granted(first) = client.alloc("m0", 1, 60, false).unwrap() else {
+    let ClientAllocOutcome::Granted(first) = client.alloc("m0", &AllocArgs::new(1, 60)).unwrap().1
+    else {
         panic!("empty machine must grant");
     };
     assert_eq!(first.len(), 60);
     assert_eq!(
-        client.alloc("m0", 2, 10, true).unwrap(),
+        client
+            .alloc("m0", &AllocArgs::new(2, 10).or_wait())
+            .unwrap()
+            .1,
         ClientAllocOutcome::Queued(1)
     );
     assert_eq!(
-        client.alloc("m0", 3, 2, true).unwrap(),
+        client
+            .alloc("m0", &AllocArgs::new(3, 2).or_wait())
+            .unwrap()
+            .1,
         ClientAllocOutcome::Queued(2)
     );
     // Job 3 would fit the 4 free nodes but must wait behind job 2 (FCFS).
     assert!(matches!(
-        client.alloc("m0", 4, 1, false).unwrap(),
+        client.alloc("m0", &AllocArgs::new(4, 1)).unwrap().1,
         ClientAllocOutcome::Rejected(_)
     ));
     let granted = client.release("m0", 1).unwrap();
@@ -69,7 +78,8 @@ fn three_d_machines_work_over_the_wire() {
     client
         .register("cube", "4x4x4", Some("Hilbert-3d"), Some("BF"), None)
         .unwrap();
-    let ClientAllocOutcome::Granted(nodes) = client.alloc("cube", 1, 8, false).unwrap() else {
+    let ClientAllocOutcome::Granted(nodes) = client.alloc("cube", &AllocArgs::new(1, 8)).unwrap().1
+    else {
         panic!("empty cube must grant");
     };
     assert_eq!(nodes.len(), 8);
@@ -221,7 +231,7 @@ fn sharded_registry_serves_disjoint_machines_concurrently() {
                 client.register(&name, "8x8", None, None, None).unwrap();
                 for job in 0..200u64 {
                     let ClientAllocOutcome::Granted(nodes) =
-                        client.alloc(&name, job, 5, false).unwrap()
+                        client.alloc(&name, &AllocArgs::new(job, 5)).unwrap().1
                     else {
                         panic!("8x8 machine fits 5 nodes after release");
                     };
@@ -259,15 +269,20 @@ fn scheduling_policies_work_over_the_wire() {
             .unwrap();
         // Fill the machine, then queue a blocked head plus a small job.
         let ClientAllocOutcome::Granted(_) = client
-            .alloc_with_walltime("sched", 1, 60, false, Some(100.0))
+            .alloc("sched", &AllocArgs::new(1, 60).with_walltime(100.0))
             .unwrap()
+            .1
         else {
             panic!("empty machine must grant");
         };
         assert_eq!(
             client
-                .alloc_with_walltime("sched", 2, 40, true, Some(50.0))
-                .unwrap(),
+                .alloc(
+                    "sched",
+                    &AllocArgs::new(2, 40).or_wait().with_walltime(50.0)
+                )
+                .unwrap()
+                .1,
             ClientAllocOutcome::Queued(1)
         );
         // Job 3 fits the 4 free nodes; whether it starts now depends on
@@ -275,8 +290,9 @@ fn scheduling_policies_work_over_the_wire() {
         // admits it too (it fits the shadow-time extras or finishes
         // first — with walltime 1 it can never delay the head).
         let outcome = client
-            .alloc_with_walltime("sched", 3, 2, true, Some(1.0))
-            .unwrap();
+            .alloc("sched", &AllocArgs::new(3, 2).or_wait().with_walltime(1.0))
+            .unwrap()
+            .1;
         match policy {
             commalloc::scheduler::SchedulerKind::Fcfs => {
                 assert_eq!(outcome, ClientAllocOutcome::Queued(2), "{policy}")
