@@ -3,11 +3,12 @@
 //! (fsync-batched, the production default) and at **fsync-every-record**
 //! (the zero-loss-window CI setting). Emits `BENCH_journal.json`.
 //!
-//! Method: the steady-state churn of `service_throughput` — pre-fill a
-//! 16×16 machine to 90% occupancy with random-size jobs, then release
-//! one random live job and allocate a replacement per iteration — so
-//! every timed operation commits (and, when journaling, appends) a
-//! record. One "op" is one allocate or one release.
+//! Method: steady-state churn — pre-fill a 16×16 machine to 90%
+//! occupancy with random-size jobs (1–8 processors), then per iteration
+//! release one random live job and allocate fresh random-size
+//! replacements until one is refused — so every timed operation commits
+//! (and, when journaling, appends) a record. One "op" is one allocate
+//! or one release.
 //!
 //! Doubles as the CI regression gate: `--min-ratio R` exits non-zero
 //! when batched-journaled throughput falls below `R ×` the unjournaled

@@ -6,10 +6,10 @@
 //! minting an ID and emitting span events into the ring buffers).
 //! Emits `BENCH_obs.json`.
 //!
-//! Method: the steady-state churn of `service_throughput` — pre-fill a
-//! 16×16 machine to the target occupancy with random-size jobs, then
-//! release one random live job and allocate a replacement per
-//! iteration. One "op" is one allocate or one release, driven through
+//! Method: steady-state churn — pre-fill a 16×16 machine to the target
+//! occupancy with random-size jobs (1–8 processors), then per iteration
+//! release one random live job and allocate fresh random-size
+//! replacements until one is refused. One "op" is one allocate or one release, driven through
 //! the daemon's full per-line path (wire parse, dispatch, response
 //! render) exactly as a connection worker runs it — only the TCP
 //! socket is elided. Each mode keeps a persistent service, and the

@@ -30,28 +30,22 @@
 //! Requests without a walltime estimate are modelled as running forever
 //! (`estimate = ∞`), which makes EASY strictly conservative about them.
 
+use crate::journal::QueuedRequest;
 use commalloc::scheduler::{QueuedJob, RunningSnapshot, SchedulerKind};
-use commalloc_workload::CommPattern;
 use std::collections::VecDeque;
 
-/// A queued allocation request.
+/// A queued allocation request: the durable [`QueuedRequest`] plus what
+/// only the live daemon knows about it (its trace binding, placement
+/// provenance and queue-local arrival order).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PendingRequest {
-    /// The job to allocate for.
-    pub job_id: u64,
-    /// Number of processors requested.
-    pub size: usize,
-    /// The client's runtime estimate in seconds, if it supplied one.
-    /// EASY backfilling treats a missing estimate as "runs forever".
-    pub walltime: Option<f64>,
-    /// The communication pattern the client declared, if any. A declared
-    /// pattern lets the allocator score candidate placements by predicted
-    /// contention when the grant finally happens.
-    pub pattern: Option<CommPattern>,
-    /// Machine-clock time at which the request entered the queue (drives
-    /// the wait-time metrics and doubles as the arrival stamp the
-    /// scheduler policies see).
-    pub enqueued_at: f64,
+    /// The journaled fact: job, size, walltime estimate (EASY
+    /// backfilling treats a missing one as "runs forever"), pattern,
+    /// tenant (feeds the weighted fair-share drain order and the quota
+    /// settlement when the job is cancelled) and the machine-clock
+    /// enqueue time (drives the wait-time metrics and doubles as the
+    /// arrival stamp the scheduler policies see).
+    pub request: QueuedRequest,
     /// Flight-recorder request ID of the wire request that enqueued this
     /// job (0 when untraced): a later grant-from-queue attaches its
     /// trace events to the *enqueuing* request, not the request whose
@@ -65,10 +59,6 @@ pub struct PendingRequest {
     /// unrouted requests (and recovered queue records, whose placing
     /// path was not journaled).
     pub placed_by: &'static str,
-    /// Tenant the job is attributed to (`None` = the default tenant).
-    /// Feeds the weighted fair-share drain order and the per-tenant
-    /// quota settlement when the job is cancelled.
-    pub tenant: Option<String>,
     /// Queue-local arrival sequence, assigned at enqueue. The
     /// tie-breaker of the fair-share reorder: requests with equal
     /// fair-share keys (in particular, *all* requests of a single
@@ -78,21 +68,29 @@ pub struct PendingRequest {
 }
 
 impl PendingRequest {
-    /// The runtime estimate the scheduler policies consume: the client's
-    /// walltime, or infinity when it gave none.
-    pub fn estimate(&self) -> f64 {
-        self.walltime.unwrap_or(f64::INFINITY)
+    /// A request re-created from its journaled fact. Recovery re-creates
+    /// state, not requests: there is no wire request to attach trace
+    /// events to, and the placing path was not journaled.
+    pub fn restored(request: QueuedRequest) -> PendingRequest {
+        PendingRequest {
+            request,
+            trace_request: 0,
+            enqueued_micros: 0,
+            placed_by: "direct",
+            arrival_seq: 0,
+        }
     }
 
     /// The scheduler-facing view of this request — the single place the
     /// `PendingRequest` → [`QueuedJob`] mapping lives (used by both
-    /// [`AdmissionQueue::select`] and the registry's drain loop).
+    /// [`AdmissionQueue::select`] and the registry's drain loop). A
+    /// missing walltime estimates as infinity.
     pub fn as_queued(&self) -> QueuedJob {
         QueuedJob {
-            job_id: self.job_id,
-            size: self.size,
-            arrival: self.enqueued_at,
-            estimate: self.estimate(),
+            job_id: self.request.job,
+            size: self.request.size,
+            arrival: self.request.enqueued_at,
+            estimate: self.request.walltime.unwrap_or(f64::INFINITY),
         }
     }
 }
@@ -148,7 +146,7 @@ impl AdmissionQueue {
 
     /// True when `job_id` is waiting.
     pub fn contains(&self, job_id: u64) -> bool {
-        self.queue.iter().any(|p| p.job_id == job_id)
+        self.queue.iter().any(|p| p.request.job == job_id)
     }
 
     /// Appends a request (stamping its arrival sequence) and returns
@@ -184,7 +182,7 @@ impl AdmissionQueue {
         // a consistent ledger snapshot.
         let mut keyed: Vec<(f64, u64)> = Vec::with_capacity(pending.len());
         for request in &pending {
-            keyed.push((key(request.tenant.as_deref()), request.arrival_seq));
+            keyed.push((key(request.request.tenant.as_deref()), request.arrival_seq));
         }
         let mut order: Vec<usize> = (0..pending.len()).collect();
         order.sort_by(|&a, &b| {
@@ -208,7 +206,7 @@ impl AdmissionQueue {
     /// Removes and returns the request for `job_id`, wherever it waits
     /// (used to cancel a queued job).
     pub fn remove(&mut self, job_id: u64) -> Option<PendingRequest> {
-        let at = self.queue.iter().position(|p| p.job_id == job_id)?;
+        let at = self.queue.iter().position(|p| p.request.job == job_id)?;
         self.queue.remove(at)
     }
 
@@ -216,7 +214,7 @@ impl AdmissionQueue {
     pub fn position(&self, job_id: u64) -> Option<usize> {
         self.queue
             .iter()
-            .position(|p| p.job_id == job_id)
+            .position(|p| p.request.job == job_id)
             .map(|i| i + 1)
     }
 
@@ -251,41 +249,27 @@ impl AdmissionQueue {
 mod tests {
     use super::*;
 
-    fn req(job_id: u64, size: usize) -> PendingRequest {
-        PendingRequest {
-            job_id,
+    fn req(job: u64, size: usize) -> PendingRequest {
+        PendingRequest::restored(QueuedRequest {
+            job,
             size,
             walltime: None,
-            pattern: None,
             enqueued_at: 0.0,
-            trace_request: 0,
-            enqueued_micros: 0,
-            placed_by: "direct",
+            pattern: None,
             tenant: None,
-            arrival_seq: 0,
-        }
+        })
     }
 
-    fn timed(job_id: u64, size: usize, walltime: f64) -> PendingRequest {
-        PendingRequest {
-            job_id,
-            size,
-            walltime: Some(walltime),
-            pattern: None,
-            enqueued_at: 0.0,
-            trace_request: 0,
-            enqueued_micros: 0,
-            placed_by: "direct",
-            tenant: None,
-            arrival_seq: 0,
-        }
+    fn timed(job: u64, size: usize, walltime: f64) -> PendingRequest {
+        let mut pending = req(job, size);
+        pending.request.walltime = Some(walltime);
+        pending
     }
 
-    fn tenant_req(job_id: u64, tenant: &str) -> PendingRequest {
-        PendingRequest {
-            tenant: Some(tenant.to_string()),
-            ..req(job_id, 1)
-        }
+    fn tenant_req(job: u64, tenant: &str) -> PendingRequest {
+        let mut pending = req(job, 1);
+        pending.request.tenant = Some(tenant.to_string());
+        pending
     }
 
     #[test]
@@ -307,7 +291,7 @@ mod tests {
         q.enqueue(req(3, 1)); // would fit, but must wait behind job 2
         assert_eq!(q.select(20, &[], 0.0), Some(0));
         let taken = q.take_at(0);
-        assert_eq!(taken.job_id, 1);
+        assert_eq!(taken.request.job, 1);
         // 10 free left: the new head (job 2) does not fit, and FCFS never
         // looks past it.
         assert_eq!(q.select(10, &[], 0.0), None);
@@ -350,7 +334,7 @@ mod tests {
         let taken = q.take_at(1);
         assert_eq!(q.position(3), Some(2));
         q.put_back(1, taken);
-        let order: Vec<u64> = q.iter().map(|p| p.job_id).collect();
+        let order: Vec<u64> = q.iter().map(|p| p.request.job).collect();
         assert_eq!(order, vec![1, 2, 3]);
     }
 
@@ -365,7 +349,7 @@ mod tests {
             Some("hog") => 100.0,
             _ => 1.0,
         });
-        let order: Vec<u64> = q.iter().map(|p| p.job_id).collect();
+        let order: Vec<u64> = q.iter().map(|p| p.request.job).collect();
         assert_eq!(order, vec![3, 4, 1, 2], "light ahead, arrival kept");
     }
 
@@ -376,7 +360,7 @@ mod tests {
             q.enqueue(req(id, 1));
         }
         q.resequence(|_| 0.0);
-        let order: Vec<u64> = q.iter().map(|p| p.job_id).collect();
+        let order: Vec<u64> = q.iter().map(|p| p.request.job).collect();
         assert_eq!(order, vec![1, 2, 3, 4, 5]);
     }
 

@@ -42,9 +42,11 @@ use std::fmt;
 /// byte, so it can never collide with the first byte of an NDJSON line.
 pub const MAGIC: u8 = 0xB1;
 
-/// Upper bound on a binary frame payload. A declared length above this is
-/// unrecoverable desync (there is no way to find the next frame boundary),
-/// so the connection is closed.
+/// Upper bound on a binary frame payload and on an NDJSON line. A
+/// declared length above this is unrecoverable desync (there is no way to
+/// find the next frame boundary), and a line still unterminated after
+/// this many bytes would otherwise be buffered without limit, so either
+/// closes the connection.
 pub const MAX_FRAME_LEN: usize = 64 * 1024 * 1024;
 
 /// Nesting depth cap for the binary decoder (defends the stack against
@@ -94,7 +96,8 @@ impl fmt::Display for Framing {
 /// with a `Response::Error` and keeps the connection open.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FrameError {
-    /// Declared payload length exceeds [`MAX_FRAME_LEN`].
+    /// Declared payload length, or the length of a line still lacking
+    /// its newline, exceeds [`MAX_FRAME_LEN`].
     Oversized(usize),
     /// The stream ended mid-frame (torn final frame).
     Torn(usize),
@@ -341,6 +344,11 @@ pub struct Frame {
 pub struct FrameBuffer {
     buf: Vec<u8>,
     pos: usize,
+    /// How many bytes past `pos` earlier calls searched without finding
+    /// the pending line's newline; the next search resumes there, so a
+    /// line trickling in over many reads is scanned once, not once per
+    /// read.
+    scanned: usize,
 }
 
 impl FrameBuffer {
@@ -368,9 +376,20 @@ impl FrameBuffer {
         self.buf.len() - self.pos
     }
 
+    /// The framing of the frame at the head of the buffer, complete or
+    /// not (`None` when nothing is buffered) — after a fatal
+    /// [`FrameBuffer::next_frame`] error, the framing that failed.
+    pub fn pending_framing(&self) -> Option<Framing> {
+        self.buf.get(self.pos).map(|&first| match first {
+            MAGIC => Framing::Binary,
+            _ => Framing::Ndjson,
+        })
+    }
+
     /// Extracts the next complete frame, `Ok(None)` when more bytes are
     /// needed. `Err` means the stream is unrecoverably desynced (declared
-    /// binary length over [`MAX_FRAME_LEN`]) and must be closed.
+    /// binary length, or a line, over [`MAX_FRAME_LEN`]) and must be
+    /// closed.
     pub fn next_frame(&mut self) -> Result<Option<Frame>, FrameError> {
         let data = &self.buf[self.pos..];
         let Some(&first) = data.first() else {
@@ -394,20 +413,29 @@ impl FrameBuffer {
                 payload,
             }))
         } else {
-            match data.iter().position(|&b| b == b'\n') {
-                Some(end) => {
+            let found = data[self.scanned..].iter().position(|&b| b == b'\n');
+            let end = found.map_or(data.len(), |at| self.scanned + at);
+            if end > MAX_FRAME_LEN {
+                return Err(FrameError::Oversized(end));
+            }
+            match found {
+                Some(_) => {
                     let mut line = &data[..end];
                     if line.last() == Some(&b'\r') {
                         line = &line[..line.len() - 1];
                     }
                     let payload = line.to_vec();
                     self.pos += end + 1;
+                    self.scanned = 0;
                     Ok(Some(Frame {
                         framing: Framing::Ndjson,
                         payload,
                     }))
                 }
-                None => Ok(None),
+                None => {
+                    self.scanned = end;
+                    Ok(None)
+                }
             }
         }
     }
@@ -561,6 +589,39 @@ mod tests {
             buffer.next_frame(),
             Err(FrameError::Oversized(MAX_FRAME_LEN + 1))
         );
+    }
+
+    #[test]
+    fn oversized_line_is_fatal() {
+        // A binary frame declares its length; a line only ever shows how
+        // long it already is, so the cap applies to what is pending.
+        let mut buffer = FrameBuffer::new();
+        buffer.extend(&vec![b'x'; MAX_FRAME_LEN + 1]);
+        assert_eq!(buffer.pending_framing(), Some(Framing::Ndjson));
+        assert_eq!(
+            buffer.next_frame(),
+            Err(FrameError::Oversized(MAX_FRAME_LEN + 1))
+        );
+    }
+
+    #[test]
+    fn a_line_split_across_many_reads_comes_out_whole() {
+        let line: Vec<u8> = (0..10_000u32).map(|i| b'a' + (i % 26) as u8).collect();
+        let mut buffer = FrameBuffer::new();
+        buffer.extend(b"{\"op\":\"ping\"}\n");
+        for chunk in line.chunks(7) {
+            buffer.extend(chunk);
+            if let Some(frame) = buffer.next_frame().unwrap() {
+                assert_eq!(frame.payload, b"{\"op\":\"ping\"}");
+                assert_eq!(buffer.next_frame().unwrap(), None);
+            }
+        }
+        buffer.extend(b"\r\n{\"op\":\"list\"}\n");
+        let frames: Vec<Frame> = std::iter::from_fn(|| buffer.next_frame().unwrap()).collect();
+        assert_eq!(frames.len(), 2);
+        assert_eq!(frames[0].payload, line);
+        assert_eq!(frames[1].payload, b"{\"op\":\"list\"}");
+        buffer.finish().unwrap();
     }
 
     #[test]

@@ -20,6 +20,23 @@
 //! compare a recovered registry byte-for-byte against an uninterrupted
 //! run cut at the same point.
 //!
+//! ## One fact, one codec
+//!
+//! A snapshot is the compacted log, and the types say so. Four durable
+//! facts are each defined once, with one text writer and one [`Value`]
+//! reader, and everything else *carries* them:
+//!
+//! | fact | record whose body it is | image that holds it | live state |
+//! |---|---|---|---|
+//! | [`RunningJob`] | `grant` (after `"machine"`) | [`MachineImage::running`] | the machine's running vector |
+//! | [`QueuedRequest`] | `queue` (after `"machine"`) | [`MachineImage::queue`] | `PendingRequest::request` |
+//! | [`MachineSpec`] | `register` (before `"pool"`) | the head of a [`MachineImage`] | — (re-derived at capture) |
+//! | [`TenantSpec`] | `set_tenant` | the head of a [`TenantImage`] | the tenant table's config |
+//!
+//! So a new job attribute is a field of one struct, written and read in
+//! one place each, and recovery restores an image's facts through the
+//! same calls that replay the records they were compacted from.
+//!
 //! ## Ordering discipline
 //!
 //! Records are emitted **inside the owning shard lock** of the machine
@@ -68,9 +85,11 @@
 //! `journal_overhead` benchmark (`BENCH_journal.json`) quantifies all
 //! three against the no-journal baseline.
 
-use crate::protocol::get_f64_opt;
-use crate::protocol::{get_nodes, get_str, get_str_opt, get_u64, nodes_value, obj, str_value};
+use crate::protocol::{
+    get_f64_opt, get_nodes, get_pattern, get_str, get_str_opt, get_u64, str_value,
+};
 use crate::registry::ServiceError;
+use crate::tenant::TenantConfig;
 use commalloc_mesh::NodeId;
 use commalloc_workload::CommPattern;
 use serde::{Error, Map, Value};
@@ -81,67 +100,113 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
+// ---------------------------------------------------------------------------
+// The four durable facts
+// ---------------------------------------------------------------------------
+
+/// A running job: `job` holds exactly `nodes` since machine-clock
+/// `start`. The body of a `grant` record, an entry of a machine image's
+/// `running` array, and an element of the live machine's running vector.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunningJob {
+    /// Job identifier.
+    pub job: u64,
+    /// The committed processors, in rank order.
+    pub nodes: Vec<NodeId>,
+    /// The client's runtime estimate, if any (EASY's planning input).
+    pub walltime: Option<f64>,
+    /// Machine-clock time of the grant.
+    pub start: f64,
+    /// The communication pattern the job declared, if any. On the wire
+    /// the field is present only when declared (absent = none), carrying
+    /// the pattern's canonical name.
+    pub pattern: Option<CommPattern>,
+    /// Tenant the job is attributed to, if any (`None` = the default
+    /// tenant). Present on the wire only when tagged, so untenanted
+    /// logs keep their pre-tenant bytes.
+    pub tenant: Option<String>,
+}
+
+/// A queued request: `job` waits for `size` processors since
+/// machine-clock `enqueued_at`. The body of a `queue` record, an entry
+/// of a machine image's `queue` array, and the durable part of a live
+/// [`crate::admission::PendingRequest`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct QueuedRequest {
+    /// Job identifier.
+    pub job: u64,
+    /// Processors requested.
+    pub size: usize,
+    /// The client's runtime estimate, if any.
+    pub walltime: Option<f64>,
+    /// Machine-clock time of the enqueue.
+    pub enqueued_at: f64,
+    /// The communication pattern the job declared, if any (present on
+    /// the wire only when declared).
+    pub pattern: Option<CommPattern>,
+    /// Tenant the job is attributed to, if any (present on the wire
+    /// only when tagged).
+    pub tenant: Option<String>,
+}
+
+/// A machine's registration spec, in the string grammar `register`
+/// accepts on the wire. The body of a `register` record (which adds the
+/// pool joined) and the head of a machine image (which adds the state).
+#[derive(Debug, Clone, PartialEq)]
+pub struct MachineSpec {
+    /// Machine name.
+    pub machine: String,
+    /// Mesh spec (`"WxH"` / `"WxHxD"`).
+    pub mesh: String,
+    /// Allocator (2-D) / curve (3-D) spec; `None` = default. Images
+    /// always name it — derived from the live backing, so defaults are
+    /// made explicit.
+    pub allocator: Option<String>,
+    /// Selection strategy (3-D); `None` = Best Fit.
+    pub strategy: Option<String>,
+    /// Scheduling policy; `None` = FCFS. Images always name it.
+    pub scheduler: Option<String>,
+}
+
+/// A tenant's configuration. The body of a `set_tenant` record (the
+/// *resulting* absolute configuration, so replay is last-writer-wins
+/// regardless of which fields the original request spelled out) and
+/// the head of a tenant image (which adds the consumption).
+#[derive(Debug, Clone, PartialEq)]
+pub struct TenantSpec {
+    /// Tenant name.
+    pub tenant: String,
+    /// Weight, quota and in-flight cap (`"weight"`, `"quota"` and
+    /// `"max_in_flight"` on the wire, the latter two only when set).
+    pub config: TenantConfig,
+}
+
 /// One journaled, state-changing operation (or a full snapshot image).
 /// The wire form is one JSON object per line with a `"rec"` discriminator
 /// and the sink-assigned `"seq"`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JournalRecord {
-    /// A machine registered, with its full registration config (the
-    /// same string grammar `register` accepts on the wire).
+    /// A machine registered, with its full registration config.
     Register {
-        /// Machine name.
-        machine: String,
-        /// Mesh spec (`"WxH"` / `"WxHxD"`).
-        mesh: String,
-        /// Allocator (2-D) / curve (3-D) spec; `None` = default.
-        allocator: Option<String>,
-        /// Selection strategy (3-D); `None` = Best Fit.
-        strategy: Option<String>,
-        /// Scheduling policy; `None` = FCFS.
-        scheduler: Option<String>,
+        /// The registration spec.
+        spec: MachineSpec,
         /// Cluster pool joined at registration.
         pool: Option<String>,
     },
     /// A grant committed (immediately, from the queue, or by a policy
-    /// switch): `job` now holds exactly `nodes`.
+    /// switch).
     Grant {
         /// Machine name.
         machine: String,
-        /// Job identifier.
-        job: u64,
-        /// The committed processors, in rank order.
-        nodes: Vec<NodeId>,
-        /// The client's runtime estimate, if any (EASY's planning input).
-        walltime: Option<f64>,
-        /// Machine-clock time of the grant.
-        start: f64,
-        /// The communication pattern the job declared, if any. On the
-        /// wire the field is present only when declared (absent = none),
-        /// carrying the pattern's canonical name.
-        pattern: Option<CommPattern>,
-        /// Tenant the job is attributed to, if any. Present on the wire
-        /// only when tagged, so untenanted grant logs keep their
-        /// pre-tenant bytes.
-        tenant: Option<String>,
+        /// The job that now runs.
+        job: RunningJob,
     },
     /// A request entered the admission queue.
     Queue {
         /// Machine name.
         machine: String,
-        /// Job identifier.
-        job: u64,
-        /// Processors requested.
-        size: usize,
-        /// The client's runtime estimate, if any.
-        walltime: Option<f64>,
-        /// Machine-clock time of the enqueue.
-        enqueued_at: f64,
-        /// The communication pattern the job declared, if any (present
-        /// on the wire only when declared).
-        pattern: Option<CommPattern>,
-        /// Tenant the job is attributed to, if any (present on the wire
-        /// only when tagged).
-        tenant: Option<String>,
+        /// The request that now waits.
+        request: QueuedRequest,
     },
     /// A running job released its processors.
     Release {
@@ -171,19 +236,8 @@ pub enum JournalRecord {
         /// Canonical name of the now-active routing policy.
         policy: String,
     },
-    /// A tenant was configured (created or reconfigured). Carries the
-    /// *resulting* absolute configuration, so replay is last-writer-wins
-    /// regardless of which fields the original request spelled out.
-    SetTenant {
-        /// Tenant name.
-        tenant: String,
-        /// Fair-share weight (finite, positive).
-        weight: f64,
-        /// Node-second quota; `None` = unlimited.
-        quota: Option<f64>,
-        /// In-flight wire request cap; `None` = uncapped.
-        max_in_flight: Option<u64>,
-    },
+    /// A tenant was configured (created or reconfigured).
+    SetTenant(TenantSpec),
     /// The machine's fair-share admission layer was toggled.
     SetFairShare {
         /// Machine name.
@@ -217,20 +271,12 @@ pub struct SnapshotImage {
     pub tenants: Vec<TenantImage>,
 }
 
-/// One machine's image inside a [`SnapshotImage`].
+/// One machine's image inside a [`SnapshotImage`]: the registration
+/// that recreates it plus the state its later records built up.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MachineImage {
-    /// Machine name.
-    pub machine: String,
-    /// Mesh spec, re-registerable (`"WxH"` / `"WxHxD"`).
-    pub mesh: String,
-    /// Allocator / curve spec (always present in images — derived from
-    /// the live backing, so defaults are made explicit).
-    pub allocator: String,
-    /// Selection strategy spec (3-D machines only).
-    pub strategy: Option<String>,
-    /// Scheduling-policy name.
-    pub scheduler: String,
+    /// The registration spec, re-registerable.
+    pub spec: MachineSpec,
     /// Journal watermark: the sequence number of the last record of this
     /// machine reflected in the image. Tail records with `seq` at or
     /// below it are skipped during recovery.
@@ -243,58 +289,16 @@ pub struct MachineImage {
     pub fair_share: bool,
     /// Running jobs in **grant order** (the order the running vector
     /// evolved in — EASY's tie-breaking state, so it must survive).
-    pub running: Vec<RunningImage>,
+    pub running: Vec<RunningJob>,
     /// Queued requests in queue order.
-    pub queue: Vec<QueuedImage>,
-}
-
-/// One running job inside a [`MachineImage`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunningImage {
-    /// Job identifier.
-    pub job: u64,
-    /// The processors the job holds, in rank order.
-    pub nodes: Vec<NodeId>,
-    /// The client's runtime estimate, if any.
-    pub walltime: Option<f64>,
-    /// Machine-clock time the job started.
-    pub start: f64,
-    /// The communication pattern the job declared, if any.
-    pub pattern: Option<CommPattern>,
-    /// Tenant the job is attributed to, if any (present on the wire
-    /// only when tagged).
-    pub tenant: Option<String>,
-}
-
-/// One queued request inside a [`MachineImage`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct QueuedImage {
-    /// Job identifier.
-    pub job: u64,
-    /// Processors requested.
-    pub size: usize,
-    /// The client's runtime estimate, if any.
-    pub walltime: Option<f64>,
-    /// Machine-clock time of the enqueue.
-    pub enqueued_at: f64,
-    /// The communication pattern the job declared, if any.
-    pub pattern: Option<CommPattern>,
-    /// Tenant the job is attributed to, if any (present on the wire
-    /// only when tagged).
-    pub tenant: Option<String>,
+    pub queue: Vec<QueuedRequest>,
 }
 
 /// One configured tenant inside a [`SnapshotImage`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantImage {
-    /// Tenant name.
-    pub tenant: String,
-    /// Fair-share weight.
-    pub weight: f64,
-    /// Node-second quota; `None` = unlimited.
-    pub quota: Option<f64>,
-    /// In-flight wire request cap; `None` = uncapped.
-    pub max_in_flight: Option<u64>,
+    /// The configuration.
+    pub spec: TenantSpec,
     /// Cumulative node-seconds of finished holds.
     pub consumed: f64,
 }
@@ -314,9 +318,8 @@ pub struct PoolImage {
 // Wire format
 // ---------------------------------------------------------------------------
 
-/// JSON string escaping identical to the workspace serde shim's, so a
-/// string reads the same in a hand-written record line and in a
-/// tree-rendered snapshot image.
+/// JSON string escaping identical to the workspace serde shim's, which
+/// parses the lines back.
 fn write_json_str(out: &mut String, s: &str) {
     use std::fmt::Write as _;
     out.push('"');
@@ -361,17 +364,38 @@ fn write_json_f64_opt(out: &mut String, f: &Option<f64>) {
     }
 }
 
-fn opt_str_value(s: &Option<String>) -> Value {
-    match s {
-        Some(s) => str_value(s),
-        None => Value::Null,
+/// Writes `items` as a JSON array, each element through `write`.
+fn write_array<T>(out: &mut String, items: &[T], write: impl Fn(&T, &mut String)) {
+    out.push('[');
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write(item, out);
     }
+    out.push(']');
 }
 
-fn opt_f64_value(f: &Option<f64>) -> Value {
-    match f {
-        Some(f) => Value::Float(*f),
-        None => Value::Null,
+/// Writes `items` as a JSON array of objects, each body through `write`.
+fn write_objects<T>(out: &mut String, items: &[T], write: impl Fn(&T, &mut String)) {
+    write_array(out, items, |item, out| {
+        out.push('{');
+        write(item, out);
+        out.push('}');
+    });
+}
+
+/// The optional `"pattern"` and `"tenant"` entries a job's body ends
+/// with — present only when set, so unpatterned, untenanted jobs keep
+/// their older wire form byte for byte.
+fn write_job_tags(out: &mut String, pattern: &Option<CommPattern>, tenant: &Option<String>) {
+    if let Some(p) = pattern {
+        out.push_str(",\"pattern\":");
+        write_json_str(out, p.name());
+    }
+    if let Some(t) = tenant {
+        out.push_str(",\"tenant\":");
+        write_json_str(out, t);
     }
 }
 
@@ -381,267 +405,255 @@ fn get_f64(v: &Value, key: &str) -> Result<f64, Error> {
         .ok_or_else(|| Error::msg(format!("missing or non-numeric field {key:?}")))
 }
 
-/// Reads an optional `"pattern"` field (absent or null = no pattern;
-/// present = the canonical pattern name, refusing unknown names).
-fn get_pattern_opt(v: &Value) -> Result<Option<CommPattern>, Error> {
-    match get_str_opt(v, "pattern")? {
-        None => Ok(None),
-        Some(s) => CommPattern::parse(&s)
-            .map(Some)
-            .ok_or_else(|| Error::msg(format!("unknown communication pattern {s:?}"))),
+/// Reads the array field `key`, each element through `read`.
+fn get_array<T>(
+    v: &Value,
+    key: &str,
+    read: impl Fn(&Value) -> Result<T, Error>,
+) -> Result<Vec<T>, Error> {
+    v.get(key)
+        .and_then(Value::as_array)
+        .ok_or_else(|| Error::msg(format!("missing or non-array field {key:?}")))?
+        .iter()
+        .map(read)
+        .collect()
+}
+
+impl RunningJob {
+    /// Predicted completion: start + walltime, or infinity when the
+    /// client gave no estimate (EASY then never counts on this release).
+    pub fn completion(&self) -> f64 {
+        match self.walltime {
+            Some(w) => self.start + w,
+            None => f64::INFINITY,
+        }
+    }
+
+    fn write_body(&self, out: &mut String) {
+        use std::fmt::Write as _;
+        let _ = write!(out, "\"job\":{},\"nodes\":", self.job);
+        write_array(out, &self.nodes, |node, out| {
+            let _ = write!(out, "{}", node.0);
+        });
+        out.push_str(",\"walltime\":");
+        write_json_f64_opt(out, &self.walltime);
+        out.push_str(",\"start\":");
+        write_json_f64(out, self.start);
+        write_job_tags(out, &self.pattern, &self.tenant);
+    }
+
+    fn from_value(v: &Value) -> Result<RunningJob, Error> {
+        Ok(RunningJob {
+            job: get_u64(v, "job")?,
+            nodes: get_nodes(v, "nodes")?,
+            walltime: get_f64_opt(v, "walltime")?,
+            start: get_f64(v, "start")?,
+            pattern: get_pattern(v)?,
+            tenant: get_str_opt(v, "tenant")?,
+        })
     }
 }
 
-/// Appends the optional `"pattern"` entry to a snapshot image's job —
-/// present only when declared, so unpatterned images keep their
-/// pre-pattern wire form byte-for-byte.
-fn push_pattern_entry(entries: &mut Vec<(&'static str, Value)>, pattern: &Option<CommPattern>) {
-    if let Some(p) = pattern {
-        entries.push(("pattern", str_value(p.name())));
+impl QueuedRequest {
+    /// The grant of this request: the same job, now holding `nodes`
+    /// since `start`.
+    pub fn started(self, nodes: Vec<NodeId>, start: f64) -> RunningJob {
+        RunningJob {
+            job: self.job,
+            nodes,
+            walltime: self.walltime,
+            start,
+            pattern: self.pattern,
+            tenant: self.tenant,
+        }
+    }
+
+    fn write_body(&self, out: &mut String) {
+        use std::fmt::Write as _;
+        let _ = write!(
+            out,
+            "\"job\":{},\"size\":{},\"walltime\":",
+            self.job, self.size
+        );
+        write_json_f64_opt(out, &self.walltime);
+        out.push_str(",\"enqueued_at\":");
+        write_json_f64(out, self.enqueued_at);
+        write_job_tags(out, &self.pattern, &self.tenant);
+    }
+
+    fn from_value(v: &Value) -> Result<QueuedRequest, Error> {
+        Ok(QueuedRequest {
+            job: get_u64(v, "job")?,
+            size: get_u64(v, "size")? as usize,
+            walltime: get_f64_opt(v, "walltime")?,
+            enqueued_at: get_f64(v, "enqueued_at")?,
+            pattern: get_pattern(v)?,
+            tenant: get_str_opt(v, "tenant")?,
+        })
     }
 }
 
-/// Appends the optional `"tenant"` entry to a snapshot image's job —
-/// present only when tagged, so untenanted images keep their
-/// pre-tenant wire form byte-for-byte.
-fn push_tenant_entry(entries: &mut Vec<(&'static str, Value)>, tenant: &Option<String>) {
-    if let Some(t) = tenant {
-        entries.push(("tenant", str_value(t)));
+impl MachineSpec {
+    fn write_body(&self, out: &mut String) {
+        out.push_str("\"machine\":");
+        write_json_str(out, &self.machine);
+        out.push_str(",\"mesh\":");
+        write_json_str(out, &self.mesh);
+        out.push_str(",\"allocator\":");
+        write_json_str_opt(out, &self.allocator);
+        out.push_str(",\"strategy\":");
+        write_json_str_opt(out, &self.strategy);
+        out.push_str(",\"scheduler\":");
+        write_json_str_opt(out, &self.scheduler);
+    }
+
+    fn from_value(v: &Value) -> Result<MachineSpec, Error> {
+        Ok(MachineSpec {
+            machine: get_str(v, "machine")?,
+            mesh: get_str(v, "mesh")?,
+            allocator: get_str_opt(v, "allocator")?,
+            strategy: get_str_opt(v, "strategy")?,
+            scheduler: get_str_opt(v, "scheduler")?,
+        })
     }
 }
 
-/// Appends the optional `"tenant"` suffix to a record line — present
-/// only when tagged, so untenanted records keep their pre-tenant bytes.
-fn write_tenant_suffix(out: &mut String, tenant: &Option<String>) {
-    if let Some(t) = tenant {
-        out.push_str(",\"tenant\":");
-        write_json_str(out, t);
+impl TenantSpec {
+    fn write_body(&self, out: &mut String) {
+        use std::fmt::Write as _;
+        out.push_str("\"tenant\":");
+        write_json_str(out, &self.tenant);
+        out.push_str(",\"weight\":");
+        write_json_f64(out, self.config.weight);
+        if let Some(q) = self.config.quota_node_seconds {
+            out.push_str(",\"quota\":");
+            write_json_f64(out, q);
+        }
+        if let Some(cap) = self.config.max_in_flight {
+            let _ = write!(out, ",\"max_in_flight\":{cap}");
+        }
+    }
+
+    fn from_value(v: &Value) -> Result<TenantSpec, Error> {
+        Ok(TenantSpec {
+            tenant: get_str(v, "tenant")?,
+            config: TenantConfig {
+                weight: get_f64(v, "weight")?,
+                quota_node_seconds: get_f64_opt(v, "quota")?,
+                max_in_flight: match v.get("max_in_flight") {
+                    None | Some(Value::Null) => None,
+                    Some(cap) => Some(
+                        cap.as_u64()
+                            .ok_or_else(|| Error::msg("non-integer \"max_in_flight\""))?,
+                    ),
+                },
+            },
+        })
     }
 }
 
 impl MachineImage {
-    fn to_value(&self) -> Value {
-        let mut entries = vec![
-            ("machine", str_value(&self.machine)),
-            ("mesh", str_value(&self.mesh)),
-            ("allocator", str_value(&self.allocator)),
-            ("strategy", opt_str_value(&self.strategy)),
-            ("scheduler", str_value(&self.scheduler)),
-            ("seq", Value::UInt(self.seq)),
-            ("clock", opt_f64_value(&self.clock)),
-        ];
+    fn write_body(&self, out: &mut String) {
+        use std::fmt::Write as _;
+        self.spec.write_body(out);
+        let _ = write!(out, ",\"seq\":{},\"clock\":", self.seq);
+        write_json_f64_opt(out, &self.clock);
         // Present only when on: pre-tenant images keep their bytes.
         if self.fair_share {
-            entries.push(("fair_share", Value::Bool(true)));
+            out.push_str(",\"fair_share\":true");
         }
-        entries.push((
-            "running",
-            Value::Array(
-                self.running
-                    .iter()
-                    .map(|r| {
-                        let mut entries = vec![
-                            ("job", Value::UInt(r.job)),
-                            ("nodes", nodes_value(&r.nodes)),
-                            ("walltime", opt_f64_value(&r.walltime)),
-                            ("start", Value::Float(r.start)),
-                        ];
-                        push_pattern_entry(&mut entries, &r.pattern);
-                        push_tenant_entry(&mut entries, &r.tenant);
-                        obj(entries)
-                    })
-                    .collect(),
-            ),
-        ));
-        entries.push((
-            "queue",
-            Value::Array(
-                self.queue
-                    .iter()
-                    .map(|q| {
-                        let mut entries = vec![
-                            ("job", Value::UInt(q.job)),
-                            ("size", Value::UInt(q.size as u64)),
-                            ("walltime", opt_f64_value(&q.walltime)),
-                            ("enqueued_at", Value::Float(q.enqueued_at)),
-                        ];
-                        push_pattern_entry(&mut entries, &q.pattern);
-                        push_tenant_entry(&mut entries, &q.tenant);
-                        obj(entries)
-                    })
-                    .collect(),
-            ),
-        ));
-        obj(entries)
+        out.push_str(",\"running\":");
+        write_objects(out, &self.running, RunningJob::write_body);
+        out.push_str(",\"queue\":");
+        write_objects(out, &self.queue, QueuedRequest::write_body);
     }
 
     fn from_value(v: &Value) -> Result<MachineImage, Error> {
-        let running = v
-            .get("running")
-            .and_then(Value::as_array)
-            .ok_or_else(|| Error::msg("missing \"running\" array"))?
-            .iter()
-            .map(|r| {
-                Ok(RunningImage {
-                    job: get_u64(r, "job")?,
-                    nodes: get_nodes(r, "nodes")?,
-                    walltime: get_f64_opt(r, "walltime")?,
-                    start: get_f64(r, "start")?,
-                    pattern: get_pattern_opt(r)?,
-                    tenant: get_str_opt(r, "tenant")?,
-                })
-            })
-            .collect::<Result<Vec<_>, Error>>()?;
-        let queue = v
-            .get("queue")
-            .and_then(Value::as_array)
-            .ok_or_else(|| Error::msg("missing \"queue\" array"))?
-            .iter()
-            .map(|q| {
-                Ok(QueuedImage {
-                    job: get_u64(q, "job")?,
-                    size: get_u64(q, "size")? as usize,
-                    walltime: get_f64_opt(q, "walltime")?,
-                    enqueued_at: get_f64(q, "enqueued_at")?,
-                    pattern: get_pattern_opt(q)?,
-                    tenant: get_str_opt(q, "tenant")?,
-                })
-            })
-            .collect::<Result<Vec<_>, Error>>()?;
         Ok(MachineImage {
-            machine: get_str(v, "machine")?,
-            mesh: get_str(v, "mesh")?,
-            allocator: get_str(v, "allocator")?,
-            strategy: get_str_opt(v, "strategy")?,
-            scheduler: get_str(v, "scheduler")?,
+            spec: MachineSpec::from_value(v)?,
             seq: get_u64(v, "seq")?,
             clock: get_f64_opt(v, "clock")?,
-            fair_share: v
-                .get("fair_share")
-                .and_then(Value::as_bool)
-                .unwrap_or(false),
-            running,
-            queue,
+            fair_share: match v.get("fair_share") {
+                None | Some(Value::Null) => false,
+                Some(on) => on
+                    .as_bool()
+                    .ok_or_else(|| Error::msg("non-boolean field \"fair_share\""))?,
+            },
+            running: get_array(v, "running", RunningJob::from_value)?,
+            queue: get_array(v, "queue", QueuedRequest::from_value)?,
+        })
+    }
+}
+
+impl TenantImage {
+    fn write_body(&self, out: &mut String) {
+        self.spec.write_body(out);
+        out.push_str(",\"consumed\":");
+        write_json_f64(out, self.consumed);
+    }
+
+    fn from_value(v: &Value) -> Result<TenantImage, Error> {
+        Ok(TenantImage {
+            spec: TenantSpec::from_value(v)?,
+            consumed: get_f64(v, "consumed")?,
+        })
+    }
+}
+
+impl PoolImage {
+    fn write_body(&self, out: &mut String) {
+        out.push_str("\"pool\":");
+        write_json_str(out, &self.pool);
+        out.push_str(",\"members\":");
+        write_array(out, &self.members, |member, out| {
+            write_json_str(out, member)
+        });
+        out.push_str(",\"policy\":");
+        write_json_str(out, &self.policy);
+    }
+
+    fn from_value(v: &Value) -> Result<PoolImage, Error> {
+        Ok(PoolImage {
+            pool: get_str(v, "pool")?,
+            members: get_array(v, "members", |m| {
+                m.as_str()
+                    .map(str::to_string)
+                    .ok_or_else(|| Error::msg("non-string pool member"))
+            })?,
+            policy: get_str(v, "policy")?,
         })
     }
 }
 
 impl SnapshotImage {
-    fn to_value(&self) -> Value {
-        let mut entries = vec![
-            ("epoch", Value::UInt(self.epoch)),
-            ("covers", Value::UInt(self.covers)),
-            (
-                "machines",
-                Value::Array(self.machines.iter().map(MachineImage::to_value).collect()),
-            ),
-            (
-                "pools",
-                Value::Array(
-                    self.pools
-                        .iter()
-                        .map(|p| {
-                            obj(vec![
-                                ("pool", str_value(&p.pool)),
-                                (
-                                    "members",
-                                    Value::Array(p.members.iter().map(|m| str_value(m)).collect()),
-                                ),
-                                ("policy", str_value(&p.policy)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ];
+    fn write_body(&self, out: &mut String) {
+        use std::fmt::Write as _;
+        let _ = write!(
+            out,
+            "\"epoch\":{},\"covers\":{},\"machines\":",
+            self.epoch, self.covers
+        );
+        write_objects(out, &self.machines, MachineImage::write_body);
+        out.push_str(",\"pools\":");
+        write_objects(out, &self.pools, PoolImage::write_body);
         // Present only when a tenant is configured: tenant-free
         // snapshots keep their pre-tenant bytes.
         if !self.tenants.is_empty() {
-            entries.push((
-                "tenants",
-                Value::Array(
-                    self.tenants
-                        .iter()
-                        .map(|t| {
-                            let mut entries = vec![
-                                ("tenant", str_value(&t.tenant)),
-                                ("weight", Value::Float(t.weight)),
-                            ];
-                            if let Some(q) = t.quota {
-                                entries.push(("quota", Value::Float(q)));
-                            }
-                            if let Some(cap) = t.max_in_flight {
-                                entries.push(("max_in_flight", Value::UInt(cap)));
-                            }
-                            entries.push(("consumed", Value::Float(t.consumed)));
-                            obj(entries)
-                        })
-                        .collect(),
-                ),
-            ));
+            out.push_str(",\"tenants\":");
+            write_objects(out, &self.tenants, TenantImage::write_body);
         }
-        obj(entries)
     }
 
     fn from_value(v: &Value) -> Result<SnapshotImage, Error> {
-        let machines = v
-            .get("machines")
-            .and_then(Value::as_array)
-            .ok_or_else(|| Error::msg("missing \"machines\" array"))?
-            .iter()
-            .map(MachineImage::from_value)
-            .collect::<Result<Vec<_>, Error>>()?;
-        let pools = v
-            .get("pools")
-            .and_then(Value::as_array)
-            .ok_or_else(|| Error::msg("missing \"pools\" array"))?
-            .iter()
-            .map(|p| {
-                let members = p
-                    .get("members")
-                    .and_then(Value::as_array)
-                    .ok_or_else(|| Error::msg("missing \"members\" array"))?
-                    .iter()
-                    .map(|m| {
-                        m.as_str()
-                            .map(str::to_string)
-                            .ok_or_else(|| Error::msg("non-string pool member"))
-                    })
-                    .collect::<Result<Vec<_>, Error>>()?;
-                Ok(PoolImage {
-                    pool: get_str(p, "pool")?,
-                    members,
-                    policy: get_str(p, "policy")?,
-                })
-            })
-            .collect::<Result<Vec<_>, Error>>()?;
-        let tenants = match v.get("tenants").and_then(Value::as_array) {
-            None => Vec::new(),
-            Some(rows) => rows
-                .iter()
-                .map(|t| {
-                    Ok(TenantImage {
-                        tenant: get_str(t, "tenant")?,
-                        weight: get_f64(t, "weight")?,
-                        quota: get_f64_opt(t, "quota")?,
-                        max_in_flight: match t.get("max_in_flight") {
-                            None | Some(Value::Null) => None,
-                            Some(cap) => Some(
-                                cap.as_u64()
-                                    .ok_or_else(|| Error::msg("non-integer \"max_in_flight\""))?,
-                            ),
-                        },
-                        consumed: get_f64(t, "consumed")?,
-                    })
-                })
-                .collect::<Result<Vec<_>, Error>>()?,
-        };
         Ok(SnapshotImage {
             epoch: get_u64(v, "epoch")?,
             covers: get_u64(v, "covers")?,
-            machines,
-            pools,
-            tenants,
+            machines: get_array(v, "machines", MachineImage::from_value)?,
+            pools: get_array(v, "pools", PoolImage::from_value)?,
+            tenants: match v.get("tenants") {
+                None | Some(Value::Null) => Vec::new(),
+                Some(_) => get_array(v, "tenants", TenantImage::from_value)?,
+            },
         })
     }
 }
@@ -653,30 +665,16 @@ impl JournalRecord {
         let rec = get_str(v, "rec")?;
         let record = match rec.as_str() {
             "register" => JournalRecord::Register {
-                machine: get_str(v, "machine")?,
-                mesh: get_str(v, "mesh")?,
-                allocator: get_str_opt(v, "allocator")?,
-                strategy: get_str_opt(v, "strategy")?,
-                scheduler: get_str_opt(v, "scheduler")?,
+                spec: MachineSpec::from_value(v)?,
                 pool: get_str_opt(v, "pool")?,
             },
             "grant" => JournalRecord::Grant {
                 machine: get_str(v, "machine")?,
-                job: get_u64(v, "job")?,
-                nodes: get_nodes(v, "nodes")?,
-                walltime: get_f64_opt(v, "walltime")?,
-                start: get_f64(v, "start")?,
-                pattern: get_pattern_opt(v)?,
-                tenant: get_str_opt(v, "tenant")?,
+                job: RunningJob::from_value(v)?,
             },
             "queue" => JournalRecord::Queue {
                 machine: get_str(v, "machine")?,
-                job: get_u64(v, "job")?,
-                size: get_u64(v, "size")? as usize,
-                walltime: get_f64_opt(v, "walltime")?,
-                enqueued_at: get_f64(v, "enqueued_at")?,
-                pattern: get_pattern_opt(v)?,
-                tenant: get_str_opt(v, "tenant")?,
+                request: QueuedRequest::from_value(v)?,
             },
             "release" => JournalRecord::Release {
                 machine: get_str(v, "machine")?,
@@ -694,18 +692,7 @@ impl JournalRecord {
                 pool: get_str(v, "pool")?,
                 policy: get_str(v, "policy")?,
             },
-            "set_tenant" => JournalRecord::SetTenant {
-                tenant: get_str(v, "tenant")?,
-                weight: get_f64(v, "weight")?,
-                quota: get_f64_opt(v, "quota")?,
-                max_in_flight: match v.get("max_in_flight") {
-                    None | Some(Value::Null) => None,
-                    Some(cap) => Some(
-                        cap.as_u64()
-                            .ok_or_else(|| Error::msg("non-integer \"max_in_flight\""))?,
-                    ),
-                },
-            },
+            "set_tenant" => JournalRecord::SetTenant(TenantSpec::from_value(v)?),
             "set_fair_share" => JournalRecord::SetFairShare {
                 machine: get_str(v, "machine")?,
                 enabled: v
@@ -721,11 +708,11 @@ impl JournalRecord {
 
     /// Renders the record as one wire line (no trailing newline).
     ///
-    /// Per-operation records are written by hand (the sink appends one
-    /// per grant, so a [`Value`]-tree build per record would dominate
-    /// the journaling cost); a snapshot — rare and large — renders its
-    /// image through the tree. The round-trip tests pin every kind to
-    /// parse back identically, and two byte pins hold the format still.
+    /// Lines are written by hand (the sink appends one per grant, so a
+    /// [`Value`]-tree build per record would dominate the journaling
+    /// cost), each fact through its one body writer. The round-trip
+    /// tests pin every kind to parse back identically, and two byte
+    /// pins hold the format still.
     pub fn to_line(&self, seq: u64) -> String {
         let mut out = String::with_capacity(96);
         self.write_line(seq, &mut out);
@@ -737,136 +724,61 @@ impl JournalRecord {
         use std::fmt::Write as _;
         let _ = write!(out, "{{\"seq\":{seq},");
         match self {
-            JournalRecord::Register {
-                machine,
-                mesh,
-                allocator,
-                strategy,
-                scheduler,
-                pool,
-            } => {
-                out.push_str("\"rec\":\"register\",\"machine\":");
-                write_json_str(out, machine);
-                out.push_str(",\"mesh\":");
-                write_json_str(out, mesh);
-                out.push_str(",\"allocator\":");
-                write_json_str_opt(out, allocator);
-                out.push_str(",\"strategy\":");
-                write_json_str_opt(out, strategy);
-                out.push_str(",\"scheduler\":");
-                write_json_str_opt(out, scheduler);
+            JournalRecord::Register { spec, pool } => {
+                out.push_str("\"rec\":\"register\",");
+                spec.write_body(out);
                 out.push_str(",\"pool\":");
                 write_json_str_opt(out, pool);
-                out.push('}');
             }
-            JournalRecord::Grant {
-                machine,
-                job,
-                nodes,
-                walltime,
-                start,
-                pattern,
-                tenant,
-            } => {
+            JournalRecord::Grant { machine, job } => {
                 out.push_str("\"rec\":\"grant\",\"machine\":");
                 write_json_str(out, machine);
-                let _ = write!(out, ",\"job\":{job},\"nodes\":[");
-                for (i, node) in nodes.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "{}", node.0);
-                }
-                out.push_str("],\"walltime\":");
-                write_json_f64_opt(out, walltime);
-                out.push_str(",\"start\":");
-                write_json_f64(out, *start);
-                if let Some(p) = pattern {
-                    out.push_str(",\"pattern\":");
-                    write_json_str(out, p.name());
-                }
-                write_tenant_suffix(out, tenant);
-                out.push('}');
+                out.push(',');
+                job.write_body(out);
             }
-            JournalRecord::Queue {
-                machine,
-                job,
-                size,
-                walltime,
-                enqueued_at,
-                pattern,
-                tenant,
-            } => {
+            JournalRecord::Queue { machine, request } => {
                 out.push_str("\"rec\":\"queue\",\"machine\":");
                 write_json_str(out, machine);
-                let _ = write!(out, ",\"job\":{job},\"size\":{size},\"walltime\":");
-                write_json_f64_opt(out, walltime);
-                out.push_str(",\"enqueued_at\":");
-                write_json_f64(out, *enqueued_at);
-                if let Some(p) = pattern {
-                    out.push_str(",\"pattern\":");
-                    write_json_str(out, p.name());
-                }
-                write_tenant_suffix(out, tenant);
-                out.push('}');
+                out.push(',');
+                request.write_body(out);
             }
             JournalRecord::Release { machine, job } => {
                 out.push_str("\"rec\":\"release\",\"machine\":");
                 write_json_str(out, machine);
-                let _ = write!(out, ",\"job\":{job}}}");
+                let _ = write!(out, ",\"job\":{job}");
             }
             JournalRecord::Cancel { machine, job } => {
                 out.push_str("\"rec\":\"cancel\",\"machine\":");
                 write_json_str(out, machine);
-                let _ = write!(out, ",\"job\":{job}}}");
+                let _ = write!(out, ",\"job\":{job}");
             }
             JournalRecord::SetScheduler { machine, scheduler } => {
                 out.push_str("\"rec\":\"set_scheduler\",\"machine\":");
                 write_json_str(out, machine);
                 out.push_str(",\"scheduler\":");
                 write_json_str(out, scheduler);
-                out.push('}');
             }
             JournalRecord::SetRouter { pool, policy } => {
                 out.push_str("\"rec\":\"set_router\",\"pool\":");
                 write_json_str(out, pool);
                 out.push_str(",\"policy\":");
                 write_json_str(out, policy);
-                out.push('}');
             }
-            JournalRecord::SetTenant {
-                tenant,
-                weight,
-                quota,
-                max_in_flight,
-            } => {
-                out.push_str("\"rec\":\"set_tenant\",\"tenant\":");
-                write_json_str(out, tenant);
-                out.push_str(",\"weight\":");
-                write_json_f64(out, *weight);
-                if let Some(q) = quota {
-                    out.push_str(",\"quota\":");
-                    write_json_f64(out, *q);
-                }
-                if let Some(cap) = max_in_flight {
-                    let _ = write!(out, ",\"max_in_flight\":{cap}");
-                }
-                out.push('}');
+            JournalRecord::SetTenant(spec) => {
+                out.push_str("\"rec\":\"set_tenant\",");
+                spec.write_body(out);
             }
             JournalRecord::SetFairShare { machine, enabled } => {
                 out.push_str("\"rec\":\"set_fair_share\",\"machine\":");
                 write_json_str(out, machine);
-                let _ = write!(out, ",\"enabled\":{enabled}}}");
+                let _ = write!(out, ",\"enabled\":{enabled}");
             }
             JournalRecord::Snapshot(image) => {
-                // Cold path: the image renders through the tree and its
-                // fields continue the object the prefix opened.
-                let body = serde_json::to_string(&image.to_value())
-                    .expect("value rendering is infallible");
                 out.push_str("\"rec\":\"snapshot\",");
-                out.push_str(&body[1..]);
+                image.write_body(out);
             }
         }
+        out.push('}');
     }
 
     /// Parses a `(seq, record)` pair from one wire line.
@@ -879,7 +791,10 @@ impl JournalRecord {
     /// for router records and snapshots, which are not machine-scoped).
     pub fn machine(&self) -> Option<&str> {
         match self {
-            JournalRecord::Register { machine, .. }
+            JournalRecord::Register {
+                spec: MachineSpec { machine, .. },
+                ..
+            }
             | JournalRecord::Grant { machine, .. }
             | JournalRecord::Queue { machine, .. }
             | JournalRecord::Release { machine, .. }
@@ -887,7 +802,7 @@ impl JournalRecord {
             | JournalRecord::SetScheduler { machine, .. }
             | JournalRecord::SetFairShare { machine, .. } => Some(machine),
             JournalRecord::SetRouter { .. }
-            | JournalRecord::SetTenant { .. }
+            | JournalRecord::SetTenant(_)
             | JournalRecord::Snapshot(_) => None,
         }
     }
@@ -1614,42 +1529,76 @@ mod tests {
         dir
     }
 
+    fn spec(machine: &str, mesh: &str, allocator: &str, scheduler: &str) -> MachineSpec {
+        MachineSpec {
+            machine: machine.into(),
+            mesh: mesh.into(),
+            allocator: Some(allocator.into()),
+            strategy: None,
+            scheduler: Some(scheduler.into()),
+        }
+    }
+
+    fn idle_image(spec: MachineSpec, seq: u64) -> MachineImage {
+        MachineImage {
+            spec,
+            seq,
+            clock: None,
+            fair_share: false,
+            running: Vec::new(),
+            queue: Vec::new(),
+        }
+    }
+
+    fn tenant_spec(tenant: &str, weight: f64, quota: Option<f64>, cap: Option<u64>) -> TenantSpec {
+        TenantSpec {
+            tenant: tenant.into(),
+            config: TenantConfig {
+                weight,
+                quota_node_seconds: quota,
+                max_in_flight: cap,
+            },
+        }
+    }
+
     fn sample_records() -> Vec<JournalRecord> {
         vec![
             JournalRecord::Register {
-                machine: "m0".into(),
-                mesh: "16x16".into(),
-                allocator: Some("Hilbert w/BF".into()),
-                strategy: None,
-                scheduler: Some("easy".into()),
+                spec: spec("m0", "16x16", "Hilbert w/BF", "easy"),
                 pool: Some("grid".into()),
             },
             JournalRecord::Grant {
                 machine: "m0".into(),
-                job: 1,
-                nodes: vec![NodeId(0), NodeId(1)],
-                walltime: Some(60.5),
-                start: 3.25,
-                pattern: Some(CommPattern::AllToAll),
-                tenant: Some("acme".into()),
+                job: RunningJob {
+                    job: 1,
+                    nodes: vec![NodeId(0), NodeId(1)],
+                    walltime: Some(60.5),
+                    start: 3.25,
+                    pattern: Some(CommPattern::AllToAll),
+                    tenant: Some("acme".into()),
+                },
             },
             JournalRecord::Grant {
                 machine: "m0".into(),
-                job: 3,
-                nodes: vec![NodeId(4)],
-                walltime: None,
-                start: 3.5,
-                pattern: None,
-                tenant: None,
+                job: RunningJob {
+                    job: 3,
+                    nodes: vec![NodeId(4)],
+                    walltime: None,
+                    start: 3.5,
+                    pattern: None,
+                    tenant: None,
+                },
             },
             JournalRecord::Queue {
                 machine: "m0".into(),
-                job: 2,
-                size: 9,
-                walltime: None,
-                enqueued_at: 4.0,
-                pattern: Some(CommPattern::Ring),
-                tenant: Some("acme".into()),
+                request: QueuedRequest {
+                    job: 2,
+                    size: 9,
+                    walltime: None,
+                    enqueued_at: 4.0,
+                    pattern: Some(CommPattern::Ring),
+                    tenant: Some("acme".into()),
+                },
             },
             JournalRecord::Release {
                 machine: "m0".into(),
@@ -1667,18 +1616,8 @@ mod tests {
                 pool: "grid".into(),
                 policy: "least-loaded".into(),
             },
-            JournalRecord::SetTenant {
-                tenant: "acme".into(),
-                weight: 2.5,
-                quota: Some(1e6),
-                max_in_flight: Some(32),
-            },
-            JournalRecord::SetTenant {
-                tenant: "solo".into(),
-                weight: 1.0,
-                quota: None,
-                max_in_flight: None,
-            },
+            JournalRecord::SetTenant(tenant_spec("acme", 2.5, Some(1e6), Some(32))),
+            JournalRecord::SetTenant(tenant_spec("solo", 1.0, None, None)),
             JournalRecord::SetFairShare {
                 machine: "m0".into(),
                 enabled: true,
@@ -1687,15 +1626,9 @@ mod tests {
                 epoch: 2,
                 covers: 3,
                 machines: vec![MachineImage {
-                    machine: "m0".into(),
-                    mesh: "4x4".into(),
-                    allocator: "Hilbert w/BF".into(),
-                    strategy: None,
-                    scheduler: "FCFS".into(),
-                    seq: 17,
                     clock: Some(9.5),
                     fair_share: true,
-                    running: vec![RunningImage {
+                    running: vec![RunningJob {
                         job: 4,
                         nodes: vec![NodeId(3)],
                         walltime: None,
@@ -1703,7 +1636,7 @@ mod tests {
                         pattern: Some(CommPattern::AllToAll),
                         tenant: Some("acme".into()),
                     }],
-                    queue: vec![QueuedImage {
+                    queue: vec![QueuedRequest {
                         job: 5,
                         size: 2,
                         walltime: Some(7.0),
@@ -1711,6 +1644,7 @@ mod tests {
                         pattern: None,
                         tenant: None,
                     }],
+                    ..idle_image(spec("m0", "4x4", "Hilbert w/BF", "FCFS"), 17)
                 }],
                 pools: vec![PoolImage {
                     pool: "grid".into(),
@@ -1718,10 +1652,7 @@ mod tests {
                     policy: "power-of-two".into(),
                 }],
                 tenants: vec![TenantImage {
-                    tenant: "acme".into(),
-                    weight: 2.5,
-                    quota: Some(1e6),
-                    max_in_flight: None,
+                    spec: tenant_spec("acme", 2.5, Some(1e6), None),
                     consumed: 123.5,
                 }],
             }),
@@ -1735,12 +1666,14 @@ mod tests {
         // before the tenant field existed.
         let grant = JournalRecord::Grant {
             machine: "m0".into(),
-            job: 7,
-            nodes: vec![NodeId(1), NodeId(2)],
-            walltime: Some(30.0),
-            start: 1.5,
-            pattern: None,
-            tenant: None,
+            job: RunningJob {
+                job: 7,
+                nodes: vec![NodeId(1), NodeId(2)],
+                walltime: Some(30.0),
+                start: 1.5,
+                pattern: None,
+                tenant: None,
+            },
         };
         assert_eq!(
             grant.to_line(9),
@@ -1749,12 +1682,14 @@ mod tests {
         );
         let queue = JournalRecord::Queue {
             machine: "m0".into(),
-            job: 8,
-            size: 4,
-            walltime: None,
-            enqueued_at: 2.0,
-            pattern: None,
-            tenant: None,
+            request: QueuedRequest {
+                job: 8,
+                size: 4,
+                walltime: None,
+                enqueued_at: 2.0,
+                pattern: None,
+                tenant: None,
+            },
         };
         assert_eq!(
             queue.to_line(10),
@@ -1763,26 +1698,18 @@ mod tests {
         );
     }
 
-    #[test]
-    fn snapshot_line_keeps_its_bytes() {
-        // Recovery reads the snapshot file, and nothing else pins what
-        // it holds byte for byte: two machines (a tenanted 2-D one with
-        // a running and a queued job, an idle 3-D one), one pool, one
-        // tenant.
-        let snapshot = JournalRecord::Snapshot(SnapshotImage {
+    /// The image [`snapshot_line_keeps_its_bytes`] pins: two machines (a
+    /// tenanted 2-D one with a running and a queued job, an idle 3-D
+    /// one), one pool, one tenant.
+    fn pinned_snapshot() -> SnapshotImage {
+        SnapshotImage {
             epoch: 1,
             covers: 2,
             machines: vec![
                 MachineImage {
-                    machine: "m0".into(),
-                    mesh: "4x4".into(),
-                    allocator: "Hilbert w/BF".into(),
-                    strategy: None,
-                    scheduler: "EASY backfill".into(),
-                    seq: 12,
                     clock: Some(8.5),
                     fair_share: true,
-                    running: vec![RunningImage {
+                    running: vec![RunningJob {
                         job: 1,
                         nodes: vec![NodeId(0), NodeId(1)],
                         walltime: Some(30.0),
@@ -1790,7 +1717,7 @@ mod tests {
                         pattern: Some(CommPattern::Ring),
                         tenant: Some("acme".into()),
                     }],
-                    queue: vec![QueuedImage {
+                    queue: vec![QueuedRequest {
                         job: 2,
                         size: 16,
                         walltime: None,
@@ -1798,19 +1725,15 @@ mod tests {
                         pattern: None,
                         tenant: None,
                     }],
+                    ..idle_image(spec("m0", "4x4", "Hilbert w/BF", "EASY backfill"), 12)
                 },
-                MachineImage {
-                    machine: "m1".into(),
-                    mesh: "2x2x2".into(),
-                    allocator: "snake-3d".into(),
-                    strategy: Some("FF".into()),
-                    scheduler: "FCFS".into(),
-                    seq: 0,
-                    clock: None,
-                    fair_share: false,
-                    running: vec![],
-                    queue: vec![],
-                },
+                idle_image(
+                    MachineSpec {
+                        strategy: Some("FF".into()),
+                        ..spec("m1", "2x2x2", "snake-3d", "FCFS")
+                    },
+                    0,
+                ),
             ],
             pools: vec![PoolImage {
                 pool: "grid".into(),
@@ -1818,15 +1741,18 @@ mod tests {
                 policy: "shortest-queue".into(),
             }],
             tenants: vec![TenantImage {
-                tenant: "acme".into(),
-                weight: 2.0,
-                quota: Some(5e5),
-                max_in_flight: Some(8),
+                spec: tenant_spec("acme", 2.0, Some(5e5), Some(8)),
                 consumed: 45.0,
             }],
-        });
+        }
+    }
+
+    #[test]
+    fn snapshot_line_keeps_its_bytes() {
+        // Recovery reads the snapshot file, and nothing else pins what
+        // it holds byte for byte.
         assert_eq!(
-            snapshot.to_line(40),
+            JournalRecord::Snapshot(pinned_snapshot()).to_line(40),
             "{\"seq\":40,\"rec\":\"snapshot\",\"epoch\":1,\"covers\":2,\
              \"machines\":[{\"machine\":\"m0\",\"mesh\":\"4x4\",\
              \"allocator\":\"Hilbert w/BF\",\"strategy\":null,\
@@ -1840,6 +1766,56 @@ mod tests {
              \"tenants\":[{\"tenant\":\"acme\",\"weight\":2,\"quota\":500000,\
              \"max_in_flight\":8,\"consumed\":45}]}"
         );
+    }
+
+    /// Reads back the pinned snapshot after `edit` rewrote its line.
+    fn read_edited_snapshot(
+        tag: &str,
+        edit: impl Fn(&str) -> String,
+    ) -> Result<JournalContents, JournalError> {
+        let dir = temp_dir(tag);
+        fs::create_dir_all(&dir).unwrap();
+        let line = JournalRecord::Snapshot(pinned_snapshot()).to_line(0);
+        let edited = edit(&line);
+        assert_ne!(edited, line, "the edit must land");
+        fs::write(dir.join(SNAPSHOT_FILE), format!("{edited}\n")).unwrap();
+        let read = read_journal_dir(&dir);
+        fs::remove_dir_all(&dir).unwrap();
+        read
+    }
+
+    // Absent or null is the default; present with the wrong type is
+    // state the file meant to carry, and recovery refuses to guess.
+
+    #[test]
+    fn mistyped_fair_share_is_corrupt_not_off() {
+        let with = |value: &'static str| {
+            move |line: &str| {
+                line.replace("\"fair_share\":true", &format!("\"fair_share\":{value}"))
+            }
+        };
+        assert!(matches!(
+            read_edited_snapshot("fair-share-mistyped", with("\"yes\"")),
+            Err(JournalError::Corrupt(_))
+        ));
+        let image = read_edited_snapshot("fair-share-null", with("null")).unwrap();
+        assert!(!image.snapshot.unwrap().machines[0].fair_share);
+    }
+
+    #[test]
+    fn mistyped_tenants_is_corrupt_not_empty() {
+        let with = |value: &'static str| {
+            move |line: &str| {
+                let at = line.find("\"tenants\":[").unwrap();
+                format!("{}\"tenants\":{value}}}", &line[..at])
+            }
+        };
+        assert!(matches!(
+            read_edited_snapshot("tenants-mistyped", with("{}")),
+            Err(JournalError::Corrupt(_))
+        ));
+        let image = read_edited_snapshot("tenants-null", with("null")).unwrap();
+        assert!(image.snapshot.unwrap().tenants.is_empty());
     }
 
     #[test]
@@ -2030,30 +2006,8 @@ mod tests {
             epoch: 1,
             covers: 1,
             machines: vec![
-                MachineImage {
-                    machine: "m0".into(),
-                    mesh: "4x4".into(),
-                    allocator: "Hilbert w/BF".into(),
-                    strategy: None,
-                    scheduler: "FCFS".into(),
-                    seq: 42,
-                    clock: None,
-                    fair_share: false,
-                    running: Vec::new(),
-                    queue: Vec::new(),
-                },
-                MachineImage {
-                    machine: "m1".into(),
-                    mesh: "4x4".into(),
-                    allocator: "Hilbert w/BF".into(),
-                    strategy: None,
-                    scheduler: "FCFS".into(),
-                    seq: 17,
-                    clock: None,
-                    fair_share: false,
-                    running: Vec::new(),
-                    queue: Vec::new(),
-                },
+                idle_image(spec("m0", "4x4", "Hilbert w/BF", "FCFS"), 42),
+                idle_image(spec("m1", "4x4", "Hilbert w/BF", "FCFS"), 17),
             ],
             pools: Vec::new(),
             tenants: Vec::new(),

@@ -9,7 +9,7 @@
 
 use crate::admission::{AdmissionQueue, PendingRequest};
 use crate::calibration::{CalibrationSample, CalibrationStore, PlacementRecord, PLACEMENT_CAP};
-use crate::journal::{JournalRecord, MachineImage, QueuedImage, RunningImage};
+use crate::journal::{JournalRecord, MachineImage, MachineSpec, QueuedRequest, RunningJob};
 use crate::metrics::MachineMetrics;
 use crate::protocol::AllocArgs;
 use crate::score::ScoreBreakdown;
@@ -523,43 +523,27 @@ enum Clock {
     Virtual(f64),
 }
 
-/// Metadata of one running job, in *grant order* with
-/// `swap_remove`-on-release — deliberately the same evolution the offline
-/// engine's running vector undergoes, so EASY's (stable) completion sort
-/// breaks ties identically online and offline.
-#[derive(Debug, Clone)]
-struct RunningMeta {
-    job_id: u64,
-    size: usize,
-    start: f64,
-    walltime: Option<f64>,
-    /// The communication pattern the job declared, if any (journaled so
-    /// a recovered daemon keeps it).
-    pattern: Option<CommPattern>,
-    /// Tenant the job is attributed to (`None` = the default tenant;
-    /// journaled so a recovered daemon settles the right ledger).
-    tenant: Option<String>,
-}
-
-impl RunningMeta {
-    /// Predicted completion: start + walltime, or infinity when the
-    /// client gave no estimate (EASY then never counts on this release).
-    fn completion(&self) -> f64 {
-        match self.walltime {
-            Some(w) => self.start + w,
-            None => f64::INFINITY,
-        }
+/// The scheduler-facing view of a running job.
+fn running_snapshot(job: &RunningJob) -> RunningSnapshot {
+    RunningSnapshot {
+        completion: job.completion(),
+        size: job.nodes.len(),
     }
 }
 
-/// One registered machine: backing state, live allocations, admission
+/// One registered machine: backing state, running jobs, admission
 /// queue and counters. All access happens under the owning shard's lock.
 pub struct MachineEntry {
     name: String,
     backing: Backing,
-    allocations: HashMap<u64, Vec<NodeId>>,
     queue: AdmissionQueue,
-    running: Vec<RunningMeta>,
+    /// The running jobs, in *grant order* with `swap_remove`-on-release
+    /// — deliberately the same evolution the offline engine's running
+    /// vector undergoes, so EASY's (stable) completion sort breaks ties
+    /// identically online and offline.
+    running: Vec<RunningJob>,
+    /// Where each running job sits in `running`.
+    slot_of: HashMap<u64, usize>,
     clock: Clock,
     /// Modification generation: bumped whenever occupancy or the queue
     /// may have changed (allocate, release, policy switch). The cluster
@@ -579,6 +563,10 @@ pub struct MachineEntry {
     /// Sequence number of this machine's last appended journal record —
     /// its snapshot watermark (see `crate::journal`'s module docs).
     journal_seq: u64,
+    /// Queued jobs the drain dropped since the last
+    /// [`MachineEntry::take_dropped`]: they left this machine without a
+    /// release naming them, so the service must be told to forget them.
+    dropped: Vec<u64>,
     /// Grant-time calibration records of live pattern-scored jobs,
     /// keyed by job id and joined with the realized outcome at release.
     /// Bounded by [`PLACEMENT_CAP`]; only populated while the owning
@@ -605,9 +593,9 @@ impl MachineEntry {
         MachineEntry {
             name: name.to_string(),
             backing,
-            allocations: HashMap::new(),
             queue: AdmissionQueue::new(scheduler),
             running: Vec::new(),
+            slot_of: HashMap::new(),
             clock: Clock::Wall {
                 origin: Instant::now(),
                 base: 0.0,
@@ -616,6 +604,7 @@ impl MachineEntry {
             journaled: false,
             outbox: Vec::new(),
             journal_seq: 0,
+            dropped: Vec::new(),
             placements: HashMap::new(),
             calibration: Arc::new(CalibrationStore::new()),
             tenants: None,
@@ -751,6 +740,13 @@ impl MachineEntry {
         std::mem::take(&mut self.outbox)
     }
 
+    /// Drains the ids of the queued jobs the drain dropped since the last
+    /// call (the service un-indexes them while still holding the shard
+    /// lock, as it flushes the outbox).
+    pub fn take_dropped(&mut self) -> Vec<u64> {
+        std::mem::take(&mut self.dropped)
+    }
+
     /// Notes the sequence number the sink assigned to this machine's
     /// latest record — the snapshot watermark.
     pub fn note_journal_seq(&mut self, seq: u64) {
@@ -786,113 +782,73 @@ impl MachineEntry {
             ),
         };
         MachineImage {
-            machine: self.name.clone(),
-            mesh,
-            allocator,
-            strategy,
-            scheduler: self.queue.kind().name().to_string(),
+            spec: MachineSpec {
+                machine: self.name.clone(),
+                mesh,
+                allocator: Some(allocator),
+                strategy,
+                scheduler: Some(self.queue.kind().name().to_string()),
+            },
             seq: self.journal_seq,
             clock: match self.clock {
                 Clock::Virtual(t) => Some(t),
                 Clock::Wall { .. } => None,
             },
             fair_share: self.fair_share,
-            running: self
-                .running
-                .iter()
-                .map(|meta| RunningImage {
-                    job: meta.job_id,
-                    nodes: self.allocations[&meta.job_id].clone(),
-                    walltime: meta.walltime,
-                    start: meta.start,
-                    pattern: meta.pattern,
-                    tenant: meta.tenant.clone(),
-                })
-                .collect(),
-            queue: self
-                .queue
-                .iter()
-                .map(|p| QueuedImage {
-                    job: p.job_id,
-                    size: p.size,
-                    walltime: p.walltime,
-                    enqueued_at: p.enqueued_at,
-                    pattern: p.pattern,
-                    tenant: p.tenant.clone(),
-                })
-                .collect(),
+            running: self.running.clone(),
+            queue: self.queue.iter().map(|p| p.request.clone()).collect(),
         }
     }
 
-    /// Recovery: re-commits a journaled grant — `job_id` holds exactly
-    /// `nodes` again. Removes the job from the queue first when present
-    /// (a grant-from-queue record follows its queue record in the log),
-    /// and evolves the running vector with the same `push` the live
-    /// drain uses, so recovered tie-breaking state matches a live run.
-    pub fn restore_grant(
-        &mut self,
-        job_id: u64,
-        nodes: Vec<NodeId>,
-        walltime: Option<f64>,
-        start: f64,
-        pattern: Option<CommPattern>,
-        tenant: Option<String>,
-    ) -> Result<(), String> {
-        if self.allocations.contains_key(&job_id) {
-            return Err(format!("grant for job {job_id} which already runs"));
+    /// Appends `job` to the running order.
+    fn push_running(&mut self, job: RunningJob) {
+        self.slot_of.insert(job.job, self.running.len());
+        self.running.push(job);
+    }
+
+    /// Removes `job_id` from the running order, if it runs.
+    fn take_running(&mut self, job_id: u64) -> Option<RunningJob> {
+        let at = self.slot_of.remove(&job_id)?;
+        // swap_remove, not remove: keeps the running-order evolution
+        // identical to the offline engine's.
+        let job = self.running.swap_remove(at);
+        if let Some(moved) = self.running.get(at) {
+            self.slot_of.insert(moved.job, at);
         }
-        validate_restored_walltime(job_id, walltime)?;
-        self.backing.restore_occupy(&nodes)?;
-        self.queue.remove(job_id);
-        self.ensure_clock_at_least(start);
-        self.running.push(RunningMeta {
-            job_id,
-            size: nodes.len(),
-            start,
-            walltime,
-            pattern,
-            tenant,
-        });
-        self.allocations.insert(job_id, nodes);
+        Some(job)
+    }
+
+    /// Recovery: re-commits a journaled grant — `job.job` holds exactly
+    /// `job.nodes` again. Removes the job from the queue first when
+    /// present (a grant-from-queue record follows its queue record in
+    /// the log), and evolves the running vector with the same push the
+    /// live drain uses, so recovered tie-breaking state matches a live
+    /// run.
+    pub fn restore_grant(&mut self, job: RunningJob) -> Result<(), String> {
+        if self.slot_of.contains_key(&job.job) {
+            return Err(format!("grant for job {} which already runs", job.job));
+        }
+        validate_restored_walltime(job.job, job.walltime)?;
+        self.backing.restore_occupy(&job.nodes)?;
+        self.queue.remove(job.job);
+        self.ensure_clock_at_least(job.start);
+        self.push_running(job);
         self.generation += 1;
         Ok(())
     }
 
     /// Recovery: re-enqueues a journaled admission.
-    pub fn restore_queue(
-        &mut self,
-        job_id: u64,
-        size: usize,
-        walltime: Option<f64>,
-        enqueued_at: f64,
-        pattern: Option<CommPattern>,
-        tenant: Option<String>,
-    ) -> Result<(), String> {
-        if self.allocations.contains_key(&job_id) || self.queue.contains(job_id) {
-            return Err(format!(
-                "queue record for job {job_id} which already exists"
-            ));
+    pub fn restore_queue(&mut self, request: QueuedRequest) -> Result<(), String> {
+        let QueuedRequest { job, size, .. } = request;
+        if self.slot_of.contains_key(&job) || self.queue.contains(job) {
+            return Err(format!("queue record for job {job} which already exists"));
         }
         if size == 0 || size > self.total_nodes() {
-            return Err(format!("queue record for job {job_id} with size {size}"));
+            return Err(format!("queue record for job {job} with size {size}"));
         }
-        validate_restored_walltime(job_id, walltime)?;
-        self.ensure_clock_at_least(enqueued_at);
-        self.queue.enqueue(PendingRequest {
-            job_id,
-            size,
-            walltime,
-            pattern,
-            enqueued_at,
-            // Recovery re-creates state, not requests: there is no wire
-            // request to attach trace events to, and the placing path
-            // was not journaled.
-            trace_request: 0,
-            enqueued_micros: 0,
-            placed_by: "direct",
-            tenant,
-            arrival_seq: 0,
-        });
+        validate_restored_walltime(job, request.walltime)?;
+        self.ensure_clock_at_least(request.enqueued_at);
+        self.queue.enqueue(PendingRequest::restored(request));
         self.generation += 1;
         Ok(())
     }
@@ -901,17 +857,10 @@ impl MachineEntry {
     /// queue — the grants a live release triggered were journaled as
     /// their own records and replay right after this one.
     pub fn restore_release(&mut self, job_id: u64) -> Result<(), String> {
-        let nodes = self
-            .allocations
-            .remove(&job_id)
+        let job = self
+            .take_running(job_id)
             .ok_or_else(|| format!("release of job {job_id} which does not run"))?;
-        self.backing.release(&nodes, job_id);
-        let at = self
-            .running
-            .iter()
-            .position(|r| r.job_id == job_id)
-            .ok_or_else(|| format!("job {job_id} missing from the running order"))?;
-        self.running.swap_remove(at);
+        self.backing.release(&job.nodes, job_id);
         self.generation += 1;
         Ok(())
     }
@@ -1063,7 +1012,7 @@ impl MachineEntry {
             pattern,
             tenant,
         } = *args;
-        if self.allocations.contains_key(&job_id) || self.queue.contains(job_id) {
+        if self.slot_of.contains_key(&job_id) || self.queue.contains(job_id) {
             return Err(ServiceError::DuplicateJob {
                 machine: self.name.clone(),
                 job_id,
@@ -1090,15 +1039,17 @@ impl MachineEntry {
         self.generation += 1;
         let must_wait = !self.queue.is_empty();
         self.queue.enqueue(PendingRequest {
-            job_id,
-            size,
-            walltime,
-            pattern,
-            enqueued_at: self.now(),
+            request: QueuedRequest {
+                job: job_id,
+                size,
+                walltime,
+                enqueued_at: self.now(),
+                pattern,
+                tenant: tenant.map(str::to_string),
+            },
             trace_request: ctx.request(),
             enqueued_micros: ctx.now_micros(),
             placed_by,
-            tenant: tenant.map(str::to_string),
             arrival_seq: 0,
         });
         let granted = self.drain_queue(Some(job_id), ctx);
@@ -1146,20 +1097,15 @@ impl MachineEntry {
             // The request stays queued: that *is* the durable effect (the
             // drain's own grants and drops were logged as they happened).
             if self.journaled {
-                let enqueued_at = self
+                let request = self
                     .queue
                     .iter()
-                    .find(|p| p.job_id == job_id)
-                    .map(|p| p.enqueued_at)
+                    .find(|p| p.request.job == job_id)
+                    .map(|p| p.request.clone())
                     .expect("job is queued");
                 self.outbox.push(JournalRecord::Queue {
                     machine: self.name.clone(),
-                    job: job_id,
-                    size,
-                    walltime,
-                    enqueued_at,
-                    pattern,
-                    tenant: tenant.map(str::to_string),
+                    request,
                 });
             }
             if let Some(table) = &self.tenants {
@@ -1189,22 +1135,18 @@ impl MachineEntry {
         ctx: &RequestCtx<'_>,
     ) -> Result<Vec<(u64, Vec<NodeId>)>, ServiceError> {
         self.generation += 1;
-        if let Some(nodes) = self.allocations.remove(&job_id) {
-            self.backing.release(&nodes, job_id);
-            if let Some(at) = self.running.iter().position(|r| r.job_id == job_id) {
-                // swap_remove, not remove: keeps the running-order
-                // evolution identical to the offline engine's.
-                let meta = self.running.swap_remove(at);
-                // Settle the tenant ledger: return the committed
-                // node-seconds, accrue the realized hold.
-                if let Some(table) = &self.tenants {
-                    let held = (self.now() - meta.start).max(0.0);
-                    table.settle(
-                        meta.tenant.as_deref(),
-                        job_cost(meta.size, meta.walltime),
-                        meta.size as f64 * held,
-                    );
-                }
+        if let Some(job) = self.take_running(job_id) {
+            let nodes = &job.nodes;
+            self.backing.release(nodes, job_id);
+            // Settle the tenant ledger: return the committed
+            // node-seconds, accrue the realized hold.
+            if let Some(table) = &self.tenants {
+                let held = (self.now() - job.start).max(0.0);
+                table.settle(
+                    job.tenant.as_deref(),
+                    job_cost(nodes.len(), job.walltime),
+                    nodes.len() as f64 * held,
+                );
             }
             // Join the grant-time calibration record with the realized
             // outcome. The record is removed unconditionally (a toggle
@@ -1216,7 +1158,7 @@ impl MachineEntry {
                     self.calibration.record(&CalibrationSample {
                         record,
                         held,
-                        realized_dispersal: self.backing.dispersal_of(&nodes),
+                        realized_dispersal: self.backing.dispersal_of(nodes),
                     });
                 }
             }
@@ -1234,11 +1176,11 @@ impl MachineEntry {
             // consumption — the job never held a processor.
             if let Some(table) = &self.tenants {
                 table.settle(
-                    pending.tenant.as_deref(),
-                    job_cost(pending.size, pending.walltime),
+                    pending.request.tenant.as_deref(),
+                    job_cost(pending.request.size, pending.request.walltime),
                     0.0,
                 );
-                table.note_dequeued(pending.tenant.as_deref());
+                table.note_dequeued(pending.request.tenant.as_deref());
             }
             if self.journaled {
                 self.outbox.push(JournalRecord::Cancel {
@@ -1296,13 +1238,7 @@ impl MachineEntry {
         // capability methods match exhaustively in core, so a new
         // `SchedulerKind` variant cannot silently receive empty inputs.
         let mut snapshots: Vec<RunningSnapshot> = if kind.uses_running_snapshots() {
-            self.running
-                .iter()
-                .map(|r| RunningSnapshot {
-                    completion: r.completion(),
-                    size: r.size,
-                })
-                .collect()
+            self.running.iter().map(running_snapshot).collect()
         } else {
             Vec::new()
         };
@@ -1332,37 +1268,38 @@ impl MachineEntry {
             }
             // Events for this job attach to the request that enqueued it
             // (an inert or unremembered binding keeps the caller's).
+            let request = &pending.request;
             let pctx = ctx.for_request(pending.trace_request);
             let probe_start = pctx.now_micros();
             match self
                 .backing
-                .try_allocate(pending.job_id, pending.size, pending.pattern)
+                .try_allocate(request.job, request.size, request.pattern)
             {
                 Some((nodes, scored)) => {
-                    let from_queue = arriving != Some(pending.job_id);
+                    let from_queue = arriving != Some(request.job);
                     let granted_at = pctx.now_micros();
-                    pctx.span(Stage::Allocator, pending.job_id, 0, probe_start, granted_at);
+                    pctx.span(Stage::Allocator, request.job, 0, probe_start, granted_at);
                     // File the grant-time half of the calibration join
                     // for pattern-scored placements (one relaxed load
                     // while calibration is off; bounded side-table).
                     if let (Some((predicted, candidates)), Some(pattern)) =
-                        (scored, pending.pattern)
+                        (scored, request.pattern)
                     {
                         if self.calibration.enabled() && self.placements.len() < PLACEMENT_CAP {
                             self.placements.insert(
-                                pending.job_id,
+                                request.job,
                                 PlacementRecord {
                                     pattern: pattern.name(),
                                     policy: pending.placed_by,
                                     predicted,
                                     candidates,
                                     queue_wait: if from_queue {
-                                        (now - pending.enqueued_at).max(0.0)
+                                        (now - request.enqueued_at).max(0.0)
                                     } else {
                                         0.0
                                     },
                                     granted_at: now,
-                                    walltime: pending.walltime,
+                                    walltime: request.walltime,
                                 },
                             );
                         }
@@ -1370,57 +1307,36 @@ impl MachineEntry {
                     if from_queue && pending.enqueued_micros != 0 {
                         pctx.span(
                             Stage::Queue,
-                            pending.job_id,
+                            request.job,
                             0,
                             pending.enqueued_micros,
                             granted_at,
                         );
                     }
-                    pctx.instant(
-                        Stage::Grant,
-                        pending.job_id,
-                        u32::from(from_queue),
-                        granted_at,
-                    );
+                    pctx.instant(Stage::Grant, request.job, u32::from(from_queue), granted_at);
                     self.metrics
                         .record_grant(from_queue, self.backing.num_busy());
                     if from_queue {
                         self.metrics
                             .wait
-                            .record(now - pending.enqueued_at, pending.walltime);
+                            .record(now - request.enqueued_at, request.walltime);
                         if let Some(table) = &self.tenants {
-                            table.note_dequeued(pending.tenant.as_deref());
-                            table.note_wait(pending.tenant.as_deref(), now - pending.enqueued_at);
+                            table.note_dequeued(request.tenant.as_deref());
+                            table.note_wait(request.tenant.as_deref(), now - request.enqueued_at);
                         }
                     }
+                    let job = pending.request.started(nodes.clone(), now);
                     if self.journaled {
                         self.outbox.push(JournalRecord::Grant {
                             machine: self.name.clone(),
-                            job: pending.job_id,
-                            nodes: nodes.clone(),
-                            walltime: pending.walltime,
-                            start: now,
-                            pattern: pending.pattern,
-                            tenant: pending.tenant.clone(),
+                            job: job.clone(),
                         });
                     }
-                    self.allocations.insert(pending.job_id, nodes.clone());
-                    let meta = RunningMeta {
-                        job_id: pending.job_id,
-                        size: pending.size,
-                        start: now,
-                        walltime: pending.walltime,
-                        pattern: pending.pattern,
-                        tenant: pending.tenant.clone(),
-                    };
                     if kind.uses_running_snapshots() {
-                        snapshots.push(RunningSnapshot {
-                            completion: meta.completion(),
-                            size: meta.size,
-                        });
+                        snapshots.push(running_snapshot(&job));
                     }
-                    self.running.push(meta);
-                    granted.push((pending.job_id, nodes));
+                    granted.push((job.job, nodes));
+                    self.push_running(job);
                 }
                 None if self.backing.num_busy() == 0 => {
                     // Even an empty machine cannot host this request with
@@ -1430,28 +1346,29 @@ impl MachineEntry {
                     // a cancel; the arriving request was never journaled
                     // as queued, so there is nothing to cancel.
                     let refused_at = pctx.now_micros();
-                    pctx.span(Stage::Allocator, pending.job_id, 0, probe_start, refused_at);
-                    pctx.deny(pending.job_id, None, refused_at);
+                    pctx.span(Stage::Allocator, request.job, 0, probe_start, refused_at);
+                    pctx.deny(request.job, None, refused_at);
                     self.metrics.rejected += 1;
-                    if arriving != Some(pending.job_id) {
+                    if arriving != Some(request.job) {
                         // A dropped *queued* request settles its tenant
                         // commitment here; the arriving request's
                         // admission is unwound by the service when it
                         // sees the Rejected outcome.
                         if let Some(table) = &self.tenants {
                             table.settle(
-                                pending.tenant.as_deref(),
-                                job_cost(pending.size, pending.walltime),
+                                request.tenant.as_deref(),
+                                job_cost(request.size, request.walltime),
                                 0.0,
                             );
-                            table.note_dequeued(pending.tenant.as_deref());
+                            table.note_dequeued(request.tenant.as_deref());
                         }
                         if self.journaled {
                             self.outbox.push(JournalRecord::Cancel {
                                 machine: self.name.clone(),
-                                job: pending.job_id,
+                                job: request.job,
                             });
                         }
+                        self.dropped.push(request.job);
                     }
                     continue;
                 }
@@ -1460,7 +1377,7 @@ impl MachineEntry {
                     // request stays queued for a future release.
                     pctx.span(
                         Stage::Allocator,
-                        pending.job_id,
+                        request.job,
                         0,
                         probe_start,
                         pctx.now_micros(),
@@ -1487,14 +1404,7 @@ impl MachineEntry {
         let free = self.backing.num_free();
         let kind = self.queue.kind();
         let queued: Vec<QueuedJob> = self.queue.iter().map(PendingRequest::as_queued).collect();
-        let snapshots: Vec<RunningSnapshot> = self
-            .running
-            .iter()
-            .map(|r| RunningSnapshot {
-                completion: r.completion(),
-                size: r.size,
-            })
-            .collect();
+        let snapshots: Vec<RunningSnapshot> = self.running.iter().map(running_snapshot).collect();
         let reserved: Vec<Option<f64>> = match kind {
             SchedulerKind::Conservative => {
                 SchedulerKind::reservations(&queued, free, &snapshots, now)
@@ -1535,8 +1445,8 @@ impl MachineEntry {
 
     /// Where `job_id` currently stands.
     pub fn poll(&self, job_id: u64) -> JobStatus {
-        if let Some(nodes) = self.allocations.get(&job_id) {
-            JobStatus::Running(nodes.clone())
+        if let Some(&at) = self.slot_of.get(&job_id) {
+            JobStatus::Running(self.running[at].nodes.clone())
         } else if let Some(position) = self.queue.position(job_id) {
             JobStatus::Queued(position)
         } else {
@@ -1569,7 +1479,7 @@ impl MachineEntry {
             free: self.num_free(),
             busy: self.num_busy(),
             utilization: self.num_busy() as f64 / self.total_nodes() as f64,
-            live_jobs: self.allocations.len(),
+            live_jobs: self.running.len(),
             queue_len: self.queue.len(),
             scheduler: self.queue.kind().name().to_string(),
             queue: self.queue_outlooks(),
@@ -1578,56 +1488,43 @@ impl MachineEntry {
 
     /// Exhaustive invariant check (test/debug helper): every node is held
     /// by at most one job, the backing's free count agrees with the
-    /// allocation table, the running-order metadata mirrors the
-    /// allocation table, and no job is simultaneously queued and running
-    /// (queue-position consistency).
+    /// running jobs' nodes, the slot table mirrors the running order,
+    /// and no job is simultaneously queued and running (queue-position
+    /// consistency).
     pub fn check_invariants(&self) -> Result<(), String> {
-        if self.running.len() != self.allocations.len() {
+        if self.running.len() != self.slot_of.len() {
             return Err(format!(
-                "{} running-order entries but {} allocations",
+                "{} running-order entries but {} slots",
                 self.running.len(),
-                self.allocations.len()
+                self.slot_of.len()
             ));
         }
-        for meta in &self.running {
-            let Some(nodes) = self.allocations.get(&meta.job_id) else {
+        for (at, job) in self.running.iter().enumerate() {
+            if self.slot_of.get(&job.job) != Some(&at) {
                 return Err(format!(
-                    "running-order entry for job {} has no allocation",
-                    meta.job_id
-                ));
-            };
-            if nodes.len() != meta.size {
-                return Err(format!(
-                    "job {} holds {} nodes but its running-order entry says {}",
-                    meta.job_id,
-                    nodes.len(),
-                    meta.size
+                    "job {} runs at slot {at} but the slot table says {:?}",
+                    job.job,
+                    self.slot_of.get(&job.job)
                 ));
             }
-            if self.queue.contains(meta.job_id) {
-                return Err(format!("job {} is both running and queued", meta.job_id));
+            if self.queue.contains(job.job) {
+                return Err(format!("job {} is both running and queued", job.job));
             }
         }
         for (at, pending) in self.queue.iter().enumerate() {
-            match self.queue.position(pending.job_id) {
+            let job = pending.request.job;
+            match self.queue.position(job) {
                 Some(position) if position == at + 1 => {}
                 other => {
                     return Err(format!(
-                        "job {} sits at queue slot {} but position() reports {other:?}",
-                        pending.job_id,
+                        "job {job} sits at queue slot {} but position() reports {other:?}",
                         at + 1
                     ))
                 }
             }
-            if self.allocations.contains_key(&pending.job_id) {
-                return Err(format!(
-                    "job {} is both queued and allocated",
-                    pending.job_id
-                ));
-            }
         }
         let mut held = vec![false; self.total_nodes()];
-        for (job, nodes) in &self.allocations {
+        for RunningJob { job, nodes, .. } in &self.running {
             for node in nodes {
                 let i = node.index();
                 if i >= held.len() {
@@ -1642,7 +1539,7 @@ impl MachineEntry {
         let held_count = held.iter().filter(|&&h| h).count();
         if held_count != self.num_busy() {
             return Err(format!(
-                "allocation table holds {held_count} nodes but machine reports {} busy",
+                "running jobs hold {held_count} nodes but machine reports {} busy",
                 self.num_busy()
             ));
         }
@@ -2329,11 +2226,25 @@ mod tests {
         // must drag the clock past every stamp it folds in.
         let r = registry_with_m0();
         r.with_entry("m0", |m| {
-            m.restore_grant(1, vec![NodeId(0)], Some(10.0), 3600.0, None, None)
-                .map_err(ServiceError::InvalidRequest)?;
+            m.restore_grant(RunningJob {
+                job: 1,
+                nodes: vec![NodeId(0)],
+                walltime: Some(10.0),
+                start: 3600.0,
+                pattern: None,
+                tenant: None,
+            })
+            .map_err(ServiceError::InvalidRequest)?;
             assert!(m.now() >= 3600.0, "clock not rebased past the grant");
-            m.restore_queue(2, 4, None, 3610.0, None, None)
-                .map_err(ServiceError::InvalidRequest)?;
+            m.restore_queue(QueuedRequest {
+                job: 2,
+                size: 4,
+                walltime: None,
+                enqueued_at: 3610.0,
+                pattern: None,
+                tenant: None,
+            })
+            .map_err(ServiceError::InvalidRequest)?;
             assert!(m.now() >= 3610.0, "clock not rebased past the enqueue");
             m.check_invariants().map_err(ServiceError::InvalidRequest)
         })

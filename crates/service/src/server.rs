@@ -432,7 +432,10 @@ impl Conn {
                         code: None,
                         detail: None,
                     };
-                    append_response(&mut self.outbox, Framing::Binary, &response);
+                    // Answer in the framing that failed: the client is
+                    // reading that one.
+                    let framing = self.buffer.pending_framing().unwrap_or(Framing::Binary);
+                    append_response(&mut self.outbox, framing, &response);
                     return false;
                 }
             }
@@ -776,6 +779,27 @@ mod tests {
         let mut rest = Vec::new();
         stream.read_to_end(&mut rest).unwrap();
         assert!(rest.is_empty());
+        assert_eq!(service.metrics().protocol_errors.load(Ordering::Relaxed), 1);
+        handle.shutdown().unwrap();
+    }
+
+    #[test]
+    fn oversized_line_closes_with_an_ndjson_error() {
+        let (service, handle) = spawn_server();
+        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        // One byte over the cap and no newline: the server has read every
+        // byte sent when it gives up, so it closes cleanly after the one
+        // error line, which a text client can read.
+        stream
+            .write_all(&vec![b'x'; framing::MAX_FRAME_LEN + 1])
+            .unwrap();
+        let frames = read_frames(&mut stream, usize::MAX);
+        assert_eq!(frames.len(), 1);
+        assert_eq!(frames[0].framing, Framing::Ndjson);
+        assert!(matches!(
+            decode_response(&frames[0]),
+            Response::Error { .. }
+        ));
         assert_eq!(service.metrics().protocol_errors.load(Ordering::Relaxed), 1);
         handle.shutdown().unwrap();
     }

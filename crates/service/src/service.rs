@@ -8,7 +8,8 @@
 use crate::calibration::CalibrationStore;
 use crate::cluster::{pool_of, MachineSample, PlacementRouter, PoolJobIndex, RoutingPolicy};
 use crate::journal::{
-    JournalRecord, JournalSink, NoopJournal, PoolImage, SnapshotImage, TenantImage,
+    JournalRecord, JournalSink, MachineSpec, NoopJournal, PoolImage, QueuedRequest, RunningJob,
+    SnapshotImage, TenantImage, TenantSpec,
 };
 use crate::metrics::{LogLinearHistogram, ServiceMetrics, WindowRing};
 use crate::protocol::{AllocArgs, JobRef, Request, Response};
@@ -286,7 +287,14 @@ impl AllocationService {
     /// traced request gets a `journal_append` span per record, and a
     /// `fsync_wait` span for the slice of it spent blocked on the disk
     /// (`--fsync every`; group commit never blocks the append).
-    fn flush_outbox(&self, entry: &mut MachineEntry, ctx: &RequestCtx<'_>) {
+    ///
+    /// Queued jobs the mutation's drain dropped leave the pool job index
+    /// here too: no release will ever name them, and recovery un-indexes
+    /// them as it replays their `Cancel` records.
+    fn flush_effects(&self, machine: &str, entry: &mut MachineEntry, ctx: &RequestCtx<'_>) {
+        for job in entry.take_dropped() {
+            self.unindex(machine, job);
+        }
         for record in entry.take_outbox() {
             let start = ctx.now_micros();
             let (seq, fsync_wait) = self.journal.append_timed(&record);
@@ -351,22 +359,26 @@ impl AllocationService {
         scheduler: Option<&str>,
         pool: Option<&str>,
     ) -> Result<(), ServiceError> {
-        self.register_inner(machine, mesh, allocator, strategy, scheduler, pool, true)
+        let spec = MachineSpec {
+            machine: machine.to_string(),
+            mesh: mesh.to_string(),
+            allocator: allocator.map(str::to_string),
+            strategy: strategy.map(str::to_string),
+            scheduler: scheduler.map(str::to_string),
+        };
+        self.register_inner(&spec, pool, true)
     }
 
     /// The registration body; `journal: false` is the recovery path,
     /// which rebuilds machines from records without re-journaling them.
-    #[allow(clippy::too_many_arguments)]
     fn register_inner(
         &self,
-        machine: &str,
-        mesh: &str,
-        allocator: Option<&str>,
-        strategy: Option<&str>,
-        scheduler: Option<&str>,
+        spec: &MachineSpec,
         pool: Option<&str>,
         journal: bool,
     ) -> Result<(), ServiceError> {
+        let machine = spec.machine.as_str();
+        let (allocator, strategy) = (spec.allocator.as_deref(), spec.strategy.as_deref());
         if machine.is_empty() {
             return Err(ServiceError::InvalidSpec(
                 "machine name must be non-empty".to_string(),
@@ -384,12 +396,11 @@ impl AllocationService {
                 )));
             }
         }
-        let scheduler_spec = scheduler;
-        let scheduler = match scheduler {
+        let scheduler = match &spec.scheduler {
             None => SchedulerKind::Fcfs,
             Some(spec) => parse_scheduler(spec)?,
         };
-        let dims = parse_dims(mesh)?;
+        let dims = parse_dims(&spec.mesh)?;
         let entry = match dims.as_slice() {
             [w, h] => {
                 let kind = match allocator {
@@ -445,11 +456,7 @@ impl AllocationService {
                 entry.enable_journaling();
                 if journal {
                     let record = JournalRecord::Register {
-                        machine: machine.to_string(),
-                        mesh: mesh.to_string(),
-                        allocator: allocator.map(str::to_string),
-                        strategy: strategy.map(str::to_string),
-                        scheduler: scheduler_spec.map(str::to_string),
+                        spec: spec.clone(),
                         pool: pool.map(str::to_string),
                     };
                     entry.note_journal_seq(self.journal.append(&record));
@@ -487,11 +494,7 @@ impl AllocationService {
         result: Result<AllocOutcome, ServiceError>,
     ) -> Result<AllocOutcome, ServiceError> {
         match &result {
-            Ok(AllocOutcome::Granted(_)) | Ok(AllocOutcome::Queued(_)) => {
-                if let Some(pool) = self.router.pool_of_member(machine) {
-                    self.job_index.insert(&pool, job, machine);
-                }
-            }
+            Ok(AllocOutcome::Granted(_)) | Ok(AllocOutcome::Queued(_)) => self.index(machine, job),
             Ok(AllocOutcome::Rejected(_)) | Err(_) => {
                 self.registry.tenants().refund(tenant, cost);
             }
@@ -515,7 +518,7 @@ impl AllocationService {
         self.admit_quota(args.tenant, cost)?;
         let result = self.registry.with_entry(machine, |entry| {
             let outcome = entry.allocate(args, "direct", &ctx);
-            self.flush_outbox(entry, &ctx);
+            self.flush_effects(machine, entry, &ctx);
             outcome
         });
         self.finish_admission(machine, args.job, args.tenant, cost, result)
@@ -656,7 +659,7 @@ impl AllocationService {
                     mctx.now_micros(),
                 );
                 let outcome = entry.allocate(args, policy.name(), &mctx).map(Some);
-                self.flush_outbox(entry, &mctx);
+                self.flush_effects(&target, entry, &mctx);
                 outcome
             })?;
             if let Some(outcome) = committed {
@@ -772,7 +775,7 @@ impl AllocationService {
         let ctx = ctx.with_machine(machine);
         self.registry.with_entry(machine, |entry| {
             let granted = entry.set_scheduler(kind, &ctx);
-            self.flush_outbox(entry, &ctx);
+            self.flush_effects(machine, entry, &ctx);
             Ok((kind, granted))
         })
     }
@@ -829,12 +832,10 @@ impl AllocationService {
         };
         table.configure(tenant, config.clone());
         if self.journal.durable() {
-            self.journal.append(&JournalRecord::SetTenant {
+            self.journal.append(&JournalRecord::SetTenant(TenantSpec {
                 tenant: tenant.to_string(),
-                weight: config.weight,
-                quota: config.quota_node_seconds,
-                max_in_flight: config.max_in_flight,
-            });
+                config: config.clone(),
+            }));
         }
         Ok(config)
     }
@@ -850,7 +851,7 @@ impl AllocationService {
         let ctx = ctx.with_machine(machine);
         self.registry.with_entry(machine, |entry| {
             let granted = entry.set_fair_share(enabled, &ctx);
-            self.flush_outbox(entry, &ctx);
+            self.flush_effects(machine, entry, &ctx);
             Ok(granted)
         })
     }
@@ -923,12 +924,10 @@ impl AllocationService {
         let ctx = ctx.with_machine(machine);
         let granted = self.registry.with_entry(machine, |entry| {
             let granted = entry.release(job, &ctx);
-            self.flush_outbox(entry, &ctx);
+            self.flush_effects(machine, entry, &ctx);
             granted
         })?;
-        if let Some(pool) = self.router.pool_of_member(machine) {
-            self.job_index.remove(&pool, job, machine);
-        }
+        self.unindex(machine, job);
         Ok(granted)
     }
 
@@ -1315,10 +1314,10 @@ impl AllocationService {
             .export()
             .into_iter()
             .map(|row| TenantImage {
-                tenant: row.tenant,
-                weight: row.config.weight,
-                quota: row.config.quota_node_seconds,
-                max_in_flight: row.config.max_in_flight,
+                spec: TenantSpec {
+                    tenant: row.tenant,
+                    config: row.config,
+                },
                 consumed: row.consumed_node_seconds,
             })
             .collect();
@@ -1357,133 +1356,93 @@ impl AllocationService {
     /// releases and policy switches do **not** re-drain, because the
     /// grants a live drain produced replay as their own records.
     pub fn apply_journal_record(&self, record: &JournalRecord) -> Result<(), ServiceError> {
-        let restore =
-            |machine: &str, f: &mut dyn FnMut(&mut MachineEntry) -> Result<(), String>| {
-                self.registry.with_entry(machine, |entry| {
-                    f(entry).map_err(ServiceError::InvalidRequest)
-                })
-            };
         match record {
-            JournalRecord::Register {
-                machine,
-                mesh,
-                allocator,
-                strategy,
-                scheduler,
-                pool,
-            } => self.register_inner(
-                machine,
-                mesh,
-                allocator.as_deref(),
-                strategy.as_deref(),
-                scheduler.as_deref(),
-                pool.as_deref(),
-                false,
-            ),
-            JournalRecord::Grant {
-                machine,
-                job,
-                nodes,
-                walltime,
-                start,
-                pattern,
-                tenant,
-            } => {
-                restore(machine, &mut |entry| {
-                    entry.restore_grant(
-                        *job,
-                        nodes.clone(),
-                        *walltime,
-                        *start,
-                        *pattern,
-                        tenant.clone(),
-                    )
-                })?;
-                self.index_restored(machine, *job);
-                Ok(())
+            JournalRecord::Register { spec, pool } => {
+                self.register_inner(spec, pool.as_deref(), false)
             }
-            JournalRecord::Queue {
-                machine,
-                job,
-                size,
-                walltime,
-                enqueued_at,
-                pattern,
-                tenant,
-            } => {
-                restore(machine, &mut |entry| {
-                    entry.restore_queue(
-                        *job,
-                        *size,
-                        *walltime,
-                        *enqueued_at,
-                        *pattern,
-                        tenant.clone(),
-                    )
-                })?;
-                self.index_restored(machine, *job);
-                Ok(())
-            }
+            JournalRecord::Grant { machine, job } => self.restore_grant(machine, job),
+            JournalRecord::Queue { machine, request } => self.restore_queue(machine, request),
             JournalRecord::Release { machine, job } => {
-                restore(machine, &mut |entry| entry.restore_release(*job))?;
-                self.unindex_restored(machine, *job);
+                self.restore(machine, |entry| entry.restore_release(*job))?;
+                self.unindex(machine, *job);
                 Ok(())
             }
             JournalRecord::Cancel { machine, job } => {
-                restore(machine, &mut |entry| entry.restore_cancel(*job))?;
-                self.unindex_restored(machine, *job);
+                self.restore(machine, |entry| entry.restore_cancel(*job))?;
+                self.unindex(machine, *job);
                 Ok(())
             }
-            JournalRecord::SetTenant {
-                tenant,
-                weight,
-                quota,
-                max_in_flight,
-            } => {
-                self.registry.tenants().configure(
-                    tenant,
-                    TenantConfig {
-                        weight: *weight,
-                        quota_node_seconds: *quota,
-                        max_in_flight: *max_in_flight,
-                    },
-                );
+            JournalRecord::SetTenant(spec) => {
+                self.registry
+                    .tenants()
+                    .configure(&spec.tenant, spec.config.clone());
                 Ok(())
             }
-            JournalRecord::SetFairShare { machine, enabled } => restore(machine, &mut |entry| {
+            JournalRecord::SetFairShare { machine, enabled } => self.restore(machine, |entry| {
                 entry.restore_fair_share(*enabled);
                 Ok(())
             }),
             JournalRecord::SetScheduler { machine, scheduler } => {
                 let kind = parse_scheduler(scheduler)?;
-                restore(machine, &mut |entry| {
+                self.restore(machine, |entry| {
                     entry.restore_scheduler(kind);
                     Ok(())
                 })
             }
-            JournalRecord::SetRouter { pool, policy } => {
-                let parsed = RoutingPolicy::parse(policy).ok_or_else(|| {
-                    ServiceError::InvalidSpec(format!("routing policy {policy:?}"))
-                })?;
-                self.router.set_policy(pool, parsed)
-            }
+            JournalRecord::SetRouter { pool, policy } => self.restore_router(pool, policy),
             JournalRecord::Snapshot(_) => Err(ServiceError::InvalidRequest(
                 "snapshot records live in the snapshot file, not the WAL tail".to_string(),
             )),
         }
     }
 
-    /// Recovery: a replayed grant/queue of a pool member re-enters the
-    /// pool job index (pool membership replays first — Register records
-    /// precede grants of their machine in the journal).
-    fn index_restored(&self, machine: &str, job: u64) {
+    /// Recovery: runs one of the entry's restore paths on `machine`.
+    fn restore(
+        &self,
+        machine: &str,
+        f: impl FnOnce(&mut MachineEntry) -> Result<(), String>,
+    ) -> Result<(), ServiceError> {
+        self.registry.with_entry(machine, |entry| {
+            f(entry).map_err(ServiceError::InvalidRequest)
+        })
+    }
+
+    /// Recovery: `job` runs on `machine` again, and — for a pool member
+    /// — re-enters the pool job index (pool membership is restored
+    /// first: Register records precede grants of their machine in the
+    /// journal, and a snapshot restores its pool table before its jobs).
+    fn restore_grant(&self, machine: &str, job: &RunningJob) -> Result<(), ServiceError> {
+        self.restore(machine, |entry| entry.restore_grant(job.clone()))?;
+        self.index(machine, job.job);
+        Ok(())
+    }
+
+    /// Recovery: `request` waits on `machine` again (indexed like a
+    /// restored grant).
+    fn restore_queue(&self, machine: &str, request: &QueuedRequest) -> Result<(), ServiceError> {
+        self.restore(machine, |entry| entry.restore_queue(request.clone()))?;
+        self.index(machine, request.job);
+        Ok(())
+    }
+
+    /// Recovery: pool `pool` routes under `policy` again.
+    fn restore_router(&self, pool: &str, policy: &str) -> Result<(), ServiceError> {
+        let parsed = RoutingPolicy::parse(policy)
+            .ok_or_else(|| ServiceError::InvalidSpec(format!("routing policy {policy:?}")))?;
+        self.router.set_policy(pool, parsed)
+    }
+
+    /// A job granted or queued on a pool member becomes resolvable by
+    /// bare id through the pool job index.
+    fn index(&self, machine: &str, job: u64) {
         if let Some(pool) = self.router.pool_of_member(machine) {
             self.job_index.insert(&pool, job, machine);
         }
     }
 
-    /// Recovery: a replayed release/cancel leaves the pool job index.
-    fn unindex_restored(&self, machine: &str, job: u64) {
+    /// A job that left a pool member (released, cancelled or dropped)
+    /// leaves the pool job index.
+    fn unindex(&self, machine: &str, job: u64) {
         if let Some(pool) = self.router.pool_of_member(machine) {
             self.job_index.remove(&pool, job, machine);
         }
@@ -1520,66 +1479,25 @@ impl AllocationService {
         table.reset_queued(&queued);
     }
 
-    /// Recovery: rebuilds the registry and pool table from a snapshot
-    /// image. Returns the per-machine journal watermarks the tail fold
-    /// gates on.
+    /// Recovery: rebuilds the registry, pool table and tenant ledger
+    /// from a snapshot image — each fact through the call
+    /// [`AllocationService::apply_journal_record`] makes for the record
+    /// the image compacted it from. Returns the per-machine journal
+    /// watermarks the tail fold gates on.
     pub fn apply_snapshot(
         &self,
         image: &SnapshotImage,
     ) -> Result<std::collections::HashMap<String, u64>, ServiceError> {
         let mut watermarks = std::collections::HashMap::new();
         for m in &image.machines {
-            self.register_inner(
-                &m.machine,
-                &m.mesh,
-                Some(&m.allocator),
-                m.strategy.as_deref(),
-                Some(&m.scheduler),
-                None,
-                false,
-            )?;
-            self.registry.with_entry(&m.machine, |entry| {
-                entry.restore_clock(m.clock);
-                entry.note_journal_seq(m.seq);
-                entry.restore_fair_share(m.fair_share);
-                for r in &m.running {
-                    entry
-                        .restore_grant(
-                            r.job,
-                            r.nodes.clone(),
-                            r.walltime,
-                            r.start,
-                            r.pattern,
-                            r.tenant.clone(),
-                        )
-                        .map_err(ServiceError::InvalidRequest)?;
-                }
-                for q in &m.queue {
-                    entry
-                        .restore_queue(
-                            q.job,
-                            q.size,
-                            q.walltime,
-                            q.enqueued_at,
-                            q.pattern,
-                            q.tenant.clone(),
-                        )
-                        .map_err(ServiceError::InvalidRequest)?;
-                }
-                Ok(())
-            })?;
-            watermarks.insert(m.machine.clone(), m.seq);
+            // Pools are restored below, from the pool table.
+            self.register_inner(&m.spec, None, false)?;
+            watermarks.insert(m.spec.machine.clone(), m.seq);
         }
         for t in &image.tenants {
-            self.registry.tenants().restore(
-                &t.tenant,
-                TenantConfig {
-                    weight: t.weight,
-                    quota_node_seconds: t.quota,
-                    max_in_flight: t.max_in_flight,
-                },
-                t.consumed,
-            );
+            self.registry
+                .tenants()
+                .restore(&t.spec.tenant, t.spec.config.clone(), t.consumed);
         }
         for p in &image.pools {
             // The machine list and the pool table are photographed under
@@ -1597,25 +1515,24 @@ impl AllocationService {
                 }
             }
             if created {
-                let policy = RoutingPolicy::parse(&p.policy).ok_or_else(|| {
-                    ServiceError::InvalidSpec(format!("routing policy {:?}", p.policy))
-                })?;
-                self.router.set_policy(&p.pool, policy)?;
+                self.restore_router(&p.pool, &p.policy)?;
             }
             // No surviving member: the pool replays entirely from tail
             // records (or was lost with its only registration).
         }
-        // Pool membership is in place now: index every restored job of
-        // a pool member so `@pool` bare-id resolution survives the
-        // restart (tail records maintain the index incrementally).
         for m in &image.machines {
-            if let Some(pool) = self.router.pool_of_member(&m.machine) {
-                for r in &m.running {
-                    self.job_index.insert(&pool, r.job, &m.machine);
-                }
-                for q in &m.queue {
-                    self.job_index.insert(&pool, q.job, &m.machine);
-                }
+            let machine = &m.spec.machine;
+            self.restore(machine, |entry| {
+                entry.restore_clock(m.clock);
+                entry.note_journal_seq(m.seq);
+                entry.restore_fair_share(m.fair_share);
+                Ok(())
+            })?;
+            for job in &m.running {
+                self.restore_grant(machine, job)?;
+            }
+            for request in &m.queue {
+                self.restore_queue(machine, request)?;
             }
         }
         Ok(watermarks)
@@ -2048,12 +1965,14 @@ mod tests {
             assert!(service
                 .apply_journal_record(&JournalRecord::Queue {
                     machine: "m0".into(),
-                    job: 8,
-                    size: 4,
-                    walltime: Some(bad),
-                    enqueued_at: 0.0,
-                    pattern: None,
-                    tenant: None,
+                    request: QueuedRequest {
+                        job: 8,
+                        size: 4,
+                        walltime: Some(bad),
+                        enqueued_at: 0.0,
+                        pattern: None,
+                        tenant: None,
+                    },
                 })
                 .is_err());
         }
@@ -2143,6 +2062,57 @@ mod tests {
         for machine in ["m0", "m1"] {
             service.check_invariants(machine).unwrap();
         }
+    }
+
+    #[test]
+    fn a_queued_job_the_drain_drops_leaves_the_pool_index() {
+        // No rectangle of 30 fits a 16x4 mesh, but the machine is busy
+        // when job 2 arrives, so it waits — until the release that
+        // empties the machine shows no release can ever help it.
+        let dir = std::env::temp_dir().join(format!("commalloc-dropped-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = crate::journal::JournalConfig::default();
+        let (service, _) = crate::journal::open_journaled(&dir, config).unwrap();
+        service
+            .register_in_pool(
+                "m0",
+                "16x4",
+                Some("contiguous FF"),
+                None,
+                None,
+                Some("grid"),
+            )
+            .unwrap();
+        let ctx = RequestCtx::inert();
+        let route = |service: &AllocationService, job, size| {
+            let args = AllocArgs::new(job, size).or_wait();
+            service
+                .route("grid", &args, &ctx)
+                .map(|(_, outcome)| outcome)
+        };
+        assert!(matches!(
+            route(&service, 1, 16),
+            Ok(AllocOutcome::Granted(_))
+        ));
+        assert_eq!(route(&service, 2, 30), Ok(AllocOutcome::Queued(1)));
+        assert_eq!(service.job_index().owners("grid", 2), ["m0"]);
+        assert!(service.release("m0", 1, &ctx).unwrap().is_empty());
+        assert_eq!(service.poll("m0", 2), Ok(JobStatus::Unknown));
+        assert!(
+            service.job_index().owners("grid", 2).is_empty(),
+            "the dropped job must leave the pool index with the machine"
+        );
+        // The daemon that replays the drop's Cancel agrees with the one
+        // that made it, and the id is free again on both.
+        drop(service);
+        let (recovered, _) = crate::journal::open_journaled(&dir, config).unwrap();
+        assert!(recovered.job_index().owners("grid", 2).is_empty());
+        assert!(matches!(
+            route(&recovered, 2, 8),
+            Ok(AllocOutcome::Granted(_))
+        ));
+        drop(recovered);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -6,10 +6,12 @@
 
 use commalloc_mesh::NodeId;
 use commalloc_service::journal::{
-    read_journal_dir, FileJournal, MachineImage, PoolImage, QueuedImage, RunningImage,
-    SnapshotImage, TenantImage,
+    read_journal_dir, FileJournal, MachineImage, MachineSpec, PoolImage, QueuedRequest, RunningJob,
+    SnapshotImage, TenantImage, TenantSpec,
 };
-use commalloc_service::{open_journaled, AllocArgs, JournalConfig, JournalRecord, RequestCtx};
+use commalloc_service::{
+    open_journaled, AllocArgs, JournalConfig, JournalRecord, RequestCtx, TenantConfig,
+};
 use commalloc_workload::CommPattern;
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -78,7 +80,10 @@ fn pattern_strategy() -> BoxedStrategy<Option<CommPattern>> {
     prop::sample::select(choices).boxed()
 }
 
-fn running_strategy() -> BoxedStrategy<RunningImage> {
+// The four durable facts. Every record and image below is built out of
+// these, as the journal builds them.
+
+fn running_strategy() -> BoxedStrategy<RunningJob> {
     (
         any::<u64>(),
         nodes_strategy(),
@@ -88,7 +93,7 @@ fn running_strategy() -> BoxedStrategy<RunningImage> {
         tenant_strategy(),
     )
         .prop_map(
-            |(job, nodes, walltime, start, pattern, tenant)| RunningImage {
+            |(job, nodes, walltime, start, pattern, tenant)| RunningJob {
                 job,
                 nodes,
                 walltime,
@@ -100,61 +105,91 @@ fn running_strategy() -> BoxedStrategy<RunningImage> {
         .boxed()
 }
 
-fn queued_strategy() -> BoxedStrategy<QueuedImage> {
+fn queued_strategy() -> BoxedStrategy<QueuedRequest> {
     (
         any::<u64>(),
         1usize..2048,
         walltime_strategy(),
         stamp_strategy(),
         pattern_strategy(),
+        tenant_strategy(),
     )
-        .prop_map(|(job, size, walltime, enqueued_at, pattern)| QueuedImage {
-            job,
-            size,
-            walltime,
-            enqueued_at,
-            pattern,
-            tenant: None,
-        })
-        .prop_flat_map(|image| {
-            tenant_strategy().prop_map(move |tenant| QueuedImage {
+        .prop_map(
+            |(job, size, walltime, enqueued_at, pattern, tenant)| QueuedRequest {
+                job,
+                size,
+                walltime,
+                enqueued_at,
+                pattern,
                 tenant,
-                ..image.clone()
-            })
+            },
+        )
+        .boxed()
+}
+
+fn spec_strategy() -> BoxedStrategy<MachineSpec> {
+    (
+        name_strategy(),
+        name_strategy(),
+        opt_name(),
+        opt_name(),
+        opt_name(),
+    )
+        .prop_map(
+            |(machine, mesh, allocator, strategy, scheduler)| MachineSpec {
+                machine,
+                mesh,
+                allocator,
+                strategy,
+                scheduler,
+            },
+        )
+        .boxed()
+}
+
+fn tenant_spec_strategy() -> BoxedStrategy<TenantSpec> {
+    (
+        prop::sample::select(vec!["default", "acme", "t \"x\""]),
+        1u64..100,
+        prop_oneof![Just(None), (1u64..1_000_000).prop_map(|q| Some(q as f64))],
+        prop_oneof![Just(None), (1u64..4096).prop_map(Some)],
+    )
+        .prop_map(|(tenant, weight, quota, max_in_flight)| TenantSpec {
+            tenant: tenant.to_string(),
+            config: TenantConfig {
+                weight: weight as f64,
+                quota_node_seconds: quota,
+                max_in_flight,
+            },
         })
         .boxed()
 }
 
 fn machine_image_strategy() -> BoxedStrategy<MachineImage> {
     (
-        (
-            name_strategy(),
-            name_strategy(),
-            opt_name(),
-            name_strategy(),
-        ),
+        spec_strategy(),
         any::<u64>(),
         prop_oneof![Just(None), stamp_strategy().prop_map(Some)],
+        any::<bool>(),
         prop::collection::vec(running_strategy(), 0..4),
         prop::collection::vec(queued_strategy(), 0..4),
-        any::<bool>(),
     )
         .prop_map(
-            |((machine, mesh, strategy, scheduler), seq, clock, running, queue, fair_share)| {
-                MachineImage {
-                    machine,
-                    mesh,
-                    allocator: "Hilbert w/BF".to_string(),
-                    strategy,
-                    scheduler,
-                    seq,
-                    clock,
-                    running,
-                    queue,
-                    fair_share,
-                }
+            |(spec, seq, clock, fair_share, running, queue)| MachineImage {
+                spec,
+                seq,
+                clock,
+                fair_share,
+                running,
+                queue,
             },
         )
+        .boxed()
+}
+
+fn tenant_image_strategy() -> BoxedStrategy<TenantImage> {
+    (tenant_spec_strategy(), stamp_strategy())
+        .prop_map(|(spec, consumed)| TenantImage { spec, consumed })
         .boxed()
 }
 
@@ -193,85 +228,15 @@ fn snapshot_strategy() -> BoxedStrategy<SnapshotImage> {
         .boxed()
 }
 
-fn tenant_image_strategy() -> BoxedStrategy<TenantImage> {
-    (
-        prop::sample::select(vec!["default", "acme", "t \"x\""]),
-        1u64..100,
-        prop_oneof![Just(None), (1u64..1_000_000).prop_map(|q| Some(q as f64))],
-        prop_oneof![Just(None), (1u64..4096).prop_map(Some)],
-        stamp_strategy(),
-    )
-        .prop_map(
-            |(tenant, weight, quota, max_in_flight, consumed)| TenantImage {
-                tenant: tenant.to_string(),
-                weight: weight as f64,
-                quota,
-                max_in_flight,
-                consumed,
-            },
-        )
-        .boxed()
-}
-
 /// Every record variant, adversarially parameterised.
 fn record_strategy() -> BoxedStrategy<JournalRecord> {
     prop_oneof![
-        (
-            name_strategy(),
-            name_strategy(),
-            opt_name(),
-            opt_name(),
-            opt_name(),
-            opt_name()
-        )
-            .prop_map(|(machine, mesh, allocator, strategy, scheduler, pool)| {
-                JournalRecord::Register {
-                    machine,
-                    mesh,
-                    allocator,
-                    strategy,
-                    scheduler,
-                    pool,
-                }
-            }),
-        (
-            name_strategy(),
-            any::<u64>(),
-            nodes_strategy(),
-            walltime_strategy(),
-            stamp_strategy(),
-            pattern_strategy()
-        )
-            .prop_flat_map(|(machine, job, nodes, walltime, start, pattern)| {
-                tenant_strategy().prop_map(move |tenant| JournalRecord::Grant {
-                    machine: machine.clone(),
-                    job,
-                    nodes: nodes.clone(),
-                    walltime,
-                    start,
-                    pattern,
-                    tenant,
-                })
-            }),
-        (
-            name_strategy(),
-            any::<u64>(),
-            1usize..2048,
-            walltime_strategy(),
-            stamp_strategy(),
-            pattern_strategy()
-        )
-            .prop_flat_map(|(machine, job, size, walltime, enqueued_at, pattern)| {
-                tenant_strategy().prop_map(move |tenant| JournalRecord::Queue {
-                    machine: machine.clone(),
-                    job,
-                    size,
-                    walltime,
-                    enqueued_at,
-                    pattern,
-                    tenant,
-                })
-            }),
+        (spec_strategy(), opt_name())
+            .prop_map(|(spec, pool)| JournalRecord::Register { spec, pool }),
+        (name_strategy(), running_strategy())
+            .prop_map(|(machine, job)| JournalRecord::Grant { machine, job }),
+        (name_strategy(), queued_strategy())
+            .prop_map(|(machine, request)| JournalRecord::Queue { machine, request }),
         (name_strategy(), any::<u64>())
             .prop_map(|(machine, job)| JournalRecord::Release { machine, job }),
         (name_strategy(), any::<u64>())
@@ -281,17 +246,21 @@ fn record_strategy() -> BoxedStrategy<JournalRecord> {
         }),
         (name_strategy(), name_strategy())
             .prop_map(|(pool, policy)| JournalRecord::SetRouter { pool, policy }),
-        tenant_image_strategy().prop_map(|image| JournalRecord::SetTenant {
-            tenant: image.tenant,
-            weight: image.weight,
-            quota: image.quota,
-            max_in_flight: image.max_in_flight,
-        }),
+        tenant_spec_strategy().prop_map(JournalRecord::SetTenant),
         (name_strategy(), any::<bool>())
             .prop_map(|(machine, enabled)| JournalRecord::SetFairShare { machine, enabled }),
         snapshot_strategy().prop_map(JournalRecord::Snapshot),
     ]
     .boxed()
+}
+
+/// What `record` renders between `prefix` (its `seq`/`rec` head, plus
+/// the machine name where the record carries one beside the fact) and
+/// `suffix`: the body of the fact it recreates.
+fn body_of<'a>(line: &'a str, prefix: &str, suffix: &str) -> &'a str {
+    line.strip_prefix(prefix)
+        .and_then(|rest| rest.strip_suffix(suffix))
+        .unwrap_or_else(|| panic!("{line} is not {prefix}…{suffix}"))
 }
 
 proptest! {
@@ -306,6 +275,46 @@ proptest! {
             .map_err(|e| TestCaseError::fail(format!("{e} on {line}")))?;
         prop_assert_eq!(parsed_seq, seq);
         prop_assert_eq!(parsed, record, "line was {}", line);
+    }
+
+    /// A snapshot is the compacted log: the image of a fact is, byte for
+    /// byte, the body of the record that recreates it — a running job a
+    /// `grant`, a queued one a `queue`, a machine a `register` (less its
+    /// pool, plus its state), a tenant a `set_tenant` (plus `consumed`).
+    #[test]
+    fn an_image_renders_each_fact_as_the_body_of_its_record(
+        mut machine in machine_image_strategy(),
+        job in running_strategy(),
+        request in queued_strategy(),
+        tenant in tenant_image_strategy(),
+    ) {
+        let grant = JournalRecord::Grant { machine: "m".into(), job: job.clone() }.to_line(0);
+        let queue = JournalRecord::Queue { machine: "m".into(), request: request.clone() }
+            .to_line(0);
+        let register = JournalRecord::Register { spec: machine.spec.clone(), pool: None }
+            .to_line(0);
+        let set_tenant = JournalRecord::SetTenant(tenant.spec.clone()).to_line(0);
+        let job_body = body_of(&grant, "{\"seq\":0,\"rec\":\"grant\",\"machine\":\"m\",", "}");
+        let request_body = body_of(&queue, "{\"seq\":0,\"rec\":\"queue\",\"machine\":\"m\",", "}");
+        let spec_body = body_of(&register, "{\"seq\":0,\"rec\":\"register\",", ",\"pool\":null}");
+        let tenant_body = body_of(&set_tenant, "{\"seq\":0,\"rec\":\"set_tenant\",", "}");
+
+        machine.running = vec![job];
+        machine.queue = vec![request];
+        let (seq, consumed) = (machine.seq, tenant.consumed);
+        let snapshot = JournalRecord::Snapshot(SnapshotImage {
+            machines: vec![machine],
+            tenants: vec![tenant],
+            ..SnapshotImage::default()
+        })
+        .to_line(0);
+        for part in [
+            format!("\"machines\":[{{{spec_body},\"seq\":{seq},"),
+            format!("\"running\":[{{{job_body}}}],\"queue\":[{{{request_body}}}]}}]"),
+            format!("\"tenants\":[{{{tenant_body},\"consumed\":{consumed}}}]"),
+        ] {
+            prop_assert!(snapshot.contains(&part), "{} does not hold {}", snapshot, part);
+        }
     }
 }
 
