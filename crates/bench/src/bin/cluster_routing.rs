@@ -11,58 +11,19 @@
 //! queue deeply, and drag the mean wait up. Load-aware routing
 //! (least-loaded, power-of-two-choices) spreads by free fraction
 //! instead. Durations are integral and arrivals deterministic, so the
-//! numbers are exactly reproducible.
+//! file is a pure function of the code: CI re-runs this binary and fails
+//! if the committed copy differs.
 //!
 //! Usage: `cluster_routing [--jobs N] [--seed S]`
 
-use commalloc_service::{replay_cluster, AllocationService, ReplayJob, RoutingPolicy};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use commalloc_bench::{mixed_stream, parse_args, pool_json, pooled_service, POOL};
+use commalloc_cli::args::{number, positive, put, Flag};
+use commalloc_service::{replay_cluster, ReplayJob, RoutingPolicy};
 use serde::{Map, Serialize, Value};
-use std::time::Instant;
 
-/// The heterogeneous pool: 256 + 128 + 64 + 32 = 480 processors.
-const MEMBERS: [(&str, &str, usize); 4] = [
-    ("m0", "16x16", 256),
-    ("m1", "16x8", 128),
-    ("m2", "8x8", 64),
-    ("m3", "8x4", 32),
-];
-const TOTAL_NODES: f64 = 480.0;
 const TARGET_OCCUPANCY: f64 = 0.95;
 const DEFAULT_JOBS: usize = 800;
 const DEFAULT_SEED: u64 = 1996;
-
-/// Mixed-size job stream whose offered load approaches
-/// `TARGET_OCCUPANCY` of the whole pool. A quarter of the jobs exceed
-/// the smallest member (and some the two smallest), so the eligibility
-/// filter shapes every policy's choices.
-fn workload(jobs: usize, seed: u64) -> Vec<ReplayJob> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut out = Vec::with_capacity(jobs);
-    let mut arrival = 0.0f64;
-    // Mean demand per job: 0.75·E[1..=24]·E[dur] + 0.25·E[28..=80]·E[dur].
-    let mean_size = 0.75 * 12.5 + 0.25 * 54.0;
-    let mean_duration = 275.0;
-    let mean_interarrival = (mean_size * mean_duration) / (TARGET_OCCUPANCY * TOTAL_NODES);
-    for id in 0..jobs {
-        let size = if rng.gen_bool(0.75) {
-            rng.gen_range(1usize..=24)
-        } else {
-            rng.gen_range(28usize..=80)
-        };
-        let duration = rng.gen_range(50u64..=500) as f64;
-        arrival += rng.gen_range(1u64..=(2.0 * mean_interarrival) as u64) as f64;
-        out.push(ReplayJob {
-            id: id as u64,
-            size,
-            arrival,
-            duration,
-            pattern: None,
-        });
-    }
-    out
-}
 
 struct PolicyRow {
     policy: RoutingPolicy,
@@ -72,22 +33,11 @@ struct PolicyRow {
     makespan: f64,
     utilization: Vec<(String, f64)>,
     imbalance: f64,
-    ops_per_sec: f64,
 }
 
 fn run_policy(policy: RoutingPolicy, jobs: &[ReplayJob]) -> PolicyRow {
-    let service = AllocationService::new();
-    for (name, mesh, _) in MEMBERS {
-        service
-            .register_in_pool(name, mesh, None, None, None, Some("grid"))
-            .expect("fresh service accepts registration");
-    }
-    service
-        .set_router("grid", policy.name())
-        .expect("policy parses");
-    let start = Instant::now();
+    let service = pooled_service(policy);
     let log = replay_cluster(&service, "grid", jobs, None);
-    let elapsed = start.elapsed().as_secs_f64();
     assert!(log.rejected.is_empty(), "curve allocators never refuse");
     assert!(
         log.routes.iter().all(|(_, r)| r.is_some()),
@@ -98,8 +48,8 @@ fn run_policy(policy: RoutingPolicy, jobs: &[ReplayJob]) -> PolicyRow {
 
     // Queue waits, from the per-machine grant logs.
     let mut waits: Vec<f64> = Vec::with_capacity(jobs.len());
-    let mut busy_integral: Vec<f64> = vec![0.0; MEMBERS.len()];
-    for (at, (name, _, _)) in MEMBERS.iter().enumerate() {
+    let mut busy_integral: Vec<f64> = vec![0.0; POOL.len()];
+    for (at, (name, _, _)) in POOL.iter().enumerate() {
         for grant in &log.grants[*name] {
             let job = &jobs[grant.job_id as usize];
             waits.push(grant.time - job.arrival);
@@ -109,14 +59,12 @@ fn run_policy(policy: RoutingPolicy, jobs: &[ReplayJob]) -> PolicyRow {
     waits.sort_by(f64::total_cmp);
     let mean_wait = waits.iter().sum::<f64>() / waits.len() as f64;
     let p99_wait = waits[((0.99 * waits.len() as f64).ceil() as usize).clamp(1, waits.len()) - 1];
-    let utilization: Vec<(String, f64)> = MEMBERS
+    let utilization: Vec<(String, f64)> = POOL
         .iter()
         .enumerate()
-        .map(|(at, (name, _, nodes))| {
-            (
-                name.to_string(),
-                busy_integral[at] / (log.end_time * *nodes as f64),
-            )
+        .map(|(at, &(name, w, h))| {
+            let nodes = (w as usize * h as usize) as f64;
+            (name.to_string(), busy_integral[at] / (log.end_time * nodes))
         })
         .collect();
     let max_util = utilization.iter().map(|(_, u)| *u).fold(0.0, f64::max);
@@ -132,41 +80,33 @@ fn run_policy(policy: RoutingPolicy, jobs: &[ReplayJob]) -> PolicyRow {
         makespan: log.end_time,
         utilization,
         imbalance: max_util - min_util,
-        ops_per_sec: 2.0 * jobs.len() as f64 / elapsed.max(1e-9),
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut jobs = DEFAULT_JOBS;
-    let mut seed = DEFAULT_SEED;
-    let mut i = 1;
-    while i < args.len() {
-        // A malformed value must not silently fall back to the canonical
-        // configuration — the JSON it writes would look canonical too.
-        let numeric = |flag: &str| -> u64 {
-            let value = args
-                .get(i + 1)
-                .unwrap_or_else(|| panic!("{flag} needs a value"));
-            value
-                .parse()
-                .unwrap_or_else(|_| panic!("invalid value {value:?} for {flag}"))
-        };
-        match args[i].as_str() {
-            "--jobs" => {
-                jobs = numeric("--jobs") as usize;
-                i += 1;
-            }
-            "--seed" => {
-                seed = numeric("--seed");
-                i += 1;
-            }
-            other => eprintln!("ignoring unknown argument {other:?}"),
-        }
-        i += 1;
-    }
+/// The flags as given; an absent one takes its default in `main`.
+#[derive(Default)]
+struct Args {
+    jobs: Option<usize>,
+    seed: Option<u64>,
+}
 
-    let stream = workload(jobs, seed);
+#[rustfmt::skip]
+const FLAGS: &[Flag<Args>] = &[
+    Flag("--jobs", Some("N"), |o, v| put(&mut o.jobs, positive(v).map(Some))),
+    Flag("--seed", Some("S"), |o, v| put(&mut o.seed, number(v).map(Some))),
+];
+
+fn main() {
+    let args = parse_args(FLAGS);
+    let (jobs, seed) = (
+        args.jobs.unwrap_or(DEFAULT_JOBS),
+        args.seed.unwrap_or(DEFAULT_SEED),
+    );
+
+    // A quarter of the jobs exceed the smallest member (and some the two
+    // smallest), so the eligibility filter shapes every policy's choices.
+    let total_nodes: f64 = POOL.iter().map(|&(_, w, h)| w as f64 * h as f64).sum();
+    let stream = mixed_stream(jobs, seed, TARGET_OCCUPANCY * total_nodes, 1..=24, 28..=80);
     let mut rows = Vec::new();
     for policy in RoutingPolicy::all() {
         let row = run_policy(policy, &stream);
@@ -177,7 +117,7 @@ fn main() {
             .collect();
         println!(
             "{:<15} mean wait {:>8.1} s | p99 wait {:>8.0} s | waited {:>4}/{} | \
-             makespan {:>8.0} s | util [{}] | imbalance {:>5.1}pp | {:>8.0} ops/s",
+             makespan {:>8.0} s | util [{}] | imbalance {:>5.1}pp",
             row.policy.name(),
             row.mean_wait,
             row.p99_wait,
@@ -186,7 +126,6 @@ fn main() {
             row.makespan,
             utils.join(", "),
             row.imbalance * 100.0,
-            row.ops_per_sec,
         );
         rows.push(row);
     }
@@ -211,21 +150,7 @@ fn main() {
 
     let mut out = Map::new();
     out.insert("benchmark".into(), "cluster_routing".to_value());
-    out.insert(
-        "pool".into(),
-        Value::Array(
-            MEMBERS
-                .iter()
-                .map(|(name, mesh, nodes)| {
-                    let mut m = Map::new();
-                    m.insert("machine".into(), name.to_value());
-                    m.insert("mesh".into(), mesh.to_value());
-                    m.insert("nodes".into(), nodes.to_value());
-                    Value::Object(m)
-                })
-                .collect(),
-        ),
-    );
+    out.insert("pool".into(), pool_json());
     out.insert("scheduler".into(), "FCFS".to_value());
     out.insert("target_occupancy".into(), TARGET_OCCUPANCY.to_value());
     out.insert("jobs".into(), jobs.to_value());
@@ -247,7 +172,6 @@ fn main() {
                     }
                     row.insert("utilization".into(), Value::Object(utils));
                     row.insert("utilization_imbalance".into(), r.imbalance.to_value());
-                    row.insert("service_ops_per_sec".into(), r.ops_per_sec.to_value());
                     Value::Object(row)
                 })
                 .collect(),

@@ -14,13 +14,14 @@
 //! when batched-journaled throughput falls below `R ×` the unjournaled
 //! baseline (the crash-safety tax must stay bounded).
 //!
-//! Usage: `journal_overhead [--ops N] [--seed S] [--min-ratio R]`
+//! Usage: `journal_overhead [--ops N] [--seed S] [--min-ratio R]`; a
+//! flag it cannot read exits 2 rather than running ungated.
 
+use commalloc_bench::{parse_args, Churn, ChurnOp};
+use commalloc_cli::args::{number, put, Flag};
 use commalloc_service::{
     AllocArgs, AllocOutcome, AllocationService, FileJournal, FsyncPolicy, JournalConfig, RequestCtx,
 };
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use serde::{Map, Serialize, Value};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -43,78 +44,37 @@ fn bench_mode(service: &AllocationService, occupancy: f64, ops: usize, seed: u64
     service
         .register("bench", "16x16", Some("Hilbert w/BF"), None, None)
         .expect("fresh service accepts registration");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut live: Vec<u64> = Vec::new();
-    let mut next_job = 0u64;
-    let target = (occupancy * 256.0) as usize;
-    let mut busy = 0usize;
-
-    while busy < target {
-        let size = rng.gen_range(1usize..=8);
-        match service.alloc("bench", &AllocArgs::new(next_job, size), &inert) {
-            Ok(AllocOutcome::Granted(nodes)) => {
-                busy += nodes.len();
-                live.push(next_job);
-                next_job += 1;
-            }
-            _ => break,
-        }
-    }
-
+    let dispatch = |op: ChurnOp| match op {
+        ChurnOp::Alloc { job, size } => matches!(
+            service.alloc("bench", &AllocArgs::new(job, size), &inert),
+            Ok(AllocOutcome::Granted(_))
+        ),
+        ChurnOp::Release(job) => service.release("bench", job, &inert).is_ok(),
+    };
+    let mut churn = Churn::prefill(occupancy, seed, dispatch);
     let start = Instant::now();
-    let mut performed = 0usize;
-    while performed < ops {
-        let victim = live.swap_remove(rng.gen_range(0..live.len()));
-        service
-            .release("bench", victim, &inert)
-            .expect("victim is live");
-        performed += 1;
-        while performed < ops {
-            let size = rng.gen_range(1usize..=8);
-            match service.alloc("bench", &AllocArgs::new(next_job, size), &inert) {
-                Ok(AllocOutcome::Granted(_)) => {
-                    live.push(next_job);
-                    next_job += 1;
-                    performed += 1;
-                }
-                _ => break,
-            }
-        }
-        if live.is_empty() {
-            break;
-        }
-    }
+    let performed = churn.run(ops, dispatch);
     performed as f64 / start.elapsed().as_secs_f64().max(1e-9)
 }
 
+/// The flags as given; an absent one takes its default in `main`.
+#[derive(Debug, Default, PartialEq)]
+struct Args {
+    ops: Option<usize>,
+    seed: Option<u64>,
+    min_ratio: Option<f64>,
+}
+
+#[rustfmt::skip]
+const FLAGS: &[Flag<Args>] = &[
+    Flag("--ops", Some("N"), |o, v| put(&mut o.ops, number(v).map(Some))),
+    Flag("--seed", Some("S"), |o, v| put(&mut o.seed, number(v).map(Some))),
+    Flag("--min-ratio", Some("R"), |o, v| put(&mut o.min_ratio, number(v).map(Some))),
+];
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut ops = DEFAULT_OPS;
-    let mut seed = 1996u64;
-    let mut min_ratio: Option<f64> = None;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--ops" => {
-                if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                    ops = v;
-                }
-                i += 1;
-            }
-            "--seed" => {
-                if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                    seed = v;
-                }
-                i += 1;
-            }
-            "--min-ratio" => {
-                min_ratio = args.get(i + 1).and_then(|s| s.parse().ok());
-                i += 1;
-            }
-            other => eprintln!("ignoring unknown argument {other:?}"),
-        }
-        i += 1;
-    }
+    let args = parse_args(FLAGS);
+    let (ops, seed) = (args.ops.unwrap_or(DEFAULT_OPS), args.seed.unwrap_or(1996));
 
     let occupancy = 0.9;
     let modes: Vec<(&str, Option<FsyncPolicy>)> = vec![
@@ -185,7 +145,7 @@ fn main() {
     std::fs::write("BENCH_journal.json", &json).expect("can write BENCH_journal.json");
     println!("wrote BENCH_journal.json (batched journaling at {batched_ratio:.2}x baseline)");
 
-    if let Some(min) = min_ratio {
+    if let Some(min) = args.min_ratio {
         if batched_ratio < min {
             eprintln!(
                 "REGRESSION: batched-journal throughput is {batched_ratio:.2}x the \
@@ -194,5 +154,27 @@ fn main() {
             std::process::exit(1);
         }
         println!("regression gate passed: {batched_ratio:.2}x >= {min:.2}x");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use commalloc_cli::args::parse_flags;
+
+    #[test]
+    fn a_gate_that_cannot_be_read_is_refused_not_switched_off() {
+        let args = |list: &[&str]| list.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert!(parse_flags(FLAGS, &args(&["--min-ratio", "9.9x"])).is_err());
+        assert!(parse_flags(FLAGS, &args(&["--min-ration", "9.9"])).is_err());
+        assert!(parse_flags(FLAGS, &args(&["--min-ratio"])).is_err());
+        // The line ci.yml runs.
+        let ci = parse_flags(FLAGS, &args(&["--ops", "100000", "--min-ratio", "0.5"]));
+        let expected = Args {
+            ops: Some(100_000),
+            seed: None,
+            min_ratio: Some(0.5),
+        };
+        assert_eq!(ci, Ok(expected));
     }
 }

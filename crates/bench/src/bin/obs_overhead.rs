@@ -35,12 +35,13 @@
 //!
 //! Usage: `obs_overhead [--ops N] [--seed S] [--rounds N]
 //!         [--occupancy F] [--min-disabled R] [--min-enabled R]
-//!         [--min-calibration R]`
+//!         [--min-calibration R]`; a flag it cannot read exits 2
+//! rather than running ungated.
 
+use commalloc_bench::{parse_args, Churn, ChurnOp};
+use commalloc_cli::args::{number, put, Flag};
 use commalloc_service::{AllocationService, Request, Response, Stage};
 use commalloc_workload::CommPattern;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use serde::{Map, Serialize, Value};
 use std::time::Instant;
 
@@ -86,30 +87,58 @@ impl Mode {
 }
 
 /// One mode's persistent churn state: its own service (pre-filled once)
-/// plus the RNG and live-job set, advanced one slice at a time.
-struct Churn {
+/// plus the churn's RNG and live-job set, advanced one slice at a time.
+struct ModeChurn {
     mode: Mode,
     service: AllocationService,
-    rng: StdRng,
-    live: Vec<u64>,
-    next_job: u64,
+    churn: Churn,
 }
 
-fn alloc_line(job: u64, size: usize, pattern: Option<CommPattern>) -> String {
-    Request::Alloc {
-        machine: "bench".to_string(),
-        job,
-        size,
-        wait: false,
-        walltime: pattern.map(|_| 3600.0),
-        pattern,
-        tenant: None,
+/// One churn operation as the connection worker serves it: build the
+/// wire line, parse it, dispatch, render the response line. The traced
+/// modes mint a request context and put the parse on the timeline,
+/// exactly like `handle_connection`; with the recorder off that is the
+/// single relaxed load the disabled gate prices.
+fn dispatch(service: &AllocationService, mode: Mode, op: ChurnOp) -> bool {
+    let machine = "bench".to_string();
+    let line = match op {
+        ChurnOp::Alloc { job, size } => Request::Alloc {
+            machine,
+            job,
+            size,
+            wait: false,
+            walltime: mode.pattern().map(|_| 3600.0),
+            pattern: mode.pattern(),
+            tenant: None,
+        },
+        ChurnOp::Release(job) => Request::Release {
+            machine: Some(machine),
+            job: commalloc_service::JobRef::Bare(job),
+        },
     }
-    .to_line()
+    .to_line();
+    let response = match mode {
+        Mode::Baseline | Mode::Patterned => {
+            let request = Request::from_line(&line).expect("bench lines are well-formed");
+            service.handle(&request)
+        }
+        Mode::Disabled | Mode::Enabled | Mode::Calibration => {
+            let ctx = service.recorder().begin();
+            let parse_start = ctx.now_micros();
+            let request = Request::from_line(&line).expect("bench lines are well-formed");
+            ctx.span(Stage::Parse, 0, 0, parse_start, ctx.now_micros());
+            service.handle_traced(&request, &ctx)
+        }
+    };
+    std::hint::black_box(response.to_line());
+    matches!(
+        response,
+        Response::Granted { .. } | Response::Released { .. }
+    )
 }
 
-impl Churn {
-    fn new(mode: Mode, occupancy: f64, seed: u64) -> Churn {
+impl ModeChurn {
+    fn new(mode: Mode, occupancy: f64, seed: u64) -> ModeChurn {
         let service = AllocationService::new();
         service
             .recorder()
@@ -118,152 +147,60 @@ impl Churn {
         service
             .register("bench", "16x16", Some("Hilbert w/BF"), None, None)
             .expect("fresh service accepts registration");
-        let mut churn = Churn {
+        let churn = Churn::prefill(occupancy, seed, |op| dispatch(&service, mode, op));
+        ModeChurn {
             mode,
             service,
-            rng: StdRng::seed_from_u64(seed),
-            live: Vec::new(),
-            next_job: 0,
-        };
-        let target = (occupancy * 256.0) as usize;
-        let mut busy = 0usize;
-        while busy < target {
-            let size = churn.rng.gen_range(1usize..=8);
-            match churn.dispatch(&alloc_line(churn.next_job, size, mode.pattern())) {
-                Response::Granted { nodes, .. } => {
-                    busy += nodes.len();
-                    churn.live.push(churn.next_job);
-                    churn.next_job += 1;
-                }
-                _ => break,
-            }
-        }
-        churn
-    }
-
-    /// One request as the connection worker serves it: parse the wire
-    /// line, dispatch, render the response line. The traced modes mint
-    /// a request context and put the parse on the timeline, exactly
-    /// like `handle_connection`; with the recorder off that is the
-    /// single relaxed load the disabled gate prices.
-    fn dispatch(&self, line: &str) -> Response {
-        match self.mode {
-            Mode::Baseline | Mode::Patterned => {
-                let request = Request::from_line(line).expect("bench lines are well-formed");
-                let response = self.service.handle(&request);
-                std::hint::black_box(response.to_line());
-                response
-            }
-            Mode::Disabled | Mode::Enabled | Mode::Calibration => {
-                let ctx = self.service.recorder().begin();
-                let parse_start = ctx.now_micros();
-                let request = Request::from_line(line).expect("bench lines are well-formed");
-                ctx.span(Stage::Parse, 0, 0, parse_start, ctx.now_micros());
-                let response = self.service.handle_traced(&request, &ctx);
-                std::hint::black_box(response.to_line());
-                response
-            }
+            churn,
         }
     }
 
     /// Advances the churn by `ops` counted operations; returns the
     /// elapsed wall time in seconds and the ops actually performed.
     fn run_slice(&mut self, ops: usize) -> (f64, usize) {
+        let (service, mode) = (&self.service, self.mode);
         let start = Instant::now();
-        let mut performed = 0usize;
-        while performed < ops {
-            let len = self.live.len();
-            let victim = self.live.swap_remove(self.rng.gen_range(0..len));
-            let release = Request::Release {
-                machine: Some("bench".to_string()),
-                job: commalloc_service::JobRef::Bare(victim),
-            }
-            .to_line();
-            assert!(
-                matches!(self.dispatch(&release), Response::Released { .. }),
-                "victim is live"
-            );
-            performed += 1;
-            while performed < ops {
-                let size = self.rng.gen_range(1usize..=8);
-                match self.dispatch(&alloc_line(self.next_job, size, self.mode.pattern())) {
-                    Response::Granted { .. } => {
-                        self.live.push(self.next_job);
-                        self.next_job += 1;
-                        performed += 1;
-                    }
-                    _ => break,
-                }
-            }
-            if self.live.is_empty() {
-                break;
-            }
-        }
+        let performed = self.churn.run(ops, |op| dispatch(service, mode, op));
         (start.elapsed().as_secs_f64(), performed)
     }
 }
 
+/// The flags as given; an absent one takes its default in `main`.
+#[derive(Debug, Default, PartialEq)]
+struct Args {
+    ops: Option<usize>,
+    rounds: Option<usize>,
+    seed: Option<u64>,
+    occupancy: Option<f64>,
+    min_disabled: Option<f64>,
+    min_enabled: Option<f64>,
+    min_calibration: Option<f64>,
+}
+
+#[rustfmt::skip]
+const FLAGS: &[Flag<Args>] = &[
+    Flag("--ops", Some("N"), |o, v| put(&mut o.ops, number(v).map(Some))),
+    Flag("--rounds", Some("N"), |o, v| put(&mut o.rounds, number(v).map(Some))),
+    Flag("--seed", Some("S"), |o, v| put(&mut o.seed, number(v).map(Some))),
+    Flag("--occupancy", Some("F"), |o, v| put(&mut o.occupancy, number(v).map(Some))),
+    Flag("--min-disabled", Some("R"), |o, v| put(&mut o.min_disabled, number(v).map(Some))),
+    Flag("--min-enabled", Some("R"), |o, v| put(&mut o.min_enabled, number(v).map(Some))),
+    Flag("--min-calibration", Some("R"), |o, v| put(&mut o.min_calibration, number(v).map(Some))),
+];
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut ops = DEFAULT_OPS;
-    let mut rounds = DEFAULT_ROUNDS;
-    let mut seed = 1996u64;
-    let mut occupancy = 0.9f64;
-    let mut min_disabled: Option<f64> = None;
-    let mut min_enabled: Option<f64> = None;
-    let mut min_calibration: Option<f64> = None;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--ops" => {
-                if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                    ops = v;
-                }
-                i += 1;
-            }
-            "--rounds" => {
-                if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                    rounds = v;
-                }
-                i += 1;
-            }
-            "--seed" => {
-                if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                    seed = v;
-                }
-                i += 1;
-            }
-            "--occupancy" => {
-                if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                    occupancy = v;
-                }
-                i += 1;
-            }
-            "--min-disabled" => {
-                min_disabled = args.get(i + 1).and_then(|s| s.parse().ok());
-                i += 1;
-            }
-            "--min-enabled" => {
-                min_enabled = args.get(i + 1).and_then(|s| s.parse().ok());
-                i += 1;
-            }
-            "--min-calibration" => {
-                min_calibration = args.get(i + 1).and_then(|s| s.parse().ok());
-                i += 1;
-            }
-            other => eprintln!("ignoring unknown argument {other:?}"),
-        }
-        i += 1;
-    }
-    let rounds = rounds.max(1);
+    let args = parse_args(FLAGS);
+    let (ops, seed) = (args.ops.unwrap_or(DEFAULT_OPS), args.seed.unwrap_or(1996));
+    let occupancy = args.occupancy.unwrap_or(0.9);
+    let rounds = args.rounds.unwrap_or(DEFAULT_ROUNDS).max(1);
     let slice = (ops / rounds).max(1);
 
     let mut churns = [
-        Churn::new(Mode::Baseline, occupancy, seed),
-        Churn::new(Mode::Disabled, occupancy, seed),
-        Churn::new(Mode::Enabled, occupancy, seed),
-        Churn::new(Mode::Patterned, occupancy, seed),
-        Churn::new(Mode::Calibration, occupancy, seed),
+        ModeChurn::new(Mode::Baseline, occupancy, seed),
+        ModeChurn::new(Mode::Disabled, occupancy, seed),
+        ModeChurn::new(Mode::Enabled, occupancy, seed),
+        ModeChurn::new(Mode::Patterned, occupancy, seed),
+        ModeChurn::new(Mode::Calibration, occupancy, seed),
     ];
     // A warm-up slice per mode (untimed) settles allocator state, lazy
     // init and branch predictors before the measured rotation.
@@ -326,7 +263,7 @@ fn main() {
     println!("wrote BENCH_obs.json");
 
     let mut failed = false;
-    if let Some(min) = min_disabled {
+    if let Some(min) = args.min_disabled {
         if disabled_ratio < min {
             eprintln!(
                 "FAIL: disabled tracing runs at {disabled_ratio:.3}x of the untraced \
@@ -337,7 +274,7 @@ fn main() {
             println!("disabled gate passed: {disabled_ratio:.3}x >= {min:.2}x");
         }
     }
-    if let Some(min) = min_enabled {
+    if let Some(min) = args.min_enabled {
         if enabled_ratio < min {
             eprintln!(
                 "FAIL: enabled tracing runs at {enabled_ratio:.3}x of the untraced \
@@ -348,7 +285,7 @@ fn main() {
             println!("enabled gate passed: {enabled_ratio:.3}x >= {min:.2}x");
         }
     }
-    if let Some(min) = min_calibration {
+    if let Some(min) = args.min_calibration {
         if calibration_ratio < min {
             eprintln!(
                 "FAIL: calibration (recorder and store on) runs at {calibration_ratio:.3}x \
@@ -361,5 +298,36 @@ fn main() {
     }
     if failed {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use commalloc_cli::args::parse_flags;
+
+    #[test]
+    fn a_gate_that_cannot_be_read_is_refused_not_switched_off() {
+        let args = |list: &[&str]| list.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        for gate in ["--min-disabled", "--min-enabled", "--min-calibration"] {
+            assert!(parse_flags(FLAGS, &args(&[gate, "0.9x"])).is_err());
+            assert!(parse_flags(FLAGS, &args(&[&gate[..gate.len() - 1], "0.9"])).is_err());
+        }
+        // The line ci.yml runs.
+        let ci = [
+            "--min-disabled",
+            "0.98",
+            "--min-enabled",
+            "0.90",
+            "--min-calibration",
+            "0.88",
+        ];
+        let expected = Args {
+            min_disabled: Some(0.98),
+            min_enabled: Some(0.90),
+            min_calibration: Some(0.88),
+            ..Args::default()
+        };
+        assert_eq!(parse_flags(FLAGS, &args(&ci)), Ok(expected));
     }
 }

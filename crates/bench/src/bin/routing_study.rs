@@ -32,17 +32,16 @@
 //! (`--load` replaces the canonical two-level sweep with one custom
 //! level, which disables the gate.)
 
+use commalloc_bench::{parse_args, pool_json, pooled_service, POOL};
+use commalloc_cli::args::{number, put, text, unit_interval, Flag};
 use commalloc_mesh::Mesh2D;
 use commalloc_service::score::predicted_contention_2d;
-use commalloc_service::{replay_cluster, AllocationService, ReplayJob, RoutingPolicy};
+use commalloc_service::{replay_cluster, ReplayJob, RoutingPolicy};
 use commalloc_workload::synthetic::ParagonTraceModel;
 use commalloc_workload::{swf, CommPattern, Trace};
 use serde::{Map, Serialize, Value};
 use std::collections::HashMap;
-use std::time::Instant;
 
-/// The heterogeneous pool: 256 + 128 + 64 + 32 = 480 processors.
-const MEMBERS: [(&str, u16, u16); 4] = [("m0", 16, 16), ("m1", 16, 8), ("m2", 8, 8), ("m3", 8, 4)];
 const LARGEST_MEMBER: usize = 256;
 const DEFAULT_JOBS: usize = 400;
 const DEFAULT_SEED: u64 = 1996;
@@ -106,26 +105,11 @@ struct PolicyRow {
     makespan: f64,
     mean_contention: f64,
     scored_grants: u64,
-    ops_per_sec: f64,
 }
 
 fn run_policy(policy: RoutingPolicy, jobs: &[ReplayJob]) -> PolicyRow {
-    let service = AllocationService::new();
-    let meshes: HashMap<&str, Mesh2D> = MEMBERS
-        .iter()
-        .map(|&(name, w, h)| {
-            service
-                .register_in_pool(name, &format!("{w}x{h}"), None, None, None, Some("grid"))
-                .expect("fresh service accepts registration");
-            (name, Mesh2D::new(w, h))
-        })
-        .collect();
-    service
-        .set_router("grid", policy.name())
-        .expect("policy parses");
-    let start = Instant::now();
+    let service = pooled_service(policy);
     let log = replay_cluster(&service, "grid", jobs, None);
-    let elapsed = start.elapsed().as_secs_f64();
     assert!(log.rejected.is_empty(), "curve allocators never refuse");
     let granted: usize = log.grants.values().map(Vec::len).sum();
     assert_eq!(granted, jobs.len(), "every job must run");
@@ -134,8 +118,8 @@ fn run_policy(policy: RoutingPolicy, jobs: &[ReplayJob]) -> PolicyRow {
     let mut waits: Vec<f64> = Vec::with_capacity(jobs.len());
     let mut contention_sum = 0.0f64;
     let mut scored = 0u64;
-    for (name, _, _) in MEMBERS {
-        let mesh = meshes[name];
+    for (name, w, h) in POOL {
+        let mesh = Mesh2D::new(w, h);
         for grant in &log.grants[name] {
             let job = by_id[&grant.job_id];
             waits.push(grant.time - job.arrival);
@@ -154,58 +138,34 @@ fn run_policy(policy: RoutingPolicy, jobs: &[ReplayJob]) -> PolicyRow {
         makespan: log.end_time,
         mean_contention: contention_sum / scored.max(1) as f64,
         scored_grants: scored,
-        ops_per_sec: 2.0 * jobs.len() as f64 / elapsed.max(1e-9),
     }
 }
 
+/// The flags as given; an absent one takes its default in `main`.
+#[derive(Default)]
+struct Args {
+    jobs: Option<usize>,
+    seed: Option<u64>,
+    load: Option<f64>,
+    swf: Option<String>,
+}
+
+#[rustfmt::skip]
+const FLAGS: &[Flag<Args>] = &[
+    Flag("--jobs", Some("N"), |o, v| put(&mut o.jobs, number(v).map(Some))),
+    Flag("--seed", Some("S"), |o, v| put(&mut o.seed, number(v).map(Some))),
+    Flag("--load", Some("F"), |o, v| put(&mut o.load, unit_interval(v).map(Some))),
+    Flag("--swf", Some("FILE"), |o, v| put(&mut o.swf, text(v).map(Some))),
+];
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut jobs = DEFAULT_JOBS;
-    let mut seed = DEFAULT_SEED;
-    let mut custom_load: Option<f64> = None;
-    let mut swf_path: Option<String> = None;
-    let mut i = 1;
-    while i < args.len() {
-        // A malformed value must not silently fall back to the canonical
-        // configuration — the JSON it writes would look canonical too.
-        let value = |flag: &str| -> String {
-            args.get(i + 1)
-                .unwrap_or_else(|| panic!("{flag} needs a value"))
-                .clone()
-        };
-        match args[i].as_str() {
-            "--jobs" => {
-                let v = value("--jobs");
-                jobs = v
-                    .parse()
-                    .unwrap_or_else(|_| panic!("invalid value {v:?} for --jobs"));
-                i += 1;
-            }
-            "--seed" => {
-                let v = value("--seed");
-                seed = v
-                    .parse()
-                    .unwrap_or_else(|_| panic!("invalid value {v:?} for --seed"));
-                i += 1;
-            }
-            "--load" => {
-                let v = value("--load");
-                custom_load = Some(
-                    v.parse()
-                        .ok()
-                        .filter(|&f: &f64| f > 0.0 && f <= 1.0)
-                        .unwrap_or_else(|| panic!("invalid value {v:?} for --load")),
-                );
-                i += 1;
-            }
-            "--swf" => {
-                swf_path = Some(value("--swf"));
-                i += 1;
-            }
-            other => eprintln!("ignoring unknown argument {other:?}"),
-        }
-        i += 1;
-    }
+    let Args {
+        jobs,
+        seed,
+        load: custom_load,
+        swf: swf_path,
+    } = parse_args(FLAGS);
+    let (jobs, seed) = (jobs.unwrap_or(DEFAULT_JOBS), seed.unwrap_or(DEFAULT_SEED));
 
     let base = load_trace(swf_path.as_deref(), jobs, seed).filter_fitting(LARGEST_MEMBER);
     let levels: Vec<(&str, f64)> = match custom_load {
@@ -228,14 +188,13 @@ fn main() {
             let row = run_policy(policy, &stream);
             println!(
                 "  {:<15} mean wait {:>9.1} s | p99 wait {:>9.0} s | makespan {:>9.0} s | \
-             mean contention {:>7.2} over {:>3} grants | {:>8.0} ops/s",
+             mean contention {:>7.2} over {:>3} grants",
                 row.policy.name(),
                 row.mean_wait,
                 row.p99_wait,
                 row.makespan,
                 row.mean_contention,
                 row.scored_grants,
-                row.ops_per_sec,
             );
             rows.push(row);
         }
@@ -289,7 +248,6 @@ fn main() {
                             r.mean_contention.to_value(),
                         );
                         row.insert("scored_grants".into(), r.scored_grants.to_value());
-                        row.insert("service_ops_per_sec".into(), r.ops_per_sec.to_value());
                         Value::Object(row)
                     })
                     .collect(),
@@ -316,21 +274,7 @@ fn main() {
 
     let mut out = Map::new();
     out.insert("benchmark".into(), "routing_study".to_value());
-    out.insert(
-        "pool".into(),
-        Value::Array(
-            MEMBERS
-                .iter()
-                .map(|(name, w, h)| {
-                    let mut m = Map::new();
-                    m.insert("machine".into(), name.to_value());
-                    m.insert("mesh".into(), format!("{w}x{h}").to_value());
-                    m.insert("nodes".into(), (*w as usize * *h as usize).to_value());
-                    Value::Object(m)
-                })
-                .collect(),
-        ),
-    );
+    out.insert("pool".into(), pool_json());
     out.insert(
         "trace".into(),
         swf_path

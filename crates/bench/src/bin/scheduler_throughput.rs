@@ -3,56 +3,27 @@
 //! deterministically (virtual time) under FCFS, first-fit backfill,
 //! EASY backfill and conservative backfill. Reports per-policy queue
 //! waits (count/mean/max), bounded slowdowns (mean/p99 — the fairness
-//! tail conservative exists to protect), makespan, achieved utilization
-//! and raw service throughput, and emits `BENCH_schedulers.json`.
+//! tail conservative exists to protect), makespan and achieved
+//! utilization, and emits `BENCH_schedulers.json`.
 //!
 //! The workload mixes many small jobs (1–16 processors) with occasional
 //! large ones (32–96 processors) — the regime where FCFS's head-of-line
 //! blocking hurts most and backfilling pays. Durations are integral and
 //! walltime estimates are perfect, as in the offline engine's
-//! zero-contention fidelity, so the numbers are exactly reproducible.
+//! zero-contention fidelity, so the file is a pure function of the code:
+//! CI re-runs this binary and fails if the committed copy differs.
 //!
 //! Usage: `scheduler_throughput [--jobs N] [--seed S]`
 
 use commalloc::scheduler::SchedulerKind;
+use commalloc_bench::{mixed_stream, parse_args};
+use commalloc_cli::args::{number, positive, put, Flag};
 use commalloc_service::{replay, AllocationService, ReplayJob, SLOWDOWN_TAU_SECONDS};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use serde::{Map, Serialize, Value};
-use std::time::Instant;
 
 const NODES: f64 = 256.0;
 const TARGET_OCCUPANCY: f64 = 0.9;
 const DEFAULT_JOBS: usize = 600;
-
-/// Mixed-size job stream whose offered load approaches
-/// `TARGET_OCCUPANCY` of the 16×16 machine.
-fn workload(jobs: usize, seed: u64) -> Vec<ReplayJob> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut out = Vec::with_capacity(jobs);
-    let mut arrival = 0.0f64;
-    // Mean demand per job: 0.75·E[small]·E[dur] + 0.25·E[large]·E[dur].
-    let mean_size = 0.75 * 8.5 + 0.25 * 64.0;
-    let mean_duration = 275.0;
-    let mean_interarrival = (mean_size * mean_duration) / (TARGET_OCCUPANCY * NODES);
-    for id in 0..jobs {
-        let size = if rng.gen_bool(0.75) {
-            rng.gen_range(1usize..=16)
-        } else {
-            rng.gen_range(32usize..=96)
-        };
-        let duration = rng.gen_range(50u64..=500) as f64;
-        arrival += (rng.gen_range(1u64..=(2.0 * mean_interarrival) as u64)) as f64;
-        out.push(ReplayJob {
-            id: id as u64,
-            size,
-            arrival,
-            duration,
-            pattern: None,
-        });
-    }
-    out
-}
 
 struct PolicyRow {
     scheduler: SchedulerKind,
@@ -63,7 +34,6 @@ struct PolicyRow {
     p99_slowdown: f64,
     makespan: f64,
     utilization: f64,
-    ops_per_sec: f64,
 }
 
 fn run_policy(scheduler: SchedulerKind, jobs: &[ReplayJob]) -> PolicyRow {
@@ -71,9 +41,7 @@ fn run_policy(scheduler: SchedulerKind, jobs: &[ReplayJob]) -> PolicyRow {
     service
         .register("bench", "16x16", None, None, Some(scheduler.name()))
         .expect("fresh service accepts registration");
-    let start = Instant::now();
     let log = replay(&service, "bench", jobs, None);
-    let elapsed = start.elapsed().as_secs_f64();
     assert!(log.rejected.is_empty(), "curve allocators never refuse");
     assert_eq!(log.grants.len(), jobs.len(), "every job must run");
 
@@ -100,8 +68,6 @@ fn run_policy(scheduler: SchedulerKind, jobs: &[ReplayJob]) -> PolicyRow {
     }
     slowdowns.sort_by(f64::total_cmp);
     let p99_rank = ((0.99 * slowdowns.len() as f64).ceil() as usize).clamp(1, slowdowns.len());
-    // One op = one alloc or one release round trip through the service.
-    let ops = 2.0 * jobs.len() as f64;
     PolicyRow {
         scheduler,
         mean_wait: wait_total / jobs.len() as f64,
@@ -111,49 +77,35 @@ fn run_policy(scheduler: SchedulerKind, jobs: &[ReplayJob]) -> PolicyRow {
         p99_slowdown: slowdowns[p99_rank - 1],
         makespan: log.end_time,
         utilization: busy_integral / (log.end_time * NODES),
-        ops_per_sec: ops / elapsed.max(1e-9),
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut jobs = DEFAULT_JOBS;
-    let mut seed = 1996u64;
-    let mut i = 1;
-    while i < args.len() {
-        // A malformed value must not silently fall back to the canonical
-        // configuration — the JSON it writes would look canonical too.
-        let numeric = |flag: &str| -> u64 {
-            let value = args
-                .get(i + 1)
-                .unwrap_or_else(|| panic!("{flag} needs a value"));
-            value
-                .parse()
-                .unwrap_or_else(|_| panic!("invalid value {value:?} for {flag}"))
-        };
-        match args[i].as_str() {
-            "--jobs" => {
-                jobs = numeric("--jobs") as usize;
-                assert!(jobs > 0, "--jobs needs at least one job");
-                i += 1;
-            }
-            "--seed" => {
-                seed = numeric("--seed");
-                i += 1;
-            }
-            other => eprintln!("ignoring unknown argument {other:?}"),
-        }
-        i += 1;
-    }
+/// The flags as given; an absent one takes its default in `main`.
+#[derive(Default)]
+struct Args {
+    jobs: Option<usize>,
+    seed: Option<u64>,
+}
 
-    let stream = workload(jobs, seed);
+#[rustfmt::skip]
+const FLAGS: &[Flag<Args>] = &[
+    Flag("--jobs", Some("N"), |o, v| put(&mut o.jobs, positive(v).map(Some))),
+    Flag("--seed", Some("S"), |o, v| put(&mut o.seed, number(v).map(Some))),
+];
+
+fn main() {
+    let args = parse_args(FLAGS);
+    let (jobs, seed) = (args.jobs.unwrap_or(DEFAULT_JOBS), args.seed.unwrap_or(1996));
+
+    // Many small jobs, occasional large ones, offered at ~90% of the
+    // 16×16 machine.
+    let stream = mixed_stream(jobs, seed, TARGET_OCCUPANCY * NODES, 1..=16, 32..=96);
     let mut rows = Vec::new();
     for scheduler in SchedulerKind::all() {
         let row = run_policy(scheduler, &stream);
         println!(
             "{:<21} mean wait {:>8.1} s | max wait {:>8.0} s | waited {:>4}/{} | \
-             slowdown mean {:>6.2} p99 {:>7.2} | makespan {:>8.0} s | util {:>5.1}% | \
-             {:>9.0} ops/s",
+             slowdown mean {:>6.2} p99 {:>7.2} | makespan {:>8.0} s | util {:>5.1}%",
             row.scheduler.name(),
             row.mean_wait,
             row.max_wait,
@@ -163,7 +115,6 @@ fn main() {
             row.p99_slowdown,
             row.makespan,
             row.utilization * 100.0,
-            row.ops_per_sec,
         );
         rows.push(row);
     }
@@ -217,7 +168,6 @@ fn main() {
                     row.insert("p99_bounded_slowdown".into(), r.p99_slowdown.to_value());
                     row.insert("makespan_seconds".into(), r.makespan.to_value());
                     row.insert("utilization".into(), r.utilization.to_value());
-                    row.insert("service_ops_per_sec".into(), r.ops_per_sec.to_value());
                     Value::Object(row)
                 })
                 .collect(),

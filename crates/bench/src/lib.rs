@@ -4,8 +4,16 @@
 //! Every binary under `src/bin/` regenerates one figure or table of the
 //! paper (see DESIGN.md §3 for the index). They share:
 //!
-//! * [`cli`] — a tiny argument parser (`--jobs N`, `--full`, `--seed S`,
-//!   `--pattern P`) so the binaries stay dependency-free;
+//! * [`cli`] — the figure binaries' flags (`--jobs N`, `--full`, `--seed S`,
+//!   `--pattern P`, `--include-first-fit`), one table on the CLI's
+//!   flag parser; [`parse_args`] runs any such table over the process
+//!   arguments, which is how the service benchmarks take theirs too;
+//! * [`Churn`] — the steady-state alloc/release churn the journal and
+//!   observability overhead benchmarks time, parameterised by how one
+//!   operation reaches the service;
+//! * [`mixed_stream`], [`POOL`] and [`pooled_service`] — the mixed-size
+//!   job stream and the heterogeneous four-machine pool the scheduler
+//!   and routing studies replay;
 //! * [`standard_trace`] — the synthetic SDSC-Paragon-like trace used by
 //!   default, subsampled so the default run finishes in minutes; `--full`
 //!   switches to the full 6087-job workload the paper uses;
@@ -16,11 +24,15 @@
 
 use commalloc::prelude::*;
 use commalloc_alloc::AllocRequest;
+use commalloc_cli::args::{number, parse_flags, put, usage_lines, Flag};
 use commalloc_mesh::NodeId;
+use commalloc_service::{AllocationService, ReplayJob, RoutingPolicy};
 use commalloc_workload::Job;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
+use serde::{Map, Serialize, Value};
+use std::ops::RangeInclusive;
 
 /// Default number of trace jobs for the figure binaries; chosen so a full
 /// figure sweep finishes in a few minutes on a laptop while preserving the
@@ -41,50 +53,184 @@ pub struct Cli {
     pub include_first_fit: bool,
 }
 
-/// Parses the common flags from `std::env::args`.
-pub fn cli() -> Cli {
-    let args: Vec<String> = std::env::args().collect();
-    let mut jobs = DEFAULT_JOBS;
-    let mut seed = 1996u64;
-    let mut pattern = None;
-    let mut include_first_fit = false;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--jobs" => {
-                if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                    jobs = v;
-                }
-                i += 1;
-            }
-            "--seed" => {
-                if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                    seed = v;
-                }
-                i += 1;
-            }
-            "--pattern" => {
-                pattern = args.get(i + 1).and_then(|s| CommPattern::parse(s));
-                i += 1;
-            }
-            "--full" => jobs = 6087,
-            "--include-first-fit" => include_first_fit = true,
-            "--help" | "-h" => {
-                eprintln!(
-                    "options: [--jobs N] [--full] [--seed S] [--pattern all-to-all|n-body|random] [--include-first-fit]"
-                );
-                std::process::exit(0);
-            }
-            other => eprintln!("ignoring unknown argument {other:?}"),
+impl Default for Cli {
+    fn default() -> Self {
+        Cli {
+            jobs: DEFAULT_JOBS,
+            seed: 1996,
+            pattern: None,
+            include_first_fit: false,
         }
-        i += 1;
     }
-    Cli {
-        jobs,
-        seed,
-        pattern,
-        include_first_fit,
+}
+
+#[rustfmt::skip]
+const CLI_FLAGS: &[Flag<Cli>] = &[
+    Flag("--jobs", Some("N"), |o, v| put(&mut o.jobs, number(v))),
+    Flag("--full", None, |o, _| put(&mut o.jobs, Some(6087))),
+    Flag("--seed", Some("S"), |o, v| put(&mut o.seed, number(v))),
+    Flag("--pattern", Some("all-to-all|n-body|random"),
+        |o, v| put(&mut o.pattern, CommPattern::parse(v).map(Some))),
+    Flag("--include-first-fit", None, |o, _| put(&mut o.include_first_fit, Some(true))),
+];
+
+/// Parses the figure binaries' common flags from `std::env::args`.
+pub fn cli() -> Cli {
+    parse_args(CLI_FLAGS)
+}
+
+/// Parses the process arguments against a binary's flag table. `--help`
+/// prints the usage line generated from the table; an unknown flag, a
+/// missing value or a malformed value prints the error and that line and
+/// exits 2 — a typo must not run the default configuration (or switch a
+/// `--min-*` gate off) and still exit 0.
+pub fn parse_args<O: Default>(table: &[Flag<O>]) -> O {
+    let mut args = std::env::args();
+    let program = args.next().unwrap_or_default();
+    let args: Vec<String> = args.collect();
+    let usage = format!(
+        "usage: {program} {}",
+        usage_lines(table, usize::MAX).join(" ")
+    );
+    if args.iter().any(|arg| arg == "--help" || arg == "-h") {
+        println!("{usage}");
+        std::process::exit(0);
     }
+    parse_flags(table, &args).unwrap_or_else(|err| {
+        eprintln!("error: {err}\n{usage}");
+        std::process::exit(2)
+    })
+}
+
+/// What one churn step asks of the service.
+pub enum ChurnOp {
+    /// Allocate `size` processors to job `job`; answered `true` when
+    /// granted.
+    Alloc { job: u64, size: usize },
+    /// Release a live job; must succeed.
+    Release(u64),
+}
+
+/// Steady-state churn on one 16×16 machine: pre-filled to a target
+/// occupancy with 1–8-processor jobs, then per step one random live job
+/// is released and fresh random-size jobs are allocated until one is
+/// refused, so every counted operation commits. The caller supplies how
+/// an operation reaches the service (a direct call, a wire line).
+pub struct Churn {
+    rng: StdRng,
+    live: Vec<u64>,
+    next_job: u64,
+}
+
+impl Churn {
+    /// Fills the (empty) machine to `occupancy` of its 256 processors.
+    pub fn prefill(occupancy: f64, seed: u64, mut dispatch: impl FnMut(ChurnOp) -> bool) -> Churn {
+        let mut churn = Churn {
+            rng: StdRng::seed_from_u64(seed),
+            live: Vec::new(),
+            next_job: 0,
+        };
+        let target = (occupancy * 256.0) as usize;
+        let mut busy = 0usize;
+        while busy < target {
+            match churn.alloc(&mut dispatch) {
+                Some(size) => busy += size,
+                None => break,
+            }
+        }
+        churn
+    }
+
+    /// One allocation attempt; the size granted.
+    fn alloc(&mut self, dispatch: &mut impl FnMut(ChurnOp) -> bool) -> Option<usize> {
+        let (job, size) = (self.next_job, self.rng.gen_range(1usize..=8));
+        dispatch(ChurnOp::Alloc { job, size }).then(|| {
+            self.live.push(job);
+            self.next_job += 1;
+            size
+        })
+    }
+
+    /// Advances the churn by up to `ops` operations (one allocate or one
+    /// release each) and returns how many it performed: fewer only when
+    /// no job is live to release.
+    pub fn run(&mut self, ops: usize, mut dispatch: impl FnMut(ChurnOp) -> bool) -> usize {
+        let mut performed = 0usize;
+        while performed < ops && !self.live.is_empty() {
+            let victim = self
+                .live
+                .swap_remove(self.rng.gen_range(0..self.live.len()));
+            assert!(dispatch(ChurnOp::Release(victim)), "victim is live");
+            performed += 1;
+            while performed < ops && self.alloc(&mut dispatch).is_some() {
+                performed += 1;
+            }
+        }
+        performed
+    }
+}
+
+/// A mixed-size job stream whose offered load keeps about `busy_nodes`
+/// processors busy: three jobs in four draw their size from `small`,
+/// the fourth from `large`; durations are 50–500 s and inter-arrivals
+/// uniform around the mean that offers that load. Everything is
+/// integral, so a replay in virtual time is exactly reproducible.
+pub fn mixed_stream(
+    jobs: usize,
+    seed: u64,
+    busy_nodes: f64,
+    small: RangeInclusive<usize>,
+    large: RangeInclusive<usize>,
+) -> Vec<ReplayJob> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mean = |range: &RangeInclusive<usize>| (range.start() + range.end()) as f64 / 2.0;
+    let mean_size = 0.75 * mean(&small) + 0.25 * mean(&large);
+    let mean_duration = 275.0;
+    let mean_interarrival = (mean_size * mean_duration) / busy_nodes;
+    let mut arrival = 0.0f64;
+    (0..jobs as u64)
+        .map(|id| {
+            let size = if rng.gen_bool(0.75) {
+                rng.gen_range(small.clone())
+            } else {
+                rng.gen_range(large.clone())
+            };
+            let duration = rng.gen_range(50u64..=500) as f64;
+            arrival += rng.gen_range(1u64..=(2.0 * mean_interarrival) as u64) as f64;
+            ReplayJob::new(id, size, arrival, duration)
+        })
+        .collect()
+}
+
+/// The heterogeneous pool of the routing studies, as `(name, width,
+/// height)`: 256 + 128 + 64 + 32 = 480 processors.
+pub const POOL: [(&str, u16, u16); 4] = [("m0", 16, 16), ("m1", 16, 8), ("m2", 8, 8), ("m3", 8, 4)];
+
+/// A fresh service with [`POOL`] registered as pool `grid`, routed by
+/// `policy`.
+pub fn pooled_service(policy: RoutingPolicy) -> AllocationService {
+    let service = AllocationService::new();
+    for (name, w, h) in POOL {
+        service
+            .register_in_pool(name, &format!("{w}x{h}"), None, None, None, Some("grid"))
+            .expect("fresh service accepts registration");
+    }
+    service
+        .set_router("grid", policy.name())
+        .expect("policy parses");
+    service
+}
+
+/// [`POOL`] as the `"pool"` entry of a `BENCH_*.json` file.
+pub fn pool_json() -> Value {
+    let members = POOL.iter().map(|&(name, w, h)| {
+        let mut m = Map::new();
+        m.insert("machine".into(), name.to_value());
+        m.insert("mesh".into(), format!("{w}x{h}").to_value());
+        m.insert("nodes".into(), (w as usize * h as usize).to_value());
+        Value::Object(m)
+    });
+    Value::Array(members.collect())
 }
 
 /// The synthetic SDSC-Paragon-like trace used by the figure binaries.

@@ -1,12 +1,26 @@
 //! Command-line parsing for the `commalloc` driver.
 //!
-//! The parser is hand-rolled (no external argument-parsing dependency) and
-//! pure: it maps an argument vector to a [`Command`] value or a
-//! [`ParseError`], which keeps every flag combination unit-testable.
+//! **One row per flag.** Each subcommand has a table of [`Flag`] rows: the
+//! flag's name, the placeholder its value shows as in the usage text
+//! (`None` marks a switch, which takes no value), and a setter that parses
+//! the value into the subcommand's options and answers whether it was
+//! acceptable. [`parse_flags`] walks one table over an argument list;
+//! [`parse_command`] dispatches on the subcommand and then applies the
+//! rules that relate two flags (`--router` needs `--pool`, ...), which are
+//! rules, not rows. The flag lists of [`usage`] are generated from the
+//! same tables, so help cannot drift from the parser. Parsing is pure: an
+//! argument vector maps to a [`Command`] or a [`ParseError`], which keeps
+//! every flag combination unit-testable. The bench binaries declare their
+//! own small tables on the same parser.
 
+use crate::loadgen::LoadgenConfig;
 use commalloc::prelude::*;
 use commalloc::scheduler::SchedulerKind as Scheduler;
-use std::fmt;
+use commalloc_service::{
+    parse_dims, validate_tenant_name, Framing, FsyncPolicy, JobRef, RoutingPolicy,
+};
+use std::fmt::{self, Write as _};
+use std::str::FromStr;
 
 /// Errors produced while parsing the command line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,6 +52,10 @@ impl fmt::Display for ParseError {
 }
 
 impl std::error::Error for ParseError {}
+
+/// Where the daemon listens, and its clients connect, unless `--addr`
+/// says otherwise.
+pub const DEFAULT_ADDR: &str = "127.0.0.1:7411";
 
 /// Options shared by the simulation-driving subcommands.
 #[derive(Debug, Clone, PartialEq)]
@@ -211,9 +229,9 @@ pub struct ServeOptions {
     /// Write-ahead journal directory; `None` runs memoryless. An
     /// existing journal is recovered on startup.
     pub journal: Option<String>,
-    /// Fsync policy spec (`every`, `never`, or a batch size; requires
+    /// Fsync policy (`every`, `never`, or a batch size; requires
     /// `journal`).
-    pub fsync: Option<String>,
+    pub fsync: Option<FsyncPolicy>,
     /// Records between snapshot compactions (requires `journal`).
     pub snapshot_every: Option<u64>,
     /// Start with the flight recorder capturing (it is off by default
@@ -227,7 +245,7 @@ pub struct ServeOptions {
 impl Default for ServeOptions {
     fn default() -> Self {
         ServeOptions {
-            addr: "127.0.0.1:7411".to_string(),
+            addr: DEFAULT_ADDR.to_string(),
             workers: 4,
             machine: "default".to_string(),
             mesh: "16x16".to_string(),
@@ -241,78 +259,6 @@ impl Default for ServeOptions {
             snapshot_every: None,
             trace: false,
             calibration: false,
-        }
-    }
-}
-
-/// Options of the `loadgen` subcommand.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LoadgenOptions {
-    /// Address of the running daemon.
-    pub addr: String,
-    /// Machine to drive (registered on demand with `mesh`), or a
-    /// `"@pool"` cluster address to route every allocation.
-    pub machine: String,
-    /// Mesh spec used if the machine is not yet registered.
-    pub mesh: String,
-    /// Scheduling policy used if the machine is not yet registered.
-    pub scheduler: Option<String>,
-    /// Total allocate/release requests to issue (across connections).
-    pub requests: usize,
-    /// Concurrent client connections.
-    pub connections: usize,
-    /// Occupancy the generator steers towards, in `(0, 1]`.
-    pub occupancy: f64,
-    /// Largest request size.
-    pub max_size: usize,
-    /// Largest walltime estimate sent with allocations (seconds);
-    /// `None` sends none.
-    pub max_walltime: Option<f64>,
-    /// Routing policy to switch the pool to before driving (requires a
-    /// `"@pool"` machine address).
-    pub router: Option<String>,
-    /// Communication pattern declared on every allocation (canonical
-    /// pattern name); `None` sends unpatterned allocations.
-    pub pattern: Option<String>,
-    /// Wire framing the driving connections speak: `"ndjson"` (default)
-    /// or `"binary"` (length-prefixed frames, no JSON cost).
-    pub framing: String,
-    /// RNG seed.
-    pub seed: u64,
-    /// Tenant every driving connection binds itself to with `hello`
-    /// (allocations inherit it); `None` drives untenanted.
-    pub tenant: Option<String>,
-    /// Skip the final drain, leaving the granted jobs live on the
-    /// daemon (the crash-recovery harness kills the daemon with this
-    /// state and asserts it is recovered intact).
-    pub no_drain: bool,
-    /// Write the end-of-run claim table (every live job with its exact
-    /// nodes) to this JSON file, for `recovery-check`.
-    pub claims_out: Option<String>,
-    /// Emit machine-readable JSON instead of the human summary.
-    pub json: bool,
-}
-
-impl Default for LoadgenOptions {
-    fn default() -> Self {
-        LoadgenOptions {
-            addr: "127.0.0.1:7411".to_string(),
-            machine: "default".to_string(),
-            mesh: "16x16".to_string(),
-            scheduler: None,
-            requests: 10_000,
-            connections: 4,
-            occupancy: 0.7,
-            max_size: 32,
-            max_walltime: None,
-            router: None,
-            pattern: None,
-            framing: "ndjson".to_string(),
-            seed: 1996,
-            tenant: None,
-            no_drain: false,
-            claims_out: None,
-            json: false,
         }
     }
 }
@@ -338,7 +284,7 @@ pub struct TenantOptions {
 impl Default for TenantOptions {
     fn default() -> Self {
         TenantOptions {
-            addr: "127.0.0.1:7411".to_string(),
+            addr: DEFAULT_ADDR.to_string(),
             name: None,
             weight: None,
             quota: None,
@@ -362,7 +308,7 @@ pub struct FairShareOptions {
 impl Default for FairShareOptions {
     fn default() -> Self {
         FairShareOptions {
-            addr: "127.0.0.1:7411".to_string(),
+            addr: DEFAULT_ADDR.to_string(),
             machine: "default".to_string(),
             enabled: true,
         }
@@ -378,7 +324,7 @@ pub struct JobOptions {
     /// itself qualified (`m0/7`, `grid/m0/7`).
     pub machine: Option<String>,
     /// Job reference: `7`, `m0/7`, or `grid/m0/7`.
-    pub job: String,
+    pub job: JobRef,
     /// Emit JSON.
     pub json: bool,
 }
@@ -386,9 +332,9 @@ pub struct JobOptions {
 impl Default for JobOptions {
     fn default() -> Self {
         JobOptions {
-            addr: "127.0.0.1:7411".to_string(),
+            addr: DEFAULT_ADDR.to_string(),
             machine: None,
-            job: String::new(),
+            job: JobRef::Bare(0),
             json: false,
         }
     }
@@ -411,7 +357,7 @@ pub struct WatchOptions {
 impl Default for WatchOptions {
     fn default() -> Self {
         WatchOptions {
-            addr: "127.0.0.1:7411".to_string(),
+            addr: DEFAULT_ADDR.to_string(),
             interval: 2.0,
             window: "10s".to_string(),
             count: None,
@@ -431,7 +377,7 @@ pub struct CalibrationOptions {
 impl Default for CalibrationOptions {
     fn default() -> Self {
         CalibrationOptions {
-            addr: "127.0.0.1:7411".to_string(),
+            addr: DEFAULT_ADDR.to_string(),
             json: false,
         }
     }
@@ -451,7 +397,7 @@ pub struct RecoveryCheckOptions {
 impl Default for RecoveryCheckOptions {
     fn default() -> Self {
         RecoveryCheckOptions {
-            addr: "127.0.0.1:7411".to_string(),
+            addr: DEFAULT_ADDR.to_string(),
             claims: "claims.json".to_string(),
             json: false,
         }
@@ -471,8 +417,9 @@ pub enum Command {
     Trace(TraceOptions),
     /// Run the allocation daemon.
     Serve(ServeOptions),
-    /// Drive a running daemon with allocate/release traffic.
-    Loadgen(LoadgenOptions),
+    /// Drive a running daemon with allocate/release traffic; the flag
+    /// says whether to report as JSON.
+    Loadgen(LoadgenConfig, bool),
     /// Verify a recovered daemon against a loadgen claim table.
     RecoveryCheck(RecoveryCheckOptions),
     /// Configure a tenant or list the tenant table of a running daemon.
@@ -525,653 +472,401 @@ fn parse_curve(value: &str) -> Option<CurveKind> {
         .find(|k| k.name().eq_ignore_ascii_case(value.trim()))
 }
 
-/// Parses a scheduler name (delegates to the canonical parser so the
-/// CLI and the wire protocol accept exactly the same spellings).
-fn parse_scheduler(value: &str) -> Option<Scheduler> {
-    Scheduler::parse(value)
-}
-
-/// Validates a mesh-spec *shape* (`WxH` or `WxHxD`); the service parses
-/// the dimensions properly at registration.
-fn mesh_shape_ok(value: &str) -> bool {
-    (2..=3).contains(&value.split(['x', 'X']).count())
-}
-
 /// Parses a `--machines` list: comma-separated `NAME=MESH` pairs with
-/// non-empty names and shape-valid meshes.
+/// non-empty names and meshes the service would register.
 fn parse_machines(value: &str) -> Option<Vec<(String, String)>> {
     let machines: Option<Vec<(String, String)>> = value
         .split(',')
         .map(|entry| {
             let (name, mesh) = entry.split_once('=')?;
             let (name, mesh) = (name.trim(), mesh.trim());
-            (!name.is_empty() && mesh_shape_ok(mesh)).then(|| (name.to_string(), mesh.to_string()))
+            (!name.is_empty() && parse_dims(mesh).is_ok())
+                .then(|| (name.to_string(), mesh.to_string()))
         })
         .collect();
     machines.filter(|m| !m.is_empty())
 }
 
-/// Parses a routing-policy name (delegates to the canonical parser so
-/// the CLI and the wire protocol accept exactly the same spellings).
-fn parse_router(value: &str) -> Option<commalloc_service::RoutingPolicy> {
-    commalloc_service::RoutingPolicy::parse(value)
-}
+/// One flag a subcommand accepts, one row of its table: the flag as
+/// typed (`"--mesh"`); what its value shows as in the usage text (`None`
+/// marks a switch, which takes no value); and the setter, which parses
+/// the value (`""` for a switch) into the options and answers `false`
+/// to refuse it.
+pub struct Flag<O>(
+    pub &'static str,
+    pub Option<&'static str>,
+    pub fn(&mut O, &str) -> bool,
+);
 
-/// Shape check of a tenant name, mirrored from the service boundary:
-/// non-empty, no `@` sigil, no `/` (reserved by job references).
-fn tenant_name_ok(value: &str) -> bool {
-    !value.is_empty() && !value.starts_with('@') && !value.contains('/')
-}
-
-/// Splits the argument list into `(flag, value)` pairs, treating `--json`
-/// as a boolean flag.
-fn flag_pairs(args: &[String]) -> Result<Vec<(String, Option<String>)>, ParseError> {
-    let mut pairs = Vec::new();
-    let mut i = 0usize;
-    while i < args.len() {
-        let flag = args[i].clone();
-        if !flag.starts_with("--") {
-            return Err(ParseError::UnknownFlag(flag));
+/// Walks `args` over one subcommand's `table`, starting from the options'
+/// defaults. Arity is the row's: a switch consumes one token, any other
+/// flag two. Errors are reported in argument order.
+pub fn parse_flags<O: Default>(table: &[Flag<O>], args: &[String]) -> Result<O, ParseError> {
+    let mut opts = O::default();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let Some(Flag(_, placeholder, set)) = table.iter().find(|flag| flag.0 == arg) else {
+            return Err(ParseError::UnknownFlag(arg.clone()));
+        };
+        let value = match placeholder {
+            None => "",
+            Some(_) => args
+                .next()
+                .ok_or_else(|| ParseError::MissingValue(arg.clone()))?,
+        };
+        if !set(&mut opts, value) {
+            return Err(ParseError::InvalidValue {
+                flag: arg.clone(),
+                value: value.to_string(),
+            });
         }
-        if flag == "--json"
-            || flag == "--no-drain"
-            || flag == "--clear"
-            || flag == "--trace"
-            || flag == "--follow"
-            || flag == "--calibration"
-        {
-            pairs.push((flag, None));
-            i += 1;
-            continue;
+    }
+    Ok(opts)
+}
+
+/// A table's flags as they show in help (`[--mesh WxH] [--json]`),
+/// wrapped into lines of at most `width` columns.
+pub fn usage_lines<O>(table: &[Flag<O>], width: usize) -> Vec<String> {
+    let mut lines: Vec<String> = Vec::new();
+    for Flag(name, placeholder, _) in table {
+        let item = match placeholder {
+            Some(value) => format!("[{name} {value}]"),
+            None => format!("[{name}]"),
+        };
+        match lines.last_mut() {
+            Some(line) if line.len() + 1 + item.len() <= width => {
+                line.push(' ');
+                line.push_str(&item);
+            }
+            _ => lines.push(item),
         }
-        let value = args
-            .get(i + 1)
-            .cloned()
-            .ok_or_else(|| ParseError::MissingValue(flag.clone()))?;
-        pairs.push((flag, Some(value)));
-        i += 2;
     }
-    Ok(pairs)
+    lines
 }
 
-fn invalid(flag: &str, value: &str) -> ParseError {
-    ParseError::InvalidValue {
-        flag: flag.to_string(),
-        value: value.to_string(),
+/// Stores a parsed value in its option; `false` when it did not parse.
+pub fn put<T>(slot: &mut T, parsed: Option<T>) -> bool {
+    parsed.map(|value| *slot = value).is_some()
+}
+
+/// Any value its type can parse.
+pub fn number<T: FromStr>(value: &str) -> Option<T> {
+    value.parse().ok()
+}
+
+/// An integer above zero.
+pub fn positive<T: FromStr + PartialOrd + Default>(value: &str) -> Option<T> {
+    number(value).filter(|n| *n > T::default())
+}
+
+/// A fraction in `(0, 1]`.
+pub fn unit_interval(value: &str) -> Option<f64> {
+    number(value).filter(|&f| f > 0.0 && f <= 1.0)
+}
+
+/// A finite number above zero.
+pub fn finite_positive(value: &str) -> Option<f64> {
+    number(value).filter(|&f: &f64| f.is_finite() && f > 0.0)
+}
+
+/// `on` / `off` (also `true`/`false`, `1`/`0`).
+pub fn on_off(value: &str) -> Option<bool> {
+    match value {
+        "on" | "true" | "1" => Some(true),
+        "off" | "false" | "0" => Some(false),
+        _ => None,
     }
 }
 
-/// Parses a complete argument vector (without the program name).
+/// The value as given.
+pub fn text(value: &str) -> Option<String> {
+    Some(value.to_string())
+}
+
+/// The value as given, if `ok`: for values kept as text once the parser
+/// that will read them has accepted them.
+pub fn checked(value: &str, ok: bool) -> Option<String> {
+    ok.then(|| value.to_string())
+}
+
+/// The value as given, unless empty.
+pub fn non_empty(value: &str) -> Option<String> {
+    checked(value, !value.is_empty())
+}
+
+#[rustfmt::skip]
+const SIMULATE: &[Flag<SimulateOptions>] = &[
+    Flag("--mesh", Some("WxH"), |o, v| put(&mut o.mesh, parse_mesh(v))),
+    Flag("--pattern", Some("P"), |o, v| put(&mut o.pattern, CommPattern::parse(v))),
+    Flag("--allocator", Some("A"), |o, v| put(&mut o.allocator, AllocatorKind::parse(v))),
+    Flag("--scheduler", Some("S"), |o, v| put(&mut o.scheduler, Scheduler::parse(v))),
+    Flag("--load", Some("L"), |o, v| put(&mut o.load, unit_interval(v))),
+    Flag("--jobs", Some("N"), |o, v| put(&mut o.jobs, number(v))),
+    Flag("--seed", Some("S"), |o, v| put(&mut o.seed, number(v))),
+    Flag("--swf", Some("FILE"), |o, v| put(&mut o.swf, text(v).map(Some))),
+    Flag("--json", None, |o, _| put(&mut o.json, Some(true))),
+];
+
+#[rustfmt::skip]
+const SWEEP: &[Flag<SweepOptions>] = &[
+    Flag("--mesh", Some("WxH"), |o, v| put(&mut o.mesh, parse_mesh(v))),
+    Flag("--pattern", Some("P"),
+        |o, v| put(&mut o.patterns, CommPattern::parse(v).map(|p| vec![p]))),
+    Flag("--allocator", Some("A"),
+        |o, v| put(&mut o.allocators, AllocatorKind::parse(v).map(|a| vec![a]))),
+    // `--extended true` adds the extension allocators.
+    Flag("--extended", Some("true"), |o, v| number(v)
+        .map(|extended| if extended { o.allocators.extend(AllocatorKind::extended_set()) })
+        .is_some()),
+    Flag("--loads", Some("1.0,0.6,0.2"), |o, v| put(&mut o.loads, parse_loads(v))),
+    Flag("--jobs", Some("N"), |o, v| put(&mut o.jobs, number(v))),
+    Flag("--seed", Some("S"), |o, v| put(&mut o.seed, number(v))),
+    Flag("--json", None, |o, _| put(&mut o.json, Some(true))),
+];
+
+#[rustfmt::skip]
+const CURVES: &[Flag<CurvesOptions>] = &[
+    Flag("--mesh", Some("WxH"), |o, v| put(&mut o.mesh, parse_mesh(v))),
+    Flag("--curve", Some("NAME"), |o, v| put(&mut o.curve, parse_curve(v).map(Some))),
+    Flag("--window", Some("K"), |o, v| put(&mut o.window, positive(v))),
+];
+
+#[rustfmt::skip]
+const TRACE: &[Flag<TraceOptions>] = &[
+    Flag("--jobs", Some("N"), |o, v| put(&mut o.jobs, number(v))),
+    Flag("--seed", Some("S"), |o, v| put(&mut o.seed, number(v))),
+    Flag("--swf", Some("FILE"), |o, v| put(&mut o.swf, text(v).map(Some))),
+    Flag("--json", None, |o, _| put(&mut o.json, Some(true))),
+    Flag("--addr", Some("HOST:PORT"), |o, v| put(&mut o.addr, text(v).map(Some))),
+    Flag("--format", Some("ndjson|chrome"),
+        |o, v| put(&mut o.format, checked(v, matches!(v, "ndjson" | "chrome")))),
+    Flag("--out", Some("FILE"), |o, v| put(&mut o.out, non_empty(v).map(Some))),
+    Flag("--limit", Some("N"), |o, v| put(&mut o.limit, positive(v).map(Some))),
+    Flag("--clear", None, |o, _| put(&mut o.clear, Some(true))),
+    Flag("--set", Some("on|off"), |o, v| put(&mut o.set, on_off(v).map(Some))),
+    Flag("--follow", None, |o, _| put(&mut o.follow, Some(true))),
+    Flag("--interval", Some("SECS"), |o, v| put(&mut o.interval, finite_positive(v))),
+];
+
+#[rustfmt::skip]
+const SERVE: &[Flag<ServeOptions>] = &[
+    Flag("--addr", Some("HOST:PORT"), |o, v| put(&mut o.addr, text(v))),
+    Flag("--workers", Some("N"), |o, v| put(&mut o.workers, positive(v))),
+    Flag("--machine", Some("NAME"), |o, v| put(&mut o.machine, text(v))),
+    Flag("--mesh", Some("WxH|WxHxD"), |o, v| put(&mut o.mesh, checked(v, parse_dims(v).is_ok()))),
+    Flag("--machines", Some("N0=M0,N1=M1,..."), |o, v| put(&mut o.machines, parse_machines(v))),
+    Flag("--allocator", Some("A"), |o, v| put(&mut o.allocator, text(v).map(Some))),
+    Flag("--scheduler", Some("fcfs|backfill|easy|conservative"),
+        |o, v| put(&mut o.scheduler, checked(v, Scheduler::parse(v).is_some()).map(Some))),
+    Flag("--pool", Some("POOL"),
+        |o, v| put(&mut o.pool, checked(v, !v.is_empty() && !v.starts_with('@')).map(Some))),
+    Flag("--router", Some("rr|ll|sq|p2c|comm-aware"),
+        |o, v| put(&mut o.router, checked(v, RoutingPolicy::parse(v).is_some()).map(Some))),
+    Flag("--journal", Some("DIR"), |o, v| put(&mut o.journal, non_empty(v).map(Some))),
+    Flag("--fsync", Some("every|never|N"),
+        |o, v| put(&mut o.fsync, FsyncPolicy::parse(v).map(Some))),
+    Flag("--snapshot-every", Some("N"), |o, v| put(&mut o.snapshot_every, positive(v).map(Some))),
+    Flag("--trace", None, |o, _| put(&mut o.trace, Some(true))),
+    Flag("--calibration", None, |o, _| put(&mut o.calibration, Some(true))),
+];
+
+/// `loadgen` fills the generator's own configuration; the `bool` beside
+/// it is `--json`.
+#[rustfmt::skip]
+const LOADGEN: &[Flag<(LoadgenConfig, bool)>] = &[
+    Flag("--addr", Some("HOST:PORT"), |o, v| put(&mut o.0.addr, text(v))),
+    Flag("--machine", Some("NAME|@POOL"), |o, v| put(&mut o.0.machine, text(v))),
+    Flag("--mesh", Some("WxH|WxHxD"), |o, v| put(&mut o.0.mesh, checked(v, parse_dims(v).is_ok()))),
+    Flag("--scheduler", Some("P"),
+        |o, v| put(&mut o.0.scheduler, checked(v, Scheduler::parse(v).is_some()).map(Some))),
+    Flag("--requests", Some("N"), |o, v| put(&mut o.0.requests, positive(v))),
+    Flag("--connections", Some("C"), |o, v| put(&mut o.0.connections, positive(v))),
+    Flag("--occupancy", Some("F"), |o, v| put(&mut o.0.occupancy, unit_interval(v))),
+    Flag("--max-size", Some("K"), |o, v| put(&mut o.0.max_size, positive(v))),
+    Flag("--max-walltime", Some("W"), |o, v| {
+        put(&mut o.0.max_walltime, number(v).filter(|&w: &f64| w.is_finite() && w >= 1.0).map(Some))
+    }),
+    Flag("--router", Some("rr|ll|sq|p2c|comm-aware"),
+        |o, v| put(&mut o.0.router, checked(v, RoutingPolicy::parse(v).is_some()).map(Some))),
+    Flag("--pattern", Some("P"), |o, v| put(&mut o.0.pattern, CommPattern::parse(v).map(Some))),
+    Flag("--framing", Some("ndjson|binary"), |o, v| put(&mut o.0.framing, Framing::parse(v))),
+    Flag("--seed", Some("S"), |o, v| put(&mut o.0.seed, number(v))),
+    Flag("--tenant", Some("NAME"),
+        |o, v| put(&mut o.0.tenant, checked(v, validate_tenant_name(v).is_ok()).map(Some))),
+    Flag("--no-drain", None, |o, _| put(&mut o.0.no_drain, Some(true))),
+    Flag("--claims-out", Some("FILE"), |o, v| put(&mut o.0.claims_out, non_empty(v).map(Some))),
+    Flag("--json", None, |o, _| put(&mut o.1, Some(true))),
+];
+
+#[rustfmt::skip]
+const WATCH: &[Flag<WatchOptions>] = &[
+    Flag("--addr", Some("HOST:PORT"), |o, v| put(&mut o.addr, text(v))),
+    Flag("--interval", Some("SECS"), |o, v| put(&mut o.interval, finite_positive(v))),
+    Flag("--window", Some("10s|60s"),
+        |o, v| put(&mut o.window, checked(v, matches!(v, "10s" | "60s")))),
+    Flag("--count", Some("N"), |o, v| put(&mut o.count, positive(v).map(Some))),
+];
+
+#[rustfmt::skip]
+const CALIBRATION: &[Flag<CalibrationOptions>] = &[
+    Flag("--addr", Some("HOST:PORT"), |o, v| put(&mut o.addr, text(v))),
+    Flag("--json", None, |o, _| put(&mut o.json, Some(true))),
+];
+
+#[rustfmt::skip]
+const TENANT: &[Flag<TenantOptions>] = &[
+    Flag("--addr", Some("HOST:PORT"), |o, v| put(&mut o.addr, text(v))),
+    Flag("--name", Some("NAME"),
+        |o, v| put(&mut o.name, checked(v, validate_tenant_name(v).is_ok()).map(Some))),
+    Flag("--weight", Some("W"), |o, v| put(&mut o.weight, finite_positive(v).map(Some))),
+    Flag("--quota", Some("Q"),
+        |o, v| put(&mut o.quota, number(v).filter(|&q: &f64| q.is_finite() && q >= 0.0).map(Some))),
+    Flag("--max-in-flight", Some("N"), |o, v| put(&mut o.max_in_flight, number(v).map(Some))),
+    Flag("--json", None, |o, _| put(&mut o.json, Some(true))),
+];
+
+/// The `bool` records that the required `--set` was given.
+#[rustfmt::skip]
+const FAIR_SHARE: &[Flag<(FairShareOptions, bool)>] = &[
+    Flag("--addr", Some("HOST:PORT"), |o, v| put(&mut o.0.addr, text(v))),
+    Flag("--machine", Some("NAME"), |o, v| put(&mut o.0.machine, text(v))),
+    Flag("--set", Some("on|off"),
+        |o, v| put(&mut o.0.enabled, on_off(v)) && put(&mut o.1, Some(true))),
+];
+
+/// `release` and `poll`; the `bool` records that the required `--job`
+/// was given.
+#[rustfmt::skip]
+const JOB: &[Flag<(JobOptions, bool)>] = &[
+    Flag("--addr", Some("HOST:PORT"), |o, v| put(&mut o.0.addr, text(v))),
+    Flag("--machine", Some("NAME|@POOL"), |o, v| put(&mut o.0.machine, text(v).map(Some))),
+    Flag("--job", Some("REF"),
+        |o, v| put(&mut o.0.job, JobRef::parse_str(v).ok()) && put(&mut o.1, Some(true))),
+    Flag("--json", None, |o, _| put(&mut o.0.json, Some(true))),
+];
+
+#[rustfmt::skip]
+const RECOVERY_CHECK: &[Flag<RecoveryCheckOptions>] = &[
+    Flag("--addr", Some("HOST:PORT"), |o, v| put(&mut o.addr, text(v))),
+    Flag("--claims", Some("FILE"), |o, v| put(&mut o.claims, non_empty(v))),
+    Flag("--json", None, |o, _| put(&mut o.json, Some(true))),
+];
+
+/// Parses a complete argument vector (without the program name): the
+/// subcommand's table, then the rules that relate two of its flags.
 pub fn parse_command(args: &[String]) -> Result<Command, ParseError> {
-    let Some(subcommand) = args.first() else {
+    let Some((subcommand, rest)) = args.split_first() else {
         return Err(ParseError::MissingCommand);
     };
-    let rest = &args[1..];
-    match subcommand.as_str() {
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        "allocators" | "list" => Ok(Command::List),
-        "simulate" => {
-            let mut opts = SimulateOptions::default();
-            for (flag, value) in flag_pairs(rest)? {
-                let value = value.unwrap_or_default();
-                match flag.as_str() {
-                    "--mesh" => {
-                        opts.mesh = parse_mesh(&value).ok_or_else(|| invalid(&flag, &value))?
-                    }
-                    "--pattern" => {
-                        opts.pattern =
-                            CommPattern::parse(&value).ok_or_else(|| invalid(&flag, &value))?
-                    }
-                    "--allocator" => {
-                        opts.allocator =
-                            AllocatorKind::parse(&value).ok_or_else(|| invalid(&flag, &value))?
-                    }
-                    "--scheduler" => {
-                        opts.scheduler =
-                            parse_scheduler(&value).ok_or_else(|| invalid(&flag, &value))?
-                    }
-                    "--load" => {
-                        opts.load = value
-                            .parse()
-                            .ok()
-                            .filter(|&l| l > 0.0 && l <= 1.0)
-                            .ok_or_else(|| invalid(&flag, &value))?
-                    }
-                    "--jobs" => {
-                        opts.jobs = value.parse().ok().ok_or_else(|| invalid(&flag, &value))?
-                    }
-                    "--seed" => {
-                        opts.seed = value.parse().ok().ok_or_else(|| invalid(&flag, &value))?
-                    }
-                    "--swf" => opts.swf = Some(value),
-                    "--json" => opts.json = true,
-                    other => return Err(ParseError::UnknownFlag(other.to_string())),
-                }
-            }
-            Ok(Command::Simulate(opts))
-        }
-        "sweep" => {
-            let mut opts = SweepOptions::default();
-            for (flag, value) in flag_pairs(rest)? {
-                let value = value.unwrap_or_default();
-                match flag.as_str() {
-                    "--mesh" => {
-                        opts.mesh = parse_mesh(&value).ok_or_else(|| invalid(&flag, &value))?
-                    }
-                    "--pattern" => {
-                        opts.patterns =
-                            vec![CommPattern::parse(&value).ok_or_else(|| invalid(&flag, &value))?]
-                    }
-                    "--allocator" => {
-                        opts.allocators =
-                            vec![AllocatorKind::parse(&value)
-                                .ok_or_else(|| invalid(&flag, &value))?]
-                    }
-                    "--extended" => {
-                        // `--extended true` adds the extension allocators.
-                        if value.parse::<bool>().map_err(|_| invalid(&flag, &value))? {
-                            opts.allocators.extend(AllocatorKind::extended_set());
-                        }
-                    }
-                    "--loads" => {
-                        opts.loads = parse_loads(&value).ok_or_else(|| invalid(&flag, &value))?
-                    }
-                    "--jobs" => {
-                        opts.jobs = value.parse().ok().ok_or_else(|| invalid(&flag, &value))?
-                    }
-                    "--seed" => {
-                        opts.seed = value.parse().ok().ok_or_else(|| invalid(&flag, &value))?
-                    }
-                    "--json" => opts.json = true,
-                    other => return Err(ParseError::UnknownFlag(other.to_string())),
-                }
-            }
-            Ok(Command::Sweep(opts))
-        }
-        "curves" => {
-            let mut opts = CurvesOptions::default();
-            for (flag, value) in flag_pairs(rest)? {
-                let value = value.unwrap_or_default();
-                match flag.as_str() {
-                    "--mesh" => {
-                        opts.mesh = parse_mesh(&value).ok_or_else(|| invalid(&flag, &value))?
-                    }
-                    "--curve" => {
-                        opts.curve =
-                            Some(parse_curve(&value).ok_or_else(|| invalid(&flag, &value))?)
-                    }
-                    "--window" => {
-                        opts.window = value
-                            .parse()
-                            .ok()
-                            .filter(|&w: &usize| w > 0)
-                            .ok_or_else(|| invalid(&flag, &value))?
-                    }
-                    other => return Err(ParseError::UnknownFlag(other.to_string())),
-                }
-            }
-            Ok(Command::Curves(opts))
-        }
+    let needs = |flag: &str| Err(ParseError::MissingValue(flag.to_string()));
+    let requires = |flag: &str, what: &str| {
+        Err(ParseError::InvalidValue {
+            flag: flag.to_string(),
+            value: format!("requires {what}"),
+        })
+    };
+    Ok(match subcommand.as_str() {
+        "help" | "--help" | "-h" => Command::Help,
+        "allocators" | "list" => Command::List,
+        "simulate" => Command::Simulate(parse_flags(SIMULATE, rest)?),
+        "sweep" => Command::Sweep(parse_flags(SWEEP, rest)?),
+        "curves" => Command::Curves(parse_flags(CURVES, rest)?),
         "trace" => {
-            let mut opts = TraceOptions::default();
-            for (flag, value) in flag_pairs(rest)? {
-                let value = value.unwrap_or_default();
-                match flag.as_str() {
-                    "--jobs" => {
-                        opts.jobs = value.parse().ok().ok_or_else(|| invalid(&flag, &value))?
-                    }
-                    "--seed" => {
-                        opts.seed = value.parse().ok().ok_or_else(|| invalid(&flag, &value))?
-                    }
-                    "--swf" => opts.swf = Some(value),
-                    "--json" => opts.json = true,
-                    "--addr" => opts.addr = Some(value),
-                    "--format" => {
-                        if !matches!(value.as_str(), "ndjson" | "chrome") {
-                            return Err(invalid(&flag, &value));
-                        }
-                        opts.format = value;
-                    }
-                    "--out" => {
-                        if value.is_empty() {
-                            return Err(invalid(&flag, &value));
-                        }
-                        opts.out = Some(value);
-                    }
-                    "--limit" => {
-                        opts.limit = Some(
-                            value
-                                .parse()
-                                .ok()
-                                .filter(|&n: &usize| n > 0)
-                                .ok_or_else(|| invalid(&flag, &value))?,
-                        )
-                    }
-                    "--clear" => opts.clear = true,
-                    "--set" => {
-                        opts.set = Some(match value.as_str() {
-                            "on" | "true" | "1" => true,
-                            "off" | "false" | "0" => false,
-                            _ => return Err(invalid(&flag, &value)),
-                        })
-                    }
-                    "--follow" => opts.follow = true,
-                    "--interval" => {
-                        opts.interval = value
-                            .parse()
-                            .ok()
-                            .filter(|&s: &f64| s.is_finite() && s > 0.0)
-                            .ok_or_else(|| invalid(&flag, &value))?
-                    }
-                    other => return Err(ParseError::UnknownFlag(other.to_string())),
-                }
-            }
+            let opts = parse_flags(TRACE, rest)?;
             // The online-only flags have nothing to act on offline.
-            if opts.addr.is_none()
-                && (opts.out.is_some()
-                    || opts.limit.is_some()
-                    || opts.clear
-                    || opts.set.is_some()
-                    || opts.follow)
-            {
-                return Err(ParseError::MissingValue("--addr".to_string()));
+            let online = opts.out.is_some()
+                || opts.limit.is_some()
+                || opts.clear
+                || opts.set.is_some()
+                || opts.follow;
+            if online && opts.addr.is_none() {
+                return needs("--addr");
             }
             // Following streams NDJSON lines; the chrome format is a
             // single JSON document and cannot be appended to.
             if opts.follow && opts.format != "ndjson" {
-                return Err(ParseError::InvalidValue {
-                    flag: "--follow".to_string(),
-                    value: "requires --format ndjson".to_string(),
-                });
+                return requires("--follow", "--format ndjson");
             }
-            Ok(Command::Trace(opts))
+            Command::Trace(opts)
         }
         "serve" => {
-            let mut opts = ServeOptions::default();
-            for (flag, value) in flag_pairs(rest)? {
-                let value = value.unwrap_or_default();
-                match flag.as_str() {
-                    "--addr" => opts.addr = value,
-                    "--workers" => {
-                        opts.workers = value
-                            .parse()
-                            .ok()
-                            .filter(|&w: &usize| w > 0)
-                            .ok_or_else(|| invalid(&flag, &value))?
-                    }
-                    "--machine" => opts.machine = value,
-                    "--mesh" => {
-                        // Accept 2-D and 3-D specs; validated by the service
-                        // at registration, shape-checked here.
-                        if !mesh_shape_ok(&value) {
-                            return Err(invalid(&flag, &value));
-                        }
-                        opts.mesh = value;
-                    }
-                    "--machines" => {
-                        opts.machines =
-                            parse_machines(&value).ok_or_else(|| invalid(&flag, &value))?
-                    }
-                    "--allocator" => opts.allocator = Some(value),
-                    "--scheduler" => {
-                        // Validated for readability here, again by the
-                        // service at registration.
-                        parse_scheduler(&value).ok_or_else(|| invalid(&flag, &value))?;
-                        opts.scheduler = Some(value);
-                    }
-                    "--pool" => {
-                        if value.is_empty() || value.starts_with('@') {
-                            return Err(invalid(&flag, &value));
-                        }
-                        opts.pool = Some(value);
-                    }
-                    "--router" => {
-                        parse_router(&value).ok_or_else(|| invalid(&flag, &value))?;
-                        opts.router = Some(value);
-                    }
-                    "--journal" => {
-                        if value.is_empty() {
-                            return Err(invalid(&flag, &value));
-                        }
-                        opts.journal = Some(value);
-                    }
-                    "--fsync" => {
-                        commalloc_service::FsyncPolicy::parse(&value)
-                            .ok_or_else(|| invalid(&flag, &value))?;
-                        opts.fsync = Some(value);
-                    }
-                    "--snapshot-every" => {
-                        opts.snapshot_every = Some(
-                            value
-                                .parse()
-                                .ok()
-                                .filter(|&n: &u64| n > 0)
-                                .ok_or_else(|| invalid(&flag, &value))?,
-                        )
-                    }
-                    "--trace" => opts.trace = true,
-                    "--calibration" => opts.calibration = true,
-                    other => return Err(ParseError::UnknownFlag(other.to_string())),
-                }
-            }
+            let opts = parse_flags(SERVE, rest)?;
             if opts.router.is_some() && opts.pool.is_none() {
-                return Err(ParseError::MissingValue("--pool".to_string()));
+                return needs("--pool");
             }
             if (opts.fsync.is_some() || opts.snapshot_every.is_some()) && opts.journal.is_none() {
-                return Err(ParseError::MissingValue("--journal".to_string()));
+                return needs("--journal");
             }
-            Ok(Command::Serve(opts))
+            Command::Serve(opts)
         }
         "loadgen" => {
-            let mut opts = LoadgenOptions::default();
-            for (flag, value) in flag_pairs(rest)? {
-                let value = value.unwrap_or_default();
-                match flag.as_str() {
-                    "--addr" => opts.addr = value,
-                    "--machine" => opts.machine = value,
-                    "--mesh" => opts.mesh = value,
-                    "--scheduler" => {
-                        parse_scheduler(&value).ok_or_else(|| invalid(&flag, &value))?;
-                        opts.scheduler = Some(value);
-                    }
-                    "--requests" => {
-                        opts.requests = value
-                            .parse()
-                            .ok()
-                            .filter(|&n: &usize| n > 0)
-                            .ok_or_else(|| invalid(&flag, &value))?
-                    }
-                    "--connections" => {
-                        opts.connections = value
-                            .parse()
-                            .ok()
-                            .filter(|&n: &usize| n > 0)
-                            .ok_or_else(|| invalid(&flag, &value))?
-                    }
-                    "--occupancy" => {
-                        opts.occupancy = value
-                            .parse()
-                            .ok()
-                            .filter(|&o: &f64| o > 0.0 && o <= 1.0)
-                            .ok_or_else(|| invalid(&flag, &value))?
-                    }
-                    "--max-size" => {
-                        opts.max_size = value
-                            .parse()
-                            .ok()
-                            .filter(|&s: &usize| s > 0)
-                            .ok_or_else(|| invalid(&flag, &value))?
-                    }
-                    "--max-walltime" => {
-                        opts.max_walltime = Some(
-                            value
-                                .parse()
-                                .ok()
-                                .filter(|&w: &f64| w.is_finite() && w >= 1.0)
-                                .ok_or_else(|| invalid(&flag, &value))?,
-                        )
-                    }
-                    "--router" => {
-                        parse_router(&value).ok_or_else(|| invalid(&flag, &value))?;
-                        opts.router = Some(value);
-                    }
-                    "--pattern" => {
-                        commalloc_workload::CommPattern::parse(&value)
-                            .ok_or_else(|| invalid(&flag, &value))?;
-                        opts.pattern = Some(value);
-                    }
-                    "--framing" => {
-                        commalloc_service::Framing::parse(&value)
-                            .ok_or_else(|| invalid(&flag, &value))?;
-                        opts.framing = value;
-                    }
-                    "--seed" => {
-                        opts.seed = value.parse().ok().ok_or_else(|| invalid(&flag, &value))?
-                    }
-                    "--tenant" => {
-                        if !tenant_name_ok(&value) {
-                            return Err(invalid(&flag, &value));
-                        }
-                        opts.tenant = Some(value);
-                    }
-                    "--no-drain" => opts.no_drain = true,
-                    "--claims-out" => {
-                        if value.is_empty() {
-                            return Err(invalid(&flag, &value));
-                        }
-                        opts.claims_out = Some(value);
-                    }
-                    "--json" => opts.json = true,
-                    other => return Err(ParseError::UnknownFlag(other.to_string())),
-                }
+            let (config, json) = parse_flags(LOADGEN, rest)?;
+            if config.router.is_some() && !config.machine.starts_with('@') {
+                return requires("--router", "--machine @pool");
             }
-            if opts.router.is_some() && !opts.machine.starts_with('@') {
-                return Err(ParseError::InvalidValue {
-                    flag: "--router".to_string(),
-                    value: "requires --machine @pool".to_string(),
-                });
-            }
-            Ok(Command::Loadgen(opts))
+            Command::Loadgen(config, json)
         }
-        "watch" => {
-            let mut opts = WatchOptions::default();
-            for (flag, value) in flag_pairs(rest)? {
-                let value = value.unwrap_or_default();
-                match flag.as_str() {
-                    "--addr" => opts.addr = value,
-                    "--interval" => {
-                        opts.interval = value
-                            .parse()
-                            .ok()
-                            .filter(|&s: &f64| s.is_finite() && s > 0.0)
-                            .ok_or_else(|| invalid(&flag, &value))?
-                    }
-                    "--window" => {
-                        if !matches!(value.as_str(), "10s" | "60s") {
-                            return Err(invalid(&flag, &value));
-                        }
-                        opts.window = value;
-                    }
-                    "--count" => {
-                        opts.count = Some(
-                            value
-                                .parse()
-                                .ok()
-                                .filter(|&n: &usize| n > 0)
-                                .ok_or_else(|| invalid(&flag, &value))?,
-                        )
-                    }
-                    other => return Err(ParseError::UnknownFlag(other.to_string())),
-                }
-            }
-            Ok(Command::Watch(opts))
-        }
-        "calibration" => {
-            let mut opts = CalibrationOptions::default();
-            for (flag, value) in flag_pairs(rest)? {
-                let value = value.unwrap_or_default();
-                match flag.as_str() {
-                    "--addr" => opts.addr = value,
-                    "--json" => opts.json = true,
-                    other => return Err(ParseError::UnknownFlag(other.to_string())),
-                }
-            }
-            Ok(Command::Calibration(opts))
-        }
+        "watch" => Command::Watch(parse_flags(WATCH, rest)?),
+        "calibration" => Command::Calibration(parse_flags(CALIBRATION, rest)?),
         "tenant" => {
-            let mut opts = TenantOptions::default();
-            for (flag, value) in flag_pairs(rest)? {
-                let value = value.unwrap_or_default();
-                match flag.as_str() {
-                    "--addr" => opts.addr = value,
-                    "--name" => {
-                        if !tenant_name_ok(&value) {
-                            return Err(invalid(&flag, &value));
-                        }
-                        opts.name = Some(value);
-                    }
-                    "--weight" => {
-                        opts.weight = value
-                            .parse()
-                            .ok()
-                            .filter(|&w: &f64| w.is_finite() && w > 0.0)
-                            .ok_or_else(|| invalid(&flag, &value))?
-                            .into()
-                    }
-                    "--quota" => {
-                        opts.quota = value
-                            .parse()
-                            .ok()
-                            .filter(|&q: &f64| q.is_finite() && q >= 0.0)
-                            .ok_or_else(|| invalid(&flag, &value))?
-                            .into()
-                    }
-                    "--max-in-flight" => {
-                        opts.max_in_flight =
-                            Some(value.parse().ok().ok_or_else(|| invalid(&flag, &value))?)
-                    }
-                    "--json" => opts.json = true,
-                    other => return Err(ParseError::UnknownFlag(other.to_string())),
-                }
-            }
+            let opts = parse_flags(TENANT, rest)?;
             // The setting flags act on a named tenant.
-            if opts.name.is_none()
-                && (opts.weight.is_some() || opts.quota.is_some() || opts.max_in_flight.is_some())
-            {
-                return Err(ParseError::MissingValue("--name".to_string()));
+            let setting =
+                opts.weight.is_some() || opts.quota.is_some() || opts.max_in_flight.is_some();
+            if setting && opts.name.is_none() {
+                return needs("--name");
             }
-            Ok(Command::Tenant(opts))
+            Command::Tenant(opts)
         }
-        "fair-share" => {
-            let mut opts = FairShareOptions::default();
-            let mut set_seen = false;
-            for (flag, value) in flag_pairs(rest)? {
-                let value = value.unwrap_or_default();
-                match flag.as_str() {
-                    "--addr" => opts.addr = value,
-                    "--machine" => opts.machine = value,
-                    "--set" => {
-                        opts.enabled = match value.as_str() {
-                            "on" | "true" | "1" => true,
-                            "off" | "false" | "0" => false,
-                            _ => return Err(invalid(&flag, &value)),
-                        };
-                        set_seen = true;
-                    }
-                    other => return Err(ParseError::UnknownFlag(other.to_string())),
-                }
-            }
-            if !set_seen {
-                return Err(ParseError::MissingValue("--set".to_string()));
-            }
-            Ok(Command::FairShare(opts))
-        }
-        "release" | "poll" => {
-            let mut opts = JobOptions::default();
-            for (flag, value) in flag_pairs(rest)? {
-                let value = value.unwrap_or_default();
-                match flag.as_str() {
-                    "--addr" => opts.addr = value,
-                    "--machine" => opts.machine = Some(value),
-                    "--job" => {
-                        if value.is_empty() {
-                            return Err(invalid(&flag, &value));
-                        }
-                        opts.job = value;
-                    }
-                    "--json" => opts.json = true,
-                    other => return Err(ParseError::UnknownFlag(other.to_string())),
-                }
-            }
-            if opts.job.is_empty() {
-                return Err(ParseError::MissingValue("--job".to_string()));
-            }
-            Ok(if subcommand == "release" {
-                Command::Release(opts)
-            } else {
-                Command::Poll(opts)
-            })
-        }
-        "recovery-check" => {
-            let mut opts = RecoveryCheckOptions::default();
-            for (flag, value) in flag_pairs(rest)? {
-                let value = value.unwrap_or_default();
-                match flag.as_str() {
-                    "--addr" => opts.addr = value,
-                    "--claims" => {
-                        if value.is_empty() {
-                            return Err(invalid(&flag, &value));
-                        }
-                        opts.claims = value;
-                    }
-                    "--json" => opts.json = true,
-                    other => return Err(ParseError::UnknownFlag(other.to_string())),
-                }
-            }
-            Ok(Command::RecoveryCheck(opts))
-        }
-        other => Err(ParseError::UnknownCommand(other.to_string())),
+        "fair-share" => match parse_flags(FAIR_SHARE, rest)? {
+            (opts, true) => Command::FairShare(opts),
+            (_, false) => return needs("--set"),
+        },
+        "release" | "poll" => match parse_flags(JOB, rest)? {
+            (opts, true) if subcommand == "release" => Command::Release(opts),
+            (opts, true) => Command::Poll(opts),
+            (_, false) => return needs("--job"),
+        },
+        "recovery-check" => Command::RecoveryCheck(parse_flags(RECOVERY_CHECK, rest)?),
+        other => return Err(ParseError::UnknownCommand(other.to_string())),
+    })
+}
+
+/// One subcommand of the usage text: its one-line description, then its
+/// table's flags.
+fn usage_block<O>(out: &mut String, name: &str, about: &str, table: &[Flag<O>]) {
+    let _ = writeln!(out, "  {name:<11} {about}");
+    for line in usage_lines(table, 64) {
+        let _ = writeln!(out, "              {line}");
     }
 }
 
 /// The usage text printed by `commalloc help`.
-pub const USAGE: &str = "\
-commalloc — trace-driven processor-allocation simulator (Leung, Bunde & Mache 2004 reproduction)
-
-USAGE:
-  commalloc <SUBCOMMAND> [FLAGS]
-
-SUBCOMMANDS:
-  simulate    run one simulation and print its summary
-              --mesh WxH --pattern P --allocator A --scheduler S --load L
-              --jobs N --seed S [--swf FILE] [--json]
-  sweep       run a (pattern x allocator x load) sweep and print tables
-              --mesh WxH [--pattern P] [--allocator A] [--extended true]
-              [--loads 1.0,0.6,0.2] --jobs N --seed S [--json]
-  curves      render a processor ordering and its locality statistics
-              --mesh WxH [--curve NAME] [--window K]
-  trace       offline: generate (or load) a workload trace and print
-              its statistics
-              --jobs N --seed S [--swf FILE] [--json]
-              online: drain a running daemon's flight recorder
-              --addr HOST:PORT [--format ndjson|chrome] [--out FILE]
-              [--limit N] [--clear] [--set on|off]
-              [--follow [--interval SECS]]
-  serve       run the online allocation daemon (NDJSON + binary frames
-              over TCP)
-              [--addr HOST:PORT] [--workers N] [--machine NAME]
-              [--mesh WxH|WxHxD] [--machines N0=M0,N1=M1,...]
-              [--allocator A] [--scheduler fcfs|backfill|easy|conservative]
-              [--pool POOL] [--router rr|ll|sq|p2c|comm-aware]
-              [--journal DIR] [--fsync every|never|N] [--snapshot-every N]
-              [--trace] [--calibration]
-  loadgen     drive a running daemon with allocate/release traffic
-              [--addr HOST:PORT] [--machine NAME|@POOL] [--mesh WxH]
-              [--scheduler P] [--requests N] [--connections C]
-              [--occupancy F] [--max-size K] [--max-walltime W]
-              [--router rr|ll|sq|p2c|comm-aware] [--pattern P]
-              [--framing ndjson|binary] [--seed S] [--tenant NAME]
-              [--no-drain] [--claims-out FILE] [--json]
-  recovery-check  assert a recovered daemon matches a saved claim table
-              [--addr HOST:PORT] --claims FILE [--json]
-  tenant      configure a tenant or list the daemon's tenant table
-              [--addr HOST:PORT] [--name NAME [--weight W] [--quota Q]
-              [--max-in-flight N]] [--json]
-  fair-share  flip weighted fair-share admission on a machine
-              [--addr HOST:PORT] [--machine NAME] --set on|off
-  release     release one job; accepts pool-scoped references
-              [--addr HOST:PORT] [--machine NAME|@POOL] --job REF [--json]
-  poll        poll one job; accepts pool-scoped references
-              (REF is a bare id, MACHINE/ID, or POOL/MACHINE/ID)
-              [--addr HOST:PORT] [--machine NAME|@POOL] --job REF [--json]
-  watch       poll a running daemon and render a live text dashboard
-              [--addr HOST:PORT] [--interval SECS] [--window 10s|60s]
-              [--count N]
-  calibration print a running daemon's placement calibration report
-              [--addr HOST:PORT] [--json]
-  allocators  list allocators, patterns, curves and schedulers
-  help        print this message
-";
+#[rustfmt::skip]
+pub fn usage() -> String {
+    let mut out = String::from(
+        "commalloc — trace-driven processor-allocation simulator \
+         (Leung, Bunde & Mache 2004 reproduction)\n\n\
+         USAGE:\n  commalloc <SUBCOMMAND> [FLAGS]\n\nSUBCOMMANDS:\n",
+    );
+    let o = &mut out;
+    usage_block(o, "simulate", "run one simulation and print its summary", SIMULATE);
+    usage_block(o, "sweep", "run a (pattern x allocator x load) sweep and print tables", SWEEP);
+    usage_block(o, "curves", "render a processor ordering and its locality statistics", CURVES);
+    usage_block(o, "trace", "print a trace's statistics, or drain a daemon's recorder", TRACE);
+    usage_block(o, "serve", "run the online allocation daemon (NDJSON + binary over TCP)", SERVE);
+    usage_block(o, "loadgen", "drive a running daemon with allocate/release traffic", LOADGEN);
+    usage_block(o, "recovery-check", "check a recovered daemon against its claims", RECOVERY_CHECK);
+    usage_block(o, "tenant", "configure the named tenant, or list the daemon's tenants", TENANT);
+    usage_block(o, "fair-share", "turn a machine's fair-share admission on or off", FAIR_SHARE);
+    usage_block(o, "release", "release one job (reference required; forms as for poll)", JOB);
+    usage_block(o, "poll", "poll one job; REF is a bare id, MACHINE/ID, or POOL/MACHINE/ID", JOB);
+    usage_block(o, "watch", "poll a running daemon and render a live text dashboard", WATCH);
+    usage_block(o, "calibration", "print a daemon's placement calibration report", CALIBRATION);
+    out.push_str("  allocators  list allocators, patterns, curves and schedulers\n");
+    out.push_str("  help        print this message\n");
+    out
+}
 
 #[cfg(test)]
 mod tests {
@@ -1179,6 +874,13 @@ mod tests {
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
+    }
+
+    fn invalid(flag: &str, value: &str) -> ParseError {
+        ParseError::InvalidValue {
+            flag: flag.to_string(),
+            value: value.to_string(),
+        }
     }
 
     #[test]
@@ -1245,6 +947,21 @@ mod tests {
         assert_eq!(err, ParseError::MissingValue("--jobs".into()));
         let err = parse_command(&args(&["simulate", "--bogus", "1"])).unwrap_err();
         assert_eq!(err, ParseError::UnknownFlag("--bogus".into()));
+        // Arity belongs to the (subcommand, flag) pair, so an unknown flag
+        // is unknown even as the last token, is reported before a later
+        // flag's missing value, and another subcommand's switch is no
+        // switch here.
+        for (argv, unknown) in [
+            (&["watch", "--verbose"][..], "--verbose"),
+            (&["simulate", "--bogus", "1", "--jobs"], "--bogus"),
+            (&["simulate", "--clear"], "--clear"),
+        ] {
+            let err = parse_command(&args(argv)).unwrap_err();
+            assert_eq!(err, ParseError::UnknownFlag(unknown.into()));
+        }
+        // A malformed job reference is refused before any connection.
+        let err = parse_command(&args(&["poll", "--job", "a/b/c/d"])).unwrap_err();
+        assert_eq!(err, invalid("--job", "a/b/c/d"));
     }
 
     #[test]
@@ -1445,25 +1162,111 @@ mod tests {
 
     #[test]
     fn usage_mentions_every_subcommand() {
-        for sub in [
-            "simulate",
-            "sweep",
-            "curves",
-            "trace",
-            "serve",
-            "loadgen",
-            "recovery-check",
-            "tenant",
-            "fair-share",
-            "release",
-            "poll",
-            "watch",
-            "calibration",
-            "allocators",
-            "help",
+        let text = usage();
+        for (sub, flags) in [
+            ("simulate", usage_lines(SIMULATE, 0)),
+            ("sweep", usage_lines(SWEEP, 0)),
+            ("curves", usage_lines(CURVES, 0)),
+            ("trace", usage_lines(TRACE, 0)),
+            ("serve", usage_lines(SERVE, 0)),
+            ("loadgen", usage_lines(LOADGEN, 0)),
+            ("recovery-check", usage_lines(RECOVERY_CHECK, 0)),
+            ("tenant", usage_lines(TENANT, 0)),
+            ("fair-share", usage_lines(FAIR_SHARE, 0)),
+            ("release", usage_lines(JOB, 0)),
+            ("poll", usage_lines(JOB, 0)),
+            ("watch", usage_lines(WATCH, 0)),
+            ("calibration", usage_lines(CALIBRATION, 0)),
+            ("allocators", Vec::new()),
+            ("help", Vec::new()),
         ] {
-            assert!(USAGE.contains(sub), "usage must mention {sub}");
+            // The subcommand's block: its header line and the indented
+            // flag lines under it.
+            let block: Vec<&str> = text
+                .lines()
+                .skip_while(|line| !line.starts_with(&format!("  {sub} ")))
+                .enumerate()
+                .take_while(|(at, line)| *at == 0 || line.starts_with("     "))
+                .map(|(_, line)| line)
+                .collect();
+            assert!(!block.is_empty(), "usage must mention {sub}");
+            let block = block.join("\n");
+            // Every row shows with its placeholder, and nothing shows
+            // that is not a row.
+            for flag in &flags {
+                assert!(block.contains(flag), "{sub}: usage lacks {flag}");
+            }
+            assert_eq!(block.matches("--").count(), flags.len(), "{sub}: {block}");
         }
+    }
+
+    #[test]
+    fn bare_subcommands_parse_to_their_defaults() {
+        // `fair-share`, `release` and `poll` need one flag; given its
+        // default value, nothing else moves.
+        let cases: [(&[&str], Command); 13] = [
+            (&["simulate"], Command::Simulate(Default::default())),
+            (&["sweep"], Command::Sweep(Default::default())),
+            (&["curves"], Command::Curves(Default::default())),
+            (&["trace"], Command::Trace(Default::default())),
+            (&["serve"], Command::Serve(Default::default())),
+            (&["loadgen"], Command::Loadgen(Default::default(), false)),
+            (
+                &["recovery-check"],
+                Command::RecoveryCheck(Default::default()),
+            ),
+            (&["tenant"], Command::Tenant(Default::default())),
+            (&["watch"], Command::Watch(Default::default())),
+            (&["calibration"], Command::Calibration(Default::default())),
+            (
+                &["fair-share", "--set", "on"],
+                Command::FairShare(Default::default()),
+            ),
+            (
+                &["release", "--job", "0"],
+                Command::Release(Default::default()),
+            ),
+            (&["poll", "--job", "0"], Command::Poll(Default::default())),
+        ];
+        for (argv, expected) in cases {
+            assert_eq!(parse_command(&args(argv)), Ok(expected));
+        }
+    }
+
+    #[test]
+    fn every_ci_command_line_parses() {
+        let ci = include_str!("../../../.github/workflows/ci.yml").replace("\\\n", " ");
+        let variables = [
+            ("$port", "7411"),
+            ("$sched", "easy"),
+            ("$framing", "binary"),
+            ("$policy", "comm-aware"),
+            ("$pattern_args", "--pattern all-to-all"),
+            ("$tenant", "acme"),
+            ("$JDIR", "/tmp/journal"),
+            ("$RUNNER_TEMP", "/tmp"),
+        ];
+        let mut lines = 0;
+        for line in ci.lines() {
+            let Some((_, command)) = line.split_once("target/release/commalloc ") else {
+                continue;
+            };
+            let mut command = command.replace('"', "");
+            for (variable, value) in variables {
+                command = command.replace(variable, value);
+            }
+            // The argument vector ends where the shell takes over
+            // (backgrounding, redirection).
+            let argv: Vec<String> = command
+                .split_whitespace()
+                .take_while(|token| !matches!(*token, "&" | ">"))
+                .map(String::from)
+                .collect();
+            let parsed = parse_command(&argv);
+            assert!(parsed.is_ok(), "ci.yml runs {argv:?}: {parsed:?}");
+            lines += 1;
+        }
+        assert!(lines >= 30, "only {lines} commalloc lines found in ci.yml");
     }
 
     #[test]
@@ -1495,6 +1298,14 @@ mod tests {
         // 3-D specs are accepted, malformed ones are not.
         assert!(parse_command(&args(&["serve", "--mesh", "4x4x4"])).is_ok());
         assert!(parse_command(&args(&["serve", "--mesh", "4x4x4x4"])).is_err());
+        // The check is the service's own: no dimension, no empty one, no
+        // machine above its node limit.
+        for bad in ["x", "16x", "2000x2000"] {
+            assert_eq!(
+                parse_command(&args(&["serve", "--mesh", bad])),
+                Err(invalid("--mesh", bad))
+            );
+        }
         assert!(parse_command(&args(&["serve", "--workers", "0"])).is_err());
     }
 
@@ -1530,6 +1341,10 @@ mod tests {
         assert!(parse_command(&args(&["serve", "--machines", "m0"])).is_err());
         assert!(parse_command(&args(&["serve", "--machines", "=16x16"])).is_err());
         assert!(parse_command(&args(&["serve", "--machines", "m0=16"])).is_err());
+        assert_eq!(
+            parse_command(&args(&["serve", "--machines", "m0=x"])),
+            Err(invalid("--machines", "m0=x"))
+        );
         assert!(parse_command(&args(&["serve", "--pool", "@grid"])).is_err());
         // --router without --pool has nothing to act on.
         assert!(parse_command(&args(&["serve", "--router", "p2c"])).is_err());
@@ -1549,7 +1364,7 @@ mod tests {
         ]))
         .unwrap();
         match cmd {
-            Command::Loadgen(opts) => {
+            Command::Loadgen(opts, _) => {
                 assert_eq!(opts.machine, "@grid");
                 assert_eq!(opts.router.as_deref(), Some("least-loaded"));
             }
@@ -1586,25 +1401,29 @@ mod tests {
         ]))
         .unwrap();
         match cmd {
-            Command::Loadgen(opts) => {
+            Command::Loadgen(opts, json) => {
                 assert_eq!(opts.addr, "127.0.0.1:9000");
                 assert_eq!(opts.requests, 5000);
                 assert_eq!(opts.connections, 2);
                 assert_eq!(opts.occupancy, 0.9);
                 assert_eq!(opts.max_size, 16);
                 assert_eq!(opts.seed, 3);
-                assert!(opts.json);
+                assert!(json);
             }
             other => panic!("expected Loadgen, got {other:?}"),
         }
         assert!(parse_command(&args(&["loadgen", "--occupancy", "1.5"])).is_err());
         assert!(parse_command(&args(&["loadgen", "--requests", "0"])).is_err());
+        assert_eq!(
+            parse_command(&args(&["loadgen", "--mesh", "x"])),
+            Err(invalid("--mesh", "x"))
+        );
     }
 
     #[test]
     fn loadgen_tenant_is_validated() {
         match parse_command(&args(&["loadgen", "--tenant", "acme"])).unwrap() {
-            Command::Loadgen(opts) => assert_eq!(opts.tenant.as_deref(), Some("acme")),
+            Command::Loadgen(opts, _) => assert_eq!(opts.tenant.as_deref(), Some("acme")),
             other => panic!("expected Loadgen, got {other:?}"),
         }
         for bad in ["", "@pool", "a/b"] {
@@ -1688,7 +1507,7 @@ mod tests {
         match cmd {
             Command::Release(opts) => {
                 assert_eq!(opts.machine.as_deref(), Some("@grid"));
-                assert_eq!(opts.job, "7");
+                assert_eq!(opts.job, JobRef::Bare(7));
             }
             other => panic!("expected Release, got {other:?}"),
         }
@@ -1696,7 +1515,14 @@ mod tests {
         match cmd {
             Command::Poll(opts) => {
                 assert!(opts.machine.is_none());
-                assert_eq!(opts.job, "grid/m0/7");
+                assert_eq!(
+                    opts.job,
+                    JobRef::Pooled {
+                        pool: "grid".into(),
+                        machine: "m0".into(),
+                        id: 7
+                    }
+                );
             }
             other => panic!("expected Poll, got {other:?}"),
         }
@@ -1714,13 +1540,13 @@ mod tests {
     fn loadgen_framing_is_validated() {
         let defaulted = parse_command(&args(&["loadgen"])).unwrap();
         match defaulted {
-            Command::Loadgen(opts) => assert_eq!(opts.framing, "ndjson"),
+            Command::Loadgen(opts, _) => assert_eq!(opts.framing, Framing::Ndjson),
             other => panic!("expected Loadgen, got {other:?}"),
         }
-        for framing in ["ndjson", "binary"] {
+        for (framing, parsed) in [("ndjson", Framing::Ndjson), ("binary", Framing::Binary)] {
             let cmd = parse_command(&args(&["loadgen", "--framing", framing])).unwrap();
             match cmd {
-                Command::Loadgen(opts) => assert_eq!(opts.framing, framing),
+                Command::Loadgen(opts, _) => assert_eq!(opts.framing, parsed),
                 other => panic!("expected Loadgen, got {other:?}"),
             }
         }

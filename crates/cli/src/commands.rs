@@ -4,18 +4,16 @@
 //! the binary simply prints it.
 
 use crate::args::{
-    CalibrationOptions, Command, CurvesOptions, FairShareOptions, JobOptions, LoadgenOptions,
+    usage, CalibrationOptions, Command, CurvesOptions, FairShareOptions, JobOptions,
     RecoveryCheckOptions, ServeOptions, SimulateOptions, SweepOptions, TenantOptions, TraceOptions,
-    WatchOptions, USAGE,
+    WatchOptions,
 };
 use crate::loadgen::{self, LoadgenConfig};
 use commalloc::experiment::LoadSweep;
 use commalloc::prelude::*;
 use commalloc::report;
 use commalloc_mesh::locality::window_locality;
-use commalloc_service::{
-    open_journaled, AllocationService, FsyncPolicy, JournalConfig, Server, ServiceClient,
-};
+use commalloc_service::{open_journaled, AllocationService, JournalConfig, Server, ServiceClient};
 use commalloc_workload::analysis::TraceAnalysis;
 use commalloc_workload::swf;
 use serde::{Map, Value};
@@ -54,14 +52,14 @@ impl Command {
     /// Executes the command and returns its rendered output.
     pub fn run(&self) -> Result<String, RunError> {
         match self {
-            Command::Help => Ok(USAGE.to_string()),
+            Command::Help => Ok(usage()),
             Command::List => Ok(render_list()),
             Command::Simulate(opts) => run_simulate(opts),
             Command::Sweep(opts) => run_sweep(opts),
             Command::Curves(opts) => Ok(run_curves(opts)),
             Command::Trace(opts) => run_trace(opts),
             Command::Serve(opts) => run_serve(opts),
-            Command::Loadgen(opts) => run_loadgen(opts),
+            Command::Loadgen(config, json) => run_loadgen(config, *json),
             Command::RecoveryCheck(opts) => run_recovery_check(opts),
             Command::Tenant(opts) => run_tenant(opts),
             Command::FairShare(opts) => run_fair_share(opts),
@@ -83,7 +81,7 @@ fn run_serve(opts: &ServeOptions) -> Result<String, RunError> {
         None => AllocationService::new(),
         Some(dir) => {
             let mut config = JournalConfig::default();
-            if let Some(fsync) = opts.fsync.as_deref().and_then(FsyncPolicy::parse) {
+            if let Some(fsync) = opts.fsync {
                 config.fsync = fsync;
             }
             if let Some(every) = opts.snapshot_every {
@@ -191,37 +189,15 @@ fn run_serve(opts: &ServeOptions) -> Result<String, RunError> {
 }
 
 /// Drives a running daemon and reports throughput plus invariant checks.
-fn run_loadgen(opts: &LoadgenOptions) -> Result<String, RunError> {
-    let config = LoadgenConfig {
-        addr: opts.addr.clone(),
-        machine: opts.machine.clone(),
-        mesh: opts.mesh.clone(),
-        scheduler: opts.scheduler.clone(),
-        requests: opts.requests,
-        connections: opts.connections,
-        occupancy: opts.occupancy,
-        max_size: opts.max_size,
-        max_walltime: opts.max_walltime,
-        router: opts.router.clone(),
-        pattern: opts
-            .pattern
-            .as_deref()
-            .and_then(commalloc_workload::CommPattern::parse),
-        framing: commalloc_service::Framing::parse(&opts.framing)
-            .unwrap_or(commalloc_service::Framing::Ndjson),
-        seed: opts.seed,
-        tenant: opts.tenant.clone(),
-        no_drain: opts.no_drain,
-        claims_out: opts.claims_out.clone(),
-    };
-    let report = loadgen::run(&config).map_err(RunError::Loadgen)?;
+fn run_loadgen(config: &LoadgenConfig, json: bool) -> Result<String, RunError> {
+    let report = loadgen::run(config).map_err(RunError::Loadgen)?;
     if report.violations > 0 {
         return Err(RunError::Loadgen(format!(
             "{} occupancy-invariant violations detected",
             report.violations
         )));
     }
-    if opts.json {
+    if json {
         serde_json::to_string_pretty(&report.to_json()).map_err(|e| RunError::Json(e.to_string()))
     } else {
         Ok(report.render())
@@ -314,13 +290,12 @@ fn run_fair_share(opts: &FairShareOptions) -> Result<String, RunError> {
 /// One-shot `release` / `poll` of a job reference (`7`, `m0/7`,
 /// `grid/m0/7`) against a machine or `@pool` address.
 fn run_job_op(opts: &JobOptions, release: bool) -> Result<String, RunError> {
-    let job = commalloc_service::JobRef::parse_str(&opts.job)
-        .map_err(|e| RunError::Trace(format!("bad job reference {:?}: {e}", opts.job)))?;
+    let job = &opts.job;
     let mut client = ServiceClient::connect(&opts.addr)
         .map_err(|e| RunError::Trace(format!("connect {}: {e}", opts.addr)))?;
     if release {
         let (machine, granted) = client
-            .release_ref(opts.machine.as_deref(), &job)
+            .release_ref(opts.machine.as_deref(), job)
             .map_err(|e| RunError::Trace(e.to_string()))?;
         let at = machine.map_or_else(String::new, |m| format!(" on {m}"));
         Ok(format!(
@@ -330,7 +305,7 @@ fn run_job_op(opts: &JobOptions, release: bool) -> Result<String, RunError> {
         ))
     } else {
         let (machine, status) = client
-            .poll_ref(opts.machine.as_deref(), &job)
+            .poll_ref(opts.machine.as_deref(), job)
             .map_err(|e| RunError::Trace(e.to_string()))?;
         let at = machine.map_or_else(String::new, |m| format!(" on {m}"));
         use commalloc_service::registry::JobStatus;

@@ -43,8 +43,9 @@ use std::time::Instant;
 /// How many releases ride in one wire line during the final drain.
 const DRAIN_BATCH: usize = 64;
 
-/// Configuration of one loadgen run (mirrors the CLI flags).
-#[derive(Debug, Clone)]
+/// Configuration of one loadgen run; the `loadgen` subcommand's flag
+/// table fills it directly.
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoadgenConfig {
     /// Daemon address.
     pub addr: String,
@@ -90,6 +91,29 @@ pub struct LoadgenConfig {
     /// Write the end-of-run claim table (live jobs with exact nodes) to
     /// this JSON file for `recovery-check`.
     pub claims_out: Option<String>,
+}
+
+impl Default for LoadgenConfig {
+    fn default() -> Self {
+        LoadgenConfig {
+            addr: crate::args::DEFAULT_ADDR.to_string(),
+            machine: "default".to_string(),
+            mesh: "16x16".to_string(),
+            scheduler: None,
+            requests: 10_000,
+            connections: 4,
+            occupancy: 0.7,
+            max_size: 32,
+            max_walltime: None,
+            router: None,
+            pattern: None,
+            framing: Framing::Ndjson,
+            seed: 1996,
+            tenant: None,
+            no_drain: false,
+            claims_out: None,
+        }
+    }
 }
 
 /// Aggregated result of a loadgen run.

@@ -15,7 +15,7 @@ fn main() {
             if !matches!(err, ParseError::MissingCommand) {
                 eprintln!("run `commalloc help` for usage");
             } else {
-                eprintln!("{}", commalloc_cli::args::USAGE);
+                eprintln!("{}", commalloc_cli::args::usage());
             }
             std::process::exit(2);
         }

@@ -156,6 +156,6 @@ pub use registry::{MachineSnapshot, Registry, ServiceError};
 pub use replay::{replay, replay_cluster, ClusterReplayLog, ReplayGrant, ReplayJob, ReplayLog};
 pub use score::ScoreBreakdown;
 pub use server::{Server, ServerHandle};
-pub use service::{AllocOutcome, AllocationService, JobStatus};
+pub use service::{parse_dims, validate_tenant_name, AllocOutcome, AllocationService, JobStatus};
 pub use tenant::{job_cost, tenant_or_default, TenantConfig, TenantExport, TenantTable};
 pub use trace::{FlightRecorder, RequestCtx, SpanEvent, Stage};

@@ -110,7 +110,7 @@ pub const ROUTE_STALE_RETRIES: usize = 4;
 
 /// Parses `"16x16"` / `"4x4x4"` into dimensions, enforcing
 /// [`MAX_MACHINE_NODES`].
-fn parse_dims(spec: &str) -> Result<Vec<u16>, ServiceError> {
+pub fn parse_dims(spec: &str) -> Result<Vec<u16>, ServiceError> {
     let dims: Option<Vec<u16>> = spec
         .split(['x', 'X'])
         .map(|part| part.trim().parse::<u16>().ok().filter(|&d| d > 0))
@@ -162,7 +162,7 @@ fn parse_scheduler(spec: &str) -> Result<SchedulerKind, ServiceError> {
 /// Validates a tenant name: non-empty, no pool sigil, no `/` (tenant
 /// names travel inside job refs' flat namespace-free fields never, but
 /// a `/` would still read ambiguously in logs and CLI output).
-fn validate_tenant_name(tenant: &str) -> Result<(), ServiceError> {
+pub fn validate_tenant_name(tenant: &str) -> Result<(), ServiceError> {
     if tenant.is_empty() || tenant.starts_with('@') || tenant.contains('/') {
         return Err(ServiceError::InvalidSpec(format!(
             "tenant name {tenant:?} (must be non-empty, carry no '@' sigil and no '/')"
