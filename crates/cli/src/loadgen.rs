@@ -652,10 +652,10 @@ pub struct RecoveryCheckReport {
     pub recovered_busy: u64,
     /// Divergences: lost grants (claimed job not running, or running on
     /// different nodes), resurrected state (busy count above the
-    /// claims, queue entries that should not exist), pool-index
+    /// claims, queue entries that should not exist), `@pool`
     /// misresolutions, and tenant-table losses.
     pub violations: u64,
-    /// Extra checks performed: pool-index resolutions of live jobs (in
+    /// Extra checks performed: `@pool` resolutions of live jobs (in
     /// cluster mode) plus tenant-table verifications (when the claims
     /// were driven under a tenant).
     pub extra_checks: u64,
@@ -707,8 +707,8 @@ pub fn recovery_check(addr: &str, claims_path: &str) -> Result<RecoveryCheckRepo
     let mut extra_checks = 0u64;
     let mut claimed_per_machine: HashMap<String, u64> = HashMap::new();
     // In cluster mode the claims were driven through "@pool": the
-    // recovered pool job index must resolve every live bare id back to
-    // the member the router placed it on.
+    // recovered pool must resolve every live bare id back to the
+    // member the router placed it on.
     let pool_address = claims
         .get("machine_arg")
         .and_then(Value::as_str)

@@ -31,7 +31,7 @@
 //! (`estimate = ∞`), which makes EASY strictly conservative about them.
 
 use crate::journal::QueuedRequest;
-use commalloc::scheduler::{QueuedJob, RunningSnapshot, SchedulerKind};
+use commalloc::scheduler::{QueuedJob, SchedulerKind};
 use std::collections::VecDeque;
 
 /// A queued allocation request: the durable [`QueuedRequest`] plus what
@@ -82,9 +82,9 @@ impl PendingRequest {
     }
 
     /// The scheduler-facing view of this request — the single place the
-    /// `PendingRequest` → [`QueuedJob`] mapping lives (used by both
-    /// [`AdmissionQueue::select`] and the registry's drain loop). A
-    /// missing walltime estimates as infinity.
+    /// `PendingRequest` → [`QueuedJob`] mapping lives (the registry's
+    /// drain loop and queue outlook build their policy inputs from it).
+    /// A missing walltime estimates as infinity.
     pub fn as_queued(&self) -> QueuedJob {
         QueuedJob {
             job_id: self.request.job,
@@ -218,17 +218,9 @@ impl AdmissionQueue {
             .map(|i| i + 1)
     }
 
-    /// Asks the active policy which queued request (0-based index) may
-    /// start next, given `free` processors, the predicted completions of
-    /// the running jobs, and the current machine-clock time. Returns
-    /// `None` when nothing may start.
-    pub fn select(&self, free: usize, running: &[RunningSnapshot], now: f64) -> Option<usize> {
-        let jobs: Vec<QueuedJob> = self.queue.iter().map(PendingRequest::as_queued).collect();
-        self.kind.select_with_context(&jobs, free, running, now)
-    }
-
     /// Removes and returns the request at 0-based `index` (which must
-    /// come from [`AdmissionQueue::select`]).
+    /// come from the active policy's `select_with_context` over this
+    /// queue).
     pub fn take_at(&mut self, index: usize) -> PendingRequest {
         self.queue.remove(index).expect("index from select is live")
     }
@@ -248,6 +240,7 @@ impl AdmissionQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use commalloc::scheduler::RunningSnapshot;
 
     fn req(job: u64, size: usize) -> PendingRequest {
         PendingRequest::restored(QueuedRequest {
@@ -264,6 +257,13 @@ mod tests {
         let mut pending = req(job, size);
         pending.request.walltime = Some(walltime);
         pending
+    }
+
+    /// The call the registry's drain makes: the active policy over the
+    /// queue's scheduler-facing views.
+    fn select(q: &AdmissionQueue, free: usize, running: &[RunningSnapshot]) -> Option<usize> {
+        let views: Vec<QueuedJob> = q.iter().map(PendingRequest::as_queued).collect();
+        q.kind().select_with_context(&views, free, running, 0.0)
     }
 
     fn tenant_req(job: u64, tenant: &str) -> PendingRequest {
@@ -289,12 +289,12 @@ mod tests {
         q.enqueue(req(1, 10));
         q.enqueue(req(2, 100)); // too big once 1 is taken
         q.enqueue(req(3, 1)); // would fit, but must wait behind job 2
-        assert_eq!(q.select(20, &[], 0.0), Some(0));
+        assert_eq!(select(&q, 20, &[]), Some(0));
         let taken = q.take_at(0);
         assert_eq!(taken.request.job, 1);
         // 10 free left: the new head (job 2) does not fit, and FCFS never
         // looks past it.
-        assert_eq!(q.select(10, &[], 0.0), None);
+        assert_eq!(select(&q, 10, &[]), None);
     }
 
     #[test]
@@ -303,9 +303,9 @@ mod tests {
         q.enqueue(req(1, 100));
         q.enqueue(req(2, 8));
         q.enqueue(req(3, 2));
-        assert_eq!(q.select(10, &[], 0.0), Some(1));
-        assert_eq!(q.select(4, &[], 0.0), Some(2));
-        assert_eq!(q.select(1, &[], 0.0), None);
+        assert_eq!(select(&q, 10, &[]), Some(1));
+        assert_eq!(select(&q, 4, &[]), Some(2));
+        assert_eq!(select(&q, 1, &[]), None);
     }
 
     #[test]
@@ -320,9 +320,9 @@ mod tests {
             completion: 100.0,
             size: 6,
         }];
-        assert_eq!(q.select(4, &running, 0.0), Some(2));
+        assert_eq!(select(&q, 4, &running), Some(2));
         q.remove(3);
-        assert_eq!(q.select(4, &running, 0.0), None);
+        assert_eq!(select(&q, 4, &running), None);
     }
 
     #[test]
@@ -369,9 +369,9 @@ mod tests {
         let mut q = AdmissionQueue::new(SchedulerKind::Fcfs);
         q.enqueue(req(1, 100));
         q.enqueue(req(2, 1));
-        assert_eq!(q.select(10, &[], 0.0), None);
+        assert_eq!(select(&q, 10, &[]), None);
         q.set_kind(SchedulerKind::FirstFitBackfill);
         assert_eq!(q.kind(), SchedulerKind::FirstFitBackfill);
-        assert_eq!(q.select(10, &[], 0.0), Some(1));
+        assert_eq!(select(&q, 10, &[]), Some(1));
     }
 }

@@ -214,25 +214,15 @@ impl ServiceClient {
     /// Sends one request and reads its response frame.
     pub fn roundtrip(&mut self, request: &Request) -> Result<Response, ClientError> {
         match self.framing {
-            Framing::Ndjson => {
-                writeln!(self.writer, "{}", request.to_line())?;
-                self.writer.flush()?;
-                let mut line = String::new();
-                if self.reader.read_line(&mut line)? == 0 {
-                    return Err(ClientError::Protocol(
-                        "server closed the connection".to_string(),
-                    ));
-                }
-                Response::from_line(&line).map_err(|e| ClientError::Protocol(e.to_string()))
-            }
+            Framing::Ndjson => writeln!(self.writer, "{}", request.to_line())?,
             Framing::Binary => {
                 let bytes = framing::encode_frame(&request.to_value())
                     .map_err(|e| ClientError::InvalidRequest(format!("unencodable: {e}")))?;
                 self.writer.write_all(&bytes)?;
-                self.writer.flush()?;
-                self.read_response_frame()
             }
         }
+        self.writer.flush()?;
+        self.read_response_frame()
     }
 
     /// Reads one complete frame (of either framing — the server answers
@@ -443,9 +433,10 @@ impl ServiceClient {
     }
 
     /// Releases a job by reference. `machine` may be a member name, a
-    /// `"@pool"` address (the pool's job index resolves a bare id to
-    /// its owning member), or `None` when the reference itself is
-    /// qualified (`"m0/7"`, `"grid/m0/7"`). Returns the member that
+    /// `"@pool"` address (the pool's members are asked who holds a bare
+    /// id, one lock each), or `None` when the reference itself is
+    /// qualified (`"m0/7"`, `"grid/m0/7"` — no member is asked; the
+    /// alloc response names the member). Returns the member that
     /// held the job (when the server names it) and the jobs granted
     /// from the queue by this release.
     pub fn release_ref(

@@ -42,13 +42,13 @@
 
 use crate::registry::ServiceError;
 use crate::replay::ReplayJob;
+use crate::score::splitmix64;
 use crate::service::AllocationService;
 use crate::trace::RequestCtx;
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::AtomicU64;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 
 /// The cluster-level placement disciplines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -217,15 +217,6 @@ fn least_loaded_of(
     best
 }
 
-/// SplitMix64: the standard 64-bit finalizer used to derive the
-/// power-of-two-choices sample pair from the route sequence number.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 /// One machine's routing-relevant state, captured under its shard lock.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MachineSample {
@@ -244,17 +235,18 @@ pub struct MachineSample {
     /// The machine's best predicted contention for the specific request
     /// being routed, when it declared a communication pattern and a
     /// candidate window fits (see
-    /// [`crate::registry::MachineEntry::sample_for`]); `None` on plain
-    /// [`crate::registry::MachineEntry::sample`] captures. Only the
-    /// comm-aware policy reads it.
+    /// [`crate::registry::MachineEntry::sample_for`]); `None` otherwise.
+    /// Only the comm-aware policy reads it.
     pub contention: Option<f64>,
 }
 
 /// One pool's shared state. Members are kept sorted by name so sampling
 /// order — and therefore every tie-break — is deterministic and identical
-/// across registry shard counts.
+/// across registry shard counts. The list is shared, not copied, with
+/// every [`PoolView`]: membership changes only at registration, views are
+/// taken per routed request.
 struct Pool {
-    members: Vec<String>,
+    members: Arc<Vec<String>>,
     policy: RoutingPolicy,
     /// Route sequence: advanced once per routing decision; drives the
     /// round-robin cursor and the power-of-two-choices sampler.
@@ -263,7 +255,7 @@ struct Pool {
 
 /// An immutable view of a pool taken at route time.
 pub(crate) struct PoolView {
-    pub members: Vec<String>,
+    pub members: Arc<Vec<String>>,
     pub policy: RoutingPolicy,
     pub seq: Arc<AtomicU64>,
 }
@@ -274,11 +266,6 @@ pub(crate) struct PoolView {
 #[derive(Default)]
 pub struct PlacementRouter {
     pools: RwLock<HashMap<String, Pool>>,
-    /// Reverse lookup: member machine → pool it belongs to. Maintained
-    /// by [`PlacementRouter::add_member`]; lets the service index a
-    /// *direct* alloc to a pool member under its cluster-wide
-    /// identity without walking every pool.
-    member_pools: RwLock<HashMap<String, String>>,
 }
 
 impl PlacementRouter {
@@ -287,27 +274,23 @@ impl PlacementRouter {
     pub fn add_member(&self, pool: &str, machine: &str) {
         let mut pools = self.pools.write().expect("pool table poisoned");
         let entry = pools.entry(pool.to_string()).or_insert_with(|| Pool {
-            members: Vec::new(),
+            members: Arc::default(),
             policy: RoutingPolicy::default(),
             seq: Arc::new(AtomicU64::new(0)),
         });
-        if let Err(at) = entry.members.binary_search(&machine.to_string()) {
-            entry.members.insert(at, machine.to_string());
+        if let Err(at) = entry.members.binary_search_by(|m| m.as_str().cmp(machine)) {
+            Arc::make_mut(&mut entry.members).insert(at, machine.to_string());
         }
-        drop(pools);
-        self.member_pools
-            .write()
-            .expect("member table poisoned")
-            .insert(machine.to_string(), pool.to_string());
     }
 
-    /// The pool `machine` belongs to, if it joined one.
-    pub fn pool_of_member(&self, machine: &str) -> Option<String> {
-        self.member_pools
-            .read()
-            .expect("member table poisoned")
-            .get(machine)
-            .cloned()
+    /// Whether `machine` is a member of `pool` (an unknown pool has none).
+    pub(crate) fn is_member(&self, pool: &str, machine: &str) -> bool {
+        let pools = self.pools.read().expect("pool table poisoned");
+        pools.get(pool).is_some_and(|p| {
+            p.members
+                .binary_search_by(|m| m.as_str().cmp(machine))
+                .is_ok()
+        })
     }
 
     /// Switches the routing policy of `pool`.
@@ -338,7 +321,7 @@ impl PlacementRouter {
             .read()
             .expect("pool table poisoned")
             .get(pool)
-            .map(|p| p.members.clone())
+            .map(|p| p.members.to_vec())
             .ok_or_else(|| ServiceError::UnknownPool(pool.to_string()))
     }
 
@@ -362,7 +345,7 @@ impl PlacementRouter {
             .expect("pool table poisoned")
             .get(pool)
             .map(|p| PoolView {
-                members: p.members.clone(),
+                members: Arc::clone(&p.members),
                 policy: p.policy,
                 seq: Arc::clone(&p.seq),
             })
@@ -374,132 +357,6 @@ impl PlacementRouter {
 /// is the pool `grid`, anything else is a plain machine name.
 pub fn pool_of(machine: &str) -> Option<&str> {
     machine.strip_prefix('@')
-}
-
-/// Number of lock shards in the [`PoolJobIndex`]; like the registry's
-/// shard count, a power of two comfortably above the worker count.
-const JOB_INDEX_SHARDS: usize = 16;
-
-/// The pool-level job index: `(pool, job id) → owning members`.
-///
-/// This is what makes a bare job id meaningful at cluster scope: a
-/// `release`/`poll` addressed to `"@pool"` with a plain id resolves
-/// through this index to the member that actually holds the job —
-/// explicitly, instead of the silent first-match-miss a client got
-/// when it sent the bare id to the wrong member.
-///
-/// Sharded by `(pool, job)` hash, so resolution and maintenance lock
-/// one small shard, never the pool table or any machine shard — no
-/// global lock anywhere on the path. Entries are inserted when a live
-/// job (granted *or* queued) lands on a pool member and removed at
-/// release/cancel/queue-rejection; recovery rebuilds the index from
-/// the restored machines.
-///
-/// Duplicate ids across members *can* exist (two direct allocs to
-/// different members may reuse an id — each machine's namespace is
-/// still per-machine); the index keeps every owner, and resolution of
-/// such an id through the pool is a hard typed
-/// [`ServiceError::AmbiguousJob`] rather than first-match-wins.
-#[derive(Debug)]
-pub struct PoolJobIndex {
-    shards: Vec<JobIndexShard>,
-}
-
-/// One lock-sharded slice of the pool job index: `(pool, job id)` to
-/// every member currently holding that id (usually exactly one).
-type JobIndexShard = Mutex<HashMap<(String, u64), Vec<String>>>;
-
-impl Default for PoolJobIndex {
-    fn default() -> Self {
-        PoolJobIndex {
-            shards: (0..JOB_INDEX_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-        }
-    }
-}
-
-impl PoolJobIndex {
-    fn shard_of(&self, pool: &str, job: u64) -> &Mutex<HashMap<(String, u64), Vec<String>>> {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        pool.hash(&mut hasher);
-        job.hash(&mut hasher);
-        &self.shards[(hasher.finish() as usize) % JOB_INDEX_SHARDS]
-    }
-
-    /// Records `machine` as an owner of `(pool, job)`. Owners are kept
-    /// sorted so collision errors list members deterministically.
-    pub fn insert(&self, pool: &str, job: u64, machine: &str) {
-        let mut shard = self.shard_of(pool, job).lock().expect("index poisoned");
-        let owners = shard.entry((pool.to_string(), job)).or_default();
-        if let Err(at) = owners.binary_search(&machine.to_string()) {
-            owners.insert(at, machine.to_string());
-        }
-    }
-
-    /// Drops `machine` from the owners of `(pool, job)`, removing the
-    /// entry entirely when no owner remains.
-    pub fn remove(&self, pool: &str, job: u64, machine: &str) {
-        let mut shard = self.shard_of(pool, job).lock().expect("index poisoned");
-        if let Some(owners) = shard.get_mut(&(pool.to_string(), job)) {
-            if let Ok(at) = owners.binary_search(&machine.to_string()) {
-                owners.remove(at);
-            }
-            if owners.is_empty() {
-                shard.remove(&(pool.to_string(), job));
-            }
-        }
-    }
-
-    /// The owning members of `(pool, job)`, sorted by name (empty when
-    /// the job is unknown to the pool).
-    pub fn owners(&self, pool: &str, job: u64) -> Vec<String> {
-        let shard = self.shard_of(pool, job).lock().expect("index poisoned");
-        shard
-            .get(&(pool.to_string(), job))
-            .cloned()
-            .unwrap_or_default()
-    }
-
-    /// Resolves `(pool, job)` to its unique owner: the explicit
-    /// replacement for first-match-wins. Zero owners is
-    /// [`ServiceError::UnknownJob`] (addressed to the pool), two or
-    /// more is the typed [`ServiceError::AmbiguousJob`] collision.
-    pub fn resolve(&self, pool: &str, job: u64) -> Result<String, ServiceError> {
-        let mut owners = self.owners(pool, job);
-        match owners.len() {
-            0 => Err(ServiceError::UnknownJob {
-                machine: format!("@{pool}"),
-                job_id: job,
-            }),
-            1 => Ok(owners.remove(0)),
-            _ => Err(ServiceError::AmbiguousJob {
-                pool: pool.to_string(),
-                job_id: job,
-                machines: owners,
-            }),
-        }
-    }
-
-    /// Live entries across all shards (observability).
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("index poisoned").len())
-            .sum()
-    }
-
-    /// True when no live pool-scoped job is indexed.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Empties the index (recovery: rebuilt from restored machines).
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().expect("index poisoned").clear();
-        }
-    }
 }
 
 /// One member of an offline-routed cluster, by registration spec (the
@@ -765,6 +622,9 @@ mod tests {
             router.members("grid").unwrap(),
             vec!["m0".to_string(), "m1".to_string(), "m2".to_string()]
         );
+        assert!(router.is_member("grid", "m1"));
+        assert!(!router.is_member("grid", "m3"));
+        assert!(!router.is_member("nope", "m1"), "an unknown pool has none");
         assert_eq!(router.policy("grid").unwrap(), RoutingPolicy::RoundRobin);
         router
             .set_policy("grid", RoutingPolicy::LeastLoaded)
@@ -782,61 +642,5 @@ mod tests {
         assert_eq!(pool_of("@grid"), Some("grid"));
         assert_eq!(pool_of("grid"), None);
         assert_eq!(pool_of("@"), Some(""));
-    }
-
-    #[test]
-    fn member_pools_reverse_lookup() {
-        let router = PlacementRouter::default();
-        router.add_member("grid", "m0");
-        router.add_member("grid", "m1");
-        router.add_member("edge", "e0");
-        assert_eq!(router.pool_of_member("m1"), Some("grid".to_string()));
-        assert_eq!(router.pool_of_member("e0"), Some("edge".to_string()));
-        assert_eq!(router.pool_of_member("loner"), None);
-    }
-
-    #[test]
-    fn job_index_resolves_uniquely_and_types_collisions() {
-        let index = PoolJobIndex::default();
-        assert!(index.is_empty());
-        index.insert("grid", 7, "m1");
-        assert_eq!(index.resolve("grid", 7).unwrap(), "m1");
-        // Same id on a second member: resolution is now a typed
-        // collision, not first-match-wins.
-        index.insert("grid", 7, "m0");
-        match index.resolve("grid", 7) {
-            Err(ServiceError::AmbiguousJob {
-                pool,
-                job_id,
-                machines,
-            }) => {
-                assert_eq!(pool, "grid");
-                assert_eq!(job_id, 7);
-                assert_eq!(machines, vec!["m0".to_string(), "m1".to_string()]);
-            }
-            other => panic!("expected AmbiguousJob, got {other:?}"),
-        }
-        // Removing one owner restores unique resolution; removing the
-        // last empties the entry.
-        index.remove("grid", 7, "m0");
-        assert_eq!(index.resolve("grid", 7).unwrap(), "m1");
-        index.remove("grid", 7, "m1");
-        assert!(matches!(
-            index.resolve("grid", 7),
-            Err(ServiceError::UnknownJob { .. })
-        ));
-        assert!(index.is_empty());
-        // Unknown pools are simply unknown jobs at pool scope.
-        assert!(matches!(
-            index.resolve("nope", 1),
-            Err(ServiceError::UnknownJob { .. })
-        ));
-        // Idempotent inserts keep one owner entry.
-        index.insert("grid", 9, "m1");
-        index.insert("grid", 9, "m1");
-        assert_eq!(index.owners("grid", 9), vec!["m1".to_string()]);
-        assert_eq!(index.len(), 1);
-        index.clear();
-        assert!(index.is_empty());
     }
 }

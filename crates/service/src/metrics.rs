@@ -1,5 +1,6 @@
 //! Operation counters for the daemon and for each registered machine.
 
+use crate::score::{splitmix64, SPLITMIX64_GAMMA};
 use serde::{Serialize, Value};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -427,14 +428,11 @@ impl SlowdownReservoir {
             self.samples.push(value);
             return;
         }
-        // SplitMix64 step (public-domain constants), then a slot draw
-        // uniform over the stream so far: the value survives iff its
-        // draw lands inside the reservoir.
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        let slot = (z ^ (z >> 31)) % self.seen;
+        // One SplitMix64 step, then a slot draw uniform over the stream
+        // so far: the value survives iff its draw lands inside the
+        // reservoir.
+        let slot = splitmix64(self.state) % self.seen;
+        self.state = self.state.wrapping_add(SPLITMIX64_GAMMA);
         if (slot as usize) < self.samples.len() {
             self.samples[slot as usize] = value;
         }

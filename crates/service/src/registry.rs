@@ -428,10 +428,8 @@ impl Backing {
     /// contiguous window fits (the router then treats the member as
     /// unscored). Read-only: the routing sample path.
     fn predicted_contention(&self, job_id: u64, size: usize, pattern: CommPattern) -> Option<f64> {
-        self.scored_candidates(size)
-            .into_iter()
-            .map(|nodes| self.score_candidate(&nodes, pattern, job_id).total())
-            .min_by(f64::total_cmp)
+        self.best_scored_candidate(job_id, size, pattern)
+            .map(|(_, score, _)| score.total())
     }
 
     /// The realized dispersal of an allocation, in the same unit as the
@@ -563,10 +561,6 @@ pub struct MachineEntry {
     /// Sequence number of this machine's last appended journal record —
     /// its snapshot watermark (see `crate::journal`'s module docs).
     journal_seq: u64,
-    /// Queued jobs the drain dropped since the last
-    /// [`MachineEntry::take_dropped`]: they left this machine without a
-    /// release naming them, so the service must be told to forget them.
-    dropped: Vec<u64>,
     /// Grant-time calibration records of live pattern-scored jobs,
     /// keyed by job id and joined with the realized outcome at release.
     /// Bounded by [`PLACEMENT_CAP`]; only populated while the owning
@@ -604,7 +598,6 @@ impl MachineEntry {
             journaled: false,
             outbox: Vec::new(),
             journal_seq: 0,
-            dropped: Vec::new(),
             placements: HashMap::new(),
             calibration: Arc::new(CalibrationStore::new()),
             tenants: None,
@@ -740,13 +733,6 @@ impl MachineEntry {
         std::mem::take(&mut self.outbox)
     }
 
-    /// Drains the ids of the queued jobs the drain dropped since the last
-    /// call (the service un-indexes them while still holding the shard
-    /// lock, as it flushes the outbox).
-    pub fn take_dropped(&mut self) -> Vec<u64> {
-        std::mem::take(&mut self.dropped)
-    }
-
     /// Notes the sequence number the sink assigned to this machine's
     /// latest record — the snapshot watermark.
     pub fn note_journal_seq(&mut self, seq: u64) {
@@ -800,6 +786,12 @@ impl MachineEntry {
         }
     }
 
+    /// Whether `job_id` is live here: running or waiting. The one
+    /// question the pool layer asks a member about a job id.
+    pub fn holds(&self, job_id: u64) -> bool {
+        self.slot_of.contains_key(&job_id) || self.queue.contains(job_id)
+    }
+
     /// Appends `job` to the running order.
     fn push_running(&mut self, job: RunningJob) {
         self.slot_of.insert(job.job, self.running.len());
@@ -840,7 +832,7 @@ impl MachineEntry {
     /// Recovery: re-enqueues a journaled admission.
     pub fn restore_queue(&mut self, request: QueuedRequest) -> Result<(), String> {
         let QueuedRequest { job, size, .. } = request;
-        if self.slot_of.contains_key(&job) || self.queue.contains(job) {
+        if self.holds(job) {
             return Err(format!("queue record for job {job} which already exists"));
         }
         if size == 0 || size > self.total_nodes() {
@@ -914,33 +906,26 @@ impl MachineEntry {
     }
 
     /// The routing-relevant state of this machine, captured atomically
-    /// under the shard lock (the cluster router's *sample* step).
-    pub fn sample(&self) -> crate::cluster::MachineSample {
-        crate::cluster::MachineSample {
-            name: self.name.clone(),
-            nodes: self.total_nodes(),
-            free: self.num_free(),
-            queue_len: self.queue.len(),
-            generation: self.generation,
-            contention: None,
-        }
-    }
-
-    /// [`MachineEntry::sample`] scored for one specific request: when the
-    /// job declares a communication pattern, `contention` carries the
-    /// lowest predicted contention this machine could offer it right now
-    /// (`None` when no contiguous window fits, or no pattern was
-    /// declared). The comm-aware routing policy keys on this field.
+    /// under the shard lock (the cluster router's *sample* step), scored
+    /// for one specific request: when the job declares a communication
+    /// pattern, `contention` carries the lowest predicted contention this
+    /// machine could offer it right now (`None` when no contiguous window
+    /// fits, or no pattern was declared). The comm-aware routing policy
+    /// keys on this field.
     pub fn sample_for(
         &self,
         job_id: u64,
         size: usize,
         pattern: Option<CommPattern>,
     ) -> crate::cluster::MachineSample {
-        let mut sample = self.sample();
-        sample.contention =
-            pattern.and_then(|p| self.backing.predicted_contention(job_id, size, p));
-        sample
+        crate::cluster::MachineSample {
+            name: self.name.clone(),
+            nodes: self.total_nodes(),
+            free: self.num_free(),
+            queue_len: self.queue.len(),
+            generation: self.generation,
+            contention: pattern.and_then(|p| self.backing.predicted_contention(job_id, size, p)),
+        }
     }
 
     /// Switches the scheduling policy at runtime and re-drains the queue
@@ -1012,7 +997,7 @@ impl MachineEntry {
             pattern,
             tenant,
         } = *args;
-        if self.slot_of.contains_key(&job_id) || self.queue.contains(job_id) {
+        if self.holds(job_id) {
             return Err(ServiceError::DuplicateJob {
                 machine: self.name.clone(),
                 job_id,
@@ -1368,7 +1353,6 @@ impl MachineEntry {
                                 job: request.job,
                             });
                         }
-                        self.dropped.push(request.job);
                     }
                     continue;
                 }

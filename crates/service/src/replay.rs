@@ -356,10 +356,10 @@ pub fn replay_cluster(
             let (_, machine_at, idx) = completion.expect("completion event requires a running job");
             let machine = members[machine_at].clone();
             let (done, _) = running[machine_at].swap_remove(idx);
-            // Release through the pool address: the pool's job index
-            // resolves the bare id to its owning member, so every
-            // cluster replay also proves the index agrees with the
-            // router's bookkeeping.
+            // Release through the pool address: the bare id resolves
+            // to whichever member holds it, so every cluster replay
+            // also proves resolution agrees with the router's
+            // bookkeeping.
             let (resolved, granted) = service
                 .release_ref(
                     Some(&pool_address),
@@ -369,7 +369,7 @@ pub fn replay_cluster(
                 .expect("running job releases cleanly");
             assert_eq!(
                 resolved, machine,
-                "pool job index must resolve to the member the router placed the job on"
+                "a bare id must resolve to the member the router placed the job on"
             );
             for (job_id, nodes) in granted {
                 let duration = durations[&job_id];

@@ -35,10 +35,16 @@ use rand::SeedableRng;
 /// stride) to keep a single score O(cap × hops) events.
 const MAX_SCORED_MESSAGES: usize = 2048;
 
-/// SplitMix64 (same finalizer as the cluster router's sampler): turns a
-/// job id into the seed of the pattern's message draws.
+/// The SplitMix64 stream's increment (the golden-ratio constant).
+pub(crate) const SPLITMIX64_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// SplitMix64: the output the generator gives after state `x` — one
+/// increment, then the standard 64-bit finalizer. The crate's one source
+/// of clock-free pseudo-randomness: it seeds a job's message draws here,
+/// derives the router's power-of-two-choices pair from the route
+/// sequence, and steps the slowdown reservoir's replacement draws.
 pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    x = x.wrapping_add(SPLITMIX64_GAMMA);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     x ^ (x >> 31)

@@ -6,10 +6,10 @@
 //! [`AllocationService::handle`].
 
 use crate::calibration::CalibrationStore;
-use crate::cluster::{pool_of, MachineSample, PlacementRouter, PoolJobIndex, RoutingPolicy};
+use crate::cluster::{pool_of, MachineSample, PlacementRouter, RoutingPolicy};
 use crate::journal::{
-    JournalRecord, JournalSink, MachineSpec, NoopJournal, PoolImage, QueuedRequest, RunningJob,
-    SnapshotImage, TenantImage, TenantSpec,
+    JournalRecord, JournalSink, MachineSpec, NoopJournal, PoolImage, SnapshotImage, TenantImage,
+    TenantSpec,
 };
 use crate::metrics::{LogLinearHistogram, ServiceMetrics, WindowRing};
 use crate::protocol::{AllocArgs, JobRef, Request, Response};
@@ -55,11 +55,6 @@ pub struct AllocationService {
     /// by traced routed allocs. BTreeMap: exports iterate in pool-name
     /// order, so the exposition is deterministic.
     pool_windows: Arc<Mutex<BTreeMap<String, PoolWindow>>>,
-    /// The pool-scoped job index: `(pool, job id) -> owning members`,
-    /// maintained on every grant/queue/release of a pool member so
-    /// `@pool`-addressed release/poll resolve a bare id to its owner
-    /// without touching any per-machine lock.
-    job_index: Arc<PoolJobIndex>,
 }
 
 /// One pool's route-latency aggregation: the since-boot histogram, the
@@ -94,7 +89,6 @@ impl Default for AllocationService {
             router_flips: Arc::new(Mutex::new(())),
             recorder: Arc::new(FlightRecorder::new()),
             pool_windows: Arc::new(Mutex::new(BTreeMap::new())),
-            job_index: Arc::new(PoolJobIndex::default()),
         }
     }
 }
@@ -287,14 +281,7 @@ impl AllocationService {
     /// traced request gets a `journal_append` span per record, and a
     /// `fsync_wait` span for the slice of it spent blocked on the disk
     /// (`--fsync every`; group commit never blocks the append).
-    ///
-    /// Queued jobs the mutation's drain dropped leave the pool job index
-    /// here too: no release will ever name them, and recovery un-indexes
-    /// them as it replays their `Cancel` records.
-    fn flush_effects(&self, machine: &str, entry: &mut MachineEntry, ctx: &RequestCtx<'_>) {
-        for job in entry.take_dropped() {
-            self.unindex(machine, job);
-        }
+    fn flush_effects(&self, entry: &mut MachineEntry, ctx: &RequestCtx<'_>) {
         for record in entry.take_outbox() {
             let start = ctx.now_micros();
             let (seq, fsync_wait) = self.journal.append_timed(&record);
@@ -321,11 +308,6 @@ impl AllocationService {
     /// keys (shared with every machine entry and the TCP server).
     pub fn tenants(&self) -> &Arc<TenantTable> {
         self.registry.tenants()
-    }
-
-    /// The pool-scoped job index (`@pool` bare-id resolution).
-    pub fn job_index(&self) -> &Arc<PoolJobIndex> {
-        &self.job_index
     }
 
     /// Registers a machine from string specs. Two dimensions select the
@@ -482,24 +464,15 @@ impl AllocationService {
     }
 
     /// Settles one alloc attempt's admission commitment against its
-    /// outcome and maintains the pool job index: grants and queued
-    /// jobs of pool members become resolvable by bare id; rejected or
-    /// failed attempts refund their commitment.
-    fn finish_admission(
-        &self,
-        machine: &str,
-        job: u64,
-        tenant: Option<&str>,
-        cost: f64,
-        result: Result<AllocOutcome, ServiceError>,
-    ) -> Result<AllocOutcome, ServiceError> {
-        match &result {
-            Ok(AllocOutcome::Granted(_)) | Ok(AllocOutcome::Queued(_)) => self.index(machine, job),
-            Ok(AllocOutcome::Rejected(_)) | Err(_) => {
-                self.registry.tenants().refund(tenant, cost);
-            }
+    /// outcome: a granted or queued job keeps it (released when the job
+    /// settles); a rejected or failed attempt gets it back.
+    fn refund_unless_live(&self, tenant: Option<&str>, cost: f64, outcome: Option<&AllocOutcome>) {
+        if !matches!(
+            outcome,
+            Some(AllocOutcome::Granted(_) | AllocOutcome::Queued(_))
+        ) {
+            self.registry.tenants().refund(tenant, cost);
         }
-        result
     }
 
     /// Allocates `args.size` processors for `args.job` on `machine`,
@@ -518,10 +491,11 @@ impl AllocationService {
         self.admit_quota(args.tenant, cost)?;
         let result = self.registry.with_entry(machine, |entry| {
             let outcome = entry.allocate(args, "direct", &ctx);
-            self.flush_effects(machine, entry, &ctx);
+            self.flush_effects(entry, &ctx);
             outcome
         });
-        self.finish_admission(machine, args.job, args.tenant, cost, result)
+        self.refund_unless_live(args.tenant, cost, result.as_ref().ok());
+        result
     }
 
     /// Positional form of [`AllocationService::alloc`] for an
@@ -544,20 +518,14 @@ impl AllocationService {
         self.alloc(machine, &args, &RequestCtx::inert())
     }
 
-    /// The routing-relevant sample of `machine`, captured under its
-    /// shard lock (the router's *sample* step; public so offline routing
-    /// harnesses see exactly what the router sees).
-    pub fn sample(&self, machine: &str) -> Result<MachineSample, ServiceError> {
-        self.registry
-            .with_entry(machine, |entry| Ok(entry.sample()))
-    }
-
-    /// [`AllocationService::sample`] scored for one specific request:
-    /// when `pattern` is declared, the sample's `contention` field
-    /// carries the machine's best predicted contention for the job (see
-    /// [`MachineEntry::sample_for`]). The comm-aware routing policy and
-    /// the offline router both sample through this path, which is what
-    /// keeps their decisions identical.
+    /// The routing-relevant sample of `machine` for one specific
+    /// request, captured under its shard lock (the router's *sample*
+    /// step; public so offline routing harnesses see exactly what the
+    /// router sees): when `pattern` is declared, the sample's
+    /// `contention` field carries the machine's best predicted contention
+    /// for the job (see [`MachineEntry::sample_for`]). The comm-aware
+    /// routing policy and the offline router both sample through that
+    /// call, which is what keeps their decisions identical.
     pub fn sample_for(
         &self,
         machine: &str,
@@ -582,32 +550,23 @@ impl AllocationService {
     ///
     /// The whole sample-pick-commit loop is timed as one `route` span
     /// (its `code` counts the stale-sample retries), bound to the member
-    /// that took the job. A routed id already live anywhere in the pool
-    /// is refused up front as the typed duplicate it would otherwise
-    /// become in the pool index.
+    /// that took the job. A routed id some member already holds is
+    /// refused as the typed duplicate naming the first holder (the lock
+    /// hold that samples a member asks it); like any failed attempt it
+    /// leaves the tenant's ledger as it found it, and like a direct
+    /// `alloc` it is checked after the quota, so a request that is both
+    /// over quota and a duplicate answers `quota_exceeded`.
     pub fn route(
         &self,
         pool: &str,
         args: &AllocArgs<'_>,
         ctx: &RequestCtx<'_>,
     ) -> Result<(String, AllocOutcome), ServiceError> {
-        if let Some(owner) = self.job_index.owners(pool, args.job).first() {
-            return Err(ServiceError::DuplicateJob {
-                machine: owner.clone(),
-                job_id: args.job,
-            });
-        }
         let cost = job_cost(args.size, args.walltime);
         self.admit_quota(args.tenant, cost)?;
         let result = self.route_inner(pool, args, ctx);
-        match &result {
-            Ok((target, AllocOutcome::Granted(_))) | Ok((target, AllocOutcome::Queued(_))) => {
-                self.job_index.insert(pool, args.job, target);
-            }
-            Ok((_, AllocOutcome::Rejected(_))) | Err(_) => {
-                self.registry.tenants().refund(args.tenant, cost);
-            }
-        }
+        let outcome = result.as_ref().ok().map(|(_, outcome)| outcome);
+        self.refund_unless_live(args.tenant, cost, outcome);
         result
     }
 
@@ -626,8 +585,16 @@ impl AllocationService {
             let view = self.router.view(pool)?;
             let policy = view.policy;
             let mut eligible: Vec<MachineSample> = Vec::with_capacity(view.members.len());
-            for name in &view.members {
-                let sample = self.sample_for(name, job, size, pattern)?;
+            for name in view.members.iter() {
+                let sample = self.registry.with_entry(name, |entry| {
+                    if entry.holds(job) {
+                        return Err(ServiceError::DuplicateJob {
+                            machine: name.clone(),
+                            job_id: job,
+                        });
+                    }
+                    Ok(entry.sample_for(job, size, pattern))
+                })?;
                 if size <= sample.nodes {
                     eligible.push(sample);
                 }
@@ -659,7 +626,7 @@ impl AllocationService {
                     mctx.now_micros(),
                 );
                 let outcome = entry.allocate(args, policy.name(), &mctx).map(Some);
-                self.flush_effects(&target, entry, &mctx);
+                self.flush_effects(entry, &mctx);
                 outcome
             })?;
             if let Some(outcome) = committed {
@@ -775,7 +742,7 @@ impl AllocationService {
         let ctx = ctx.with_machine(machine);
         self.registry.with_entry(machine, |entry| {
             let granted = entry.set_scheduler(kind, &ctx);
-            self.flush_effects(machine, entry, &ctx);
+            self.flush_effects(entry, &ctx);
             Ok((kind, granted))
         })
     }
@@ -851,7 +818,7 @@ impl AllocationService {
         let ctx = ctx.with_machine(machine);
         self.registry.with_entry(machine, |entry| {
             let granted = entry.set_fair_share(enabled, &ctx);
-            self.flush_effects(machine, entry, &ctx);
+            self.flush_effects(entry, &ctx);
             Ok(granted)
         })
     }
@@ -922,13 +889,35 @@ impl AllocationService {
         ctx: &RequestCtx<'_>,
     ) -> Result<Vec<(u64, Vec<NodeId>)>, ServiceError> {
         let ctx = ctx.with_machine(machine);
-        let granted = self.registry.with_entry(machine, |entry| {
+        self.registry.with_entry(machine, |entry| {
             let granted = entry.release(job, &ctx);
-            self.flush_effects(machine, entry, &ctx);
+            self.flush_effects(entry, &ctx);
             granted
-        })?;
-        self.unindex(machine, job);
-        Ok(granted)
+        })
+    }
+
+    /// The members of `pool` that hold `job` (running or waiting), in
+    /// name order; an unknown pool has none. Nothing remembers who holds
+    /// a job — the members are asked, so the answer cannot drift from
+    /// their state, at one uncontended lock per member (what a routed
+    /// `alloc` pays to sample them).
+    ///
+    /// Lock order: `view` copies the member list out (an `Arc` clone) and
+    /// drops the pool table's lock before the first shard lock is taken —
+    /// `register_entry` joins a pool *under* a shard lock (shard, then
+    /// pool table), so asking a member under the table's lock would be
+    /// the reverse order and could deadlock. Each `with_entry` takes and
+    /// releases one shard lock, so no two are ever held together either.
+    fn holders(&self, pool: &str, job: u64) -> Vec<String> {
+        let Ok(view) = self.router.view(pool) else {
+            return Vec::new();
+        };
+        let holds = |member: &&String| {
+            self.registry
+                .with_entry(member, |entry| Ok(entry.holds(job)))
+                .unwrap_or(false)
+        };
+        view.members.iter().filter(holds).cloned().collect()
     }
 
     /// Resolves a `(machine address, job ref)` pair to the owning
@@ -937,24 +926,43 @@ impl AllocationService {
     /// * `Some("name")` + bare ref → the named machine, directly.
     /// * `Some("name")` + qualified ref → the ref's machine must match
     ///   the address (a mismatch is a typed [`ServiceError::InvalidRequest`]).
-    /// * `Some("@pool")` + bare ref → the pool job index resolves the
-    ///   id; zero owners is [`ServiceError::UnknownJob`], two or more
-    ///   the typed [`ServiceError::AmbiguousJob`] collision.
+    /// * `Some("@pool")` + bare ref → the pool's members are asked who
+    ///   holds the id (`holders`, one lock each); nobody is
+    ///   [`ServiceError::UnknownJob`] addressed to the pool (an unknown
+    ///   pool has no members, so it answers the same), two or more the
+    ///   typed [`ServiceError::AmbiguousJob`] collision.
     /// * `Some("@pool")` + qualified ref → the ref's machine must be a
     ///   member of the pool (and a pooled ref must name that pool).
     /// * `None` → the ref must be qualified; a pooled ref additionally
     ///   verifies the machine's pool membership.
     pub fn resolve_job(&self, machine: Option<&str>, job: &JobRef) -> Result<String, ServiceError> {
-        let member_of = |pool: &str, member: &str| match self.router.pool_of_member(member) {
-            Some(p) if p == pool => Ok(()),
-            _ => Err(ServiceError::InvalidRequest(format!(
-                "machine {member:?} is not a member of pool {pool:?}"
-            ))),
+        let member_of = |pool: &str, member: &str| {
+            if self.router.is_member(pool, member) {
+                Ok(())
+            } else {
+                Err(ServiceError::InvalidRequest(format!(
+                    "machine {member:?} is not a member of pool {pool:?}"
+                )))
+            }
         };
         match machine {
             Some(addr) => match pool_of(addr) {
                 Some(pool) => match job {
-                    JobRef::Bare(id) => self.job_index.resolve(pool, *id),
+                    JobRef::Bare(id) => {
+                        let mut holders = self.holders(pool, *id);
+                        match holders.len() {
+                            0 => Err(ServiceError::UnknownJob {
+                                machine: addr.to_string(),
+                                job_id: *id,
+                            }),
+                            1 => Ok(holders.remove(0)),
+                            _ => Err(ServiceError::AmbiguousJob {
+                                pool: pool.to_string(),
+                                job_id: *id,
+                                machines: holders,
+                            }),
+                        }
+                    }
                     JobRef::Member { machine, .. } => {
                         member_of(pool, machine)?;
                         Ok(machine.clone())
@@ -1360,17 +1368,17 @@ impl AllocationService {
             JournalRecord::Register { spec, pool } => {
                 self.register_inner(spec, pool.as_deref(), false)
             }
-            JournalRecord::Grant { machine, job } => self.restore_grant(machine, job),
-            JournalRecord::Queue { machine, request } => self.restore_queue(machine, request),
+            JournalRecord::Grant { machine, job } => {
+                self.restore(machine, |entry| entry.restore_grant(job.clone()))
+            }
+            JournalRecord::Queue { machine, request } => {
+                self.restore(machine, |entry| entry.restore_queue(request.clone()))
+            }
             JournalRecord::Release { machine, job } => {
-                self.restore(machine, |entry| entry.restore_release(*job))?;
-                self.unindex(machine, *job);
-                Ok(())
+                self.restore(machine, |entry| entry.restore_release(*job))
             }
             JournalRecord::Cancel { machine, job } => {
-                self.restore(machine, |entry| entry.restore_cancel(*job))?;
-                self.unindex(machine, *job);
-                Ok(())
+                self.restore(machine, |entry| entry.restore_cancel(*job))
             }
             JournalRecord::SetTenant(spec) => {
                 self.registry
@@ -1407,45 +1415,11 @@ impl AllocationService {
         })
     }
 
-    /// Recovery: `job` runs on `machine` again, and — for a pool member
-    /// — re-enters the pool job index (pool membership is restored
-    /// first: Register records precede grants of their machine in the
-    /// journal, and a snapshot restores its pool table before its jobs).
-    fn restore_grant(&self, machine: &str, job: &RunningJob) -> Result<(), ServiceError> {
-        self.restore(machine, |entry| entry.restore_grant(job.clone()))?;
-        self.index(machine, job.job);
-        Ok(())
-    }
-
-    /// Recovery: `request` waits on `machine` again (indexed like a
-    /// restored grant).
-    fn restore_queue(&self, machine: &str, request: &QueuedRequest) -> Result<(), ServiceError> {
-        self.restore(machine, |entry| entry.restore_queue(request.clone()))?;
-        self.index(machine, request.job);
-        Ok(())
-    }
-
     /// Recovery: pool `pool` routes under `policy` again.
     fn restore_router(&self, pool: &str, policy: &str) -> Result<(), ServiceError> {
         let parsed = RoutingPolicy::parse(policy)
             .ok_or_else(|| ServiceError::InvalidSpec(format!("routing policy {policy:?}")))?;
         self.router.set_policy(pool, parsed)
-    }
-
-    /// A job granted or queued on a pool member becomes resolvable by
-    /// bare id through the pool job index.
-    fn index(&self, machine: &str, job: u64) {
-        if let Some(pool) = self.router.pool_of_member(machine) {
-            self.job_index.insert(&pool, job, machine);
-        }
-    }
-
-    /// A job that left a pool member (released, cancelled or dropped)
-    /// leaves the pool job index.
-    fn unindex(&self, machine: &str, job: u64) {
-        if let Some(pool) = self.router.pool_of_member(machine) {
-            self.job_index.remove(&pool, job, machine);
-        }
     }
 
     /// Recovery: recomputes the tenant ledger's live gauges
@@ -1529,10 +1503,10 @@ impl AllocationService {
                 Ok(())
             })?;
             for job in &m.running {
-                self.restore_grant(machine, job)?;
+                self.restore(machine, |entry| entry.restore_grant(job.clone()))?;
             }
             for request in &m.queue {
-                self.restore_queue(machine, request)?;
+                self.restore(machine, |entry| entry.restore_queue(request.clone()))?;
             }
         }
         Ok(watermarks)
@@ -1802,7 +1776,7 @@ fn alloc_response(job: u64, outcome: AllocOutcome, machine: Option<String>) -> R
 
 /// Renders a service error as its wire shape. Every error carries a
 /// message; the errors clients are expected to branch on (quota
-/// denials, pool-index collisions) additionally carry a
+/// denials, pool-scoped id collisions) additionally carry a
 /// machine-readable `code` and a structured `detail`.
 pub fn error_response(err: &ServiceError) -> Response {
     let (code, detail) = match err {
@@ -1843,6 +1817,7 @@ pub fn error_response(err: &ServiceError) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::QueuedRequest;
 
     #[test]
     fn register_dispatches_on_dimension_count() {
@@ -2065,7 +2040,7 @@ mod tests {
     }
 
     #[test]
-    fn a_queued_job_the_drain_drops_leaves_the_pool_index() {
+    fn a_queued_job_the_drain_drops_has_no_holder() {
         // No rectangle of 30 fits a 16x4 mesh, but the machine is busy
         // when job 2 arrives, so it waits — until the release that
         // empties the machine shows no release can ever help it.
@@ -2095,18 +2070,24 @@ mod tests {
             Ok(AllocOutcome::Granted(_))
         ));
         assert_eq!(route(&service, 2, 30), Ok(AllocOutcome::Queued(1)));
-        assert_eq!(service.job_index().owners("grid", 2), ["m0"]);
+        assert_eq!(service.holders("grid", 2), ["m0"]);
         assert!(service.release("m0", 1, &ctx).unwrap().is_empty());
         assert_eq!(service.poll("m0", 2), Ok(JobStatus::Unknown));
         assert!(
-            service.job_index().owners("grid", 2).is_empty(),
-            "the dropped job must leave the pool index with the machine"
+            service.holders("grid", 2).is_empty(),
+            "the dropped job must leave the pool with the machine"
         );
+        assert!(matches!(
+            route(&service, 3, 8),
+            Ok(AllocOutcome::Granted(_))
+        ));
         // The daemon that replays the drop's Cancel agrees with the one
-        // that made it, and the id is free again on both.
+        // that made it — nothing is rebuilt, the recovered member is
+        // asked — and the id is free again on both.
         drop(service);
         let (recovered, _) = crate::journal::open_journaled(&dir, config).unwrap();
-        assert!(recovered.job_index().owners("grid", 2).is_empty());
+        assert_eq!(recovered.holders("grid", 3), ["m0"]);
+        assert!(recovered.holders("grid", 2).is_empty());
         assert!(matches!(
             route(&recovered, 2, 8),
             Ok(AllocOutcome::Granted(_))

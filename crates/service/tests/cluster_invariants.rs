@@ -1,4 +1,13 @@
-//! Concurrent hammering of a heterogeneous 4-machine pool through the
+//! Two suites over the pooled service.
+//!
+//! **Resolution** (the proptest at the bottom): nothing in the daemon
+//! remembers which member holds a job, so a bare id addressed to `@pool`
+//! must answer exactly what the members' own `poll`s say — after every
+//! op of a random sequence with colliding ids, and again after a
+//! journaled restart.
+//!
+//! **Concurrency** (the first test):
+//! concurrent hammering of a heterogeneous 4-machine pool through the
 //! cluster router: interleaved routed allocates, releases and cancels
 //! from many threads — with the routing policy switched mid-run — must
 //! never double-grant a node on any member, never route a job to a
@@ -13,7 +22,17 @@
 //! across the service call. Routed allocations stay fully concurrent —
 //! exactly where the router's sample-then-commit hazard lives.
 
-use commalloc_service::{AllocArgs, AllocOutcome, AllocationService, RequestCtx, RoutingPolicy};
+// Only the walltime generator is shared; the wire-shape generators the
+// codec suites use stay unused here.
+#[allow(dead_code)]
+mod strategies;
+
+use commalloc_service::service::error_response;
+use commalloc_service::{
+    open_journaled, AllocArgs, AllocOutcome, AllocationService, JobRef, JobStatus, JournalConfig,
+    Request, RequestCtx, RoutingPolicy, ServiceError,
+};
+use proptest::prelude::*;
 use rand::prelude::*;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -204,4 +223,172 @@ fn concurrent_routed_traffic_with_router_switches_never_violates_invariants() {
         .map(|table| table.iter().filter(|c| c.load(Ordering::SeqCst)).count())
         .sum();
     assert_eq!(outstanding, 0, "stale client-side claims");
+}
+
+/// The resolution suite's pool. `m0` and `m1` place contiguous
+/// rectangles only, and the allocator finds none of 30 processors on
+/// either mesh: a 30 that queued behind a busy machine is *dropped* by
+/// the drain that finds the machine empty — a job that leaves a member
+/// with no request naming it.
+const POOL: [(&str, &str, Option<&str>); 3] = [
+    ("m0", "16x4", Some("contiguous FF")),
+    ("m1", "8x4", Some("contiguous FF")),
+    ("m2", "4x4", None),
+];
+
+/// Job ids are drawn from this small range so routed and direct allocs
+/// collide, on one member and across members.
+const IDS: std::ops::Range<u64> = 0..6;
+
+#[derive(Debug, Clone)]
+enum PoolOp {
+    /// `alloc` to `@grid` (`member: None`) or to one member directly.
+    Alloc {
+        member: Option<usize>,
+        job: u64,
+        size: usize,
+        wait: bool,
+        walltime: Option<f64>,
+    },
+    /// `release` — of a running job, or the cancel of a queued one — by
+    /// bare id through `@grid` (`member: None`) or on one member.
+    Release { member: Option<usize>, job: u64 },
+    /// `set_scheduler` on one member, re-draining its queue.
+    SetScheduler {
+        member: usize,
+        scheduler: &'static str,
+    },
+}
+
+fn pool_op_strategy() -> BoxedStrategy<PoolOp> {
+    let member = || prop_oneof![Just(None), (0..POOL.len()).prop_map(Some)];
+    prop_oneof![
+        (
+            member(),
+            IDS,
+            prop::sample::select(vec![1usize, 6, 16, 30, 30]),
+            (0u8..4).prop_map(|n| n != 0),
+            strategies::walltime_strategy(),
+        )
+            .prop_map(|(member, job, size, wait, walltime)| PoolOp::Alloc {
+                member,
+                job,
+                size,
+                wait,
+                walltime,
+            }),
+        (member(), IDS).prop_map(|(member, job)| PoolOp::Release { member, job }),
+        (
+            0..POOL.len(),
+            prop::sample::select(vec!["fcfs", "backfill", "easy", "conservative"]),
+        )
+            .prop_map(|(member, scheduler)| PoolOp::SetScheduler { member, scheduler }),
+    ]
+    .boxed()
+}
+
+/// Every id's standing on every member, by the members' own `poll`s.
+fn member_polls(service: &AllocationService) -> Vec<Vec<(String, JobStatus)>> {
+    IDS.map(|job| {
+        POOL.iter()
+            .map(|(member, ..)| (member.to_string(), service.poll(member, job).unwrap()))
+            .filter(|(_, status)| *status != JobStatus::Unknown)
+            .collect()
+    })
+    .collect()
+}
+
+/// A bare id addressed to `@grid` answers what the members say: the one
+/// holder's own status, a typed unknown addressed to the pool when
+/// nobody holds it, the typed collision naming every holder otherwise.
+fn check_resolution(service: &AllocationService, when: &str) -> Result<(), TestCaseError> {
+    for (job, holders) in IDS.zip(member_polls(service)) {
+        let want = match holders.as_slice() {
+            [] => Err(ServiceError::UnknownJob {
+                machine: "@grid".to_string(),
+                job_id: job,
+            }),
+            [only] => Ok(only.clone()),
+            _ => Err(ServiceError::AmbiguousJob {
+                pool: "grid".to_string(),
+                job_id: job,
+                machines: holders.iter().map(|(member, _)| member.clone()).collect(),
+            }),
+        };
+        let got = service.poll_ref(Some("@grid"), &JobRef::Bare(job));
+        prop_assert_eq!(got, want, "job {} {}", job, when);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn a_bare_id_resolves_to_whoever_the_members_say_holds_it(
+        ops in prop::collection::vec(pool_op_strategy(), 1..40),
+    ) {
+        static CASE: AtomicU64 = AtomicU64::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "commalloc-resolution-{}-{}",
+            std::process::id(),
+            CASE.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        // Ops go through `handle`, which is where compaction rides: a
+        // snapshot every few records makes the restart below fold a
+        // snapshot *and* a tail.
+        let config = JournalConfig { snapshot_every: 7, ..JournalConfig::default() };
+        let (service, _) = open_journaled(&dir, config).unwrap();
+        for (member, mesh, allocator) in POOL {
+            service.register_in_pool(member, mesh, allocator, None, None, Some("grid")).unwrap();
+        }
+        let address = |member: Option<usize>| match member {
+            Some(at) => POOL[at].0.to_string(),
+            None => "@grid".to_string(),
+        };
+        for (step, op) in ops.iter().enumerate() {
+            let before = member_polls(&service);
+            let response = service.handle(&match op.clone() {
+                PoolOp::Alloc { member, job, size, wait, walltime } => Request::Alloc {
+                    machine: address(member),
+                    job,
+                    size,
+                    wait,
+                    walltime,
+                    pattern: None,
+                    tenant: None,
+                },
+                PoolOp::Release { member, job } => Request::Release {
+                    machine: Some(address(member)),
+                    job: JobRef::Bare(job),
+                },
+                PoolOp::SetScheduler { member, scheduler } => Request::SetScheduler {
+                    machine: POOL[member].0.to_string(),
+                    scheduler: scheduler.to_string(),
+                },
+            });
+            // A routed id some member holds is refused, naming the first.
+            if let PoolOp::Alloc { member: None, job, .. } = op {
+                if let Some((first, _)) = before[*job as usize].first() {
+                    let duplicate = ServiceError::DuplicateJob {
+                        machine: first.clone(),
+                        job_id: *job,
+                    };
+                    prop_assert_eq!(&response, &error_response(&duplicate), "step {}", step);
+                }
+            }
+            check_resolution(&service, &format!("after step {step}: {op:?} -> {response:?}"))?;
+        }
+        let live = member_polls(&service);
+        drop(service);
+        let (recovered, _) = open_journaled(&dir, config).unwrap();
+        prop_assert_eq!(member_polls(&recovered), live, "recovery changed a member's jobs");
+        check_resolution(&recovered, "after the restart")?;
+        for (member, ..) in POOL {
+            recovered.check_invariants(member).unwrap();
+        }
+        drop(recovered);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

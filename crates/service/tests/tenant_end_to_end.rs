@@ -1,12 +1,14 @@
 //! End-to-end coverage of the tenancy and job-identity layer over real
-//! TCP: pool-scoped `@pool` job addressing through the pool job index,
-//! typed ambiguity and quota errors, `hello` connection binding,
-//! per-tenant accounting in the tenant table, weighted fair-share
-//! drain order, and tenant-table recovery through a simulated crash.
+//! TCP: pool-scoped `@pool` job addressing (bare ids resolved by asking
+//! the pool's members), typed ambiguity and quota errors, `hello`
+//! connection binding, per-tenant accounting in the tenant table,
+//! weighted fair-share drain order, and tenant-table recovery through a
+//! simulated crash.
 
 use commalloc_service::{
     open_journaled, AllocArgs, AllocOutcome, AllocationService, ClientAllocOutcome, ClientError,
-    JobRef, JobStatus, JournalConfig, RequestCtx, Server, ServiceClient,
+    JobRef, JobStatus, JournalConfig, Request, RequestCtx, Response, Server, ServiceClient,
+    ServiceError,
 };
 use serde::Value;
 use std::collections::HashMap;
@@ -29,9 +31,8 @@ fn register_pool(client: &mut ServiceClient, members: &[&str]) {
 }
 
 /// The tentpole acceptance path: allocate through `@grid`, then
-/// release/poll/query through `@grid` with bare ids — the pool job
-/// index resolves each id to the owning member, and the responses name
-/// that member.
+/// release/poll/query through `@grid` with bare ids — each id resolves
+/// to the member that holds it, and the responses name that member.
 #[test]
 fn pool_scoped_job_refs_resolve_over_tcp() {
     let (service, handle) = spawn_server();
@@ -48,7 +49,7 @@ fn pool_scoped_job_refs_resolve_over_tcp() {
         owners.insert(job, machine);
     }
 
-    // Poll by bare id through the pool: the index resolves the member.
+    // Poll by bare id through the pool: it resolves to the member.
     for (&job, owner) in &owners {
         let (resolved, status) = client.poll_ref(Some("@grid"), &JobRef::Bare(job)).unwrap();
         assert_eq!(resolved.as_deref(), Some(owner.as_str()), "job {job}");
@@ -71,7 +72,7 @@ fn pool_scoped_job_refs_resolve_over_tcp() {
     assert!(matches!(status, JobStatus::Running(_)));
 
     // Release through the pool; the response names the resolved member
-    // and the index entry dies with the job.
+    // and the pool forgets the id with the job.
     for (&job, owner) in &owners {
         let (resolved, _) = client
             .release_ref(Some("@grid"), &JobRef::Bare(job))
@@ -83,7 +84,7 @@ fn pool_scoped_job_refs_resolve_over_tcp() {
         .unwrap_err();
     assert!(
         matches!(err, ClientError::Service(_)),
-        "released jobs must be gone from the index, got {err:?}"
+        "released jobs must be unknown to the pool, got {err:?}"
     );
 
     // `query @grid` aggregates the pool.
@@ -310,8 +311,112 @@ fn weighted_fair_share_shifts_tenant_mean_wait() {
     );
 }
 
-/// The tenant table, fair-share toggles and the pool job index all
-/// survive a crash (scope drop without shutdown) and recover from the
+/// What the pool layer answers about ids and members it does not know:
+/// the scan over members must keep every answer the index gave.
+#[test]
+fn pool_addressing_keeps_its_answers_for_strangers() {
+    let service = AllocationService::new();
+    for name in ["m0", "m1"] {
+        service
+            .register_in_pool(name, "4x4", None, None, None, Some("grid"))
+            .unwrap();
+    }
+    service.register("loner", "4x4", None, None, None).unwrap();
+    let poll = |machine: Option<&str>, job: &str| {
+        let request = Request::Poll {
+            machine: machine.map(str::to_string),
+            job: JobRef::parse_str(job).unwrap(),
+        };
+        match service.handle(&request) {
+            Response::Error {
+                message,
+                code: None,
+                detail: None,
+            } => message,
+            other => panic!("expected an untyped error, got {other:?}"),
+        }
+    };
+    // A pool nobody registered has no members, so no holders: the id
+    // is unknown at the address the client used, not an unknown pool.
+    assert_eq!(
+        poll(Some("@nope"), "7"),
+        "job 7 is not known on machine \"@nope\""
+    );
+    assert_eq!(
+        poll(Some("@grid"), "7"),
+        "job 7 is not known on machine \"@grid\""
+    );
+    // Qualified refs: a non-member, and a pool that does not exist.
+    let stranger = "invalid request: machine \"loner\" is not a member of pool \"grid\"";
+    assert_eq!(poll(Some("@grid"), "loner/7"), stranger);
+    assert_eq!(poll(Some("@grid"), "grid/loner/7"), stranger);
+    assert_eq!(poll(None, "grid/loner/7"), stranger);
+    assert_eq!(poll(Some("loner"), "grid/loner/7"), stranger);
+    assert_eq!(
+        poll(None, "nope/m0/7"),
+        "invalid request: machine \"m0\" is not a member of pool \"nope\""
+    );
+    assert_eq!(
+        poll(Some("@grid"), "nope/m0/7"),
+        "invalid request: job ref names pool \"nope\" but the request addresses \"grid\""
+    );
+    // A member's qualified ref resolves without asking anyone else.
+    assert_eq!(
+        service.handle(&Request::Poll {
+            machine: Some("@grid".into()),
+            job: JobRef::parse_str("grid/m1/7").unwrap(),
+        }),
+        Response::Unknown { job: 7 }
+    );
+}
+
+/// A routed id some member already holds is refused like any failed
+/// attempt: the commitment taken for it goes back, nothing is denied.
+#[test]
+fn a_routed_duplicate_leaves_the_tenant_ledger_as_it_found_it() {
+    let service = AllocationService::new();
+    for name in ["m0", "m1"] {
+        service
+            .register_in_pool(name, "4x4", None, None, None, Some("grid"))
+            .unwrap();
+    }
+    let ctx = RequestCtx::inert();
+    // Job 7 lives on m1 by a direct alloc; costs are whole numbers so
+    // the commit-then-refund below is exact in floating point.
+    let args = AllocArgs::new(7, 4).with_walltime(10.0).for_tenant("acme");
+    service.alloc("m1", &args, &ctx).unwrap();
+    let ledger = || service.tenants().export();
+    let before = ledger();
+    let duplicate = ServiceError::DuplicateJob {
+        machine: "m1".into(),
+        job_id: 7,
+    };
+    assert_eq!(service.route("grid", &args, &ctx), Err(duplicate.clone()));
+    assert_eq!(ledger(), before, "commitment refunded, no denied tick");
+    // Over quota *and* a duplicate: the quota is checked first, as on
+    // a direct alloc, so that is the error (and the one denied tick).
+    service.set_tenant("acme", None, Some(50.0), None).unwrap();
+    for attempt in [
+        service
+            .route("grid", &args, &ctx)
+            .map(|(_, outcome)| outcome),
+        service.alloc("m1", &args, &ctx),
+    ] {
+        assert!(
+            matches!(attempt, Err(ServiceError::QuotaExceeded { .. })),
+            "got {attempt:?}"
+        );
+    }
+    let row = ledger().into_iter().find(|r| r.tenant == "acme").unwrap();
+    assert_eq!((row.denied, row.admitted), (2, 1));
+    assert_eq!(row.outstanding_node_seconds, 40.0);
+    // Under quota again, the duplicate is what is left to refuse.
+    service.set_tenant("acme", None, Some(0.0), None).unwrap();
+    assert_eq!(service.route("grid", &args, &ctx), Err(duplicate));
+}
+
+/// The tenant table, fair-share toggles and `@pool` resolution of live
+/// jobs all survive a crash (scope drop without shutdown) and recover from the
 /// journal: quotas keep counting from the recovered usage.
 #[test]
 fn tenant_table_and_pool_index_survive_recovery() {
@@ -375,7 +480,7 @@ fn tenant_table_and_pool_index_survive_recovery() {
         "expected a quota denial, got {err}"
     );
 
-    // The pool index resolves the recovered job by bare id.
+    // The pool resolves the recovered job by bare id.
     let (resolved, status) = recovered.poll_ref(Some("@grid"), &JobRef::Bare(1)).unwrap();
     assert_eq!(resolved, "m0");
     assert!(matches!(status, JobStatus::Running(_)));
