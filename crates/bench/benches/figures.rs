@@ -2,7 +2,7 @@
 //! version of the corresponding experiment so regressions in the experiment
 //! pipeline (allocators, patterns, engine, contention model) are caught by
 //! `cargo bench`. The full-size figure data is produced by the binaries in
-//! `src/bin/` (see DESIGN.md §3); these benches use small traces so a full
+//! `src/bin/`; these benches use small traces so a full
 //! `cargo bench` run stays in the minutes range.
 
 use commalloc::experiment::LoadSweep;

@@ -1,5 +1,6 @@
 //! Benchmarks of the three network-model fidelities, justifying the fluid
-//! substitution documented in DESIGN.md: the flit-level model is the
+//! substitution (README § "Substitutions this reproduction makes"): the
+//! flit-level model is the
 //! reference but is orders of magnitude more expensive per simulated message
 //! than the fluid rate computation the trace sweeps rely on.
 

@@ -5,7 +5,8 @@
 //! cargo run --release -p commalloc-bench --bin ablation_sensitivity -- [--jobs N] [--pattern P]
 //! ```
 //!
-//! DESIGN.md §2 substitutes the paper's flit-level ProcSimity runs with a
+//! This reproduction substitutes the paper's flit-level ProcSimity runs (README
+//! § "Substitutions this reproduction makes") with a
 //! fluid contention model whose two knobs (`link_capacity` and
 //! `per_hop_overhead`) are calibrated, not measured. The paper's claims are
 //! ordinal (who beats whom), so EXPERIMENTS.md records how stable the

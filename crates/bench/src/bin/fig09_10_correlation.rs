@@ -11,7 +11,8 @@
 //! relationship with pairwise distance but a tight one with message distance.
 //! The synthetic trace rarely produces jobs in exactly that band, so this
 //! binary inserts 24 probe jobs with those parameters into the trace
-//! (documented substitution — see DESIGN.md) and reports both scatter series
+//! (README § "Substitutions this reproduction makes") and reports both
+//! scatter series
 //! and their Pearson correlations, aggregated over the paper's nine allocator
 //! configurations.
 

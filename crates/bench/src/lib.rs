@@ -2,7 +2,7 @@
 //! benchmarks.
 //!
 //! Every binary under `src/bin/` regenerates one figure or table of the
-//! paper (see DESIGN.md §3 for the index). They share:
+//! paper. They share:
 //!
 //! * [`cli`] — the figure binaries' flags (`--jobs N`, `--full`, `--seed S`,
 //!   `--pattern P`, `--include-first-fit`), one table on the CLI's

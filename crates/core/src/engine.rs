@@ -5,8 +5,9 @@
 //! event-driven: state only changes when a job arrives, starts or completes.
 //! While the set of running jobs is fixed, each job delivers messages at the
 //! constant rate assigned by the contention model, so the next completion
-//! time is known in closed form — this is the fluid approximation described
-//! in DESIGN.md that makes whole-trace sweeps tractable.
+//! time is known in closed form — this is the fluid approximation (README §
+//! "Substitutions this reproduction makes") that makes whole-trace sweeps
+//! tractable.
 //!
 //! Timeline of one job (matching Section 3 of the paper):
 //!

@@ -5,7 +5,7 @@
 //! Serve (FCFS) in all our simulations." FCFS is therefore the default and
 //! the policy used by every figure reproduction; an aggressive-backfill
 //! variant is provided as an extension to test whether the allocator ranking
-//! is sensitive to the scheduling policy (see DESIGN.md §5).
+//! is sensitive to the scheduling policy (the `ablation_scheduler` binary).
 
 use serde::{Deserialize, Serialize};
 use std::fmt;

@@ -2,9 +2,9 @@
 //!
 //! The paper's claims are *ordinal*: which allocator is best for which
 //! pattern, not how many seconds it saves. Our fluid contention model has
-//! two calibration knobs (`link_capacity` and `per_hop_overhead`, see
-//! DESIGN.md §2), so EXPERIMENTS.md must show that the reported orderings do
-//! not hinge on the exact values chosen. This module provides the machinery:
+//! two calibration knobs (`link_capacity` and `per_hop_overhead`, see README
+//! § "Substitutions this reproduction makes"), so the reported orderings must
+//! be shown not to hinge on the exact values chosen. This module does that:
 //! run the same (pattern, allocators, load) experiment across a sweep of one
 //! knob and report the rank correlation (Kendall's τ) between each setting's
 //! allocator ranking and the baseline's. τ close to 1 means the ordering is

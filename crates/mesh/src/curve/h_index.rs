@@ -5,7 +5,8 @@
 //! built from recursively indexed right triangles, with locality constants
 //! slightly better than the Hilbert curve's.
 //!
-//! **Substitution note (documented in DESIGN.md):** we realise this curve
+//! **Substitution note** (listed in README § "Substitutions this
+//! reproduction makes"): we realise this curve
 //! with the Moore construction — four order-`k-1` Hilbert sub-curves arranged
 //! so the overall index is a Hamiltonian *cycle* of the mesh. The Moore curve
 //! shares every property the paper's experiments exercise: it visits each

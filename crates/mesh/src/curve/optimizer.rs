@@ -3,7 +3,8 @@
 //! For machines that are not regular meshes, Leung et al. "developed an
 //! integer program to find curves with locality properties" (Section 2.1 of
 //! the paper). The integer program itself is proprietary to that work and is
-//! substituted here (see DESIGN.md) by a randomised local-search optimiser
+//! substituted here (README § "Substitutions this reproduction makes") by a
+//! randomised local-search optimiser
 //! over orderings: starting from any ordering, it repeatedly applies 2-opt
 //! segment reversals and single-node relocations, accepting moves that lower
 //! a locality objective. On regular meshes the optimiser converges to

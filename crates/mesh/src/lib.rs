@@ -39,6 +39,7 @@
 pub mod coord;
 pub mod curve;
 pub mod curve3d;
+mod grid;
 pub mod locality;
 pub mod mesh;
 pub mod mesh3d;

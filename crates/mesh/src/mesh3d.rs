@@ -10,6 +10,7 @@
 //! self-contained; the paper's figure reproductions remain 2-D.
 
 use crate::coord::NodeId;
+use crate::grid;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -197,44 +198,13 @@ impl Mesh3D {
     /// Average pairwise Manhattan distance over a set of nodes; 0.0 for sets
     /// with fewer than two nodes.
     pub fn avg_pairwise_distance(&self, nodes: &[NodeId]) -> f64 {
-        if nodes.len() < 2 {
-            return 0.0;
-        }
-        let mut total = 0u64;
-        for (i, &a) in nodes.iter().enumerate() {
-            for &b in &nodes[i + 1..] {
-                total += self.distance(a, b) as u64;
-            }
-        }
-        let pairs = nodes.len() * (nodes.len() - 1) / 2;
-        total as f64 / pairs as f64
+        grid::avg_pairwise_distance([self.width, self.height, self.depth], nodes)
     }
 
     /// Number of rectilinearly-connected components of a node set under
     /// 6-neighbour adjacency restricted to the set.
     pub fn components(&self, nodes: &[NodeId]) -> usize {
-        if nodes.is_empty() {
-            return 0;
-        }
-        let in_set: std::collections::HashSet<NodeId> = nodes.iter().copied().collect();
-        let mut seen: std::collections::HashSet<NodeId> = std::collections::HashSet::new();
-        let mut components = 0;
-        for &start in nodes {
-            if seen.contains(&start) {
-                continue;
-            }
-            components += 1;
-            let mut stack = vec![start];
-            seen.insert(start);
-            while let Some(n) = stack.pop() {
-                for nb in self.neighbors(n) {
-                    if in_set.contains(&nb) && seen.insert(nb) {
-                        stack.push(nb);
-                    }
-                }
-            }
-        }
-        components
+        grid::components([self.width, self.height, self.depth], nodes)
     }
 }
 

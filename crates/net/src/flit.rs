@@ -10,7 +10,8 @@
 //! The simulator is used for the microbenchmark experiments (the Figure 1
 //! communication test suite), for validating the coarser
 //! [`crate::fluid::FluidNetwork`] model, and in unit tests; whole-trace
-//! simulations use the fluid model (see DESIGN.md).
+//! simulations use the fluid model (README § "Substitutions this
+//! reproduction makes").
 
 use crate::assert_unique_ids;
 use crate::link::{LinkId, LinkTable};

@@ -89,18 +89,69 @@ impl LinkTable {
     ///
     /// Panics (in debug builds) if the processors are not adjacent.
     pub fn link(&self, from: NodeId, to: NodeId) -> LinkId {
-        let dir = Direction::of(self.mesh, from, to);
-        LinkId(from.0 * 4 + dir.slot())
+        link_out_of(from, Direction::of(self.mesh, from, to))
     }
 
     /// The identifiers of the links along the x-y route from `src` to `dst`,
     /// in traversal order. Empty when `src == dst`.
     pub fn route_links(&self, src: NodeId, dst: NodeId) -> Vec<LinkId> {
-        self.mesh
-            .xy_route_links(src, dst)
-            .into_iter()
-            .map(|(a, b)| self.link(a, b))
-            .collect()
+        let mut cursor = self.cursor(src, dst);
+        std::iter::from_fn(|| self.advance(&mut cursor)).collect()
+    }
+
+    /// A cursor at `src` on the x-y route to `dst`.
+    pub(crate) fn cursor(&self, src: NodeId, dst: NodeId) -> RouteCursor {
+        let (s, d) = (self.mesh.coord_of(src), self.mesh.coord_of(dst));
+        RouteCursor {
+            at: src,
+            dx: d.x as i32 - s.x as i32,
+            dy: d.y as i32 - s.y as i32,
+        }
+    }
+
+    /// Moves `cursor` one hop along its route — x offset first, then y, as
+    /// [`Mesh2D::xy_route`] does — and returns the link it crossed; `None`
+    /// once it stands on its destination.
+    pub(crate) fn advance(&self, cursor: &mut RouteCursor) -> Option<LinkId> {
+        let width = self.mesh.width() as i32;
+        let (direction, step) = match (cursor.dx.signum(), cursor.dy.signum()) {
+            (1, _) => (Direction::PlusX, 1),
+            (-1, _) => (Direction::MinusX, -1),
+            (_, 1) => (Direction::PlusY, width),
+            (_, -1) => (Direction::MinusY, -width),
+            _ => return None,
+        };
+        if cursor.dx != 0 {
+            cursor.dx -= step;
+        } else {
+            cursor.dy -= step.signum();
+        }
+        let link = link_out_of(cursor.at, direction);
+        cursor.at = NodeId(cursor.at.0.wrapping_add_signed(step));
+        Some(link)
+    }
+}
+
+/// The link leaving `from` in `direction`: every processor owns four
+/// consecutive slots.
+fn link_out_of(from: NodeId, direction: Direction) -> LinkId {
+    LinkId(from.0 * 4 + direction.slot())
+}
+
+/// A message's position on its x-y route: where it stands and the signed
+/// hops it still has to make on each axis. Walking a route this way yields
+/// its links one at a time without materialising the route.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RouteCursor {
+    at: NodeId,
+    dx: i32,
+    dy: i32,
+}
+
+impl RouteCursor {
+    /// True once the cursor stands on its destination.
+    pub(crate) fn arrived(&self) -> bool {
+        self.dx == 0 && self.dy == 0
     }
 }
 
@@ -145,5 +196,25 @@ mod tests {
         let links = table.route_links(src, dst);
         assert_eq!(links.len() as u32, mesh.distance(src, dst));
         assert!(table.route_links(src, src).is_empty());
+    }
+
+    #[test]
+    fn the_route_cursor_crosses_exactly_the_links_of_the_xy_route() {
+        // Non-square and one-wide meshes included: the cursor derives each
+        // link from coordinates, `xy_route_links` + `link` from node pairs.
+        for mesh in [Mesh2D::new(5, 3), Mesh2D::new(1, 6), Mesh2D::new(6, 1)] {
+            let table = LinkTable::new(mesh);
+            for src in mesh.nodes() {
+                for dst in mesh.nodes() {
+                    let expected: Vec<LinkId> = mesh
+                        .xy_route_links(src, dst)
+                        .into_iter()
+                        .map(|(a, b)| table.link(a, b))
+                        .collect();
+                    assert_eq!(table.route_links(src, dst), expected, "{src} -> {dst}");
+                    assert_eq!(table.cursor(src, dst).arrived(), src == dst);
+                }
+            }
+        }
     }
 }

@@ -7,9 +7,17 @@
 //! overlap. This model is orders of magnitude faster than flit simulation
 //! because it advances by events rather than cycles, yet it still resolves
 //! the per-link queueing that the fluid model averages away.
+//!
+//! Events are ordered by `(time, input index)` and normally live in a binary
+//! heap of `f64` times. When every message is injected at `0.0` with service
+//! time `1.0` — *unit traffic*, which is all the placement scorer ever sends
+//! — every event time is a small integer, and [`MessageLevelNetwork::simulate`]
+//! runs the same events in the same order through one bucket per time step
+//! instead: no heap, no float comparison, and a report equal to the heap's
+//! to the last bit. Any other input takes the heap.
 
 use crate::assert_unique_ids;
-use crate::link::{LinkId, LinkTable};
+use crate::link::{LinkTable, RouteCursor};
 use commalloc_mesh::{Mesh2D, NodeId};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
@@ -51,6 +59,17 @@ pub struct MessageSimReport {
 }
 
 impl MessageSimReport {
+    fn of(deliveries: Vec<MessageDelivery>) -> Self {
+        let makespan = deliveries
+            .iter()
+            .map(|d| d.delivered_at)
+            .fold(0.0f64, f64::max);
+        MessageSimReport {
+            deliveries,
+            makespan,
+        }
+    }
+
     /// Mean latency over all messages.
     pub fn mean_latency(&self) -> f64 {
         if self.deliveries.is_empty() {
@@ -66,13 +85,13 @@ pub struct MessageLevelNetwork {
     links: LinkTable,
 }
 
-/// Pending event: message `msg` is ready to start crossing the `stage`-th
-/// link of its path at `time`.
+/// Pending event: message `msg` is ready to cross the next link of its route
+/// at `time`. A message has one pending event at a time, so `(time, msg)`
+/// orders events totally.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Event {
     time: f64,
     msg: usize,
-    stage: usize,
 }
 
 impl Eq for Event {}
@@ -82,7 +101,6 @@ impl Ord for Event {
         self.time
             .total_cmp(&other.time)
             .then(self.msg.cmp(&other.msg))
-            .then(self.stage.cmp(&other.stage))
     }
 }
 
@@ -91,6 +109,9 @@ impl PartialOrd for Event {
         Some(self.cmp(other))
     }
 }
+
+/// End of a bucket's message list.
+const NIL: u32 = u32::MAX;
 
 impl MessageLevelNetwork {
     /// Creates a simulator over `mesh`.
@@ -115,66 +136,119 @@ impl MessageLevelNetwork {
     /// would be ambiguous).
     pub fn simulate(&self, messages: &[Message]) -> MessageSimReport {
         assert_unique_ids(messages.iter().map(|m| m.id));
-        let paths: Vec<Vec<LinkId>> = messages
+        let unit_traffic = messages
             .iter()
-            .map(|m| self.links.route_links(m.src, m.dst))
-            .collect();
-        let mut link_free_at: Vec<f64> = vec![0.0; self.links.num_slots()];
-        // Delivery slots indexed by input position: events carry the input
-        // index, so each record lands directly in place — no O(n²)
-        // id-lookup re-sort at the end.
-        let mut deliveries: Vec<Option<MessageDelivery>> = vec![None; messages.len()];
-        let mut heap: BinaryHeap<Reverse<Event>> = BinaryHeap::new();
+            .all(|m| m.inject_at == 0.0 && m.service_time == 1.0);
+        if unit_traffic {
+            self.simulate_unit(messages)
+        } else {
+            self.simulate_heap(messages)
+        }
+    }
 
-        for (i, m) in messages.iter().enumerate() {
-            if paths[i].is_empty() {
-                deliveries[i] = Some(MessageDelivery {
+    /// One route cursor per message, and the delivery records of the
+    /// messages that are already where they are going. Events carry the
+    /// input index, so every other record is later written in place.
+    fn start(&self, messages: &[Message]) -> (Vec<RouteCursor>, Vec<MessageDelivery>) {
+        messages
+            .iter()
+            .map(|m| {
+                let local = MessageDelivery {
                     id: m.id,
                     delivered_at: m.inject_at,
                     latency: 0.0,
-                });
-            } else {
-                heap.push(Reverse(Event {
-                    time: m.inject_at,
-                    msg: i,
-                    stage: 0,
-                }));
-            }
-        }
+                };
+                (self.links.cursor(m.src, m.dst), local)
+            })
+            .unzip()
+    }
 
-        while let Some(Reverse(ev)) = heap.pop() {
-            let m = &messages[ev.msg];
-            let link = paths[ev.msg][ev.stage];
-            let start = ev.time.max(link_free_at[link.index()]);
-            let finish = start + m.service_time;
-            link_free_at[link.index()] = finish;
-            if ev.stage + 1 < paths[ev.msg].len() {
-                heap.push(Reverse(Event {
-                    time: finish,
-                    msg: ev.msg,
-                    stage: ev.stage + 1,
-                }));
-            } else {
-                deliveries[ev.msg] = Some(MessageDelivery {
-                    id: m.id,
-                    delivered_at: finish,
-                    latency: finish - m.inject_at,
-                });
-            }
-        }
-
-        let deliveries: Vec<MessageDelivery> = deliveries
-            .into_iter()
-            .map(|d| d.expect("every message delivered"))
-            .collect();
-        let makespan = deliveries
+    /// The general path: `f64` event times in a binary heap.
+    fn simulate_heap(&self, messages: &[Message]) -> MessageSimReport {
+        let (mut cursors, mut deliveries) = self.start(messages);
+        let mut link_free_at: Vec<f64> = vec![0.0; self.links.num_slots()];
+        let mut heap: BinaryHeap<Reverse<Event>> = messages
             .iter()
-            .map(|d| d.delivered_at)
-            .fold(0.0f64, f64::max);
-        MessageSimReport {
-            deliveries,
-            makespan,
+            .enumerate()
+            .filter(|&(msg, _)| !cursors[msg].arrived())
+            .map(|(msg, m)| {
+                Reverse(Event {
+                    time: m.inject_at,
+                    msg,
+                })
+            })
+            .collect();
+
+        while let Some(Reverse(Event { time, msg })) = heap.pop() {
+            let m = &messages[msg];
+            let link = self
+                .links
+                .advance(&mut cursors[msg])
+                .expect("a pending message has a link left to cross");
+            let finish = time.max(link_free_at[link.index()]) + m.service_time;
+            link_free_at[link.index()] = finish;
+            if cursors[msg].arrived() {
+                deliveries[msg].delivered_at = finish;
+                deliveries[msg].latency = finish - m.inject_at;
+            } else {
+                heap.push(Reverse(Event { time: finish, msg }));
+            }
         }
+        MessageSimReport::of(deliveries)
+    }
+
+    /// The integer-time kernel for unit traffic (`inject_at == 0.0`,
+    /// `service_time == 1.0` throughout). Every event time is an integer, an
+    /// event at time `t` schedules its successor at `t + 1` or later, and a
+    /// message has one pending event — so bucket `t` is complete when time
+    /// reaches it, and walking it in input order is the heap's `(time, msg)`
+    /// order exactly. Buckets are intrusive lists (`first[t]`, `next[msg]`),
+    /// so nothing is allocated per message or per event. Integers this small
+    /// convert to `f64` exactly, which makes the report bit-identical.
+    fn simulate_unit(&self, messages: &[Message]) -> MessageSimReport {
+        let (mut cursors, mut deliveries) = self.start(messages);
+        let count = u32::try_from(messages.len()).expect("message indices fit u32");
+        let mut link_free_at: Vec<u32> = vec![0; self.links.num_slots()];
+        let mut next: Vec<u32> = vec![NIL; messages.len()];
+        let mut first: Vec<u32> = Vec::new();
+        let mut bucket: Vec<u32> = (0..count)
+            .filter(|&msg| !cursors[msg as usize].arrived())
+            .collect();
+        let mut time = 0u32;
+        loop {
+            for &msg in &bucket {
+                let cursor = &mut cursors[msg as usize];
+                let link = self
+                    .links
+                    .advance(cursor)
+                    .expect("a pending message has a link left to cross");
+                let finish = time.max(link_free_at[link.index()]) + 1;
+                link_free_at[link.index()] = finish;
+                if cursor.arrived() {
+                    let delivery = &mut deliveries[msg as usize];
+                    delivery.delivered_at = finish as f64;
+                    delivery.latency = finish as f64;
+                } else {
+                    let slot = finish as usize;
+                    if slot >= first.len() {
+                        first.resize(slot + 1, NIL);
+                    }
+                    next[msg as usize] = std::mem::replace(&mut first[slot], msg);
+                }
+            }
+            time += 1;
+            let Some(&head) = first.get(time as usize) else {
+                break;
+            };
+            bucket.clear();
+            let mut msg = head;
+            while msg != NIL {
+                bucket.push(msg);
+                msg = next[msg as usize];
+            }
+            bucket.sort_unstable();
+        }
+        MessageSimReport::of(deliveries)
     }
 }
 
@@ -182,6 +256,70 @@ impl MessageLevelNetwork {
 mod tests {
     use super::*;
     use commalloc_mesh::Coord;
+    use proptest::prelude::*;
+
+    /// Unit-traffic inputs for the kernel-versus-heap pin: any mesh up to
+    /// the paper's 16×22 (non-square and one-wide included), up to the
+    /// scorer's 2048-message cap, endpoints drawn either from the whole mesh
+    /// or from one to three processors — the small pools make most messages
+    /// self-addressed or pile hundreds of them onto a single link.
+    fn unit_traffic() -> impl Strategy<Value = (Mesh2D, Vec<Message>)> {
+        let count = prop_oneof![0usize..=48, 0usize..=2048];
+        (1u16..=16, 1u16..=22, 0usize..=3, count).prop_flat_map(|(w, h, pool, count)| {
+            let mesh = Mesh2D::new(w, h);
+            let nodes = mesh.num_nodes() as u32;
+            let pool = if pool == 0 { nodes as usize } else { pool };
+            let endpoints = collection::vec(0..nodes, pool);
+            let pairs = collection::vec((0..pool, 0..pool), count);
+            (Just(mesh), endpoints, pairs).prop_map(|(mesh, endpoints, pairs)| {
+                let messages = pairs
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(src, dst))| Message {
+                        id: i as u64,
+                        src: NodeId(endpoints[src]),
+                        dst: NodeId(endpoints[dst]),
+                        inject_at: 0.0,
+                        service_time: 1.0,
+                    })
+                    .collect();
+                (mesh, messages)
+            })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        fn unit_kernel_report_equals_the_heap_path((mesh, messages) in unit_traffic()) {
+            let net = MessageLevelNetwork::new(mesh);
+            let kernel = net.simulate_unit(&messages);
+            let heap = net.simulate_heap(&messages);
+            prop_assert_eq!(&kernel, &heap);
+            prop_assert_eq!(kernel.mean_latency().to_bits(), heap.mean_latency().to_bits());
+            // `simulate` itself must pick the kernel's answer for this input.
+            prop_assert_eq!(&net.simulate(&messages), &heap);
+        }
+    }
+
+    #[test]
+    fn anything_but_unit_traffic_takes_the_heap() {
+        // A late injection and a fractional service time: the kernel's
+        // integer clock could represent neither.
+        let mesh = mesh8();
+        let net = MessageLevelNetwork::new(mesh);
+        let mut late = msg(mesh, 0, (0, 0), (3, 0), 0.0);
+        let mut slow = msg(mesh, 1, (1, 0), (3, 0), 0.0);
+        late.inject_at = 0.5;
+        slow.service_time = 1.25;
+        let r = net.simulate(&[late, slow]);
+        assert_eq!(r, net.simulate_heap(&[late, slow]));
+        // `slow` holds link (1,0)→(2,0) during [0, 1.25) and the next one
+        // during [1.25, 2.5); `late` reaches them at 1.5 and at 2.5.
+        assert_eq!(r.deliveries[1].delivered_at, 2.5);
+        assert_eq!(r.deliveries[0].delivered_at, 3.5);
+        assert_eq!(r.deliveries[0].latency, 3.0);
+    }
 
     fn mesh8() -> Mesh2D {
         Mesh2D::new(8, 8)

@@ -17,7 +17,7 @@
 //!   times) and the removal of jobs too large for the 16 × 16 machine.
 //! * [`synthetic::ParagonTraceModel`] — a seeded generator reproducing the
 //!   published summary statistics, used when the original SDSC trace file is
-//!   not available (documented substitution, see DESIGN.md).
+//!   not available (README § "Substitutions this reproduction makes").
 //! * [`swf`] — a parser for Standard Workload Format files so the real trace
 //!   can be dropped in.
 //! * [`patterns::CommPattern`] — the communication patterns of Section 3.2

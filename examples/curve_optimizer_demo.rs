@@ -6,8 +6,9 @@
 //!
 //! For machines that are not regular meshes, Leung et al. used an integer
 //! program to find orderings with good locality (Section 2.1 of the paper).
-//! This reproduction substitutes a randomised local-search optimiser (see
-//! DESIGN.md). The example demonstrates it twice:
+//! This reproduction substitutes a randomised local-search optimiser (README
+//! § "Substitutions this reproduction makes"). The example demonstrates it
+//! twice:
 //!
 //! 1. on the full 8 × 8 mesh, starting from row-major order, and comparing
 //!    the optimised ordering's locality against the hand-constructed curves;

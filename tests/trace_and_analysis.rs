@@ -1,7 +1,7 @@
 //! Integration tests for the workload side of the public API: synthetic
 //! trace statistics, SWF round-tripping, and the analysis helpers — the
-//! pieces DESIGN.md's substitution table relies on when it claims the
-//! synthetic generator stands in for the real SDSC trace.
+//! pieces README § "Substitutions this reproduction makes" relies on when it
+//! claims the synthetic generator stands in for the real SDSC trace.
 
 use commalloc::prelude::*;
 use commalloc_workload::analysis::TraceAnalysis;
