@@ -25,8 +25,9 @@
 //! **calibration** drives the same workload with the recorder and the
 //! calibration store both on — each grant files a placement record,
 //! each release joins it. The calibration ratio is calibration ÷
-//! patterned: the full observability stack's overhead with the
-//! allocator cost held constant.
+//! patterned: the full observability stack's overhead, including the
+//! scores recording computes that the patterned baseline skips (a lone
+//! fitting window is committed unscored unless calibration records it).
 //!
 //! Doubles as the CI regression gate: `--min-disabled R` / `--min-enabled R`
 //! / `--min-calibration R` exit non-zero when the respective mode's

@@ -45,6 +45,7 @@ use crate::replay::ReplayJob;
 use crate::score::splitmix64;
 use crate::service::AllocationService;
 use crate::trace::RequestCtx;
+use commalloc_workload::CommPattern;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::AtomicU64;
@@ -183,6 +184,12 @@ impl RoutingPolicy {
             }
         }
     }
+
+    /// The pattern member samples are scored for: only comm-aware's
+    /// [`RoutingPolicy::pick`] reads a score, so no other policy pays one.
+    pub(crate) fn sampled_pattern(self, pattern: Option<CommPattern>) -> Option<CommPattern> {
+        pattern.filter(|_| self == RoutingPolicy::CommAware)
+    }
 }
 
 impl fmt::Display for RoutingPolicy {
@@ -233,10 +240,10 @@ pub struct MachineSample {
     /// re-checks it before allocating against the sample.
     pub generation: u64,
     /// The machine's best predicted contention for the specific request
-    /// being routed, when it declared a communication pattern and a
-    /// candidate window fits (see
+    /// being routed, when it declared a communication pattern, a
+    /// candidate window fits and the pool routes comm-aware — the one
+    /// policy that reads it (see
     /// [`crate::registry::MachineEntry::sample_for`]); `None` otherwise.
-    /// Only the comm-aware policy reads it.
     pub contention: Option<f64>,
 }
 
@@ -446,12 +453,12 @@ pub fn route_offline(
             let job = jobs[next_arrival];
             next_arrival += 1;
             // Sample every member in sorted-name order — identical to the
-            // online router's sampling order.
+            // online router's sampling.
             let eligible: Vec<MachineSample> = names
                 .iter()
                 .map(|name| {
                     service
-                        .sample_for(name, job.id, job.size, job.pattern)
+                        .sample_for(name, job.id, job.size, policy.sampled_pattern(job.pattern))
                         .expect("member exists")
                 })
                 .filter(|s| job.size <= s.nodes)

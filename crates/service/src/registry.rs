@@ -276,17 +276,17 @@ impl Backing {
     ///
     /// For a scored (patterned) grant the winner's [`ScoreBreakdown`]
     /// and the number of candidates weighed ride along — the grant-time
-    /// half of the calibration join.
+    /// half of the calibration join. A lone fitting window is committed
+    /// unscored unless `recording` calibration, the one reader left.
     fn try_allocate(
         &mut self,
         job_id: u64,
         size: usize,
         pattern: Option<CommPattern>,
+        recording: bool,
     ) -> Option<ScoredGrant> {
         if let Some(pattern) = pattern {
-            if let Some((best, breakdown, considered)) =
-                self.best_scored_candidate(job_id, size, pattern)
-            {
+            if let Some((best, scored)) = self.best_window(job_id, size, pattern, recording) {
                 match self {
                     Backing::TwoD { machine, .. } => machine.occupy(&best),
                     Backing::ThreeD { curve, index, .. } => {
@@ -295,7 +295,7 @@ impl Backing {
                         debug_assert!(applied, "scored candidate held a busy rank");
                     }
                 }
-                return Some((best, Some((breakdown, considered))));
+                return Some((best, scored));
             }
         }
         match self {
@@ -338,42 +338,35 @@ impl Backing {
         if size == 0 || size > self.num_free() {
             return Vec::new();
         }
-        let mut candidates = Vec::new();
         match self {
             Backing::TwoD { machine, probe, .. } => {
-                let mut run: Vec<NodeId> = Vec::new();
-                for rank in 0..probe.len() {
-                    let node = probe.node_at(rank);
-                    if machine.is_free(node) {
-                        run.push(node);
-                    } else {
-                        if run.len() >= size {
-                            candidates.push(run[..size].to_vec());
-                        }
-                        run.clear();
-                    }
-                    if candidates.len() == Self::CANDIDATE_CAP {
-                        return candidates;
-                    }
-                }
-                if run.len() >= size && candidates.len() < Self::CANDIDATE_CAP {
-                    candidates.push(run[..size].to_vec());
-                }
+                // A run's window is taken the moment the run is `size`
+                // long, so no run needs buffering.
+                let mut run = 0;
+                (0..probe.len())
+                    .filter(|&rank| {
+                        run = if machine.is_free(probe.node_at(rank)) {
+                            run + 1
+                        } else {
+                            0
+                        };
+                        run == size
+                    })
+                    .take(Self::CANDIDATE_CAP)
+                    .map(|end| (end + 1 - size..=end).map(|r| probe.node_at(r)).collect())
+                    .collect()
             }
-            Backing::ThreeD { curve, index, .. } => {
-                for interval in index.intervals().filter(|iv| iv.len >= size) {
-                    candidates.push(
-                        (interval.start..interval.start + size)
-                            .map(|r| curve.node_at(r))
-                            .collect(),
-                    );
-                    if candidates.len() == Self::CANDIDATE_CAP {
-                        break;
-                    }
-                }
-            }
+            Backing::ThreeD { curve, index, .. } => index
+                .intervals()
+                .filter(|iv| iv.len >= size)
+                .take(Self::CANDIDATE_CAP)
+                .map(|iv| {
+                    (iv.start..iv.start + size)
+                        .map(|r| curve.node_at(r))
+                        .collect()
+                })
+                .collect(),
         }
-        candidates
     }
 
     /// At most this many candidate windows are scored per decision: the
@@ -402,17 +395,23 @@ impl Backing {
 
     /// The fitting candidate with the lowest predicted contention (ties
     /// break towards the earlier curve position), or `None` when no
-    /// contiguous window fits. Returns the winner's breakdown and how
-    /// many candidates were weighed (the calibration plane's grant-time
-    /// inputs).
-    fn best_scored_candidate(
+    /// contiguous window fits, with the winner's breakdown and how many
+    /// candidates were weighed. A lone candidate wins unscored unless
+    /// `score_lone`: the arg-min of one window needs no score, so only a
+    /// reader of the score (calibration, the comm-aware router's
+    /// sample) pays for it. Read-only.
+    fn best_window(
         &self,
         job_id: u64,
         size: usize,
         pattern: CommPattern,
-    ) -> Option<(Vec<NodeId>, ScoreBreakdown, usize)> {
-        let candidates = self.scored_candidates(size);
+        score_lone: bool,
+    ) -> Option<ScoredGrant> {
+        let mut candidates = self.scored_candidates(size);
         let considered = candidates.len();
+        if considered == 1 && !score_lone {
+            return candidates.pop().map(|nodes| (nodes, None));
+        }
         candidates
             .into_iter()
             .map(|nodes| {
@@ -420,16 +419,7 @@ impl Backing {
                 (nodes, score)
             })
             .min_by(|(_, a), (_, b)| a.total().total_cmp(&b.total()))
-            .map(|(nodes, score)| (nodes, score, considered))
-    }
-
-    /// The lowest predicted contention this machine could offer a
-    /// `pattern`-declared job of `size` right now, or `None` when no
-    /// contiguous window fits (the router then treats the member as
-    /// unscored). Read-only: the routing sample path.
-    fn predicted_contention(&self, job_id: u64, size: usize, pattern: CommPattern) -> Option<f64> {
-        self.best_scored_candidate(job_id, size, pattern)
-            .map(|(_, score, _)| score.total())
+            .map(|(nodes, score)| (nodes, Some((score, considered))))
     }
 
     /// The realized dispersal of an allocation, in the same unit as the
@@ -924,7 +914,10 @@ impl MachineEntry {
             free: self.num_free(),
             queue_len: self.queue.len(),
             generation: self.generation,
-            contention: pattern.and_then(|p| self.backing.predicted_contention(job_id, size, p)),
+            contention: pattern
+                .and_then(|p| self.backing.best_window(job_id, size, p, true))
+                .and_then(|(_, scored)| scored)
+                .map(|(score, _)| score.total()),
         }
     }
 
@@ -1256,38 +1249,39 @@ impl MachineEntry {
             let request = &pending.request;
             let pctx = ctx.for_request(pending.trace_request);
             let probe_start = pctx.now_micros();
+            // Read once, so the placement is scored exactly when its
+            // record is filed (one relaxed load while calibration is
+            // off; bounded side-table).
+            let recording = self.calibration.enabled() && self.placements.len() < PLACEMENT_CAP;
             match self
                 .backing
-                .try_allocate(request.job, request.size, request.pattern)
+                .try_allocate(request.job, request.size, request.pattern, recording)
             {
                 Some((nodes, scored)) => {
                     let from_queue = arriving != Some(request.job);
                     let granted_at = pctx.now_micros();
                     pctx.span(Stage::Allocator, request.job, 0, probe_start, granted_at);
                     // File the grant-time half of the calibration join
-                    // for pattern-scored placements (one relaxed load
-                    // while calibration is off; bounded side-table).
-                    if let (Some((predicted, candidates)), Some(pattern)) =
-                        (scored, request.pattern)
+                    // for pattern-scored placements.
+                    if let (true, Some((predicted, candidates)), Some(pattern)) =
+                        (recording, scored, request.pattern)
                     {
-                        if self.calibration.enabled() && self.placements.len() < PLACEMENT_CAP {
-                            self.placements.insert(
-                                request.job,
-                                PlacementRecord {
-                                    pattern: pattern.name(),
-                                    policy: pending.placed_by,
-                                    predicted,
-                                    candidates,
-                                    queue_wait: if from_queue {
-                                        (now - request.enqueued_at).max(0.0)
-                                    } else {
-                                        0.0
-                                    },
-                                    granted_at: now,
-                                    walltime: request.walltime,
+                        self.placements.insert(
+                            request.job,
+                            PlacementRecord {
+                                pattern: pattern.name(),
+                                policy: pending.placed_by,
+                                predicted,
+                                candidates,
+                                queue_wait: if from_queue {
+                                    (now - request.enqueued_at).max(0.0)
+                                } else {
+                                    0.0
                                 },
-                            );
-                        }
+                                granted_at: now,
+                                walltime: request.walltime,
+                            },
+                        );
                     }
                     if from_queue && pending.enqueued_micros != 0 {
                         pctx.span(
@@ -1712,21 +1706,24 @@ mod tests {
         m.allocate(&args, "direct", &RequestCtx::inert())
     }
 
-    fn registry_with_m0() -> Registry {
+    /// A registry holding one 16×16 `Hilbert w/BF` machine, "m0".
+    fn registry_with(scheduler: SchedulerKind) -> Registry {
         let r = Registry::default();
-        r.register_2d(
-            "m0",
-            Mesh2D::square_16x16(),
-            AllocatorKind::HilbertBestFit,
-            SchedulerKind::Fcfs,
-        )
-        .unwrap();
+        let (mesh, kind) = (Mesh2D::square_16x16(), AllocatorKind::HilbertBestFit);
+        r.register_2d("m0", mesh, kind, scheduler).unwrap();
         r
+    }
+
+    fn assert_invariants(r: &Registry, name: &str) {
+        r.with_entry(name, |m| {
+            m.check_invariants().map_err(ServiceError::InvalidRequest)
+        })
+        .unwrap();
     }
 
     #[test]
     fn register_rejects_duplicates_and_lists_sorted() {
-        let r = registry_with_m0();
+        let r = registry_with(SchedulerKind::Fcfs);
         assert_eq!(
             r.register_2d(
                 "m0",
@@ -1777,7 +1774,7 @@ mod tests {
 
     #[test]
     fn allocate_release_cycle_keeps_invariants() {
-        let r = registry_with_m0();
+        let r = registry_with(SchedulerKind::Fcfs);
         let outcome = r
             .with_entry("m0", |m| alloc(m, 1, 30, false, None))
             .unwrap();
@@ -1785,10 +1782,7 @@ mod tests {
             panic!("expected a grant, got {outcome:?}");
         };
         assert_eq!(nodes.len(), 30);
-        r.with_entry("m0", |m| {
-            m.check_invariants().map_err(ServiceError::InvalidRequest)
-        })
-        .unwrap();
+        assert_invariants(&r, "m0");
         assert_eq!(
             r.with_entry("m0", |m| Ok(m.poll(1))).unwrap(),
             JobStatus::Running(nodes)
@@ -1802,7 +1796,7 @@ mod tests {
 
     #[test]
     fn queueing_is_fcfs_with_head_of_line_blocking() {
-        let r = registry_with_m0();
+        let r = registry_with(SchedulerKind::Fcfs);
         // Fill the machine almost completely.
         let AllocOutcome::Granted(_) = r
             .with_entry("m0", |m| alloc(m, 1, 250, false, None))
@@ -1828,15 +1822,12 @@ mod tests {
             .unwrap();
         let ids: Vec<u64> = granted.iter().map(|(id, _)| *id).collect();
         assert_eq!(ids, vec![2, 3]);
-        r.with_entry("m0", |m| {
-            m.check_invariants().map_err(ServiceError::InvalidRequest)
-        })
-        .unwrap();
+        assert_invariants(&r, "m0");
     }
 
     #[test]
     fn cancelling_a_queued_head_unblocks_the_queue() {
-        let r = registry_with_m0();
+        let r = registry_with(SchedulerKind::Fcfs);
         r.with_entry("m0", |m| alloc(m, 1, 250, false, None))
             .unwrap();
         r.with_entry("m0", |m| alloc(m, 2, 100, true, None))
@@ -1852,7 +1843,7 @@ mod tests {
 
     #[test]
     fn duplicate_and_unknown_jobs_are_errors() {
-        let r = registry_with_m0();
+        let r = registry_with(SchedulerKind::Fcfs);
         r.with_entry("m0", |m| alloc(m, 1, 4, false, None)).unwrap();
         assert_eq!(
             r.with_entry("m0", |m| alloc(m, 1, 4, false, None)),
@@ -1890,45 +1881,28 @@ mod tests {
 
     #[test]
     fn first_fit_backfill_lets_fitting_jobs_jump_the_head() {
-        let r = Registry::default();
-        r.register_2d(
-            "bf",
-            Mesh2D::square_16x16(),
-            AllocatorKind::HilbertBestFit,
-            SchedulerKind::FirstFitBackfill,
-        )
-        .unwrap();
-        r.with_entry("bf", |m| alloc(m, 1, 250, false, None))
+        let r = registry_with(SchedulerKind::FirstFitBackfill);
+        r.with_entry("m0", |m| alloc(m, 1, 250, false, None))
             .unwrap();
         // Job 2 blocks as the head; job 3 fits the 6 free processors and
         // starts immediately under first-fit backfill.
         assert_eq!(
-            r.with_entry("bf", |m| alloc(m, 2, 100, true, None))
+            r.with_entry("m0", |m| alloc(m, 2, 100, true, None))
                 .unwrap(),
             AllocOutcome::Queued(1)
         );
-        let outcome = r.with_entry("bf", |m| alloc(m, 3, 5, true, None)).unwrap();
+        let outcome = r.with_entry("m0", |m| alloc(m, 3, 5, true, None)).unwrap();
         assert!(
             matches!(outcome, AllocOutcome::Granted(ref nodes) if nodes.len() == 5),
             "backfill should start job 3 at once, got {outcome:?}"
         );
-        r.with_entry("bf", |m| {
-            m.check_invariants().map_err(ServiceError::InvalidRequest)
-        })
-        .unwrap();
+        assert_invariants(&r, "m0");
     }
 
     #[test]
     fn easy_backfills_only_jobs_that_respect_the_reservation() {
-        let r = Registry::default();
-        r.register_2d(
-            "easy",
-            Mesh2D::square_16x16(),
-            AllocatorKind::HilbertBestFit,
-            SchedulerKind::EasyBackfill,
-        )
-        .unwrap();
-        r.with_entry("easy", |m| {
+        let r = registry_with(SchedulerKind::EasyBackfill);
+        r.with_entry("m0", |m| {
             m.set_time(0.0);
             // 200 processors for 100 s: releases at t = 100.
             alloc(m, 1, 200, false, Some(100.0))
@@ -1938,13 +1912,13 @@ mod tests {
         // (job 1's release), with 256 − 100 = 156 extra processors free
         // at that instant.
         assert_eq!(
-            r.with_entry("easy", |m| alloc(m, 2, 100, true, Some(50.0)))
+            r.with_entry("m0", |m| alloc(m, 2, 100, true, Some(50.0)))
                 .unwrap(),
             AllocOutcome::Queued(1)
         );
         // A short job (done by t = 50 < 100) backfills.
         let outcome = r
-            .with_entry("easy", |m| alloc(m, 3, 40, true, Some(50.0)))
+            .with_entry("m0", |m| alloc(m, 3, 40, true, Some(50.0)))
             .unwrap();
         assert!(
             matches!(outcome, AllocOutcome::Granted(_)),
@@ -1954,19 +1928,16 @@ mod tests {
         // the 156 extras is granted even though it outlives the shadow
         // time (it can never delay the head).
         let outcome = r
-            .with_entry("easy", |m| alloc(m, 4, 16, true, Some(1000.0)))
+            .with_entry("m0", |m| alloc(m, 4, 16, true, Some(1000.0)))
             .unwrap();
         assert!(matches!(outcome, AllocOutcome::Granted(_)));
         // Nothing is free any more: the next job queues behind the head.
         assert_eq!(
-            r.with_entry("easy", |m| alloc(m, 5, 10, true, Some(1000.0)))
+            r.with_entry("m0", |m| alloc(m, 5, 10, true, Some(1000.0)))
                 .unwrap(),
             AllocOutcome::Queued(2)
         );
-        r.with_entry("easy", |m| {
-            m.check_invariants().map_err(ServiceError::InvalidRequest)
-        })
-        .unwrap();
+        assert_invariants(&r, "m0");
     }
 
     #[test]
@@ -1977,15 +1948,8 @@ mod tests {
         // grants it; conservative also protects the mid-queue job's and
         // queues it.
         let sequence = |kind: SchedulerKind| {
-            let r = Registry::default();
-            r.register_2d(
-                "m",
-                Mesh2D::square_16x16(),
-                AllocatorKind::HilbertBestFit,
-                kind,
-            )
-            .unwrap();
-            r.with_entry("m", |m| {
+            let r = registry_with(kind);
+            r.with_entry("m0", |m| {
                 m.set_time(0.0);
                 // 200 processors until t = 100: 56 free.
                 assert!(matches!(
@@ -2028,15 +1992,8 @@ mod tests {
 
     #[test]
     fn conservative_cancel_mid_queue_recomputes_reservations() {
-        let r = Registry::default();
-        r.register_2d(
-            "m",
-            Mesh2D::square_16x16(),
-            AllocatorKind::HilbertBestFit,
-            SchedulerKind::Conservative,
-        )
-        .unwrap();
-        r.with_entry("m", |m| {
+        let r = registry_with(SchedulerKind::Conservative);
+        r.with_entry("m0", |m| {
             m.set_time(0.0);
             alloc(m, 1, 200, false, Some(100.0))?;
             alloc(m, 2, 100, true, Some(50.0))?;
@@ -2053,11 +2010,11 @@ mod tests {
         // Cancelling the mid-queue job recomputes the table: job 5's
         // window no longer collides with any carve and it starts at once.
         let granted = r
-            .with_entry("m", |m| m.release(4, &RequestCtx::inert()))
+            .with_entry("m0", |m| m.release(4, &RequestCtx::inert()))
             .unwrap();
         let ids: Vec<u64> = granted.iter().map(|(id, _)| *id).collect();
         assert_eq!(ids, vec![5], "cancel must re-plan the queue");
-        r.with_entry("m", |m| {
+        r.with_entry("m0", |m| {
             assert_eq!(m.poll(4), JobStatus::Unknown);
             assert!(matches!(m.poll(5), JobStatus::Running(_)));
             assert!(matches!(m.poll(2), JobStatus::Queued(1)));
@@ -2068,7 +2025,7 @@ mod tests {
 
     #[test]
     fn set_scheduler_redrains_the_queue() {
-        let r = registry_with_m0();
+        let r = registry_with(SchedulerKind::Fcfs);
         r.with_entry("m0", |m| alloc(m, 1, 250, false, None))
             .unwrap();
         r.with_entry("m0", |m| alloc(m, 2, 100, true, None))
@@ -2098,7 +2055,7 @@ mod tests {
         // fair-share on, mouse's queued jobs drain first even though hog
         // arrived earlier — while each tenant's own jobs keep arrival
         // order.
-        let r = registry_with_m0();
+        let r = registry_with(SchedulerKind::Fcfs);
         let tenants = Arc::clone(r.tenants());
         tenants.admit(Some("hog"), 1_000_000.0).unwrap();
         tenants.admit(Some("mouse"), 10.0).unwrap();
@@ -2134,7 +2091,7 @@ mod tests {
 
     #[test]
     fn release_settles_the_tenant_ledger() {
-        let r = registry_with_m0();
+        let r = registry_with(SchedulerKind::Fcfs);
         let tenants = Arc::clone(r.tenants());
         tenants
             .admit(Some("acme"), job_cost(30, Some(100.0)))
@@ -2167,7 +2124,7 @@ mod tests {
 
     #[test]
     fn virtual_time_is_monotonic_and_drives_wait_metrics() {
-        let r = registry_with_m0();
+        let r = registry_with(SchedulerKind::Fcfs);
         r.with_entry("m0", |m| {
             m.set_time(10.0);
             alloc(m, 1, 250, false, None)
@@ -2208,7 +2165,7 @@ mod tests {
         // wall clock restarting at zero would put them in the future
         // (negative waits, EASY shadow times hours ahead). restore_*
         // must drag the clock past every stamp it folds in.
-        let r = registry_with_m0();
+        let r = registry_with(SchedulerKind::Fcfs);
         r.with_entry("m0", |m| {
             m.restore_grant(RunningJob {
                 job: 1,
@@ -2250,6 +2207,41 @@ mod tests {
     }
 
     #[test]
+    fn recording_moves_no_placement_and_scores_the_winner() {
+        // Holes of 20 after jobs 2 and 4, and a 136-node tail: sizes 7
+        // and 20 see three windows, 30 and 64 one.
+        let r = registry_with(SchedulerKind::Fcfs);
+        let (mesh, curve) = (Mesh3D::new(8, 8, 4), Curve3Kind::Hilbert);
+        let (bf, fcfs) = (SelectionStrategy::BestFit, SchedulerKind::Fcfs);
+        r.register_3d("cube", mesh, curve, bf, fcfs).unwrap();
+        for name in ["m0", "cube"] {
+            r.with_entry(name, |m| {
+                (1..=6).try_for_each(|job| alloc(m, job, 20, false, None).map(drop))?;
+                m.release(2, &RequestCtx::inert())?;
+                m.release(4, &RequestCtx::inert())?;
+                let mut lone_and_several = (false, false);
+                for (size, pattern) in [7, 20, 30, 64].into_iter().zip(CommPattern::all()) {
+                    let mut pick = |recording| {
+                        let grant = m.backing.try_allocate(99, size, Some(pattern), recording);
+                        grant.inspect(|(nodes, _)| m.backing.release(nodes, 99))
+                    };
+                    let (nodes, unscored) = pick(false).expect("a window fits");
+                    let (same, scored) = pick(true).expect("a window fits");
+                    assert_eq!(nodes, same, "{name}: recording moved a size-{size} grant");
+                    let (breakdown, considered) = scored.expect("a recorded grant is scored");
+                    assert_eq!(breakdown, m.backing.score_candidate(&nodes, pattern, 99));
+                    assert_eq!(unscored.is_none(), considered == 1);
+                    lone_and_several.0 |= considered == 1;
+                    lone_and_several.1 |= considered > 1;
+                }
+                assert_eq!(lone_and_several, (true, true), "{name}: both paths covered");
+                Ok(())
+            })
+            .unwrap();
+        }
+    }
+
+    #[test]
     fn three_d_machines_allocate_contiguously_when_empty() {
         let r = Registry::default();
         r.register_3d(
@@ -2270,10 +2262,7 @@ mod tests {
         // A Hilbert-curve prefix on an empty power-of-two cube is one
         // connected component.
         assert_eq!(Mesh3D::new(8, 8, 8).components(&nodes), 1);
-        r.with_entry("cube", |m| {
-            m.check_invariants().map_err(ServiceError::InvalidRequest)
-        })
-        .unwrap();
+        assert_invariants(&r, "cube");
         let snap = r.with_entry("cube", |m| Ok(m.snapshot())).unwrap();
         assert_eq!(snap.dims, "8x8x8");
         assert_eq!(snap.busy, 32);

@@ -593,7 +593,7 @@ impl AllocationService {
                             job_id: job,
                         });
                     }
-                    Ok(entry.sample_for(job, size, pattern))
+                    Ok(entry.sample_for(job, size, policy.sampled_pattern(pattern)))
                 })?;
                 if size <= sample.nodes {
                     eligible.push(sample);

@@ -1,0 +1,218 @@
+//! Calibration observes placement; it never steers it.
+//!
+//! A patterned grant scores its candidate windows only when something
+//! reads a score. With one fitting window and calibration off, the
+//! window is committed unscored. While calibration records, the window
+//! is scored for the placement record. Both paths must pick the same
+//! processors, so:
+//!
+//! * random patterned alloc/release sequences over the paper's three
+//!   patterns, on a 16×16 and an 8×8×4 machine, must answer op for op
+//!   identically with calibration on and off, and the runs must include
+//!   both lone-window grants and grants that weighed several windows;
+//! * a 400-job comm-aware cluster replay must route and grant
+//!   identically with calibration on and off.
+//!
+//! The proptest shim does not shrink, so a diverging sequence is cut
+//! down with `strategies::minimise` and reported as the short sequence
+//! that still diverges, not as a case index.
+
+#[allow(dead_code)]
+mod strategies;
+
+use commalloc_service::{
+    replay_cluster, AllocationService, ClusterReplayLog, JobRef, ReplayJob, Request, Response,
+    RoutingPolicy,
+};
+use commalloc_workload::CommPattern;
+use proptest::prelude::*;
+use rand::prelude::*;
+use serde::Value;
+use strategies::minimise;
+
+/// The machines every sequence runs on: one 2-D, one 3-D.
+const MACHINES: [(&str, &str); 2] = [("flat", "16x16"), ("cube", "8x8x4")];
+
+/// Random sequences per run of the property.
+const CASES: u64 = 48;
+
+/// A patterned `alloc` (ids collide on purpose: duplicates must answer
+/// alike too) or a `release`/cancel of a possibly unknown id.
+fn op_strategy() -> BoxedStrategy<Request> {
+    let machine = || prop::sample::select(vec!["flat", "cube"]).prop_map(str::to_string);
+    let alloc = || {
+        let pattern = prop::sample::select(CommPattern::paper_patterns().to_vec());
+        (
+            machine(),
+            1u64..=32,
+            1usize..=48,
+            pattern,
+            any::<bool>(),
+            1u64..=500,
+        )
+            .prop_map(
+                |(machine, job, size, pattern, wait, walltime)| Request::Alloc {
+                    machine,
+                    job,
+                    size,
+                    wait,
+                    walltime: Some(walltime as f64),
+                    pattern: Some(pattern),
+                    tenant: None,
+                },
+            )
+    };
+    let release = (machine(), 1u64..=32).prop_map(|(machine, job)| Request::Release {
+        machine: Some(machine),
+        job: JobRef::Bare(job),
+    });
+    prop_oneof![alloc(), release].boxed()
+}
+
+/// Σ over the calibration cells of the candidate windows weighed by
+/// every joined grant.
+fn windows_joined(service: &AllocationService) -> u64 {
+    let report = service.calibration().to_value();
+    let cells = report.get("cells").and_then(Value::as_array);
+    cells
+        .into_iter()
+        .flatten()
+        .map(|cell| {
+            let c = cell.get("calibration").expect("cell payload");
+            let joined = c.get("joined").and_then(Value::as_u64).unwrap_or(0);
+            let mean = c
+                .get("candidates_mean")
+                .and_then(Value::as_f64)
+                .unwrap_or(0.0);
+            (mean * joined as f64).round() as u64
+        })
+        .sum()
+}
+
+/// Drives `ops` through a fresh service (EASY, clocks pinned at 0 so no
+/// decision reads the wall clock). Returns every response and, when
+/// `calibration` is on, how many released grants had weighed one window
+/// and how many several (a release joins at most one record).
+fn run(ops: &[Request], calibration: bool) -> (Vec<Response>, [u64; 2]) {
+    let service = AllocationService::new();
+    for (name, mesh) in MACHINES {
+        service
+            .register(name, mesh, None, None, Some("easy"))
+            .unwrap();
+        service.set_time(name, 0.0).unwrap();
+    }
+    service.calibration().set_enabled(calibration);
+    let mut windows = [0; 2];
+    let responses = ops
+        .iter()
+        .map(|op| {
+            let before = windows_joined(&service);
+            let response = service.handle(op);
+            match windows_joined(&service) - before {
+                0 => {}
+                1 => windows[0] += 1,
+                _ => windows[1] += 1,
+            }
+            response
+        })
+        .collect();
+    (responses, windows)
+}
+
+#[test]
+fn calibration_moves_no_placement_op_by_op() {
+    let sequences = prop::collection::vec(op_strategy(), 1..120);
+    let diverges = |ops: &[Request]| run(ops, false).0 != run(ops, true).0;
+    let mut windows = [0; 2];
+    for case in 0..CASES {
+        let ops = sequences.generate(&mut TestRng::deterministic(case));
+        let (off, _) = run(&ops, false);
+        let (on, seen) = run(&ops, true);
+        if off != on {
+            let core = minimise(ops, diverges);
+            let (off, on) = (run(&core, false).0, run(&core, true).0);
+            let at = off.iter().zip(&on).position(|(a, b)| a != b);
+            let at = at.expect("a shrunk sequence still diverges");
+            let listing: String = core.iter().map(|op| format!("  {op:?}\n")).collect();
+            panic!(
+                "case {case}: calibration moved a placement; shrunk to {} ops:\n{listing}\
+                 op {at} answered\n  off: {:?}\n  on:  {:?}",
+                core.len(),
+                off[at],
+                on[at]
+            );
+        }
+        windows[0] += seen[0];
+        windows[1] += seen[1];
+    }
+    let [lone, several] = windows;
+    assert!(
+        lone > 0 && several > 0,
+        "coverage: {lone} lone-window and {several} several-window grants joined"
+    );
+}
+
+#[test]
+fn comm_aware_replay_is_identical_with_calibration_on_and_off() {
+    let mut rng = StdRng::seed_from_u64(25);
+    let patterns = CommPattern::paper_patterns();
+    let mut arrival = 0.0;
+    let jobs: Vec<ReplayJob> = (0..400u64)
+        .map(|id| {
+            arrival += rng.gen_range(1u64..=20) as f64;
+            ReplayJob {
+                id,
+                size: rng.gen_range(1usize..=96),
+                arrival,
+                duration: rng.gen_range(30u64..=300) as f64,
+                pattern: None,
+            }
+            .with_pattern(patterns[id as usize % patterns.len()])
+        })
+        .collect();
+    let replay = |calibration: bool| -> (ClusterReplayLog, u64) {
+        let service = AllocationService::new();
+        for (name, mesh) in [
+            ("m0", "16x16"),
+            ("m1", "16x8"),
+            ("m2", "8x8"),
+            ("m3", "8x4"),
+        ] {
+            service
+                .register_in_pool(name, mesh, None, None, Some("easy"), Some("grid"))
+                .unwrap();
+        }
+        service
+            .set_router("grid", RoutingPolicy::CommAware.name())
+            .unwrap();
+        service.calibration().set_enabled(calibration);
+        let log = replay_cluster(&service, "grid", &jobs, None);
+        (log, service.calibration().joined_total())
+    };
+    let (off, _) = replay(false);
+    let (on, joined) = replay(true);
+    assert!(joined > 0, "the recording replay filed no placement");
+    assert_eq!(off, on, "calibration changed a route or a grant");
+}
+
+#[test]
+fn minimise_shrinks_a_planted_failure_to_its_two_op_core() {
+    // Fails iff some 3 comes before some 7: the 2-op core is [3, 7].
+    let fails = |ops: &[u32]| {
+        let first_three = ops.iter().position(|&op| op == 3);
+        first_three.is_some_and(|at| ops[at..].contains(&7))
+    };
+    let ops: Vec<u32> = (0..60).map(|i| (i * 7 + 5) % 11).collect();
+    assert!(fails(&ops));
+    let calls = std::cell::Cell::new(0);
+    let core = minimise(ops, |ops: &[u32]| {
+        calls.set(calls.get() + 1);
+        fails(ops)
+    });
+    assert_eq!(core, vec![3, 7]);
+    assert!(
+        calls.get() < 200,
+        "{} predicate calls for 60 ops",
+        calls.get()
+    );
+}

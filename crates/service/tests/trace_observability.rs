@@ -515,6 +515,64 @@ fn calibration_joins_every_released_job_and_decisions_drain() {
     handle.shutdown().unwrap();
 }
 
+/// Only `comm-aware` reads a member's score, so a pool routing by any
+/// other policy samples its members unscored: a patterned routed alloc
+/// leaves a decision record without member `score` keys.
+#[test]
+fn round_robin_decisions_carry_no_member_scores() {
+    let service = commalloc_service::AllocationService::new();
+    for name in ["m0", "m1"] {
+        service
+            .register_in_pool(name, "8x8", None, None, None, Some("grid"))
+            .unwrap();
+    }
+    service.set_router("grid", "round-robin").unwrap();
+    let handle = Server::bind("127.0.0.1:0", service, 2)
+        .unwrap()
+        .spawn()
+        .unwrap();
+    let mut client = ServiceClient::connect(handle.addr()).unwrap();
+    assert!(client.set_trace(true, None).unwrap());
+    for job in 1..=4u64 {
+        let response = client
+            .roundtrip(&Request::Alloc {
+                machine: "@grid".into(),
+                job,
+                size: 8,
+                wait: false,
+                walltime: Some(120.0),
+                pattern: Some(commalloc_workload::CommPattern::AllToAll),
+                tenant: None,
+            })
+            .unwrap();
+        assert!(matches!(response, Response::Granted { .. }), "{response:?}");
+    }
+
+    let dump = client.trace_events(None, true).unwrap();
+    assert_eq!(dump.decisions.len(), 4);
+    for decision in &dump.decisions {
+        assert_eq!(
+            decision.get("policy").and_then(Value::as_str),
+            Some("round-robin")
+        );
+        let members = decision
+            .get("members")
+            .and_then(Value::as_array)
+            .expect("decision carries member samples");
+        assert_eq!(members.len(), 2);
+        for member in members {
+            assert!(member.get("free").and_then(Value::as_u64).is_some());
+            assert!(
+                member.get("score").is_none(),
+                "round-robin reads no score, so none is computed: {member:?}"
+            );
+        }
+    }
+
+    drop(client);
+    handle.shutdown().unwrap();
+}
+
 /// Windowed per-pool metrics: the trailing-window export carries the
 /// pool's routing-policy label, agrees with the cumulative histogram
 /// while all traffic is recent, and the Prometheus exposition labels
