@@ -57,6 +57,13 @@ impl Map {
         Map::default()
     }
 
+    /// Creates an empty map with room for `n` entries.
+    pub fn with_capacity(n: usize) -> Self {
+        Map {
+            entries: Vec::with_capacity(n),
+        }
+    }
+
     /// Inserts a key, replacing any existing entry with the same key.
     pub fn insert(&mut self, key: String, value: Value) {
         if let Some(slot) = self.entries.iter_mut().find(|(k, _)| *k == key) {
@@ -203,6 +210,12 @@ pub trait Serialize {
 pub trait Deserialize: Sized {
     /// Parses `v`, reporting a descriptive [`Error`] on shape mismatch.
     fn from_value(v: &Value) -> Result<Self, Error>;
+
+    /// As [`Deserialize::from_value`], for a tree the caller is done
+    /// with: a `Value` is taken as it is rather than copied.
+    fn from_owned(v: Value) -> Result<Self, Error> {
+        Self::from_value(&v)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -456,6 +469,10 @@ deserialize_tuple!(
 impl Deserialize for Value {
     fn from_value(v: &Value) -> Result<Self, Error> {
         Ok(v.clone())
+    }
+
+    fn from_owned(v: Value) -> Result<Self, Error> {
+        Ok(v)
     }
 }
 

@@ -51,8 +51,10 @@ pub struct PendingRequest {
     /// trace events to the *enqueuing* request, not the request whose
     /// release happened to trigger the drain.
     pub trace_request: u64,
-    /// Recorder-epoch timestamp (µs) of the enqueue, closing the `queue`
-    /// span when the job is granted (0 when untraced).
+    /// Recorder-epoch timestamp (µs) at which the request was denied and
+    /// left waiting, opening the `queue` span its grant closes (0 when
+    /// untraced, and for a request granted on arrival, which never
+    /// waited).
     pub enqueued_micros: u64,
     /// Placement provenance for the calibration plane: the routing
     /// policy that sent the request to this machine, or `"direct"` for
@@ -229,6 +231,13 @@ impl AdmissionQueue {
     /// [`AdmissionQueue::take_at`] whose grant the allocator refused.
     pub fn put_back(&mut self, index: usize, request: PendingRequest) {
         self.queue.insert(index, request);
+    }
+
+    /// Records `micros` as the moment `job_id` was left waiting.
+    pub fn stamp_waiting(&mut self, job_id: u64, micros: u64) {
+        if let Some(p) = self.queue.iter_mut().find(|p| p.request.job == job_id) {
+            p.enqueued_micros = micros;
+        }
     }
 
     /// Iterates the waiting requests in queue order.

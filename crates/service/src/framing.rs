@@ -12,11 +12,16 @@
 //!   [`Value`](serde::Value) tree the JSON framing carries. No escaping,
 //!   no float formatting, no UTF-8 scanning on the hot path.
 //!
-//! Both framings decode to identical `Value` trees — the binary decoder
-//! normalises unsigned integers that fit `i64` to `Value::Int`, exactly
-//! as the JSON parser does — so `Request`/`Response` round-trips are
-//! byte-identical regardless of framing (proven by the
-//! `framing_equivalence` proptest).
+//! Neither direction builds that tree. A message renders itself once as
+//! [`Emit`] events, and [`append_frame`] points them at the framing's
+//! sink: JSON text, or this module's binary sink, whose bytes equal
+//! [`encode_value`] of the message's tree. Incoming, the JSON grammar and
+//! [`decode`] fill the same flat [`Tape`], with the same depth cap
+//! ([`MAX_DEPTH`]), and one reader per op reads either. The binary
+//! decoder normalises unsigned integers that fit `i64` to signed ones,
+//! exactly as the JSON parser does, so a message decodes identically
+//! whichever framing carried it (proven by the `framing_equivalence`
+//! proptest and the `codec_equivalence` suite).
 //!
 //! ## Binary payload encoding
 //!
@@ -36,6 +41,8 @@
 //! | `0x08` | object | `u32` entry count, then per entry: `u32` key length, key bytes, value |
 
 use serde::Value;
+pub use serde_json::MAX_DEPTH;
+use serde_json::{Emit, JsonSink, Sink, Tape, TapeNode};
 use std::fmt;
 
 /// First byte of every binary frame. `0xB1` is not a valid UTF-8 leading
@@ -48,10 +55,6 @@ pub const MAGIC: u8 = 0xB1;
 /// this many bytes would otherwise be buffered without limit, so either
 /// closes the connection.
 pub const MAX_FRAME_LEN: usize = 64 * 1024 * 1024;
-
-/// Nesting depth cap for the binary decoder (defends the stack against
-/// adversarial `[[[[…]]]]` payloads; protocol values are a few levels deep).
-const MAX_DEPTH: usize = 128;
 
 /// Which framing a connection endpoint speaks (per frame on the server,
 /// fixed per client).
@@ -205,89 +208,238 @@ fn encode_len(len: usize, out: &mut Vec<u8>) -> Result<(), FrameError> {
     Ok(())
 }
 
+/// Decodes a complete binary payload into `tape`, rejecting trailing
+/// bytes, and returns its root. Strings stay in `bytes`; a payload
+/// nested deeper than [`MAX_DEPTH`] is refused, as the JSON grammar
+/// refuses one.
+pub fn decode<'a>(bytes: &'a [u8], tape: &'a mut Tape) -> Result<TapeNode<'a>, FrameError> {
+    tape.clear();
+    if u32::try_from(bytes.len()).is_err() {
+        return Err(FrameError::Oversized(bytes.len()));
+    }
+    let mut pos = 0usize;
+    decode_at(bytes, &mut pos, 0, tape)?;
+    if pos != bytes.len() {
+        return Err(FrameError::TrailingBytes(bytes.len() - pos));
+    }
+    Ok(tape.root(bytes))
+}
+
 /// Decodes a complete binary payload into a `Value`, rejecting trailing
 /// bytes. Unsigned integers that fit `i64` come back as `Value::Int`,
 /// matching the JSON parser's normal form.
 pub fn decode_value(bytes: &[u8]) -> Result<Value, FrameError> {
-    let mut pos = 0usize;
-    let value = decode_at(bytes, &mut pos, 0)?;
-    if pos != bytes.len() {
-        return Err(FrameError::TrailingBytes(bytes.len() - pos));
-    }
-    Ok(value)
+    serde_json::with_tape(|tape| decode(bytes, tape).map(serde_json::Node::to_value))
 }
 
 fn take<'a>(bytes: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8], FrameError> {
     let end = pos.checked_add(n).ok_or(FrameError::Truncated)?;
-    if end > bytes.len() {
-        return Err(FrameError::Truncated);
-    }
-    let slice = &bytes[*pos..end];
+    let slice = bytes.get(*pos..end).ok_or(FrameError::Truncated)?;
     *pos = end;
     Ok(slice)
 }
 
-fn take_u32(bytes: &[u8], pos: &mut usize) -> Result<u32, FrameError> {
-    let raw = take(bytes, pos, 4)?;
-    Ok(u32::from_le_bytes([raw[0], raw[1], raw[2], raw[3]]))
+fn take_array<const N: usize>(bytes: &[u8], pos: &mut usize) -> Result<[u8; N], FrameError> {
+    take(bytes, pos, N)?
+        .try_into()
+        .map_err(|_| FrameError::Truncated)
 }
 
-fn take_str(bytes: &[u8], pos: &mut usize) -> Result<String, FrameError> {
-    let len = take_u32(bytes, pos)? as usize;
-    let raw = take(bytes, pos, len)?;
-    String::from_utf8(raw.to_vec()).map_err(|_| FrameError::BadUtf8)
+/// A length-prefixed UTF-8 string: its offset and length in `bytes`.
+fn take_str(bytes: &[u8], pos: &mut usize) -> Result<(usize, usize), FrameError> {
+    let len = u32::from_le_bytes(take_array(bytes, pos)?) as usize;
+    let at = *pos;
+    std::str::from_utf8(take(bytes, pos, len)?).map_err(|_| FrameError::BadUtf8)?;
+    Ok((at, len))
 }
 
-fn decode_at(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, FrameError> {
+fn decode_at(
+    bytes: &[u8],
+    pos: &mut usize,
+    depth: usize,
+    tape: &mut Tape,
+) -> Result<(), FrameError> {
     if depth > MAX_DEPTH {
         return Err(FrameError::TooDeep);
     }
-    let tag = take(bytes, pos, 1)?[0];
-    match tag {
-        TAG_NULL => Ok(Value::Null),
-        TAG_FALSE => Ok(Value::Bool(false)),
-        TAG_TRUE => Ok(Value::Bool(true)),
-        TAG_INT => {
-            let raw = take(bytes, pos, 8)?;
-            Ok(Value::Int(i64::from_le_bytes(raw.try_into().unwrap())))
+    match take_array::<1>(bytes, pos)?[0] {
+        TAG_NULL => tape.push_null(),
+        TAG_FALSE => tape.push_bool(false),
+        TAG_TRUE => tape.push_bool(true),
+        TAG_INT => tape.push_i64(i64::from_le_bytes(take_array(bytes, pos)?)),
+        TAG_UINT => tape.push_u64(u64::from_le_bytes(take_array(bytes, pos)?)),
+        TAG_FLOAT => tape.push_f64(f64::from_le_bytes(take_array(bytes, pos)?)),
+        TAG_STR => {
+            let (at, len) = take_str(bytes, pos)?;
+            tape.push_str(at, len);
         }
-        TAG_UINT => {
-            let raw = take(bytes, pos, 8)?;
-            let u = u64::from_le_bytes(raw.try_into().unwrap());
-            // Normalise to the JSON parser's form so both framings decode
-            // to identical Value trees.
-            Ok(match i64::try_from(u) {
-                Ok(i) => Value::Int(i),
-                Err(_) => Value::UInt(u),
-            })
-        }
-        TAG_FLOAT => {
-            let raw = take(bytes, pos, 8)?;
-            Ok(Value::Float(f64::from_le_bytes(raw.try_into().unwrap())))
-        }
-        TAG_STR => Ok(Value::Str(take_str(bytes, pos)?)),
+        // No up-front reservation from a declared count: a hostile
+        // header cannot force a huge allocation, decode just runs out.
         TAG_ARRAY => {
-            let count = take_u32(bytes, pos)? as usize;
-            // No up-front reservation from the declared count: a hostile
-            // header cannot force a huge allocation, decode just runs out.
-            let mut items = Vec::new();
+            let count = u32::from_le_bytes(take_array(bytes, pos)?) as usize;
+            let open = tape.open();
             for _ in 0..count {
-                items.push(decode_at(bytes, pos, depth + 1)?);
+                decode_at(bytes, pos, depth + 1, tape)?;
             }
-            Ok(Value::Array(items))
+            tape.close_array(open, count);
         }
         TAG_OBJECT => {
-            let count = take_u32(bytes, pos)? as usize;
-            let mut map = serde::Map::new();
+            let count = u32::from_le_bytes(take_array(bytes, pos)?) as usize;
+            let open = tape.open();
+            let mut last = open;
             for _ in 0..count {
-                let key = take_str(bytes, pos)?;
-                let entry = decode_at(bytes, pos, depth + 1)?;
-                map.insert(key, entry);
+                let (at, len) = take_str(bytes, pos)?;
+                last = tape.push_key(at, len, last);
+                decode_at(bytes, pos, depth + 1, tape)?;
             }
-            Ok(Value::Object(map))
+            tape.close_object(open, count, last);
         }
-        other => Err(FrameError::BadTag(other)),
+        other => return Err(FrameError::BadTag(other)),
     }
+    Ok(())
+}
+
+/// Renders sink events as the binary tagged tree: byte for byte what
+/// [`encode_value`] writes for the tree of the same events. A container's
+/// count is written when it closes.
+struct BinarySink<'a> {
+    out: &'a mut Vec<u8>,
+    /// Per open container: where its count goes, and the values so far
+    /// (an object counts its entries by their values).
+    open: [(usize, u32); SINK_DEPTH],
+    depth: usize,
+    error: Option<FrameError>,
+}
+
+/// Containers a message may nest in a binary sink. Messages nest a few
+/// levels; an embedded tree is encoded whole and uses none of this.
+const SINK_DEPTH: usize = 16;
+
+impl BinarySink<'_> {
+    /// Counts one value in the innermost open container.
+    fn item(&mut self) -> &mut Vec<u8> {
+        if let Some(top) = self.depth.checked_sub(1).and_then(|d| self.open.get_mut(d)) {
+            top.1 += 1;
+        }
+        self.out
+    }
+
+    fn len(&mut self, len: usize) {
+        match u32::try_from(len) {
+            Ok(len) => self.out.extend_from_slice(&len.to_le_bytes()),
+            Err(_) => self.error = Some(FrameError::Oversized(usize::MAX)),
+        }
+    }
+
+    fn begin(&mut self, tag: u8) {
+        self.item().push(tag);
+        match self.open.get_mut(self.depth) {
+            Some(slot) => *slot = (self.out.len(), 0),
+            None => self.error = Some(FrameError::TooDeep),
+        }
+        self.depth += 1;
+        self.out.extend_from_slice(&[0; 4]);
+    }
+
+    fn end(&mut self) {
+        self.depth -= 1;
+        if let Some(&(at, count)) = self.open.get(self.depth) {
+            self.out[at..at + 4].copy_from_slice(&count.to_le_bytes());
+        }
+    }
+
+    fn bytes(&mut self, tag: u8, raw: &[u8]) {
+        self.item().push(tag);
+        self.out.extend_from_slice(raw);
+    }
+}
+
+impl Sink for BinarySink<'_> {
+    fn begin_object(&mut self) {
+        self.begin(TAG_OBJECT);
+    }
+    fn end_object(&mut self) {
+        self.end();
+    }
+    fn begin_array(&mut self) {
+        self.begin(TAG_ARRAY);
+    }
+    fn end_array(&mut self) {
+        self.end();
+    }
+    fn key(&mut self, key: &str) {
+        self.len(key.len());
+        self.out.extend_from_slice(key.as_bytes());
+    }
+    fn null(&mut self) {
+        self.item().push(TAG_NULL);
+    }
+    fn bool(&mut self, b: bool) {
+        self.item().push(if b { TAG_TRUE } else { TAG_FALSE });
+    }
+    fn i64(&mut self, i: i64) {
+        self.bytes(TAG_INT, &i.to_le_bytes());
+    }
+    fn u64(&mut self, u: u64) {
+        // The tag the decoder's normal form would hand back.
+        match i64::try_from(u) {
+            Ok(i) => self.i64(i),
+            Err(_) => self.bytes(TAG_UINT, &u.to_le_bytes()),
+        }
+    }
+    fn f64(&mut self, f: f64) {
+        self.bytes(TAG_FLOAT, &f.to_le_bytes());
+    }
+    fn str(&mut self, s: &str) {
+        self.item().push(TAG_STR);
+        self.len(s.len());
+        self.out.extend_from_slice(s.as_bytes());
+    }
+    fn value(&mut self, v: &Value) {
+        if let Err(e) = encode_value(v, self.item()) {
+            self.error = Some(e);
+        }
+    }
+}
+
+/// Appends `message` to `out` as one frame in `framing`: a JSON line, or
+/// a binary frame. Either is rendered straight from the message's
+/// fields. A binary frame over [`MAX_FRAME_LEN`] is refused, and `out`
+/// is restored to its original length.
+pub fn append_frame<M: Emit + ?Sized>(
+    out: &mut Vec<u8>,
+    framing: Framing,
+    message: &M,
+) -> Result<(), FrameError> {
+    if framing == Framing::Ndjson {
+        message.emit(&mut JsonSink::new(out));
+        out.push(b'\n');
+        return Ok(());
+    }
+    let base = out.len();
+    out.push(MAGIC);
+    out.extend_from_slice(&[0u8; 4]);
+    let mut sink = BinarySink {
+        out,
+        open: [(0, 0); SINK_DEPTH],
+        depth: 0,
+        error: None,
+    };
+    message.emit(&mut sink);
+    let error = sink.error;
+    let len = out.len() - base - 5;
+    let result = match error {
+        Some(e) => Err(e),
+        None if len > MAX_FRAME_LEN => Err(FrameError::Oversized(len)),
+        None => {
+            out[base + 1..base + 5].copy_from_slice(&(len as u32).to_le_bytes());
+            Ok(())
+        }
+    };
+    if result.is_err() {
+        out.truncate(base);
+    }
+    result
 }
 
 /// Encodes `value` as a complete binary frame (magic + length + payload).
@@ -300,21 +452,7 @@ pub fn encode_frame(value: &Value) -> Result<Vec<u8>, FrameError> {
 /// Appends a complete binary frame to `out` without an intermediate
 /// allocation; on error `out` is restored to its original length.
 pub fn encode_frame_into(value: &Value, out: &mut Vec<u8>) -> Result<(), FrameError> {
-    let base = out.len();
-    out.push(MAGIC);
-    out.extend_from_slice(&[0u8; 4]);
-    let result = encode_value(value, out).and_then(|()| {
-        let len = out.len() - base - 5;
-        if len > MAX_FRAME_LEN {
-            return Err(FrameError::Oversized(len));
-        }
-        out[base + 1..base + 5].copy_from_slice(&(len as u32).to_le_bytes());
-        Ok(())
-    });
-    if result.is_err() {
-        out.truncate(base);
-    }
-    result
+    append_frame(out, Framing::Binary, value)
 }
 
 // ---------------------------------------------------------------------------
@@ -391,53 +529,52 @@ impl FrameBuffer {
     /// binary length, or a line, over [`MAX_FRAME_LEN`]) and must be
     /// closed.
     pub fn next_frame(&mut self) -> Result<Option<Frame>, FrameError> {
+        Ok(self.next_payload()?.map(|(framing, payload)| Frame {
+            framing,
+            payload: payload.to_vec(),
+        }))
+    }
+
+    /// As [`FrameBuffer::next_frame`], but lends the payload out of the
+    /// buffer rather than copying it.
+    pub fn next_payload(&mut self) -> Result<Option<(Framing, &[u8])>, FrameError> {
         let data = &self.buf[self.pos..];
         let Some(&first) = data.first() else {
             return Ok(None);
         };
-        if first == MAGIC {
-            if data.len() < 5 {
+        let (framing, start, end, next) = if first == MAGIC {
+            let Some(header) = data.get(1..5) else {
                 return Ok(None);
-            }
-            let len = u32::from_le_bytes([data[1], data[2], data[3], data[4]]) as usize;
+            };
+            let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]) as usize;
             if len > MAX_FRAME_LEN {
                 return Err(FrameError::Oversized(len));
             }
             if data.len() < 5 + len {
                 return Ok(None);
             }
-            let payload = data[5..5 + len].to_vec();
-            self.pos += 5 + len;
-            Ok(Some(Frame {
-                framing: Framing::Binary,
-                payload,
-            }))
+            (Framing::Binary, 5, 5 + len, 5 + len)
         } else {
             let found = data[self.scanned..].iter().position(|&b| b == b'\n');
             let end = found.map_or(data.len(), |at| self.scanned + at);
             if end > MAX_FRAME_LEN {
                 return Err(FrameError::Oversized(end));
             }
-            match found {
-                Some(_) => {
-                    let mut line = &data[..end];
-                    if line.last() == Some(&b'\r') {
-                        line = &line[..line.len() - 1];
-                    }
-                    let payload = line.to_vec();
-                    self.pos += end + 1;
-                    self.scanned = 0;
-                    Ok(Some(Frame {
-                        framing: Framing::Ndjson,
-                        payload,
-                    }))
-                }
-                None => {
-                    self.scanned = end;
-                    Ok(None)
-                }
+            if found.is_none() {
+                self.scanned = end;
+                return Ok(None);
             }
-        }
+            self.scanned = 0;
+            let line_end = if data[..end].last() == Some(&b'\r') {
+                end - 1
+            } else {
+                end
+            };
+            (Framing::Ndjson, 0, line_end, end + 1)
+        };
+        let at = self.pos;
+        self.pos += next;
+        Ok(Some((framing, &self.buf[at + start..at + end])))
     }
 
     /// EOF check: a cleanly closed stream has no partial frame buffered.

@@ -86,13 +86,15 @@
 //! three against the no-journal baseline.
 
 use crate::protocol::{
-    get_f64_opt, get_nodes, get_pattern, get_str, get_str_opt, get_u64, str_value,
+    get_array, get_bool, get_f64, get_f64_opt, get_pattern, get_str, get_str_opt, get_u64, node_id,
+    opt,
 };
 use crate::registry::ServiceError;
 use crate::tenant::TenantConfig;
 use commalloc_mesh::NodeId;
 use commalloc_workload::CommPattern;
 use serde::{Error, Map, Value};
+use serde_json::Node;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
@@ -399,26 +401,6 @@ fn write_job_tags(out: &mut String, pattern: &Option<CommPattern>, tenant: &Opti
     }
 }
 
-fn get_f64(v: &Value, key: &str) -> Result<f64, Error> {
-    v.get(key)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| Error::msg(format!("missing or non-numeric field {key:?}")))
-}
-
-/// Reads the array field `key`, each element through `read`.
-fn get_array<T>(
-    v: &Value,
-    key: &str,
-    read: impl Fn(&Value) -> Result<T, Error>,
-) -> Result<Vec<T>, Error> {
-    v.get(key)
-        .and_then(Value::as_array)
-        .ok_or_else(|| Error::msg(format!("missing or non-array field {key:?}")))?
-        .iter()
-        .map(read)
-        .collect()
-}
-
 impl RunningJob {
     /// Predicted completion: start + walltime, or infinity when the
     /// client gave no estimate (EASY then never counts on this release).
@@ -445,7 +427,7 @@ impl RunningJob {
     fn from_value(v: &Value) -> Result<RunningJob, Error> {
         Ok(RunningJob {
             job: get_u64(v, "job")?,
-            nodes: get_nodes(v, "nodes")?,
+            nodes: get_array(v, "nodes", node_id)?,
             walltime: get_f64_opt(v, "walltime")?,
             start: get_f64(v, "start")?,
             pattern: get_pattern(v)?,
@@ -573,12 +555,7 @@ impl MachineImage {
             spec: MachineSpec::from_value(v)?,
             seq: get_u64(v, "seq")?,
             clock: get_f64_opt(v, "clock")?,
-            fair_share: match v.get("fair_share") {
-                None | Some(Value::Null) => false,
-                Some(on) => on
-                    .as_bool()
-                    .ok_or_else(|| Error::msg("non-boolean field \"fair_share\""))?,
-            },
+            fair_share: opt(v, "fair_share", "non-boolean", Node::as_bool)?.unwrap_or(false),
             running: get_array(v, "running", RunningJob::from_value)?,
             queue: get_array(v, "queue", QueuedRequest::from_value)?,
         })
@@ -695,10 +672,7 @@ impl JournalRecord {
             "set_tenant" => JournalRecord::SetTenant(TenantSpec::from_value(v)?),
             "set_fair_share" => JournalRecord::SetFairShare {
                 machine: get_str(v, "machine")?,
-                enabled: v
-                    .get("enabled")
-                    .and_then(Value::as_bool)
-                    .ok_or_else(|| Error::msg("missing or non-boolean field \"enabled\""))?,
+                enabled: get_bool(v, "enabled")?,
             },
             "snapshot" => JournalRecord::Snapshot(SnapshotImage::from_value(v)?),
             other => return Err(Error::msg(format!("unknown record kind {other:?}"))),
@@ -1265,7 +1239,7 @@ impl JournalSink for FileJournal {
             "snapshots_installed".into(),
             Value::UInt(inner.snapshots_installed),
         );
-        m.insert("fsync".into(), str_value(&self.config.fsync.name()));
+        m.insert("fsync".into(), Value::Str(self.config.fsync.name()));
         Some(Value::Object(m))
     }
 }

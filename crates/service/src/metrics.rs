@@ -294,18 +294,21 @@ impl Serialize for LogLinearHistogram {
 /// history, mergeable into any trailing view up to 60 s.
 pub const WINDOW_SLOTS: usize = 60;
 
-/// A ring of per-second [`LogLinearHistogram`] windows: the "now" view
-/// the since-boot histograms cannot give. Each slot aggregates one
-/// epoch second and is lazily reset when its second comes around again,
-/// so recording stays O(1) with no background sweeper; reads merge the
-/// trailing `span` seconds into one histogram. Stamps are plain epoch
-/// seconds supplied by the caller — under a virtual clock (the replay
-/// harness) the output is fully deterministic.
+/// A ring of per-second [`LogLinearHistogram`] windows, plus everything
+/// the ring has rotated out: both the "now" view and the since-boot one
+/// from a single record per value. Each slot aggregates one epoch second
+/// and is lazily folded into the since-boot total and reset when its
+/// second comes around again, so recording stays O(1) with no background
+/// sweeper; reads merge the trailing `span` seconds into one histogram.
+/// Stamps are plain epoch seconds supplied by the caller — under a
+/// virtual clock (the replay harness) the output is fully deterministic.
 #[derive(Debug, Clone)]
 pub struct WindowRing {
     /// `(second, histogram)` per slot; the stamp disambiguates the
     /// minute the slot belongs to (`u64::MAX` = never written).
     slots: Vec<(u64, LogLinearHistogram)>,
+    /// Every slot rotated out so far, merged.
+    retired: LogLinearHistogram,
     scale: f64,
 }
 
@@ -322,6 +325,7 @@ impl WindowRing {
             slots: (0..WINDOW_SLOTS)
                 .map(|_| (u64::MAX, LogLinearHistogram::with_scale(scale)))
                 .collect(),
+            retired: LogLinearHistogram::with_scale(scale),
             scale,
         }
     }
@@ -331,10 +335,20 @@ impl WindowRing {
     pub fn record(&mut self, now_sec: u64, value: f64) {
         let slot = &mut self.slots[(now_sec as usize) % WINDOW_SLOTS];
         if slot.0 != now_sec {
+            self.retired.merge(&slot.1);
             slot.1 = LogLinearHistogram::with_scale(self.scale);
             slot.0 = now_sec;
         }
         slot.1.record(value);
+    }
+
+    /// Everything ever recorded, window or not.
+    pub fn total(&self) -> LogLinearHistogram {
+        let mut out = self.retired.clone();
+        for (_, slot) in &self.slots {
+            out.merge(slot);
+        }
+        out
     }
 
     /// The trailing `span_secs` seconds ending at `now_sec` (inclusive),

@@ -1,18 +1,30 @@
-//! The newline-delimited JSON wire protocol.
+//! The wire protocol: one declaration per message.
 //!
-//! One JSON object per line in each direction. Requests carry an `"op"`
-//! discriminator; responses always carry `"ok"` plus op-specific fields
-//! (see the crate docs for the full vocabulary). Node identifiers travel
-//! as plain integers (dense [`commalloc_mesh::NodeId`] indices).
+//! One JSON object per line in each direction, or one binary frame (see
+//! [`crate::framing`]). Requests carry an `"op"` discriminator; responses
+//! always carry `"ok"` plus op-specific fields (see the crate docs for the
+//! full vocabulary). Node identifiers travel as plain integers (dense
+//! [`commalloc_mesh::NodeId`] indices).
 //!
-//! The [`Request`] and [`Response`] enums implement conversion to and from
-//! the JSON value tree by hand — the shapes are data-carrying enums, which
-//! the workspace's derive shim deliberately does not cover, and hand-rolled
-//! conversions double as precise wire-format documentation.
+//! Each [`Request`] and [`Response`] variant states its wire fields in
+//! two places side by side, and every back end runs off them:
+//!
+//! - **`emit`** ([`Emit`]) renders the fields, in wire order, into a
+//!   sink: JSON text for `to_line` and the server's NDJSON outbox, the
+//!   binary tagged tree for binary frames, a [`Value`] for `to_value`.
+//! - **`read`** reads the fields from any [`Node`]: a tape the JSON
+//!   grammar or the binary decoder filled (`from_line`, both server
+//!   framings) or a `&Value` (`from_value`). One body, so every error
+//!   text is the same whichever way a message arrived.
+//!
+//! The shapes are data-carrying enums, which the workspace's derive shim
+//! deliberately does not cover, and the hand-written bodies double as
+//! precise wire-format documentation.
 
 use commalloc_mesh::NodeId;
 use commalloc_workload::CommPattern;
-use serde::{Error, Map, Value};
+use serde::{Error, Value};
+use serde_json::{Emit, Node, Sink};
 use std::fmt;
 
 /// A pool-scoped job reference: the cluster-wide spelling of "which
@@ -80,26 +92,17 @@ impl JobRef {
         }
     }
 
-    /// Renders the wire value: bare refs stay plain integers,
-    /// qualified refs become `/`-joined strings.
-    pub fn to_wire(&self) -> Value {
-        match self {
-            JobRef::Bare(id) => Value::UInt(*id),
-            _ => Value::Str(self.to_string()),
-        }
-    }
-
     /// Parses the textual spelling: `"7"`, `"m0/7"` or `"grid/m0/7"`.
     /// Segments must be non-empty and the id must be an integer; more
     /// than three segments is an error (machine and pool names cannot
     /// contain `/`).
     pub fn parse_str(s: &str) -> Result<JobRef, Error> {
-        let parts: Vec<&str> = s.split('/').collect();
         let bad = || {
             Error::msg(format!(
                 "malformed job ref {s:?} (want \"id\", \"machine/id\" or \"pool/machine/id\")"
             ))
         };
+        let parts: Vec<&str> = s.split('/').collect();
         if parts.iter().any(|p| p.is_empty()) {
             return Err(bad());
         }
@@ -124,10 +127,10 @@ impl JobRef {
 
     /// Parses the wire value: an integer is a bare ref, a string is
     /// parsed per [`JobRef::parse_str`].
-    pub fn from_wire(v: &Value) -> Result<JobRef, Error> {
-        match v {
-            Value::Str(s) => JobRef::parse_str(s),
-            _ => v.as_u64().map(JobRef::Bare).ok_or_else(|| {
+    pub fn from_wire<'a, F: Node<'a>>(v: F) -> Result<JobRef, Error> {
+        match v.as_str() {
+            Some(s) => JobRef::parse_str(s),
+            None => v.as_u64().map(JobRef::Bare).ok_or_else(|| {
                 Error::msg("job ref must be an integer id or a \"pool/machine/id\" string")
             }),
         }
@@ -144,12 +147,15 @@ impl fmt::Display for JobRef {
     }
 }
 
-/// Parses the `job` field of `release`/`poll` as a [`JobRef`].
-pub(crate) fn get_job_ref(v: &Value) -> Result<JobRef, Error> {
-    let field = v
-        .get("job")
-        .ok_or_else(|| Error::msg("missing field \"job\""))?;
-    JobRef::from_wire(field)
+/// Bare refs stay plain integers; qualified refs become `/`-joined
+/// strings.
+impl Emit for JobRef {
+    fn emit<S: Sink>(&self, s: &mut S) {
+        match self {
+            JobRef::Bare(id) => s.u64(*id),
+            _ => s.str(&self.to_string()),
+        }
+    }
 }
 
 /// The attributes of one `alloc`, borrowed: exactly what
@@ -568,43 +574,131 @@ pub enum Response {
     Batch(Vec<Response>),
 }
 
-pub(crate) fn obj(entries: Vec<(&str, Value)>) -> Value {
-    let mut m = Map::new();
-    for (k, v) in entries {
-        m.insert(k.to_string(), v);
-    }
-    Value::Object(m)
+// ---------------------------------------------------------------------------
+// Field readers, generic over the parsed form.
+// ---------------------------------------------------------------------------
+
+/// The error for field `key`: `problem` says what is wrong with it.
+#[cold]
+fn bad_field(problem: &str, key: &str) -> Error {
+    Error::msg(format!("{problem} field {key:?}"))
 }
 
-pub(crate) fn str_value(s: &str) -> Value {
-    Value::Str(s.to_string())
+/// The field `key`, unless it is absent or `null`.
+#[inline]
+fn present<'a, F: Node<'a>>(v: F, key: &str) -> Option<F> {
+    v.get(key).filter(|field| !field.is_null())
 }
 
-pub(crate) fn nodes_value(nodes: &[NodeId]) -> Value {
-    Value::Array(nodes.iter().map(|n| Value::UInt(n.0 as u64)).collect())
+/// An optional field of one kind: absent or `null` is `None`, but a
+/// present value of another kind is a parse error rather than a silent
+/// `None` (a mistyped `"scheduler":5` must not quietly register an FCFS
+/// machine).
+#[inline]
+pub(crate) fn opt<'a, F: Node<'a>, T>(
+    v: F,
+    key: &str,
+    kind: &str,
+    read: impl FnOnce(F) -> Option<T>,
+) -> Result<Option<T>, Error> {
+    present(v, key)
+        .map(|field| read(field).ok_or_else(|| bad_field(kind, key)))
+        .transpose()
 }
 
-pub(crate) fn get_str(v: &Value, key: &str) -> Result<String, Error> {
+#[inline]
+fn get_text<'a, F: Node<'a>>(v: F, key: &str) -> Result<&'a str, Error> {
     v.get(key)
-        .and_then(Value::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| Error::msg(format!("missing or non-string field {key:?}")))
+        .and_then(F::as_str)
+        .ok_or_else(|| bad_field("missing or non-string", key))
 }
 
-pub(crate) fn get_u64(v: &Value, key: &str) -> Result<u64, Error> {
+#[inline]
+fn get_text_opt<'a, F: Node<'a>>(v: F, key: &str) -> Result<Option<&'a str>, Error> {
+    opt(v, key, "non-string", F::as_str)
+}
+
+#[inline]
+pub(crate) fn get_str<'a, F: Node<'a>>(v: F, key: &str) -> Result<String, Error> {
+    get_text(v, key).map(str::to_string)
+}
+
+#[inline]
+pub(crate) fn get_str_opt<'a, F: Node<'a>>(v: F, key: &str) -> Result<Option<String>, Error> {
+    Ok(get_text_opt(v, key)?.map(str::to_string))
+}
+
+#[inline]
+pub(crate) fn get_u64<'a, F: Node<'a>>(v: F, key: &str) -> Result<u64, Error> {
     v.get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| Error::msg(format!("missing or non-integer field {key:?}")))
+        .and_then(F::as_u64)
+        .ok_or_else(|| bad_field("missing or non-integer", key))
 }
 
-pub(crate) fn get_f64_opt(v: &Value, key: &str) -> Result<Option<f64>, Error> {
-    match v.get(key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(value) => value
-            .as_f64()
-            .map(Some)
-            .ok_or_else(|| Error::msg(format!("non-numeric field {key:?}"))),
-    }
+#[inline]
+pub(crate) fn get_f64<'a, F: Node<'a>>(v: F, key: &str) -> Result<f64, Error> {
+    v.get(key)
+        .and_then(F::as_f64)
+        .ok_or_else(|| bad_field("missing or non-numeric", key))
+}
+
+#[inline]
+pub(crate) fn get_f64_opt<'a, F: Node<'a>>(v: F, key: &str) -> Result<Option<f64>, Error> {
+    opt(v, key, "non-numeric", F::as_f64)
+}
+
+#[inline]
+pub(crate) fn get_bool<'a, F: Node<'a>>(v: F, key: &str) -> Result<bool, Error> {
+    v.get(key)
+        .and_then(F::as_bool)
+        .ok_or_else(|| bad_field("missing or non-boolean", key))
+}
+
+/// A tree-valued field, taken whole.
+fn get_tree<'a, F: Node<'a>>(v: F, key: &str) -> Result<Value, Error> {
+    v.get(key)
+        .map(F::to_value)
+        .ok_or_else(|| Error::msg(format!("missing {key:?}")))
+}
+
+/// The array field `key`, each element through `read`.
+pub(crate) fn get_array<'a, F: Node<'a>, T>(
+    v: F,
+    key: &str,
+    read: impl FnMut(F) -> Result<T, Error>,
+) -> Result<Vec<T>, Error> {
+    v.get(key)
+        .and_then(F::items)
+        .ok_or_else(|| bad_field("missing or non-array", key))?
+        .map(read)
+        .collect()
+}
+
+/// As [`get_array`], for the lists whose absence is reported as
+/// `missing "key" array`.
+fn get_list<'a, F: Node<'a>, T>(
+    v: F,
+    key: &str,
+    read: impl FnMut(F) -> Result<T, Error>,
+) -> Result<Vec<T>, Error> {
+    v.get(key)
+        .and_then(F::items)
+        .ok_or_else(|| Error::msg(format!("missing {key:?} array")))?
+        .map(read)
+        .collect()
+}
+
+pub(crate) fn node_id<'a, F: Node<'a>>(n: F) -> Result<NodeId, Error> {
+    n.as_u64()
+        .map(|id| NodeId(id as u32))
+        .ok_or_else(|| Error::msg("non-integer node id"))
+}
+
+/// A `(job, nodes)` grant list.
+fn get_granted<'a, F: Node<'a>>(v: F) -> Result<Vec<(u64, Vec<NodeId>)>, Error> {
+    get_list(v, "granted", |grant| {
+        Ok((get_u64(grant, "job")?, get_array(grant, "nodes", node_id)?))
+    })
 }
 
 /// The single boundary rule on walltime estimates: when present, an
@@ -623,7 +717,8 @@ pub(crate) fn walltime_is_valid(w: f64) -> bool {
 /// shadow times. Rejected here, at the wire boundary, so a malformed
 /// estimate is a parse error rather than a grant with poisoned
 /// scheduling state.
-pub(crate) fn get_walltime(v: &Value) -> Result<Option<f64>, Error> {
+#[inline]
+fn get_walltime<'a, F: Node<'a>>(v: F) -> Result<Option<f64>, Error> {
     match get_f64_opt(v, "walltime")? {
         Some(w) if !walltime_is_valid(w) => Err(Error::msg(format!(
             "field \"walltime\" must be a finite, positive number of seconds, got {w}"
@@ -635,72 +730,80 @@ pub(crate) fn get_walltime(v: &Value) -> Result<Option<f64>, Error> {
 /// An optional communication pattern, validated against the known
 /// pattern names at the wire boundary — an unknown name is a parse
 /// error rather than a silently pattern-oblivious job.
-pub(crate) fn get_pattern(v: &Value) -> Result<Option<CommPattern>, Error> {
-    match get_str_opt(v, "pattern")? {
-        None => Ok(None),
-        Some(name) => CommPattern::parse(&name)
-            .map(Some)
-            .ok_or_else(|| Error::msg(format!("unknown communication pattern {name:?}"))),
-    }
-}
-
-/// An optional string field: absent/null is `None`, but a present value
-/// of the wrong type is a parse error rather than a silent `None` (a
-/// mistyped `"scheduler":5` must not quietly register an FCFS machine).
-pub(crate) fn get_str_opt(v: &Value, key: &str) -> Result<Option<String>, Error> {
-    match v.get(key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(value) => value
-            .as_str()
-            .map(|s| Some(s.to_string()))
-            .ok_or_else(|| Error::msg(format!("non-string field {key:?}"))),
-    }
-}
-
-/// Renders a `(job, nodes)` grant list (shared by the `release` and
-/// `set_scheduler` responses).
-fn granted_value(granted: &[(u64, Vec<NodeId>)]) -> Value {
-    Value::Array(
-        granted
-            .iter()
-            .map(|(id, nodes)| {
-                obj(vec![
-                    ("job", Value::UInt(*id)),
-                    ("nodes", nodes_value(nodes)),
-                ])
-            })
-            .collect(),
-    )
-}
-
-/// Parses a `(job, nodes)` grant list.
-fn get_granted(v: &Value) -> Result<Vec<(u64, Vec<NodeId>)>, Error> {
-    let arr = v
-        .get("granted")
-        .and_then(Value::as_array)
-        .ok_or_else(|| Error::msg("missing \"granted\" array"))?;
-    arr.iter()
-        .map(|entry| Ok((get_u64(entry, "job")?, get_nodes(entry, "nodes")?)))
-        .collect()
-}
-
-pub(crate) fn get_nodes(v: &Value, key: &str) -> Result<Vec<NodeId>, Error> {
-    let arr = v
-        .get(key)
-        .and_then(Value::as_array)
-        .ok_or_else(|| Error::msg(format!("missing or non-array field {key:?}")))?;
-    arr.iter()
-        .map(|n| {
-            n.as_u64()
-                .map(|id| NodeId(id as u32))
-                .ok_or_else(|| Error::msg("non-integer node id"))
+#[inline]
+pub(crate) fn get_pattern<'a, F: Node<'a>>(v: F) -> Result<Option<CommPattern>, Error> {
+    get_text_opt(v, "pattern")?
+        .map(|name| {
+            CommPattern::parse(name)
+                .ok_or_else(|| Error::msg(format!("unknown communication pattern {name:?}")))
         })
-        .collect()
+        .transpose()
 }
 
-impl Request {
-    /// Renders the request as its wire value.
-    pub fn to_value(&self) -> Value {
+/// The `machine` and `job` of a `release` or `poll`: the machine may be
+/// omitted only when the job ref names its own.
+#[inline]
+fn job_target<'a, F: Node<'a>>(v: F, op: &str) -> Result<(Option<String>, JobRef), Error> {
+    let machine = get_str_opt(v, "machine")?;
+    let job = JobRef::from_wire(
+        v.get("job")
+            .ok_or_else(|| Error::msg("missing field \"job\""))?,
+    )?;
+    if machine.is_none() && job.machine().is_none() {
+        return Err(Error::msg(format!(
+            "{op} needs a \"machine\" or a qualified job ref"
+        )));
+    }
+    Ok((machine, job))
+}
+
+// ---------------------------------------------------------------------------
+// Field writers.
+// ---------------------------------------------------------------------------
+
+/// A grant's processors: plain integer ids, in rank order.
+struct Nodes<'a>(&'a [NodeId]);
+
+impl Emit for Nodes<'_> {
+    fn emit<S: Sink>(&self, s: &mut S) {
+        s.begin_array();
+        for node in self.0 {
+            s.u64(node.0 as u64);
+        }
+        s.end_array();
+    }
+}
+
+/// A `(job, nodes)` grant list (the `release`, `set_scheduler` and
+/// `set_fair_share` responses).
+struct Grants<'a>(&'a [(u64, Vec<NodeId>)]);
+
+impl Emit for Grants<'_> {
+    fn emit<S: Sink>(&self, s: &mut S) {
+        s.begin_array();
+        for (job, nodes) in self.0 {
+            s.begin_object();
+            s.entry("job", job);
+            s.entry("nodes", &Nodes(nodes));
+            s.end_object();
+        }
+        s.end_array();
+    }
+}
+
+/// How every successful response opens.
+fn ok<S: Sink>(s: &mut S, op: &str) {
+    s.entry("ok", &true);
+    s.entry("op", op);
+}
+
+// ---------------------------------------------------------------------------
+// Requests.
+// ---------------------------------------------------------------------------
+
+impl Emit for Request {
+    fn emit<S: Sink>(&self, s: &mut S) {
+        s.begin_object();
         match self {
             Request::Register {
                 machine,
@@ -710,24 +813,13 @@ impl Request {
                 scheduler,
                 pool,
             } => {
-                let mut entries = vec![
-                    ("op", str_value("register")),
-                    ("machine", str_value(machine)),
-                    ("mesh", str_value(mesh)),
-                ];
-                if let Some(a) = allocator {
-                    entries.push(("allocator", str_value(a)));
-                }
-                if let Some(s) = strategy {
-                    entries.push(("strategy", str_value(s)));
-                }
-                if let Some(s) = scheduler {
-                    entries.push(("scheduler", str_value(s)));
-                }
-                if let Some(p) = pool {
-                    entries.push(("pool", str_value(p)));
-                }
-                obj(entries)
+                s.entry("op", "register");
+                s.entry("machine", machine);
+                s.entry("mesh", mesh);
+                s.opt_entry("allocator", allocator);
+                s.opt_entry("strategy", strategy);
+                s.opt_entry("scheduler", scheduler);
+                s.opt_entry("pool", pool);
             }
             Request::Alloc {
                 machine,
@@ -738,441 +830,322 @@ impl Request {
                 pattern,
                 tenant,
             } => {
-                let mut entries = vec![
-                    ("op", str_value("alloc")),
-                    ("machine", str_value(machine)),
-                    ("job", Value::UInt(*job)),
-                    ("size", Value::UInt(*size as u64)),
-                    ("wait", Value::Bool(*wait)),
-                ];
-                if let Some(w) = walltime {
-                    entries.push(("walltime", Value::Float(*w)));
-                }
-                if let Some(p) = pattern {
-                    entries.push(("pattern", str_value(p.name())));
-                }
-                if let Some(t) = tenant {
-                    entries.push(("tenant", str_value(t)));
-                }
-                obj(entries)
+                s.entry("op", "alloc");
+                s.entry("machine", machine);
+                s.entry("job", job);
+                s.entry("size", size);
+                s.entry("wait", wait);
+                s.opt_entry("walltime", walltime);
+                s.opt_entry("pattern", &pattern.map(|p| p.name()));
+                s.opt_entry("tenant", tenant);
             }
-            Request::SetScheduler { machine, scheduler } => obj(vec![
-                ("op", str_value("set_scheduler")),
-                ("machine", str_value(machine)),
-                ("scheduler", str_value(scheduler)),
-            ]),
-            Request::SetRouter { pool, policy } => obj(vec![
-                ("op", str_value("set_router")),
-                ("pool", str_value(pool)),
-                ("policy", str_value(policy)),
-            ]),
+            Request::SetScheduler { machine, scheduler } => {
+                s.entry("op", "set_scheduler");
+                s.entry("machine", machine);
+                s.entry("scheduler", scheduler);
+            }
+            Request::SetRouter { pool, policy } => {
+                s.entry("op", "set_router");
+                s.entry("pool", pool);
+                s.entry("policy", policy);
+            }
             Request::Release { machine, job } => {
-                let mut entries = vec![("op", str_value("release"))];
-                if let Some(m) = machine {
-                    entries.push(("machine", str_value(m)));
-                }
-                entries.push(("job", job.to_wire()));
-                obj(entries)
+                s.entry("op", "release");
+                s.opt_entry("machine", machine);
+                s.entry("job", job);
             }
             Request::Poll { machine, job } => {
-                let mut entries = vec![("op", str_value("poll"))];
-                if let Some(m) = machine {
-                    entries.push(("machine", str_value(m)));
-                }
-                entries.push(("job", job.to_wire()));
-                obj(entries)
+                s.entry("op", "poll");
+                s.opt_entry("machine", machine);
+                s.entry("job", job);
             }
-            Request::Hello { tenant } => obj(vec![
-                ("op", str_value("hello")),
-                ("tenant", str_value(tenant)),
-            ]),
+            Request::Hello { tenant } => {
+                s.entry("op", "hello");
+                s.entry("tenant", tenant);
+            }
             Request::SetTenant {
                 tenant,
                 weight,
                 quota,
                 max_in_flight,
             } => {
-                let mut entries = vec![
-                    ("op", str_value("set_tenant")),
-                    ("tenant", str_value(tenant)),
-                ];
-                if let Some(w) = weight {
-                    entries.push(("weight", Value::Float(*w)));
-                }
-                if let Some(q) = quota {
-                    entries.push(("quota", Value::Float(*q)));
-                }
-                if let Some(c) = max_in_flight {
-                    entries.push(("max_in_flight", Value::UInt(*c)));
-                }
-                obj(entries)
+                s.entry("op", "set_tenant");
+                s.entry("tenant", tenant);
+                s.opt_entry("weight", weight);
+                s.opt_entry("quota", quota);
+                s.opt_entry("max_in_flight", max_in_flight);
             }
-            Request::Tenants => obj(vec![("op", str_value("tenants"))]),
-            Request::SetFairShare { machine, enabled } => obj(vec![
-                ("op", str_value("set_fair_share")),
-                ("machine", str_value(machine)),
-                ("enabled", Value::Bool(*enabled)),
-            ]),
-            Request::Query { machine } => obj(vec![
-                ("op", str_value("query")),
-                ("machine", str_value(machine)),
-            ]),
-            Request::Stats { machine } => obj(vec![
-                ("op", str_value("stats")),
-                ("machine", str_value(machine)),
-            ]),
-            Request::JournalStats => obj(vec![("op", str_value("journal_stats"))]),
+            Request::Tenants => s.entry("op", "tenants"),
+            Request::SetFairShare { machine, enabled } => {
+                s.entry("op", "set_fair_share");
+                s.entry("machine", machine);
+                s.entry("enabled", enabled);
+            }
+            Request::Query { machine } => {
+                s.entry("op", "query");
+                s.entry("machine", machine);
+            }
+            Request::Stats { machine } => {
+                s.entry("op", "stats");
+                s.entry("machine", machine);
+            }
+            Request::JournalStats => s.entry("op", "journal_stats"),
             Request::SetTrace {
                 enabled,
                 calibration,
             } => {
-                let mut entries = vec![
-                    ("op", str_value("set_trace")),
-                    ("enabled", Value::Bool(*enabled)),
-                ];
-                if let Some(c) = calibration {
-                    entries.push(("calibration", Value::Bool(*c)));
-                }
-                obj(entries)
+                s.entry("op", "set_trace");
+                s.entry("enabled", enabled);
+                s.opt_entry("calibration", calibration);
             }
             Request::Trace { limit, clear } => {
-                let mut entries = vec![("op", str_value("trace"))];
-                if let Some(limit) = limit {
-                    entries.push(("limit", Value::UInt(*limit as u64)));
-                }
+                s.entry("op", "trace");
+                s.opt_entry("limit", limit);
                 if *clear {
-                    entries.push(("clear", Value::Bool(true)));
+                    s.entry("clear", &true);
                 }
-                obj(entries)
             }
             Request::Metrics { format, window } => {
-                let mut entries = vec![("op", str_value("metrics")), ("format", str_value(format))];
-                if let Some(w) = window {
-                    entries.push(("window", str_value(w)));
-                }
-                obj(entries)
+                s.entry("op", "metrics");
+                s.entry("format", format);
+                s.opt_entry("window", window);
             }
-            Request::Calibration => obj(vec![("op", str_value("calibration"))]),
-            Request::List => obj(vec![("op", str_value("list"))]),
-            Request::Ping => obj(vec![("op", str_value("ping"))]),
-            Request::Batch(requests) => obj(vec![
-                ("op", str_value("batch")),
-                (
-                    "requests",
-                    Value::Array(requests.iter().map(Request::to_value).collect()),
-                ),
-            ]),
+            Request::Calibration => s.entry("op", "calibration"),
+            Request::List => s.entry("op", "list"),
+            Request::Ping => s.entry("op", "ping"),
+            Request::Batch(requests) => {
+                s.entry("op", "batch");
+                s.entry("requests", requests);
+            }
         }
+        s.end_object();
     }
+}
 
-    /// Parses a request from its wire value.
-    pub fn from_value(v: &Value) -> Result<Request, Error> {
-        let op = get_str(v, "op")?;
-        match op.as_str() {
-            "register" => Ok(Request::Register {
+impl Request {
+    /// Reads a request from its wire value, in whichever parsed form.
+    pub fn read<'a, F: Node<'a>>(v: F) -> Result<Request, Error> {
+        Ok(match get_text(v, "op")? {
+            "register" => Request::Register {
                 machine: get_str(v, "machine")?,
                 mesh: get_str(v, "mesh")?,
                 allocator: get_str_opt(v, "allocator")?,
                 strategy: get_str_opt(v, "strategy")?,
                 scheduler: get_str_opt(v, "scheduler")?,
                 pool: get_str_opt(v, "pool")?,
-            }),
-            "alloc" => Ok(Request::Alloc {
+            },
+            "alloc" => Request::Alloc {
                 machine: get_str(v, "machine")?,
                 job: get_u64(v, "job")?,
                 size: get_u64(v, "size")? as usize,
-                wait: match v.get("wait") {
-                    None | Some(Value::Null) => false,
-                    Some(value) => value
-                        .as_bool()
-                        .ok_or_else(|| Error::msg("non-boolean field \"wait\""))?,
-                },
+                wait: opt(v, "wait", "non-boolean", F::as_bool)?.unwrap_or(false),
                 walltime: get_walltime(v)?,
                 pattern: get_pattern(v)?,
                 tenant: get_str_opt(v, "tenant")?,
-            }),
-            "set_scheduler" => Ok(Request::SetScheduler {
+            },
+            "set_scheduler" => Request::SetScheduler {
                 machine: get_str(v, "machine")?,
                 scheduler: get_str(v, "scheduler")?,
-            }),
-            "set_router" => Ok(Request::SetRouter {
+            },
+            "set_router" => Request::SetRouter {
                 pool: get_str(v, "pool")?,
                 policy: get_str(v, "policy")?,
-            }),
+            },
             "batch" => {
-                let arr = v
-                    .get("requests")
-                    .and_then(Value::as_array)
-                    .ok_or_else(|| Error::msg("missing \"requests\" array"))?;
-                let requests = arr
-                    .iter()
-                    .map(Request::from_value)
-                    .collect::<Result<Vec<_>, Error>>()?;
+                let requests = get_list(v, "requests", Request::read)?;
                 if requests.iter().any(|r| matches!(r, Request::Batch(_))) {
                     return Err(Error::msg("batches do not nest"));
                 }
-                Ok(Request::Batch(requests))
+                Request::Batch(requests)
             }
             "release" => {
-                let machine = get_str_opt(v, "machine")?;
-                let job = get_job_ref(v)?;
-                if machine.is_none() && job.machine().is_none() {
-                    return Err(Error::msg(
-                        "release needs a \"machine\" or a qualified job ref",
-                    ));
-                }
-                Ok(Request::Release { machine, job })
+                let (machine, job) = job_target(v, "release")?;
+                Request::Release { machine, job }
             }
             "poll" => {
-                let machine = get_str_opt(v, "machine")?;
-                let job = get_job_ref(v)?;
-                if machine.is_none() && job.machine().is_none() {
-                    return Err(Error::msg(
-                        "poll needs a \"machine\" or a qualified job ref",
-                    ));
-                }
-                Ok(Request::Poll { machine, job })
+                let (machine, job) = job_target(v, "poll")?;
+                Request::Poll { machine, job }
             }
-            "hello" => Ok(Request::Hello {
+            "hello" => Request::Hello {
                 tenant: get_str(v, "tenant")?,
-            }),
+            },
             "set_tenant" => {
                 let weight = get_f64_opt(v, "weight")?;
-                if let Some(w) = weight {
-                    if !(w.is_finite() && w > 0.0) {
-                        return Err(Error::msg(format!(
-                            "field \"weight\" must be a finite, positive number, got {w}"
-                        )));
-                    }
+                if let Some(w) = weight.filter(|w| !(w.is_finite() && *w > 0.0)) {
+                    return Err(Error::msg(format!(
+                        "field \"weight\" must be a finite, positive number, got {w}"
+                    )));
                 }
                 let quota = get_f64_opt(v, "quota")?;
-                if let Some(q) = quota {
-                    if !(q.is_finite() && q >= 0.0) {
-                        return Err(Error::msg(format!(
-                            "field \"quota\" must be a finite, non-negative number of node-seconds, got {q}"
-                        )));
-                    }
+                if let Some(q) = quota.filter(|q| !(q.is_finite() && *q >= 0.0)) {
+                    return Err(Error::msg(format!(
+                        "field \"quota\" must be a finite, non-negative number of node-seconds, got {q}"
+                    )));
                 }
-                let max_in_flight = match v.get("max_in_flight") {
-                    None | Some(Value::Null) => None,
-                    Some(value) => Some(
-                        value
-                            .as_u64()
-                            .ok_or_else(|| Error::msg("non-integer field \"max_in_flight\""))?,
-                    ),
-                };
-                Ok(Request::SetTenant {
+                let max_in_flight = opt(v, "max_in_flight", "non-integer", F::as_u64)?;
+                Request::SetTenant {
                     tenant: get_str(v, "tenant")?,
                     weight,
                     quota,
                     max_in_flight,
-                })
+                }
             }
-            "tenants" => Ok(Request::Tenants),
-            "set_fair_share" => Ok(Request::SetFairShare {
+            "tenants" => Request::Tenants,
+            "set_fair_share" => Request::SetFairShare {
                 machine: get_str(v, "machine")?,
-                enabled: v
-                    .get("enabled")
-                    .and_then(Value::as_bool)
-                    .ok_or_else(|| Error::msg("missing or non-boolean field \"enabled\""))?,
-            }),
-            "query" => Ok(Request::Query {
+                enabled: get_bool(v, "enabled")?,
+            },
+            "query" => Request::Query {
                 machine: get_str(v, "machine")?,
-            }),
-            "stats" => Ok(Request::Stats {
+            },
+            "stats" => Request::Stats {
                 machine: get_str(v, "machine")?,
-            }),
-            "journal_stats" => Ok(Request::JournalStats),
-            "set_trace" => Ok(Request::SetTrace {
-                enabled: v
-                    .get("enabled")
-                    .and_then(Value::as_bool)
-                    .ok_or_else(|| Error::msg("missing or non-boolean field \"enabled\""))?,
-                calibration: match v.get("calibration") {
-                    None | Some(Value::Null) => None,
-                    Some(value) => Some(
-                        value
-                            .as_bool()
-                            .ok_or_else(|| Error::msg("non-boolean field \"calibration\""))?,
-                    ),
-                },
-            }),
-            "trace" => Ok(Request::Trace {
-                limit: match v.get("limit") {
-                    None | Some(Value::Null) => None,
-                    Some(value) => Some(
-                        value
-                            .as_u64()
-                            .ok_or_else(|| Error::msg("non-integer field \"limit\""))?
-                            as usize,
-                    ),
-                },
-                clear: match v.get("clear") {
-                    None | Some(Value::Null) => false,
-                    Some(value) => value
-                        .as_bool()
-                        .ok_or_else(|| Error::msg("non-boolean field \"clear\""))?,
-                },
-            }),
+            },
+            "journal_stats" => Request::JournalStats,
+            "set_trace" => Request::SetTrace {
+                enabled: get_bool(v, "enabled")?,
+                calibration: opt(v, "calibration", "non-boolean", F::as_bool)?,
+            },
+            "trace" => Request::Trace {
+                limit: opt(v, "limit", "non-integer", F::as_u64)?.map(|limit| limit as usize),
+                clear: opt(v, "clear", "non-boolean", F::as_bool)?.unwrap_or(false),
+            },
             "metrics" => {
-                let format = get_str_opt(v, "format")?.unwrap_or_else(|| "json".to_string());
+                let format = get_text_opt(v, "format")?.unwrap_or("json");
                 if format != "json" && format != "prometheus" {
                     return Err(Error::msg(format!(
                         "unknown metrics format {format:?} (expected \"json\" or \"prometheus\")"
                     )));
                 }
-                let window = get_str_opt(v, "window")?;
-                if let Some(w) = &window {
-                    if w != "10s" && w != "60s" {
-                        return Err(Error::msg(format!(
-                            "unknown metrics window {w:?} (expected \"10s\" or \"60s\")"
-                        )));
-                    }
+                let window = get_text_opt(v, "window")?;
+                if let Some(w) = window.filter(|w| *w != "10s" && *w != "60s") {
+                    return Err(Error::msg(format!(
+                        "unknown metrics window {w:?} (expected \"10s\" or \"60s\")"
+                    )));
                 }
-                Ok(Request::Metrics { format, window })
+                Request::Metrics {
+                    format: format.to_string(),
+                    window: window.map(str::to_string),
+                }
             }
-            "calibration" => Ok(Request::Calibration),
-            "list" => Ok(Request::List),
-            "ping" => Ok(Request::Ping),
-            other => Err(Error::msg(format!("unknown op {other:?}"))),
-        }
+            "calibration" => Request::Calibration,
+            "list" => Request::List,
+            "ping" => Request::Ping,
+            other => return Err(Error::msg(format!("unknown op {other:?}"))),
+        })
+    }
+
+    /// Parses a request from its wire value.
+    pub fn from_value(v: &Value) -> Result<Request, Error> {
+        Request::read(v)
     }
 
     /// Parses a request from one wire line.
     pub fn from_line(line: &str) -> Result<Request, Error> {
-        let value: Value = serde_json::from_str(line)?;
-        Request::from_value(&value)
+        serde_json::with_parsed(line, |root| Request::read(root))
+    }
+
+    /// Renders the request as its wire value.
+    pub fn to_value(&self) -> Value {
+        serde_json::emit_to_value(self)
     }
 
     /// Renders the request as one wire line (no trailing newline).
     pub fn to_line(&self) -> String {
-        serde_json::to_string(&self.to_value()).expect("value rendering is infallible")
+        serde_json::emit_to_string(self)
     }
 }
 
-impl Response {
-    /// Renders the response as its wire value.
-    pub fn to_value(&self) -> Value {
+// ---------------------------------------------------------------------------
+// Responses.
+// ---------------------------------------------------------------------------
+
+impl Emit for Response {
+    fn emit<S: Sink>(&self, s: &mut S) {
+        s.begin_object();
         match self {
             Response::Error {
                 message,
                 code,
                 detail,
             } => {
-                let mut entries = vec![("ok", Value::Bool(false)), ("error", str_value(message))];
-                if let Some(c) = code {
-                    entries.push(("code", str_value(c)));
-                }
-                if let Some(d) = detail {
-                    entries.push(("detail", d.clone()));
-                }
-                obj(entries)
+                s.entry("ok", &false);
+                s.entry("error", message);
+                s.opt_entry("code", code);
+                s.opt_entry("detail", detail);
             }
-            Response::Registered { machine } => obj(vec![
-                ("ok", Value::Bool(true)),
-                ("op", str_value("register")),
-                ("machine", str_value(machine)),
-            ]),
+            Response::Registered { machine } => {
+                ok(s, "register");
+                s.entry("machine", machine);
+            }
             Response::Granted {
                 job,
                 nodes,
                 machine,
             } => {
-                let mut entries = vec![
-                    ("ok", Value::Bool(true)),
-                    ("op", str_value("alloc")),
-                    ("status", str_value("granted")),
-                    ("job", Value::UInt(*job)),
-                    ("nodes", nodes_value(nodes)),
-                ];
-                if let Some(m) = machine {
-                    entries.push(("machine", str_value(m)));
-                }
-                obj(entries)
+                ok(s, "alloc");
+                s.entry("status", "granted");
+                s.entry("job", job);
+                s.entry("nodes", &Nodes(nodes));
+                s.opt_entry("machine", machine);
             }
             Response::Queued {
                 job,
                 position,
                 machine,
             } => {
-                let mut entries = vec![
-                    ("ok", Value::Bool(true)),
-                    ("op", str_value("alloc")),
-                    ("status", str_value("queued")),
-                    ("job", Value::UInt(*job)),
-                    ("position", Value::UInt(*position as u64)),
-                ];
-                if let Some(m) = machine {
-                    entries.push(("machine", str_value(m)));
-                }
-                obj(entries)
+                ok(s, "alloc");
+                s.entry("status", "queued");
+                s.entry("job", job);
+                s.entry("position", position);
+                s.opt_entry("machine", machine);
             }
             Response::Rejected {
                 job,
                 reason,
                 machine,
             } => {
-                let mut entries = vec![
-                    ("ok", Value::Bool(true)),
-                    ("op", str_value("alloc")),
-                    ("status", str_value("rejected")),
-                    ("job", Value::UInt(*job)),
-                    ("reason", str_value(reason)),
-                ];
-                if let Some(m) = machine {
-                    entries.push(("machine", str_value(m)));
-                }
-                obj(entries)
+                ok(s, "alloc");
+                s.entry("status", "rejected");
+                s.entry("job", job);
+                s.entry("reason", reason);
+                s.opt_entry("machine", machine);
             }
             Response::Released {
                 job,
                 granted,
                 machine,
             } => {
-                let mut entries = vec![
-                    ("ok", Value::Bool(true)),
-                    ("op", str_value("release")),
-                    ("job", Value::UInt(*job)),
-                    ("granted", granted_value(granted)),
-                ];
-                if let Some(m) = machine {
-                    entries.push(("machine", str_value(m)));
-                }
-                obj(entries)
+                ok(s, "release");
+                s.entry("job", job);
+                s.entry("granted", &Grants(granted));
+                s.opt_entry("machine", machine);
             }
             Response::SchedulerSet {
                 machine,
                 scheduler,
                 granted,
-            } => obj(vec![
-                ("ok", Value::Bool(true)),
-                ("op", str_value("set_scheduler")),
-                ("machine", str_value(machine)),
-                ("scheduler", str_value(scheduler)),
-                ("granted", granted_value(granted)),
-            ]),
-            Response::RouterSet { pool, policy } => obj(vec![
-                ("ok", Value::Bool(true)),
-                ("op", str_value("set_router")),
-                ("pool", str_value(pool)),
-                ("policy", str_value(policy)),
-            ]),
+            } => {
+                ok(s, "set_scheduler");
+                s.entry("machine", machine);
+                s.entry("scheduler", scheduler);
+                s.entry("granted", &Grants(granted));
+            }
+            Response::RouterSet { pool, policy } => {
+                ok(s, "set_router");
+                s.entry("pool", pool);
+                s.entry("policy", policy);
+            }
             Response::Running {
                 job,
                 nodes,
                 machine,
             } => {
-                let mut entries = vec![
-                    ("ok", Value::Bool(true)),
-                    ("op", str_value("poll")),
-                    ("state", str_value("running")),
-                    ("job", Value::UInt(*job)),
-                    ("nodes", nodes_value(nodes)),
-                ];
-                if let Some(m) = machine {
-                    entries.push(("machine", str_value(m)));
-                }
-                obj(entries)
+                ok(s, "poll");
+                s.entry("state", "running");
+                s.entry("job", job);
+                s.entry("nodes", &Nodes(nodes));
+                s.opt_entry("machine", machine);
             }
             Response::Waiting {
                 job,
@@ -1181,342 +1154,248 @@ impl Response {
                 explain,
                 machine,
             } => {
-                let mut entries = vec![
-                    ("ok", Value::Bool(true)),
-                    ("op", str_value("poll")),
-                    ("state", str_value("queued")),
-                    ("job", Value::UInt(*job)),
-                    ("position", Value::UInt(*position as u64)),
-                ];
+                ok(s, "poll");
+                s.entry("state", "queued");
+                s.entry("job", job);
+                s.entry("position", position);
                 // Only finite promises travel: JSON cannot spell the
                 // infinity an unplannable reservation would need, and
                 // the explain already marks that case.
-                if let Some(start) = reserved_start.filter(|s| s.is_finite()) {
-                    entries.push(("reserved_start", Value::Float(start)));
-                }
-                if let Some(explain) = explain {
-                    entries.push(("explain", explain.clone()));
-                }
-                if let Some(m) = machine {
-                    entries.push(("machine", str_value(m)));
-                }
-                obj(entries)
+                s.opt_entry("reserved_start", &reserved_start.filter(|s| s.is_finite()));
+                s.opt_entry("explain", explain);
+                s.opt_entry("machine", machine);
             }
-            Response::Unknown { job } => obj(vec![
-                ("ok", Value::Bool(true)),
-                ("op", str_value("poll")),
-                ("state", str_value("unknown")),
-                ("job", Value::UInt(*job)),
-            ]),
-            Response::Hello { tenant } => obj(vec![
-                ("ok", Value::Bool(true)),
-                ("op", str_value("hello")),
-                ("tenant", str_value(tenant)),
-            ]),
+            Response::Unknown { job } => {
+                ok(s, "poll");
+                s.entry("state", "unknown");
+                s.entry("job", job);
+            }
+            Response::Hello { tenant } => {
+                ok(s, "hello");
+                s.entry("tenant", tenant);
+            }
             Response::TenantSet {
                 tenant,
                 weight,
                 quota,
                 max_in_flight,
             } => {
-                let mut entries = vec![
-                    ("ok", Value::Bool(true)),
-                    ("op", str_value("set_tenant")),
-                    ("tenant", str_value(tenant)),
-                    ("weight", Value::Float(*weight)),
-                ];
-                if let Some(q) = quota {
-                    entries.push(("quota", Value::Float(*q)));
-                }
-                if let Some(c) = max_in_flight {
-                    entries.push(("max_in_flight", Value::UInt(*c)));
-                }
-                obj(entries)
+                ok(s, "set_tenant");
+                s.entry("tenant", tenant);
+                s.entry("weight", weight);
+                s.opt_entry("quota", quota);
+                s.opt_entry("max_in_flight", max_in_flight);
             }
-            Response::Tenants(table) => obj(vec![
-                ("ok", Value::Bool(true)),
-                ("op", str_value("tenants")),
-                ("tenants", table.clone()),
-            ]),
+            Response::Tenants(table) => {
+                ok(s, "tenants");
+                s.entry("tenants", table);
+            }
             Response::FairShareSet {
                 machine,
                 enabled,
                 granted,
-            } => obj(vec![
-                ("ok", Value::Bool(true)),
-                ("op", str_value("set_fair_share")),
-                ("machine", str_value(machine)),
-                ("enabled", Value::Bool(*enabled)),
-                ("granted", granted_value(granted)),
-            ]),
-            Response::Snapshot(snapshot) => obj(vec![
-                ("ok", Value::Bool(true)),
-                ("op", str_value("query")),
-                ("snapshot", snapshot.clone()),
-            ]),
-            Response::Stats(stats) => obj(vec![
-                ("ok", Value::Bool(true)),
-                ("op", str_value("stats")),
-                ("stats", stats.clone()),
-            ]),
-            Response::JournalStats(stats) => obj(vec![
-                ("ok", Value::Bool(true)),
-                ("op", str_value("journal_stats")),
-                ("journal", stats.clone()),
-            ]),
-            Response::TraceSet { enabled } => obj(vec![
-                ("ok", Value::Bool(true)),
-                ("op", str_value("set_trace")),
-                ("enabled", Value::Bool(*enabled)),
-            ]),
+            } => {
+                ok(s, "set_fair_share");
+                s.entry("machine", machine);
+                s.entry("enabled", enabled);
+                s.entry("granted", &Grants(granted));
+            }
+            Response::Snapshot(snapshot) => {
+                ok(s, "query");
+                s.entry("snapshot", snapshot);
+            }
+            Response::Stats(stats) => {
+                ok(s, "stats");
+                s.entry("stats", stats);
+            }
+            Response::JournalStats(stats) => {
+                ok(s, "journal_stats");
+                s.entry("journal", stats);
+            }
+            Response::TraceSet { enabled } => {
+                ok(s, "set_trace");
+                s.entry("enabled", enabled);
+            }
             Response::Trace {
                 events,
                 dropped,
                 enabled,
                 decisions,
-            } => obj(vec![
-                ("ok", Value::Bool(true)),
-                ("op", str_value("trace")),
-                ("enabled", Value::Bool(*enabled)),
-                ("dropped", Value::UInt(*dropped)),
-                ("events", Value::Array(events.clone())),
-                ("decisions", Value::Array(decisions.clone())),
-            ]),
-            Response::Calibration(report) => obj(vec![
-                ("ok", Value::Bool(true)),
-                ("op", str_value("calibration")),
-                ("calibration", report.clone()),
-            ]),
-            Response::Metrics { format, metrics } => obj(vec![
-                ("ok", Value::Bool(true)),
-                ("op", str_value("metrics")),
-                ("format", str_value(format)),
-                ("metrics", metrics.clone()),
-            ]),
-            Response::Machines(names) => obj(vec![
-                ("ok", Value::Bool(true)),
-                ("op", str_value("list")),
-                (
-                    "machines",
-                    Value::Array(names.iter().map(|n| str_value(n)).collect()),
-                ),
-            ]),
-            Response::Pong => obj(vec![("ok", Value::Bool(true)), ("op", str_value("pong"))]),
-            Response::Batch(responses) => obj(vec![
-                ("ok", Value::Bool(true)),
-                ("op", str_value("batch")),
-                (
-                    "responses",
-                    Value::Array(responses.iter().map(Response::to_value).collect()),
-                ),
-            ]),
+            } => {
+                ok(s, "trace");
+                s.entry("enabled", enabled);
+                s.entry("dropped", dropped);
+                s.entry("events", events);
+                s.entry("decisions", decisions);
+            }
+            Response::Calibration(report) => {
+                ok(s, "calibration");
+                s.entry("calibration", report);
+            }
+            Response::Metrics { format, metrics } => {
+                ok(s, "metrics");
+                s.entry("format", format);
+                s.entry("metrics", metrics);
+            }
+            Response::Machines(names) => {
+                ok(s, "list");
+                s.entry("machines", names);
+            }
+            Response::Pong => ok(s, "pong"),
+            Response::Batch(responses) => {
+                ok(s, "batch");
+                s.entry("responses", responses);
+            }
         }
+        s.end_object();
     }
+}
 
-    /// Parses a response from its wire value.
-    pub fn from_value(v: &Value) -> Result<Response, Error> {
+impl Response {
+    /// Reads a response from its wire value, in whichever parsed form.
+    pub fn read<'a, F: Node<'a>>(v: F) -> Result<Response, Error> {
         let ok = v
             .get("ok")
-            .and_then(Value::as_bool)
+            .and_then(F::as_bool)
             .ok_or_else(|| Error::msg("missing \"ok\" field"))?;
         if !ok {
             return Ok(Response::Error {
                 message: get_str(v, "error")?,
                 code: get_str_opt(v, "code")?,
-                detail: match v.get("detail") {
-                    None | Some(Value::Null) => None,
-                    Some(value) => Some(value.clone()),
-                },
+                detail: present(v, "detail").map(F::to_value),
             });
         }
-        let op = get_str(v, "op")?;
-        match op.as_str() {
-            "register" => Ok(Response::Registered {
+        Ok(match get_text(v, "op")? {
+            "register" => Response::Registered {
                 machine: get_str(v, "machine")?,
-            }),
-            "alloc" => match get_str(v, "status")?.as_str() {
-                "granted" => Ok(Response::Granted {
+            },
+            "alloc" => match get_text(v, "status")? {
+                "granted" => Response::Granted {
                     job: get_u64(v, "job")?,
-                    nodes: get_nodes(v, "nodes")?,
+                    nodes: get_array(v, "nodes", node_id)?,
                     machine: get_str_opt(v, "machine")?,
-                }),
-                "queued" => Ok(Response::Queued {
+                },
+                "queued" => Response::Queued {
                     job: get_u64(v, "job")?,
                     position: get_u64(v, "position")? as usize,
                     machine: get_str_opt(v, "machine")?,
-                }),
-                "rejected" => Ok(Response::Rejected {
+                },
+                "rejected" => Response::Rejected {
                     job: get_u64(v, "job")?,
                     reason: get_str(v, "reason")?,
                     machine: get_str_opt(v, "machine")?,
-                }),
-                other => Err(Error::msg(format!("unknown alloc status {other:?}"))),
+                },
+                other => return Err(Error::msg(format!("unknown alloc status {other:?}"))),
             },
-            "release" => Ok(Response::Released {
+            "release" => Response::Released {
                 job: get_u64(v, "job")?,
                 granted: get_granted(v)?,
                 machine: get_str_opt(v, "machine")?,
-            }),
-            "set_scheduler" => Ok(Response::SchedulerSet {
+            },
+            "set_scheduler" => Response::SchedulerSet {
                 machine: get_str(v, "machine")?,
                 scheduler: get_str(v, "scheduler")?,
                 granted: get_granted(v)?,
-            }),
-            "set_router" => Ok(Response::RouterSet {
+            },
+            "set_router" => Response::RouterSet {
                 pool: get_str(v, "pool")?,
                 policy: get_str(v, "policy")?,
-            }),
-            "hello" => Ok(Response::Hello {
+            },
+            "hello" => Response::Hello {
                 tenant: get_str(v, "tenant")?,
-            }),
-            "set_tenant" => Ok(Response::TenantSet {
+            },
+            "set_tenant" => Response::TenantSet {
                 tenant: get_str(v, "tenant")?,
-                weight: v
-                    .get("weight")
-                    .and_then(Value::as_f64)
-                    .ok_or_else(|| Error::msg("missing or non-numeric field \"weight\""))?,
+                weight: get_f64(v, "weight")?,
                 quota: get_f64_opt(v, "quota")?,
-                max_in_flight: match v.get("max_in_flight") {
-                    None | Some(Value::Null) => None,
-                    Some(value) => Some(
-                        value
-                            .as_u64()
-                            .ok_or_else(|| Error::msg("non-integer field \"max_in_flight\""))?,
-                    ),
-                },
-            }),
-            "tenants" => Ok(Response::Tenants(
-                v.get("tenants")
-                    .cloned()
-                    .ok_or_else(|| Error::msg("missing \"tenants\""))?,
-            )),
-            "set_fair_share" => Ok(Response::FairShareSet {
+                max_in_flight: opt(v, "max_in_flight", "non-integer", F::as_u64)?,
+            },
+            "tenants" => Response::Tenants(get_tree(v, "tenants")?),
+            "set_fair_share" => Response::FairShareSet {
                 machine: get_str(v, "machine")?,
-                enabled: v
-                    .get("enabled")
-                    .and_then(Value::as_bool)
-                    .ok_or_else(|| Error::msg("missing or non-boolean field \"enabled\""))?,
+                enabled: get_bool(v, "enabled")?,
                 granted: get_granted(v)?,
-            }),
-            "poll" => match get_str(v, "state")?.as_str() {
-                "running" => Ok(Response::Running {
+            },
+            "poll" => match get_text(v, "state")? {
+                "running" => Response::Running {
                     job: get_u64(v, "job")?,
-                    nodes: get_nodes(v, "nodes")?,
+                    nodes: get_array(v, "nodes", node_id)?,
                     machine: get_str_opt(v, "machine")?,
-                }),
-                "queued" => Ok(Response::Waiting {
+                },
+                "queued" => Response::Waiting {
                     job: get_u64(v, "job")?,
                     position: get_u64(v, "position")? as usize,
                     reserved_start: get_f64_opt(v, "reserved_start")?,
-                    explain: match v.get("explain") {
-                        None | Some(Value::Null) => None,
-                        Some(value) => Some(value.clone()),
-                    },
+                    explain: present(v, "explain").map(F::to_value),
                     machine: get_str_opt(v, "machine")?,
-                }),
-                "unknown" => Ok(Response::Unknown {
+                },
+                "unknown" => Response::Unknown {
                     job: get_u64(v, "job")?,
-                }),
-                other => Err(Error::msg(format!("unknown poll state {other:?}"))),
+                },
+                other => return Err(Error::msg(format!("unknown poll state {other:?}"))),
             },
-            "query" => Ok(Response::Snapshot(
-                v.get("snapshot")
-                    .cloned()
-                    .ok_or_else(|| Error::msg("missing \"snapshot\""))?,
-            )),
-            "stats" => Ok(Response::Stats(
-                v.get("stats")
-                    .cloned()
-                    .ok_or_else(|| Error::msg("missing \"stats\""))?,
-            )),
-            "journal_stats" => Ok(Response::JournalStats(
-                v.get("journal")
-                    .cloned()
-                    .ok_or_else(|| Error::msg("missing \"journal\""))?,
-            )),
-            "set_trace" => Ok(Response::TraceSet {
-                enabled: v
-                    .get("enabled")
-                    .and_then(Value::as_bool)
-                    .ok_or_else(|| Error::msg("missing or non-boolean field \"enabled\""))?,
-            }),
-            "trace" => Ok(Response::Trace {
-                events: v
-                    .get("events")
-                    .and_then(Value::as_array)
-                    .ok_or_else(|| Error::msg("missing \"events\" array"))?
-                    .to_vec(),
+            "query" => Response::Snapshot(get_tree(v, "snapshot")?),
+            "stats" => Response::Stats(get_tree(v, "stats")?),
+            "journal_stats" => Response::JournalStats(get_tree(v, "journal")?),
+            "set_trace" => Response::TraceSet {
+                enabled: get_bool(v, "enabled")?,
+            },
+            "trace" => Response::Trace {
+                events: get_list(v, "events", |event| Ok(event.to_value()))?,
                 dropped: get_u64(v, "dropped")?,
-                enabled: v
-                    .get("enabled")
-                    .and_then(Value::as_bool)
-                    .ok_or_else(|| Error::msg("missing or non-boolean field \"enabled\""))?,
+                enabled: get_bool(v, "enabled")?,
                 // Absent on lines from pre-calibration daemons: decode
                 // as an empty drain rather than a parse error.
-                decisions: match v.get("decisions") {
-                    None | Some(Value::Null) => Vec::new(),
-                    Some(value) => value
-                        .as_array()
-                        .ok_or_else(|| Error::msg("non-array field \"decisions\""))?
-                        .to_vec(),
-                },
-            }),
-            "calibration" => Ok(Response::Calibration(
-                v.get("calibration")
-                    .cloned()
-                    .ok_or_else(|| Error::msg("missing \"calibration\""))?,
-            )),
-            "metrics" => Ok(Response::Metrics {
+                decisions: opt(v, "decisions", "non-array", |d| {
+                    d.items().map(|items| items.map(F::to_value).collect())
+                })?
+                .unwrap_or_default(),
+            },
+            "calibration" => Response::Calibration(get_tree(v, "calibration")?),
+            "metrics" => Response::Metrics {
                 format: get_str(v, "format")?,
-                metrics: v
-                    .get("metrics")
-                    .cloned()
-                    .ok_or_else(|| Error::msg("missing \"metrics\""))?,
-            }),
-            "list" => {
-                let arr = v
-                    .get("machines")
-                    .and_then(Value::as_array)
-                    .ok_or_else(|| Error::msg("missing \"machines\" array"))?;
-                arr.iter()
-                    .map(|n| {
-                        n.as_str()
-                            .map(str::to_string)
-                            .ok_or_else(|| Error::msg("non-string machine name"))
-                    })
-                    .collect::<Result<Vec<_>, Error>>()
-                    .map(Response::Machines)
-            }
-            "pong" => Ok(Response::Pong),
-            "batch" => {
-                let arr = v
-                    .get("responses")
-                    .and_then(Value::as_array)
-                    .ok_or_else(|| Error::msg("missing \"responses\" array"))?;
-                arr.iter()
-                    .map(Response::from_value)
-                    .collect::<Result<Vec<_>, Error>>()
-                    .map(Response::Batch)
-            }
-            other => Err(Error::msg(format!("unknown response op {other:?}"))),
-        }
+                metrics: get_tree(v, "metrics")?,
+            },
+            "list" => Response::Machines(get_list(v, "machines", |name| {
+                name.as_str()
+                    .map(str::to_string)
+                    .ok_or_else(|| Error::msg("non-string machine name"))
+            })?),
+            "pong" => Response::Pong,
+            "batch" => Response::Batch(get_list(v, "responses", Response::read)?),
+            other => return Err(Error::msg(format!("unknown response op {other:?}"))),
+        })
+    }
+
+    /// Parses a response from its wire value.
+    pub fn from_value(v: &Value) -> Result<Response, Error> {
+        Response::read(v)
     }
 
     /// Parses a response from one wire line.
     pub fn from_line(line: &str) -> Result<Response, Error> {
-        let value: Value = serde_json::from_str(line)?;
-        Response::from_value(&value)
+        serde_json::with_parsed(line, |root| Response::read(root))
+    }
+
+    /// Renders the response as its wire value.
+    pub fn to_value(&self) -> Value {
+        serde_json::emit_to_value(self)
     }
 
     /// Renders the response as one wire line (no trailing newline).
     pub fn to_line(&self) -> String {
-        serde_json::to_string(&self.to_value()).expect("value rendering is infallible")
+        serde_json::emit_to_string(self)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A fixture tree, in the normal form the parser reads it back in.
+    fn json(text: &str) -> Value {
+        serde_json::from_str(text).expect("fixture JSON")
+    }
 
     #[test]
     fn requests_round_trip_through_the_wire_format() {
@@ -1692,14 +1571,7 @@ mod tests {
             Response::Error {
                 message: "tenant \"acme\" over quota".into(),
                 code: Some("quota_exceeded".into()),
-                detail: Some(obj(vec![
-                    ("tenant", str_value("acme")),
-                    ("usage", Value::Float(90.5)),
-                    // Fractional: an integral float would parse back as
-                    // an `Int`, which is fine on the wire but not for
-                    // this exact-equality fixture.
-                    ("limit", Value::Float(100.5)),
-                ])),
+                detail: Some(json(r#"{"tenant":"acme","usage":90.5,"limit":100.5}"#)),
             },
             Response::Registered {
                 machine: "m0".into(),
@@ -1760,15 +1632,10 @@ mod tests {
                 job: 5,
                 position: 2,
                 reserved_start: Some(120.5),
-                explain: Some(obj(vec![
-                    ("code", str_value("would_delay_reservation")),
-                    ("blocking_job", Value::Int(3)),
-                    ("until", Value::Float(120.5)),
-                    (
-                        "detail",
-                        str_value("would delay job 3's reservation at t=120.5"),
-                    ),
-                ])),
+                explain: Some(json(concat!(
+                    r#"{"code":"would_delay_reservation","blocking_job":3,"until":120.5,"#,
+                    r#""detail":"would delay job 3's reservation at t=120.5"}"#
+                ))),
                 machine: None,
             },
             Response::Hello {
@@ -1786,11 +1653,7 @@ mod tests {
                 quota: None,
                 max_in_flight: None,
             },
-            Response::Tenants(Value::Array(vec![obj(vec![
-                ("tenant", str_value("acme")),
-                ("weight", Value::Float(2.5)),
-                ("admitted", Value::Int(3)),
-            ])])),
+            Response::Tenants(json(r#"[{"tenant":"acme","weight":2.5,"admitted":3}]"#)),
             Response::FairShareSet {
                 machine: "m0".into(),
                 enabled: true,
@@ -1801,41 +1664,26 @@ mod tests {
                 pool: "grid".into(),
                 policy: "least-loaded".into(),
             },
-            Response::JournalStats(Value::Object({
-                let mut m = Map::new();
-                m.insert("enabled".into(), Value::Bool(false));
-                m
-            })),
+            Response::JournalStats(json(r#"{"enabled":false}"#)),
             Response::TraceSet { enabled: true },
             Response::Trace {
-                events: vec![obj(vec![
-                    ("request", Value::Int(1)),
-                    ("stage", str_value("parse")),
-                    ("ts_micros", Value::Int(12)),
-                    ("dur_micros", Value::Int(3)),
-                ])],
+                events: vec![json(
+                    r#"{"request":1,"stage":"parse","ts_micros":12,"dur_micros":3}"#,
+                )],
                 dropped: 2,
                 enabled: true,
-                decisions: vec![obj(vec![
-                    ("pool", str_value("grid")),
-                    ("policy", str_value("comm-aware")),
-                    ("winner", str_value("m1")),
-                ])],
+                decisions: vec![json(
+                    r#"{"pool":"grid","policy":"comm-aware","winner":"m1"}"#,
+                )],
             },
-            Response::Calibration(obj(vec![
-                ("enabled", Value::Bool(true)),
-                // `Int`, not `UInt`: the parser normalises i64-ranged
-                // integers to `Int`, and the fixture must round-trip.
-                ("joined", Value::Int(12)),
-                ("cells", Value::Array(vec![])),
-            ])),
+            Response::Calibration(json(r#"{"enabled":true,"joined":12,"cells":[]}"#)),
             Response::Metrics {
                 format: "json".into(),
-                metrics: obj(vec![("stages", Value::Object(Map::new()))]),
+                metrics: json(r#"{"stages":{}}"#),
             },
             Response::Metrics {
                 format: "prometheus".into(),
-                metrics: str_value("x_count 3\n"),
+                metrics: Value::Str("x_count 3\n".into()),
             },
             Response::Machines(vec!["a".into(), "b".into()]),
             Response::Pong,

@@ -1026,7 +1026,9 @@ impl MachineEntry {
                 tenant: tenant.map(str::to_string),
             },
             trace_request: ctx.request(),
-            enqueued_micros: ctx.now_micros(),
+            // Stamped below if the request is left waiting: one grant
+            // on arrival then reads no clock for a span it never opens.
+            enqueued_micros: 0,
             placed_by,
             arrival_seq: 0,
         });
@@ -1068,7 +1070,11 @@ impl MachineEntry {
             } else {
                 self.queue_outlook(job_id).and_then(|o| o.explain)
             };
-            ctx.deny(job_id, explain.as_ref(), ctx.now_micros());
+            let denied_at = ctx.now_micros();
+            ctx.deny(job_id, explain.as_ref(), denied_at);
+            if wait {
+                self.queue.stamp_waiting(job_id, denied_at);
+            }
         }
         if wait {
             self.metrics.queued += 1;

@@ -14,14 +14,18 @@
 //! Framing is discriminated per frame by the first byte (see
 //! [`crate::framing`]); responses return in the framing the request
 //! arrived in, so `nc` keeps working while binary clients skip JSON
-//! entirely. Everything is `std`-only.
+//! entirely. No value tree stands between the socket and the service:
+//! each connection parses its frames into one reused tape, the request
+//! is read straight off it, and the response is rendered straight into
+//! the outbox. Everything is `std`-only.
 
-use crate::framing::{self, Frame, FrameBuffer, Framing};
+use crate::framing::{self, FrameBuffer, Framing};
 use crate::metrics::ServiceMetrics;
 use crate::protocol::{Request, Response};
 use crate::service::AllocationService;
 use crate::trace::Stage;
 use polling::{Event, Poller, Waker};
+use serde_json::Tape;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -282,11 +286,12 @@ impl EventLoop {
     }
 }
 
-/// One pinned connection's state: the incremental frame splitter and the
-/// response outbox.
+/// One pinned connection's state: the incremental frame splitter, the
+/// tape its requests parse into, and the response outbox.
 struct Conn {
     stream: TcpStream,
     buffer: FrameBuffer,
+    tape: Tape,
     outbox: Vec<u8>,
     outpos: usize,
     interest: Event,
@@ -310,6 +315,7 @@ impl Conn {
         Conn {
             stream,
             buffer: FrameBuffer::new(),
+            tape: Tape::new(),
             outbox: Vec::new(),
             outpos: 0,
             interest,
@@ -413,9 +419,16 @@ impl Conn {
             if self.over_tenant_cap(service) {
                 return true;
             }
-            match self.buffer.next_frame() {
-                Ok(Some(frame)) => {
-                    dispatch_frame(service, frame, &mut self.outbox, &mut self.tenant);
+            match self.buffer.next_payload() {
+                Ok(Some((framing, payload))) => {
+                    dispatch_frame(
+                        service,
+                        framing,
+                        payload,
+                        &mut self.tape,
+                        &mut self.outbox,
+                        &mut self.tenant,
+                    );
                     if self.unflushed == 0 {
                         self.inflight_tenant = self.tenant.clone();
                     }
@@ -473,18 +486,20 @@ impl Conn {
 /// `hello` rebinds it.
 fn dispatch_frame(
     service: &AllocationService,
-    frame: Frame,
+    framing: Framing,
+    payload: &[u8],
+    tape: &mut Tape,
     outbox: &mut Vec<u8>,
     conn_tenant: &mut Option<String>,
 ) {
-    if frame.framing == Framing::Ndjson && frame.payload.iter().all(u8::is_ascii_whitespace) {
+    if framing == Framing::Ndjson && payload.iter().all(u8::is_ascii_whitespace) {
         return;
     }
     // Mint the request id before parsing so the parse itself is on the
     // timeline; a disabled recorder makes this ctx inert.
     let ctx = service.recorder().begin();
     let parse_start = ctx.now_micros();
-    let response = match parse_frame(&frame) {
+    let response = match parse_frame(framing, payload, tape) {
         Ok(mut request) => {
             ctx.span(Stage::Parse, 0, 0, parse_start, ctx.now_micros());
             bind_tenant(&mut request, conn_tenant);
@@ -504,7 +519,7 @@ fn dispatch_frame(
             }
         }
     };
-    append_response(outbox, frame.framing, &response);
+    append_response(outbox, framing, &response);
 }
 
 /// Injects the connection's bound tenant into requests that carry no
@@ -526,39 +541,34 @@ fn bind_tenant(request: &mut Request, conn_tenant: &Option<String>) {
     }
 }
 
-fn parse_frame(frame: &Frame) -> Result<Request, String> {
-    match frame.framing {
+/// Parses one frame's payload into `tape` and reads the request off it.
+fn parse_frame(framing: Framing, payload: &[u8], tape: &mut Tape) -> Result<Request, String> {
+    let request = match framing {
         Framing::Ndjson => {
-            let line = std::str::from_utf8(&frame.payload)
+            let line = std::str::from_utf8(payload)
                 .map_err(|_| "bad request: line is not UTF-8".to_string())?;
-            Request::from_line(line).map_err(|e| format!("bad request: {e}"))
+            tape.parse(line).and_then(Request::read)
         }
         Framing::Binary => {
-            let value =
-                framing::decode_value(&frame.payload).map_err(|e| format!("bad request: {e}"))?;
-            Request::from_value(&value).map_err(|e| format!("bad request: {e}"))
+            let root = framing::decode(payload, tape).map_err(|e| format!("bad request: {e}"))?;
+            Request::read(root)
         }
-    }
+    };
+    request.map_err(|e| format!("bad request: {e}"))
 }
 
-/// Appends `response` to the outbox in the given framing.
+/// Renders `response` straight into the outbox in the given framing. A
+/// binary frame over the length cap is answered with a small error
+/// instead.
 fn append_response(outbox: &mut Vec<u8>, framing: Framing, response: &Response) {
-    match framing {
-        Framing::Ndjson => {
-            outbox.extend_from_slice(response.to_line().as_bytes());
-            outbox.push(b'\n');
-        }
-        Framing::Binary => {
-            if let Err(e) = framing::encode_frame_into(&response.to_value(), outbox) {
-                let fallback = Response::Error {
-                    message: format!("response unencodable: {e}"),
-                    code: None,
-                    detail: None,
-                };
-                framing::encode_frame_into(&fallback.to_value(), outbox)
-                    .expect("a small error response always encodes");
-            }
-        }
+    if let Err(e) = framing::append_frame(outbox, framing, response) {
+        let fallback = Response::Error {
+            message: format!("response unencodable: {e}"),
+            code: None,
+            detail: None,
+        };
+        framing::append_frame(outbox, framing, &fallback)
+            .expect("a small error response always encodes");
     }
 }
 
@@ -591,6 +601,7 @@ impl ServerHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::framing::Frame;
     use std::io::{BufRead, BufReader};
     use std::net::Shutdown;
 

@@ -57,13 +57,12 @@ pub struct AllocationService {
     pool_windows: Arc<Mutex<BTreeMap<String, PoolWindow>>>,
 }
 
-/// One pool's route-latency aggregation: the since-boot histogram, the
-/// 60×1 s window ring, and the routing policy of its most recent route
-/// (the label the Prometheus exposition carries).
+/// One pool's route-latency aggregation: the 60×1 s window ring (which
+/// also keeps the since-boot total) and the routing policy of its most
+/// recent route (the label the Prometheus exposition carries).
 #[derive(Debug)]
 struct PoolWindow {
     policy: &'static str,
-    cumulative: LogLinearHistogram,
     window: WindowRing,
 }
 
@@ -72,7 +71,6 @@ impl PoolWindow {
         PoolWindow {
             policy: "round-robin",
             // Micros arrive pre-integral: scale 1 keeps bucketing exact.
-            cumulative: LogLinearHistogram::with_scale(1.0),
             window: WindowRing::with_scale(1.0),
         }
     }
@@ -664,7 +662,6 @@ impl AllocationService {
             .or_insert_with(PoolWindow::new);
         slot.policy = policy.name();
         let dur = end_micros.saturating_sub(start_micros) as f64;
-        slot.cumulative.record(dur);
         slot.window.record(end_micros / 1_000_000, dur);
     }
 
@@ -1138,7 +1135,7 @@ impl AllocationService {
             let mut e = Map::new();
             e.insert("policy".into(), slot.policy.to_value());
             let histogram = match span {
-                None => slot.cumulative.clone(),
+                None => slot.window.total(),
                 Some(span) => slot.window.merged(now_sec, span),
             };
             e.insert("route_latency_micros".into(), histogram.to_value());
@@ -1231,7 +1228,7 @@ impl AllocationService {
             let _ = writeln!(out, "# TYPE commalloc_pool_route_latency_micros histogram");
             for (pool, slot) in pools.iter() {
                 let histogram = match span {
-                    None => slot.cumulative.clone(),
+                    None => slot.window.total(),
                     Some(span) => slot.window.merged(now_sec, span),
                 };
                 histogram.prometheus_into(

@@ -36,7 +36,7 @@
 use crate::metrics::{LogLinearHistogram, WindowRing};
 use commalloc::scheduler::BlockReason;
 use serde::{Serialize, Value};
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, RwLock};
@@ -188,11 +188,12 @@ struct RingShard {
     capacity: usize,
     /// Events overwritten before ever being drained.
     dropped: u64,
+    /// Events overwritten over the shard's whole life: unlike `dropped`,
+    /// never reset by a clearing drain.
+    lost: u64,
     /// Latency distributions of the histogrammed stages, in
-    /// microseconds (scale 1: ticks are already integral micros).
-    histograms: [LogLinearHistogram; Stage::HISTOGRAMMED],
-    /// Trailing per-second latency windows of the same stages, stamped
-    /// by the event's recorder-epoch second.
+    /// microseconds (scale 1: ticks are already integral micros), per
+    /// recorder-epoch second of the event and since boot.
     windows: [WindowRing; Stage::HISTOGRAMMED],
 }
 
@@ -203,29 +204,29 @@ impl RingShard {
             next: 0,
             capacity,
             dropped: 0,
-            histograms: std::array::from_fn(|_| LogLinearHistogram::with_scale(1.0)),
+            lost: 0,
             windows: std::array::from_fn(|_| WindowRing::with_scale(1.0)),
         }
     }
 
-    /// Buffers one event; returns `true` when it overwrote an undrained
-    /// entry (the caller bumps the recorder's cumulative drop counter).
-    fn push(&mut self, event: SpanEvent) -> bool {
+    /// Buffers one event, overwriting the oldest once full.
+    fn push(&mut self, event: SpanEvent) {
         if (event.stage as usize) < Stage::HISTOGRAMMED {
-            self.histograms[event.stage as usize].record(event.dur_micros as f64);
             self.windows[event.stage as usize]
                 .record(event.start_micros / 1_000_000, event.dur_micros as f64);
         }
         if self.events.len() < self.capacity {
             self.events.push(event);
-            false
         } else {
             // Full: overwrite the oldest entry (the ring is written in
             // slot order, so `next` always holds the oldest).
             self.events[self.next] = event;
-            self.next = (self.next + 1) % self.capacity;
+            self.next += 1;
+            if self.next == self.capacity {
+                self.next = 0;
+            }
             self.dropped += 1;
-            true
+            self.lost += 1;
         }
     }
 
@@ -256,6 +257,9 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 4096;
 /// per routed alloc, so 1024 covers minutes of look-back.
 pub const DECISION_CAPACITY: usize = 1024;
 
+/// Source of [`FlightRecorder`] identities.
+static NEXT_RECORDER: AtomicU64 = AtomicU64::new(1);
+
 /// The flight recorder: request-ID mint, enable flag, machine-name
 /// intern table and the ring shards. One per [`AllocationService`],
 /// shared by every connection worker.
@@ -268,12 +272,9 @@ pub struct FlightRecorder {
     /// All event timestamps are micros since this instant.
     epoch: Instant,
     next_request: AtomicU64,
+    /// Distinguishes this recorder in the per-thread intern cache.
+    id: u64,
     shards: Vec<Mutex<RingShard>>,
-    /// Lifetime count of span events overwritten before being drained,
-    /// across every shard. Unlike the per-shard `dropped` counters this
-    /// is **not** reset by a clearing drain — it backs the monotonic
-    /// `commalloc_dropped_spans_total` Prometheus counter.
-    dropped_total: AtomicU64,
     /// The routing-decision ring: pre-rendered wire objects, oldest
     /// evicted under pressure.
     decisions: Mutex<VecDeque<Value>>,
@@ -296,18 +297,19 @@ impl FlightRecorder {
     }
 
     /// A recorder with `shards` ring shards of `capacity` events each
-    /// (both clamped to at least 1), disabled until `set_enabled(true)`.
+    /// (both clamped to at least 1, and the shard count rounded up to a
+    /// power of two), disabled until `set_enabled(true)`.
     pub fn with_capacity(shards: usize, capacity: usize) -> FlightRecorder {
-        let shards = shards.max(1);
+        let shards = shards.max(1).next_power_of_two();
         let capacity = capacity.max(1);
         FlightRecorder {
             enabled: AtomicBool::new(false),
             epoch: Instant::now(),
             next_request: AtomicU64::new(1),
+            id: NEXT_RECORDER.fetch_add(1, Ordering::Relaxed),
             shards: (0..shards)
                 .map(|_| Mutex::new(RingShard::new(capacity)))
                 .collect(),
-            dropped_total: AtomicU64::new(0),
             decisions: Mutex::new(VecDeque::new()),
             names: RwLock::new(vec![String::new()]),
         }
@@ -343,10 +345,27 @@ impl FlightRecorder {
     }
 
     /// Interns `name`, returning its stable ID (0 for the empty name).
+    /// Each thread remembers the last name it interned, so a worker
+    /// serving one machine skips the table's lock.
     pub fn intern(&self, name: &str) -> u32 {
         if name.is_empty() {
             return 0;
         }
+        thread_local! {
+            static LAST: RefCell<(u64, String, u32)> = const { RefCell::new((0, String::new(), 0)) };
+        }
+        LAST.with_borrow_mut(|(recorder, last, id)| {
+            if *recorder != self.id || last != name {
+                *id = self.intern_in_table(name);
+                *recorder = self.id;
+                last.clear();
+                last.push_str(name);
+            }
+            *id
+        })
+    }
+
+    fn intern_in_table(&self, name: &str) -> u32 {
         {
             let names = self.names.read().expect("intern table poisoned");
             if let Some(i) = names.iter().position(|n| n == name) {
@@ -382,28 +401,27 @@ impl FlightRecorder {
                 home.set(NEXT_THREAD.fetch_add(1, Ordering::Relaxed));
             }
             home.get()
-        }) % self.shards.len()
+        }) & (self.shards.len() - 1)
     }
 
     /// Records one event into the calling thread's shard. Callers go
     /// through [`RequestCtx`], which already checked `enabled`.
     pub fn record(&self, event: SpanEvent) {
-        let overwrote = {
-            let mut shard = self.shards[self.shard_index()]
-                .lock()
-                .expect("trace shard poisoned");
-            shard.push(event)
-        };
-        if overwrote {
-            self.dropped_total.fetch_add(1, Ordering::Relaxed);
-        }
+        self.shards[self.shard_index()]
+            .lock()
+            .expect("trace shard poisoned")
+            .push(event);
     }
 
-    /// Lifetime count of span events lost to ring overwrites. Monotonic:
-    /// a clearing drain resets the per-drain `dropped` figure but never
-    /// this counter.
+    /// Lifetime count of span events lost to ring overwrites, across
+    /// every shard. Monotonic: a clearing drain resets the per-drain
+    /// `dropped` figure but never this counter, which backs the
+    /// `commalloc_dropped_spans_total` Prometheus counter.
     pub fn dropped_total(&self) -> u64 {
-        self.dropped_total.load(Ordering::Relaxed)
+        self.shards
+            .iter()
+            .map(|shard| shard.lock().expect("trace shard poisoned").lost)
+            .sum()
     }
 
     /// Appends one pre-rendered routing-decision record, evicting the
@@ -463,8 +481,8 @@ impl FlightRecorder {
             std::array::from_fn(|_| LogLinearHistogram::with_scale(1.0));
         for shard in &self.shards {
             let shard = shard.lock().expect("trace shard poisoned");
-            for (into, from) in merged.iter_mut().zip(&shard.histograms) {
-                into.merge(from);
+            for (into, from) in merged.iter_mut().zip(&shard.windows) {
+                into.merge(&from.total());
             }
         }
         merged
