@@ -9,10 +9,10 @@
 //! § "Substitutions this reproduction makes") with a
 //! fluid contention model whose two knobs (`link_capacity` and
 //! `per_hop_overhead`) are calibrated, not measured. The paper's claims are
-//! ordinal (who beats whom), so EXPERIMENTS.md records how stable the
-//! allocator ordering is when those knobs move. This binary produces that
-//! record: Kendall's τ between the baseline ranking and the ranking at each
-//! alternative knob value.
+//! ordinal (who beats whom), so what matters is how stable the allocator
+//! ordering is when those knobs move. This binary measures that: Kendall's
+//! τ between the baseline ranking and the ranking at each alternative knob
+//! value.
 
 use commalloc::prelude::*;
 use commalloc::report;

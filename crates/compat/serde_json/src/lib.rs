@@ -332,6 +332,17 @@ impl Emit for Value {
     }
 }
 
+/// `null` when absent. For a field that is left out when absent, see
+/// [`Sink::opt_entry`].
+impl<T: Emit> Emit for Option<T> {
+    fn emit<S: Sink>(&self, sink: &mut S) {
+        match self {
+            Some(value) => value.emit(sink),
+            None => sink.null(),
+        }
+    }
+}
+
 impl<T: Emit> Emit for [T] {
     fn emit<S: Sink>(&self, sink: &mut S) {
         sink.begin_array();

@@ -77,7 +77,8 @@ pub struct SimConfig {
     /// typical trace job (~15 processors) runs at or near full rate while
     /// dispersed allocations that overlap other jobs' routes are slowed
     /// several-fold — the contention regime the paper's flit-level
-    /// experiments operate in. See EXPERIMENTS.md for the calibration note.
+    /// experiments operate in. README § "Substitutions this reproduction
+    /// makes" says why the knob is calibrated rather than measured.
     pub link_capacity: f64,
     /// Extra service time per message per hop, in seconds, charged against
     /// the job's nominal one-message-per-second pacing: a job whose messages

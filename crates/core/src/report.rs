@@ -1,8 +1,8 @@
 //! Rendering and persisting experiment results.
 //!
 //! The figure binaries print the same rows/series the paper plots and also
-//! write machine-readable JSON under `target/experiments/` so EXPERIMENTS.md
-//! numbers can be regenerated and re-plotted externally.
+//! write machine-readable JSON under `target/experiments/` so their numbers
+//! can be regenerated and re-plotted externally.
 
 use crate::experiment::{ExperimentPoint, SweepResult};
 use commalloc_alloc::AllocatorKind;

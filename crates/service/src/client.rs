@@ -5,6 +5,7 @@ use crate::protocol::{AllocArgs, JobRef, Request, Response};
 use crate::registry::JobStatus;
 use commalloc_mesh::NodeId;
 use serde::Value;
+use serde_json::Tape;
 use std::fmt;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -180,6 +181,10 @@ pub struct ServiceClient {
     writer: TcpStream,
     framing: Framing,
     frames: FrameBuffer,
+    /// Reused request buffer and response tape: one frame out and one in
+    /// per round trip, through the codec the server uses.
+    out: Vec<u8>,
+    tape: Tape,
 }
 
 impl ServiceClient {
@@ -203,6 +208,8 @@ impl ServiceClient {
             writer,
             framing,
             frames: FrameBuffer::new(),
+            out: Vec::new(),
+            tape: Tape::new(),
         })
     }
 
@@ -213,14 +220,10 @@ impl ServiceClient {
 
     /// Sends one request and reads its response frame.
     pub fn roundtrip(&mut self, request: &Request) -> Result<Response, ClientError> {
-        match self.framing {
-            Framing::Ndjson => writeln!(self.writer, "{}", request.to_line())?,
-            Framing::Binary => {
-                let bytes = framing::encode_frame(&request.to_value())
-                    .map_err(|e| ClientError::InvalidRequest(format!("unencodable: {e}")))?;
-                self.writer.write_all(&bytes)?;
-            }
-        }
+        self.out.clear();
+        framing::append_frame(&mut self.out, self.framing, request)
+            .map_err(|e| ClientError::InvalidRequest(format!("unencodable: {e}")))?;
+        self.writer.write_all(&self.out)?;
         self.writer.flush()?;
         self.read_response_frame()
     }
@@ -229,25 +232,15 @@ impl ServiceClient {
     /// in the request's, but decoding stays general) into a `Response`.
     fn read_response_frame(&mut self) -> Result<Response, ClientError> {
         loop {
-            if let Some(frame) = self
+            if let Some((framing, payload)) = self
                 .frames
-                .next_frame()
+                .next_payload()
                 .map_err(|e| ClientError::Protocol(e.to_string()))?
             {
-                return match frame.framing {
-                    Framing::Ndjson => std::str::from_utf8(&frame.payload)
-                        .map_err(|e| ClientError::Protocol(e.to_string()))
-                        .and_then(|line| {
-                            Response::from_line(line)
-                                .map_err(|e| ClientError::Protocol(e.to_string()))
-                        }),
-                    Framing::Binary => framing::decode_value(&frame.payload)
-                        .map_err(|e| ClientError::Protocol(e.to_string()))
-                        .and_then(|value| {
-                            Response::from_value(&value)
-                                .map_err(|e| ClientError::Protocol(e.to_string()))
-                        }),
-                };
+                return framing::parse_frame(framing, payload, &mut self.tape, |root| {
+                    Response::read(root)
+                })
+                .map_err(ClientError::Protocol);
             }
             let chunk = self.reader.fill_buf()?;
             if chunk.is_empty() {

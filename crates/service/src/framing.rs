@@ -442,6 +442,25 @@ pub fn append_frame<M: Emit + ?Sized>(
     result
 }
 
+/// Parses one frame's payload into `tape` and reads the message off it
+/// with `read` (`Request::read` on the server, `Response::read` on the
+/// client); the error says what was wrong with the payload.
+pub fn parse_frame<T>(
+    framing: Framing,
+    payload: &[u8],
+    tape: &mut Tape,
+    read: impl FnOnce(TapeNode<'_>) -> Result<T, serde::Error>,
+) -> Result<T, String> {
+    let root = match framing {
+        Framing::Ndjson => {
+            let line = std::str::from_utf8(payload).map_err(|_| "line is not UTF-8".to_string())?;
+            tape.parse(line).map_err(|e| e.to_string())?
+        }
+        Framing::Binary => decode(payload, tape).map_err(|e| e.to_string())?,
+    };
+    read(root).map_err(|e| e.to_string())
+}
+
 /// Encodes `value` as a complete binary frame (magic + length + payload).
 pub fn encode_frame(value: &Value) -> Result<Vec<u8>, FrameError> {
     let mut out = Vec::with_capacity(64);

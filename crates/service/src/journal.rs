@@ -23,8 +23,12 @@
 //! ## One fact, one codec
 //!
 //! A snapshot is the compacted log, and the types say so. Four durable
-//! facts are each defined once, with one text writer and one [`Value`]
-//! reader, and everything else *carries* them:
+//! facts are each defined once, and everything else *carries* them. A
+//! fact emits its fields once into any `serde_json::Sink` and is read
+//! once through a reader generic over `serde_json::Node`, the schema the
+//! wire protocol uses: lines render through `JsonSink` and parse onto
+//! the thread's reusable tape, with no [`Value`] tree either way, and
+//! the shim alone decides how JSON text is spelled.
 //!
 //! | fact | record whose body it is | image that holds it | live state |
 //! |---|---|---|---|
@@ -86,15 +90,15 @@
 //! three against the no-journal baseline.
 
 use crate::protocol::{
-    get_array, get_bool, get_f64, get_f64_opt, get_pattern, get_str, get_str_opt, get_u64, node_id,
-    opt,
+    get_array, get_bool, get_f64, get_f64_opt, get_pattern, get_str, get_str_opt, get_text,
+    get_u64, node_id, opt, present, Nodes,
 };
 use crate::registry::ServiceError;
 use crate::tenant::TenantConfig;
 use commalloc_mesh::NodeId;
 use commalloc_workload::CommPattern;
 use serde::{Error, Map, Value};
-use serde_json::Node;
+use serde_json::{Emit, JsonSink, Node, Sink};
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
@@ -320,84 +324,25 @@ pub struct PoolImage {
 // Wire format
 // ---------------------------------------------------------------------------
 
-/// JSON string escaping identical to the workspace serde shim's, which
-/// parses the lines back.
-fn write_json_str(out: &mut String, s: &str) {
-    use std::fmt::Write as _;
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// A fact's fields, emitted into whichever object holds them: its own
+/// (an entry of an image's array) or its record's (after the record's
+/// head), so a fact is spelled alike in both.
+trait Fields {
+    fn fields<S: Sink>(&self, s: &mut S);
+}
+
+/// Facts as a JSON array of objects.
+struct Objects<'a, T>(&'a [T]);
+
+impl<T: Fields> Emit for Objects<'_, T> {
+    fn emit<S: Sink>(&self, s: &mut S) {
+        s.begin_array();
+        for item in self.0 {
+            s.begin_object();
+            item.fields(s);
+            s.end_object();
         }
-    }
-    out.push('"');
-}
-
-fn write_json_str_opt(out: &mut String, s: &Option<String>) {
-    match s {
-        Some(s) => write_json_str(out, s),
-        None => out.push_str("null"),
-    }
-}
-
-/// Float rendering identical to the shim's (`{}` = shortest round-trip
-/// form; non-finite values render as `null`, as real serde_json does).
-fn write_json_f64(out: &mut String, f: f64) {
-    use std::fmt::Write as _;
-    if f.is_finite() {
-        let _ = write!(out, "{f}");
-    } else {
-        out.push_str("null");
-    }
-}
-
-fn write_json_f64_opt(out: &mut String, f: &Option<f64>) {
-    match f {
-        Some(f) => write_json_f64(out, *f),
-        None => out.push_str("null"),
-    }
-}
-
-/// Writes `items` as a JSON array, each element through `write`.
-fn write_array<T>(out: &mut String, items: &[T], write: impl Fn(&T, &mut String)) {
-    out.push('[');
-    for (i, item) in items.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write(item, out);
-    }
-    out.push(']');
-}
-
-/// Writes `items` as a JSON array of objects, each body through `write`.
-fn write_objects<T>(out: &mut String, items: &[T], write: impl Fn(&T, &mut String)) {
-    write_array(out, items, |item, out| {
-        out.push('{');
-        write(item, out);
-        out.push('}');
-    });
-}
-
-/// The optional `"pattern"` and `"tenant"` entries a job's body ends
-/// with — present only when set, so unpatterned, untenanted jobs keep
-/// their older wire form byte for byte.
-fn write_job_tags(out: &mut String, pattern: &Option<CommPattern>, tenant: &Option<String>) {
-    if let Some(p) = pattern {
-        out.push_str(",\"pattern\":");
-        write_json_str(out, p.name());
-    }
-    if let Some(t) = tenant {
-        out.push_str(",\"tenant\":");
-        write_json_str(out, t);
+        s.end_array();
     }
 }
 
@@ -411,20 +356,8 @@ impl RunningJob {
         }
     }
 
-    fn write_body(&self, out: &mut String) {
-        use std::fmt::Write as _;
-        let _ = write!(out, "\"job\":{},\"nodes\":", self.job);
-        write_array(out, &self.nodes, |node, out| {
-            let _ = write!(out, "{}", node.0);
-        });
-        out.push_str(",\"walltime\":");
-        write_json_f64_opt(out, &self.walltime);
-        out.push_str(",\"start\":");
-        write_json_f64(out, self.start);
-        write_job_tags(out, &self.pattern, &self.tenant);
-    }
-
-    fn from_value(v: &Value) -> Result<RunningJob, Error> {
+    #[deny(clippy::unwrap_used, clippy::expect_used)]
+    fn read<'a, F: Node<'a>>(v: F) -> Result<RunningJob, Error> {
         Ok(RunningJob {
             job: get_u64(v, "job")?,
             nodes: get_array(v, "nodes", node_id)?,
@@ -433,6 +366,19 @@ impl RunningJob {
             pattern: get_pattern(v)?,
             tenant: get_str_opt(v, "tenant")?,
         })
+    }
+}
+
+impl Fields for RunningJob {
+    fn fields<S: Sink>(&self, s: &mut S) {
+        s.entry("job", &self.job);
+        s.entry("nodes", &Nodes(&self.nodes));
+        s.entry("walltime", &self.walltime);
+        s.entry("start", &self.start);
+        // A job's tags are present only when set, so unpatterned,
+        // untenanted jobs keep their older wire form byte for byte.
+        s.opt_entry("pattern", &self.pattern.map(|p| p.name()));
+        s.opt_entry("tenant", &self.tenant);
     }
 }
 
@@ -450,20 +396,8 @@ impl QueuedRequest {
         }
     }
 
-    fn write_body(&self, out: &mut String) {
-        use std::fmt::Write as _;
-        let _ = write!(
-            out,
-            "\"job\":{},\"size\":{},\"walltime\":",
-            self.job, self.size
-        );
-        write_json_f64_opt(out, &self.walltime);
-        out.push_str(",\"enqueued_at\":");
-        write_json_f64(out, self.enqueued_at);
-        write_job_tags(out, &self.pattern, &self.tenant);
-    }
-
-    fn from_value(v: &Value) -> Result<QueuedRequest, Error> {
+    #[deny(clippy::unwrap_used, clippy::expect_used)]
+    fn read<'a, F: Node<'a>>(v: F) -> Result<QueuedRequest, Error> {
         Ok(QueuedRequest {
             job: get_u64(v, "job")?,
             size: get_u64(v, "size")? as usize,
@@ -475,21 +409,20 @@ impl QueuedRequest {
     }
 }
 
-impl MachineSpec {
-    fn write_body(&self, out: &mut String) {
-        out.push_str("\"machine\":");
-        write_json_str(out, &self.machine);
-        out.push_str(",\"mesh\":");
-        write_json_str(out, &self.mesh);
-        out.push_str(",\"allocator\":");
-        write_json_str_opt(out, &self.allocator);
-        out.push_str(",\"strategy\":");
-        write_json_str_opt(out, &self.strategy);
-        out.push_str(",\"scheduler\":");
-        write_json_str_opt(out, &self.scheduler);
+impl Fields for QueuedRequest {
+    fn fields<S: Sink>(&self, s: &mut S) {
+        s.entry("job", &self.job);
+        s.entry("size", &self.size);
+        s.entry("walltime", &self.walltime);
+        s.entry("enqueued_at", &self.enqueued_at);
+        s.opt_entry("pattern", &self.pattern.map(|p| p.name()));
+        s.opt_entry("tenant", &self.tenant);
     }
+}
 
-    fn from_value(v: &Value) -> Result<MachineSpec, Error> {
+impl MachineSpec {
+    #[deny(clippy::unwrap_used, clippy::expect_used)]
+    fn read<'a, F: Node<'a>>(v: F) -> Result<MachineSpec, Error> {
         Ok(MachineSpec {
             machine: get_str(v, "machine")?,
             mesh: get_str(v, "mesh")?,
@@ -500,96 +433,87 @@ impl MachineSpec {
     }
 }
 
-impl TenantSpec {
-    fn write_body(&self, out: &mut String) {
-        use std::fmt::Write as _;
-        out.push_str("\"tenant\":");
-        write_json_str(out, &self.tenant);
-        out.push_str(",\"weight\":");
-        write_json_f64(out, self.config.weight);
-        if let Some(q) = self.config.quota_node_seconds {
-            out.push_str(",\"quota\":");
-            write_json_f64(out, q);
-        }
-        if let Some(cap) = self.config.max_in_flight {
-            let _ = write!(out, ",\"max_in_flight\":{cap}");
-        }
+impl Fields for MachineSpec {
+    fn fields<S: Sink>(&self, s: &mut S) {
+        s.entry("machine", &self.machine);
+        s.entry("mesh", &self.mesh);
+        s.entry("allocator", &self.allocator);
+        s.entry("strategy", &self.strategy);
+        s.entry("scheduler", &self.scheduler);
     }
+}
 
-    fn from_value(v: &Value) -> Result<TenantSpec, Error> {
+impl TenantSpec {
+    #[deny(clippy::unwrap_used, clippy::expect_used)]
+    fn read<'a, F: Node<'a>>(v: F) -> Result<TenantSpec, Error> {
         Ok(TenantSpec {
             tenant: get_str(v, "tenant")?,
             config: TenantConfig {
                 weight: get_f64(v, "weight")?,
                 quota_node_seconds: get_f64_opt(v, "quota")?,
-                max_in_flight: match v.get("max_in_flight") {
-                    None | Some(Value::Null) => None,
-                    Some(cap) => Some(
-                        cap.as_u64()
-                            .ok_or_else(|| Error::msg("non-integer \"max_in_flight\""))?,
-                    ),
-                },
+                max_in_flight: opt(v, "max_in_flight", "non-integer", F::as_u64)?,
             },
         })
     }
 }
 
-impl MachineImage {
-    fn write_body(&self, out: &mut String) {
-        use std::fmt::Write as _;
-        self.spec.write_body(out);
-        let _ = write!(out, ",\"seq\":{},\"clock\":", self.seq);
-        write_json_f64_opt(out, &self.clock);
-        // Present only when on: pre-tenant images keep their bytes.
-        if self.fair_share {
-            out.push_str(",\"fair_share\":true");
-        }
-        out.push_str(",\"running\":");
-        write_objects(out, &self.running, RunningJob::write_body);
-        out.push_str(",\"queue\":");
-        write_objects(out, &self.queue, QueuedRequest::write_body);
+impl Fields for TenantSpec {
+    fn fields<S: Sink>(&self, s: &mut S) {
+        s.entry("tenant", &self.tenant);
+        s.entry("weight", &self.config.weight);
+        s.opt_entry("quota", &self.config.quota_node_seconds);
+        s.opt_entry("max_in_flight", &self.config.max_in_flight);
     }
+}
 
-    fn from_value(v: &Value) -> Result<MachineImage, Error> {
+impl MachineImage {
+    #[deny(clippy::unwrap_used, clippy::expect_used)]
+    fn read<'a, F: Node<'a>>(v: F) -> Result<MachineImage, Error> {
         Ok(MachineImage {
-            spec: MachineSpec::from_value(v)?,
+            spec: MachineSpec::read(v)?,
             seq: get_u64(v, "seq")?,
             clock: get_f64_opt(v, "clock")?,
-            fair_share: opt(v, "fair_share", "non-boolean", Node::as_bool)?.unwrap_or(false),
-            running: get_array(v, "running", RunningJob::from_value)?,
-            queue: get_array(v, "queue", QueuedRequest::from_value)?,
+            fair_share: opt(v, "fair_share", "non-boolean", F::as_bool)?.unwrap_or(false),
+            running: get_array(v, "running", RunningJob::read)?,
+            queue: get_array(v, "queue", QueuedRequest::read)?,
         })
     }
 }
 
-impl TenantImage {
-    fn write_body(&self, out: &mut String) {
-        self.spec.write_body(out);
-        out.push_str(",\"consumed\":");
-        write_json_f64(out, self.consumed);
+impl Fields for MachineImage {
+    fn fields<S: Sink>(&self, s: &mut S) {
+        self.spec.fields(s);
+        s.entry("seq", &self.seq);
+        s.entry("clock", &self.clock);
+        // Present only when on: pre-tenant images keep their bytes.
+        if self.fair_share {
+            s.entry("fair_share", &true);
+        }
+        s.entry("running", &Objects(&self.running));
+        s.entry("queue", &Objects(&self.queue));
     }
+}
 
-    fn from_value(v: &Value) -> Result<TenantImage, Error> {
+impl TenantImage {
+    #[deny(clippy::unwrap_used, clippy::expect_used)]
+    fn read<'a, F: Node<'a>>(v: F) -> Result<TenantImage, Error> {
         Ok(TenantImage {
-            spec: TenantSpec::from_value(v)?,
+            spec: TenantSpec::read(v)?,
             consumed: get_f64(v, "consumed")?,
         })
     }
 }
 
-impl PoolImage {
-    fn write_body(&self, out: &mut String) {
-        out.push_str("\"pool\":");
-        write_json_str(out, &self.pool);
-        out.push_str(",\"members\":");
-        write_array(out, &self.members, |member, out| {
-            write_json_str(out, member)
-        });
-        out.push_str(",\"policy\":");
-        write_json_str(out, &self.policy);
+impl Fields for TenantImage {
+    fn fields<S: Sink>(&self, s: &mut S) {
+        self.spec.fields(s);
+        s.entry("consumed", &self.consumed);
     }
+}
 
-    fn from_value(v: &Value) -> Result<PoolImage, Error> {
+impl PoolImage {
+    #[deny(clippy::unwrap_used, clippy::expect_used)]
+    fn read<'a, F: Node<'a>>(v: F) -> Result<PoolImage, Error> {
         Ok(PoolImage {
             pool: get_str(v, "pool")?,
             members: get_array(v, "members", |m| {
@@ -602,56 +526,62 @@ impl PoolImage {
     }
 }
 
-impl SnapshotImage {
-    fn write_body(&self, out: &mut String) {
-        use std::fmt::Write as _;
-        let _ = write!(
-            out,
-            "\"epoch\":{},\"covers\":{},\"machines\":",
-            self.epoch, self.covers
-        );
-        write_objects(out, &self.machines, MachineImage::write_body);
-        out.push_str(",\"pools\":");
-        write_objects(out, &self.pools, PoolImage::write_body);
-        // Present only when a tenant is configured: tenant-free
-        // snapshots keep their pre-tenant bytes.
-        if !self.tenants.is_empty() {
-            out.push_str(",\"tenants\":");
-            write_objects(out, &self.tenants, TenantImage::write_body);
-        }
+impl Fields for PoolImage {
+    fn fields<S: Sink>(&self, s: &mut S) {
+        s.entry("pool", &self.pool);
+        s.entry("members", &self.members);
+        s.entry("policy", &self.policy);
     }
+}
 
-    fn from_value(v: &Value) -> Result<SnapshotImage, Error> {
+impl SnapshotImage {
+    #[deny(clippy::unwrap_used, clippy::expect_used)]
+    fn read<'a, F: Node<'a>>(v: F) -> Result<SnapshotImage, Error> {
         Ok(SnapshotImage {
             epoch: get_u64(v, "epoch")?,
             covers: get_u64(v, "covers")?,
-            machines: get_array(v, "machines", MachineImage::from_value)?,
-            pools: get_array(v, "pools", PoolImage::from_value)?,
-            tenants: match v.get("tenants") {
-                None | Some(Value::Null) => Vec::new(),
-                Some(_) => get_array(v, "tenants", TenantImage::from_value)?,
+            machines: get_array(v, "machines", MachineImage::read)?,
+            pools: get_array(v, "pools", PoolImage::read)?,
+            tenants: match present(v, "tenants") {
+                None => Vec::new(),
+                Some(_) => get_array(v, "tenants", TenantImage::read)?,
             },
         })
     }
 }
 
+impl Fields for SnapshotImage {
+    fn fields<S: Sink>(&self, s: &mut S) {
+        s.entry("epoch", &self.epoch);
+        s.entry("covers", &self.covers);
+        s.entry("machines", &Objects(&self.machines));
+        s.entry("pools", &Objects(&self.pools));
+        // Present only when a tenant is configured: tenant-free
+        // snapshots keep their pre-tenant bytes.
+        if !self.tenants.is_empty() {
+            s.entry("tenants", &Objects(&self.tenants));
+        }
+    }
+}
+
 impl JournalRecord {
-    /// Parses a record and its sequence number from a wire value.
-    pub fn from_value(v: &Value) -> Result<(u64, JournalRecord), Error> {
+    /// Reads a record and its sequence number from its wire value, in
+    /// whichever parsed form.
+    #[deny(clippy::unwrap_used, clippy::expect_used)]
+    pub fn read<'a, F: Node<'a>>(v: F) -> Result<(u64, JournalRecord), Error> {
         let seq = get_u64(v, "seq")?;
-        let rec = get_str(v, "rec")?;
-        let record = match rec.as_str() {
+        let record = match get_text(v, "rec")? {
             "register" => JournalRecord::Register {
-                spec: MachineSpec::from_value(v)?,
+                spec: MachineSpec::read(v)?,
                 pool: get_str_opt(v, "pool")?,
             },
             "grant" => JournalRecord::Grant {
                 machine: get_str(v, "machine")?,
-                job: RunningJob::from_value(v)?,
+                job: RunningJob::read(v)?,
             },
             "queue" => JournalRecord::Queue {
                 machine: get_str(v, "machine")?,
-                request: QueuedRequest::from_value(v)?,
+                request: QueuedRequest::read(v)?,
             },
             "release" => JournalRecord::Release {
                 machine: get_str(v, "machine")?,
@@ -669,24 +599,76 @@ impl JournalRecord {
                 pool: get_str(v, "pool")?,
                 policy: get_str(v, "policy")?,
             },
-            "set_tenant" => JournalRecord::SetTenant(TenantSpec::from_value(v)?),
+            "set_tenant" => JournalRecord::SetTenant(TenantSpec::read(v)?),
             "set_fair_share" => JournalRecord::SetFairShare {
                 machine: get_str(v, "machine")?,
                 enabled: get_bool(v, "enabled")?,
             },
-            "snapshot" => JournalRecord::Snapshot(SnapshotImage::from_value(v)?),
+            "snapshot" => JournalRecord::Snapshot(SnapshotImage::read(v)?),
             other => return Err(Error::msg(format!("unknown record kind {other:?}"))),
         };
         Ok((seq, record))
     }
 
+    /// Renders the record into `s` as one wire object: `"seq"`, the
+    /// `"rec"` kind, then the fields of the fact or facts it carries.
+    pub fn emit<S: Sink>(&self, seq: u64, s: &mut S) {
+        s.begin_object();
+        s.entry("seq", &seq);
+        match self {
+            JournalRecord::Register { spec, pool } => {
+                s.entry("rec", "register");
+                spec.fields(s);
+                s.entry("pool", pool);
+            }
+            JournalRecord::Grant { machine, job } => {
+                s.entry("rec", "grant");
+                s.entry("machine", machine);
+                job.fields(s);
+            }
+            JournalRecord::Queue { machine, request } => {
+                s.entry("rec", "queue");
+                s.entry("machine", machine);
+                request.fields(s);
+            }
+            JournalRecord::Release { machine, job } => {
+                s.entry("rec", "release");
+                s.entry("machine", machine);
+                s.entry("job", job);
+            }
+            JournalRecord::Cancel { machine, job } => {
+                s.entry("rec", "cancel");
+                s.entry("machine", machine);
+                s.entry("job", job);
+            }
+            JournalRecord::SetScheduler { machine, scheduler } => {
+                s.entry("rec", "set_scheduler");
+                s.entry("machine", machine);
+                s.entry("scheduler", scheduler);
+            }
+            JournalRecord::SetRouter { pool, policy } => {
+                s.entry("rec", "set_router");
+                s.entry("pool", pool);
+                s.entry("policy", policy);
+            }
+            JournalRecord::SetTenant(spec) => {
+                s.entry("rec", "set_tenant");
+                spec.fields(s);
+            }
+            JournalRecord::SetFairShare { machine, enabled } => {
+                s.entry("rec", "set_fair_share");
+                s.entry("machine", machine);
+                s.entry("enabled", enabled);
+            }
+            JournalRecord::Snapshot(image) => {
+                s.entry("rec", "snapshot");
+                image.fields(s);
+            }
+        }
+        s.end_object();
+    }
+
     /// Renders the record as one wire line (no trailing newline).
-    ///
-    /// Lines are written by hand (the sink appends one per grant, so a
-    /// [`Value`]-tree build per record would dominate the journaling
-    /// cost), each fact through its one body writer. The round-trip
-    /// tests pin every kind to parse back identically, and two byte
-    /// pins hold the format still.
     pub fn to_line(&self, seq: u64) -> String {
         let mut out = String::with_capacity(96);
         self.write_line(seq, &mut out);
@@ -695,70 +677,15 @@ impl JournalRecord {
 
     /// Appends the wire line to `out` (no trailing newline).
     pub fn write_line(&self, seq: u64, out: &mut String) {
-        use std::fmt::Write as _;
-        let _ = write!(out, "{{\"seq\":{seq},");
-        match self {
-            JournalRecord::Register { spec, pool } => {
-                out.push_str("\"rec\":\"register\",");
-                spec.write_body(out);
-                out.push_str(",\"pool\":");
-                write_json_str_opt(out, pool);
-            }
-            JournalRecord::Grant { machine, job } => {
-                out.push_str("\"rec\":\"grant\",\"machine\":");
-                write_json_str(out, machine);
-                out.push(',');
-                job.write_body(out);
-            }
-            JournalRecord::Queue { machine, request } => {
-                out.push_str("\"rec\":\"queue\",\"machine\":");
-                write_json_str(out, machine);
-                out.push(',');
-                request.write_body(out);
-            }
-            JournalRecord::Release { machine, job } => {
-                out.push_str("\"rec\":\"release\",\"machine\":");
-                write_json_str(out, machine);
-                let _ = write!(out, ",\"job\":{job}");
-            }
-            JournalRecord::Cancel { machine, job } => {
-                out.push_str("\"rec\":\"cancel\",\"machine\":");
-                write_json_str(out, machine);
-                let _ = write!(out, ",\"job\":{job}");
-            }
-            JournalRecord::SetScheduler { machine, scheduler } => {
-                out.push_str("\"rec\":\"set_scheduler\",\"machine\":");
-                write_json_str(out, machine);
-                out.push_str(",\"scheduler\":");
-                write_json_str(out, scheduler);
-            }
-            JournalRecord::SetRouter { pool, policy } => {
-                out.push_str("\"rec\":\"set_router\",\"pool\":");
-                write_json_str(out, pool);
-                out.push_str(",\"policy\":");
-                write_json_str(out, policy);
-            }
-            JournalRecord::SetTenant(spec) => {
-                out.push_str("\"rec\":\"set_tenant\",");
-                spec.write_body(out);
-            }
-            JournalRecord::SetFairShare { machine, enabled } => {
-                out.push_str("\"rec\":\"set_fair_share\",\"machine\":");
-                write_json_str(out, machine);
-                let _ = write!(out, ",\"enabled\":{enabled}");
-            }
-            JournalRecord::Snapshot(image) => {
-                out.push_str("\"rec\":\"snapshot\",");
-                image.write_body(out);
-            }
-        }
-        out.push('}');
+        let mut bytes = std::mem::take(out).into_bytes();
+        self.emit(seq, &mut JsonSink::new(&mut bytes));
+        *out = String::from_utf8(bytes).expect("JSON text is UTF-8");
     }
 
     /// Parses a `(seq, record)` pair from one wire line.
+    #[deny(clippy::unwrap_used, clippy::expect_used)]
     pub fn from_line(line: &str) -> Result<(u64, JournalRecord), Error> {
-        let value: Value = serde_json::from_str(line)?;
-        JournalRecord::from_value(&value)
+        serde_json::with_parsed(line, |root| JournalRecord::read(root))
     }
 
     /// The machine this record belongs to, for watermark gating (`None`
@@ -937,7 +864,7 @@ fn segment_index(name: &str) -> Option<u64> {
 struct FileJournalInner {
     file: io::BufWriter<File>,
     /// Reused line buffer: one record render per append, no allocation.
-    line: String,
+    line: Vec<u8>,
     segment: u64,
     seq: u64,
     unsynced: u64,
@@ -1053,7 +980,7 @@ impl FileJournal {
             .open(dir.join(segment_name(first_segment)))?;
         let inner = Arc::new(Mutex::new(FileJournalInner {
             file: io::BufWriter::new(file),
-            line: String::with_capacity(128),
+            line: Vec::with_capacity(128),
             segment: first_segment,
             seq: first_seq,
             unsynced: 0,
@@ -1143,9 +1070,9 @@ impl JournalSink for FileJournal {
         inner.seq += 1;
         let seq = inner.seq;
         inner.line.clear();
-        record.write_line(seq, &mut inner.line);
-        inner.line.push('\n');
-        if let Err(e) = inner.file.write_all(inner.line.as_bytes()) {
+        record.emit(seq, &mut JsonSink::new(&mut inner.line));
+        inner.line.push(b'\n');
+        if let Err(e) = inner.file.write_all(&inner.line) {
             // Fail-stop: refusing to run without the WAL (an abort, not
             // a panic, which the server's workers would swallow).
             journal_fail("append", &e);
@@ -1305,6 +1232,7 @@ impl From<ServiceError> for JournalError {
 /// record, tolerating exactly one torn line — newline-less and at the
 /// very end of the last segment. A directory that does not exist (or is
 /// empty) reads as empty contents — a brand-new journal.
+#[deny(clippy::unwrap_used, clippy::expect_used)]
 pub fn read_journal_dir(dir: &Path) -> Result<JournalContents, JournalError> {
     let mut contents = JournalContents::default();
     if !dir.exists() {

@@ -586,7 +586,7 @@ fn bad_field(problem: &str, key: &str) -> Error {
 
 /// The field `key`, unless it is absent or `null`.
 #[inline]
-fn present<'a, F: Node<'a>>(v: F, key: &str) -> Option<F> {
+pub(crate) fn present<'a, F: Node<'a>>(v: F, key: &str) -> Option<F> {
     v.get(key).filter(|field| !field.is_null())
 }
 
@@ -607,7 +607,7 @@ pub(crate) fn opt<'a, F: Node<'a>, T>(
 }
 
 #[inline]
-fn get_text<'a, F: Node<'a>>(v: F, key: &str) -> Result<&'a str, Error> {
+pub(crate) fn get_text<'a, F: Node<'a>>(v: F, key: &str) -> Result<&'a str, Error> {
     v.get(key)
         .and_then(F::as_str)
         .ok_or_else(|| bad_field("missing or non-string", key))
@@ -667,11 +667,11 @@ pub(crate) fn get_array<'a, F: Node<'a>, T>(
     key: &str,
     read: impl FnMut(F) -> Result<T, Error>,
 ) -> Result<Vec<T>, Error> {
-    v.get(key)
+    let items = v
+        .get(key)
         .and_then(F::items)
-        .ok_or_else(|| bad_field("missing or non-array", key))?
-        .map(read)
-        .collect()
+        .ok_or_else(|| bad_field("missing or non-array", key))?;
+    read_items(items, read)
 }
 
 /// As [`get_array`], for the lists whose absence is reported as
@@ -681,17 +681,35 @@ fn get_list<'a, F: Node<'a>, T>(
     key: &str,
     read: impl FnMut(F) -> Result<T, Error>,
 ) -> Result<Vec<T>, Error> {
-    v.get(key)
+    let items = v
+        .get(key)
         .and_then(F::items)
-        .ok_or_else(|| Error::msg(format!("missing {key:?} array")))?
-        .map(read)
-        .collect()
+        .ok_or_else(|| Error::msg(format!("missing {key:?} array")))?;
+    read_items(items, read)
 }
 
+/// Every element through `read`, into a vector allocated once: both
+/// parsed forms know an array's length before its elements are read.
+fn read_items<'a, F: Node<'a>, T>(
+    items: F::Items,
+    mut read: impl FnMut(F) -> Result<T, Error>,
+) -> Result<Vec<T>, Error> {
+    let mut out = Vec::with_capacity(items.size_hint().0);
+    for item in items {
+        out.push(read(item)?);
+    }
+    Ok(out)
+}
+
+/// A processor id: an integer that fits a [`NodeId`]. A larger one is
+/// an error, not an id wrapped onto some other processor.
 pub(crate) fn node_id<'a, F: Node<'a>>(n: F) -> Result<NodeId, Error> {
-    n.as_u64()
-        .map(|id| NodeId(id as u32))
-        .ok_or_else(|| Error::msg("non-integer node id"))
+    let id = n
+        .as_u64()
+        .ok_or_else(|| Error::msg("non-integer node id"))?;
+    u32::try_from(id)
+        .map(NodeId)
+        .map_err(|_| Error::msg(format!("node id {id} out of range")))
 }
 
 /// A `(job, nodes)` grant list.
@@ -762,7 +780,7 @@ fn job_target<'a, F: Node<'a>>(v: F, op: &str) -> Result<(Option<String>, JobRef
 // ---------------------------------------------------------------------------
 
 /// A grant's processors: plain integer ids, in rank order.
-struct Nodes<'a>(&'a [NodeId]);
+pub(crate) struct Nodes<'a>(pub(crate) &'a [NodeId]);
 
 impl Emit for Nodes<'_> {
     fn emit<S: Sink>(&self, s: &mut S) {

@@ -499,7 +499,8 @@ fn dispatch_frame(
     // timeline; a disabled recorder makes this ctx inert.
     let ctx = service.recorder().begin();
     let parse_start = ctx.now_micros();
-    let response = match parse_frame(framing, payload, tape) {
+    let request = framing::parse_frame(framing, payload, tape, |root| Request::read(root));
+    let response = match request {
         Ok(mut request) => {
             ctx.span(Stage::Parse, 0, 0, parse_start, ctx.now_micros());
             bind_tenant(&mut request, conn_tenant);
@@ -509,11 +510,11 @@ fn dispatch_frame(
             }
             response
         }
-        Err(message) => {
+        Err(e) => {
             ctx.span(Stage::Parse, 0, 1, parse_start, ctx.now_micros());
             ServiceMetrics::bump(&service.metrics().protocol_errors);
             Response::Error {
-                message,
+                message: format!("bad request: {e}"),
                 code: None,
                 detail: None,
             }
@@ -539,22 +540,6 @@ fn bind_tenant(request: &mut Request, conn_tenant: &Option<String>) {
         }
         _ => {}
     }
-}
-
-/// Parses one frame's payload into `tape` and reads the request off it.
-fn parse_frame(framing: Framing, payload: &[u8], tape: &mut Tape) -> Result<Request, String> {
-    let request = match framing {
-        Framing::Ndjson => {
-            let line = std::str::from_utf8(payload)
-                .map_err(|_| "bad request: line is not UTF-8".to_string())?;
-            tape.parse(line).and_then(Request::read)
-        }
-        Framing::Binary => {
-            let root = framing::decode(payload, tape).map_err(|e| format!("bad request: {e}"))?;
-            Request::read(root)
-        }
-    };
-    request.map_err(|e| format!("bad request: {e}"))
 }
 
 /// Renders `response` straight into the outbox in the given framing. A

@@ -2,11 +2,15 @@
 //! (what a connection keeps between frames), rendering the hot responses
 //! allocates nothing in either framing, decoding `ping` allocates
 //! nothing, and decoding an `alloc`, `release` or `poll` allocates once,
-//! for its `machine` string.
+//! for its `machine` string. The journal's lines are counted the same
+//! way: rendering allocates nothing, and reading a grant allocates only
+//! the fields the record owns.
 
 use commalloc_mesh::NodeId;
 use commalloc_service::framing::{self, Framing};
-use commalloc_service::{JobRef, Request, Response};
+use commalloc_service::journal::{QueuedRequest, RunningJob};
+use commalloc_service::{JobRef, JournalRecord, Request, Response};
+use commalloc_workload::CommPattern;
 use serde::{Map, Value};
 use serde_json::Tape;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -170,5 +174,59 @@ fn decoding_into_a_warm_tape_allocates_only_the_machine_name() {
                 "{framing} {request:?}"
             );
         }
+    }
+}
+
+fn grant(tenant: Option<&str>) -> JournalRecord {
+    JournalRecord::Grant {
+        machine: "m0".into(),
+        job: RunningJob {
+            job: 7,
+            nodes: nodes(17),
+            walltime: Some(12_242.955_374_495_312),
+            start: 1.5,
+            pattern: Some(CommPattern::Ring),
+            tenant: tenant.map(str::to_string),
+        },
+    }
+}
+
+#[test]
+fn rendering_journal_records_into_a_warm_line_allocates_nothing() {
+    let records = [
+        grant(Some("acme")),
+        JournalRecord::Queue {
+            machine: "m0".into(),
+            request: QueuedRequest {
+                job: 8,
+                size: 4,
+                walltime: None,
+                enqueued_at: 2.0,
+                pattern: None,
+                tenant: Some("acme".into()),
+            },
+        },
+        JournalRecord::Release {
+            machine: "m0".into(),
+            job: 7,
+        },
+    ];
+    let mut line = String::with_capacity(4096);
+    for record in &records {
+        line.clear();
+        let ((), count) = allocations(|| record.write_line(41, &mut line));
+        assert_eq!(count, 0, "rendering {line}");
+    }
+}
+
+#[test]
+fn reading_a_grant_line_into_a_warm_tape_allocates_only_its_owned_fields() {
+    // The machine name and the node list, plus the tenant when tagged.
+    for (tenant, owned) in [(None, 2), (Some("acme"), 3)] {
+        let line = grant(tenant).to_line(41);
+        JournalRecord::from_line(&line).expect("warms the tape");
+        let (read, count) = allocations(|| JournalRecord::from_line(&line));
+        assert_eq!(read.expect("reads"), (41, grant(tenant)));
+        assert_eq!(count, owned, "reading {line}");
     }
 }

@@ -12,13 +12,18 @@
 //!   payloads are checked the same way against `decode_value` +
 //!   `from_value`.
 //!
+//! The journal's lines are held to the same rule: `JournalRecord::from_line`
+//! (the tape) agrees with `JournalRecord::read` of the parsed tree, record
+//! and error text alike, for every generated record and every prefix of
+//! pinned lines (recovery's torn-tail rule rests on that Ok/Err split).
+//!
 //! Also: a line nested past the depth cap is answered, not fatal, on a
 //! live server.
 
 mod strategies;
 
 use commalloc_service::framing::{self, Framing};
-use commalloc_service::{AllocationService, Request, Response, Server};
+use commalloc_service::{AllocationService, JournalRecord, Request, Response, Server};
 use proptest::prelude::*;
 use serde::Value;
 use serde_json::{Emit, Tape};
@@ -289,4 +294,47 @@ fn a_line_nested_past_the_cap_is_answered_and_the_daemon_keeps_serving() {
     assert_eq!(Response::from_line(&line).expect("parses"), Response::Pong);
     drop((stream, second, reader));
     server.shutdown().expect("shuts down");
+}
+
+/// The tape route and the tree route of one journal line.
+type JournalRead = Result<(u64, JournalRecord), String>;
+
+fn journal_routes(line: &str) -> (JournalRead, JournalRead) {
+    let tape = JournalRecord::from_line(line).map_err(|e| e.to_string());
+    let tree = serde_json::from_str::<Value>(line)
+        .and_then(|v| JournalRecord::read(&v))
+        .map_err(|e| e.to_string());
+    (tape, tree)
+}
+
+proptest! {
+    #[test]
+    fn journal_records_read_the_same_through_the_tape(
+        record in strategies::journal::record_strategy(),
+        seq in any::<u64>(),
+    ) {
+        let line = record.to_line(seq);
+        let (tape, via_tree) = journal_routes(&line);
+        prop_assert_eq!(&tape, &via_tree);
+        prop_assert_eq!(tape, Ok((seq, record)));
+    }
+}
+
+/// One line of each record kind that carries a fact, tagged and escaped.
+const JOURNAL_LINES: [&str; 4] = [
+    r#"{"seq":9,"rec":"grant","machine":"m\"0","job":7,"nodes":[1,2],"walltime":30,"start":1.5,"pattern":"ring","tenant":"acmé"}"#,
+    r#"{"seq":10,"rec":"queue","machine":"m0","job":8,"size":4,"walltime":null,"enqueued_at":2}"#,
+    r#"{"seq":11,"rec":"set_tenant","tenant":"acme","weight":2.5,"quota":1000000,"max_in_flight":32}"#,
+    r#"{"seq":40,"rec":"snapshot","epoch":1,"covers":2,"machines":[{"machine":"m0","mesh":"4x4","allocator":"Hilbert w/BF","strategy":null,"scheduler":"EASY backfill","seq":12,"clock":8.5,"fair_share":true,"running":[{"job":1,"nodes":[0,1],"walltime":30,"start":1.5,"pattern":"ring","tenant":"acme"}],"queue":[{"job":2,"size":16,"walltime":null,"enqueued_at":2}]}],"pools":[{"pool":"grid","members":["m0"],"policy":"shortest-queue"}],"tenants":[{"tenant":"acme","weight":2,"quota":500000,"max_in_flight":8,"consumed":45}]}"#,
+];
+
+#[test]
+fn every_prefix_of_a_journal_line_reads_the_same_through_the_tape() {
+    for line in JOURNAL_LINES {
+        assert!(JournalRecord::from_line(line).is_ok(), "{line}");
+        for n in (0..=line.len()).filter(|&n| line.is_char_boundary(n)) {
+            let (tape, tree) = journal_routes(&line[..n]);
+            assert_eq!(tape, tree, "prefix {:?}", &line[..n]);
+        }
+    }
 }

@@ -4,255 +4,20 @@
 //! torn-tail recovery: a final line truncated by `kill -9` is dropped,
 //! never an error, and never costs any *earlier* record.
 
-use commalloc_mesh::NodeId;
-use commalloc_service::journal::{
-    read_journal_dir, FileJournal, MachineImage, MachineSpec, PoolImage, QueuedRequest, RunningJob,
-    SnapshotImage, TenantImage, TenantSpec,
-};
-use commalloc_service::{
-    open_journaled, AllocArgs, JournalConfig, JournalRecord, RequestCtx, TenantConfig,
-};
-use commalloc_workload::CommPattern;
+#[allow(dead_code)] // the request/response strategies stay unused here
+mod strategies;
+
+use commalloc_service::journal::{read_journal_dir, FileJournal, JournalError, SnapshotImage};
+use commalloc_service::{open_journaled, AllocArgs, JournalConfig, JournalRecord, RequestCtx};
 use proptest::prelude::*;
 use std::path::PathBuf;
+use strategies::journal::{
+    machine_image_strategy, queued_strategy, record_strategy, running_strategy,
+    tenant_image_strategy,
+};
 
 /// In-process callers trace nothing.
 const INERT: RequestCtx<'static> = RequestCtx::inert();
-
-/// Names with escaping hazards baked in (the same adversarial set the
-/// protocol round-trip suite uses).
-fn name_strategy() -> BoxedStrategy<String> {
-    (
-        prop::sample::select(vec![
-            "m0",
-            "paragon-16x22",
-            "with \"quotes\"",
-            "back\\slash",
-            "tabs\tand\nnewlines",
-            "unicode-mésh-网格",
-            "",
-        ]),
-        0u64..1000,
-    )
-        .prop_map(|(base, n)| format!("{base}#{n}"))
-        .boxed()
-}
-
-fn opt_name() -> BoxedStrategy<Option<String>> {
-    prop_oneof![Just(None), name_strategy().prop_map(Some)].boxed()
-}
-
-/// Finite positive walltimes with awkward fractional parts.
-fn walltime_strategy() -> BoxedStrategy<Option<f64>> {
-    prop_oneof![
-        Just(None),
-        (1u64..1_000_000, 1u64..1000).prop_map(|(a, b)| Some(a as f64 + b as f64 / 997.0)),
-    ]
-    .boxed()
-}
-
-/// Non-negative clock stamps that are exact in `f64`.
-fn stamp_strategy() -> BoxedStrategy<f64> {
-    (0u64..1_000_000, 0u64..1000)
-        .prop_map(|(a, b)| a as f64 + b as f64 / 512.0)
-        .boxed()
-}
-
-/// Optional tenant tags: absent (the pre-tenant wire form) plus names
-/// with the same escaping hazards as machine names.
-fn tenant_strategy() -> BoxedStrategy<Option<String>> {
-    prop_oneof![
-        Just(None),
-        prop::sample::select(vec!["default", "acme", "tenant \"q\"", "团队"])
-            .prop_map(|t| Some(t.to_string())),
-    ]
-    .boxed()
-}
-
-fn nodes_strategy() -> BoxedStrategy<Vec<NodeId>> {
-    prop::collection::vec((0u32..4096).prop_map(NodeId), 0..12).boxed()
-}
-
-/// `None` (pre-pattern wire form) plus every declared pattern.
-fn pattern_strategy() -> BoxedStrategy<Option<CommPattern>> {
-    let mut choices: Vec<Option<CommPattern>> = vec![None];
-    choices.extend(CommPattern::all().iter().copied().map(Some));
-    prop::sample::select(choices).boxed()
-}
-
-// The four durable facts. Every record and image below is built out of
-// these, as the journal builds them.
-
-fn running_strategy() -> BoxedStrategy<RunningJob> {
-    (
-        any::<u64>(),
-        nodes_strategy(),
-        walltime_strategy(),
-        stamp_strategy(),
-        pattern_strategy(),
-        tenant_strategy(),
-    )
-        .prop_map(
-            |(job, nodes, walltime, start, pattern, tenant)| RunningJob {
-                job,
-                nodes,
-                walltime,
-                start,
-                pattern,
-                tenant,
-            },
-        )
-        .boxed()
-}
-
-fn queued_strategy() -> BoxedStrategy<QueuedRequest> {
-    (
-        any::<u64>(),
-        1usize..2048,
-        walltime_strategy(),
-        stamp_strategy(),
-        pattern_strategy(),
-        tenant_strategy(),
-    )
-        .prop_map(
-            |(job, size, walltime, enqueued_at, pattern, tenant)| QueuedRequest {
-                job,
-                size,
-                walltime,
-                enqueued_at,
-                pattern,
-                tenant,
-            },
-        )
-        .boxed()
-}
-
-fn spec_strategy() -> BoxedStrategy<MachineSpec> {
-    (
-        name_strategy(),
-        name_strategy(),
-        opt_name(),
-        opt_name(),
-        opt_name(),
-    )
-        .prop_map(
-            |(machine, mesh, allocator, strategy, scheduler)| MachineSpec {
-                machine,
-                mesh,
-                allocator,
-                strategy,
-                scheduler,
-            },
-        )
-        .boxed()
-}
-
-fn tenant_spec_strategy() -> BoxedStrategy<TenantSpec> {
-    (
-        prop::sample::select(vec!["default", "acme", "t \"x\""]),
-        1u64..100,
-        prop_oneof![Just(None), (1u64..1_000_000).prop_map(|q| Some(q as f64))],
-        prop_oneof![Just(None), (1u64..4096).prop_map(Some)],
-    )
-        .prop_map(|(tenant, weight, quota, max_in_flight)| TenantSpec {
-            tenant: tenant.to_string(),
-            config: TenantConfig {
-                weight: weight as f64,
-                quota_node_seconds: quota,
-                max_in_flight,
-            },
-        })
-        .boxed()
-}
-
-fn machine_image_strategy() -> BoxedStrategy<MachineImage> {
-    (
-        spec_strategy(),
-        any::<u64>(),
-        prop_oneof![Just(None), stamp_strategy().prop_map(Some)],
-        any::<bool>(),
-        prop::collection::vec(running_strategy(), 0..4),
-        prop::collection::vec(queued_strategy(), 0..4),
-    )
-        .prop_map(
-            |(spec, seq, clock, fair_share, running, queue)| MachineImage {
-                spec,
-                seq,
-                clock,
-                fair_share,
-                running,
-                queue,
-            },
-        )
-        .boxed()
-}
-
-fn tenant_image_strategy() -> BoxedStrategy<TenantImage> {
-    (tenant_spec_strategy(), stamp_strategy())
-        .prop_map(|(spec, consumed)| TenantImage { spec, consumed })
-        .boxed()
-}
-
-fn snapshot_strategy() -> BoxedStrategy<SnapshotImage> {
-    (
-        any::<u64>(),
-        any::<u64>(),
-        prop::collection::vec(machine_image_strategy(), 0..3),
-        prop::collection::vec(
-            (
-                name_strategy(),
-                prop::collection::vec(name_strategy(), 0..4),
-                prop::sample::select(vec![
-                    "round-robin",
-                    "least-loaded",
-                    "shortest-queue",
-                    "power-of-two",
-                ]),
-            )
-                .prop_map(|(pool, members, policy)| PoolImage {
-                    pool,
-                    members,
-                    policy: policy.to_string(),
-                }),
-            0..3,
-        ),
-        prop::collection::vec(tenant_image_strategy(), 0..3),
-    )
-        .prop_map(|(epoch, covers, machines, pools, tenants)| SnapshotImage {
-            epoch,
-            covers,
-            machines,
-            pools,
-            tenants,
-        })
-        .boxed()
-}
-
-/// Every record variant, adversarially parameterised.
-fn record_strategy() -> BoxedStrategy<JournalRecord> {
-    prop_oneof![
-        (spec_strategy(), opt_name())
-            .prop_map(|(spec, pool)| JournalRecord::Register { spec, pool }),
-        (name_strategy(), running_strategy())
-            .prop_map(|(machine, job)| JournalRecord::Grant { machine, job }),
-        (name_strategy(), queued_strategy())
-            .prop_map(|(machine, request)| JournalRecord::Queue { machine, request }),
-        (name_strategy(), any::<u64>())
-            .prop_map(|(machine, job)| JournalRecord::Release { machine, job }),
-        (name_strategy(), any::<u64>())
-            .prop_map(|(machine, job)| JournalRecord::Cancel { machine, job }),
-        (name_strategy(), name_strategy()).prop_map(|(machine, scheduler)| {
-            JournalRecord::SetScheduler { machine, scheduler }
-        }),
-        (name_strategy(), name_strategy())
-            .prop_map(|(pool, policy)| JournalRecord::SetRouter { pool, policy }),
-        tenant_spec_strategy().prop_map(JournalRecord::SetTenant),
-        (name_strategy(), any::<bool>())
-            .prop_map(|(machine, enabled)| JournalRecord::SetFairShare { machine, enabled }),
-        snapshot_strategy().prop_map(JournalRecord::Snapshot),
-    ]
-    .boxed()
-}
 
 /// What `record` renders between `prefix` (its `seq`/`rec` head, plus
 /// the machine name where the record carries one beside the fact) and
@@ -385,6 +150,42 @@ fn recovery_refuses_corruption_before_the_tail() {
     std::fs::write(&segment, format!("garbage\n{text}")).unwrap();
     assert!(open_journaled(&dir, JournalConfig::default()).is_err());
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A grant naming a node id past `u32::MAX` on a 4x4 machine: the same
+/// journal with node 0 recovers, so only the id can make it refuse. An
+/// id that wrapped to 32 bits would have passed the range check as
+/// node 0.
+#[test]
+fn recovery_refuses_a_node_id_past_u32_instead_of_wrapping_it() {
+    let recover = |tag: &str, node: u64| {
+        let dir = temp_dir(tag);
+        {
+            let (service, _) = open_journaled(&dir, JournalConfig::default()).unwrap();
+            service.register("m0", "4x4", None, None, None).unwrap();
+        }
+        let segment = dir.join("wal-000001.ndjson");
+        let mut text = std::fs::read_to_string(&segment).unwrap();
+        text.push_str(&format!(
+            "{{\"seq\":2,\"rec\":\"grant\",\"machine\":\"m0\",\"job\":1,\
+             \"nodes\":[{node}],\"walltime\":null,\"start\":0}}\n"
+        ));
+        std::fs::write(&segment, text).unwrap();
+        let recovered = open_journaled(&dir, JournalConfig::default())
+            .map(|(service, _)| service.query("m0").unwrap().busy);
+        std::fs::remove_dir_all(&dir).unwrap();
+        recovered
+    };
+    assert_eq!(recover("node-id-0", 0).unwrap(), 1);
+    match recover("node-id-wide", 1 << 32) {
+        Err(JournalError::Corrupt(reason)) => {
+            assert!(
+                reason.contains("node id 4294967296 out of range"),
+                "{reason}"
+            )
+        }
+        other => panic!("expected corruption, got {:?}", other.map(|_| ())),
+    }
 }
 
 /// The journal_stats surface: counters move as records append, and a

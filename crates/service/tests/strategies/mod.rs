@@ -4,6 +4,10 @@
 //! round-trip suite and the binary-framing equivalence suite — plus
 //! [`minimise`], the shrinker the sequence suites report failures with.
 
+// Only the journal suites generate journal records.
+#[allow(dead_code)]
+pub mod journal;
+
 use commalloc_mesh::NodeId;
 use commalloc_service::{JobRef, Request, Response};
 use commalloc_workload::CommPattern;
