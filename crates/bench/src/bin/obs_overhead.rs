@@ -124,10 +124,9 @@ fn dispatch(service: &AllocationService, mode: Mode, op: ChurnOp) -> bool {
             service.handle(&request)
         }
         Mode::Disabled | Mode::Enabled | Mode::Calibration => {
-            let ctx = service.recorder().begin();
-            let parse_start = ctx.now_micros();
+            let mut ctx = service.begin();
             let request = Request::from_line(&line).expect("bench lines are well-formed");
-            ctx.span(Stage::Parse, 0, 0, parse_start, ctx.now_micros());
+            ctx.lap(Stage::Parse, 0, 0);
             service.handle_traced(&request, &ctx)
         }
     };

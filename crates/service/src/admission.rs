@@ -42,20 +42,17 @@ pub struct PendingRequest {
     /// The journaled fact: job, size, walltime estimate (EASY
     /// backfilling treats a missing one as "runs forever"), pattern,
     /// tenant (feeds the weighted fair-share drain order and the quota
-    /// settlement when the job is cancelled) and the machine-clock
-    /// enqueue time (drives the wait-time metrics and doubles as the
-    /// arrival stamp the scheduler policies see).
+    /// settlement when the job is cancelled) and the service-clock
+    /// enqueue time (drives the wait-time metrics, doubles as the
+    /// arrival stamp the scheduler policies see, and opens a traced
+    /// request's `queue` span).
     pub request: QueuedRequest,
     /// Flight-recorder request ID of the wire request that enqueued this
     /// job (0 when untraced): a later grant-from-queue attaches its
-    /// trace events to the *enqueuing* request, not the request whose
-    /// release happened to trigger the drain.
+    /// trace events, the `queue` span among them, to the *enqueuing*
+    /// request, not the request whose release happened to trigger the
+    /// drain.
     pub trace_request: u64,
-    /// Recorder-epoch timestamp (µs) at which the request was denied and
-    /// left waiting, opening the `queue` span its grant closes (0 when
-    /// untraced, and for a request granted on arrival, which never
-    /// waited).
-    pub enqueued_micros: u64,
     /// Placement provenance for the calibration plane: the routing
     /// policy that sent the request to this machine, or `"direct"` for
     /// unrouted requests (and recovered queue records, whose placing
@@ -77,7 +74,6 @@ impl PendingRequest {
         PendingRequest {
             request,
             trace_request: 0,
-            enqueued_micros: 0,
             placed_by: "direct",
             arrival_seq: 0,
         }
@@ -231,13 +227,6 @@ impl AdmissionQueue {
     /// [`AdmissionQueue::take_at`] whose grant the allocator refused.
     pub fn put_back(&mut self, index: usize, request: PendingRequest) {
         self.queue.insert(index, request);
-    }
-
-    /// Records `micros` as the moment `job_id` was left waiting.
-    pub fn stamp_waiting(&mut self, job_id: u64, micros: u64) {
-        if let Some(p) = self.queue.iter_mut().find(|p| p.request.job == job_id) {
-            p.enqueued_micros = micros;
-        }
     }
 
     /// Iterates the waiting requests in queue order.

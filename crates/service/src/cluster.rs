@@ -445,9 +445,7 @@ pub fn route_offline(
             break;
         };
         now = event_time.max(now);
-        for name in &names {
-            service.set_time(name, now).expect("member exists");
-        }
+        service.clock().set_time(now);
 
         if is_arrival {
             let job = jobs[next_arrival];

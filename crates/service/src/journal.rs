@@ -89,6 +89,7 @@
 //! `journal_overhead` benchmark (`BENCH_journal.json`) quantifies all
 //! three against the no-journal baseline.
 
+use crate::clock::{micros, Clock};
 use crate::protocol::{
     get_array, get_bool, get_f64, get_f64_opt, get_pattern, get_str, get_str_opt, get_text,
     get_u64, node_id, opt, present, Nodes,
@@ -110,7 +111,7 @@ use std::sync::{Arc, Condvar, Mutex};
 // The four durable facts
 // ---------------------------------------------------------------------------
 
-/// A running job: `job` holds exactly `nodes` since machine-clock
+/// A running job: `job` holds exactly `nodes` since service-clock
 /// `start`. The body of a `grant` record, an entry of a machine image's
 /// `running` array, and an element of the live machine's running vector.
 #[derive(Debug, Clone, PartialEq)]
@@ -134,7 +135,7 @@ pub struct RunningJob {
 }
 
 /// A queued request: `job` waits for `size` processors since
-/// machine-clock `enqueued_at`. The body of a `queue` record, an entry
+/// service-clock `enqueued_at`. The body of a `queue` record, an entry
 /// of a machine image's `queue` array, and the durable part of a live
 /// [`crate::admission::PendingRequest`].
 #[derive(Debug, Clone, PartialEq)]
@@ -287,8 +288,8 @@ pub struct MachineImage {
     /// machine reflected in the image. Tail records with `seq` at or
     /// below it are skipped during recovery.
     pub seq: u64,
-    /// The virtual clock, when the machine runs in virtual time (replay
-    /// harnesses); `None` for wall-clock machines, whose clock restarts.
+    /// The service's virtual time, when it runs on one (replay
+    /// harnesses); `None` on wall time, which restarts and is rebased.
     pub clock: Option<f64>,
     /// Whether the fair-share admission layer is on (rendered only when
     /// true, keeping pre-tenant snapshot bytes).
@@ -727,13 +728,15 @@ pub trait JournalSink: Send + Sync {
         0
     }
 
-    /// [`JournalSink::append`], additionally reporting how long the
-    /// append *blocked* on an fsync, in microseconds — the flight
-    /// recorder's `fsync_wait` stage. 0 whenever the sink acknowledges
-    /// before the disk syncs (group commit's background flushes are by
-    /// design not part of any request's latency).
-    fn append_timed(&self, record: &JournalRecord) -> (u64, u64) {
-        (self.append(record), 0)
+    /// [`JournalSink::append`], additionally reporting — for a traced
+    /// request, which passes its `clock` — the reading (µs) at which
+    /// the append began to *block* on an fsync: the start of the flight
+    /// recorder's `fsync_wait` stage, which ends with the append. `None`
+    /// whenever the sink acknowledges before the disk syncs (group
+    /// commit's background flushes are by design not part of any
+    /// request's latency).
+    fn append_timed(&self, record: &JournalRecord, _clock: Option<&Clock>) -> (u64, Option<u64>) {
+        (self.append(record), None)
     }
 
     /// True for sinks that actually persist records; gates whether
@@ -1061,10 +1064,10 @@ impl JournalSink for FileJournal {
     }
 
     fn append(&self, record: &JournalRecord) -> u64 {
-        self.append_timed(record).0
+        self.append_timed(record, None).0
     }
 
-    fn append_timed(&self, record: &JournalRecord) -> (u64, u64) {
+    fn append_timed(&self, record: &JournalRecord, clock: Option<&Clock>) -> (u64, Option<u64>) {
         let mut guard = self.inner.lock().expect("journal sink poisoned");
         let inner = &mut *guard;
         inner.seq += 1;
@@ -1081,14 +1084,13 @@ impl JournalSink for FileJournal {
         inner.appended += 1;
         inner.unsynced += 1;
         self.since_snapshot.fetch_add(1, Ordering::Relaxed);
-        let mut fsync_wait = 0u64;
+        let mut synced_from = None;
         match self.config.fsync {
             FsyncPolicy::EveryRecord => {
-                // The one policy whose append blocks on the disk: time
-                // it for the flight recorder's `fsync_wait` stage.
-                let start = std::time::Instant::now();
+                // The one policy whose append blocks on the disk: stamp
+                // the flight recorder's `fsync_wait` stage open.
+                synced_from = clock.map(|clock| micros(clock.now()));
                 inner.sync();
-                fsync_wait = start.elapsed().as_micros() as u64;
             }
             FsyncPolicy::Batched(n) => {
                 // Wake the group-commit flusher exactly once per batch
@@ -1103,7 +1105,7 @@ impl JournalSink for FileJournal {
             }
             FsyncPolicy::Never => {}
         }
-        (seq, fsync_wait)
+        (seq, synced_from)
     }
 
     fn snapshot_due(&self) -> bool {

@@ -126,6 +126,7 @@
 pub mod admission;
 pub mod calibration;
 pub mod client;
+pub mod clock;
 pub mod cluster;
 pub mod framing;
 pub mod journal;
@@ -141,6 +142,7 @@ pub mod trace;
 
 pub use calibration::{CalibrationSample, CalibrationStore, PlacementRecord};
 pub use client::{ClientAllocOutcome, ClientError, ServiceClient, TraceDump};
+pub use clock::Clock;
 pub use cluster::{route_offline, ClusterMember, MachineSample, PlacementRouter, RoutingPolicy};
 pub use framing::{Frame, FrameBuffer, FrameError, Framing};
 pub use journal::{

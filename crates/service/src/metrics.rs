@@ -371,7 +371,7 @@ impl WindowRing {
 }
 
 /// Wait-time statistics of one admission queue: how long requests sat in
-/// the queue between enqueue and grant, in machine-clock seconds.
+/// the queue between enqueue and grant, in service-clock seconds.
 /// Cancelled and rejected requests are not counted — these are *grant*
 /// waits, the quantity the scheduling policies compete on.
 #[derive(Debug, Clone, Default, Serialize)]

@@ -484,7 +484,7 @@ pub enum Response {
         /// 1-based queue position.
         position: usize,
         /// The start time the scheduler currently promises the job
-        /// (machine clock), when the policy plans one and it is finite:
+        /// (service clock), when the policy plans one and it is finite:
         /// conservative backfilling reserves a start for every queued
         /// job, EASY for the head. Absent under FCFS/first-fit and for
         /// unplannable reservations.

@@ -9,6 +9,7 @@
 
 use crate::admission::{AdmissionQueue, PendingRequest};
 use crate::calibration::{CalibrationSample, CalibrationStore, PlacementRecord, PLACEMENT_CAP};
+use crate::clock::{micros, Clock};
 use crate::journal::{JournalRecord, MachineImage, MachineSpec, QueuedRequest, RunningJob};
 use crate::metrics::MachineMetrics;
 use crate::protocol::AllocArgs;
@@ -28,7 +29,6 @@ use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// A raw allocation outcome: the granted nodes, plus — when the grant
 /// was pattern-scored — the winner's score breakdown and the number of
@@ -195,7 +195,7 @@ pub struct QueueOutlook {
     pub job: u64,
     /// 1-based queue position.
     pub position: usize,
-    /// The policy's promised start time (machine clock), when it plans
+    /// The policy's promised start time (service clock), when it plans
     /// one and the plan is bounded.
     pub reserved_start: Option<f64>,
     /// The binding constraint keeping the request queued, when the
@@ -494,23 +494,6 @@ impl Backing {
     }
 }
 
-/// The machine's clock: wall time by default, virtual (caller-advanced)
-/// time for deterministic replay. EASY backfilling compares predicted
-/// completions against "now", so every entry carries an explicit time
-/// base instead of sampling `Instant::now()` ad hoc.
-#[derive(Debug, Clone, Copy)]
-enum Clock {
-    /// `base` seconds plus wall time elapsed since `origin`. A fresh
-    /// machine starts at `base = 0`; journal recovery rebases `base` to
-    /// the latest recovered stamp, so a restarted daemon's clock
-    /// continues *after* every restored start/enqueue time instead of
-    /// restarting at zero (which would skew EASY's shadow-time
-    /// predictions and produce negative queue waits).
-    Wall { origin: Instant, base: f64 },
-    /// A caller-set logical time (see [`MachineEntry::set_time`]).
-    Virtual(f64),
-}
-
 /// The scheduler-facing view of a running job.
 fn running_snapshot(job: &RunningJob) -> RunningSnapshot {
     RunningSnapshot {
@@ -532,7 +515,6 @@ pub struct MachineEntry {
     running: Vec<RunningJob>,
     /// Where each running job sits in `running`.
     slot_of: HashMap<u64, usize>,
-    clock: Clock,
     /// Modification generation: bumped whenever occupancy or the queue
     /// may have changed (allocate, release, policy switch). The cluster
     /// router's sample-then-commit protocol re-checks it before
@@ -580,10 +562,6 @@ impl MachineEntry {
             queue: AdmissionQueue::new(scheduler),
             running: Vec::new(),
             slot_of: HashMap::new(),
-            clock: Clock::Wall {
-                origin: Instant::now(),
-                base: 0.0,
-            },
             generation: 0,
             journaled: false,
             outbox: Vec::new(),
@@ -620,7 +598,7 @@ impl MachineEntry {
     pub fn set_fair_share(
         &mut self,
         enabled: bool,
-        ctx: &RequestCtx<'_>,
+        ctx: &mut RequestCtx<'_>,
     ) -> Vec<(u64, Vec<NodeId>)> {
         self.generation += 1;
         self.fair_share = enabled;
@@ -681,25 +659,6 @@ impl MachineEntry {
         )
     }
 
-    /// The machine-clock reading, in seconds.
-    pub fn now(&self) -> f64 {
-        match self.clock {
-            Clock::Wall { origin, base } => base + origin.elapsed().as_secs_f64(),
-            Clock::Virtual(t) => t,
-        }
-    }
-
-    /// Switches the machine to virtual time and sets it to `t` (replay
-    /// and test harnesses; a live daemon stays on wall time). Once
-    /// virtual, time never moves backwards — earlier stamps are clamped.
-    pub fn set_time(&mut self, t: f64) {
-        let t = match self.clock {
-            Clock::Virtual(current) => t.max(current),
-            Clock::Wall { .. } => t,
-        };
-        self.clock = Clock::Virtual(t);
-    }
-
     /// The active scheduling policy.
     pub fn scheduler(&self) -> SchedulerKind {
         self.queue.kind()
@@ -736,10 +695,11 @@ impl MachineEntry {
 
     /// Photographs the machine for a journal snapshot, under the shard
     /// lock: registration config (re-registerable specs derived from the
-    /// live backing, so defaults are explicit), clock, running jobs in
+    /// live backing, so defaults are explicit), the service's virtual
+    /// time (`clock`, `None` on wall time), running jobs in
     /// grant order (the order EASY's tie-breaking depends on), queued
     /// requests in queue order, and the journal watermark.
-    pub fn capture_image(&self) -> MachineImage {
+    pub fn capture_image(&self, clock: Option<f64>) -> MachineImage {
         let (mesh, allocator, strategy) = match &self.backing {
             Backing::TwoD { mesh, kind, .. } => (
                 format!("{}x{}", mesh.width(), mesh.height()),
@@ -766,10 +726,7 @@ impl MachineEntry {
                 scheduler: Some(self.queue.kind().name().to_string()),
             },
             seq: self.journal_seq,
-            clock: match self.clock {
-                Clock::Virtual(t) => Some(t),
-                Clock::Wall { .. } => None,
-            },
+            clock,
             fair_share: self.fair_share,
             running: self.running.clone(),
             queue: self.queue.iter().map(|p| p.request.clone()).collect(),
@@ -805,22 +762,22 @@ impl MachineEntry {
     /// present (a grant-from-queue record follows its queue record in
     /// the log), and evolves the running vector with the same push the
     /// live drain uses, so recovered tie-breaking state matches a live
-    /// run.
-    pub fn restore_grant(&mut self, job: RunningJob) -> Result<(), String> {
+    /// run, and advances `clock` past its start ([`Clock::advance_to`]).
+    pub fn restore_grant(&mut self, job: RunningJob, clock: &Clock) -> Result<(), String> {
         if self.slot_of.contains_key(&job.job) {
             return Err(format!("grant for job {} which already runs", job.job));
         }
         validate_restored_walltime(job.job, job.walltime)?;
         self.backing.restore_occupy(&job.nodes)?;
         self.queue.remove(job.job);
-        self.ensure_clock_at_least(job.start);
+        clock.advance_to(job.start);
         self.push_running(job);
         self.generation += 1;
         Ok(())
     }
 
-    /// Recovery: re-enqueues a journaled admission.
-    pub fn restore_queue(&mut self, request: QueuedRequest) -> Result<(), String> {
+    /// Recovery: re-enqueues a journaled admission, advancing `clock`.
+    pub fn restore_queue(&mut self, request: QueuedRequest, clock: &Clock) -> Result<(), String> {
         let QueuedRequest { job, size, .. } = request;
         if self.holds(job) {
             return Err(format!("queue record for job {job} which already exists"));
@@ -829,7 +786,7 @@ impl MachineEntry {
             return Err(format!("queue record for job {job} with size {size}"));
         }
         validate_restored_walltime(job, request.walltime)?;
-        self.ensure_clock_at_least(request.enqueued_at);
+        clock.advance_to(request.enqueued_at);
         self.queue.enqueue(PendingRequest::restored(request));
         self.generation += 1;
         Ok(())
@@ -861,38 +818,6 @@ impl MachineEntry {
     pub fn restore_scheduler(&mut self, scheduler: SchedulerKind) {
         self.queue.set_kind(scheduler);
         self.generation += 1;
-    }
-
-    /// Recovery: restores a virtual clock captured in a snapshot
-    /// (wall-clock machines restart their clock at recovery and are
-    /// rebased past every restored stamp by
-    /// [`MachineEntry::ensure_clock_at_least`] instead).
-    pub fn restore_clock(&mut self, clock: Option<f64>) {
-        if let Some(t) = clock {
-            self.clock = Clock::Virtual(t);
-        }
-    }
-
-    /// Recovery: advances the clock to at least `t`. Restored grant and
-    /// enqueue stamps come from the previous incarnation's time base; a
-    /// wall clock that restarted at zero would make those stamps lie in
-    /// the future — EASY would plan around predicted completions hours
-    /// ahead (letting backfill delay the head job, which a live run
-    /// never allows) and the first drains would record negative queue
-    /// waits. Rebasing keeps recovered stamps in the past, where they
-    /// belong.
-    fn ensure_clock_at_least(&mut self, t: f64) {
-        if self.now() < t {
-            match self.clock {
-                Clock::Wall { .. } => {
-                    self.clock = Clock::Wall {
-                        origin: Instant::now(),
-                        base: t,
-                    }
-                }
-                Clock::Virtual(_) => self.clock = Clock::Virtual(t),
-            }
-        }
     }
 
     /// The routing-relevant state of this machine, captured atomically
@@ -927,7 +852,7 @@ impl MachineEntry {
     pub fn set_scheduler(
         &mut self,
         scheduler: SchedulerKind,
-        ctx: &RequestCtx<'_>,
+        ctx: &mut RequestCtx<'_>,
     ) -> Vec<(u64, Vec<NodeId>)> {
         self.generation += 1;
         self.queue.set_kind(scheduler);
@@ -980,7 +905,7 @@ impl MachineEntry {
         &mut self,
         args: &AllocArgs<'_>,
         placed_by: &'static str,
-        ctx: &RequestCtx<'_>,
+        ctx: &mut RequestCtx<'_>,
     ) -> Result<AllocOutcome, ServiceError> {
         let AllocArgs {
             job: job_id,
@@ -1021,14 +946,11 @@ impl MachineEntry {
                 job: job_id,
                 size,
                 walltime,
-                enqueued_at: self.now(),
+                enqueued_at: ctx.now(),
                 pattern,
                 tenant: tenant.map(str::to_string),
             },
             trace_request: ctx.request(),
-            // Stamped below if the request is left waiting: one grant
-            // on arrival then reads no clock for a span it never opens.
-            enqueued_micros: 0,
             placed_by,
             arrival_seq: 0,
         });
@@ -1068,13 +990,10 @@ impl MachineEntry {
                 let free = self.backing.num_free();
                 (size > free).then_some(BlockReason::InsufficientFree { free, needed: size })
             } else {
-                self.queue_outlook(job_id).and_then(|o| o.explain)
+                self.queue_outlook(job_id, ctx.now())
+                    .and_then(|o| o.explain)
             };
-            let denied_at = ctx.now_micros();
-            ctx.deny(job_id, explain.as_ref(), denied_at);
-            if wait {
-                self.queue.stamp_waiting(job_id, denied_at);
-            }
+            ctx.deny(job_id, explain.as_ref(), ctx.now_micros());
         }
         if wait {
             self.metrics.queued += 1;
@@ -1116,7 +1035,7 @@ impl MachineEntry {
     pub fn release(
         &mut self,
         job_id: u64,
-        ctx: &RequestCtx<'_>,
+        ctx: &mut RequestCtx<'_>,
     ) -> Result<Vec<(u64, Vec<NodeId>)>, ServiceError> {
         self.generation += 1;
         if let Some(job) = self.take_running(job_id) {
@@ -1125,7 +1044,7 @@ impl MachineEntry {
             // Settle the tenant ledger: return the committed
             // node-seconds, accrue the realized hold.
             if let Some(table) = &self.tenants {
-                let held = (self.now() - job.start).max(0.0);
+                let held = (ctx.now() - job.start).max(0.0);
                 table.settle(
                     job.tenant.as_deref(),
                     job_cost(nodes.len(), job.walltime),
@@ -1138,7 +1057,7 @@ impl MachineEntry {
             // only while calibration is on.
             if let Some(record) = self.placements.remove(&job_id) {
                 if self.calibration.enabled() {
-                    let held = (self.now() - record.granted_at).max(0.0);
+                    let held = (ctx.now() - record.granted_at).max(0.0);
                     self.calibration.record(&CalibrationSample {
                         record,
                         held,
@@ -1196,13 +1115,17 @@ impl MachineEntry {
     /// Trace events for a grant-from-queue are attached to the request
     /// that *enqueued* the job (via `PendingRequest::trace_request`),
     /// not the request whose release or policy switch triggered this
-    /// drain — `ctx` only lends its recorder binding.
+    /// drain — `ctx` lends its recorder binding and its clock: each
+    /// probe is one stage, ending at one clock read.
     fn drain_queue(
         &mut self,
         arriving: Option<u64>,
-        ctx: &RequestCtx<'_>,
+        ctx: &mut RequestCtx<'_>,
     ) -> Vec<(u64, Vec<NodeId>)> {
-        let now = self.now();
+        if self.queue.is_empty() {
+            return Vec::new();
+        }
+        let (now, own) = (ctx.now(), ctx.request());
         let kind = self.queue.kind();
         // The fair-share admission layer re-orders the queue *before*
         // the scheduler policy looks at it: a stable sort on the
@@ -1251,22 +1174,20 @@ impl MachineEntry {
                 queued.remove(at);
             }
             // Events for this job attach to the request that enqueued it
-            // (an inert or unremembered binding keeps the caller's).
+            // (an untraced enqueue keeps the caller's).
             let request = &pending.request;
-            let pctx = ctx.for_request(pending.trace_request);
-            let probe_start = pctx.now_micros();
+            *ctx = ctx.for_request(own).for_request(pending.trace_request);
             // Read once, so the placement is scored exactly when its
             // record is filed (one relaxed load while calibration is
             // off; bounded side-table).
             let recording = self.calibration.enabled() && self.placements.len() < PLACEMENT_CAP;
-            match self
-                .backing
-                .try_allocate(request.job, request.size, request.pattern, recording)
-            {
+            let grant =
+                self.backing
+                    .try_allocate(request.job, request.size, request.pattern, recording);
+            let probed_at = ctx.lap(Stage::Allocator, request.job, 0);
+            match grant {
                 Some((nodes, scored)) => {
                     let from_queue = arriving != Some(request.job);
-                    let granted_at = pctx.now_micros();
-                    pctx.span(Stage::Allocator, request.job, 0, probe_start, granted_at);
                     // File the grant-time half of the calibration join
                     // for pattern-scored placements.
                     if let (true, Some((predicted, candidates)), Some(pattern)) =
@@ -1289,16 +1210,11 @@ impl MachineEntry {
                             },
                         );
                     }
-                    if from_queue && pending.enqueued_micros != 0 {
-                        pctx.span(
-                            Stage::Queue,
-                            request.job,
-                            0,
-                            pending.enqueued_micros,
-                            granted_at,
-                        );
+                    if from_queue && pending.trace_request != 0 {
+                        let enqueued_at = micros(request.enqueued_at);
+                        ctx.span(Stage::Queue, request.job, 0, enqueued_at, probed_at);
                     }
-                    pctx.instant(Stage::Grant, request.job, u32::from(from_queue), granted_at);
+                    ctx.instant(Stage::Grant, request.job, u32::from(from_queue), probed_at);
                     self.metrics
                         .record_grant(from_queue, self.backing.num_busy());
                     if from_queue {
@@ -1330,9 +1246,7 @@ impl MachineEntry {
                     // request that was durably queued earlier journals as
                     // a cancel; the arriving request was never journaled
                     // as queued, so there is nothing to cancel.
-                    let refused_at = pctx.now_micros();
-                    pctx.span(Stage::Allocator, request.job, 0, probe_start, refused_at);
-                    pctx.deny(request.job, None, refused_at);
+                    ctx.deny(request.job, None, probed_at);
                     self.metrics.rejected += 1;
                     if arriving != Some(request.job) {
                         // A dropped *queued* request settles its tenant
@@ -1357,34 +1271,28 @@ impl MachineEntry {
                     continue;
                 }
                 None => {
-                    // Fragmented refusal: the probe ran (record it), the
-                    // request stays queued for a future release.
-                    pctx.span(
-                        Stage::Allocator,
-                        request.job,
-                        0,
-                        probe_start,
-                        pctx.now_micros(),
-                    );
+                    // Fragmented refusal: the request stays queued for a
+                    // future release.
                     self.queue.put_back(at, pending);
                     break;
                 }
             }
         }
+        *ctx = ctx.for_request(own);
         granted
     }
 
-    /// The scheduler's outlook for every queued request, in queue order.
+    /// The scheduler's outlook at `now` for every queued request, in
+    /// queue order.
     /// Built from the same policy inputs the drain loop consumes, so the
     /// promised starts are exactly what the next drain would plan:
     /// conservative plans a reservation for every request, EASY for the
     /// blocked head only, FCFS and first-fit promise nothing. The
     /// `explain` of each entry names the constraint keeping it queued.
-    pub fn queue_outlooks(&self) -> Vec<QueueOutlook> {
+    pub fn queue_outlooks(&self, now: f64) -> Vec<QueueOutlook> {
         if self.queue.is_empty() {
             return Vec::new();
         }
-        let now = self.now();
         let free = self.backing.num_free();
         let kind = self.queue.kind();
         let queued: Vec<QueuedJob> = self.queue.iter().map(PendingRequest::as_queued).collect();
@@ -1422,9 +1330,11 @@ impl MachineEntry {
     /// The outlook for one queued job, if it waits. Outlooks are
     /// relative to the jobs ahead, so the whole queue is planned and
     /// then filtered.
-    pub fn queue_outlook(&self, job_id: u64) -> Option<QueueOutlook> {
+    pub fn queue_outlook(&self, job_id: u64, now: f64) -> Option<QueueOutlook> {
         self.queue.position(job_id)?;
-        self.queue_outlooks().into_iter().find(|o| o.job == job_id)
+        self.queue_outlooks(now)
+            .into_iter()
+            .find(|o| o.job == job_id)
     }
 
     /// Where `job_id` currently stands.
@@ -1438,8 +1348,9 @@ impl MachineEntry {
         }
     }
 
-    /// Point-in-time occupancy summary.
-    pub fn snapshot(&self) -> MachineSnapshot {
+    /// Point-in-time occupancy summary, its queue outlook planned at
+    /// `now`.
+    pub fn snapshot(&self, now: f64) -> MachineSnapshot {
         let (dims, allocator) = match &self.backing {
             Backing::TwoD { mesh, kind, .. } => (
                 format!("{}x{}", mesh.width(), mesh.height()),
@@ -1466,7 +1377,7 @@ impl MachineEntry {
             live_jobs: self.running.len(),
             queue_len: self.queue.len(),
             scheduler: self.queue.kind().name().to_string(),
-            queue: self.queue_outlooks(),
+            queue: self.queue_outlooks(now),
         }
     }
 
@@ -1699,6 +1610,7 @@ mod tests {
     /// most of these tests submit.
     fn alloc(
         m: &mut MachineEntry,
+        clock: &Clock,
         job: u64,
         size: usize,
         wait: bool,
@@ -1709,15 +1621,21 @@ mod tests {
             walltime,
             ..AllocArgs::new(job, size)
         };
-        m.allocate(&args, "direct", &RequestCtx::inert())
+        m.allocate(&args, "direct", &mut untraced(clock))
     }
 
-    /// A registry holding one 16×16 `Hilbert w/BF` machine, "m0".
-    fn registry_with(scheduler: SchedulerKind) -> Registry {
+    /// An untraced request context on `clock`.
+    fn untraced(clock: &Clock) -> RequestCtx<'_> {
+        RequestCtx::inert().on(clock)
+    }
+
+    /// A registry holding one 16×16 `Hilbert w/BF` machine, "m0", and
+    /// the clock its requests read.
+    fn registry_with(scheduler: SchedulerKind) -> (Registry, Clock) {
         let r = Registry::default();
         let (mesh, kind) = (Mesh2D::square_16x16(), AllocatorKind::HilbertBestFit);
         r.register_2d("m0", mesh, kind, scheduler).unwrap();
-        r
+        (r, Clock::wall())
     }
 
     fn assert_invariants(r: &Registry, name: &str) {
@@ -1729,7 +1647,7 @@ mod tests {
 
     #[test]
     fn register_rejects_duplicates_and_lists_sorted() {
-        let r = registry_with(SchedulerKind::Fcfs);
+        let (r, _) = registry_with(SchedulerKind::Fcfs);
         assert_eq!(
             r.register_2d(
                 "m0",
@@ -1780,9 +1698,9 @@ mod tests {
 
     #[test]
     fn allocate_release_cycle_keeps_invariants() {
-        let r = registry_with(SchedulerKind::Fcfs);
+        let (r, clock) = registry_with(SchedulerKind::Fcfs);
         let outcome = r
-            .with_entry("m0", |m| alloc(m, 1, 30, false, None))
+            .with_entry("m0", |m| alloc(m, &clock, 1, 30, false, None))
             .unwrap();
         let AllocOutcome::Granted(nodes) = outcome else {
             panic!("expected a grant, got {outcome:?}");
@@ -1794,7 +1712,7 @@ mod tests {
             JobStatus::Running(nodes)
         );
         let granted = r
-            .with_entry("m0", |m| m.release(1, &RequestCtx::inert()))
+            .with_entry("m0", |m| m.release(1, &mut untraced(&clock)))
             .unwrap();
         assert!(granted.is_empty());
         assert_eq!(r.with_entry("m0", |m| Ok(m.num_free())).unwrap(), 256);
@@ -1802,29 +1720,33 @@ mod tests {
 
     #[test]
     fn queueing_is_fcfs_with_head_of_line_blocking() {
-        let r = registry_with(SchedulerKind::Fcfs);
+        let (r, clock) = registry_with(SchedulerKind::Fcfs);
         // Fill the machine almost completely.
         let AllocOutcome::Granted(_) = r
-            .with_entry("m0", |m| alloc(m, 1, 250, false, None))
+            .with_entry("m0", |m| alloc(m, &clock, 1, 250, false, None))
             .unwrap()
         else {
             panic!("grant expected");
         };
         // 20 does not fit -> queued; 3 would fit but must wait behind it.
         assert_eq!(
-            r.with_entry("m0", |m| alloc(m, 2, 20, true, None)).unwrap(),
+            r.with_entry("m0", |m| alloc(m, &clock, 2, 20, true, None))
+                .unwrap(),
             AllocOutcome::Queued(1)
         );
         assert_eq!(
-            r.with_entry("m0", |m| alloc(m, 3, 3, true, None)).unwrap(),
+            r.with_entry("m0", |m| alloc(m, &clock, 3, 3, true, None))
+                .unwrap(),
             AllocOutcome::Queued(2)
         );
         // Without wait, the same situation is a rejection.
-        let outcome = r.with_entry("m0", |m| alloc(m, 4, 1, false, None)).unwrap();
+        let outcome = r
+            .with_entry("m0", |m| alloc(m, &clock, 4, 1, false, None))
+            .unwrap();
         assert!(matches!(outcome, AllocOutcome::Rejected(_)));
         // Releasing the big job grants both queued jobs, in order.
         let granted = r
-            .with_entry("m0", |m| m.release(1, &RequestCtx::inert()))
+            .with_entry("m0", |m| m.release(1, &mut untraced(&clock)))
             .unwrap();
         let ids: Vec<u64> = granted.iter().map(|(id, _)| *id).collect();
         assert_eq!(ids, vec![2, 3]);
@@ -1833,15 +1755,16 @@ mod tests {
 
     #[test]
     fn cancelling_a_queued_head_unblocks_the_queue() {
-        let r = registry_with(SchedulerKind::Fcfs);
-        r.with_entry("m0", |m| alloc(m, 1, 250, false, None))
+        let (r, clock) = registry_with(SchedulerKind::Fcfs);
+        r.with_entry("m0", |m| alloc(m, &clock, 1, 250, false, None))
             .unwrap();
-        r.with_entry("m0", |m| alloc(m, 2, 100, true, None))
+        r.with_entry("m0", |m| alloc(m, &clock, 2, 100, true, None))
             .unwrap();
-        r.with_entry("m0", |m| alloc(m, 3, 5, true, None)).unwrap();
+        r.with_entry("m0", |m| alloc(m, &clock, 3, 5, true, None))
+            .unwrap();
         // Cancel the blocking head; job 3 fits the 6 free processors.
         let granted = r
-            .with_entry("m0", |m| m.release(2, &RequestCtx::inert()))
+            .with_entry("m0", |m| m.release(2, &mut untraced(&clock)))
             .unwrap();
         let ids: Vec<u64> = granted.iter().map(|(id, _)| *id).collect();
         assert_eq!(ids, vec![3]);
@@ -1849,55 +1772,58 @@ mod tests {
 
     #[test]
     fn duplicate_and_unknown_jobs_are_errors() {
-        let r = registry_with(SchedulerKind::Fcfs);
-        r.with_entry("m0", |m| alloc(m, 1, 4, false, None)).unwrap();
+        let (r, clock) = registry_with(SchedulerKind::Fcfs);
+        r.with_entry("m0", |m| alloc(m, &clock, 1, 4, false, None))
+            .unwrap();
         assert_eq!(
-            r.with_entry("m0", |m| alloc(m, 1, 4, false, None)),
+            r.with_entry("m0", |m| alloc(m, &clock, 1, 4, false, None)),
             Err(ServiceError::DuplicateJob {
                 machine: "m0".to_string(),
                 job_id: 1
             })
         );
         assert_eq!(
-            r.with_entry("m0", |m| m.release(99, &RequestCtx::inert())),
+            r.with_entry("m0", |m| m.release(99, &mut untraced(&clock))),
             Err(ServiceError::UnknownJob {
                 machine: "m0".to_string(),
                 job_id: 99
             })
         );
         assert!(matches!(
-            r.with_entry("m0", |m| alloc(m, 5, 0, false, None)),
+            r.with_entry("m0", |m| alloc(m, &clock, 5, 0, false, None)),
             Err(ServiceError::InvalidRequest(_))
         ));
         assert!(matches!(
-            r.with_entry("m0", |m| alloc(m, 5, 1000, false, None)),
+            r.with_entry("m0", |m| alloc(m, &clock, 5, 1000, false, None)),
             Err(ServiceError::InvalidRequest(_))
         ));
         for bad_walltime in [0.0, -1.0, f64::NAN, f64::INFINITY] {
             assert!(matches!(
-                r.with_entry("m0", |m| alloc(m, 5, 1, false, Some(bad_walltime))),
+                r.with_entry("m0", |m| alloc(m, &clock, 5, 1, false, Some(bad_walltime))),
                 Err(ServiceError::InvalidRequest(_))
             ));
         }
         assert!(matches!(
-            r.with_entry("nope", |m| alloc(m, 1, 1, false, None)),
+            r.with_entry("nope", |m| alloc(m, &clock, 1, 1, false, None)),
             Err(ServiceError::UnknownMachine(_))
         ));
     }
 
     #[test]
     fn first_fit_backfill_lets_fitting_jobs_jump_the_head() {
-        let r = registry_with(SchedulerKind::FirstFitBackfill);
-        r.with_entry("m0", |m| alloc(m, 1, 250, false, None))
+        let (r, clock) = registry_with(SchedulerKind::FirstFitBackfill);
+        r.with_entry("m0", |m| alloc(m, &clock, 1, 250, false, None))
             .unwrap();
         // Job 2 blocks as the head; job 3 fits the 6 free processors and
         // starts immediately under first-fit backfill.
         assert_eq!(
-            r.with_entry("m0", |m| alloc(m, 2, 100, true, None))
+            r.with_entry("m0", |m| alloc(m, &clock, 2, 100, true, None))
                 .unwrap(),
             AllocOutcome::Queued(1)
         );
-        let outcome = r.with_entry("m0", |m| alloc(m, 3, 5, true, None)).unwrap();
+        let outcome = r
+            .with_entry("m0", |m| alloc(m, &clock, 3, 5, true, None))
+            .unwrap();
         assert!(
             matches!(outcome, AllocOutcome::Granted(ref nodes) if nodes.len() == 5),
             "backfill should start job 3 at once, got {outcome:?}"
@@ -1907,24 +1833,24 @@ mod tests {
 
     #[test]
     fn easy_backfills_only_jobs_that_respect_the_reservation() {
-        let r = registry_with(SchedulerKind::EasyBackfill);
+        let (r, clock) = registry_with(SchedulerKind::EasyBackfill);
         r.with_entry("m0", |m| {
-            m.set_time(0.0);
+            clock.set_time(0.0);
             // 200 processors for 100 s: releases at t = 100.
-            alloc(m, 1, 200, false, Some(100.0))
+            alloc(m, &clock, 1, 200, false, Some(100.0))
         })
         .unwrap();
         // The head needs 100 (only 56 free): the shadow time is t = 100
         // (job 1's release), with 256 − 100 = 156 extra processors free
         // at that instant.
         assert_eq!(
-            r.with_entry("m0", |m| alloc(m, 2, 100, true, Some(50.0)))
+            r.with_entry("m0", |m| alloc(m, &clock, 2, 100, true, Some(50.0)))
                 .unwrap(),
             AllocOutcome::Queued(1)
         );
         // A short job (done by t = 50 < 100) backfills.
         let outcome = r
-            .with_entry("m0", |m| alloc(m, 3, 40, true, Some(50.0)))
+            .with_entry("m0", |m| alloc(m, &clock, 3, 40, true, Some(50.0)))
             .unwrap();
         assert!(
             matches!(outcome, AllocOutcome::Granted(_)),
@@ -1934,12 +1860,12 @@ mod tests {
         // the 156 extras is granted even though it outlives the shadow
         // time (it can never delay the head).
         let outcome = r
-            .with_entry("m0", |m| alloc(m, 4, 16, true, Some(1000.0)))
+            .with_entry("m0", |m| alloc(m, &clock, 4, 16, true, Some(1000.0)))
             .unwrap();
         assert!(matches!(outcome, AllocOutcome::Granted(_)));
         // Nothing is free any more: the next job queues behind the head.
         assert_eq!(
-            r.with_entry("m0", |m| alloc(m, 5, 10, true, Some(1000.0)))
+            r.with_entry("m0", |m| alloc(m, &clock, 5, 10, true, Some(1000.0)))
                 .unwrap(),
             AllocOutcome::Queued(2)
         );
@@ -1954,31 +1880,34 @@ mod tests {
         // grants it; conservative also protects the mid-queue job's and
         // queues it.
         let sequence = |kind: SchedulerKind| {
-            let r = registry_with(kind);
+            let (r, clock) = registry_with(kind);
             r.with_entry("m0", |m| {
-                m.set_time(0.0);
+                clock.set_time(0.0);
                 // 200 processors until t = 100: 56 free.
                 assert!(matches!(
-                    alloc(m, 1, 200, false, Some(100.0))?,
+                    alloc(m, &clock, 1, 200, false, Some(100.0))?,
                     AllocOutcome::Granted(_)
                 ));
                 // Head: 100 processors, reserved at t = 100.
-                assert_eq!(alloc(m, 2, 100, true, Some(50.0))?, AllocOutcome::Queued(1));
+                assert_eq!(
+                    alloc(m, &clock, 2, 100, true, Some(50.0))?,
+                    AllocOutcome::Queued(1)
+                );
                 // A short small job backfills under both policies.
                 assert!(matches!(
-                    alloc(m, 3, 30, true, Some(40.0))?,
+                    alloc(m, &clock, 3, 30, true, Some(40.0))?,
                     AllocOutcome::Granted(_)
                 ));
                 // 250 processors: reserved at t = 150 (after the head's
                 // [100, 150) window) with only 6 spare during its run.
                 assert_eq!(
-                    alloc(m, 4, 250, true, Some(100.0))?,
+                    alloc(m, &clock, 4, 250, true, Some(100.0))?,
                     AllocOutcome::Queued(2)
                 );
                 // The probe: 26 processors (exactly the free count) for
                 // 1000 seconds — it would hold processors job 4's
                 // reservation needs at t = 150.
-                alloc(m, 5, 26, true, Some(1000.0))
+                alloc(m, &clock, 5, 26, true, Some(1000.0))
             })
             .unwrap()
         };
@@ -1998,16 +1927,16 @@ mod tests {
 
     #[test]
     fn conservative_cancel_mid_queue_recomputes_reservations() {
-        let r = registry_with(SchedulerKind::Conservative);
+        let (r, clock) = registry_with(SchedulerKind::Conservative);
         r.with_entry("m0", |m| {
-            m.set_time(0.0);
-            alloc(m, 1, 200, false, Some(100.0))?;
-            alloc(m, 2, 100, true, Some(50.0))?;
-            alloc(m, 3, 30, true, Some(40.0))?;
-            alloc(m, 4, 250, true, Some(100.0))?;
+            clock.set_time(0.0);
+            alloc(m, &clock, 1, 200, false, Some(100.0))?;
+            alloc(m, &clock, 2, 100, true, Some(50.0))?;
+            alloc(m, &clock, 3, 30, true, Some(40.0))?;
+            alloc(m, &clock, 4, 250, true, Some(100.0))?;
             // Blocked only by job 4's carve (6 spare during [150, 250)).
             assert_eq!(
-                alloc(m, 5, 26, true, Some(1000.0))?,
+                alloc(m, &clock, 5, 26, true, Some(1000.0))?,
                 AllocOutcome::Queued(3)
             );
             Ok(())
@@ -2016,7 +1945,7 @@ mod tests {
         // Cancelling the mid-queue job recomputes the table: job 5's
         // window no longer collides with any carve and it starts at once.
         let granted = r
-            .with_entry("m0", |m| m.release(4, &RequestCtx::inert()))
+            .with_entry("m0", |m| m.release(4, &mut untraced(&clock)))
             .unwrap();
         let ids: Vec<u64> = granted.iter().map(|(id, _)| *id).collect();
         assert_eq!(ids, vec![5], "cancel must re-plan the queue");
@@ -2031,16 +1960,17 @@ mod tests {
 
     #[test]
     fn set_scheduler_redrains_the_queue() {
-        let r = registry_with(SchedulerKind::Fcfs);
-        r.with_entry("m0", |m| alloc(m, 1, 250, false, None))
+        let (r, clock) = registry_with(SchedulerKind::Fcfs);
+        r.with_entry("m0", |m| alloc(m, &clock, 1, 250, false, None))
             .unwrap();
-        r.with_entry("m0", |m| alloc(m, 2, 100, true, None))
+        r.with_entry("m0", |m| alloc(m, &clock, 2, 100, true, None))
             .unwrap();
-        r.with_entry("m0", |m| alloc(m, 3, 5, true, None)).unwrap();
+        r.with_entry("m0", |m| alloc(m, &clock, 3, 5, true, None))
+            .unwrap();
         // FCFS blocks job 3 behind job 2; switching to backfill admits it.
         let granted = r
             .with_entry("m0", |m| {
-                Ok(m.set_scheduler(SchedulerKind::FirstFitBackfill, &RequestCtx::inert()))
+                Ok(m.set_scheduler(SchedulerKind::FirstFitBackfill, &mut untraced(&clock)))
             })
             .unwrap();
         let ids: Vec<u64> = granted.iter().map(|(id, _)| *id).collect();
@@ -2050,7 +1980,9 @@ mod tests {
             SchedulerKind::FirstFitBackfill
         );
         assert_eq!(
-            r.with_entry("m0", |m| Ok(m.snapshot())).unwrap().scheduler,
+            r.with_entry("m0", |m| Ok(m.snapshot(0.0)))
+                .unwrap()
+                .scheduler,
             "first-fit backfill"
         );
     }
@@ -2061,16 +1993,16 @@ mod tests {
         // fair-share on, mouse's queued jobs drain first even though hog
         // arrived earlier — while each tenant's own jobs keep arrival
         // order.
-        let r = registry_with(SchedulerKind::Fcfs);
+        let (r, clock) = registry_with(SchedulerKind::Fcfs);
         let tenants = Arc::clone(r.tenants());
         tenants.admit(Some("hog"), 1_000_000.0).unwrap();
         tenants.admit(Some("mouse"), 10.0).unwrap();
         let submit = |m: &mut MachineEntry, id: u64, tenant: &str| {
             let args = AllocArgs::new(id, 200).or_wait().for_tenant(tenant);
-            m.allocate(&args, "direct", &RequestCtx::inert())
+            m.allocate(&args, "direct", &mut untraced(&clock))
         };
         r.with_entry("m0", |m| {
-            alloc(m, 1, 250, false, None)?;
+            alloc(m, &clock, 1, 250, false, None)?;
             submit(m, 2, "hog")?;
             submit(m, 3, "hog")?;
             submit(m, 4, "mouse")?;
@@ -2080,9 +2012,9 @@ mod tests {
         .unwrap();
         let granted = r
             .with_entry("m0", |m| {
-                m.set_fair_share(true, &RequestCtx::inert());
+                m.set_fair_share(true, &mut untraced(&clock));
                 assert!(m.fair_share());
-                m.release(1, &RequestCtx::inert())
+                m.release(1, &mut untraced(&clock))
             })
             .unwrap();
         let ids: Vec<u64> = granted.iter().map(|(id, _)| *id).collect();
@@ -2097,22 +2029,22 @@ mod tests {
 
     #[test]
     fn release_settles_the_tenant_ledger() {
-        let r = registry_with(SchedulerKind::Fcfs);
+        let (r, clock) = registry_with(SchedulerKind::Fcfs);
         let tenants = Arc::clone(r.tenants());
         tenants
             .admit(Some("acme"), job_cost(30, Some(100.0)))
             .unwrap();
         r.with_entry("m0", |m| {
-            m.set_time(0.0);
+            clock.set_time(0.0);
             let args = AllocArgs::new(1, 30)
                 .with_walltime(100.0)
                 .for_tenant("acme");
-            m.allocate(&args, "direct", &RequestCtx::inert())
+            m.allocate(&args, "direct", &mut untraced(&clock))
         })
         .unwrap();
         r.with_entry("m0", |m| {
-            m.set_time(40.0);
-            m.release(1, &RequestCtx::inert())
+            clock.set_time(40.0);
+            m.release(1, &mut untraced(&clock))
         })
         .unwrap();
         let row = tenants
@@ -2129,102 +2061,18 @@ mod tests {
     }
 
     #[test]
-    fn virtual_time_is_monotonic_and_drives_wait_metrics() {
-        let r = registry_with(SchedulerKind::Fcfs);
-        r.with_entry("m0", |m| {
-            m.set_time(10.0);
-            alloc(m, 1, 250, false, None)
-        })
-        .unwrap();
-        r.with_entry("m0", |m| alloc(m, 2, 20, true, None)).unwrap();
-        r.with_entry("m0", |m| {
-            m.set_time(35.0);
-            m.set_time(1.0); // clamped: virtual time never rewinds
-            assert_eq!(m.now(), 35.0);
-            Ok(())
-        })
-        .unwrap();
-        let granted = r
-            .with_entry("m0", |m| m.release(1, &RequestCtx::inert()))
-            .unwrap();
-        assert_eq!(granted.len(), 1);
-        let (count, mean, max) = r
-            .with_entry("m0", |m| {
-                Ok((
-                    m.metrics.wait.count,
-                    m.metrics.wait.mean_seconds(),
-                    m.metrics.wait.max_seconds,
-                ))
-            })
-            .unwrap();
-        assert_eq!(count, 1);
-        assert!(
-            (mean - 25.0).abs() < 1e-9,
-            "waited 35 - 10 = 25 s, got {mean}"
-        );
-        assert!((max - 25.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn restore_rebases_wall_clocks_past_recovered_stamps() {
-        // Recovered stamps come from the previous incarnation's clock; a
-        // wall clock restarting at zero would put them in the future
-        // (negative waits, EASY shadow times hours ahead). restore_*
-        // must drag the clock past every stamp it folds in.
-        let r = registry_with(SchedulerKind::Fcfs);
-        r.with_entry("m0", |m| {
-            m.restore_grant(RunningJob {
-                job: 1,
-                nodes: vec![NodeId(0)],
-                walltime: Some(10.0),
-                start: 3600.0,
-                pattern: None,
-                tenant: None,
-            })
-            .map_err(ServiceError::InvalidRequest)?;
-            assert!(m.now() >= 3600.0, "clock not rebased past the grant");
-            m.restore_queue(QueuedRequest {
-                job: 2,
-                size: 4,
-                walltime: None,
-                enqueued_at: 3610.0,
-                pattern: None,
-                tenant: None,
-            })
-            .map_err(ServiceError::InvalidRequest)?;
-            assert!(m.now() >= 3610.0, "clock not rebased past the enqueue");
-            m.check_invariants().map_err(ServiceError::InvalidRequest)
-        })
-        .unwrap();
-        // Releasing the recovered job drains the recovered queue with a
-        // sane (small, non-negative) recorded wait.
-        let granted = r
-            .with_entry("m0", |m| m.release(1, &RequestCtx::inert()))
-            .unwrap();
-        assert_eq!(granted.len(), 1);
-        assert_eq!(granted[0].0, 2);
-        let mean = r
-            .with_entry("m0", |m| Ok(m.metrics.wait.mean_seconds()))
-            .unwrap();
-        assert!(
-            (0.0..60.0).contains(&mean),
-            "recovered wait skewed by the clock base: {mean}"
-        );
-    }
-
-    #[test]
     fn recording_moves_no_placement_and_scores_the_winner() {
         // Holes of 20 after jobs 2 and 4, and a 136-node tail: sizes 7
         // and 20 see three windows, 30 and 64 one.
-        let r = registry_with(SchedulerKind::Fcfs);
+        let (r, clock) = registry_with(SchedulerKind::Fcfs);
         let (mesh, curve) = (Mesh3D::new(8, 8, 4), Curve3Kind::Hilbert);
         let (bf, fcfs) = (SelectionStrategy::BestFit, SchedulerKind::Fcfs);
         r.register_3d("cube", mesh, curve, bf, fcfs).unwrap();
         for name in ["m0", "cube"] {
             r.with_entry(name, |m| {
-                (1..=6).try_for_each(|job| alloc(m, job, 20, false, None).map(drop))?;
-                m.release(2, &RequestCtx::inert())?;
-                m.release(4, &RequestCtx::inert())?;
+                (1..=6).try_for_each(|job| alloc(m, &clock, job, 20, false, None).map(drop))?;
+                m.release(2, &mut untraced(&clock))?;
+                m.release(4, &mut untraced(&clock))?;
                 let mut lone_and_several = (false, false);
                 for (size, pattern) in [7, 20, 30, 64].into_iter().zip(CommPattern::all()) {
                     let mut pick = |recording| {
@@ -2250,6 +2098,7 @@ mod tests {
     #[test]
     fn three_d_machines_allocate_contiguously_when_empty() {
         let r = Registry::default();
+        let clock = Clock::wall();
         r.register_3d(
             "cube",
             Mesh3D::new(8, 8, 8),
@@ -2259,7 +2108,7 @@ mod tests {
         )
         .unwrap();
         let AllocOutcome::Granted(nodes) = r
-            .with_entry("cube", |m| alloc(m, 1, 32, false, None))
+            .with_entry("cube", |m| alloc(m, &clock, 1, 32, false, None))
             .unwrap()
         else {
             panic!("grant expected");
@@ -2269,7 +2118,7 @@ mod tests {
         // connected component.
         assert_eq!(Mesh3D::new(8, 8, 8).components(&nodes), 1);
         assert_invariants(&r, "cube");
-        let snap = r.with_entry("cube", |m| Ok(m.snapshot())).unwrap();
+        let snap = r.with_entry("cube", |m| Ok(m.snapshot(0.0))).unwrap();
         assert_eq!(snap.dims, "8x8x8");
         assert_eq!(snap.busy, 32);
         assert_eq!(snap.live_jobs, 1);

@@ -173,9 +173,7 @@ pub fn replay(
         }
 
         now = event_time.max(now);
-        service
-            .set_time(machine, now)
-            .expect("replay machine exists");
+        service.clock().set_time(now);
 
         if is_arrival {
             let job = jobs[next_arrival];
@@ -275,7 +273,7 @@ pub(crate) fn next_cluster_completion(running: &[Vec<(u64, f64)>]) -> Option<(f6
 /// the event loop of [`replay`] generalised to many machines: arrivals
 /// win ties against completions, each machine's completions reduce over
 /// its own push/`swap_remove` vector ([`next_cluster_completion`]), and
-/// all member clocks advance in lockstep.
+/// the members share the service's one clock.
 ///
 /// # Panics
 ///
@@ -321,9 +319,7 @@ pub fn replay_cluster(
         }
 
         now = event_time.max(now);
-        service
-            .set_time(&pool_address, now)
-            .expect("replay pool exists");
+        service.clock().set_time(now);
 
         if is_arrival {
             let job = jobs[next_arrival];

@@ -497,12 +497,11 @@ fn dispatch_frame(
     }
     // Mint the request id before parsing so the parse itself is on the
     // timeline; a disabled recorder makes this ctx inert.
-    let ctx = service.recorder().begin();
-    let parse_start = ctx.now_micros();
+    let mut ctx = service.begin();
     let request = framing::parse_frame(framing, payload, tape, |root| Request::read(root));
     let response = match request {
         Ok(mut request) => {
-            ctx.span(Stage::Parse, 0, 0, parse_start, ctx.now_micros());
+            ctx.lap(Stage::Parse, 0, 0);
             bind_tenant(&mut request, conn_tenant);
             let response = service.handle_traced(&request, &ctx);
             if let (Request::Hello { tenant }, Response::Hello { .. }) = (&request, &response) {
@@ -511,7 +510,7 @@ fn dispatch_frame(
             response
         }
         Err(e) => {
-            ctx.span(Stage::Parse, 0, 1, parse_start, ctx.now_micros());
+            ctx.lap(Stage::Parse, 0, 1);
             ServiceMetrics::bump(&service.metrics().protocol_errors);
             Response::Error {
                 message: format!("bad request: {e}"),

@@ -6,6 +6,7 @@
 //! [`AllocationService::handle`].
 
 use crate::calibration::CalibrationStore;
+use crate::clock::Clock;
 use crate::cluster::{pool_of, MachineSample, PlacementRouter, RoutingPolicy};
 use crate::journal::{
     JournalRecord, JournalSink, MachineSpec, NoopJournal, PoolImage, SnapshotImage, TenantImage,
@@ -33,6 +34,9 @@ pub use crate::registry::{AllocOutcome, JobStatus};
 #[derive(Clone)]
 pub struct AllocationService {
     registry: Arc<Registry>,
+    /// The one time source of scheduling, span stamps, metrics windows
+    /// and fsync waits (see [`crate::clock`]).
+    clock: Arc<Clock>,
     router: Arc<PlacementRouter>,
     metrics: Arc<ServiceMetrics>,
     /// Where state-changing operations are journaled (a no-op sink
@@ -80,6 +84,7 @@ impl Default for AllocationService {
     fn default() -> Self {
         AllocationService {
             registry: Arc::new(Registry::default()),
+            clock: Arc::new(Clock::wall()),
             router: Arc::new(PlacementRouter::default()),
             metrics: Arc::new(ServiceMetrics::default()),
             journal: Arc::new(NoopJournal),
@@ -260,10 +265,21 @@ impl AllocationService {
         &self.journal
     }
 
-    /// The flight recorder (the TCP server mints request contexts from
-    /// it; the CLI toggles it via `serve --trace`).
+    /// The flight recorder (the CLI toggles it via `serve --trace`).
     pub fn recorder(&self) -> &Arc<FlightRecorder> {
         &self.recorder
+    }
+
+    /// The service clock.
+    pub fn clock(&self) -> &Clock {
+        &self.clock
+    }
+
+    /// Begins a wire request: a recorder context on the service clock.
+    /// A traced one reads the clock once, opening its first stage; an
+    /// untraced one costs one relaxed load.
+    pub fn begin(&self) -> RequestCtx<'_> {
+        self.recorder.begin().on(&self.clock)
     }
 
     /// The placement calibration store (shared by every machine entry;
@@ -279,14 +295,13 @@ impl AllocationService {
     /// traced request gets a `journal_append` span per record, and a
     /// `fsync_wait` span for the slice of it spent blocked on the disk
     /// (`--fsync every`; group commit never blocks the append).
-    fn flush_effects(&self, entry: &mut MachineEntry, ctx: &RequestCtx<'_>) {
+    fn flush_effects(&self, entry: &mut MachineEntry, ctx: &mut RequestCtx<'_>) {
         for record in entry.take_outbox() {
-            let start = ctx.now_micros();
-            let (seq, fsync_wait) = self.journal.append_timed(&record);
-            let end = ctx.now_micros();
-            ctx.span(Stage::JournalAppend, 0, 0, start, end);
-            if fsync_wait != 0 {
-                ctx.span(Stage::FsyncWait, 0, 0, end.saturating_sub(fsync_wait), end);
+            let clock = ctx.active().then_some(&*self.clock);
+            let (seq, synced_from) = self.journal.append_timed(&record, clock);
+            let end = ctx.lap(Stage::JournalAppend, 0, 0);
+            if let Some(from) = synced_from {
+                ctx.span(Stage::FsyncWait, 0, 0, from, end);
             }
             entry.note_journal_seq(seq);
         }
@@ -484,12 +499,12 @@ impl AllocationService {
         args: &AllocArgs<'_>,
         ctx: &RequestCtx<'_>,
     ) -> Result<AllocOutcome, ServiceError> {
-        let ctx = ctx.with_machine(machine);
+        let mut ctx = ctx.on(&self.clock).with_machine(machine);
         let cost = job_cost(args.size, args.walltime);
         self.admit_quota(args.tenant, cost)?;
         let result = self.registry.with_entry(machine, |entry| {
-            let outcome = entry.allocate(args, "direct", &ctx);
-            self.flush_effects(entry, &ctx);
+            let outcome = entry.allocate(args, "direct", &mut ctx);
+            self.flush_effects(entry, &mut ctx);
             outcome
         });
         self.refund_unless_live(args.tenant, cost, result.as_ref().ok());
@@ -578,6 +593,7 @@ impl AllocationService {
         let AllocArgs {
             job, size, pattern, ..
         } = *args;
+        let ctx = ctx.on(&self.clock);
         let route_start = ctx.now_micros();
         for attempt in 0..=ROUTE_STALE_RETRIES {
             let view = self.router.view(pool)?;
@@ -611,28 +627,21 @@ impl AllocationService {
                 && eligible.iter().all(|s| s.contention.is_none());
             let expected_generation = chosen.generation;
             let target = chosen.name.clone();
-            let mctx = ctx.with_machine(&target);
+            let mut mctx = ctx.with_machine(&target);
             let committed = self.registry.with_entry(&target, |entry| {
                 if attempt < ROUTE_STALE_RETRIES && entry.generation() != expected_generation {
                     return Ok(None); // the sample went stale: re-route
                 }
-                mctx.span(
-                    Stage::Route,
-                    job,
-                    attempt as u32,
-                    route_start,
-                    mctx.now_micros(),
-                );
-                let outcome = entry.allocate(args, policy.name(), &mctx).map(Some);
-                self.flush_effects(entry, &mctx);
-                outcome
+                let route_end = mctx.lap(Stage::Route, job, attempt as u32);
+                let outcome = entry.allocate(args, policy.name(), &mut mctx);
+                self.flush_effects(entry, &mut mctx);
+                outcome.map(|outcome| Some((outcome, route_end)))
             })?;
-            if let Some(outcome) = committed {
+            if let Some((outcome, route_end)) = committed {
                 if fallback {
                     ServiceMetrics::bump(&self.metrics.route_comm_fallbacks);
                 }
                 if mctx.active() {
-                    let route_end = mctx.now_micros();
                     self.note_routed(pool, policy, route_start, route_end);
                     self.recorder.record_decision(decision_record(
                         pool,
@@ -736,10 +745,10 @@ impl AllocationService {
         ctx: &RequestCtx<'_>,
     ) -> Result<(SchedulerKind, Vec<(u64, Vec<NodeId>)>), ServiceError> {
         let kind = parse_scheduler(scheduler)?;
-        let ctx = ctx.with_machine(machine);
+        let mut ctx = ctx.on(&self.clock).with_machine(machine);
         self.registry.with_entry(machine, |entry| {
-            let granted = entry.set_scheduler(kind, &ctx);
-            self.flush_effects(entry, &ctx);
+            let granted = entry.set_scheduler(kind, &mut ctx);
+            self.flush_effects(entry, &mut ctx);
             Ok((kind, granted))
         })
     }
@@ -812,10 +821,10 @@ impl AllocationService {
         enabled: bool,
         ctx: &RequestCtx<'_>,
     ) -> Result<Vec<(u64, Vec<NodeId>)>, ServiceError> {
-        let ctx = ctx.with_machine(machine);
+        let mut ctx = ctx.on(&self.clock).with_machine(machine);
         self.registry.with_entry(machine, |entry| {
-            let granted = entry.set_fair_share(enabled, &ctx);
-            self.flush_effects(entry, &ctx);
+            let granted = entry.set_fair_share(enabled, &mut ctx);
+            self.flush_effects(entry, &mut ctx);
             Ok(granted)
         })
     }
@@ -860,22 +869,18 @@ impl AllocationService {
         Value::Object(out)
     }
 
-    /// Switches `machine` to virtual time and sets its clock to `t`
+    /// Switches the service clock to virtual time and sets it to `t`
     /// seconds (deterministic replay and test harnesses; live daemons
-    /// stay on wall time). Monotonic: earlier stamps are clamped.
-    /// Addressing a pool (`"@pool"`) advances every member clock — the
-    /// cluster replay harness keeps a pool on one logical clock this way.
+    /// stay on wall time). Monotonic: earlier stamps are clamped. The
+    /// clock is the whole service's: `machine` (a machine or an
+    /// `"@pool"`) only has to exist.
     pub fn set_time(&self, machine: &str, t: f64) -> Result<(), ServiceError> {
-        if let Some(pool) = pool_of(machine) {
-            for member in self.router.members(pool)? {
-                self.set_time(&member, t)?;
-            }
-            return Ok(());
+        match pool_of(machine) {
+            Some(pool) => self.router.members(pool).map(drop)?,
+            None => self.registry.with_entry(machine, |_| Ok(()))?,
         }
-        self.registry.with_entry(machine, |entry| {
-            entry.set_time(t);
-            Ok(())
-        })
+        self.clock.set_time(t);
+        Ok(())
     }
 
     /// Releases (or cancels) `job`, returning jobs granted from the queue.
@@ -885,10 +890,10 @@ impl AllocationService {
         job: u64,
         ctx: &RequestCtx<'_>,
     ) -> Result<Vec<(u64, Vec<NodeId>)>, ServiceError> {
-        let ctx = ctx.with_machine(machine);
+        let mut ctx = ctx.on(&self.clock).with_machine(machine);
         self.registry.with_entry(machine, |entry| {
-            let granted = entry.release(job, &ctx);
-            self.flush_effects(entry, &ctx);
+            let granted = entry.release(job, &mut ctx);
+            self.flush_effects(entry, &mut ctx);
             granted
         })
     }
@@ -1046,20 +1051,21 @@ impl AllocationService {
         &self,
         machine: &str,
     ) -> Result<crate::journal::MachineImage, ServiceError> {
+        let clock = self.clock.virtual_time();
         self.registry
-            .with_entry(machine, |entry| Ok(entry.capture_image()))
+            .with_entry(machine, |entry| Ok(entry.capture_image(clock)))
     }
 
     /// Occupancy snapshot of `machine`.
     pub fn query(&self, machine: &str) -> Result<MachineSnapshot, ServiceError> {
         self.registry
-            .with_entry(machine, |entry| Ok(entry.snapshot()))
+            .with_entry(machine, |entry| Ok(entry.snapshot(self.clock.now())))
     }
 
     /// Counter snapshot of `machine` combined with server totals.
     pub fn stats(&self, machine: &str) -> Result<Value, ServiceError> {
         let (snapshot, machine_metrics) = self.registry.with_entry(machine, |entry| {
-            Ok((entry.snapshot(), entry.metrics.clone()))
+            Ok((entry.snapshot(self.clock.now()), entry.metrics.clone()))
         })?;
         let mut m = Map::new();
         m.insert("machine".into(), snapshot.to_value());
@@ -1106,9 +1112,7 @@ impl AllocationService {
     fn stage_histograms_for(&self, span: Option<u64>) -> [LogLinearHistogram; Stage::HISTOGRAMMED] {
         match span {
             None => self.recorder.stage_histograms(),
-            Some(span) => self
-                .recorder
-                .stage_windows(self.recorder.now_micros() / 1_000_000, span),
+            Some(span) => self.recorder.stage_windows(self.clock.now() as u64, span),
         }
     }
 
@@ -1128,7 +1132,7 @@ impl AllocationService {
     /// order) carrying the policy label and the cumulative or windowed
     /// histogram.
     fn pools_value(&self, span: Option<u64>) -> Value {
-        let now_sec = self.recorder.now_micros() / 1_000_000;
+        let now_sec = self.clock.now() as u64;
         let pools = self.pool_windows.lock().expect("pool windows poisoned");
         let mut out = Map::new();
         for (pool, slot) in pools.iter() {
@@ -1222,7 +1226,7 @@ impl AllocationService {
                 &mut out,
             );
         }
-        let now_sec = self.recorder.now_micros() / 1_000_000;
+        let now_sec = self.clock.now() as u64;
         let pools = self.pool_windows.lock().expect("pool windows poisoned");
         if !pools.is_empty() {
             let _ = writeln!(out, "# TYPE commalloc_pool_route_latency_micros histogram");
@@ -1294,10 +1298,7 @@ impl AllocationService {
     pub fn capture_snapshot(&self, covers: u64) -> JournalRecord {
         let mut machines = Vec::new();
         for name in self.list() {
-            if let Ok(image) = self
-                .registry
-                .with_entry(&name, |entry| Ok(entry.capture_image()))
-            {
+            if let Ok(image) = self.machine_image(&name) {
                 machines.push(image);
             }
         }
@@ -1365,12 +1366,12 @@ impl AllocationService {
             JournalRecord::Register { spec, pool } => {
                 self.register_inner(spec, pool.as_deref(), false)
             }
-            JournalRecord::Grant { machine, job } => {
-                self.restore(machine, |entry| entry.restore_grant(job.clone()))
-            }
-            JournalRecord::Queue { machine, request } => {
-                self.restore(machine, |entry| entry.restore_queue(request.clone()))
-            }
+            JournalRecord::Grant { machine, job } => self.restore(machine, |entry| {
+                entry.restore_grant(job.clone(), &self.clock)
+            }),
+            JournalRecord::Queue { machine, request } => self.restore(machine, |entry| {
+                entry.restore_queue(request.clone(), &self.clock)
+            }),
             JournalRecord::Release { machine, job } => {
                 self.restore(machine, |entry| entry.restore_release(*job))
             }
@@ -1429,10 +1430,7 @@ impl AllocationService {
         let mut outstanding: std::collections::HashMap<String, f64> = Default::default();
         let mut queued: std::collections::HashMap<String, u64> = Default::default();
         for name in self.list() {
-            let Ok(image) = self
-                .registry
-                .with_entry(&name, |entry| Ok(entry.capture_image()))
-            else {
+            let Ok(image) = self.machine_image(&name) else {
                 continue;
             };
             for r in &image.running {
@@ -1493,17 +1491,25 @@ impl AllocationService {
         }
         for m in &image.machines {
             let machine = &m.spec.machine;
+            // A virtual clock replays from the snapshot; a wall clock is
+            // rebased past the restored stamps instead.
+            if let Some(t) = m.clock {
+                self.clock.set_time(t);
+            }
             self.restore(machine, |entry| {
-                entry.restore_clock(m.clock);
                 entry.note_journal_seq(m.seq);
                 entry.restore_fair_share(m.fair_share);
                 Ok(())
             })?;
             for job in &m.running {
-                self.restore(machine, |entry| entry.restore_grant(job.clone()))?;
+                self.restore(machine, |entry| {
+                    entry.restore_grant(job.clone(), &self.clock)
+                })?;
             }
             for request in &m.queue {
-                self.restore(machine, |entry| entry.restore_queue(request.clone()))?;
+                self.restore(machine, |entry| {
+                    entry.restore_queue(request.clone(), &self.clock)
+                })?;
             }
         }
         Ok(watermarks)
@@ -1549,7 +1555,7 @@ impl AllocationService {
                             code: None,
                             detail: None,
                         },
-                        other => self.handle_traced(other, ctx),
+                        other => self.handle_traced(other, &ctx.restart()),
                     })
                     .collect(),
             );
@@ -1639,7 +1645,8 @@ impl AllocationService {
                                 JobStatus::Queued(position) => {
                                     // Same lock hold as the poll itself, so the
                                     // outlook describes the position just reported.
-                                    let outlook = entry.queue_outlook(job);
+                                    let now = ctx.on(&self.clock).now();
+                                    let outlook = entry.queue_outlook(job, now);
                                     Response::Waiting {
                                         job,
                                         position,

@@ -24,7 +24,12 @@
 //! JSON. Stage latency distributions are exported independently through
 //! the `metrics` op as [`LogLinearHistogram`]s — both cumulative and as
 //! trailing time windows (each shard keeps a [`WindowRing`] per stage,
-//! so `metrics` can answer "last 10 s" as well as "since boot").
+//! filed under the second each span *ends*, so `metrics` can answer
+//! "last 10 s" as well as "since boot").
+//!
+//! The recorder keeps no time of its own: span stamps are microseconds
+//! on the service [`Clock`], read by the [`RequestCtx`] at each stage
+//! boundary, so spans are deterministic under virtual time.
 //!
 //! The recorder also carries the **routing decision ring**: one bounded
 //! buffer of pre-rendered decision records (policy, members sampled,
@@ -33,6 +38,7 @@
 //! rendered to wire values at record time — they are off the zero-alloc
 //! span path and orders of magnitude rarer than spans.
 
+use crate::clock::{micros, Clock};
 use crate::metrics::{LogLinearHistogram, WindowRing};
 use commalloc::scheduler::BlockReason;
 use serde::{Serialize, Value};
@@ -40,7 +46,6 @@ use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, RwLock};
-use std::time::Instant;
 
 /// Pipeline stages a request traverses, in hot-path order. The first
 /// [`Stage::HISTOGRAMMED`] stages accumulate latency histograms;
@@ -55,7 +60,8 @@ pub enum Stage {
     /// Time spent queued in admission (enqueue → grant), for jobs that
     /// waited.
     Queue = 2,
-    /// The allocator probe: one placement attempt on one machine.
+    /// The allocator probe: one placement attempt on one machine, from the
+    /// previous boundary (a direct alloc's includes the machine-lock wait).
     Allocator = 3,
     /// Composing and appending journal records for one request.
     JournalAppend = 4,
@@ -168,9 +174,10 @@ pub struct SpanEvent {
     /// Stage-specific payload: for `Deny`, the blocking job ID.
     pub detail: u64,
     /// Stage-specific float payload as [`f64::to_bits`]: for `Deny`,
-    /// the blocking reservation's start time (machine clock).
+    /// the blocking reservation's start time (service clock).
     pub aux: u64,
-    /// Start, in microseconds since the recorder's epoch.
+    /// Start, in microseconds on the service clock (virtual seconds
+    /// × 10⁶ under virtual time).
     pub start_micros: u64,
     /// Duration in microseconds (0 for instant markers).
     pub dur_micros: u64,
@@ -193,7 +200,7 @@ struct RingShard {
     lost: u64,
     /// Latency distributions of the histogrammed stages, in
     /// microseconds (scale 1: ticks are already integral micros), per
-    /// recorder-epoch second of the event and since boot.
+    /// service-clock second in which the span ended, and since boot.
     windows: [WindowRing; Stage::HISTOGRAMMED],
 }
 
@@ -209,11 +216,13 @@ impl RingShard {
         }
     }
 
-    /// Buffers one event, overwriting the oldest once full.
+    /// Buffers one event, overwriting the oldest once full. A span is
+    /// windowed under its end second: a long queue wait belongs to the
+    /// window it finished in, and never lands in a stale ring slot.
     fn push(&mut self, event: SpanEvent) {
         if (event.stage as usize) < Stage::HISTOGRAMMED {
-            self.windows[event.stage as usize]
-                .record(event.start_micros / 1_000_000, event.dur_micros as f64);
+            let end_sec = (event.start_micros + event.dur_micros) / 1_000_000;
+            self.windows[event.stage as usize].record(end_sec, event.dur_micros as f64);
         }
         if self.events.len() < self.capacity {
             self.events.push(event);
@@ -269,8 +278,6 @@ static NEXT_RECORDER: AtomicU64 = AtomicU64::new(1);
 pub struct FlightRecorder {
     /// The master switch, read with one relaxed load per request.
     enabled: AtomicBool,
-    /// All event timestamps are micros since this instant.
-    epoch: Instant,
     next_request: AtomicU64,
     /// Distinguishes this recorder in the per-thread intern cache.
     id: u64,
@@ -304,7 +311,6 @@ impl FlightRecorder {
         let capacity = capacity.max(1);
         FlightRecorder {
             enabled: AtomicBool::new(false),
-            epoch: Instant::now(),
             next_request: AtomicU64::new(1),
             id: NEXT_RECORDER.fetch_add(1, Ordering::Relaxed),
             shards: (0..shards)
@@ -326,11 +332,6 @@ impl FlightRecorder {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// Microseconds since the recorder's epoch.
-    pub fn now_micros(&self) -> u64 {
-        self.epoch.elapsed().as_micros() as u64
-    }
-
     /// Begins a request: one relaxed load when disabled (returning the
     /// inert context), a request-ID mint when enabled.
     pub fn begin(&self) -> RequestCtx<'_> {
@@ -340,7 +341,7 @@ impl FlightRecorder {
         RequestCtx {
             recorder: Some(self),
             request: self.next_request.fetch_add(1, Ordering::Relaxed),
-            machine: 0,
+            ..RequestCtx::inert()
         }
     }
 
@@ -489,7 +490,7 @@ impl FlightRecorder {
     }
 
     /// The per-stage latency histograms restricted to the trailing
-    /// `span_secs` seconds ending at `now_sec` (recorder-epoch seconds;
+    /// `span_secs` seconds ending at `now_sec` (service-clock seconds;
     /// span clamped to the 60-slot window), merged across shards.
     pub fn stage_windows(
         &self,
@@ -550,15 +551,23 @@ impl FlightRecorder {
     }
 }
 
-/// The per-request tracing context threaded through the service layers.
-/// `Copy`, two words wide, and inert by default: every method on an
-/// inert context returns immediately, so untraced paths (tracing off,
-/// in-process callers, replay) pay nothing beyond the branch.
+/// The per-request context threaded through the service layers: the
+/// tracing binding and the request's time. `Copy` and inert by default:
+/// every span method on an inert context returns immediately, so
+/// untraced paths pay nothing beyond the branch. A stage's end is the
+/// next stage's start, so the context carries the last boundary read
+/// from its clock ([`RequestCtx::on`]): a traced request with k stages
+/// reads the clock k + 1 times, and the time a machine schedules against
+/// ([`RequestCtx::now`]) is one of them. An untraced request reads it at
+/// most once, when a machine first asks for the time.
 #[derive(Debug, Clone, Copy)]
 pub struct RequestCtx<'a> {
     recorder: Option<&'a FlightRecorder>,
+    clock: Option<&'a Clock>,
     request: u64,
     machine: u32,
+    /// The last stage boundary on `clock`, in seconds (NaN until read).
+    at: f64,
 }
 
 impl RequestCtx<'static> {
@@ -566,8 +575,10 @@ impl RequestCtx<'static> {
     pub const fn inert() -> RequestCtx<'static> {
         RequestCtx {
             recorder: None,
+            clock: None,
             request: 0,
             machine: 0,
+            at: f64::NAN,
         }
     }
 }
@@ -583,13 +594,55 @@ impl<'a> RequestCtx<'a> {
         self.request
     }
 
-    /// Microseconds since the recorder epoch; 0 (and no clock read)
-    /// when inert.
-    pub fn now_micros(&self) -> u64 {
-        match self.recorder {
-            Some(r) => r.now_micros(),
-            None => 0,
+    /// This context on `clock`, the time source its boundaries are read
+    /// from. A traced context without a boundary yet reads the clock
+    /// once here, to open its timeline.
+    pub fn on(&self, clock: &'a Clock) -> RequestCtx<'a> {
+        let mut ctx = *self;
+        ctx.clock = Some(clock);
+        if ctx.active() {
+            ctx.now();
         }
+        ctx
+    }
+
+    /// A copy with no boundary yet, so its next [`RequestCtx::on`]
+    /// opens a fresh timeline (each member of a batch starts when it is
+    /// served, not when the envelope was parsed).
+    pub fn restart(&self) -> RequestCtx<'a> {
+        let mut ctx = *self;
+        ctx.at = f64::NAN;
+        ctx
+    }
+
+    /// The request's time in seconds: its last stage boundary, read
+    /// from the bound clock on first use. Panics on a context never
+    /// bound to a clock (the service binds every request it serves).
+    pub fn now(&mut self) -> f64 {
+        if self.at.is_nan() {
+            self.at = self.clock.expect("request context bound to a clock").now();
+        }
+        self.at
+    }
+
+    /// The last stage boundary in clock microseconds; 0 (and no clock
+    /// read) before the first boundary.
+    pub fn now_micros(&self) -> u64 {
+        micros(self.at)
+    }
+
+    /// Ends the current stage: one clock read, recorded as a `stage`
+    /// span from the last boundary, which the read then replaces as the
+    /// next stage's start. Returns the boundary in microseconds. An
+    /// inert context neither reads nor records.
+    pub fn lap(&mut self, stage: Stage, job: u64, code: u32) -> u64 {
+        if self.active() {
+            let start = micros(self.now());
+            *self = self.restart();
+            let end = micros(self.now());
+            self.span(stage, job, code, start, end);
+        }
+        self.now_micros()
     }
 
     /// A copy of this context bound to `machine` (interning the name);
