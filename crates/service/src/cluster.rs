@@ -1,6 +1,6 @@
 //! Cross-machine placement: routing policies and the pool router.
 //!
-//! The registry already holds many machines behind sharded locks, but every
+//! The service already holds many machines, one lock each, but every
 //! request names its machine explicitly. This module adds the **cluster
 //! layer** above admission: machines registered with a `pool` name become
 //! members of that pool, and an `alloc` addressed to `"@pool"` is routed to
@@ -13,8 +13,8 @@
 //!
 //! 1. reads the pool's member list and policy (a short read-lock on the
 //!    pool table only — machine state is never touched under it),
-//! 2. **samples** each member through the registry's per-shard
-//!    [`crate::Registry::with_entry`] locks, one machine at a time,
+//! 2. **samples** each member under that member's own lock, one
+//!    machine at a time,
 //!    capturing `(free, queue length, generation)`,
 //! 3. lets the policy **pick** a target from the eligible samples (a pure
 //!    function — see [`RoutingPolicy::pick`]), and
@@ -224,7 +224,7 @@ fn least_loaded_of(
     best
 }
 
-/// One machine's routing-relevant state, captured under its shard lock.
+/// One machine's routing-relevant state, captured under its lock.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MachineSample {
     /// Machine name.
@@ -248,8 +248,8 @@ pub struct MachineSample {
 }
 
 /// One pool's shared state. Members are kept sorted by name so sampling
-/// order — and therefore every tie-break — is deterministic and identical
-/// across registry shard counts. The list is shared, not copied, with
+/// order — and therefore every tie-break — is deterministic. The list is
+/// shared, not copied, with
 /// every [`PoolView`]: membership changes only at registration, views are
 /// taken per routed request.
 struct Pool {
@@ -268,7 +268,7 @@ pub(crate) struct PoolView {
 }
 
 /// The pool table: pool name → members + policy. Lives beside the
-/// registry inside [`AllocationService`]; the lock here guards only this
+/// machines inside [`AllocationService`]; the lock here guards only this
 /// small table (membership and policy), never machine state.
 #[derive(Default)]
 pub struct PlacementRouter {

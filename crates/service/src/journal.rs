@@ -8,16 +8,16 @@
 //! journal records every state-changing operation as one JSON line —
 //! registrations (with their full pool/scheduler config), committed
 //! grants, queue admissions, releases, cancels, `set_scheduler` /
-//! `set_router` flips — so a restarted daemon can rebuild the sharded
-//! registry, the admission queues and the [`crate::PlacementRouter`]
-//! pool table exactly as they were.
+//! `set_router` flips — so a restarted daemon can rebuild its machines,
+//! the admission queues and the [`crate::PlacementRouter`] pool table
+//! exactly as they were.
 //!
 //! The journal logs **effects**, not requests: a grant record carries the
 //! exact processors the allocator committed, so recovery never re-runs an
 //! allocator (whose decision could differ once wall clocks restart) — it
 //! re-*occupies*. That makes recovery a pure fold over the record stream,
 //! deterministic by construction, and lets the recovery-equivalence tests
-//! compare a recovered registry byte-for-byte against an uninterrupted
+//! compare a recovered machine byte-for-byte against an uninterrupted
 //! run cut at the same point.
 //!
 //! ## One fact, one codec
@@ -43,7 +43,7 @@
 //!
 //! ## Ordering discipline
 //!
-//! Records are emitted **inside the owning shard lock** of the machine
+//! Records are emitted **inside the lock** of the machine
 //! they describe (see `AllocationService`): for any one machine, journal
 //! order therefore equals mutation order, which is the only ordering
 //! recovery needs — machines are independent apart from the router's
@@ -60,7 +60,7 @@
 //! leaves a torn snapshot). Capture runs **concurrently with appends**:
 //! the sink first rotates to a fresh segment (so every record in older
 //! segments is already reflected in any capture that follows), then each
-//! machine is photographed under its own shard lock together with the
+//! machine is photographed under its own lock together with the
 //! sequence number of its last journaled record — its **watermark**.
 //! Recovery replays only tail records *newer than the watermark* of
 //! their machine, which makes the concurrent capture exact: a record
@@ -266,7 +266,7 @@ pub struct SnapshotImage {
     /// Highest WAL segment index fully reflected in this image; those
     /// segments are pruned once the image is durably installed.
     pub covers: u64,
-    /// Every registered machine, photographed under its shard lock.
+    /// Every registered machine, photographed under its own lock.
     pub machines: Vec<MachineImage>,
     /// Every pool: members and active routing policy.
     pub pools: Vec<PoolImage>,
@@ -720,7 +720,7 @@ impl JournalRecord {
 /// fsync batching.
 pub trait JournalSink: Send + Sync {
     /// Appends one record, returning its assigned global sequence number
-    /// (0 from non-durable sinks). Called while the shard lock of the
+    /// (0 from non-durable sinks). Called while the lock of the
     /// record's machine is held, so per-machine journal order equals
     /// mutation order.
     fn append(&self, record: &JournalRecord) -> u64 {
@@ -916,7 +916,7 @@ pub struct FileJournal {
 
 /// Fail-stop for journal write failures. A panic is not enough: the
 /// server's worker threads run requests under `catch_unwind`, which
-/// would swallow an append panic (leaving the sink and shard locks
+/// would swallow an append panic (leaving the sink and machine locks
 /// poisoned but the daemon alive), and a flusher panic would kill only
 /// the flusher thread and silently downgrade `Batched` to `Never` —
 /// either way the daemon keeps acknowledging operations that are never
@@ -1378,8 +1378,10 @@ pub fn open_journaled(
         service.apply_journal_record(record)?;
         report.applied += 1;
     }
-    // Configs and consumed totals restored from records; the live
-    // tenant gauges (outstanding commitments, queued counts) are
+    // Configs restored from records and the snapshot; consumed totals
+    // from the snapshot image alone (a tail `release` record carries no
+    // hold, so consumption settled after the snapshot is lost). The
+    // live tenant gauges (outstanding commitments, queued counts) are
     // derived state, recomputed exactly from the restored jobs.
     service.rebuild_tenant_gauges();
     report.machines = service.list().len();

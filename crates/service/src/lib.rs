@@ -15,10 +15,11 @@
 //! allocator must answer immediately. This crate generalises the repo's
 //! offline replay engine (`commalloc::engine`) to online operation:
 //!
-//! * **State ownership.** A [`registry::Registry`] holds every registered
-//!   machine behind **sharded locks** (machines hash to shards; requests
-//!   for different machines proceed in parallel, requests for one machine
-//!   serialise — exactly the consistency the occupancy invariant needs).
+//! * **State ownership.** [`AllocationService`] holds every registered
+//!   machine behind **its own lock** (requests for different machines
+//!   proceed in parallel, requests for one machine serialise — exactly
+//!   the consistency the occupancy invariant needs — and a panic on one
+//!   machine leaves the others serving).
 //! * **2-D and 3-D meshes.** A registered machine is either the paper's
 //!   2-D mesh with any [`commalloc_alloc::AllocatorKind`], or a 3-D mesh
 //!   allocated by one-dimensional reduction along a
@@ -52,7 +53,7 @@
 //!   [`cluster::RoutingPolicy`] (round-robin, least-loaded,
 //!   shortest-queue, power-of-two-choices — switchable at runtime via
 //!   `set_router`). Routing is sample-then-commit through the same
-//!   sharded locks, with a per-entry generation re-check instead of any
+//!   per-machine locks, with a per-entry generation re-check instead of any
 //!   global lock; driven single-threaded it is fully deterministic, and
 //!   the cluster sim-equivalence tests pin the pooled service's routes
 //!   and per-machine grant logs byte-identical to a pure offline router
@@ -154,7 +155,7 @@ pub use metrics::{
     LOG_LINEAR_SLOTS, SLOWDOWN_RESERVOIR_CAPACITY, SLOWDOWN_TAU_SECONDS, WINDOW_SLOTS,
 };
 pub use protocol::{AllocArgs, JobRef, Request, Response};
-pub use registry::{MachineSnapshot, Registry, ServiceError};
+pub use registry::{MachineSnapshot, ServiceError};
 pub use replay::{replay, replay_cluster, ClusterReplayLog, ReplayGrant, ReplayJob, ReplayLog};
 pub use score::ScoreBreakdown;
 pub use server::{Server, ServerHandle};

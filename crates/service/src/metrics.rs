@@ -20,7 +20,7 @@ pub const LOG_LINEAR_SLOTS: usize = 512;
 /// no platform-dependent rounding — which makes bucket boundaries
 /// deterministic across runs and machines (pinned by a test). Recording
 /// touches one array slot plus four scalars: cheap enough to live under
-/// a shard lock on the grant path.
+/// a machine lock on the grant path.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LogLinearHistogram {
     /// One count per bucket; index per [`LogLinearHistogram::bucket_index`].
@@ -559,7 +559,7 @@ fn percentile_of_sorted(sorted: &[f64], q: f64) -> f64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
-/// Per-machine counters, updated under the machine's shard lock (plain
+/// Per-machine counters, updated under the machine's lock (plain
 /// fields — no atomics needed).
 #[derive(Debug, Clone, Default, Serialize)]
 pub struct MachineMetrics {

@@ -1,11 +1,12 @@
-//! Machine registry: named live machines behind sharded locks.
+//! One live machine: its backing state, admission queue, running jobs
+//! and counters ([`MachineEntry`]), plus the errors and outcomes the
+//! service reports for it.
 //!
-//! Machines hash to one of a fixed number of shards; each shard is a
-//! `Mutex<HashMap<name, MachineEntry>>`. Requests touching different
-//! machines on different shards proceed fully in parallel, while requests
-//! for one machine serialise — the granularity the occupancy invariant
-//! requires (an allocate must observe the state left by the previous
-//! allocate/release on the same machine).
+//! [`crate::AllocationService`] owns the machines, one lock each.
+//! Requests for different machines proceed fully in parallel, while
+//! requests for one machine serialise — the granularity the occupancy
+//! invariant requires (an allocate must observe the state left by the
+//! previous allocate/release on the same machine).
 
 use crate::admission::{AdmissionQueue, PendingRequest};
 use crate::calibration::{CalibrationSample, CalibrationStore, PlacementRecord, PLACEMENT_CAP};
@@ -24,11 +25,9 @@ use commalloc_mesh::curve3d::{Curve3Kind, Curve3Order};
 use commalloc_mesh::{CurveKind, CurveOrder, Mesh2D, Mesh3D, NodeId};
 use commalloc_workload::CommPattern;
 use serde::Serialize;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// A raw allocation outcome: the granted nodes, plus — when the grant
 /// was pattern-scored — the winner's score breakdown and the number of
@@ -503,7 +502,7 @@ fn running_snapshot(job: &RunningJob) -> RunningSnapshot {
 }
 
 /// One registered machine: backing state, running jobs, admission
-/// queue and counters. All access happens under the owning shard's lock.
+/// queue and counters. All access happens under the machine's own lock.
 pub struct MachineEntry {
     name: String,
     backing: Backing,
@@ -526,7 +525,7 @@ pub struct MachineEntry {
     /// journal sink.
     journaled: bool,
     /// Records composed by mutations since the last flush. The service
-    /// drains this **while still holding the shard lock**, so for any
+    /// drains this **while still holding the machine lock**, so for any
     /// one machine journal order equals mutation order — the ordering
     /// the recovery fold depends on.
     outbox: Vec<JournalRecord>,
@@ -535,17 +534,15 @@ pub struct MachineEntry {
     journal_seq: u64,
     /// Grant-time calibration records of live pattern-scored jobs,
     /// keyed by job id and joined with the realized outcome at release.
-    /// Bounded by [`PLACEMENT_CAP`]; only populated while the owning
-    /// registry's calibration store is enabled.
+    /// Bounded by [`PLACEMENT_CAP`]; only populated while the
+    /// service's calibration store is enabled.
     placements: HashMap<u64, PlacementRecord>,
-    /// The registry-wide calibration store (shared by every entry; the
+    /// The service-wide calibration store (shared by every entry; the
     /// disabled path costs one relaxed load per grant/release).
     calibration: Arc<CalibrationStore>,
-    /// The registry-wide tenant ledger (shared by every entry), when
-    /// the owning service runs one: quota settlement at release and
-    /// the fair-share drain key both read it. `None` keeps the whole
-    /// tenant plane at zero cost.
-    tenants: Option<Arc<TenantTable>>,
+    /// The service-wide tenant ledger (shared by every entry): quota
+    /// settlement at release and the fair-share drain key both read it.
+    tenants: Arc<TenantTable>,
     /// Whether the weighted fair-share admission layer re-orders this
     /// machine's queue before each drain. Orthogonal to the scheduler
     /// policy (which still decides *eligibility*); journaled.
@@ -555,7 +552,13 @@ pub struct MachineEntry {
 }
 
 impl MachineEntry {
-    fn new(name: &str, backing: Backing, scheduler: SchedulerKind) -> Self {
+    fn new(
+        name: &str,
+        backing: Backing,
+        scheduler: SchedulerKind,
+        tenants: Arc<TenantTable>,
+        calibration: Arc<CalibrationStore>,
+    ) -> Self {
         MachineEntry {
             name: name.to_string(),
             backing,
@@ -567,23 +570,11 @@ impl MachineEntry {
             outbox: Vec::new(),
             journal_seq: 0,
             placements: HashMap::new(),
-            calibration: Arc::new(CalibrationStore::new()),
-            tenants: None,
+            calibration,
+            tenants,
             fair_share: false,
             metrics: MachineMetrics::default(),
         }
-    }
-
-    /// Points this entry at the registry-wide calibration store (set at
-    /// registration, before any request can reach the machine).
-    fn attach_calibration(&mut self, store: Arc<CalibrationStore>) {
-        self.calibration = store;
-    }
-
-    /// Points this entry at the registry-wide tenant ledger (set at
-    /// registration, before any request can reach the machine).
-    fn attach_tenants(&mut self, table: Arc<TenantTable>) {
-        self.tenants = Some(table);
     }
 
     /// Whether the fair-share admission layer is enabled here.
@@ -619,11 +610,16 @@ impl MachineEntry {
         self.generation += 1;
     }
 
+    /// A 2-D mesh machine served by `kind`, admitting under
+    /// `scheduler`, settling against the service's `tenants` ledger and
+    /// feeding its `calibration` store.
     pub(crate) fn new_2d(
         name: &str,
         mesh: Mesh2D,
         kind: AllocatorKind,
         scheduler: SchedulerKind,
+        tenants: Arc<TenantTable>,
+        calibration: Arc<CalibrationStore>,
     ) -> Self {
         MachineEntry::new(
             name,
@@ -635,15 +631,21 @@ impl MachineEntry {
                 probe: CurveOrder::build(CurveKind::Hilbert, mesh),
             },
             scheduler,
+            tenants,
+            calibration,
         )
     }
 
+    /// A 3-D mesh machine served by curve reduction along `curve` with
+    /// `strategy`; otherwise as [`MachineEntry::new_2d`].
     pub(crate) fn new_3d(
         name: &str,
         mesh: Mesh3D,
         curve: Curve3Kind,
         strategy: SelectionStrategy,
         scheduler: SchedulerKind,
+        tenants: Arc<TenantTable>,
+        calibration: Arc<CalibrationStore>,
     ) -> Self {
         let curve = Curve3Order::build(curve, mesh);
         let index = FreeIntervalIndex::all_free(curve.len());
@@ -656,6 +658,8 @@ impl MachineEntry {
                 strategy,
             },
             scheduler,
+            tenants,
+            calibration,
         )
     }
 
@@ -677,7 +681,7 @@ impl MachineEntry {
     }
 
     /// Drains the records composed since the last flush (the service
-    /// appends them to its sink while still holding the shard lock).
+    /// appends them to its sink while still holding the machine lock).
     pub fn take_outbox(&mut self) -> Vec<JournalRecord> {
         std::mem::take(&mut self.outbox)
     }
@@ -693,8 +697,8 @@ impl MachineEntry {
         self.journal_seq
     }
 
-    /// Photographs the machine for a journal snapshot, under the shard
-    /// lock: registration config (re-registerable specs derived from the
+    /// Photographs the machine for a journal snapshot, under its lock:
+    /// registration config (re-registerable specs derived from the
     /// live backing, so defaults are explicit), the service's virtual
     /// time (`clock`, `None` on wall time), running jobs in
     /// grant order (the order EASY's tie-breaking depends on), queued
@@ -821,7 +825,7 @@ impl MachineEntry {
     }
 
     /// The routing-relevant state of this machine, captured atomically
-    /// under the shard lock (the cluster router's *sample* step), scored
+    /// under the machine lock (the cluster router's *sample* step), scored
     /// for one specific request: when the job declares a communication
     /// pattern, `contention` carries the lowest predicted contention this
     /// machine could offer it right now (`None` when no contiguous window
@@ -1011,9 +1015,7 @@ impl MachineEntry {
                     request,
                 });
             }
-            if let Some(table) = &self.tenants {
-                table.note_enqueued(tenant);
-            }
+            self.tenants.note_enqueued(tenant);
             Ok(AllocOutcome::Queued(
                 self.queue.position(job_id).expect("job is queued"),
             ))
@@ -1043,14 +1045,12 @@ impl MachineEntry {
             self.backing.release(nodes, job_id);
             // Settle the tenant ledger: return the committed
             // node-seconds, accrue the realized hold.
-            if let Some(table) = &self.tenants {
-                let held = (ctx.now() - job.start).max(0.0);
-                table.settle(
-                    job.tenant.as_deref(),
-                    job_cost(nodes.len(), job.walltime),
-                    nodes.len() as f64 * held,
-                );
-            }
+            let held = (ctx.now() - job.start).max(0.0);
+            self.tenants.settle(
+                job.tenant.as_deref(),
+                job_cost(nodes.len(), job.walltime),
+                nodes.len() as f64 * held,
+            );
             // Join the grant-time calibration record with the realized
             // outcome. The record is removed unconditionally (a toggle
             // mid-flight must not leak it); it is folded into the store
@@ -1077,14 +1077,10 @@ impl MachineEntry {
             // unblock the queue if the cancelled job was the head.
             // The tenant's commitment is returned with zero realized
             // consumption — the job never held a processor.
-            if let Some(table) = &self.tenants {
-                table.settle(
-                    pending.request.tenant.as_deref(),
-                    job_cost(pending.request.size, pending.request.walltime),
-                    0.0,
-                );
-                table.note_dequeued(pending.request.tenant.as_deref());
-            }
+            let tenant = pending.request.tenant.as_deref();
+            let cost = job_cost(pending.request.size, pending.request.walltime);
+            self.tenants.settle(tenant, cost, 0.0);
+            self.tenants.note_dequeued(tenant);
             if self.journaled {
                 self.outbox.push(JournalRecord::Cancel {
                     machine: self.name.clone(),
@@ -1133,9 +1129,8 @@ impl MachineEntry {
         // so single-tenant (and untenanted) queues come out unchanged
         // and the policy below sees an ordinary ordered queue.
         if self.fair_share {
-            if let Some(table) = self.tenants.clone() {
-                self.queue.resequence(|tenant| table.fair_key(tenant));
-            }
+            let table = &self.tenants;
+            self.queue.resequence(|tenant| table.fair_key(tenant));
         }
         let mut granted = Vec::new();
         // Both policy inputs are built once and maintained incrementally
@@ -1221,10 +1216,9 @@ impl MachineEntry {
                         self.metrics
                             .wait
                             .record(now - request.enqueued_at, request.walltime);
-                        if let Some(table) = &self.tenants {
-                            table.note_dequeued(request.tenant.as_deref());
-                            table.note_wait(request.tenant.as_deref(), now - request.enqueued_at);
-                        }
+                        let tenant = request.tenant.as_deref();
+                        self.tenants.note_dequeued(tenant);
+                        self.tenants.note_wait(tenant, now - request.enqueued_at);
                     }
                     let job = pending.request.started(nodes.clone(), now);
                     if self.journaled {
@@ -1253,14 +1247,10 @@ impl MachineEntry {
                         // commitment here; the arriving request's
                         // admission is unwound by the service when it
                         // sees the Rejected outcome.
-                        if let Some(table) = &self.tenants {
-                            table.settle(
-                                request.tenant.as_deref(),
-                                job_cost(request.size, request.walltime),
-                                0.0,
-                            );
-                            table.note_dequeued(request.tenant.as_deref());
-                        }
+                        let tenant = request.tenant.as_deref();
+                        let cost = job_cost(request.size, request.walltime);
+                        self.tenants.settle(tenant, cost, 0.0);
+                        self.tenants.note_dequeued(tenant);
                         if self.journaled {
                             self.outbox.push(JournalRecord::Cancel {
                                 machine: self.name.clone(),
@@ -1458,153 +1448,10 @@ impl MachineEntry {
     }
 }
 
-/// Named machines behind sharded locks.
-pub struct Registry {
-    shards: Vec<Mutex<HashMap<String, MachineEntry>>>,
-    /// The placement calibration store every entry feeds (see
-    /// [`crate::calibration`]); disabled by default.
-    calibration: Arc<CalibrationStore>,
-    /// The tenant ledger every entry settles against (see
-    /// [`crate::tenant`]); empty until a tenant is configured.
-    tenants: Arc<TenantTable>,
-}
-
-impl Default for Registry {
-    fn default() -> Self {
-        Registry::with_shards(8)
-    }
-}
-
-impl Registry {
-    /// A registry with `shards` lock shards (rounded up to at least one).
-    pub fn with_shards(shards: usize) -> Self {
-        Registry {
-            shards: (0..shards.max(1))
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-            calibration: Arc::new(CalibrationStore::new()),
-            tenants: Arc::new(TenantTable::new()),
-        }
-    }
-
-    /// The registry-wide placement calibration store.
-    pub fn calibration(&self) -> &Arc<CalibrationStore> {
-        &self.calibration
-    }
-
-    /// The registry-wide tenant ledger.
-    pub fn tenants(&self) -> &Arc<TenantTable> {
-        &self.tenants
-    }
-
-    fn shard_of(&self, name: &str) -> &Mutex<HashMap<String, MachineEntry>> {
-        let mut hasher = DefaultHasher::new();
-        name.hash(&mut hasher);
-        &self.shards[(hasher.finish() as usize) % self.shards.len()]
-    }
-
-    /// Inserts a fully built entry, running `after` on it **under the
-    /// shard lock** before any other request can reach the machine — the
-    /// hook the service uses to append the registration's journal record
-    /// in mutation order (no grant of the new machine can be journaled
-    /// ahead of its registration).
-    pub(crate) fn register_entry(
-        &self,
-        name: &str,
-        entry: MachineEntry,
-        after: impl FnOnce(&mut MachineEntry),
-    ) -> Result<(), ServiceError> {
-        let mut shard = self.shard_of(name).lock().expect("shard poisoned");
-        if shard.contains_key(name) {
-            return Err(ServiceError::MachineExists(name.to_string()));
-        }
-        let entry = shard.entry(name.to_string()).or_insert(entry);
-        entry.attach_calibration(Arc::clone(&self.calibration));
-        entry.attach_tenants(Arc::clone(&self.tenants));
-        after(entry);
-        Ok(())
-    }
-
-    /// Registers a 2-D mesh machine served by `kind`, admitting under
-    /// `scheduler`.
-    pub fn register_2d(
-        &self,
-        name: &str,
-        mesh: Mesh2D,
-        kind: AllocatorKind,
-        scheduler: SchedulerKind,
-    ) -> Result<(), ServiceError> {
-        self.register_entry(
-            name,
-            MachineEntry::new_2d(name, mesh, kind, scheduler),
-            |_| {},
-        )
-    }
-
-    /// Registers a 3-D mesh machine served by curve reduction along
-    /// `curve` with `strategy`, admitting under `scheduler`.
-    pub fn register_3d(
-        &self,
-        name: &str,
-        mesh: Mesh3D,
-        curve: Curve3Kind,
-        strategy: SelectionStrategy,
-        scheduler: SchedulerKind,
-    ) -> Result<(), ServiceError> {
-        self.register_entry(
-            name,
-            MachineEntry::new_3d(name, mesh, curve, strategy, scheduler),
-            |_| {},
-        )
-    }
-
-    /// Runs `f` with exclusive access to the named machine.
-    pub fn with_entry<R>(
-        &self,
-        name: &str,
-        f: impl FnOnce(&mut MachineEntry) -> Result<R, ServiceError>,
-    ) -> Result<R, ServiceError> {
-        let mut shard = self.shard_of(name).lock().expect("shard poisoned");
-        let entry = shard
-            .get_mut(name)
-            .ok_or_else(|| ServiceError::UnknownMachine(name.to_string()))?;
-        f(entry)
-    }
-
-    /// Names of all registered machines, sorted.
-    pub fn list(&self) -> Vec<String> {
-        let mut names: Vec<String> = self
-            .shards
-            .iter()
-            .flat_map(|s| {
-                s.lock()
-                    .expect("shard poisoned")
-                    .keys()
-                    .cloned()
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        names.sort();
-        names
-    }
-
-    /// Number of registered machines.
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("shard poisoned").len())
-            .sum()
-    }
-
-    /// True when no machine is registered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::AllocationService;
 
     /// An untenanted, unpatterned, untraced direct alloc — the shape
     /// most of these tests submit.
@@ -1629,16 +1476,17 @@ mod tests {
         RequestCtx::inert().on(clock)
     }
 
-    /// A registry holding one 16×16 `Hilbert w/BF` machine, "m0", and
+    /// A service holding one 16×16 `Hilbert w/BF` machine, "m0", and
     /// the clock its requests read.
-    fn registry_with(scheduler: SchedulerKind) -> (Registry, Clock) {
-        let r = Registry::default();
-        let (mesh, kind) = (Mesh2D::square_16x16(), AllocatorKind::HilbertBestFit);
-        r.register_2d("m0", mesh, kind, scheduler).unwrap();
+    fn service_with(scheduler: SchedulerKind) -> (AllocationService, Clock) {
+        let r = AllocationService::new();
+        let kind = AllocatorKind::HilbertBestFit.name();
+        r.register("m0", "16x16", Some(kind), None, Some(scheduler.name()))
+            .unwrap();
         (r, Clock::wall())
     }
 
-    fn assert_invariants(r: &Registry, name: &str) {
+    fn assert_invariants(r: &AllocationService, name: &str) {
         r.with_entry(name, |m| {
             m.check_invariants().map_err(ServiceError::InvalidRequest)
         })
@@ -1647,58 +1495,19 @@ mod tests {
 
     #[test]
     fn register_rejects_duplicates_and_lists_sorted() {
-        let (r, _) = registry_with(SchedulerKind::Fcfs);
+        let (r, _) = service_with(SchedulerKind::Fcfs);
         assert_eq!(
-            r.register_2d(
-                "m0",
-                Mesh2D::new(4, 4),
-                AllocatorKind::Mc1x1,
-                SchedulerKind::Fcfs
-            ),
+            r.register("m0", "4x4", Some(AllocatorKind::Mc1x1.name()), None, None),
             Err(ServiceError::MachineExists("m0".to_string()))
         );
-        r.register_3d(
-            "cube",
-            Mesh3D::new(4, 4, 4),
-            Curve3Kind::Hilbert,
-            SelectionStrategy::BestFit,
-            SchedulerKind::Fcfs,
-        )
-        .unwrap();
+        // A Hilbert best-fit FCFS cube: the 3-D defaults.
+        r.register("cube", "4x4x4", None, None, None).unwrap();
         assert_eq!(r.list(), vec!["cube".to_string(), "m0".to_string()]);
-        assert_eq!(r.len(), 2);
-    }
-
-    #[test]
-    fn listings_are_sorted_identically_across_shard_counts() {
-        // Cluster snapshots and the `list` response iterate machines in
-        // name order, never in shard order — so the shard count (a pure
-        // concurrency knob) must be invisible in every listing.
-        let names = ["zeta", "alpha", "mid", "a-0", "a-10", "a-2"];
-        let mut expected: Vec<String> = names.iter().map(|s| s.to_string()).collect();
-        expected.sort();
-        for shards in [1, 2, 8, 64] {
-            let r = Registry::with_shards(shards);
-            for name in names {
-                r.register_2d(
-                    name,
-                    Mesh2D::new(4, 4),
-                    AllocatorKind::HilbertBestFit,
-                    SchedulerKind::Fcfs,
-                )
-                .unwrap();
-            }
-            assert_eq!(
-                r.list(),
-                expected,
-                "shard count {shards} leaked into list()"
-            );
-        }
     }
 
     #[test]
     fn allocate_release_cycle_keeps_invariants() {
-        let (r, clock) = registry_with(SchedulerKind::Fcfs);
+        let (r, clock) = service_with(SchedulerKind::Fcfs);
         let outcome = r
             .with_entry("m0", |m| alloc(m, &clock, 1, 30, false, None))
             .unwrap();
@@ -1720,7 +1529,7 @@ mod tests {
 
     #[test]
     fn queueing_is_fcfs_with_head_of_line_blocking() {
-        let (r, clock) = registry_with(SchedulerKind::Fcfs);
+        let (r, clock) = service_with(SchedulerKind::Fcfs);
         // Fill the machine almost completely.
         let AllocOutcome::Granted(_) = r
             .with_entry("m0", |m| alloc(m, &clock, 1, 250, false, None))
@@ -1755,7 +1564,7 @@ mod tests {
 
     #[test]
     fn cancelling_a_queued_head_unblocks_the_queue() {
-        let (r, clock) = registry_with(SchedulerKind::Fcfs);
+        let (r, clock) = service_with(SchedulerKind::Fcfs);
         r.with_entry("m0", |m| alloc(m, &clock, 1, 250, false, None))
             .unwrap();
         r.with_entry("m0", |m| alloc(m, &clock, 2, 100, true, None))
@@ -1772,7 +1581,7 @@ mod tests {
 
     #[test]
     fn duplicate_and_unknown_jobs_are_errors() {
-        let (r, clock) = registry_with(SchedulerKind::Fcfs);
+        let (r, clock) = service_with(SchedulerKind::Fcfs);
         r.with_entry("m0", |m| alloc(m, &clock, 1, 4, false, None))
             .unwrap();
         assert_eq!(
@@ -1811,7 +1620,7 @@ mod tests {
 
     #[test]
     fn first_fit_backfill_lets_fitting_jobs_jump_the_head() {
-        let (r, clock) = registry_with(SchedulerKind::FirstFitBackfill);
+        let (r, clock) = service_with(SchedulerKind::FirstFitBackfill);
         r.with_entry("m0", |m| alloc(m, &clock, 1, 250, false, None))
             .unwrap();
         // Job 2 blocks as the head; job 3 fits the 6 free processors and
@@ -1833,7 +1642,7 @@ mod tests {
 
     #[test]
     fn easy_backfills_only_jobs_that_respect_the_reservation() {
-        let (r, clock) = registry_with(SchedulerKind::EasyBackfill);
+        let (r, clock) = service_with(SchedulerKind::EasyBackfill);
         r.with_entry("m0", |m| {
             clock.set_time(0.0);
             // 200 processors for 100 s: releases at t = 100.
@@ -1880,7 +1689,7 @@ mod tests {
         // grants it; conservative also protects the mid-queue job's and
         // queues it.
         let sequence = |kind: SchedulerKind| {
-            let (r, clock) = registry_with(kind);
+            let (r, clock) = service_with(kind);
             r.with_entry("m0", |m| {
                 clock.set_time(0.0);
                 // 200 processors until t = 100: 56 free.
@@ -1927,7 +1736,7 @@ mod tests {
 
     #[test]
     fn conservative_cancel_mid_queue_recomputes_reservations() {
-        let (r, clock) = registry_with(SchedulerKind::Conservative);
+        let (r, clock) = service_with(SchedulerKind::Conservative);
         r.with_entry("m0", |m| {
             clock.set_time(0.0);
             alloc(m, &clock, 1, 200, false, Some(100.0))?;
@@ -1960,7 +1769,7 @@ mod tests {
 
     #[test]
     fn set_scheduler_redrains_the_queue() {
-        let (r, clock) = registry_with(SchedulerKind::Fcfs);
+        let (r, clock) = service_with(SchedulerKind::Fcfs);
         r.with_entry("m0", |m| alloc(m, &clock, 1, 250, false, None))
             .unwrap();
         r.with_entry("m0", |m| alloc(m, &clock, 2, 100, true, None))
@@ -1993,7 +1802,7 @@ mod tests {
         // fair-share on, mouse's queued jobs drain first even though hog
         // arrived earlier — while each tenant's own jobs keep arrival
         // order.
-        let (r, clock) = registry_with(SchedulerKind::Fcfs);
+        let (r, clock) = service_with(SchedulerKind::Fcfs);
         let tenants = Arc::clone(r.tenants());
         tenants.admit(Some("hog"), 1_000_000.0).unwrap();
         tenants.admit(Some("mouse"), 10.0).unwrap();
@@ -2029,7 +1838,7 @@ mod tests {
 
     #[test]
     fn release_settles_the_tenant_ledger() {
-        let (r, clock) = registry_with(SchedulerKind::Fcfs);
+        let (r, clock) = service_with(SchedulerKind::Fcfs);
         let tenants = Arc::clone(r.tenants());
         tenants
             .admit(Some("acme"), job_cost(30, Some(100.0)))
@@ -2064,10 +1873,8 @@ mod tests {
     fn recording_moves_no_placement_and_scores_the_winner() {
         // Holes of 20 after jobs 2 and 4, and a 136-node tail: sizes 7
         // and 20 see three windows, 30 and 64 one.
-        let (r, clock) = registry_with(SchedulerKind::Fcfs);
-        let (mesh, curve) = (Mesh3D::new(8, 8, 4), Curve3Kind::Hilbert);
-        let (bf, fcfs) = (SelectionStrategy::BestFit, SchedulerKind::Fcfs);
-        r.register_3d("cube", mesh, curve, bf, fcfs).unwrap();
+        let (r, clock) = service_with(SchedulerKind::Fcfs);
+        r.register("cube", "8x8x4", None, None, None).unwrap();
         for name in ["m0", "cube"] {
             r.with_entry(name, |m| {
                 (1..=6).try_for_each(|job| alloc(m, &clock, job, 20, false, None).map(drop))?;
@@ -2097,16 +1904,9 @@ mod tests {
 
     #[test]
     fn three_d_machines_allocate_contiguously_when_empty() {
-        let r = Registry::default();
+        let r = AllocationService::new();
         let clock = Clock::wall();
-        r.register_3d(
-            "cube",
-            Mesh3D::new(8, 8, 8),
-            Curve3Kind::Hilbert,
-            SelectionStrategy::BestFit,
-            SchedulerKind::Fcfs,
-        )
-        .unwrap();
+        r.register("cube", "8x8x8", None, None, None).unwrap();
         let AllocOutcome::Granted(nodes) = r
             .with_entry("cube", |m| alloc(m, &clock, 1, 32, false, None))
             .unwrap()

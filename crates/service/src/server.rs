@@ -330,8 +330,9 @@ impl Conn {
         self.outbox.len() - self.outpos
     }
 
-    /// True while this connection's tenant sits at or above its
-    /// in-flight cap *and* this connection contributes to it — the
+    /// True while this connection's tenant sits above its in-flight
+    /// cap (counted across all of its connections) *and* this
+    /// connection contributes to it — the
     /// second condition guarantees a writable event is pending, so the
     /// pause always has a wakeup that ends it.
     fn over_tenant_cap(&self, service: &AllocationService) -> bool {

@@ -1,9 +1,9 @@
 //! The in-process service API and the protocol dispatcher.
 //!
-//! [`AllocationService`] is a cheaply cloneable handle (an `Arc` around the
-//! sharded [`Registry`] plus process-wide counters) usable directly from
-//! any thread; the TCP [`crate::server::Server`] is a thin transport over
-//! [`AllocationService::handle`].
+//! [`AllocationService`] is a cheaply cloneable handle (`Arc`s around the
+//! machines, one lock each, plus the service-wide ledgers and counters)
+//! usable directly from any thread; the TCP [`crate::server::Server`] is
+//! a thin transport over [`AllocationService::handle`].
 
 use crate::calibration::CalibrationStore;
 use crate::clock::Clock;
@@ -14,7 +14,7 @@ use crate::journal::{
 };
 use crate::metrics::{LogLinearHistogram, ServiceMetrics, WindowRing};
 use crate::protocol::{AllocArgs, JobRef, Request, Response};
-use crate::registry::{MachineEntry, MachineSnapshot, Registry, ServiceError};
+use crate::registry::{MachineEntry, MachineSnapshot, ServiceError};
 use crate::tenant::{job_cost, tenant_or_default, TenantConfig, TenantTable};
 use crate::trace::{FlightRecorder, RequestCtx, Stage};
 use commalloc::scheduler::SchedulerKind;
@@ -26,14 +26,24 @@ use commalloc_workload::CommPattern;
 use serde::{Map, Serialize, Value};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, RwLock};
 
 pub use crate::registry::{AllocOutcome, JobStatus};
 
 /// A shareable handle to the allocation daemon's state.
 #[derive(Clone)]
 pub struct AllocationService {
-    registry: Arc<Registry>,
+    /// The registered machines by name, one lock each: the unit of
+    /// locking is the unit of independence, so a request (or a panic)
+    /// on one machine never holds up another. Name order is the
+    /// listing order. The map's write lock is taken only to register.
+    machines: Arc<RwLock<BTreeMap<String, Mutex<MachineEntry>>>>,
+    /// The tenant ledger every machine settles against (see
+    /// [`crate::tenant`]); empty until a tenant is configured.
+    tenants: Arc<TenantTable>,
+    /// The placement calibration store every machine feeds (see
+    /// [`crate::calibration`]); disabled by default.
+    calibration: Arc<CalibrationStore>,
     /// The one time source of scheduling, span stamps, metrics windows
     /// and fsync waits (see [`crate::clock`]).
     clock: Arc<Clock>,
@@ -83,7 +93,9 @@ impl PoolWindow {
 impl Default for AllocationService {
     fn default() -> Self {
         AllocationService {
-            registry: Arc::new(Registry::default()),
+            machines: Arc::default(),
+            tenants: Arc::new(TenantTable::new()),
+            calibration: Arc::new(CalibrationStore::new()),
             clock: Arc::new(Clock::wall()),
             router: Arc::new(PlacementRouter::default()),
             metrics: Arc::new(ServiceMetrics::default()),
@@ -229,17 +241,25 @@ fn decision_record(
 }
 
 impl AllocationService {
-    /// A fresh service with the default shard count and no machines.
+    /// A fresh service with no machines.
     pub fn new() -> Self {
         AllocationService::default()
     }
 
-    /// A fresh service with an explicit lock-shard count.
-    pub fn with_shards(shards: usize) -> Self {
-        AllocationService {
-            registry: Arc::new(Registry::with_shards(shards)),
-            ..AllocationService::default()
-        }
+    /// Runs `f` with exclusive access to the named machine: a read of
+    /// the machine map, then that machine's lock alone. A panic in `f`
+    /// poisons only this machine.
+    pub(crate) fn with_entry<R>(
+        &self,
+        name: &str,
+        f: impl FnOnce(&mut MachineEntry) -> Result<R, ServiceError>,
+    ) -> Result<R, ServiceError> {
+        let machines = self.machines.read().expect("machine map poisoned");
+        let entry = machines
+            .get(name)
+            .ok_or_else(|| ServiceError::UnknownMachine(name.to_string()))?;
+        let mut entry = entry.lock().expect("machine poisoned");
+        f(&mut entry)
     }
 
     /// Attaches a journal sink (consuming the handle — attach before
@@ -250,8 +270,8 @@ impl AllocationService {
     pub fn with_journal(self, journal: Arc<dyn JournalSink>) -> Self {
         let service = AllocationService { journal, ..self };
         if service.journal.durable() {
-            for name in service.registry.list() {
-                let _ = service.registry.with_entry(&name, |entry| {
+            for name in service.list() {
+                let _ = service.with_entry(&name, |entry| {
                     entry.enable_journaling();
                     Ok(())
                 });
@@ -286,11 +306,11 @@ impl AllocationService {
     /// toggled by `set_trace`'s `calibration` rider or `serve
     /// --calibration`, queried live by the `calibration` op).
     pub fn calibration(&self) -> &Arc<CalibrationStore> {
-        self.registry.calibration()
+        &self.calibration
     }
 
     /// Appends the outbox of `entry` to the journal — called while the
-    /// entry's shard lock is still held, so per-machine journal order
+    /// entry's lock is still held, so per-machine journal order
     /// equals mutation order (the invariant recovery folds over). A
     /// traced request gets a `journal_append` span per record, and a
     /// `fsync_wait` span for the slice of it spent blocked on the disk
@@ -320,7 +340,7 @@ impl AllocationService {
     /// The tenant table: configuration, quota ledger and fair-share
     /// keys (shared with every machine entry and the TCP server).
     pub fn tenants(&self) -> &Arc<TenantTable> {
-        self.registry.tenants()
+        &self.tenants
     }
 
     /// Registers a machine from string specs. Two dimensions select the
@@ -396,7 +416,8 @@ impl AllocationService {
             Some(spec) => parse_scheduler(spec)?,
         };
         let dims = parse_dims(&spec.mesh)?;
-        let entry = match dims.as_slice() {
+        let (tenants, calibration) = (Arc::clone(&self.tenants), Arc::clone(&self.calibration));
+        let mut entry = match dims.as_slice() {
             [w, h] => {
                 let kind = match allocator {
                     None => AllocatorKind::HilbertBestFit,
@@ -410,7 +431,8 @@ impl AllocationService {
                             .to_string(),
                     ));
                 }
-                MachineEntry::new_2d(machine, Mesh2D::new(*w, *h), kind, scheduler)
+                let mesh = Mesh2D::new(*w, *h);
+                MachineEntry::new_2d(machine, mesh, kind, scheduler, tenants, calibration)
             }
             [w, h, d] => {
                 let curve = match allocator {
@@ -421,43 +443,58 @@ impl AllocationService {
                     None => SelectionStrategy::BestFit,
                     Some(spec) => parse_strategy(spec)?,
                 };
-                MachineEntry::new_3d(machine, Mesh3D::new(*w, *h, *d), curve, strategy, scheduler)
+                let mesh = Mesh3D::new(*w, *h, *d);
+                MachineEntry::new_3d(
+                    machine,
+                    mesh,
+                    curve,
+                    strategy,
+                    scheduler,
+                    tenants,
+                    calibration,
+                )
             }
             _ => unreachable!("parse_dims yields 2 or 3 dims"),
         };
-        // The registration record is appended under the new entry's shard
-        // lock so no grant of this machine can be journaled ahead of it.
-        // The pool join happens in there too, *before* the record: a
-        // concurrent snapshot that photographs this machine at or above
-        // the record's watermark then provably photographs the pool
-        // table (read afterwards) with the membership in place —
-        // otherwise recovery could skip the tail Register record via the
+        // Registration holds the machine map's write lock from the
+        // duplicate check to the insert, across the pool join and the
+        // registration record's append, so no grant of this machine can
+        // be journaled ahead of it. Every other request waits meanwhile
+        // (for an fsync under `--fsync every`): registration is an admin
+        // op. The pool join comes *before* the record: a concurrent
+        // snapshot that photographs this machine at or above the
+        // record's watermark then provably photographs the pool table
+        // (read afterwards) with the membership in place — otherwise
+        // recovery could skip the tail Register record via the
         // watermark gate and silently drop the machine from its pool.
-        self.registry.register_entry(machine, entry, |entry| {
-            // The flip-order lock is held from the pool join to the end
-            // of the append: a concurrent `set_router` on this (possibly
-            // brand-new) pool cannot journal its flip ahead of the
-            // Register record that creates the pool, so recovery never
-            // replays a SetRouter against a pool that does not exist yet.
-            let _pool_order = pool.map(|pool| {
-                let ordered = self
-                    .router_flips
-                    .lock()
-                    .expect("router flip order poisoned");
-                self.router.add_member(pool, machine);
-                ordered
-            });
-            if self.journal.durable() {
-                entry.enable_journaling();
-                if journal {
-                    let record = JournalRecord::Register {
-                        spec: spec.clone(),
-                        pool: pool.map(str::to_string),
-                    };
-                    entry.note_journal_seq(self.journal.append(&record));
-                }
+        let mut machines = self.machines.write().expect("machine map poisoned");
+        if machines.contains_key(machine) {
+            return Err(ServiceError::MachineExists(machine.to_string()));
+        }
+        // The flip-order lock is held from the pool join to the end of
+        // the append: a concurrent `set_router` on this (possibly
+        // brand-new) pool cannot journal its flip ahead of the Register
+        // record that creates the pool, so recovery never replays a
+        // SetRouter against a pool that does not exist yet.
+        let _pool_order = pool.map(|pool| {
+            let ordered = self
+                .router_flips
+                .lock()
+                .expect("router flip order poisoned");
+            self.router.add_member(pool, machine);
+            ordered
+        });
+        if self.journal.durable() {
+            entry.enable_journaling();
+            if journal {
+                let record = JournalRecord::Register {
+                    spec: spec.clone(),
+                    pool: pool.map(str::to_string),
+                };
+                entry.note_journal_seq(self.journal.append(&record));
             }
-        })?;
+        }
+        machines.insert(machine.to_string(), Mutex::new(entry));
         Ok(())
     }
 
@@ -466,8 +503,7 @@ impl AllocationService {
     /// caller settles it against the outcome (refund on reject/error,
     /// keep on grant/queue — released when the job settles).
     fn admit_quota(&self, tenant: Option<&str>, cost: f64) -> Result<(), ServiceError> {
-        self.registry
-            .tenants()
+        self.tenants
             .admit(tenant, cost)
             .map_err(|denied| ServiceError::QuotaExceeded {
                 tenant: tenant_or_default(tenant).to_string(),
@@ -484,7 +520,7 @@ impl AllocationService {
             outcome,
             Some(AllocOutcome::Granted(_) | AllocOutcome::Queued(_))
         ) {
-            self.registry.tenants().refund(tenant, cost);
+            self.tenants.refund(tenant, cost);
         }
     }
 
@@ -502,7 +538,7 @@ impl AllocationService {
         let mut ctx = ctx.on(&self.clock).with_machine(machine);
         let cost = job_cost(args.size, args.walltime);
         self.admit_quota(args.tenant, cost)?;
-        let result = self.registry.with_entry(machine, |entry| {
+        let result = self.with_entry(machine, |entry| {
             let outcome = entry.allocate(args, "direct", &mut ctx);
             self.flush_effects(entry, &mut ctx);
             outcome
@@ -532,7 +568,7 @@ impl AllocationService {
     }
 
     /// The routing-relevant sample of `machine` for one specific
-    /// request, captured under its shard lock (the router's *sample*
+    /// request, captured under its lock (the router's *sample*
     /// step; public so offline routing harnesses see exactly what the
     /// router sees): when `pattern` is declared, the sample's
     /// `contention` field carries the machine's best predicted contention
@@ -546,12 +582,11 @@ impl AllocationService {
         size: usize,
         pattern: Option<CommPattern>,
     ) -> Result<MachineSample, ServiceError> {
-        self.registry
-            .with_entry(machine, |entry| Ok(entry.sample_for(job, size, pattern)))
+        self.with_entry(machine, |entry| Ok(entry.sample_for(job, size, pattern)))
     }
 
     /// Routes an allocation across pool `pool` (no `@` sigil): samples
-    /// every member under its own shard lock, lets the pool's
+    /// every member under its own lock, lets the pool's
     /// [`RoutingPolicy`] pick a target among the members large enough for
     /// the request, and commits on the target alone — re-checking the
     /// target's modification generation first, so a machine that moved
@@ -600,7 +635,7 @@ impl AllocationService {
             let policy = view.policy;
             let mut eligible: Vec<MachineSample> = Vec::with_capacity(view.members.len());
             for name in view.members.iter() {
-                let sample = self.registry.with_entry(name, |entry| {
+                let sample = self.with_entry(name, |entry| {
                     if entry.holds(job) {
                         return Err(ServiceError::DuplicateJob {
                             machine: name.clone(),
@@ -628,7 +663,7 @@ impl AllocationService {
             let expected_generation = chosen.generation;
             let target = chosen.name.clone();
             let mut mctx = ctx.with_machine(&target);
-            let committed = self.registry.with_entry(&target, |entry| {
+            let committed = self.with_entry(&target, |entry| {
                 if attempt < ROUTE_STALE_RETRIES && entry.generation() != expected_generation {
                     return Ok(None); // the sample went stale: re-route
                 }
@@ -707,8 +742,7 @@ impl AllocationService {
 
     /// Point-in-time summary of pool `pool` (no `@` sigil): the active
     /// routing policy, cluster-wide totals, and every member's
-    /// [`MachineSnapshot`] in sorted name order — deterministic across
-    /// registry shard counts.
+    /// [`MachineSnapshot`] in sorted name order.
     pub fn pool_snapshot(&self, pool: &str) -> Result<Value, ServiceError> {
         let members = self.router.members(pool)?;
         let policy = self.router.policy(pool)?;
@@ -746,7 +780,7 @@ impl AllocationService {
     ) -> Result<(SchedulerKind, Vec<(u64, Vec<NodeId>)>), ServiceError> {
         let kind = parse_scheduler(scheduler)?;
         let mut ctx = ctx.on(&self.clock).with_machine(machine);
-        self.registry.with_entry(machine, |entry| {
+        self.with_entry(machine, |entry| {
             let granted = entry.set_scheduler(kind, &mut ctx);
             self.flush_effects(entry, &mut ctx);
             Ok((kind, granted))
@@ -757,7 +791,7 @@ impl AllocationService {
     /// effect; the per-connection binding itself lives in the server).
     pub fn hello(&self, tenant: &str) -> Result<(), ServiceError> {
         validate_tenant_name(tenant)?;
-        self.registry.tenants().touch(tenant);
+        self.tenants.touch(tenant);
         Ok(())
     }
 
@@ -788,7 +822,7 @@ impl AllocationService {
                 )));
             }
         }
-        let table = self.registry.tenants();
+        let table = &self.tenants;
         let current = table.config_of(Some(tenant));
         let config = TenantConfig {
             weight: weight.unwrap_or(current.weight),
@@ -822,7 +856,7 @@ impl AllocationService {
         ctx: &RequestCtx<'_>,
     ) -> Result<Vec<(u64, Vec<NodeId>)>, ServiceError> {
         let mut ctx = ctx.on(&self.clock).with_machine(machine);
-        self.registry.with_entry(machine, |entry| {
+        self.with_entry(machine, |entry| {
             let granted = entry.set_fair_share(enabled, &mut ctx);
             self.flush_effects(entry, &mut ctx);
             Ok(granted)
@@ -833,7 +867,7 @@ impl AllocationService {
     /// name) carrying the configuration and the live ledger figures.
     pub fn tenants_value(&self) -> Value {
         let mut out = Map::new();
-        for row in self.registry.tenants().export() {
+        for row in self.tenants.export() {
             let mut e = Map::new();
             e.insert("weight".into(), Value::Float(row.config.weight));
             if let Some(q) = row.config.quota_node_seconds {
@@ -877,7 +911,7 @@ impl AllocationService {
     pub fn set_time(&self, machine: &str, t: f64) -> Result<(), ServiceError> {
         match pool_of(machine) {
             Some(pool) => self.router.members(pool).map(drop)?,
-            None => self.registry.with_entry(machine, |_| Ok(()))?,
+            None => self.with_entry(machine, |_| Ok(()))?,
         }
         self.clock.set_time(t);
         Ok(())
@@ -891,7 +925,7 @@ impl AllocationService {
         ctx: &RequestCtx<'_>,
     ) -> Result<Vec<(u64, Vec<NodeId>)>, ServiceError> {
         let mut ctx = ctx.on(&self.clock).with_machine(machine);
-        self.registry.with_entry(machine, |entry| {
+        self.with_entry(machine, |entry| {
             let granted = entry.release(job, &mut ctx);
             self.flush_effects(entry, &mut ctx);
             granted
@@ -904,19 +938,20 @@ impl AllocationService {
     /// their state, at one uncontended lock per member (what a routed
     /// `alloc` pays to sample them).
     ///
-    /// Lock order: `view` copies the member list out (an `Arc` clone) and
-    /// drops the pool table's lock before the first shard lock is taken —
-    /// `register_entry` joins a pool *under* a shard lock (shard, then
-    /// pool table), so asking a member under the table's lock would be
-    /// the reverse order and could deadlock. Each `with_entry` takes and
-    /// releases one shard lock, so no two are ever held together either.
+    /// Lock order, service-wide: machine map (read, or write to
+    /// register) → at most one machine lock → router or journal. `view`
+    /// copies the member list out (an `Arc` clone) and drops the pool
+    /// table's lock before the first machine is asked — registration
+    /// joins a pool *under* the map's write lock, so asking a member
+    /// under the table's lock would be the reverse order and could
+    /// deadlock. Each `with_entry` takes and releases one machine lock,
+    /// so no two are ever held together either.
     fn holders(&self, pool: &str, job: u64) -> Vec<String> {
         let Ok(view) = self.router.view(pool) else {
             return Vec::new();
         };
         let holds = |member: &&String| {
-            self.registry
-                .with_entry(member, |entry| Ok(entry.holds(job)))
+            self.with_entry(member, |entry| Ok(entry.holds(job)))
                 .unwrap_or(false)
         };
         view.members.iter().filter(holds).cloned().collect()
@@ -1039,8 +1074,7 @@ impl AllocationService {
 
     /// Where `job` currently stands on `machine`.
     pub fn poll(&self, machine: &str, job: u64) -> Result<JobStatus, ServiceError> {
-        self.registry
-            .with_entry(machine, |entry| Ok(entry.poll(job)))
+        self.with_entry(machine, |entry| Ok(entry.poll(job)))
     }
 
     /// The journal-snapshot image of `machine` — its full durable state
@@ -1052,19 +1086,17 @@ impl AllocationService {
         machine: &str,
     ) -> Result<crate::journal::MachineImage, ServiceError> {
         let clock = self.clock.virtual_time();
-        self.registry
-            .with_entry(machine, |entry| Ok(entry.capture_image(clock)))
+        self.with_entry(machine, |entry| Ok(entry.capture_image(clock)))
     }
 
     /// Occupancy snapshot of `machine`.
     pub fn query(&self, machine: &str) -> Result<MachineSnapshot, ServiceError> {
-        self.registry
-            .with_entry(machine, |entry| Ok(entry.snapshot(self.clock.now())))
+        self.with_entry(machine, |entry| Ok(entry.snapshot(self.clock.now())))
     }
 
     /// Counter snapshot of `machine` combined with server totals.
     pub fn stats(&self, machine: &str) -> Result<Value, ServiceError> {
-        let (snapshot, machine_metrics) = self.registry.with_entry(machine, |entry| {
+        let (snapshot, machine_metrics) = self.with_entry(machine, |entry| {
             Ok((entry.snapshot(self.clock.now()), entry.metrics.clone()))
         })?;
         let mut m = Map::new();
@@ -1164,7 +1196,7 @@ impl AllocationService {
         );
         tracing.insert(
             "calibration".into(),
-            Value::Bool(self.registry.calibration().enabled()),
+            Value::Bool(self.calibration.enabled()),
         );
         m.insert("tracing".into(), Value::Object(tracing));
         if let Some(window) = window {
@@ -1215,7 +1247,7 @@ impl AllocationService {
         let _ = writeln!(
             out,
             "commalloc_calibration_enabled {}",
-            u8::from(self.registry.calibration().enabled())
+            u8::from(self.calibration.enabled())
         );
         let _ = writeln!(out, "# TYPE commalloc_stage_latency_micros histogram");
         let histograms = self.stage_histograms_for(span);
@@ -1242,7 +1274,7 @@ impl AllocationService {
                 );
             }
         }
-        let rows = self.registry.tenants().export();
+        let rows = self.tenants.export();
         if !rows.is_empty() {
             type TenantSeries = (&'static str, fn(&crate::tenant::TenantExport) -> String);
             let counters: [TenantSeries; 7] = [
@@ -1279,12 +1311,13 @@ impl AllocationService {
 
     /// Names of all registered machines, sorted.
     pub fn list(&self) -> Vec<String> {
-        self.registry.list()
+        let machines = self.machines.read().expect("machine map poisoned");
+        machines.keys().cloned().collect()
     }
 
     /// Verifies the occupancy invariant of `machine` (test/ops helper).
     pub fn check_invariants(&self, machine: &str) -> Result<(), ServiceError> {
-        self.registry.with_entry(machine, |entry| {
+        self.with_entry(machine, |entry| {
             entry
                 .check_invariants()
                 .map_err(ServiceError::InvalidRequest)
@@ -1292,7 +1325,7 @@ impl AllocationService {
     }
 
     /// Photographs the whole service for a journal snapshot: every
-    /// machine under its own shard lock (name order, so images are
+    /// machine under its own lock (name order, so images are
     /// deterministic) plus the pool table. `covers` is the WAL segment
     /// index the sink closed when rotation began.
     pub fn capture_snapshot(&self, covers: u64) -> JournalRecord {
@@ -1315,8 +1348,7 @@ impl AllocationService {
             }
         }
         let tenants = self
-            .registry
-            .tenants()
+            .tenants
             .export()
             .into_iter()
             .map(|row| TenantImage {
@@ -1379,9 +1411,7 @@ impl AllocationService {
                 self.restore(machine, |entry| entry.restore_cancel(*job))
             }
             JournalRecord::SetTenant(spec) => {
-                self.registry
-                    .tenants()
-                    .configure(&spec.tenant, spec.config.clone());
+                self.tenants.configure(&spec.tenant, spec.config.clone());
                 Ok(())
             }
             JournalRecord::SetFairShare { machine, enabled } => self.restore(machine, |entry| {
@@ -1408,7 +1438,7 @@ impl AllocationService {
         machine: &str,
         f: impl FnOnce(&mut MachineEntry) -> Result<(), String>,
     ) -> Result<(), ServiceError> {
-        self.registry.with_entry(machine, |entry| {
+        self.with_entry(machine, |entry| {
             f(entry).map_err(ServiceError::InvalidRequest)
         })
     }
@@ -1423,9 +1453,12 @@ impl AllocationService {
     /// Recovery: recomputes the tenant ledger's live gauges
     /// (outstanding node-second commitments, queued counts) exactly
     /// from the restored machines — the final recovery step, after the
-    /// snapshot and the journal tail have both folded in. Configs and
-    /// consumed totals restore from records; the live gauges are
-    /// derived state and are rebuilt rather than replayed.
+    /// snapshot and the journal tail have both folded in. Configs
+    /// restore from records and the snapshot, consumed totals from the
+    /// snapshot image only: a tail `release` record carries no hold, so
+    /// consumption settled after the last snapshot is not replayed. The
+    /// live gauges are derived state and are rebuilt rather than
+    /// replayed.
     pub fn rebuild_tenant_gauges(&self) {
         let mut outstanding: std::collections::HashMap<String, f64> = Default::default();
         let mut queued: std::collections::HashMap<String, u64> = Default::default();
@@ -1443,12 +1476,12 @@ impl AllocationService {
                 *queued.entry(tenant).or_default() += 1;
             }
         }
-        let table = self.registry.tenants();
+        let table = &self.tenants;
         table.reset_outstanding(&outstanding);
         table.reset_queued(&queued);
     }
 
-    /// Recovery: rebuilds the registry, pool table and tenant ledger
+    /// Recovery: rebuilds the machines, pool table and tenant ledger
     /// from a snapshot image — each fact through the call
     /// [`AllocationService::apply_journal_record`] makes for the record
     /// the image compacted it from. Returns the per-machine journal
@@ -1464,8 +1497,7 @@ impl AllocationService {
             watermarks.insert(m.spec.machine.clone(), m.seq);
         }
         for t in &image.tenants {
-            self.registry
-                .tenants()
+            self.tenants
                 .restore(&t.spec.tenant, t.spec.config.clone(), t.consumed);
         }
         for p in &image.pools {
@@ -1635,7 +1667,7 @@ impl AllocationService {
                 self.resolve_job(machine.as_deref(), job)
                     .and_then(|target| {
                         let job = job.id();
-                        self.registry.with_entry(&target, |entry| {
+                        self.with_entry(&target, |entry| {
                             Ok(match entry.poll(job) {
                                 JobStatus::Running(nodes) => Response::Running {
                                     job,
@@ -1702,7 +1734,7 @@ impl AllocationService {
             } => {
                 self.recorder.set_enabled(*enabled);
                 if let Some(calibration) = calibration {
-                    self.registry.calibration().set_enabled(*calibration);
+                    self.calibration.set_enabled(*calibration);
                 }
                 Ok(Response::TraceSet { enabled: *enabled })
             }
@@ -1726,9 +1758,7 @@ impl AllocationService {
                     self.metrics_value(window.as_deref())
                 },
             }),
-            Request::Calibration => Ok(Response::Calibration(
-                self.registry.calibration().to_value(),
-            )),
+            Request::Calibration => Ok(Response::Calibration(self.calibration.to_value())),
             Request::List => Ok(Response::Machines(self.list())),
             Request::Ping => Ok(Response::Pong),
         };
@@ -2284,5 +2314,35 @@ mod tests {
             Some(1)
         );
         assert_eq!(counters.get("rejected").and_then(Value::as_u64), Some(1));
+    }
+
+    #[test]
+    fn a_panic_under_one_machine_lock_leaves_the_others_serving() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let names: Vec<String> = (0..9).map(|i| format!("m{i}")).collect();
+        let mut casualties = Vec::new();
+        for victim in &names {
+            let service = AllocationService::new();
+            for name in &names {
+                service.register(name, "4x4", None, None, None).unwrap();
+            }
+            let fault = catch_unwind(AssertUnwindSafe(|| {
+                service.with_entry(victim, |_| -> Result<(), ServiceError> {
+                    panic!("injected fault on {victim}")
+                })
+            }));
+            assert!(fault.is_err(), "the injected fault must unwind");
+            for other in names.iter().filter(|name| *name != victim) {
+                let answer = catch_unwind(AssertUnwindSafe(|| service.query(other)));
+                if !matches!(answer, Ok(Ok(_))) {
+                    casualties.push((victim.clone(), other.clone()));
+                }
+            }
+        }
+        assert!(
+            casualties.is_empty(),
+            "{} (victim, casualty) pairs: {casualties:?}",
+            casualties.len()
+        );
     }
 }

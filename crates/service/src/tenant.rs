@@ -118,7 +118,7 @@ pub struct QuotaDenied {
 /// admission, drain-order keys and release settlement all read the
 /// same ledger. A single mutex suffices: every operation is a few
 /// loads and stores, and the table is consulted at most once per
-/// request — the sharded machine locks stay the concurrency story.
+/// request — the per-machine locks stay the concurrency story.
 #[derive(Debug, Default)]
 pub struct TenantTable {
     inner: Mutex<HashMap<String, TenantState>>,
@@ -137,10 +137,20 @@ impl TenantTable {
         Self::default()
     }
 
+    /// Runs `f` on the named tenant's row under the table lock, creating
+    /// the row (default config) on first use. Only then is the name
+    /// copied into a key, so calls on a known tenant allocate nothing.
+    fn with_row<R>(&self, name: &str, f: impl FnOnce(&mut TenantState) -> R) -> R {
+        let mut inner = self.inner.lock().unwrap();
+        match inner.get_mut(name) {
+            Some(state) => f(state),
+            None => f(inner.entry(name.to_string()).or_default()),
+        }
+    }
+
     /// Ensures the tenant exists (default config when new).
     pub fn touch(&self, tenant: &str) {
-        let mut inner = self.inner.lock().unwrap();
-        inner.entry(tenant.to_string()).or_default();
+        self.with_row(tenant, |_| ());
     }
 
     /// Installs an absolute configuration (create-or-replace). The
@@ -148,8 +158,7 @@ impl TenantTable {
     /// last-writer-wins regardless of which fields the original
     /// request spelled out.
     pub fn configure(&self, tenant: &str, config: TenantConfig) {
-        let mut inner = self.inner.lock().unwrap();
-        inner.entry(tenant.to_string()).or_default().config = config;
+        self.with_row(tenant, |state| state.config = config);
     }
 
     /// The current configuration (default when the tenant is unknown).
@@ -167,61 +176,55 @@ impl TenantTable {
     /// it. On denial nothing is committed and the denial counter
     /// bumps.
     pub fn admit(&self, tenant: Option<&str>, cost: f64) -> Result<(), QuotaDenied> {
-        let name = tenant_or_default(tenant);
-        let mut inner = self.inner.lock().unwrap();
-        let state = inner.entry(name.to_string()).or_default();
-        if let Some(limit) = state.config.quota_node_seconds {
-            if state.outstanding + cost > limit {
-                state.denied += 1;
-                return Err(QuotaDenied {
-                    usage: state.outstanding,
-                    limit,
-                });
+        self.with_row(tenant_or_default(tenant), |state| {
+            if let Some(limit) = state.config.quota_node_seconds {
+                if state.outstanding + cost > limit {
+                    state.denied += 1;
+                    return Err(QuotaDenied {
+                        usage: state.outstanding,
+                        limit,
+                    });
+                }
             }
-        }
-        state.outstanding += cost;
-        state.admitted += 1;
-        Ok(())
+            state.outstanding += cost;
+            state.admitted += 1;
+            Ok(())
+        })
     }
 
     /// Returns a committed cost (the request was rejected downstream
     /// of admission, or an error unwound it). Also un-counts the
     /// admission.
     pub fn refund(&self, tenant: Option<&str>, cost: f64) {
-        let name = tenant_or_default(tenant);
-        let mut inner = self.inner.lock().unwrap();
-        let state = inner.entry(name.to_string()).or_default();
-        state.outstanding = (state.outstanding - cost).max(0.0);
-        state.admitted = state.admitted.saturating_sub(1);
+        self.with_row(tenant_or_default(tenant), |state| {
+            state.outstanding = (state.outstanding - cost).max(0.0);
+            state.admitted = state.admitted.saturating_sub(1);
+        });
     }
 
     /// Settles a finished hold: releases the committed node-seconds
     /// and accrues the realized consumption (`size × held`; cancelled
     /// queued jobs settle with zero consumption).
     pub fn settle(&self, tenant: Option<&str>, cost: f64, consumed: f64) {
-        let name = tenant_or_default(tenant);
-        let mut inner = self.inner.lock().unwrap();
-        let state = inner.entry(name.to_string()).or_default();
-        state.outstanding = (state.outstanding - cost).max(0.0);
-        if consumed.is_finite() && consumed > 0.0 {
-            state.consumed += consumed;
-        }
+        self.with_row(tenant_or_default(tenant), |state| {
+            state.outstanding = (state.outstanding - cost).max(0.0);
+            if consumed.is_finite() && consumed > 0.0 {
+                state.consumed += consumed;
+            }
+        });
     }
 
     /// Queue-depth gauge: a job of the tenant entered a queue.
     pub fn note_enqueued(&self, tenant: Option<&str>) {
-        let name = tenant_or_default(tenant);
-        let mut inner = self.inner.lock().unwrap();
-        inner.entry(name.to_string()).or_default().queued += 1;
+        self.with_row(tenant_or_default(tenant), |state| state.queued += 1);
     }
 
     /// Queue-depth gauge: a queued job of the tenant left its queue
     /// (granted or cancelled).
     pub fn note_dequeued(&self, tenant: Option<&str>) {
-        let name = tenant_or_default(tenant);
-        let mut inner = self.inner.lock().unwrap();
-        let state = inner.entry(name.to_string()).or_default();
-        state.queued = state.queued.saturating_sub(1);
+        self.with_row(tenant_or_default(tenant), |state| {
+            state.queued = state.queued.saturating_sub(1);
+        });
     }
 
     /// Records a grant's queue wait, tenant-weighted (`wait/weight`).
@@ -229,16 +232,15 @@ impl TenantTable {
         if !wait.is_finite() || wait < 0.0 {
             return;
         }
-        let name = tenant_or_default(tenant);
-        let mut inner = self.inner.lock().unwrap();
-        let state = inner.entry(name.to_string()).or_default();
-        let weight = if state.config.weight > 0.0 {
-            state.config.weight
-        } else {
-            1.0
-        };
-        state.weighted_wait_sum += wait / weight;
-        state.waits += 1;
+        self.with_row(tenant_or_default(tenant), |state| {
+            let weight = if state.config.weight > 0.0 {
+                state.config.weight
+            } else {
+                1.0
+            };
+            state.weighted_wait_sum += wait / weight;
+            state.waits += 1;
+        });
     }
 
     /// The fair-share drain key of a tenant: outstanding node-seconds
@@ -264,17 +266,14 @@ impl TenantTable {
     /// Wire accounting: a request from the tenant was read off a
     /// connection; its response is now pending flush.
     pub fn wire_inc(&self, tenant: Option<&str>, n: u64) {
-        let name = tenant_or_default(tenant);
-        let mut inner = self.inner.lock().unwrap();
-        inner.entry(name.to_string()).or_default().in_flight += n;
+        self.with_row(tenant_or_default(tenant), |state| state.in_flight += n);
     }
 
     /// Wire accounting: `n` responses of the tenant flushed.
     pub fn wire_dec(&self, tenant: Option<&str>, n: u64) {
-        let name = tenant_or_default(tenant);
-        let mut inner = self.inner.lock().unwrap();
-        let state = inner.entry(name.to_string()).or_default();
-        state.in_flight = state.in_flight.saturating_sub(n);
+        self.with_row(tenant_or_default(tenant), |state| {
+            state.in_flight = state.in_flight.saturating_sub(n);
+        });
     }
 
     /// Whether the tenant's unflushed responses exceed its in-flight
@@ -293,12 +292,9 @@ impl TenantTable {
 
     /// Counts one read-pause caused by the in-flight cap.
     pub fn note_backpressure_pause(&self, tenant: Option<&str>) {
-        let name = tenant_or_default(tenant);
-        let mut inner = self.inner.lock().unwrap();
-        inner
-            .entry(name.to_string())
-            .or_default()
-            .backpressure_pauses += 1;
+        self.with_row(tenant_or_default(tenant), |state| {
+            state.backpressure_pauses += 1;
+        });
     }
 
     /// Exports every tenant row, sorted by name.
@@ -336,12 +332,12 @@ impl TenantTable {
     /// the restored running and queued jobs via
     /// [`TenantTable::reset_outstanding`].
     pub fn restore(&self, tenant: &str, config: TenantConfig, consumed: f64) {
-        let mut inner = self.inner.lock().unwrap();
-        let state = inner.entry(tenant.to_string()).or_default();
-        state.config = config;
-        if consumed.is_finite() && consumed > 0.0 {
-            state.consumed = consumed;
-        }
+        self.with_row(tenant, |state| {
+            state.config = config;
+            if consumed.is_finite() && consumed > 0.0 {
+                state.consumed = consumed;
+            }
+        });
     }
 
     /// Overwrites the outstanding-commitment ledger (the recovery

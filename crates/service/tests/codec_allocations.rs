@@ -4,12 +4,13 @@
 //! nothing, and decoding an `alloc`, `release` or `poll` allocates once,
 //! for its `machine` string. The journal's lines are counted the same
 //! way: rendering allocates nothing, and reading a grant allocates only
-//! the fields the record owns.
+//! the fields the record owns. The tenant ledger's per-request calls
+//! allocate nothing once the tenant is known.
 
 use commalloc_mesh::NodeId;
 use commalloc_service::framing::{self, Framing};
 use commalloc_service::journal::{QueuedRequest, RunningJob};
-use commalloc_service::{JobRef, JournalRecord, Request, Response};
+use commalloc_service::{tenant_or_default, JobRef, JournalRecord, Request, Response, TenantTable};
 use commalloc_workload::CommPattern;
 use serde::{Map, Value};
 use serde_json::Tape;
@@ -228,5 +229,31 @@ fn reading_a_grant_line_into_a_warm_tape_allocates_only_its_owned_fields() {
         let (read, count) = allocations(|| JournalRecord::from_line(&line));
         assert_eq!(read.expect("reads"), (41, grant(tenant)));
         assert_eq!(count, owned, "reading {line}");
+    }
+}
+
+#[test]
+fn the_tenant_ledger_allocates_nothing_for_a_known_tenant() {
+    // What every wire `alloc` and `release` pays: `wire_inc`, then
+    // `admit` or `settle` (with `refund`/`note_wait` on the other
+    // outcomes), then `wire_dec`.
+    let table = TenantTable::new();
+    for tenant in [Some("acme"), None] {
+        table.touch(tenant_or_default(tenant));
+        let calls: [(&str, &dyn Fn()); 7] = [
+            ("admit", &|| table.admit(tenant, 10.0).expect("no quota")),
+            ("refund", &|| table.refund(tenant, 10.0)),
+            ("settle", &|| table.settle(tenant, 10.0, 4.0)),
+            ("note_wait", &|| table.note_wait(tenant, 2.5)),
+            ("wire_inc", &|| table.wire_inc(tenant, 1)),
+            ("wire_dec", &|| table.wire_dec(tenant, 1)),
+            ("note_backpressure_pause", &|| {
+                table.note_backpressure_pause(tenant)
+            }),
+        ];
+        for (name, call) in calls {
+            let ((), count) = allocations(call);
+            assert_eq!(count, 0, "{name} on known tenant {tenant:?}");
+        }
     }
 }

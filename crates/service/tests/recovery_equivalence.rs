@@ -80,15 +80,6 @@ fn normalized(mut image: MachineImage, strip_clock: bool) -> MachineImage {
     image
 }
 
-/// Which schedulers to test (honours the CI matrix variable).
-fn schedulers_under_test() -> Vec<SchedulerKind> {
-    match std::env::var("COMMALLOC_SCHEDULER") {
-        Ok(spec) => vec![SchedulerKind::parse(&spec)
-            .unwrap_or_else(|| panic!("COMMALLOC_SCHEDULER={spec:?} is not a scheduler"))],
-        Err(_) => SchedulerKind::all().to_vec(),
-    }
-}
-
 /// Asserts every job of the trace stands identically on both services.
 fn assert_jobs_agree(
     reference: &AllocationService,
@@ -114,7 +105,7 @@ fn recovered_machine_state_matches_uninterrupted_run() {
     let jobs = integer_trace(90, 42, 0.12);
     let last_arrival = jobs.last().unwrap().arrival;
     let cut = last_arrival * 0.6 + 0.5; // mid-schedule, off the event grid
-    for scheduler in schedulers_under_test() {
+    for scheduler in SchedulerKind::all() {
         for install_snapshot in [true, false] {
             let tag = format!(
                 "m-{}-{}",
@@ -170,7 +161,7 @@ fn recovered_cluster_state_matches_uninterrupted_run() {
     let last_arrival = jobs.last().unwrap().arrival;
     let cut = last_arrival * 0.6 + 0.5;
     let members = [("a", "16x16"), ("b", "16x8"), ("c", "8x8")];
-    for scheduler in schedulers_under_test() {
+    for scheduler in SchedulerKind::all() {
         for policy in RoutingPolicy::all() {
             let tag = format!("c-{}-{}", scheduler.name().replace(' ', "_"), policy.name());
             let dir = temp_dir(&tag);

@@ -72,20 +72,10 @@ fn online_service(
     service
 }
 
-/// Which schedulers to test: all of them by default, or just the one the
-/// `COMMALLOC_SCHEDULER` environment variable names (the CI matrix).
-fn schedulers_under_test() -> Vec<SchedulerKind> {
-    match std::env::var("COMMALLOC_SCHEDULER") {
-        Ok(spec) => vec![SchedulerKind::parse(&spec)
-            .unwrap_or_else(|| panic!("COMMALLOC_SCHEDULER={spec:?} is not a scheduler"))],
-        Err(_) => SchedulerKind::all().to_vec(),
-    }
-}
-
 #[test]
 fn online_grant_order_equals_offline_grant_order() {
     let trace = integer_trace(120, 42, 0.12);
-    for scheduler in schedulers_under_test() {
+    for scheduler in SchedulerKind::all() {
         let config = SimConfig::new(
             Mesh2D::square_16x16(),
             CommPattern::AllToAll,
@@ -145,7 +135,7 @@ fn online_grant_order_equals_offline_grant_order() {
 #[test]
 fn online_occupancy_map_matches_offline_at_a_cut_point() {
     let trace = integer_trace(90, 7, 0.12);
-    for scheduler in schedulers_under_test() {
+    for scheduler in SchedulerKind::all() {
         let config = SimConfig::new(
             Mesh2D::square_16x16(),
             CommPattern::AllToAll,

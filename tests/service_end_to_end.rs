@@ -250,17 +250,7 @@ fn sharded_registry_serves_disjoint_machines_concurrently() {
 
 #[test]
 fn scheduling_policies_work_over_the_wire() {
-    // The CI matrix sets COMMALLOC_SCHEDULER to run this end-to-end test
-    // once per policy; unset, it covers all three in one go. The spec is
-    // parsed with the canonical parser so every accepted spelling
-    // ("FCFS", " easy ", ...) lands in the right branch below.
-    let policies: Vec<commalloc::scheduler::SchedulerKind> =
-        match std::env::var("COMMALLOC_SCHEDULER") {
-            Ok(spec) => vec![commalloc::scheduler::SchedulerKind::parse(&spec)
-                .unwrap_or_else(|| panic!("COMMALLOC_SCHEDULER={spec:?} is not a scheduler"))],
-            Err(_) => commalloc::scheduler::SchedulerKind::all().to_vec(),
-        };
-    for policy in policies {
+    for policy in commalloc::scheduler::SchedulerKind::all() {
         let policy_spec = policy.name();
         let (service, handle) = spawn_server();
         let mut client = ServiceClient::connect(handle.addr()).unwrap();
