@@ -38,7 +38,9 @@
 //! therefore a pure function of the request order, which is what lets the
 //! cluster sim-equivalence tests replay a trace through an **offline**
 //! router ([`route_offline`]) and demand byte-identical per-machine grant
-//! logs from the live pooled service.
+//! logs from the live pooled service. Both harnesses advance virtual time
+//! through one event loop (`crate::replay::drive`); they differ only in
+//! how an arrival is placed: the live router, or `pick` applied here.
 
 use crate::registry::ServiceError;
 use crate::replay::ReplayJob;
@@ -400,21 +402,18 @@ impl ClusterMember {
 /// order, the member it was routed to (`None` when no member is large
 /// enough).
 ///
-/// The event loop is the exact loop of [`crate::replay::replay_cluster`]:
-/// arrivals win ties against completions, each machine's completions
-/// reduce with the engine's `min_by(total_cmp)` rule over that machine's
-/// **own** push/`swap_remove` running vector (cross-machine ties go to
-/// the machine earliest in sorted-name order), and the route sequence
-/// advances once per routed arrival — so a single-threaded online run
-/// must take byte-identical routing decisions.
+/// Events run through the same loop as [`crate::replay::replay_cluster`]
+/// (`crate::replay::drive`, with one machine per member in sorted-name
+/// order), members are sampled through the call the online router makes
+/// ([`crate::registry::MachineEntry::sample_for`]), and the route
+/// sequence advances once per routed arrival — so a single-threaded
+/// online run must take byte-identical routing decisions.
 pub fn route_offline(
     members: &[ClusterMember],
     policy: RoutingPolicy,
     jobs: &[ReplayJob],
 ) -> Vec<(u64, Option<String>)> {
     let service = AllocationService::new();
-    let mut names: Vec<String> = members.iter().map(|m| m.name.clone()).collect();
-    names.sort();
     for m in members {
         service
             .register(
@@ -426,73 +425,41 @@ pub fn route_offline(
             )
             .expect("offline cluster member registers");
     }
-
+    let names = service.list();
     let mut routes: Vec<(u64, Option<String>)> = Vec::with_capacity(jobs.len());
-    // One (job_id, predicted completion) vector per member, in sorted
-    // member order — the same shape as `replay_cluster`'s.
-    let mut running: Vec<Vec<(u64, f64)>> = vec![Vec::new(); names.len()];
-    let durations: HashMap<u64, f64> = jobs.iter().map(|j| (j.id, j.duration)).collect();
     let mut seq = 0u64;
-    let mut next_arrival = 0usize;
-    let mut now = 0.0f64;
-
-    loop {
-        let arrival_time = jobs.get(next_arrival).map(|j| j.arrival);
-        let completion = crate::replay::next_cluster_completion(&running);
-        let Some((event_time, is_arrival)) =
-            crate::replay::next_event(arrival_time, completion.map(|(c, _, _)| c))
-        else {
-            break;
-        };
-        now = event_time.max(now);
-        service.clock().set_time(now);
-
-        if is_arrival {
-            let job = jobs[next_arrival];
-            next_arrival += 1;
-            // Sample every member in sorted-name order — identical to the
-            // online router's sampling.
-            let eligible: Vec<MachineSample> = names
-                .iter()
-                .map(|name| {
-                    service
-                        .sample_for(name, job.id, job.size, policy.sampled_pattern(job.pattern))
-                        .expect("member exists")
-                })
+    crate::replay::drive(
+        service.clock(),
+        names.len(),
+        jobs,
+        None,
+        |job| {
+            let pattern = policy.sampled_pattern(job.pattern);
+            let sample = |name: &String| {
+                (service.with_entry(name, |e| Ok(e.sample_for(job.id, job.size, pattern))))
+                    .expect("member exists")
+            };
+            let eligible: Vec<MachineSample> = (names.iter().map(sample))
                 .filter(|s| job.size <= s.nodes)
                 .collect();
             if eligible.is_empty() {
                 routes.push((job.id, None));
-                continue;
+                return None;
             }
-            let at = policy.pick(&eligible, seq);
+            let target = &eligible[policy.pick(&eligible, seq)].name;
             seq += 1;
-            let target = eligible[at].name.clone();
-            let target_at = names.binary_search(&target).expect("member is registered");
             routes.push((job.id, Some(target.clone())));
-            match service
-                .alloc(&target, &job.alloc_args(), &RequestCtx::inert())
-                .expect("well-formed offline route")
-            {
-                crate::registry::AllocOutcome::Granted(_) => {
-                    running[target_at].push((job.id, now + job.duration));
-                }
-                crate::registry::AllocOutcome::Queued(_) => {}
-                crate::registry::AllocOutcome::Rejected(_) => {}
-            }
-        } else {
-            let (_, machine_at, idx) = completion.expect("completion event requires a running job");
-            let machine = names[machine_at].clone();
-            let (done, _) = running[machine_at].swap_remove(idx);
-            let granted = service
-                .release(&machine, done, &RequestCtx::inert())
-                .expect("running job releases cleanly");
-            for (job_id, _) in granted {
-                let duration = durations[&job_id];
-                running[machine_at].push((job_id, now + duration));
-            }
-        }
-    }
+            let outcome = service
+                .alloc(target, &job.alloc_args(), &RequestCtx::inert())
+                .expect("well-formed offline route");
+            Some((names.binary_search(target).expect("member"), outcome))
+        },
+        |at, job| {
+            service
+                .release(&names[at], job, &RequestCtx::inert())
+                .expect("running job releases cleanly")
+        },
+    );
     routes
 }
 

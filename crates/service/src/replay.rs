@@ -10,21 +10,18 @@
 //! **byte-identical** to the offline simulator's for the same job list —
 //! the equivalence the `sim_equivalence` tests pin for every policy.
 //!
-//! Determinism notes, mirrored from the engine:
-//!
-//! * the next completion is chosen with the engine's exact
-//!   `min_by(total_cmp)` reduction (last minimum wins on ties);
-//! * simultaneous arrival/completion resolves in favour of the arrival
-//!   (`a <= c`), as in the engine;
-//! * the running set evolves push/`swap_remove`, so EASY's stable
-//!   completion sort breaks ties in the same order on both sides.
+//! The three virtual-time harnesses here and in [`crate::cluster`]
+//! ([`replay`], [`replay_cluster`], [`crate::route_offline`]) share one
+//! event loop, `drive`, whose doc lists the engine's tie-break rules
+//! it mirrors.
 //!
 //! Integer-valued arrivals and durations (the engine's message quotas are
 //! integers) keep every event time exact in `f64`, making tie-breaking
 //! reproducible rather than rounding-dependent.
 
+use crate::clock::Clock;
 use crate::protocol::{AllocArgs, JobRef};
-use crate::registry::AllocOutcome;
+use crate::registry::{AllocOutcome, ServiceError};
 use crate::service::AllocationService;
 use crate::trace::RequestCtx;
 use commalloc_mesh::NodeId;
@@ -106,19 +103,99 @@ pub struct ReplayLog {
     pub end_time: f64,
 }
 
-/// The engine's event-selection rule, shared by every replay loop and
-/// the offline router: the earlier of the next arrival and the next
-/// completion, **arrivals winning exact ties** (`a <= c`). Returns
-/// `(event_time, is_arrival)`, or `None` when no event remains. This
-/// tie-break is load-bearing for every byte-identical equivalence proof
-/// — it lives in exactly one place so the simulators cannot drift.
-pub(crate) fn next_event(arrival: Option<f64>, completion: Option<f64>) -> Option<(f64, bool)> {
-    match (arrival, completion) {
-        (Some(a), Some(c)) => Some(if a <= c { (a, true) } else { (c, false) }),
-        (Some(a), None) => Some((a, true)),
-        (None, Some(c)) => Some((c, false)),
-        (None, None) => None,
+/// The one virtual-time event loop behind [`replay`], [`replay_cluster`]
+/// and [`crate::route_offline`], and so the one home of the offline
+/// engine's tie-break rules, on which every byte-identical equivalence
+/// proof rests:
+///
+/// * the next event is the earlier of the next arrival and the next
+///   completion, **arrivals winning exact ties** (`a <= c`);
+/// * each machine keeps its own `(job, completion)` vector, evolved
+///   push/`swap_remove` like the engine's running vector (so EASY's
+///   stable completion sort breaks ties in the same order on both
+///   sides), and reduces it with the engine's exact `min_by(total_cmp)`
+///   (the first minimum wins);
+/// * equal completions on different machines go to the lowest machine
+///   index. Per-machine vectors keep a machine's own tie order that of
+///   a standalone replay of it: a shared vector would let the other
+///   machines' pushes and removals perturb it.
+///
+/// The clock is set to each event's time before it is handled.
+/// `arrive` submits a job and names the machine index it landed on
+/// with the outcome (`None`: not placed, nothing to record); `release`
+/// frees a finished job on its machine and returns the jobs the release
+/// granted. Stops after the last event at or before `until`. Returns one
+/// grant log per machine, the rejected ids and the last event's time.
+///
+/// # Panics
+///
+/// Panics if a job id repeats in `jobs`.
+pub(crate) fn drive(
+    clock: &Clock,
+    machines: usize,
+    jobs: &[ReplayJob],
+    until: Option<f64>,
+    mut arrive: impl FnMut(&ReplayJob) -> Option<(usize, AllocOutcome)>,
+    mut release: impl FnMut(usize, u64) -> Vec<(u64, Vec<NodeId>)>,
+) -> (Vec<Vec<ReplayGrant>>, Vec<u64>, f64) {
+    let durations: HashMap<u64, f64> = jobs.iter().map(|j| (j.id, j.duration)).collect();
+    assert_eq!(durations.len(), jobs.len(), "replay job ids must be unique");
+    let mut grants: Vec<Vec<ReplayGrant>> = vec![Vec::new(); machines];
+    let mut running: Vec<Vec<(u64, f64)>> = vec![Vec::new(); machines];
+    let mut rejected: Vec<u64> = Vec::new();
+    let mut next_arrival = 0usize;
+    let mut now = 0.0f64;
+
+    loop {
+        let completion = running
+            .iter()
+            .enumerate()
+            .filter_map(|(m, vector)| {
+                (vector.iter().enumerate())
+                    .map(|(i, &(_, c))| (c, m, i))
+                    .min_by(|a, b| a.0.total_cmp(&b.0))
+            })
+            .min_by(|a, b| a.0.total_cmp(&b.0));
+        let (time, done) = match (jobs.get(next_arrival), completion) {
+            (Some(job), Some((c, m, i))) if job.arrival > c => (c, Some((m, i))),
+            (Some(job), _) => (job.arrival, None),
+            (None, Some((c, m, i))) => (c, Some((m, i))),
+            (None, None) => break,
+        };
+        if until.is_some_and(|limit| time > limit) {
+            break;
+        }
+        now = time.max(now);
+        clock.set_time(now);
+
+        if let Some((m, i)) = done {
+            let (finished, _) = running[m].swap_remove(i);
+            for (job_id, nodes) in release(m, finished) {
+                running[m].push((job_id, now + durations[&job_id]));
+                grants[m].push(ReplayGrant {
+                    job_id,
+                    time: now,
+                    nodes,
+                });
+            }
+            continue;
+        }
+        let job = &jobs[next_arrival];
+        next_arrival += 1;
+        match arrive(job) {
+            Some((m, AllocOutcome::Granted(nodes))) => {
+                running[m].push((job.id, now + job.duration));
+                grants[m].push(ReplayGrant {
+                    job_id: job.id,
+                    time: now,
+                    nodes,
+                });
+            }
+            Some((_, AllocOutcome::Rejected(_))) => rejected.push(job.id),
+            Some((_, AllocOutcome::Queued(_))) | None => {}
+        }
     }
+    (grants, rejected, now)
 }
 
 /// Replays `jobs` against `machine` on `service`, stopping after the last
@@ -137,83 +214,27 @@ pub fn replay(
     jobs: &[ReplayJob],
     until: Option<f64>,
 ) -> ReplayLog {
-    let mut grants: Vec<ReplayGrant> = Vec::new();
-    let mut rejected: Vec<u64> = Vec::new();
-    // (job_id, predicted completion), evolved push/swap_remove exactly
-    // like the engine's running vector.
-    let mut running: Vec<(u64, f64)> = Vec::new();
-    let durations: HashMap<u64, f64> = jobs.iter().map(|j| (j.id, j.duration)).collect();
-    let duration_of = |job_id: u64| {
-        *durations
-            .get(&job_id)
-            .expect("granted job comes from the trace")
-    };
-
-    let mut next_arrival = 0usize;
-    let mut now = 0.0f64;
-
-    loop {
-        let arrival_time = jobs.get(next_arrival).map(|j| j.arrival);
-        // The engine's exact completion reduction: min_by(total_cmp) over
-        // (completion, index); Rust's min_by keeps the *last* minimum.
-        let completion = running
-            .iter()
-            .enumerate()
-            .map(|(i, &(_, c))| (c, i))
-            .min_by(|a, b| a.0.total_cmp(&b.0));
-
-        let Some((event_time, is_arrival)) = next_event(arrival_time, completion.map(|(c, _)| c))
-        else {
-            break;
-        };
-        if let Some(limit) = until {
-            if event_time > limit {
-                break;
-            }
-        }
-
-        now = event_time.max(now);
-        service.clock().set_time(now);
-
-        if is_arrival {
-            let job = jobs[next_arrival];
-            next_arrival += 1;
-            match service
+    let (mut grants, rejected, end_time) = drive(
+        service.clock(),
+        1,
+        jobs,
+        until,
+        |job| {
+            let outcome = service
                 .alloc(machine, &job.alloc_args(), &RequestCtx::inert())
-                .expect("well-formed replay request")
-            {
-                AllocOutcome::Granted(nodes) => {
-                    running.push((job.id, now + job.duration));
-                    grants.push(ReplayGrant {
-                        job_id: job.id,
-                        time: now,
-                        nodes,
-                    });
-                }
-                AllocOutcome::Queued(_) => {}
-                AllocOutcome::Rejected(_) => rejected.push(job.id),
-            }
-        } else {
-            let (_, idx) = completion.expect("completion event requires a running job");
-            let (done, _) = running.swap_remove(idx);
-            let granted = service
-                .release(machine, done, &RequestCtx::inert())
-                .expect("running job releases cleanly");
-            for (job_id, nodes) in granted {
-                running.push((job_id, now + duration_of(job_id)));
-                grants.push(ReplayGrant {
-                    job_id,
-                    time: now,
-                    nodes,
-                });
-            }
-        }
-    }
-
+                .expect("well-formed replay request");
+            Some((0, outcome))
+        },
+        |_, job| {
+            service
+                .release(machine, job, &RequestCtx::inert())
+                .expect("running job releases cleanly")
+        },
+    );
     ReplayLog {
-        grants,
+        grants: grants.remove(0),
         rejected,
-        end_time: now,
+        end_time,
     }
 }
 
@@ -236,44 +257,12 @@ pub struct ClusterReplayLog {
     pub end_time: f64,
 }
 
-/// The next completion event across a cluster's per-machine running
-/// vectors: each machine is reduced with the engine's exact
-/// `min_by(total_cmp)` rule over its **own** vector (so a machine's
-/// simultaneous completions resolve in the same order as a standalone
-/// [`replay`] of that machine would), and cross-machine ties go to the
-/// machine earliest in iteration order (members are kept sorted by
-/// name). Returns `(completion, machine index, local running index)`.
-///
-/// Keeping the vectors per-machine is what makes the per-machine grant
-/// logs byte-identical to standalone replays: a shared vector would let
-/// other machines' pushes and `swap_remove`s perturb the tie-breaking
-/// indices of this machine's simultaneous completions.
-pub(crate) fn next_cluster_completion(running: &[Vec<(u64, f64)>]) -> Option<(f64, usize, usize)> {
-    let mut best: Option<(f64, usize, usize)> = None;
-    for (machine_at, machine_running) in running.iter().enumerate() {
-        let local = machine_running
-            .iter()
-            .enumerate()
-            .map(|(i, &(_, c))| (c, i))
-            .min_by(|a, b| a.0.total_cmp(&b.0));
-        if let Some((c, i)) = local {
-            match &best {
-                Some((b, _, _)) if c.total_cmp(b).is_ge() => {}
-                _ => best = Some((c, machine_at, i)),
-            }
-        }
-    }
-    best
-}
-
 /// Replays `jobs` against pool `pool` (no `@` sigil) on `service`,
 /// routing every arrival through the pool's [`crate::RoutingPolicy`]
 /// with `wait` set — the **online** half of the cluster sim-equivalence
 /// proof, and the engine behind the `cluster_routing` benchmark. Runs
-/// the event loop of [`replay`] generalised to many machines: arrivals
-/// win ties against completions, each machine's completions reduce over
-/// its own push/`swap_remove` vector ([`next_cluster_completion`]), and
-/// the members share the service's one clock.
+/// `drive` with one machine per member, in the pool's member order,
+/// on the service's one clock.
 ///
 /// # Panics
 ///
@@ -286,107 +275,48 @@ pub fn replay_cluster(
     until: Option<f64>,
 ) -> ClusterReplayLog {
     let members = service.router().members(pool).expect("replay pool exists");
-    let member_at: HashMap<&str, usize> = members
-        .iter()
-        .enumerate()
-        .map(|(i, m)| (m.as_str(), i))
-        .collect();
-    let mut grants: HashMap<String, Vec<ReplayGrant>> =
-        members.iter().map(|m| (m.clone(), Vec::new())).collect();
-    let mut routes: Vec<(u64, Option<String>)> = Vec::with_capacity(jobs.len());
-    let mut rejected: Vec<u64> = Vec::new();
-    // One (job_id, predicted completion) vector per member, in member
-    // order, each evolved push/swap_remove like the engine's.
-    let mut running: Vec<Vec<(u64, f64)>> = vec![Vec::new(); members.len()];
-    let durations: HashMap<u64, f64> = jobs.iter().map(|j| (j.id, j.duration)).collect();
     let pool_address = format!("@{pool}");
-
-    let mut next_arrival = 0usize;
-    let mut now = 0.0f64;
-
-    loop {
-        let arrival_time = jobs.get(next_arrival).map(|j| j.arrival);
-        let completion = next_cluster_completion(&running);
-        let Some((event_time, is_arrival)) =
-            next_event(arrival_time, completion.map(|(c, _, _)| c))
-        else {
-            break;
-        };
-        if let Some(limit) = until {
-            if event_time > limit {
-                break;
+    let mut routes: Vec<(u64, Option<String>)> = Vec::with_capacity(jobs.len());
+    let (grants, rejected, end_time) = drive(
+        service.clock(),
+        members.len(),
+        jobs,
+        until,
+        |job| match service.route(pool, &job.alloc_args(), &RequestCtx::inert()) {
+            Ok((machine, outcome)) => {
+                let at = members.iter().position(|m| *m == machine);
+                routes.push((job.id, Some(machine)));
+                Some((at.expect("routed to a member"), outcome))
             }
-        }
-
-        now = event_time.max(now);
-        service.clock().set_time(now);
-
-        if is_arrival {
-            let job = jobs[next_arrival];
-            next_arrival += 1;
-            match service.route(pool, &job.alloc_args(), &RequestCtx::inert()) {
-                Ok((machine, outcome)) => {
-                    routes.push((job.id, Some(machine.clone())));
-                    match outcome {
-                        AllocOutcome::Granted(nodes) => {
-                            running[member_at[machine.as_str()]].push((job.id, now + job.duration));
-                            grants
-                                .get_mut(&machine)
-                                .expect("member log")
-                                .push(ReplayGrant {
-                                    job_id: job.id,
-                                    time: now,
-                                    nodes,
-                                });
-                        }
-                        AllocOutcome::Queued(_) => {}
-                        AllocOutcome::Rejected(_) => rejected.push(job.id),
-                    }
-                }
-                Err(crate::registry::ServiceError::InvalidRequest(_)) => {
-                    routes.push((job.id, None));
-                }
-                Err(e) => panic!("cluster replay route failed: {e}"),
+            Err(ServiceError::InvalidRequest(_)) => {
+                routes.push((job.id, None));
+                None
             }
-        } else {
-            let (_, machine_at, idx) = completion.expect("completion event requires a running job");
-            let machine = members[machine_at].clone();
-            let (done, _) = running[machine_at].swap_remove(idx);
-            // Release through the pool address: the bare id resolves
-            // to whichever member holds it, so every cluster replay
-            // also proves resolution agrees with the router's
-            // bookkeeping.
+            Err(e) => panic!("cluster replay route failed: {e}"),
+        },
+        |at, job| {
+            // Release through the pool address: the bare id resolves to
+            // whichever member holds it, so every cluster replay also
+            // proves resolution agrees with the router's bookkeeping.
             let (resolved, granted) = service
                 .release_ref(
                     Some(&pool_address),
-                    &JobRef::Bare(done),
+                    &JobRef::Bare(job),
                     &RequestCtx::inert(),
                 )
                 .expect("running job releases cleanly");
             assert_eq!(
-                resolved, machine,
+                resolved, members[at],
                 "a bare id must resolve to the member the router placed the job on"
             );
-            for (job_id, nodes) in granted {
-                let duration = durations[&job_id];
-                running[machine_at].push((job_id, now + duration));
-                grants
-                    .get_mut(&machine)
-                    .expect("member log")
-                    .push(ReplayGrant {
-                        job_id,
-                        time: now,
-                        nodes,
-                    });
-            }
-        }
-    }
-
+            granted
+        },
+    );
     ClusterReplayLog {
         routes,
-        grants,
+        grants: members.into_iter().zip(grants).collect(),
         rejected,
-        end_time: now,
+        end_time,
     }
 }
 
@@ -444,6 +374,19 @@ mod tests {
         for name in ["a", "b"] {
             assert_eq!(service.query(name).unwrap().busy, 0);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "replay job ids must be unique")]
+    fn a_repeated_job_id_panics() {
+        let service = AllocationService::new();
+        service.register("m", "4x4", None, None, None).unwrap();
+        let jobs = [
+            ReplayJob::new(0, 4, 0.0, 1.0),
+            ReplayJob::new(0, 4, 5.0, 1.0),
+            ReplayJob::new(1, 4, 6.0, 1.0),
+        ];
+        replay(&service, "m", &jobs, None);
     }
 
     #[test]

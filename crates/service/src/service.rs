@@ -22,7 +22,6 @@ use commalloc_alloc::curve_alloc::SelectionStrategy;
 use commalloc_alloc::AllocatorKind;
 use commalloc_mesh::curve3d::Curve3Kind;
 use commalloc_mesh::{Mesh2D, Mesh3D, NodeId};
-use commalloc_workload::CommPattern;
 use serde::{Map, Serialize, Value};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -565,24 +564,6 @@ impl AllocationService {
             ..AllocArgs::new(job, size)
         };
         self.alloc(machine, &args, &RequestCtx::inert())
-    }
-
-    /// The routing-relevant sample of `machine` for one specific
-    /// request, captured under its lock (the router's *sample*
-    /// step; public so offline routing harnesses see exactly what the
-    /// router sees): when `pattern` is declared, the sample's
-    /// `contention` field carries the machine's best predicted contention
-    /// for the job (see [`MachineEntry::sample_for`]). The comm-aware
-    /// routing policy and the offline router both sample through that
-    /// call, which is what keeps their decisions identical.
-    pub fn sample_for(
-        &self,
-        machine: &str,
-        job: u64,
-        size: usize,
-        pattern: Option<CommPattern>,
-    ) -> Result<MachineSample, ServiceError> {
-        self.with_entry(machine, |entry| Ok(entry.sample_for(job, size, pattern)))
     }
 
     /// Routes an allocation across pool `pool` (no `@` sigil): samples
