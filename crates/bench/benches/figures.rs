@@ -5,9 +5,10 @@
 //! `src/bin/`; these benches use small traces so a full
 //! `cargo bench` run stays in the minutes range.
 
-use commalloc::experiment::LoadSweep;
 use commalloc::prelude::*;
-use commalloc_bench::{dispersion_allocations, probe_jobs, standard_trace};
+use commalloc_bench::{
+    contiguity_sweep, dispersion_allocations, probe_study, response_sweep, standard_trace, Cli,
+};
 use commalloc_net::flit::{FlitMessage, FlitNetwork};
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
@@ -62,51 +63,38 @@ fn bench_fig07(c: &mut Criterion) {
     });
 }
 
-/// Figure 8: a miniature three-allocator sweep on the 16x16 mesh.
+/// A small run of the figure binaries' flags: an 80-job trace.
+fn small() -> Cli {
+    Cli {
+        jobs: 80,
+        ..Cli::default()
+    }
+}
+
+/// Figure 8: the n-body response sweep on the 16x16 mesh at two loads.
 fn bench_fig08(c: &mut Criterion) {
-    let trace = standard_trace(80, 4);
-    let sweep = LoadSweep {
-        mesh: Mesh2D::square_16x16(),
-        patterns: vec![CommPattern::NBody],
-        allocators: vec![
-            AllocatorKind::HilbertBestFit,
-            AllocatorKind::Mc,
-            AllocatorKind::SCurveFreeList,
-        ],
-        load_factors: vec![1.0, 0.4],
-        ..LoadSweep::paper_figure(Mesh2D::square_16x16())
+    let cli = Cli {
+        pattern: Some(CommPattern::NBody),
+        ..small()
     };
-    c.bench_function("fig08_mini_sweep_16x16", |b| {
-        b.iter(|| black_box(sweep.run(black_box(&trace))))
+    c.bench_function("fig08_sweep_16x16", |b| {
+        b.iter(|| black_box(response_sweep(&cli, Mesh2D::square_16x16(), &[1.0, 0.4])))
     });
 }
 
-/// Figures 9/10: probe-job n-body simulation and the correlation bookkeeping.
+/// Figures 9/10: the probe study under the nine paper allocators.
 fn bench_fig09_10(c: &mut Criterion) {
-    let base = standard_trace(80, 5).filter_fitting(256);
-    let trace = probe_jobs(&base, 6, 128, (39_900, 44_000), 5);
-    let config = SimConfig::new(
-        Mesh2D::square_16x16(),
-        CommPattern::NBody,
-        AllocatorKind::Mc1x1,
-    );
-    c.bench_function("fig09_10_probe_simulation", |b| {
-        b.iter(|| black_box(simulate(black_box(&trace), &config)))
+    let cli = small();
+    c.bench_function("fig09_10_probe_study", |b| {
+        b.iter(|| black_box(probe_study(&cli)))
     });
 }
 
 /// Figure 11: contiguity statistics across the twelve-allocator set.
 fn bench_fig11(c: &mut Criterion) {
-    let trace = standard_trace(80, 6);
-    let sweep = LoadSweep {
-        mesh: Mesh2D::square_16x16(),
-        patterns: vec![CommPattern::AllToAll],
-        allocators: AllocatorKind::figure11_set().to_vec(),
-        load_factors: vec![1.0],
-        ..LoadSweep::paper_figure(Mesh2D::square_16x16())
-    };
+    let cli = small();
     c.bench_function("fig11_contiguity_sweep", |b| {
-        b.iter(|| black_box(sweep.run(black_box(&trace))))
+        b.iter(|| black_box(contiguity_sweep(&cli)))
     });
 }
 

@@ -13,12 +13,10 @@
 //! does not plot) under all-to-all traffic and decomposes the response-time
 //! variance into a curve effect and a heuristic effect.
 
-use commalloc::experiment::LoadSweep;
 use commalloc::prelude::*;
-use commalloc::report;
 use commalloc_alloc::curve_alloc::{CurveAllocator, SelectionStrategy};
 use commalloc_alloc::Allocator;
-use commalloc_bench::{cli, standard_trace};
+use commalloc_bench::{cli, save_json, standard_trace};
 use commalloc_mesh::locality::window_locality;
 
 fn main() {
@@ -47,7 +45,7 @@ fn main() {
         patterns: vec![CommPattern::AllToAll],
         allocators: allocators.clone(),
         load_factors: vec![0.4],
-        ..LoadSweep::paper_figure(mesh)
+        ..LoadSweep::paper_figure(mesh, cli.seed)
     };
     eprintln!(
         "ablation: {} allocator configurations, {} jobs, all-to-all, load 0.4",
@@ -126,8 +124,5 @@ fn main() {
     let direct = CurveAllocator::new(CurveKind::Hilbert, mesh, SelectionStrategy::SumOfSquares);
     println!("\ndirect construction check: {}", direct.name());
 
-    match report::write_json("ablation_curve_vs_heuristic", &result) {
-        Ok(path) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write JSON: {e}"),
-    }
+    save_json("ablation_curve_vs_heuristic", &result);
 }

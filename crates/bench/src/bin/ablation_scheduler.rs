@@ -12,9 +12,8 @@
 //! FCFS ranking).
 
 use commalloc::prelude::*;
-use commalloc::report;
 use commalloc::sensitivity::ranking_correlation;
-use commalloc_bench::{cli, standard_trace};
+use commalloc_bench::{cli, save_json, standard_trace};
 use rayon::prelude::*;
 
 fn ranking(
@@ -74,8 +73,5 @@ fn main() {
     println!("artefact of fixing FCFS; large response-time drops under backfilling show how");
     println!("much queueing (rather than contention) contributes at this load.");
 
-    match report::write_json("ablation_scheduler", &summaries) {
-        Ok(path) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write JSON: {e}"),
-    }
+    save_json("ablation_scheduler", &summaries);
 }

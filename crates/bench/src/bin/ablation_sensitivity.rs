@@ -15,8 +15,7 @@
 //! value.
 
 use commalloc::prelude::*;
-use commalloc::report;
-use commalloc_bench::{cli, standard_trace};
+use commalloc_bench::{cli, save_json, standard_trace};
 
 fn main() {
     let cli = cli();
@@ -82,8 +81,5 @@ fn main() {
         );
     }
 
-    match report::write_json("ablation_sensitivity", &(&capacity_study, &overhead_study)) {
-        Ok(path) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write JSON: {e}"),
-    }
+    save_json("ablation_sensitivity", &(&capacity_study, &overhead_study));
 }

@@ -5,63 +5,19 @@
 //! cargo run --release -p commalloc-bench --bin fig07_mesh16x22 -- [--jobs N] [--full] [--pattern P]
 //! ```
 //!
-//! Runs the paper's Figure 7 sweep: the nine plotted allocator configurations
-//! × the five load factors × the three communication patterns, trace-driven
-//! with FCFS scheduling, and prints one response-time table per pattern (the
-//! rows/series of Figure 7(a)–(c)). By default an 800-job prefix of the
-//! synthetic trace is used so the sweep finishes quickly; pass `--full` for
-//! the paper's 6087 jobs.
+//! Runs the paper's Figure 7 sweep ([`commalloc_bench::response_sweep`]):
+//! the nine plotted allocator configurations × the five load factors × the
+//! three communication patterns, trace-driven with FCFS scheduling, and
+//! prints one response-time table per pattern (the rows/series of Figure
+//! 7(a)–(c)). By default an 800-job prefix of the synthetic trace is used
+//! so the sweep finishes quickly; pass `--full` for the paper's 6087 jobs.
 
-use commalloc::experiment::LoadSweep;
 use commalloc::prelude::*;
-use commalloc::report;
-use commalloc_bench::{cli, standard_trace};
 
 fn main() {
-    run(Mesh2D::paragon_16x22(), "fig07_mesh16x22");
-}
-
-pub fn run(mesh: Mesh2D, name: &str) {
-    let cli = cli();
-    let trace = standard_trace(cli.jobs, cli.seed);
-    let mut sweep = LoadSweep::paper_figure(mesh);
-    sweep.seed = cli.seed;
-    if let Some(pattern) = cli.pattern {
-        sweep.patterns = vec![pattern];
-    }
-    if cli.include_first_fit {
-        sweep.allocators.push(AllocatorKind::HilbertFirstFit);
-        sweep.allocators.push(AllocatorKind::SCurveFirstFit);
-        sweep.allocators.push(AllocatorKind::HIndexFirstFit);
-    }
-    eprintln!(
-        "{name}: {} jobs, {} simulation runs ({} allocators x {} loads x {} patterns)...",
-        trace.len(),
-        sweep.num_runs(),
-        sweep.allocators.len(),
-        sweep.load_factors.len(),
-        sweep.patterns.len()
+    commalloc_bench::print_response_figure(
+        "fig07_mesh16x22",
+        "fig07_mesh16x22 mesh 16x22",
+        Mesh2D::paragon_16x22(),
     );
-    let result = sweep.run(&trace);
-
-    for pattern in &sweep.patterns {
-        println!(
-            "=== {} mesh {}x{} — {} ===",
-            name,
-            mesh.width(),
-            mesh.height(),
-            pattern
-        );
-        println!("{}", report::response_time_table(&result, *pattern));
-        println!("ranking (mean response across loads, best first):");
-        for (i, (a, rt)) in result.ranking(*pattern).iter().enumerate() {
-            println!("  {:>2}. {:<16} {:>12.0} s", i + 1, a.name(), rt);
-        }
-        println!();
-    }
-
-    match report::write_json(name, &result) {
-        Ok(path) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write JSON: {e}"),
-    }
 }

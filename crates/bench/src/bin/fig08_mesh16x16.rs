@@ -5,50 +5,16 @@
 //! cargo run --release -p commalloc-bench --bin fig08_mesh16x16 -- [--jobs N] [--full] [--pattern P]
 //! ```
 //!
-//! Identical to the Figure 7 sweep but on the square 16 × 16 machine; jobs
-//! too large for 256 processors are removed from the trace first, exactly as
-//! the paper removes its three 320-node jobs.
+//! The Figure 7 sweep on the square 16 × 16 machine; jobs too large for
+//! 256 processors are removed from the trace first, exactly as the paper
+//! removes its three 320-node jobs.
 
-use commalloc::experiment::LoadSweep;
 use commalloc::prelude::*;
-use commalloc::report;
-use commalloc_bench::{cli, standard_trace};
 
 fn main() {
-    let mesh = Mesh2D::square_16x16();
-    let name = "fig08_mesh16x16";
-    let cli = cli();
-    let trace = standard_trace(cli.jobs, cli.seed);
-    let mut sweep = LoadSweep::paper_figure(mesh);
-    sweep.seed = cli.seed;
-    if let Some(pattern) = cli.pattern {
-        sweep.patterns = vec![pattern];
-    }
-    if cli.include_first_fit {
-        sweep.allocators.push(AllocatorKind::HilbertFirstFit);
-        sweep.allocators.push(AllocatorKind::SCurveFirstFit);
-        sweep.allocators.push(AllocatorKind::HIndexFirstFit);
-    }
-    eprintln!(
-        "{name}: {} jobs ({} after removing jobs larger than the machine), {} runs...",
-        trace.len(),
-        trace.filter_fitting(mesh.num_nodes()).len(),
-        sweep.num_runs()
+    commalloc_bench::print_response_figure(
+        "fig08_mesh16x16",
+        "fig08_mesh16x16",
+        Mesh2D::square_16x16(),
     );
-    let result = sweep.run(&trace);
-
-    for pattern in &sweep.patterns {
-        println!("=== {} — {} ===", name, pattern);
-        println!("{}", report::response_time_table(&result, *pattern));
-        println!("ranking (mean response across loads, best first):");
-        for (i, (a, rt)) in result.ranking(*pattern).iter().enumerate() {
-            println!("  {:>2}. {:<16} {:>12.0} s", i + 1, a.name(), rt);
-        }
-        println!();
-    }
-
-    match report::write_json(name, &result) {
-        Ok(path) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write JSON: {e}"),
-    }
 }

@@ -3,36 +3,21 @@
 //! load 1.0.
 //!
 //! ```text
-//! cargo run --release -p commalloc-bench --bin fig11_contiguity -- [--jobs N] [--full]
+//! cargo run --release -p commalloc-bench --bin fig11_contiguity -- [--jobs N] [--full] [--seed S]
 //! ```
 //!
-//! Reproduces the paper's Figure 11 table over the twelve allocator
-//! configurations it lists (including the First Fit variants omitted from the
-//! response-time graphs).
+//! Prints [`commalloc_bench::contiguity_sweep`]: the paper's Figure 11
+//! table over the twelve allocator configurations it lists (including the
+//! First Fit variants omitted from the response-time graphs).
 
-use commalloc::experiment::LoadSweep;
 use commalloc::prelude::*;
 use commalloc::report;
-use commalloc_bench::{cli, standard_trace};
+use commalloc_bench::{cli, contiguity_sweep, save_json};
 
 fn main() {
     let cli = cli();
-    let mesh = Mesh2D::square_16x16();
-    let trace = standard_trace(cli.jobs, cli.seed);
-    let sweep = LoadSweep {
-        mesh,
-        patterns: vec![CommPattern::AllToAll],
-        allocators: AllocatorKind::figure11_set().to_vec(),
-        load_factors: vec![1.0],
-        ..LoadSweep::paper_figure(mesh)
-    };
-    eprintln!(
-        "fig11: {} jobs, all-to-all, load 1.0, {} allocators...",
-        trace.len(),
-        sweep.allocators.len()
-    );
-    let result = sweep.run(&trace);
-
+    eprintln!("fig11: {} jobs, all-to-all, load 1.0...", cli.jobs);
+    let result = contiguity_sweep(&cli);
     println!("Figure 11 reproduction: contiguity of allocations (all-to-all, 16x16, load 1.0)\n");
     println!(
         "{}",
@@ -41,9 +26,5 @@ fn main() {
     println!(
         "paper's observation: the curve-based strategies allocate into fewer components than MC/MC1x1/Gen-Alg."
     );
-
-    match report::write_json("fig11_contiguity", &result) {
-        Ok(path) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write JSON: {e}"),
-    }
+    save_json("fig11_contiguity", &result);
 }

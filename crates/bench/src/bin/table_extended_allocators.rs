@@ -13,10 +13,8 @@
 //! 2-D buddy system, MBS and the hybrid meta-allocator, and reports response
 //! time, contiguity and time-weighted utilization for each.
 
-use commalloc::experiment::LoadSweep;
 use commalloc::prelude::*;
-use commalloc::report;
-use commalloc_bench::{cli, standard_trace};
+use commalloc_bench::{cli, save_json, standard_trace};
 
 fn main() {
     let cli = cli();
@@ -49,7 +47,7 @@ fn main() {
         patterns: vec![pattern],
         allocators: allocators.clone(),
         load_factors: vec![load],
-        ..LoadSweep::paper_figure(mesh)
+        ..LoadSweep::paper_figure(mesh, cli.seed)
     };
     let result = sweep.run(&trace);
 
@@ -105,8 +103,5 @@ fn main() {
     println!("    constituents (property-tested); its response time usually tracks the better of");
     println!("    Hilbert w/BF and MC, though interleaving effects can move it a few places.");
 
-    match report::write_json("table_extended_allocators", &result) {
-        Ok(path) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write JSON: {e}"),
-    }
+    save_json("table_extended_allocators", &result);
 }

@@ -8,6 +8,10 @@
 //!   `--pattern P`, `--include-first-fit`), one table on the CLI's
 //!   flag parser; [`parse_args`] runs any such table over the process
 //!   arguments, which is how the service benchmarks take theirs too;
+//! * [`response_sweep`], [`contiguity_sweep`] and [`probe_study`] — the
+//!   trace-driven experiments of Figures 7/8, 11 and 9/10, one function
+//!   each, which the `fig*` binaries print, the reproduction digest
+//!   judges and the `figures` bench times;
 //! * [`Churn`] — the steady-state alloc/release churn the journal and
 //!   observability overhead benchmarks time, parameterised by how one
 //!   operation reaches the service;
@@ -18,11 +22,15 @@
 //!   default, subsampled so the default run finishes in minutes; `--full`
 //!   switches to the full 6087-job workload the paper uses;
 //! * [`dispersion_allocations`] — machine states of varying fragmentation
-//!   used by the Figure 1 and Figure 9/10 experiments;
+//!   used by the Figure 1 experiment;
 //! * [`probe_jobs`] — the 128-processor probe jobs that reproduce the
-//!   Figure 9/10 job population.
+//!   Figure 9/10 job population;
+//! * [`save_json`] — writes a binary's result under `target/experiments/`.
 
+use commalloc::experiment::PAPER_LOAD_FACTORS;
 use commalloc::prelude::*;
+use commalloc::report;
+use commalloc::stats::{pearson_correlation, spearman};
 use commalloc_alloc::AllocRequest;
 use commalloc_cli::args::{number, parse_flags, put, usage_lines, Flag};
 use commalloc_mesh::NodeId;
@@ -302,14 +310,157 @@ pub fn probe_jobs(
     Trace::new(jobs)
 }
 
-/// True if a record belongs to one of the probe jobs inserted by
-/// [`probe_jobs`] (matched by size and quota band).
-pub fn is_probe_record(
-    record: &commalloc::JobRecord,
-    size: usize,
-    quota_range: (u64, u64),
-) -> bool {
-    record.size == size && record.messages >= quota_range.0 && record.messages <= quota_range.1
+/// Writes `value` to `target/experiments/<name>.json` and says where on
+/// stderr; a failure to write is reported, not fatal.
+pub fn save_json<T: Serialize>(name: &str, value: &T) {
+    match report::write_json(name, value) {
+        Ok(path) => eprintln!("wrote {}", path.display()),
+        Err(e) => eprintln!("could not write JSON: {e}"),
+    }
+}
+
+/// The Figure 7/8 response-time experiment on `mesh` at `loads`: the
+/// nine plotted allocators (plus the three First Fit ones under
+/// `--include-first-fit`) × the three patterns (or `--pattern`'s one),
+/// FCFS, on the standard trace, simulated under `--seed`.
+pub fn response_sweep(cli: &Cli, mesh: Mesh2D, loads: &[f64]) -> SweepResult {
+    let mut sweep = LoadSweep::paper_figure(mesh, cli.seed);
+    sweep.load_factors = loads.to_vec();
+    if let Some(pattern) = cli.pattern {
+        sweep.patterns = vec![pattern];
+    }
+    if cli.include_first_fit {
+        sweep.allocators.extend([
+            AllocatorKind::HilbertFirstFit,
+            AllocatorKind::SCurveFirstFit,
+            AllocatorKind::HIndexFirstFit,
+        ]);
+    }
+    sweep.run(&standard_trace(cli.jobs, cli.seed))
+}
+
+/// The body of the Figure 7 and Figure 8 binaries: runs
+/// [`response_sweep`] at the paper's five loads, prints one
+/// response-time table and allocator ranking per pattern under
+/// `=== <heading> — <pattern> ===`, and saves the sweep as `<name>.json`.
+pub fn print_response_figure(name: &str, heading: &str, mesh: Mesh2D) {
+    let cli = cli();
+    eprintln!("{name}: {} jobs, 5 loads...", cli.jobs);
+    let result = response_sweep(&cli, mesh, &PAPER_LOAD_FACTORS);
+    let mut patterns: Vec<CommPattern> = result.points.iter().map(|p| p.pattern).collect();
+    patterns.dedup();
+    for pattern in patterns {
+        println!("=== {heading} — {pattern} ===");
+        println!("{}", report::response_time_table(&result, pattern));
+        println!("ranking (mean response across loads, best first):");
+        for (i, (a, rt)) in result.ranking(pattern).iter().enumerate() {
+            println!("  {:>2}. {:<16} {:>12.0} s", i + 1, a.name(), rt);
+        }
+        println!();
+    }
+    save_json(name, &result);
+}
+
+/// The Figure 11 experiment: the twelve configurations of the paper's
+/// contiguity table, all-to-all on the 16 × 16 mesh at load 1.0, on the
+/// standard trace, simulated under `--seed`.
+pub fn contiguity_sweep(cli: &Cli) -> SweepResult {
+    let mesh = Mesh2D::square_16x16();
+    let sweep = LoadSweep {
+        patterns: vec![CommPattern::AllToAll],
+        allocators: AllocatorKind::figure11_set().to_vec(),
+        load_factors: vec![1.0],
+        ..LoadSweep::paper_figure(mesh, cli.seed)
+    };
+    sweep.run(&standard_trace(cli.jobs, cli.seed))
+}
+
+/// Size of the Figure 9/10 probe jobs, in processors.
+pub const PROBE_SIZE: usize = 128;
+/// Message quotas of the Figure 9/10 probe jobs.
+pub const PROBE_QUOTAS: (u64, u64) = (39_900, 44_000);
+
+/// One probe job's observation in the Figure 9/10 study.
+#[derive(Debug, Clone, Serialize)]
+pub struct ProbeRecord {
+    /// The allocator that placed the job.
+    pub allocator: String,
+    /// The probe's trace id.
+    pub job_id: u64,
+    /// Average pairwise distance of its allocation (Figure 9's x-axis).
+    pub avg_pairwise_distance: f64,
+    /// Average distance its messages travelled (Figure 10's x-axis).
+    pub avg_message_distance: f64,
+    /// Its running time in seconds (both figures' y-axis).
+    pub running_time: f64,
+}
+
+/// How tightly running time tracks one distance metric.
+#[derive(Debug, Clone, Copy)]
+pub struct Correlation {
+    /// Pearson's r.
+    pub pearson: f64,
+    /// Spearman's rank correlation; `None` when undefined.
+    pub spearman: Option<f64>,
+}
+
+impl Correlation {
+    fn of(xs: &[f64], ys: &[f64]) -> Correlation {
+        let pairs: Vec<(f64, f64)> = xs.iter().copied().zip(ys.iter().copied()).collect();
+        Correlation {
+            pearson: pearson_correlation(xs, ys),
+            spearman: spearman(&pairs),
+        }
+    }
+}
+
+/// What the Figure 9/10 study observed.
+#[derive(Debug, Clone)]
+pub struct ProbeStudy {
+    /// Every probe job under every allocator, allocator by allocator.
+    pub records: Vec<ProbeRecord>,
+    /// Figure 9: running time against pairwise distance.
+    pub pairwise: Correlation,
+    /// Figure 10: running time against message distance.
+    pub message: Correlation,
+}
+
+/// The Figure 9/10 experiment: 24 probe jobs of [`PROBE_SIZE`]
+/// processors with quotas in [`PROBE_QUOTAS`] ([`probe_jobs`], seeded by
+/// `--seed` ^ 0x99) are inserted into the standard trace, which runs
+/// n-body at load 1.0 on the 16 × 16 mesh under each of the paper's nine
+/// allocators, simulated under `--seed`. The correlations pool the
+/// probes of all nine runs.
+pub fn probe_study(cli: &Cli) -> ProbeStudy {
+    let mesh = Mesh2D::square_16x16();
+    let base = standard_trace(cli.jobs, cli.seed).filter_fitting(mesh.num_nodes());
+    let trace = probe_jobs(&base, 24, PROBE_SIZE, PROBE_QUOTAS, cli.seed ^ 0x99);
+    let (low, high) = PROBE_QUOTAS;
+    let mut records = Vec::new();
+    for allocator in AllocatorKind::paper_set() {
+        let config = SimConfig::new(mesh, CommPattern::NBody, allocator).with_seed(cli.seed);
+        let result = simulate(&trace, &config);
+        records.extend(
+            result
+                .records
+                .iter()
+                .filter(|r| r.size == PROBE_SIZE && (low..=high).contains(&r.messages))
+                .map(|r| ProbeRecord {
+                    allocator: allocator.name().to_string(),
+                    job_id: r.job_id,
+                    avg_pairwise_distance: r.avg_pairwise_distance,
+                    avg_message_distance: r.avg_message_distance,
+                    running_time: r.running_time(),
+                }),
+        );
+    }
+    let column = |f: fn(&ProbeRecord) -> f64| records.iter().map(f).collect::<Vec<f64>>();
+    let running = column(|r| r.running_time);
+    ProbeStudy {
+        pairwise: Correlation::of(&column(|r| r.avg_pairwise_distance), &running),
+        message: Correlation::of(&column(|r| r.avg_message_distance), &running),
+        records,
+    }
 }
 
 #[cfg(test)]

@@ -454,7 +454,7 @@ fn run_sweep(opts: &SweepOptions) -> Result<String, RunError> {
         patterns: opts.patterns.clone(),
         allocators: opts.allocators.clone(),
         load_factors: opts.loads.clone(),
-        ..LoadSweep::paper_figure(opts.mesh)
+        ..LoadSweep::paper_figure(opts.mesh, opts.seed)
     };
     let result = sweep.run(&trace);
     if opts.json {

@@ -84,8 +84,8 @@ pub struct LoadSweep {
 
 impl LoadSweep {
     /// The paper's Figure 7/8 sweep on `mesh`: three patterns, the nine
-    /// plotted allocators, five load factors.
-    pub fn paper_figure(mesh: Mesh2D) -> Self {
+    /// plotted allocators, five load factors, simulated under `seed`.
+    pub fn paper_figure(mesh: Mesh2D, seed: u64) -> Self {
         LoadSweep {
             mesh,
             patterns: CommPattern::paper_patterns().to_vec(),
@@ -95,7 +95,7 @@ impl LoadSweep {
             fidelity: Fidelity::Fluid,
             link_capacity: crate::engine::DEFAULT_LINK_CAPACITY,
             per_hop_overhead: crate::engine::DEFAULT_PER_HOP_OVERHEAD,
-            seed: 0x1eaf,
+            seed,
         }
     }
 
@@ -275,7 +275,8 @@ mod tests {
 
     #[test]
     fn paper_figure_sweep_has_135_points() {
-        let sweep = LoadSweep::paper_figure(Mesh2D::paragon_16x22());
+        let sweep = LoadSweep::paper_figure(Mesh2D::paragon_16x22(), 7);
         assert_eq!(sweep.num_runs(), 3 * 9 * 5);
+        assert_eq!(sweep.seed, 7);
     }
 }

@@ -147,6 +147,40 @@ pub fn pearson_correlation(xs: &[f64], ys: &[f64]) -> f64 {
     cov / (vx * vy).sqrt()
 }
 
+/// Average ranks (1-based; ties share the mean of their rank span),
+/// ordered by `total_cmp` — fully deterministic, NaN-safe.
+fn average_ranks(values: &[f64]) -> Vec<f64> {
+    let mut idx: Vec<usize> = (0..values.len()).collect();
+    idx.sort_by(|&a, &b| values[a].total_cmp(&values[b]));
+    let mut ranks = vec![0.0; values.len()];
+    let mut i = 0;
+    while i < idx.len() {
+        let mut j = i;
+        while j + 1 < idx.len() && values[idx[j + 1]] == values[idx[i]] {
+            j += 1;
+        }
+        let avg = (i + j) as f64 / 2.0 + 1.0;
+        for &k in &idx[i..=j] {
+            ranks[k] = avg;
+        }
+        i = j + 1;
+    }
+    ranks
+}
+
+/// Spearman rank correlation of `(x, y)` pairs: the Pearson correlation
+/// of their average ranks. `None` when fewer than two pairs exist or
+/// either side is constant (the correlation is then undefined, not zero).
+pub fn spearman(pairs: &[(f64, f64)]) -> Option<f64> {
+    let (xs, ys): (Vec<f64>, Vec<f64>) = pairs.iter().copied().unzip();
+    let (rx, ry) = (average_ranks(&xs), average_ranks(&ys));
+    let constant = |ranks: &[f64]| ranks.iter().all(|&r| r == ranks[0]);
+    if pairs.len() < 2 || constant(&rx) || constant(&ry) {
+        return None;
+    }
+    Some(pearson_correlation(&rx, &ry))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,5 +241,24 @@ mod tests {
         let flat = [5.0, 5.0, 5.0, 5.0];
         assert_eq!(pearson_correlation(&xs, &flat), 0.0);
         assert_eq!(pearson_correlation(&[1.0], &[2.0]), 0.0);
+    }
+
+    #[test]
+    fn spearman_is_exact_on_monotone_and_reversed_data() {
+        let up: Vec<(f64, f64)> = (0..10).map(|i| (i as f64, (i * i) as f64)).collect();
+        assert_eq!(spearman(&up), Some(1.0));
+        let down: Vec<(f64, f64)> = (0..10).map(|i| (i as f64, -(i as f64))).collect();
+        assert_eq!(spearman(&down), Some(-1.0));
+        assert_eq!(spearman(&[]), None);
+        assert_eq!(spearman(&[(1.0, 2.0)]), None);
+        // A constant side has no defined correlation.
+        assert_eq!(spearman(&[(1.0, 5.0), (2.0, 5.0), (3.0, 5.0)]), None);
+    }
+
+    #[test]
+    fn spearman_averages_tied_ranks() {
+        // Ties on x: (1,1) (1,2) (2,3) — x ranks 1.5, 1.5, 3.
+        let rho = spearman(&[(1.0, 1.0), (1.0, 2.0), (2.0, 3.0)]).unwrap();
+        assert!((rho - 0.866_025_403_784_438_6).abs() < 1e-12, "rho={rho}");
     }
 }

@@ -22,6 +22,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
+use commalloc::stats::spearman;
 use serde::{Map, Serialize, Value};
 
 use crate::metrics::LogLinearHistogram;
@@ -223,58 +224,6 @@ impl CalibrationStore {
     }
 }
 
-/// Average ranks (1-based; ties share the mean of their rank span),
-/// ordered by `total_cmp` — fully deterministic, NaN-safe.
-fn average_ranks(values: &[f64]) -> Vec<f64> {
-    let mut idx: Vec<usize> = (0..values.len()).collect();
-    idx.sort_by(|&a, &b| values[a].total_cmp(&values[b]));
-    let mut ranks = vec![0.0; values.len()];
-    let mut i = 0;
-    while i < idx.len() {
-        let mut j = i;
-        while j + 1 < idx.len() && values[idx[j + 1]] == values[idx[i]] {
-            j += 1;
-        }
-        let avg = (i + j) as f64 / 2.0 + 1.0;
-        for &k in &idx[i..=j] {
-            ranks[k] = avg;
-        }
-        i = j + 1;
-    }
-    ranks
-}
-
-/// Spearman rank correlation of the (predicted, realized) pairs:
-/// Pearson correlation of the average ranks. `None` when fewer than two
-/// pairs exist or either side is constant (the correlation is then
-/// undefined, not zero).
-pub(crate) fn spearman(pairs: &[(f64, f64)]) -> Option<f64> {
-    if pairs.len() < 2 {
-        return None;
-    }
-    let xs: Vec<f64> = pairs.iter().map(|p| p.0).collect();
-    let ys: Vec<f64> = pairs.iter().map(|p| p.1).collect();
-    let rx = average_ranks(&xs);
-    let ry = average_ranks(&ys);
-    let n = pairs.len() as f64;
-    let mx = rx.iter().sum::<f64>() / n;
-    let my = ry.iter().sum::<f64>() / n;
-    let mut cov = 0.0;
-    let mut vx = 0.0;
-    let mut vy = 0.0;
-    for i in 0..pairs.len() {
-        let dx = rx[i] - mx;
-        let dy = ry[i] - my;
-        cov += dx * dy;
-        vx += dx * dx;
-        vy += dy * dy;
-    }
-    if vx == 0.0 || vy == 0.0 {
-        return None;
-    }
-    Some(cov / (vx * vy).sqrt())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,25 +246,6 @@ mod tests {
             held: held.max(0.0),
             realized_dispersal: 0.0,
         }
-    }
-
-    #[test]
-    fn spearman_is_exact_on_monotone_and_reversed_data() {
-        let up: Vec<(f64, f64)> = (0..10).map(|i| (i as f64, (i * i) as f64)).collect();
-        assert_eq!(spearman(&up), Some(1.0));
-        let down: Vec<(f64, f64)> = (0..10).map(|i| (i as f64, -(i as f64))).collect();
-        assert_eq!(spearman(&down), Some(-1.0));
-        assert_eq!(spearman(&[]), None);
-        assert_eq!(spearman(&[(1.0, 2.0)]), None);
-        // A constant side has no defined correlation.
-        assert_eq!(spearman(&[(1.0, 5.0), (2.0, 5.0), (3.0, 5.0)]), None);
-    }
-
-    #[test]
-    fn spearman_averages_tied_ranks() {
-        // Ties on x: (1,1) (1,2) (2,3) — x ranks 1.5, 1.5, 3.
-        let rho = spearman(&[(1.0, 1.0), (1.0, 2.0), (2.0, 3.0)]).unwrap();
-        assert!((rho - 0.866_025_403_784_438_6).abs() < 1e-12, "rho={rho}");
     }
 
     #[test]

@@ -38,7 +38,7 @@ fn main() {
         patterns: vec![pattern],
         allocators: AllocatorKind::figure11_set().to_vec(),
         load_factors: PAPER_LOAD_FACTORS.to_vec(),
-        ..LoadSweep::paper_figure(mesh)
+        ..LoadSweep::paper_figure(mesh, 0x1eaf)
     };
     let result = sweep.run(&trace);
 

@@ -84,7 +84,7 @@ fn sweep_and_reports_cover_the_grid() {
             AllocatorKind::SCurveFreeList,
         ],
         load_factors: vec![1.0, 0.4],
-        ..LoadSweep::paper_figure(mesh)
+        ..LoadSweep::paper_figure(mesh, 0x1eaf)
     };
     let result = sweep.run(&trace);
     assert_eq!(result.points.len(), sweep.num_runs());
@@ -172,7 +172,7 @@ fn curve_allocators_are_more_contiguous_than_dispersion_minimizers() {
             AllocatorKind::GenAlg,
         ],
         load_factors: vec![1.0],
-        ..LoadSweep::paper_figure(mesh)
+        ..LoadSweep::paper_figure(mesh, 0x1eaf)
     };
     let result = sweep.run(&trace);
     let components = |a: AllocatorKind| {
