@@ -5,11 +5,12 @@ use serde::{Serialize, Value};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of bucket slots in a [`LogLinearHistogram`]. 512 covers the
-/// full 64-bit tick range (the highest reachable index is 495) with a
-/// fixed footprint of one 4 KiB page per histogram.
+/// full 64-bit tick range (the highest reachable index is 495): 4 KiB of
+/// `u64` counts per histogram that has recorded anything, none for one
+/// that has not.
 pub const LOG_LINEAR_SLOTS: usize = 512;
 
-/// A fixed-footprint log-linear histogram in the HdrHistogram family:
+/// A bounded-footprint log-linear histogram in the HdrHistogram family:
 /// values are converted to integer *ticks* (`value × scale`, truncated)
 /// and bucketed with 8 linear sub-buckets per power-of-two octave
 /// (precision `K = 3`), giving a worst-case relative bucket width of
@@ -21,9 +22,15 @@ pub const LOG_LINEAR_SLOTS: usize = 512;
 /// deterministic across runs and machines (pinned by a test). Recording
 /// touches one array slot plus four scalars: cheap enough to live under
 /// a machine lock on the grant path.
+///
+/// The bucket array is allocated by the first record (or the first
+/// merge of a non-empty histogram), so an idle histogram owns no heap:
+/// `counts` is empty exactly when `count == 0`, which keeps the derived
+/// equality sound.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LogLinearHistogram {
     /// One count per bucket; index per [`LogLinearHistogram::bucket_index`].
+    /// Empty until the first value arrives.
     counts: Vec<u64>,
     /// Total recorded values.
     count: u64,
@@ -49,7 +56,7 @@ impl LogLinearHistogram {
     /// An empty histogram bucketing at `scale` ticks per unit.
     pub fn with_scale(scale: f64) -> Self {
         LogLinearHistogram {
-            counts: vec![0; LOG_LINEAR_SLOTS],
+            counts: Vec::new(),
             count: 0,
             sum: 0.0,
             min: 0.0,
@@ -113,6 +120,9 @@ impl LogLinearHistogram {
             0.0
         };
         let ticks = (value * self.scale) as u64;
+        if self.counts.is_empty() {
+            self.counts = vec![0; LOG_LINEAR_SLOTS];
+        }
         self.counts[Self::bucket_index(ticks)] += 1;
         if self.count == 0 {
             self.min = value;
@@ -175,13 +185,14 @@ impl LogLinearHistogram {
         if other.count == 0 {
             return;
         }
-        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
-            *mine += theirs;
-        }
         if self.count == 0 {
+            self.counts.clone_from(&other.counts);
             self.min = other.min;
             self.max = other.max;
         } else {
+            for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
+                *mine += theirs;
+            }
             self.min = self.min.min(other.min);
             self.max = self.max.max(other.max);
         }
@@ -302,10 +313,13 @@ pub const WINDOW_SLOTS: usize = 60;
 /// sweeper; reads merge the trailing `span` seconds into one histogram.
 /// Stamps are plain epoch seconds supplied by the caller — under a
 /// virtual clock (the replay harness) the output is fully deterministic.
+/// A ring that has recorded nothing owns no heap: the slot array and
+/// each slot's buckets arrive with the first value they hold.
 #[derive(Debug, Clone)]
 pub struct WindowRing {
     /// `(second, histogram)` per slot; the stamp disambiguates the
-    /// minute the slot belongs to (`u64::MAX` = never written).
+    /// minute the slot belongs to (`u64::MAX` = never written). Empty
+    /// until the first record, [`WINDOW_SLOTS`] long after.
     slots: Vec<(u64, LogLinearHistogram)>,
     /// Every slot rotated out so far, merged.
     retired: LogLinearHistogram,
@@ -322,9 +336,7 @@ impl WindowRing {
     /// An empty ring whose histograms bucket at `scale` ticks per unit.
     pub fn with_scale(scale: f64) -> Self {
         WindowRing {
-            slots: (0..WINDOW_SLOTS)
-                .map(|_| (u64::MAX, LogLinearHistogram::with_scale(scale)))
-                .collect(),
+            slots: Vec::new(),
             retired: LogLinearHistogram::with_scale(scale),
             scale,
         }
@@ -333,6 +345,9 @@ impl WindowRing {
     /// Records `value` into the slot for epoch second `now_sec`,
     /// resetting a slot left over from an earlier minute first.
     pub fn record(&mut self, now_sec: u64, value: f64) {
+        if self.slots.is_empty() {
+            self.slots = vec![(u64::MAX, LogLinearHistogram::with_scale(self.scale)); WINDOW_SLOTS];
+        }
         let slot = &mut self.slots[(now_sec as usize) % WINDOW_SLOTS];
         if slot.0 != now_sec {
             self.retired.merge(&slot.1);
@@ -361,9 +376,9 @@ impl WindowRing {
             let Some(sec) = now_sec.checked_sub(back) else {
                 break;
             };
-            let slot = &self.slots[(sec as usize) % WINDOW_SLOTS];
-            if slot.0 == sec {
-                out.merge(&slot.1);
+            match self.slots.get((sec as usize) % WINDOW_SLOTS) {
+                Some(slot) if slot.0 == sec => out.merge(&slot.1),
+                _ => {}
             }
         }
         out
@@ -938,6 +953,92 @@ mod tests {
         // Span 0 clamps to 1 second; oversized spans clamp to the ring.
         assert_eq!(ring.merged(160, 0).count(), 1);
         assert_eq!(ring.merged(160, 10_000).count(), 10);
+    }
+
+    #[test]
+    fn a_never_recorded_histogram_owns_no_buckets_and_reads_as_empty() {
+        let h = LogLinearHistogram::with_scale(1.0);
+        assert_eq!(h.counts.capacity(), 0, "no bucket array before a record");
+        assert_eq!((h.quantile(0.5), h.quantile(1.0)), (0.0, 0.0));
+        assert_eq!(h.nonzero_buckets().count(), 0);
+        assert_eq!(
+            serde_json::to_string(&h.to_value()).unwrap(),
+            r#"{"count":0,"sum":0,"min":0,"max":0,"scale":1,"buckets":[]}"#
+        );
+        let mut out = String::new();
+        h.prometheus_into("stage_seconds", "stage=\"parse\"", &mut out);
+        assert_eq!(
+            out,
+            "stage_seconds_bucket{stage=\"parse\",le=\"+Inf\"} 0\n\
+             stage_seconds_sum{stage=\"parse\"} 0\n\
+             stage_seconds_count{stage=\"parse\"} 0\n"
+        );
+        let mut plain = String::new();
+        LogLinearHistogram::default().prometheus_into("x", "", &mut plain);
+        assert_eq!(plain, "x_bucket{le=\"+Inf\"} 0\nx_sum 0\nx_count 0\n");
+        // The first record allocates the whole array; later ones reuse it.
+        let mut h = h;
+        h.record(3.0);
+        assert_eq!(h.counts.len(), LOG_LINEAR_SLOTS);
+        assert_eq!(h.nonzero_buckets().collect::<Vec<_>>(), vec![(3, 4, 1)]);
+    }
+
+    #[test]
+    fn merges_allocate_only_for_a_non_empty_source() {
+        let mut full = LogLinearHistogram::with_scale(1000.0);
+        for ms in [1.0, 2.0, 40.0] {
+            full.record(ms / 1000.0);
+        }
+        // empty <- empty: stays unallocated, and equals a fresh one.
+        let mut empty = LogLinearHistogram::with_scale(1000.0);
+        empty.merge(&LogLinearHistogram::with_scale(1000.0));
+        empty.merge(&LogLinearHistogram::with_scale(1000.0));
+        assert_eq!(empty.counts.capacity(), 0);
+        assert_eq!(empty, LogLinearHistogram::with_scale(1000.0));
+        // empty <- full: a copy of the source.
+        let mut copy = LogLinearHistogram::with_scale(1000.0);
+        copy.merge(&full);
+        assert_eq!(copy, full);
+        // full <- empty: unchanged.
+        let before = full.clone();
+        full.merge(&LogLinearHistogram::with_scale(1000.0));
+        assert_eq!(full, before);
+        // full <- full: every count doubles, the extremes hold.
+        full.merge(&before);
+        assert_eq!(full.count(), 6);
+        assert_eq!((full.min(), full.max()), (0.001, 0.04));
+        let counts: Vec<u64> = full.nonzero_buckets().map(|(_, _, c)| c).collect();
+        assert_eq!(counts, vec![2, 2, 2]);
+    }
+
+    #[test]
+    fn window_ring_rotation_over_a_gap_longer_than_a_minute() {
+        // An idle ring owns no slots and reads as empty.
+        let mut ring = WindowRing::with_scale(1.0);
+        assert_eq!(ring.slots.capacity(), 0);
+        assert_eq!(ring.total(), LogLinearHistogram::with_scale(1.0));
+        assert_eq!(ring.merged(100, 60), LogLinearHistogram::with_scale(1.0));
+        ring.record(100, 1.0);
+        // 100 s later, in another slot: the old second is out of every
+        // trailing view but still in the total, and nothing retired yet.
+        ring.record(200, 2.0);
+        assert_eq!(ring.merged(200, 60).count(), 1);
+        assert_eq!(ring.total().count(), 2);
+        assert!(ring.retired.is_empty());
+        assert_eq!(ring.retired.counts.capacity(), 0);
+        // 120 s after second 100, in its slot: the stale slot retires
+        // into the since-boot total and the slot starts afresh.
+        ring.record(220, 3.0);
+        assert_eq!(ring.retired.count(), 1);
+        assert_eq!(ring.retired.max(), 1.0);
+        let now = ring.merged(220, 60);
+        assert_eq!((now.count(), now.min(), now.max()), (2, 2.0, 3.0));
+        assert_eq!(ring.merged(220, 1).count(), 1);
+        let total = ring.total();
+        assert_eq!((total.count(), total.sum()), (3, 6.0));
+        // A stale slot rotated out by a gap never leaks into a view.
+        assert!(ring.merged(400, 60).is_empty());
+        assert_eq!(ring.total().count(), 3);
     }
 
     #[test]

@@ -10,10 +10,15 @@
 //!   `set_trace` op; the disabled hot path is one relaxed atomic load
 //!   ([`FlightRecorder::begin`] returns an inert [`RequestCtx`] whose
 //!   every method is a no-op).
-//! * **Zero allocation when on.** [`SpanEvent`] is `Copy` (machine
+//! * **Bounded allocation when on.** [`SpanEvent`] is `Copy` (machine
 //!   names travel as intern-table IDs, not strings); rings are
 //!   preallocated and overwrite their oldest entry under pressure,
-//!   counting drops rather than blocking or growing.
+//!   counting drops rather than blocking or growing. The stage
+//!   histograms are the one allocating part: a window slot's 4 KiB of
+//!   buckets arrive with its first span, so a recording thread
+//!   allocates once per histogrammed stage per second it records in
+//!   (and once more per stage for the since-boot total), and a
+//!   recorder that never recorded holds no histogram buckets at all.
 //! * **Bounded contention.** Events hash to one of several ring shards
 //!   by thread, so concurrent connection workers rarely share a lock;
 //!   the per-stage latency histograms live inside the same shard lock,
@@ -258,9 +263,12 @@ impl RingShard {
 /// the worker pool from colliding, cheap to merge at drain time).
 pub const DEFAULT_TRACE_SHARDS: usize = 8;
 
-/// Default per-shard event capacity: 4096 events ≈ 256 KiB per shard,
-/// a couple of thousand requests of look-back at ~4 spans each.
-pub const DEFAULT_TRACE_CAPACITY: usize = 4096;
+/// Default per-shard event capacity: 512 events of 64 bytes, 32 KiB per
+/// recording thread: 100–170 requests of look-back at the 3–5 spans a
+/// grant leaves. A `trace --follow` draining every 0.5 s loses nothing below
+/// 1 024 spans per second per recording thread; past that the ring
+/// overwrites its oldest events and counts them as dropped.
+pub const DEFAULT_TRACE_CAPACITY: usize = 512;
 
 /// Capacity of the routing-decision ring: decisions arrive at most once
 /// per routed alloc, so 1024 covers minutes of look-back.
