@@ -263,12 +263,12 @@ impl RingShard {
 /// the worker pool from colliding, cheap to merge at drain time).
 pub const DEFAULT_TRACE_SHARDS: usize = 8;
 
-/// Default per-shard event capacity: 512 events of 64 bytes, 32 KiB per
-/// recording thread: 100–170 requests of look-back at the 3–5 spans a
-/// grant leaves. A `trace --follow` draining every 0.5 s loses nothing below
-/// 1 024 spans per second per recording thread; past that the ring
-/// overwrites its oldest events and counts them as dropped.
-pub const DEFAULT_TRACE_CAPACITY: usize = 512;
+/// Default per-shard event capacity: 4096 events of 64 bytes, 256 KiB
+/// reserved per shard and resident only as a thread writes it: 800–1 300
+/// requests of look-back at 3–5 spans a grant. A `trace --follow` every
+/// 0.5 s loses nothing below 8 192 spans/s per recording thread; past
+/// that the ring overwrites its oldest events and counts them as dropped.
+pub const DEFAULT_TRACE_CAPACITY: usize = 4096;
 
 /// Capacity of the routing-decision ring: decisions arrive at most once
 /// per routed alloc, so 1024 covers minutes of look-back.
