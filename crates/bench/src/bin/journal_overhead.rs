@@ -168,7 +168,7 @@ mod tests {
         assert!(parse_flags(FLAGS, &args(&["--min-ratio", "9.9x"])).is_err());
         assert!(parse_flags(FLAGS, &args(&["--min-ration", "9.9"])).is_err());
         assert!(parse_flags(FLAGS, &args(&["--min-ratio"])).is_err());
-        // The line ci.yml runs.
+        // The line scripts/gates.sh runs.
         let ci = parse_flags(FLAGS, &args(&["--ops", "100000", "--min-ratio", "0.5"]));
         let expected = Args {
             ops: Some(100_000),

@@ -313,7 +313,7 @@ mod tests {
             assert!(parse_flags(FLAGS, &args(&[gate, "0.9x"])).is_err());
             assert!(parse_flags(FLAGS, &args(&[&gate[..gate.len() - 1], "0.9"])).is_err());
         }
-        // The line ci.yml runs.
+        // The line scripts/gates.sh runs.
         let ci = [
             "--min-disabled",
             "0.98",

@@ -1234,42 +1234,6 @@ mod tests {
     }
 
     #[test]
-    fn every_ci_command_line_parses() {
-        let ci = include_str!("../../../.github/workflows/ci.yml").replace("\\\n", " ");
-        let variables = [
-            ("$port", "7411"),
-            ("$sched", "easy"),
-            ("$framing", "binary"),
-            ("$policy", "comm-aware"),
-            ("$pattern_args", "--pattern all-to-all"),
-            ("$tenant", "acme"),
-            ("$JDIR", "/tmp/journal"),
-            ("$RUNNER_TEMP", "/tmp"),
-        ];
-        let mut lines = 0;
-        for line in ci.lines() {
-            let Some((_, command)) = line.split_once("target/release/commalloc ") else {
-                continue;
-            };
-            let mut command = command.replace('"', "");
-            for (variable, value) in variables {
-                command = command.replace(variable, value);
-            }
-            // The argument vector ends where the shell takes over
-            // (backgrounding, redirection).
-            let argv: Vec<String> = command
-                .split_whitespace()
-                .take_while(|token| !matches!(*token, "&" | ">"))
-                .map(String::from)
-                .collect();
-            let parsed = parse_command(&argv);
-            assert!(parsed.is_ok(), "ci.yml runs {argv:?}: {parsed:?}");
-            lines += 1;
-        }
-        assert!(lines >= 30, "only {lines} commalloc lines found in ci.yml");
-    }
-
-    #[test]
     fn serve_flags_round_trip() {
         let cmd = parse_command(&args(&[
             "serve",
@@ -1397,6 +1361,9 @@ mod tests {
             "16",
             "--seed",
             "3",
+            "--no-drain",
+            "--claims-out",
+            "/tmp/claims.json",
             "--json",
         ]))
         .unwrap();
@@ -1408,9 +1375,20 @@ mod tests {
                 assert_eq!(opts.occupancy, 0.9);
                 assert_eq!(opts.max_size, 16);
                 assert_eq!(opts.seed, 3);
+                assert!(opts.no_drain);
+                assert_eq!(opts.claims_out.as_deref(), Some("/tmp/claims.json"));
                 assert!(json);
             }
             other => panic!("expected Loadgen, got {other:?}"),
+        }
+        // `recovery-check` reads the claim table a `--no-drain` run wrote.
+        let check = ["recovery-check", "--claims", "/tmp/claims.json", "--json"];
+        match parse_command(&args(&check)).unwrap() {
+            Command::RecoveryCheck(opts) => {
+                assert_eq!(opts.claims, "/tmp/claims.json");
+                assert!(opts.json);
+            }
+            other => panic!("expected RecoveryCheck, got {other:?}"),
         }
         assert!(parse_command(&args(&["loadgen", "--occupancy", "1.5"])).is_err());
         assert!(parse_command(&args(&["loadgen", "--requests", "0"])).is_err());

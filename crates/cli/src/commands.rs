@@ -322,7 +322,7 @@ fn run_job_op(opts: &JobOptions, release: bool) -> Result<String, RunError> {
 }
 
 /// Verifies a recovered daemon against a saved claim table; a non-zero
-/// violation count is an error (the CI crash-recovery gate).
+/// violation count is an error.
 fn run_recovery_check(opts: &RecoveryCheckOptions) -> Result<String, RunError> {
     let report = loadgen::recovery_check(&opts.addr, &opts.claims).map_err(RunError::Loadgen)?;
     if report.violations > 0 {

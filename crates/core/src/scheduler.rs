@@ -259,6 +259,37 @@ impl SchedulerKind {
         starts
     }
 
+    /// The start each queued job is promised at `now`, in queue order:
+    /// conservative backfilling promises every job its reservation
+    /// ([`SchedulerKind::reservations`]), EASY promises a blocked head its
+    /// shadow time ([`SchedulerKind::reservation`]), and FCFS and
+    /// first-fit backfilling promise nothing. `None` marks a job with no
+    /// finite promised start.
+    pub fn promised_starts(
+        &self,
+        queue: &[QueuedJob],
+        free: usize,
+        running: &[RunningSnapshot],
+        now: f64,
+    ) -> Vec<Option<f64>> {
+        let finite = |start: f64| start.is_finite().then_some(start);
+        match self {
+            SchedulerKind::Conservative => Self::reservations(queue, free, running, now)
+                .into_iter()
+                .map(finite)
+                .collect(),
+            SchedulerKind::EasyBackfill => {
+                let mut starts = vec![None; queue.len()];
+                if let Some(head) = queue.first().filter(|head| head.size > free) {
+                    starts[0] = Self::reservation(head.size, free, running)
+                        .and_then(|(shadow, _)| finite(shadow));
+                }
+                starts
+            }
+            SchedulerKind::Fcfs | SchedulerKind::FirstFitBackfill => vec![None; queue.len()],
+        }
+    }
+
     /// Computes the EASY reservation for a head job of `head_size`
     /// processors: the *shadow time* at which enough processors will have
     /// been released for it to start, and the number of `extra` processors
@@ -448,14 +479,28 @@ pub enum BlockReason {
 }
 
 impl BlockReason {
+    /// Every stable tag, indexed by [`BlockReason::ordinal`].
+    pub const CODES: [&'static str; 4] = [
+        "insufficient_free",
+        "head_of_line",
+        "would_delay_shadow",
+        "would_delay_reservation",
+    ];
+
+    /// The variant's index into [`BlockReason::CODES`]; trace events
+    /// carry it, plus one, as their numeric reason code.
+    pub fn ordinal(&self) -> usize {
+        match self {
+            BlockReason::InsufficientFree { .. } => 0,
+            BlockReason::HeadOfLine { .. } => 1,
+            BlockReason::WouldDelayShadow { .. } => 2,
+            BlockReason::WouldDelayReservation { .. } => 3,
+        }
+    }
+
     /// Stable machine-readable tag for wire responses and trace events.
     pub fn code(&self) -> &'static str {
-        match self {
-            BlockReason::InsufficientFree { .. } => "insufficient_free",
-            BlockReason::HeadOfLine { .. } => "head_of_line",
-            BlockReason::WouldDelayShadow { .. } => "would_delay_shadow",
-            BlockReason::WouldDelayReservation { .. } => "would_delay_reservation",
-        }
+        Self::CODES[self.ordinal()]
     }
 
     /// The job whose presence blocks this one, when one exists

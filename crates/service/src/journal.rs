@@ -81,7 +81,7 @@
 //!
 //! [`FsyncPolicy`] trades throughput for the crash window: `EveryRecord`
 //! fsyncs synchronously per record — no acknowledged-but-lost suffix
-//! (what the CI crash-recovery harness runs); `Batched(n)` (the
+//! (what `crates/cli/tests/crash_recovery.rs` runs); `Batched(n)` (the
 //! default) is **group commit** — a background flusher thread fsyncs
 //! whenever `n` unsynced records accumulate and on a 10 ms tick, off
 //! the append path, bounding the loss window to roughly `n`
@@ -221,6 +221,11 @@ pub enum JournalRecord {
         machine: String,
         /// Job identifier.
         job: u64,
+        /// Seconds the job held its processors, as the live release
+        /// settled them: recovery accrues `nodes × held` to the job's
+        /// tenant. Present on the wire only when non-zero, so a journal
+        /// written before the field existed reads as zero-hold releases.
+        held: f64,
     },
     /// A queued request was cancelled before it ever ran.
     Cancel {
@@ -587,6 +592,7 @@ impl JournalRecord {
             "release" => JournalRecord::Release {
                 machine: get_str(v, "machine")?,
                 job: get_u64(v, "job")?,
+                held: get_f64_opt(v, "held")?.unwrap_or(0.0),
             },
             "cancel" => JournalRecord::Cancel {
                 machine: get_str(v, "machine")?,
@@ -632,10 +638,13 @@ impl JournalRecord {
                 s.entry("machine", machine);
                 request.fields(s);
             }
-            JournalRecord::Release { machine, job } => {
+            JournalRecord::Release { machine, job, held } => {
                 s.entry("rec", "release");
                 s.entry("machine", machine);
                 s.entry("job", job);
+                if *held != 0.0 {
+                    s.entry("held", held);
+                }
             }
             JournalRecord::Cancel { machine, job } => {
                 s.entry("rec", "cancel");
@@ -791,7 +800,7 @@ impl JournalSink for NoopJournal {}
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
     /// Sync after every record, synchronously: no acknowledged
-    /// operation can be lost (what the CI crash-recovery harness runs).
+    /// operation can be lost (what the crash-recovery test runs).
     EveryRecord,
     /// **Group commit**: a background flusher thread fsyncs whenever
     /// `n` unsynced records accumulate (and on a 10 ms tick), off the
@@ -1379,9 +1388,8 @@ pub fn open_journaled(
         report.applied += 1;
     }
     // Configs restored from records and the snapshot; consumed totals
-    // from the snapshot image alone (a tail `release` record carries no
-    // hold, so consumption settled after the snapshot is lost). The
-    // live tenant gauges (outstanding commitments, queued counts) are
+    // from the snapshot image plus the tail releases' holds. The live
+    // tenant gauges (outstanding commitments, queued counts) are
     // derived state, recomputed exactly from the restored jobs.
     service.rebuild_tenant_gauges();
     report.machines = service.list().len();
@@ -1509,6 +1517,7 @@ mod tests {
             JournalRecord::Release {
                 machine: "m0".into(),
                 job: 1,
+                held: 12.5,
             },
             JournalRecord::Cancel {
                 machine: "m0".into(),
@@ -1778,10 +1787,12 @@ mod tests {
         journal.append(&JournalRecord::Release {
             machine: "m0".into(),
             job: 1,
+            held: 0.0,
         });
         journal.append(&JournalRecord::Release {
             machine: "m0".into(),
             job: 2,
+            held: 0.0,
         });
         drop(journal);
         let path = dir.join(segment_name(1));
@@ -1832,6 +1843,7 @@ mod tests {
         journal.append(&JournalRecord::Release {
             machine: "m0".into(),
             job: 1,
+            held: 0.0,
         });
         drop(journal);
         let torn_path = dir.join(segment_name(1));
@@ -1863,6 +1875,7 @@ mod tests {
         journal.append(&JournalRecord::Release {
             machine: "m0".into(),
             job: 1,
+            held: 0.0,
         });
         let closed = journal.begin_snapshot();
         assert_eq!(closed, 1);
@@ -1870,6 +1883,7 @@ mod tests {
         journal.append(&JournalRecord::Release {
             machine: "m0".into(),
             job: 2,
+            held: 0.0,
         });
         let image = SnapshotImage {
             epoch: 1,

@@ -796,14 +796,21 @@ impl MachineEntry {
         Ok(())
     }
 
-    /// Recovery: re-applies a journaled release. Does **not** drain the
+    /// Recovery: re-applies a journaled release and accrues its hold
+    /// (`nodes × held`) to the job's tenant, as the live release did.
+    /// The tenant's outstanding commitment is left alone: recovery
+    /// recomputes it from the restored jobs. Does **not** drain the
     /// queue — the grants a live release triggered were journaled as
     /// their own records and replay right after this one.
-    pub fn restore_release(&mut self, job_id: u64) -> Result<(), String> {
+    pub fn restore_release(&mut self, job_id: u64, held: f64) -> Result<(), String> {
         let job = self
             .take_running(job_id)
             .ok_or_else(|| format!("release of job {job_id} which does not run"))?;
         self.backing.release(&job.nodes, job_id);
+        if held > 0.0 {
+            let consumed = job.nodes.len() as f64 * held;
+            self.tenants.settle(job.tenant.as_deref(), 0.0, consumed);
+        }
         self.generation += 1;
         Ok(())
     }
@@ -1070,23 +1077,13 @@ impl MachineEntry {
                 self.outbox.push(JournalRecord::Release {
                     machine: self.name.clone(),
                     job: job_id,
+                    held,
                 });
             }
         } else if let Some(pending) = self.queue.remove(job_id) {
             // Cancelling a queued request frees no processors, but may
             // unblock the queue if the cancelled job was the head.
-            // The tenant's commitment is returned with zero realized
-            // consumption — the job never held a processor.
-            let tenant = pending.request.tenant.as_deref();
-            let cost = job_cost(pending.request.size, pending.request.walltime);
-            self.tenants.settle(tenant, cost, 0.0);
-            self.tenants.note_dequeued(tenant);
-            if self.journaled {
-                self.outbox.push(JournalRecord::Cancel {
-                    machine: self.name.clone(),
-                    job: job_id,
-                });
-            }
+            self.settle_cancelled(&pending.request);
         } else {
             return Err(ServiceError::UnknownJob {
                 machine: self.name.clone(),
@@ -1094,6 +1091,23 @@ impl MachineEntry {
             });
         }
         Ok(self.drain_queue(None, ctx))
+    }
+
+    /// Settles a queued request that leaves its queue without running
+    /// (a client cancel, or a drop the allocator can never place): its
+    /// tenant's commitment returns with zero consumption, the queue
+    /// gauge falls, and the journal records a cancel.
+    fn settle_cancelled(&mut self, request: &QueuedRequest) {
+        let tenant = request.tenant.as_deref();
+        self.tenants
+            .settle(tenant, job_cost(request.size, request.walltime), 0.0);
+        self.tenants.note_dequeued(tenant);
+        if self.journaled {
+            self.outbox.push(JournalRecord::Cancel {
+                machine: self.name.clone(),
+                job: request.job,
+            });
+        }
     }
 
     /// Drains the admission queue to a fixpoint under the active policy:
@@ -1243,20 +1257,10 @@ impl MachineEntry {
                     ctx.deny(request.job, None, probed_at);
                     self.metrics.rejected += 1;
                     if arriving != Some(request.job) {
-                        // A dropped *queued* request settles its tenant
-                        // commitment here; the arriving request's
-                        // admission is unwound by the service when it
-                        // sees the Rejected outcome.
-                        let tenant = request.tenant.as_deref();
-                        let cost = job_cost(request.size, request.walltime);
-                        self.tenants.settle(tenant, cost, 0.0);
-                        self.tenants.note_dequeued(tenant);
-                        if self.journaled {
-                            self.outbox.push(JournalRecord::Cancel {
-                                machine: self.name.clone(),
-                                job: request.job,
-                            });
-                        }
+                        // A dropped *queued* request settles here; the
+                        // arriving request's admission is unwound by the
+                        // service when it sees the Rejected outcome.
+                        self.settle_cancelled(request);
                     }
                     continue;
                 }
@@ -1275,10 +1279,9 @@ impl MachineEntry {
     /// The scheduler's outlook at `now` for every queued request, in
     /// queue order.
     /// Built from the same policy inputs the drain loop consumes, so the
-    /// promised starts are exactly what the next drain would plan:
-    /// conservative plans a reservation for every request, EASY for the
-    /// blocked head only, FCFS and first-fit promise nothing. The
-    /// `explain` of each entry names the constraint keeping it queued.
+    /// promised starts ([`SchedulerKind::promised_starts`]) are exactly
+    /// what the next drain would plan. The `explain` of each entry names
+    /// the constraint keeping it queued.
     pub fn queue_outlooks(&self, now: f64) -> Vec<QueueOutlook> {
         if self.queue.is_empty() {
             return Vec::new();
@@ -1287,24 +1290,7 @@ impl MachineEntry {
         let kind = self.queue.kind();
         let queued: Vec<QueuedJob> = self.queue.iter().map(PendingRequest::as_queued).collect();
         let snapshots: Vec<RunningSnapshot> = self.running.iter().map(running_snapshot).collect();
-        let reserved: Vec<Option<f64>> = match kind {
-            SchedulerKind::Conservative => {
-                SchedulerKind::reservations(&queued, free, &snapshots, now)
-                    .into_iter()
-                    .map(|s| s.is_finite().then_some(s))
-                    .collect()
-            }
-            SchedulerKind::EasyBackfill => {
-                let mut starts = vec![None; queued.len()];
-                if queued[0].size > free {
-                    starts[0] = SchedulerKind::reservation(queued[0].size, free, &snapshots)
-                        .map(|(shadow, _)| shadow)
-                        .filter(|s| s.is_finite());
-                }
-                starts
-            }
-            SchedulerKind::Fcfs | SchedulerKind::FirstFitBackfill => vec![None; queued.len()],
-        };
+        let reserved = kind.promised_starts(&queued, free, &snapshots, now);
         queued
             .iter()
             .enumerate()

@@ -1309,6 +1309,14 @@ impl AllocationService {
     /// machine under its own lock (name order, so images are
     /// deterministic) plus the pool table. `covers` is the WAL segment
     /// index the sink closed when rotation began.
+    ///
+    /// Tenant consumption totals are read after the machine images, so
+    /// they are not exact under concurrent releases. A release settled
+    /// between its machine's image and the tenant read counts in the
+    /// image's total *and* replays from the tail (its seq is above the
+    /// watermark), so recovery over-counts that window's consumption.
+    /// A snapshot taken while no release is in flight, such as the one
+    /// recovery installs, is exact.
     pub fn capture_snapshot(&self, covers: u64) -> JournalRecord {
         let mut machines = Vec::new();
         for name in self.list() {
@@ -1385,8 +1393,8 @@ impl AllocationService {
             JournalRecord::Queue { machine, request } => self.restore(machine, |entry| {
                 entry.restore_queue(request.clone(), &self.clock)
             }),
-            JournalRecord::Release { machine, job } => {
-                self.restore(machine, |entry| entry.restore_release(*job))
+            JournalRecord::Release { machine, job, held } => {
+                self.restore(machine, |entry| entry.restore_release(*job, *held))
             }
             JournalRecord::Cancel { machine, job } => {
                 self.restore(machine, |entry| entry.restore_cancel(*job))
@@ -1436,10 +1444,8 @@ impl AllocationService {
     /// from the restored machines — the final recovery step, after the
     /// snapshot and the journal tail have both folded in. Configs
     /// restore from records and the snapshot, consumed totals from the
-    /// snapshot image only: a tail `release` record carries no hold, so
-    /// consumption settled after the last snapshot is not replayed. The
-    /// live gauges are derived state and are rebuilt rather than
-    /// replayed.
+    /// snapshot image plus each tail `release` record's hold. The live
+    /// gauges are derived state and are rebuilt rather than replayed.
     pub fn rebuild_tenant_gauges(&self) {
         let mut outstanding: std::collections::HashMap<String, f64> = Default::default();
         let mut queued: std::collections::HashMap<String, u64> = Default::default();

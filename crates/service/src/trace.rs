@@ -114,24 +114,15 @@ impl Stage {
 /// The wire code of a [`BlockReason`] carried in a `Deny` event's `code`
 /// field; 0 means "no scheduler reason" (an outright reject).
 pub fn reason_code(reason: &BlockReason) -> u32 {
-    match reason {
-        BlockReason::InsufficientFree { .. } => 1,
-        BlockReason::HeadOfLine { .. } => 2,
-        BlockReason::WouldDelayShadow { .. } => 3,
-        BlockReason::WouldDelayReservation { .. } => 4,
-    }
+    reason.ordinal() as u32 + 1
 }
 
 /// The stable string for a `Deny` reason code (the inverse of
 /// [`reason_code`], `None` for 0/unknown).
 pub fn reason_code_name(code: u32) -> Option<&'static str> {
-    match code {
-        1 => Some("insufficient_free"),
-        2 => Some("head_of_line"),
-        3 => Some("would_delay_shadow"),
-        4 => Some("would_delay_reservation"),
-        _ => None,
-    }
+    BlockReason::CODES
+        .get(code.checked_sub(1)? as usize)
+        .copied()
 }
 
 /// Renders a [`BlockReason`] as the wire object carried in the `explain`

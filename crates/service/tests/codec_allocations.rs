@@ -210,6 +210,7 @@ fn rendering_journal_records_into_a_warm_line_allocates_nothing() {
         JournalRecord::Release {
             machine: "m0".into(),
             job: 7,
+            held: 12.5,
         },
     ];
     let mut line = String::with_capacity(4096);

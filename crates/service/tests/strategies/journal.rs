@@ -177,8 +177,8 @@ pub fn record_strategy() -> BoxedStrategy<JournalRecord> {
             .prop_map(|(machine, job)| JournalRecord::Grant { machine, job }),
         (name_strategy(), queued_strategy())
             .prop_map(|(machine, request)| JournalRecord::Queue { machine, request }),
-        (name_strategy(), any::<u64>())
-            .prop_map(|(machine, job)| JournalRecord::Release { machine, job }),
+        (name_strategy(), any::<u64>(), stamp_strategy())
+            .prop_map(|(machine, job, held)| JournalRecord::Release { machine, job, held }),
         (name_strategy(), any::<u64>())
             .prop_map(|(machine, job)| JournalRecord::Cancel { machine, job }),
         (name_strategy(), name_strategy()).prop_map(|(machine, scheduler)| {

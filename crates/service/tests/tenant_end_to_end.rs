@@ -488,3 +488,68 @@ fn tenant_table_and_pool_index_survive_recovery() {
     assert!(recovered.machine_image("m0").unwrap().fair_share);
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// Every tenant's consumed node-seconds, by name.
+fn consumed(service: &AllocationService) -> Vec<(String, f64)> {
+    let table = service.tenants_value();
+    let rows = table.as_object().expect("tenants is an object");
+    rows.iter()
+        .map(|(tenant, row)| {
+            let consumed = row.get("consumed_node_seconds").and_then(Value::as_f64);
+            (tenant.clone(), consumed.expect("every row has consumption"))
+        })
+        .collect()
+}
+
+/// Consumption settled after the last snapshot survives a crash: each
+/// journaled release carries its hold, and recovery accrues it to the
+/// job's tenant, the default tenant included. The second case installs
+/// a snapshot between two of acme's releases, so the image's total and
+/// the tail's holds both count.
+#[test]
+fn consumption_settled_after_the_last_snapshot_survives_recovery() {
+    let ctx = RequestCtx::inert();
+    for snapshot_between in [false, true] {
+        let dir = std::env::temp_dir().join(format!(
+            "commalloc-consumption-{}-{snapshot_between}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let before = {
+            let (service, _) = open_journaled(&dir, JournalConfig::default()).unwrap();
+            service.register("m0", "8x8", None, None, None).unwrap();
+            service.set_tenant("acme", Some(2.0), None, None).unwrap();
+            service.set_time("m0", 10.0).unwrap();
+            for (job, tenant) in [(1, Some("acme")), (2, None), (3, Some("acme"))] {
+                let args = AllocArgs::new(job, 4 + job as usize).with_walltime(100.0);
+                let args = match tenant {
+                    Some(tenant) => args.for_tenant(tenant),
+                    None => args,
+                };
+                let outcome = service.alloc("m0", &args, &ctx).unwrap();
+                assert!(matches!(outcome, AllocOutcome::Granted(_)));
+            }
+            service.set_time("m0", 12.25).unwrap();
+            service.release("m0", 1, &ctx).unwrap();
+            if snapshot_between {
+                service.install_journal_snapshot().unwrap();
+            }
+            service.set_time("m0", 40.5).unwrap();
+            service.release("m0", 2, &ctx).unwrap();
+            service.release("m0", 3, &ctx).unwrap();
+            consumed(&service)
+            // Dropped with no snapshot after the last releases.
+        };
+        let acme = 5.0 * 2.25 + 7.0 * 30.5;
+        let default = 6.0 * 30.5;
+        assert_eq!(
+            before,
+            [("acme".to_string(), acme), ("default".to_string(), default)]
+        );
+
+        let (recovered, report) = open_journaled(&dir, JournalConfig::default()).unwrap();
+        assert_eq!(report.snapshot_found, snapshot_between);
+        assert_eq!(consumed(&recovered), before, "snapshot {snapshot_between}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}

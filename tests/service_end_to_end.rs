@@ -1,7 +1,9 @@
 //! End-to-end tests of the allocation daemon over real TCP: protocol
-//! round trips, FCFS admission, 2-D/3-D registration, and a loadgen run
-//! (the same driver behind `commalloc loadgen`) asserting zero
-//! occupancy-invariant violations.
+//! round trips, FCFS admission, 2-D/3-D registration, loadgen runs (the
+//! same driver behind `commalloc loadgen`) asserting zero
+//! occupancy-invariant violations across schedulers, framings and
+//! routing policies, and the CLI's tenant, watch and trace commands
+//! against an in-process daemon.
 
 use commalloc_cli::loadgen::{self, LoadgenConfig};
 use commalloc_service::{
@@ -91,45 +93,79 @@ fn three_d_machines_work_over_the_wire() {
     handle.shutdown().unwrap();
 }
 
+/// Loadgen runs, each against a fresh daemon with one 16x16 machine:
+/// a first-fit backfill cell, then the EASY/conservative × NDJSON/binary
+/// matrix with every job declaring all-to-all. Walltimes are on in all.
 #[test]
 fn loadgen_round_trips_thousands_of_requests_without_violations() {
-    let (service, handle) = spawn_server();
-    let config = LoadgenConfig {
-        addr: handle.addr().to_string(),
-        machine: "default".to_string(),
-        mesh: "16x16".to_string(),
+    use commalloc_service::Framing::{Binary, Ndjson};
+    let mut cells = vec![LoadgenConfig {
         scheduler: Some("backfill".to_string()),
         requests: 4_000,
         connections: 3,
         occupancy: 0.8,
         max_size: 24,
         max_walltime: Some(300.0),
-        router: None,
-        pattern: None,
-        framing: commalloc_service::Framing::Binary,
+        framing: Binary,
         seed: 7,
-        no_drain: false,
-        claims_out: None,
-        tenant: None,
-    };
-    let report = loadgen::run(&config).expect("loadgen completes");
-    assert!(report.requests >= 4_000, "got {}", report.requests);
-    assert_eq!(report.violations, 0, "occupancy invariant must hold");
-    assert_eq!(report.final_busy, 0, "drain must empty the machine");
-    assert!(report.granted > 0 && report.released > 0);
-    service.check_invariants("default").unwrap();
-    handle.shutdown().unwrap();
+        ..LoadgenConfig::default()
+    }];
+    for scheduler in ["easy", "conservative"] {
+        for framing in [Ndjson, Binary] {
+            cells.push(LoadgenConfig {
+                scheduler: Some(scheduler.to_string()),
+                requests: 2_000,
+                occupancy: 0.9,
+                max_walltime: Some(300.0),
+                pattern: Some(commalloc_workload::CommPattern::AllToAll),
+                framing,
+                ..LoadgenConfig::default()
+            });
+        }
+    }
+    for cell in cells {
+        let (service, handle) = spawn_server();
+        let config = LoadgenConfig {
+            addr: handle.addr().to_string(),
+            ..cell
+        };
+        let name = format!("{:?} over {:?}", config.scheduler, config.framing);
+        let report = loadgen::run(&config).expect("loadgen completes");
+        assert!(
+            report.requests >= config.requests as u64,
+            "{name}: got {}",
+            report.requests
+        );
+        assert_eq!(
+            report.violations, 0,
+            "{name}: occupancy invariant must hold"
+        );
+        assert_eq!(report.final_busy, 0, "{name}: drain must empty the machine");
+        assert!(report.granted > 0 && report.released > 0, "{name}");
+        service.check_invariants("default").unwrap();
+        handle.shutdown().unwrap();
+    }
 }
 
+/// Routed loadgen through `@grid` over four EASY members of different
+/// sizes on an 8-worker daemon, one run per routing policy: least-loaded
+/// with all-to-all jobs at 80 % occupancy, then each policy at 90 % with
+/// unpatterned jobs, except comm-aware, which only differs from
+/// shortest-queue when jobs declare a pattern.
 #[test]
 fn routed_loadgen_across_a_heterogeneous_pool_has_no_violations() {
-    let (service, handle) = spawn_server();
+    use commalloc_workload::CommPattern::AllToAll;
     let members = [
         ("m0", "16x16"),
         ("m1", "16x8"),
         ("m2", "8x8"),
         ("m3", "8x4"),
     ];
+    let service = AllocationService::new();
+    let handle = Server::bind("127.0.0.1:0", service.clone(), 8)
+        .expect("bind an ephemeral port")
+        .spawn()
+        .expect("spawn the server");
     {
         let mut client = ServiceClient::connect(handle.addr()).unwrap();
         for (name, mesh) in members {
@@ -142,32 +178,173 @@ fn routed_loadgen_across_a_heterogeneous_pool_has_no_violations() {
             "power-of-two".to_string()
         );
     }
-    let config = LoadgenConfig {
-        addr: handle.addr().to_string(),
-        machine: "@grid".to_string(),
-        mesh: String::new(), // ignored in cluster mode
-        scheduler: None,
-        requests: 4_000,
-        connections: 3,
-        occupancy: 0.8,
-        max_size: 48, // above m3's 32 nodes: exercises eligibility
-        max_walltime: Some(300.0),
-        router: Some("least-loaded".to_string()),
-        pattern: Some(commalloc_workload::CommPattern::AllToAll),
-        framing: commalloc_service::Framing::Ndjson,
-        seed: 11,
-        no_drain: false,
-        claims_out: None,
-        tenant: None,
-    };
-    let report = loadgen::run(&config).expect("routed loadgen completes");
-    assert!(report.requests >= 4_000, "got {}", report.requests);
-    assert_eq!(report.violations, 0, "cluster invariants must hold");
-    assert_eq!(report.final_busy, 0, "drain must empty every member");
-    assert_eq!(report.machines, 4);
-    assert!(report.granted > 0 && report.released > 0);
-    for (name, _) in members {
-        service.check_invariants(name).unwrap();
+    let policies = [
+        ("least-loaded", Some(AllToAll), 4_000, 3, 0.8, 11),
+        ("rr", None, 1_000, 4, 0.9, 1996),
+        ("ll", None, 1_000, 4, 0.9, 1996),
+        ("sq", None, 1_000, 4, 0.9, 1996),
+        ("p2c", None, 1_000, 4, 0.9, 1996),
+        ("comm-aware", Some(AllToAll), 1_000, 4, 0.9, 1996),
+    ];
+    for (router, pattern, requests, connections, occupancy, seed) in policies {
+        let config = LoadgenConfig {
+            addr: handle.addr().to_string(),
+            machine: "@grid".to_string(),
+            mesh: String::new(), // ignored in cluster mode
+            requests,
+            connections,
+            occupancy,
+            max_size: 48, // above m3's 32 nodes: exercises eligibility
+            max_walltime: Some(300.0),
+            router: Some(router.to_string()),
+            pattern,
+            seed,
+            ..LoadgenConfig::default()
+        };
+        let report = loadgen::run(&config).expect("routed loadgen completes");
+        assert!(
+            report.requests >= requests as u64,
+            "{router}: got {}",
+            report.requests
+        );
+        assert_eq!(
+            report.violations, 0,
+            "{router}: cluster invariants must hold"
+        );
+        assert_eq!(
+            report.final_busy, 0,
+            "{router}: drain must empty every member"
+        );
+        assert_eq!(report.machines, 4);
+        assert!(report.granted > 0 && report.released > 0, "{router}");
+        for (name, _) in members {
+            service.check_invariants(name).unwrap();
+        }
+    }
+    handle.shutdown().unwrap();
+}
+
+/// Runs one `commalloc` command line in process, as the binary would.
+fn cli(line: &[&str]) -> String {
+    let args: Vec<String> = line.iter().map(|arg| arg.to_string()).collect();
+    let command = commalloc_cli::parse_command(&args).expect("the command line parses");
+    command.run().expect("the command succeeds")
+}
+
+/// Two weighted tenants drive one pool through hello-bound connections:
+/// the tenant table attributes grants and consumption to each, and the
+/// `watch` frame renders a row per tenant.
+#[test]
+fn tenant_books_attribute_every_grant_and_watch_shows_them() {
+    let service = AllocationService::new();
+    for (name, mesh) in [("m0", "16x16"), ("m1", "8x8")] {
+        service
+            .register_in_pool(name, mesh, None, None, Some("easy"), Some("grid"))
+            .unwrap();
+    }
+    let handle = Server::bind("127.0.0.1:0", service, 4)
+        .expect("bind an ephemeral port")
+        .spawn()
+        .expect("spawn the server");
+    let addr = handle.addr().to_string();
+    cli(&["tenant", "--addr", &addr, "--name", "acme", "--weight", "4"]);
+    cli(&[
+        "tenant", "--addr", &addr, "--name", "rival", "--weight", "1",
+    ]);
+    for tenant in ["acme", "rival"] {
+        cli(&[
+            "loadgen",
+            "--addr",
+            &addr,
+            "--machine",
+            "@grid",
+            "--tenant",
+            tenant,
+            "--requests",
+            "2000",
+            "--connections",
+            "4",
+            "--occupancy",
+            "0.9",
+            "--max-size",
+            "48",
+            "--max-walltime",
+            "300",
+            "--framing",
+            "binary",
+            "--json",
+        ]);
+    }
+    let frame = cli(&["watch", "--addr", &addr, "--count", "1"]);
+    for tenant in ["acme", "rival"] {
+        assert!(
+            frame
+                .lines()
+                .any(|line| line.trim_start().starts_with(tenant)),
+            "the watch frame has a row for {tenant}:\n{frame}"
+        );
+    }
+    let table: Value = serde_json::from_str(&cli(&["tenant", "--addr", &addr, "--json"]))
+        .expect("tenant --json prints JSON");
+    for (tenant, weight) in [("acme", 4.0), ("rival", 1.0)] {
+        let row = table.get(tenant).expect("the table has a row per tenant");
+        let number = |key: &str| row.get(key).and_then(Value::as_f64).unwrap_or(0.0);
+        assert!(
+            number("admitted") > 0.0,
+            "{tenant} must have admitted grants"
+        );
+        assert!(
+            number("consumed_node_seconds") > 0.0,
+            "{tenant} must have consumption"
+        );
+        assert_eq!(number("weight"), weight, "{tenant}");
+    }
+    handle.shutdown().unwrap();
+}
+
+/// A traced daemon's flight recorder exports as a Chrome trace: a
+/// non-empty array of complete events, each with the fields the trace
+/// viewers read.
+#[test]
+fn trace_exports_a_chrome_trace_of_a_traced_run() {
+    let (service, handle) = spawn_server();
+    service.recorder().set_enabled(true);
+    let addr = handle.addr().to_string();
+    cli(&[
+        "loadgen",
+        "--addr",
+        &addr,
+        "--scheduler",
+        "easy",
+        "--requests",
+        "1000",
+        "--connections",
+        "4",
+        "--occupancy",
+        "0.9",
+        "--max-walltime",
+        "300",
+        "--framing",
+        "binary",
+        "--json",
+    ]);
+    let path = std::env::temp_dir().join(format!("commalloc-chrome-{}.json", std::process::id()));
+    let out = path.display().to_string();
+    cli(&[
+        "trace", "--addr", &addr, "--format", "chrome", "--out", &out,
+    ]);
+    let text = std::fs::read_to_string(&path).expect("trace --out writes the file");
+    std::fs::remove_file(&path).unwrap();
+    let events: Value = serde_json::from_str(&text).expect("a Chrome trace is JSON");
+    let events = events.as_array().expect("a Chrome trace is an array");
+    assert!(!events.is_empty(), "a traced loadgen run records events");
+    for event in events {
+        for key in ["name", "ph", "ts", "dur", "pid", "tid"] {
+            assert!(
+                event.get(key).is_some(),
+                "trace event missing {key:?}: {event:?}"
+            );
+        }
     }
     handle.shutdown().unwrap();
 }
