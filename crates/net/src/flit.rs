@@ -8,10 +8,10 @@
 //! allocations into slowdowns.
 //!
 //! The simulator is used for the microbenchmark experiments (the Figure 1
-//! communication test suite), for validating the coarser
-//! [`crate::fluid::FluidNetwork`] model, and in unit tests; whole-trace
-//! simulations use the fluid model (README § "Substitutions this
-//! reproduction makes").
+//! communication test suite) and in unit tests; whole-trace simulations
+//! use the coarser [`crate::fluid::FluidNetwork`] model (README
+//! § "Substitutions this reproduction makes"). Nothing yet compares the
+//! two models on the same workload.
 
 use crate::assert_unique_ids;
 use crate::link::{LinkId, LinkTable};

@@ -1270,6 +1270,15 @@ impl Emit for Response {
 }
 
 impl Response {
+    /// An error answer that carries only a message.
+    pub(crate) fn error(message: impl Into<String>) -> Response {
+        Response::Error {
+            message: message.into(),
+            code: None,
+            detail: None,
+        }
+    }
+
     /// Reads a response from its wire value, in whichever parsed form.
     pub fn read<'a, F: Node<'a>>(v: F) -> Result<Response, Error> {
         let ok = v

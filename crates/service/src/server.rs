@@ -441,11 +441,7 @@ impl Conn {
                 Ok(None) => return true,
                 Err(e) => {
                     ServiceMetrics::bump(&service.metrics().protocol_errors);
-                    let response = Response::Error {
-                        message: format!("bad frame: {e}"),
-                        code: None,
-                        detail: None,
-                    };
+                    let response = Response::error(format!("bad frame: {e}"));
                     // Answer in the framing that failed: the client is
                     // reading that one.
                     let framing = self.buffer.pending_framing().unwrap_or(Framing::Binary);
@@ -513,11 +509,7 @@ fn dispatch_frame(
         Err(e) => {
             ctx.lap(Stage::Parse, 0, 1);
             ServiceMetrics::bump(&service.metrics().protocol_errors);
-            Response::Error {
-                message: format!("bad request: {e}"),
-                code: None,
-                detail: None,
-            }
+            Response::error(format!("bad request: {e}"))
         }
     };
     append_response(outbox, framing, &response);
@@ -547,11 +539,7 @@ fn bind_tenant(request: &mut Request, conn_tenant: &Option<String>) {
 /// instead.
 fn append_response(outbox: &mut Vec<u8>, framing: Framing, response: &Response) {
     if let Err(e) = framing::append_frame(outbox, framing, response) {
-        let fallback = Response::Error {
-            message: format!("response unencodable: {e}"),
-            code: None,
-            detail: None,
-        };
+        let fallback = Response::error(format!("response unencodable: {e}"));
         framing::append_frame(outbox, framing, &fallback)
             .expect("a small error response always encodes");
     }

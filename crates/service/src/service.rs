@@ -1569,11 +1569,11 @@ impl AllocationService {
                 requests
                     .iter()
                     .map(|member| match member {
-                        Request::Batch(_) => Response::Error {
-                            message: "batches do not nest".to_string(),
-                            code: None,
-                            detail: None,
-                        },
+                        Request::Batch(_) => Response::error("batches do not nest"),
+                        // Only the server binds, and only on a hello of its own.
+                        Request::Hello { .. } => {
+                            Response::error("hello binds a connection only as a frame of its own")
+                        }
                         other => self.handle_traced(other, &ctx.restart()),
                     })
                     .collect(),

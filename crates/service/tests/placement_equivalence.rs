@@ -8,17 +8,15 @@
 //!
 //! * random patterned alloc/release sequences over the paper's three
 //!   patterns, on a 16×16 and an 8×8×4 machine, must answer op for op
-//!   identically with calibration on and off, and the runs must include
-//!   both lone-window grants and grants that weighed several windows;
+//!   identically with calibration on and off;
+//! * those sequences must include both lone-window grants and grants
+//!   that weighed several windows;
 //! * a 400-job comm-aware cluster replay must route and grant
 //!   identically with calibration on and off.
 //!
-//! The proptest shim does not shrink, so a diverging sequence is cut
-//! down with `strategies::minimise` and reported as the short sequence
-//! that still diverges, not as a case index.
-
-#[allow(dead_code)]
-mod strategies;
+//! A diverging sequence is shrunk by the proptest shim and reported as
+//! the short sequence that still diverges, with the word buffer that
+//! replays it.
 
 use commalloc_service::{
     replay_cluster, AllocationService, ClusterReplayLog, JobRef, ReplayJob, Request, Response,
@@ -28,13 +26,18 @@ use commalloc_workload::CommPattern;
 use proptest::prelude::*;
 use rand::prelude::*;
 use serde::Value;
-use strategies::minimise;
 
 /// The machines every sequence runs on: one 2-D, one 3-D.
 const MACHINES: [(&str, &str); 2] = [("flat", "16x16"), ("cube", "8x8x4")];
 
 /// Random sequences per run of the property.
-const CASES: u64 = 48;
+const CASES: u32 = 48;
+
+/// The sequences the property runs: case `n` draws from
+/// `TestRng::deterministic(n)`.
+fn sequences() -> impl Strategy<Value = Vec<Request>> {
+    prop::collection::vec(op_strategy(), 1..120)
+}
 
 /// A patterned `alloc` (ids collide on purpose: duplicates must answer
 /// alike too) or a `release`/cancel of a possibly unknown id.
@@ -119,37 +122,38 @@ fn run(ops: &[Request], calibration: bool) -> (Vec<Response>, [u64; 2]) {
     (responses, windows)
 }
 
-#[test]
-fn calibration_moves_no_placement_op_by_op() {
-    let sequences = prop::collection::vec(op_strategy(), 1..120);
-    let diverges = |ops: &[Request]| run(ops, false).0 != run(ops, true).0;
-    let mut windows = [0; 2];
-    for case in 0..CASES {
-        let ops = sequences.generate(&mut TestRng::deterministic(case));
-        let (off, _) = run(&ops, false);
-        let (on, seen) = run(&ops, true);
-        if off != on {
-            let core = minimise(ops, diverges);
-            let (off, on) = (run(&core, false).0, run(&core, true).0);
-            let at = off.iter().zip(&on).position(|(a, b)| a != b);
-            let at = at.expect("a shrunk sequence still diverges");
-            let listing: String = core.iter().map(|op| format!("  {op:?}\n")).collect();
-            panic!(
-                "case {case}: calibration moved a placement; shrunk to {} ops:\n{listing}\
-                 op {at} answered\n  off: {:?}\n  on:  {:?}",
-                core.len(),
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(CASES))]
+
+    fn calibration_moves_no_placement_op_by_op(ops in sequences()) {
+        let (off, on) = (run(&ops, false).0, run(&ops, true).0);
+        if let Some(at) = off.iter().zip(&on).position(|(a, b)| a != b) {
+            return Err(TestCaseError::fail(format!(
+                "calibration moved a placement: op {at} of {} answered\n  off: {:?}\n  on:  {:?}",
+                ops.len(),
                 off[at],
                 on[at]
-            );
+            )));
         }
+    }
+}
+
+/// The property above is only as strong as its cases: they must commit
+/// both lone-window grants and grants that weighed several windows.
+#[test]
+fn the_cases_weigh_lone_windows_and_several() {
+    let mut windows = [0; 2];
+    for case in 0..CASES.into() {
+        let ops = sequences().generate(&mut TestRng::deterministic(case));
+        let (_, seen) = run(&ops, true);
         windows[0] += seen[0];
         windows[1] += seen[1];
+        if windows.iter().all(|&n| n > 0) {
+            return;
+        }
     }
     let [lone, several] = windows;
-    assert!(
-        lone > 0 && several > 0,
-        "coverage: {lone} lone-window and {several} several-window grants joined"
-    );
+    panic!("coverage: {lone} lone-window and {several} several-window grants joined");
 }
 
 #[test]
@@ -193,26 +197,4 @@ fn comm_aware_replay_is_identical_with_calibration_on_and_off() {
     let (on, joined) = replay(true);
     assert!(joined > 0, "the recording replay filed no placement");
     assert_eq!(off, on, "calibration changed a route or a grant");
-}
-
-#[test]
-fn minimise_shrinks_a_planted_failure_to_its_two_op_core() {
-    // Fails iff some 3 comes before some 7: the 2-op core is [3, 7].
-    let fails = |ops: &[u32]| {
-        let first_three = ops.iter().position(|&op| op == 3);
-        first_three.is_some_and(|at| ops[at..].contains(&7))
-    };
-    let ops: Vec<u32> = (0..60).map(|i| (i * 7 + 5) % 11).collect();
-    assert!(fails(&ops));
-    let calls = std::cell::Cell::new(0);
-    let core = minimise(ops, |ops: &[u32]| {
-        calls.set(calls.get() + 1);
-        fails(ops)
-    });
-    assert_eq!(core, vec![3, 7]);
-    assert!(
-        calls.get() < 200,
-        "{} predicate calls for 60 ops",
-        calls.get()
-    );
 }

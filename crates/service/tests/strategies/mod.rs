@@ -1,8 +1,7 @@
 //! Shared proptest strategies generating every `Request` / `Response`
 //! wire shape — including adversarial strings (quotes, backslashes,
 //! unicode, embedded control characters) — used by both the NDJSON
-//! round-trip suite and the binary-framing equivalence suite — plus
-//! [`minimise`], the shrinker the sequence suites report failures with.
+//! round-trip suite and the binary-framing equivalence suite.
 
 // Only the journal suites generate journal records.
 #[allow(dead_code)]
@@ -414,31 +413,4 @@ pub fn response_strategy() -> BoxedStrategy<Response> {
         prop::collection::vec(simple_response_strategy(), 0..5).prop_map(Response::Batch),
     ]
     .boxed()
-}
-
-/// Delta-debugs a failing op sequence: deletes chunks of halving
-/// length, then single ops until no one op can go, keeping every
-/// deletion after which `fails` still holds. The shim does not shrink,
-/// so a sequence suite calls this on its failing case and reports the
-/// result instead of a case index. `ops` must fail to begin with.
-#[allow(dead_code)] // the codec suites share this module but replay no sequences
-pub fn minimise<T: Clone>(mut ops: Vec<T>, fails: impl Fn(&[T]) -> bool) -> Vec<T> {
-    let mut chunk = ops.len().div_ceil(2).max(1);
-    loop {
-        let before = ops.len();
-        let mut start = 0;
-        while start < ops.len() {
-            let end = (start + chunk).min(ops.len());
-            let rest = [&ops[..start], &ops[end..]].concat();
-            if fails(&rest) {
-                ops = rest;
-            } else {
-                start += chunk;
-            }
-        }
-        if chunk == 1 && ops.len() == before {
-            return ops;
-        }
-        chunk = (chunk / 2).max(1);
-    }
 }

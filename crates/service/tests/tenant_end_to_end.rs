@@ -223,6 +223,55 @@ fn quota_denials_are_typed_and_accounted() {
     handle.shutdown().unwrap();
 }
 
+/// Only a `hello` sent as a frame of its own binds the connection. A
+/// batched one answers a per-member error, so the client is never told
+/// it is `acme` while its untagged jobs go on billing `default`.
+#[test]
+fn a_batched_hello_is_refused_and_binds_nothing() {
+    let (_service, handle) = spawn_server();
+    let mut client = ServiceClient::connect(handle.addr()).unwrap();
+    client.register("m0", "8x8", None, None, None).unwrap();
+    let answers = client
+        .batch(vec![
+            Request::Hello {
+                tenant: "acme".into(),
+            },
+            Request::Ping,
+        ])
+        .unwrap();
+    assert!(
+        matches!(&answers[0], Response::Error { message, .. } if message.contains("hello")),
+        "a batched hello must be refused, got {:?}",
+        answers[0]
+    );
+    assert_eq!(answers[1], Response::Pong);
+
+    // The connection is still unbound: an untagged alloc bills default.
+    client
+        .alloc("m0", &AllocArgs::new(1, 4).with_walltime(10.0))
+        .unwrap();
+    let table = client.tenants().unwrap();
+    let admitted = |tenant: &str| {
+        table
+            .get(tenant)
+            .and_then(|row| row.get("admitted"))
+            .and_then(Value::as_u64)
+    };
+    assert_eq!(admitted("default"), Some(1));
+    assert_eq!(admitted("acme"), None);
+
+    // A hello of its own still binds.
+    assert_eq!(client.hello("acme").unwrap(), "acme");
+    client
+        .alloc("m0", &AllocArgs::new(2, 4).with_walltime(10.0))
+        .unwrap();
+    let table = client.tenants().unwrap();
+    let acme = table.get("acme").and_then(|row| row.get("admitted"));
+    assert_eq!(acme.and_then(Value::as_u64), Some(1));
+    drop(client);
+    handle.shutdown().unwrap();
+}
+
 /// Fair-share ON lets the heavier tenant's later-arriving jobs drain
 /// first, shifting the tenant-weighted mean wait; OFF preserves plain
 /// arrival order. (Acceptance: the two-tenant weighted run.)
