@@ -83,6 +83,7 @@ fn all_strategies() -> Vec<SelectionStrategy> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
+    #[test]
     fn indexed_equals_rescan_on_16x16(
         strategy in sample::select(all_strategies()),
         kind in sample::select(vec![CurveKind::Hilbert, CurveKind::SCurve, CurveKind::HIndexing]),
@@ -91,6 +92,7 @@ proptest! {
         assert_equivalent_history(Mesh2D::square_16x16(), kind, strategy, 120, seed)?;
     }
 
+    #[test]
     fn indexed_equals_rescan_on_16x22(
         strategy in sample::select(all_strategies()),
         kind in sample::select(vec![CurveKind::Hilbert, CurveKind::RowMajor]),

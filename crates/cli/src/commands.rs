@@ -674,6 +674,7 @@ fn hist_stats(value: &Value) -> (u64, f64, f64, f64) {
         return (0, 0.0, 0.0, 0.0);
     }
     let sum = value.get("sum").and_then(Value::as_f64).unwrap_or(0.0);
+    let min = value.get("min").and_then(Value::as_f64).unwrap_or(0.0);
     let max = value.get("max").and_then(Value::as_f64).unwrap_or(0.0);
     let mut p99 = max;
     if let Some(buckets) = value.get("buckets").and_then(Value::as_array) {
@@ -688,10 +689,13 @@ fn hist_stats(value: &Value) -> (u64, f64, f64, f64) {
             let c = triple.get(2).and_then(Value::as_u64).unwrap_or(0);
             seen += c;
             if seen >= rank {
+                // Clamped to the observed range, as the server's
+                // `LogLinearHistogram::quantile` is.
                 p99 = match hi {
                     Some(hi) => (lo + hi) / 2.0,
                     None => lo,
-                };
+                }
+                .clamp(min.min(max), max);
                 break;
             }
         }
@@ -1015,6 +1019,16 @@ mod tests {
         assert_eq!(p99, 5.0);
         assert_eq!(max, 6.0);
         assert_eq!(hist_stats(&Value::Null), (0, 0.0, 0.0, 0.0));
+    }
+
+    #[test]
+    fn p99_of_one_sample_is_that_sample_not_its_bucket_midpoint() {
+        let lone: Value = serde_json::from_str(
+            r#"{"count": 1, "sum": 97.0, "min": 97.0, "max": 97.0, "scale": 1.0,
+                "buckets": [[96.0, 104.0, 1]]}"#,
+        )
+        .unwrap();
+        assert_eq!(hist_stats(&lone), (1, 97.0, 97.0, 97.0));
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! Implements the property-testing surface the workspace's tests use:
 //!
 //! * the [`proptest!`] macro (with an optional
-//!   `#![proptest_config(ProptestConfig::with_cases(N))]` header),
+//!   `#![proptest_config(ProptestConfig::with_cases(N))]` header; each
+//!   function inside writes its own `#[test]`, as with real proptest),
 //! * [`prop_assert!`], [`prop_assert_eq!`] and [`prop_assert_ne!`],
 //! * strategies: numeric ranges, [`any`], [`Just`], tuples,
 //!   [`collection::vec`], [`sample::select`], [`prop_oneof!`],
@@ -719,7 +720,9 @@ pub mod prelude {
     };
 }
 
-/// Defines `#[test]` functions whose arguments are drawn from strategies.
+/// Defines functions whose arguments are drawn from strategies. As in
+/// real proptest, the macro adds no `#[test]`: each function carries its
+/// own, so a suite that writes one registers the property exactly once.
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
@@ -736,7 +739,6 @@ macro_rules! proptest {
 macro_rules! __proptest_fns {
     (cfg = $cfg:expr; $(#[$meta:meta])* fn $name:ident($($pat:pat in $strat:expr),+ $(,)?) $body:block $($rest:tt)*) => {
         $(#[$meta])*
-        #[test]
         fn $name() {
             let config: $crate::ProptestConfig = $cfg;
             $crate::run_cases(
@@ -822,21 +824,25 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
+        #[test]
         fn ranges_stay_in_bounds(x in 3usize..10, y in 0u16..=4) {
             prop_assert!((3..10).contains(&x));
             prop_assert!(y <= 4);
         }
 
+        #[test]
         fn tuples_and_maps_compose((a, b) in (0u32..5, 0u32..5), c in (0u32..3).prop_map(|v| v * 2)) {
             prop_assert!(a < 5 && b < 5);
             prop_assert!(c % 2 == 0 && c <= 4);
         }
 
+        #[test]
         fn vec_lengths_follow_size_range(v in collection::vec(0u8..255, 2..6), w in prop::collection::vec(any::<u32>(), 3)) {
             prop_assert!((2..6).contains(&v.len()));
             prop_assert_eq!(w.len(), 3);
         }
 
+        #[test]
         fn select_and_oneof_pick_members(
             s in sample::select(vec![10u32, 20, 30]),
             o in prop_oneof![Just(1.0f64), Just(0.5)],
@@ -845,6 +851,7 @@ mod tests {
             prop_assert!(o == 1.0 || o == 0.5);
         }
 
+        #[test]
         #[should_panic(expected = "proptest case 0 failed: x was only 0")]
         fn failures_report_the_case_and_the_shrunk_input(x in 0usize..10) {
             prop_assert!(x > 100, "x was only {x}");

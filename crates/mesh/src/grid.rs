@@ -184,6 +184,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(192))]
 
+        #[test]
         fn mesh2d_locality_terms_equal_the_pair_loop_and_the_hash_set_fill(
             (mesh, nodes) in (1u16..=9, 1u16..=9).prop_flat_map(|(w, h)| {
                 (Just(Mesh2D::new(w, h)), node_sets(w as u32 * h as u32))
@@ -192,6 +193,7 @@ mod tests {
             check_2d(mesh, &nodes)?;
         }
 
+        #[test]
         fn mesh3d_locality_terms_equal_the_pair_loop_and_the_hash_set_fill(
             (mesh, nodes) in (1u16..=5, 1u16..=5, 1u16..=5).prop_flat_map(|(w, h, d)| {
                 (Just(Mesh3D::new(w, h, d)), node_sets(w as u32 * h as u32 * d as u32))

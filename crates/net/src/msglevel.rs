@@ -291,6 +291,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(400))]
 
+        #[test]
         fn unit_kernel_report_equals_the_heap_path((mesh, messages) in unit_traffic()) {
             let net = MessageLevelNetwork::new(mesh);
             let kernel = net.simulate_unit(&messages);

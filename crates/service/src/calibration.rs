@@ -6,7 +6,8 @@
 //! how many candidates were weighed, and how long the job waited). At
 //! release the record is joined with the realized outcome — how long the
 //! job actually held its processors (against its walltime estimate, when
-//! it gave one) and how dispersed the allocation was — and folded into a
+//! it gave one); its dispersal is the grant-time term, since nodes never
+//! move between grant and release — and folded into a
 //! per-(pattern, policy) [`CalibrationCell`]: predicted-vs-realized
 //! [`LogLinearHistogram`]s plus a bounded sample of (predicted, realized)
 //! pairs summarised by a deterministic Spearman rank correlation.
@@ -65,10 +66,6 @@ pub struct CalibrationSample {
     pub record: PlacementRecord,
     /// Seconds the job actually held its processors.
     pub held: f64,
-    /// Realized dispersal of the allocation at release, in the same
-    /// unit as the predicted dispersal term (mesh diameters paid for
-    /// extra connected components).
-    pub realized_dispersal: f64,
 }
 
 /// Per-(pattern, policy) aggregation of joined samples.
@@ -110,7 +107,10 @@ impl CalibrationCell {
             self.held_ratio.record(sample.held / w);
         }
         self.queue_wait.record(sample.record.queue_wait);
-        self.realized_dispersal.record(sample.realized_dispersal);
+        // Nodes never move between grant and release, so the realized
+        // dispersal is the grant-time term.
+        self.realized_dispersal
+            .record(sample.record.predicted.dispersal);
         if self.pairs.len() < PAIR_CAP {
             self.pairs
                 .push((sample.record.predicted.total(), sample.held));
@@ -244,7 +244,6 @@ mod tests {
                 walltime: Some(10.0),
             },
             held: held.max(0.0),
-            realized_dispersal: 0.0,
         }
     }
 

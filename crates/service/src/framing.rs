@@ -40,6 +40,8 @@
 //! | `0x07` | array | `u32` element count, then each element |
 //! | `0x08` | object | `u32` entry count, then per entry: `u32` key length, key bytes, value |
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use serde::Value;
 pub use serde_json::MAX_DEPTH;
 use serde_json::{Emit, JsonSink, Sink, Tape, TapeNode};

@@ -21,6 +21,8 @@
 //! deliberately does not cover, and the hand-written bodies double as
 //! precise wire-format documentation.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use commalloc_mesh::NodeId;
 use commalloc_workload::CommPattern;
 use serde::{Error, Value};

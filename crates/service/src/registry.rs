@@ -421,22 +421,6 @@ impl Backing {
             .map(|(nodes, score)| (nodes, Some((score, considered))))
     }
 
-    /// The realized dispersal of an allocation, in the same unit as the
-    /// predicted dispersal term: one mesh diameter per connected
-    /// component beyond the first.
-    fn dispersal_of(&self, nodes: &[NodeId]) -> f64 {
-        match self {
-            Backing::TwoD { mesh, .. } => {
-                let diameter = (mesh.width() + mesh.height()) as f64;
-                mesh.components(nodes).saturating_sub(1) as f64 * diameter
-            }
-            Backing::ThreeD { mesh, .. } => {
-                let diameter = (mesh.width() + mesh.height() + mesh.depth()) as f64;
-                mesh.components(nodes).saturating_sub(1) as f64 * diameter
-            }
-        }
-    }
-
     /// Re-occupies exactly `nodes` — the journal-recovery path, which
     /// replays committed grants instead of re-running an allocator.
     /// Validates every node is in range, free, and unrepeated before
@@ -1065,11 +1049,7 @@ impl MachineEntry {
             if let Some(record) = self.placements.remove(&job_id) {
                 if self.calibration.enabled() {
                     let held = (ctx.now() - record.granted_at).max(0.0);
-                    self.calibration.record(&CalibrationSample {
-                        record,
-                        held,
-                        realized_dispersal: self.backing.dispersal_of(nodes),
-                    });
+                    self.calibration.record(&CalibrationSample { record, held });
                 }
             }
             self.metrics.released += 1;

@@ -125,6 +125,7 @@ fn run(ops: &[Request], calibration: bool) -> (Vec<Response>, [u64; 2]) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(CASES))]
 
+    #[test]
     fn calibration_moves_no_placement_op_by_op(ops in sequences()) {
         let (off, on) = (run(&ops, false).0, run(&ops, true).0);
         if let Some(at) = off.iter().zip(&on).position(|(a, b)| a != b) {
@@ -196,5 +197,44 @@ fn comm_aware_replay_is_identical_with_calibration_on_and_off() {
     let (off, _) = replay(false);
     let (on, joined) = replay(true);
     assert!(joined > 0, "the recording replay filed no placement");
-    assert_eq!(off, on, "calibration changed a route or a grant");
+    if let Some(divergence) = first_divergence(&off, &on) {
+        panic!("calibration changed a placement: {divergence}");
+    }
+    assert!(
+        off == on,
+        "calibration changed the rejections ({:?} off, {:?} on) or the end time ({} off, {} on)",
+        off.rejected,
+        on.rejected,
+        off.end_time,
+        on.end_time
+    );
+}
+
+/// Where two replays of one trace part: the first job routed to a
+/// different member, or else each machine's first differing grant — a
+/// line per divergence instead of two whole logs.
+fn first_divergence(off: &ClusterReplayLog, on: &ClusterReplayLog) -> Option<String> {
+    let routes = off.routes.iter().zip(&on.routes);
+    if let Some(((job, a), (_, b))) = routes.into_iter().find(|(a, b)| a != b) {
+        return Some(format!(
+            "job {job} routed to {a:?} with calibration off, {b:?} on"
+        ));
+    }
+    let mut machines: Vec<&String> = off.grants.keys().chain(on.grants.keys()).collect();
+    machines.sort();
+    machines.dedup();
+    let grants: Vec<String> = machines
+        .into_iter()
+        .filter_map(|machine| {
+            let log = |l: &ClusterReplayLog| l.grants.get(machine).cloned().unwrap_or_default();
+            let (a, b) = (log(off), log(on));
+            let at = (0..a.len().max(b.len())).find(|&i| a.get(i) != b.get(i))?;
+            Some(format!(
+                "{machine} grant {at}: {:?} with calibration off, {:?} on",
+                a.get(at),
+                b.get(at)
+            ))
+        })
+        .collect();
+    (!grants.is_empty()).then(|| grants.join("; "))
 }

@@ -516,6 +516,7 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(512))]
 
+        #[test]
         fn messages_per_iteration_matches_iteration_messages(
             p in 1usize..=257,
             idx in 0usize..9,
