@@ -224,15 +224,12 @@ impl EventLoop {
         let key = stream.as_raw_fd() as usize;
         let interest = Event::readable(key);
         self.poller.add(stream.as_raw_fd(), interest).ok()?;
-        let conn = Conn::default();
-        sockets.insert(
-            key,
-            Socket {
-                stream,
-                interest,
-                conn,
-            },
-        );
+        let socket = Socket {
+            stream,
+            interest,
+            conn: Conn::default(),
+        };
+        sockets.insert(key, socket);
         Some(key)
     }
 
@@ -429,7 +426,8 @@ impl Conn {
     }
 
     /// The first `n` bytes of [`Conn::output`] were written. Once all of
-    /// it is, the tenant's in-flight slots are returned.
+    /// it is, the tenant's in-flight slots are returned and frames a cap
+    /// pause left buffered are dispatched (no read may come for them).
     fn written(&mut self, service: &AllocationService, n: usize) {
         self.outpos += n;
         if self.outpos == self.outbox.len() {
@@ -440,6 +438,7 @@ impl Conn {
                     .tenants()
                     .wire_dec(self.inflight_tenant.as_deref(), self.unflushed);
                 self.unflushed = 0;
+                self.receive(service, &[]);
             }
         } else if self.outpos >= 64 * 1024 {
             // Reclaim the flushed prefix of a slow-draining outbox.
