@@ -68,6 +68,18 @@
 //! the tail, and the watermark deduplicates it. Segments at or below the
 //! snapshot's `covers` index are deleted after the rename.
 //!
+//! ## Recovery is one forward pass
+//!
+//! Recovery reads the snapshot, then each segment in order through one
+//! reused line buffer, and folds every record into the service as soon
+//! as it is parsed (the shape of ARIES' redo pass): its memory is the
+//! recovered state plus that buffer and its reader, whatever the tail's
+//! length. A fault stops the pass where it is met, so when a journal
+//! holds both a malformed line and a record that does not fold (say, a
+//! grant of a busy node) the earlier one in file order is reported.
+//! Nothing in the directory is created, written or pruned until the
+//! whole pass succeeds.
+//!
 //! ## Torn tails
 //!
 //! `kill -9` can interrupt a line mid-write. Recovery ignores a final
@@ -102,7 +114,7 @@ use serde::{Error, Map, Value};
 use serde_json::{Emit, JsonSink, Node, Sink};
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -1186,8 +1198,9 @@ impl JournalSink for FileJournal {
 // Reading a journal directory back
 // ---------------------------------------------------------------------------
 
-/// Everything read back from a journal directory, ready to fold into a
-/// fresh service.
+/// Everything read back from a journal directory. The scan that reads
+/// it fills only the last three fields, the directory's extent; the
+/// snapshot and the tail are its fold's to keep.
 #[derive(Debug, Default)]
 pub struct JournalContents {
     /// The installed snapshot, if one exists.
@@ -1239,45 +1252,70 @@ impl From<ServiceError> for JournalError {
     }
 }
 
-/// Reads a journal directory: the installed snapshot plus every tail
-/// record, tolerating exactly one torn line — newline-less and at the
-/// very end of the last segment. A directory that does not exist (or is
-/// empty) reads as empty contents — a brand-new journal.
-#[deny(clippy::unwrap_used, clippy::expect_used)]
+/// Reads a journal directory into memory: the installed snapshot plus
+/// every tail record, by the rules of the one forward pass recovery
+/// makes (see the module docs). A directory that does not exist (or is
+/// empty) reads as empty contents — a brand-new journal. The whole tail
+/// is held at once, so this serves tools and tests; [`open_journaled`]
+/// folds each record as the same pass reads it and holds one line.
 pub fn read_journal_dir(dir: &Path) -> Result<JournalContents, JournalError> {
-    let mut contents = JournalContents::default();
+    let ((snapshot, tail), extent) = scan_journal(
+        dir,
+        |snapshot| Ok((snapshot, Vec::new())),
+        |(_, tail): &mut (_, Vec<_>), seq, record| {
+            tail.push((seq, record));
+            Ok(())
+        },
+    )?;
+    Ok(JournalContents {
+        snapshot,
+        tail,
+        ..extent
+    })
+}
+
+/// Reads a journal directory in one forward pass, by the rules in the
+/// module docs. `start` receives the installed snapshot (if any) and
+/// returns the fold's state; `fold` then receives each tail record in
+/// append order as soon as it is parsed, through one reused line
+/// buffer. Returns that state and the directory's extent as a
+/// [`JournalContents`] with no snapshot or tail.
+#[deny(clippy::unwrap_used, clippy::expect_used)]
+fn scan_journal<S>(
+    dir: &Path,
+    start: impl FnOnce(Option<SnapshotImage>) -> Result<S, ServiceError>,
+    mut fold: impl FnMut(&mut S, u64, JournalRecord) -> Result<(), ServiceError>,
+) -> Result<(S, JournalContents), JournalError> {
+    let mut extent = JournalContents::default();
     if !dir.exists() {
-        return Ok(contents);
+        return Ok((start(None)?, extent));
     }
 
     let snapshot_path = dir.join(SNAPSHOT_FILE);
-    if snapshot_path.exists() {
+    let snapshot = if snapshot_path.exists() {
         let text = fs::read_to_string(&snapshot_path)?;
-        let line = text.lines().next().unwrap_or("");
-        match JournalRecord::from_line(line) {
-            Ok((_, JournalRecord::Snapshot(image))) => contents.snapshot = Some(image),
-            Ok(_) => {
-                return Err(JournalError::Corrupt(
-                    "snapshot file holds a non-snapshot record".to_string(),
-                ))
-            }
-            Err(e) => {
-                return Err(JournalError::Corrupt(format!(
-                    "snapshot file unreadable: {e}"
-                )))
-            }
-        }
-    }
-    if let Some(snapshot) = &contents.snapshot {
-        // The per-machine watermarks are sequence numbers too, and the
-        // next sink must resume above them even when the WAL tail is
-        // empty (a snapshot install prunes the tail). Otherwise a quiet
-        // restart would read max_seq = 0, hand out seq 1.. at or below
-        // the watermarks, and the *next* recovery's watermark gate would
-        // silently drop those acknowledged records.
-        contents.max_seq = snapshot.machines.iter().map(|m| m.seq).max().unwrap_or(0);
-    }
-    let covers = contents.snapshot.as_ref().map_or(0, |s| s.covers);
+        let parsed = JournalRecord::from_line(text.lines().next().unwrap_or(""));
+        let Ok((_, JournalRecord::Snapshot(image))) = parsed else {
+            let why = parsed.map_or_else(
+                |e| format!("unreadable: {e}"),
+                |_| "holds a non-snapshot record".into(),
+            );
+            return Err(JournalError::Corrupt(format!("snapshot file {why}")));
+        };
+        Some(image)
+    } else {
+        None
+    };
+    // The per-machine watermarks are sequence numbers too, and the
+    // next sink must resume above them even when the WAL tail is
+    // empty (a snapshot install prunes the tail). Otherwise a quiet
+    // restart would read max_seq = 0, hand out seq 1.. at or below
+    // the watermarks, and the *next* recovery's watermark gate would
+    // silently drop those acknowledged records.
+    let machines = snapshot.iter().flat_map(|s| &s.machines);
+    extent.max_seq = machines.map(|m| m.seq).max().unwrap_or(0);
+    let covers = snapshot.as_ref().map(|s| s.covers);
+    let mut state = start(snapshot)?;
 
     let mut segments: Vec<u64> = fs::read_dir(dir)?
         .filter_map(|entry| {
@@ -1287,7 +1325,7 @@ pub fn read_journal_dir(dir: &Path) -> Result<JournalContents, JournalError> {
         })
         .collect();
     segments.sort_unstable();
-    contents.max_segment = segments.last().copied().unwrap_or(0);
+    extent.max_segment = segments.last().copied().unwrap_or(0);
 
     // A newline-less parse failure at the end of a segment is tolerated
     // *provisionally*: it is a torn write only if no record follows it
@@ -1296,16 +1334,16 @@ pub fn read_journal_dir(dir: &Path) -> Result<JournalContents, JournalError> {
     // real record after the failure proves the line was fully written
     // once, i.e. corruption).
     let mut pending_torn: Option<String> = None;
+    let mut line = Vec::new();
     for &segment in &segments {
         let path = dir.join(segment_name(segment));
-        // Raw bytes: a torn tail may not even be valid UTF-8. Reading
-        // the whole segment also shows whether the final line kept its
-        // trailing newline — a line that did was fully written, so a
-        // parse failure there is corruption, never a torn write.
-        let data = fs::read(&path)?;
-        let newline_terminated = data.last() == Some(&b'\n');
-        let mut lines = data.split(|&b| b == b'\n').peekable();
-        while let Some(line) = lines.next() {
+        let mut reader = BufReader::new(File::open(&path)?);
+        for number in 1u64.. {
+            // Raw bytes: a torn tail may not even be valid UTF-8.
+            line.clear();
+            if reader.read_until(b'\n', &mut line)? == 0 {
+                break;
+            }
             if line.iter().all(u8::is_ascii_whitespace) {
                 continue;
             }
@@ -1314,46 +1352,52 @@ pub fn read_journal_dir(dir: &Path) -> Result<JournalContents, JournalError> {
                     "records follow a malformed line ({torn})"
                 )));
             }
-            let parsed = std::str::from_utf8(line)
+            let at = || format!("{}:{number}", path.display());
+            // The line keeps its newline: JSON allows trailing whitespace.
+            let parsed = std::str::from_utf8(&line)
                 .map_err(|e| Error::msg(format!("non-UTF-8 line: {e}")))
                 .and_then(JournalRecord::from_line);
             match parsed {
                 Ok((seq, record)) => {
-                    contents.max_seq = contents.max_seq.max(seq);
-                    if contents.snapshot.is_some() && segment <= covers {
-                        // Fully covered by the snapshot: pruning raced a
-                        // crash and left the segment behind. Skip it.
-                        continue;
+                    extent.max_seq = extent.max_seq.max(seq);
+                    // A segment the snapshot covers is one whose pruning
+                    // raced a crash: it counts for max_seq only.
+                    if covers.is_none_or(|covers| segment > covers) {
+                        fold(&mut state, seq, record)
+                            .map_err(|e| JournalError::Corrupt(format!("{}: {e}", at())))?;
                     }
-                    contents.tail.push((seq, record));
                 }
-                Err(e) if !newline_terminated && lines.peek().is_none() => {
-                    // Possibly a crash tearing the final line mid-write;
-                    // by the write-ahead discipline its effect was never
-                    // acknowledged beyond the fsync horizon. Confirmed
-                    // as torn only if nothing follows it.
-                    pending_torn = Some(format!("{}: {e}", path.display()));
+                // Only a segment's last line can lack its newline: possibly
+                // a crash tearing it mid-write, whose effect by the
+                // write-ahead discipline was never acknowledged beyond the
+                // fsync horizon. Confirmed as torn only if nothing follows
+                // it. A line that kept its newline was fully written, so a
+                // parse failure there is corruption.
+                Err(e) if line.last() != Some(&b'\n') => {
+                    pending_torn = Some(format!("{}: {e}", at()))
                 }
                 Err(e) => {
                     return Err(JournalError::Corrupt(format!(
                         "{} holds a malformed, fully-written line: {e}",
-                        path.display()
+                        at()
                     )));
                 }
             }
         }
     }
-    contents.torn_tail = pending_torn.is_some();
-    Ok(contents)
+    extent.torn_tail = pending_torn.is_some();
+    Ok((state, extent))
 }
 
-/// Opens a journal directory as a live service: reads any existing
-/// snapshot and WAL tail, folds them into a fresh
-/// [`crate::AllocationService`] through the deterministic restore paths,
-/// attaches a [`FileJournal`] that continues the sequence space, and
-/// immediately installs a fresh snapshot (so the recovered state is
+/// Opens a journal directory as a live service: folds any existing
+/// snapshot and WAL tail into a fresh [`crate::AllocationService`]
+/// through the deterministic restore paths as one forward pass reads
+/// them, attaches a [`FileJournal`] that continues the sequence space,
+/// and immediately installs a fresh snapshot (so the recovered state is
 /// durable before the first request and stale segments prune). A
 /// directory that does not exist yet starts an empty epoch-0 journal.
+/// Nothing in the directory is created, written or pruned unless the
+/// whole journal folds.
 ///
 /// Tail records already reflected in the snapshot (the concurrent-
 /// capture window) are skipped by each machine's sequence watermark;
@@ -1362,31 +1406,32 @@ pub fn open_journaled(
     dir: &Path,
     config: JournalConfig,
 ) -> Result<(crate::AllocationService, RecoveryReport), JournalError> {
-    let contents = read_journal_dir(dir)?;
-    let had_state = contents.snapshot.is_some() || !contents.tail.is_empty();
-    let epoch = contents.snapshot.as_ref().map_or(0, |s| s.epoch) + u64::from(had_state);
-
     let service = crate::AllocationService::new();
-    let mut report = RecoveryReport {
-        epoch,
-        snapshot_found: contents.snapshot.is_some(),
-        torn_tail: contents.torn_tail,
-        ..RecoveryReport::default()
-    };
-    let mut watermarks = std::collections::HashMap::new();
-    if let Some(snapshot) = &contents.snapshot {
-        watermarks = service.apply_snapshot(snapshot)?;
-    }
-    for (seq, record) in &contents.tail {
-        if let Some(machine) = record.machine() {
-            if *seq <= watermarks.get(machine).copied().unwrap_or(0) {
+    let ((mut report, _), extent) = scan_journal(
+        dir,
+        |snapshot| {
+            let report = RecoveryReport {
+                epoch: snapshot.as_ref().map_or(0, |s| s.epoch),
+                snapshot_found: snapshot.is_some(),
+                ..RecoveryReport::default()
+            };
+            let watermarks = snapshot.as_ref().map(|s| service.apply_snapshot(s));
+            Ok((report, watermarks.transpose()?.unwrap_or_default()))
+        },
+        |(report, watermarks), seq, record| {
+            let watermark = |machine: &str| watermarks.get(machine).map_or(0, |w| *w);
+            if record.machine().is_some_and(|m| seq <= watermark(m)) {
                 report.skipped += 1;
-                continue;
+            } else {
+                service.apply_journal_record(&record)?;
+                report.applied += 1;
             }
-        }
-        service.apply_journal_record(record)?;
-        report.applied += 1;
-    }
+            Ok(())
+        },
+    )?;
+    let had_state = report.snapshot_found || report.applied + report.skipped > 0;
+    report.epoch += u64::from(had_state);
+    report.torn_tail = extent.torn_tail;
     // Configs restored from records and the snapshot; consumed totals
     // from the snapshot image plus the tail releases' holds. The live
     // tenant gauges (outstanding commitments, queued counts) are
@@ -1397,9 +1442,9 @@ pub fn open_journaled(
     let sink = FileJournal::create(
         dir,
         config,
-        epoch,
-        contents.max_segment + 1,
-        contents.max_seq,
+        report.epoch,
+        extent.max_segment + 1,
+        extent.max_seq,
     )?;
     let service = service.with_journal(std::sync::Arc::new(sink));
     if had_state {

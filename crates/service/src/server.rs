@@ -389,6 +389,11 @@ impl Conn {
         buffer.extend(bytes);
         while !self.over_tenant_cap(service) {
             match buffer.next_payload() {
+                // Blank NDJSON lines are skipped unanswered (so
+                // interactive `nc` sessions can hit return freely), and
+                // only an answered frame takes an in-flight slot.
+                Ok(Some((Framing::Ndjson, payload)))
+                    if payload.iter().all(u8::is_ascii_whitespace) => {}
                 Ok(Some((framing, payload))) => {
                     self.dispatch_frame(service, framing, payload);
                     if self.unflushed == 0 {
@@ -448,13 +453,9 @@ impl Conn {
     }
 
     /// Parses one frame into a `Request`, dispatches it, and queues the
-    /// response in the framing the request arrived in. Blank NDJSON
-    /// lines are ignored (so interactive `nc` sessions can hit return
-    /// freely). A successful top-level `hello` rebinds the connection.
+    /// response in the framing the request arrived in. A successful
+    /// top-level `hello` rebinds the connection.
     fn dispatch_frame(&mut self, service: &AllocationService, framing: Framing, payload: &[u8]) {
-        if framing == Framing::Ndjson && payload.iter().all(u8::is_ascii_whitespace) {
-            return;
-        }
         // Mint the request id before parsing so the parse itself is on
         // the timeline; a disabled recorder makes this ctx inert.
         let mut ctx = service.begin();
@@ -680,6 +681,26 @@ mod tests {
         let (ndjson, binary) = (pong(Framing::Ndjson), pong(Framing::Binary));
         assert_eq!(answers, [ndjson.clone(), ndjson, binary]);
         assert_eq!(protocol_errors(&service), 0);
+    }
+
+    #[test]
+    fn blank_ndjson_lines_take_no_in_flight_slot() {
+        let service = capped_service();
+        let mut conn = Conn::default();
+        let wire = "{\"op\":\"hello\",\"tenant\":\"capped\"}\n\n \n\t\n{\"op\":\"ping\"}\n";
+        conn.receive(&service, wire.as_bytes());
+        // Both answers are due before anything is written: the blank
+        // lines took none of the tenant's two slots.
+        let output = std::str::from_utf8(conn.output()).unwrap();
+        let answers: Vec<_> = output
+            .lines()
+            .map(|l| Response::from_line(l).unwrap())
+            .collect();
+        assert!(matches!(
+            answers[..],
+            [Response::Hello { .. }, Response::Pong]
+        ));
+        assert_eq!(conn.unflushed, 2);
     }
 
     /// A service whose tenant `capped` may hold two responses in flight.
