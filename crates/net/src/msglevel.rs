@@ -11,14 +11,38 @@
 //! Events are ordered by `(time, input index)` and normally live in a binary
 //! heap of `f64` times. When every message is injected at `0.0` with service
 //! time `1.0` — *unit traffic*, which is all the placement scorer ever sends
-//! — every event time is a small integer, and [`MessageLevelNetwork::simulate`]
-//! runs the same events in the same order through one bucket per time step
-//! instead: no heap, no float comparison, and a report equal to the heap's
-//! to the last bit. Any other input takes the heap.
+//! — [`MessageLevelNetwork::simulate`] runs a line sweep instead, the
+//! textbook reading of dimension-order routing (Dally & Towles, *Principles
+//! and Practices of Interconnection Networks*, 2004, ch. 8): under x-then-y
+//! routing every row direction and every column direction is a queue of its
+//! own. The sweep rests on three facts:
+//!
+//! 1. **Each link lies on one line.** A ±x link of row `r` carries only
+//!    messages on their x leg whose source row is `r`; a ±y link of column
+//!    `c` carries only messages on their y leg whose destination column is
+//!    `c`. So the x legs can all be served first, row by row, and the y
+//!    legs after them, column by column, each entering its column when its
+//!    x leg is done.
+//! 2. **A link's order is fixed.** The heap pops events in `(time, input
+//!    index)` order, and a link sees that order restricted to itself: it
+//!    grants requests in `(ready time, input index)` order, and its only
+//!    state is the time it is free again.
+//! 3. **Streams arrive sorted.** With every service time `1`, the finish
+//!    times one link hands out strictly increase, so the stream leaving a
+//!    link is already in `(ready time, input index)` order for the next:
+//!    each link merges that stream with the messages entering there.
+//!
+//! Walking each line in travel order therefore serves every link's requests
+//! in the heap's order, with integer times and no heap: the report equals
+//! the heap's to the last bit. Any other input takes the heap. A zero
+//! service time breaks fact 3: two messages can leave a link at the same
+//! instant, and the next link orders them by input index, not by the order
+//! they left in. And the sweep's integer clock cannot hold fractional
+//! injection or service times.
 
 use crate::assert_unique_ids;
 use crate::link::{LinkTable, RouteCursor};
-use commalloc_mesh::{Mesh2D, NodeId};
+use commalloc_mesh::{Coord, Mesh2D, NodeId};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -110,9 +134,6 @@ impl PartialOrd for Event {
     }
 }
 
-/// End of a bucket's message list.
-const NIL: u32 = u32::MAX;
-
 impl MessageLevelNetwork {
     /// Creates a simulator over `mesh`.
     pub fn new(mesh: Mesh2D) -> Self {
@@ -197,66 +218,244 @@ impl MessageLevelNetwork {
         MessageSimReport::of(deliveries)
     }
 
-    /// The integer-time kernel for unit traffic (`inject_at == 0.0`,
-    /// `service_time == 1.0` throughout). Every event time is an integer, an
-    /// event at time `t` schedules its successor at `t + 1` or later, and a
-    /// message has one pending event — so bucket `t` is complete when time
-    /// reaches it, and walking it in input order is the heap's `(time, msg)`
-    /// order exactly. Buckets are intrusive lists (`first[t]`, `next[msg]`),
-    /// so nothing is allocated per message or per event. Integers this small
-    /// convert to `f64` exactly, which makes the report bit-identical.
+    /// The line sweep for unit traffic (`inject_at == 0.0`,
+    /// `service_time == 1.0` throughout); the module doc gives the three
+    /// facts it rests on. Times are integers this small, which convert to
+    /// `f64` exactly, so the report is the heap's to the bit.
     fn simulate_unit(&self, messages: &[Message]) -> MessageSimReport {
-        let (mut cursors, mut deliveries) = self.start(messages);
-        let count = u32::try_from(messages.len()).expect("message indices fit u32");
-        let mut link_free_at: Vec<u32> = vec![0; self.links.num_slots()];
-        let mut next: Vec<u32> = vec![NIL; messages.len()];
-        let mut first: Vec<u32> = Vec::new();
-        let mut bucket: Vec<u32> = (0..count)
-            .filter(|&msg| !cursors[msg as usize].arrived())
-            .collect();
-        let mut time = 0u32;
-        loop {
-            for &msg in &bucket {
-                let cursor = &mut cursors[msg as usize];
-                let link = self
-                    .links
-                    .advance(cursor)
-                    .expect("a pending message has a link left to cross");
-                let finish = time.max(link_free_at[link.index()]) + 1;
-                link_free_at[link.index()] = finish;
-                if cursor.arrived() {
-                    let delivery = &mut deliveries[msg as usize];
-                    delivery.delivered_at = finish as f64;
-                    delivery.latency = finish as f64;
+        let finish = self.finish_times(messages);
+        let deliveries = messages
+            .iter()
+            .zip(finish)
+            .map(|(m, finish)| {
+                let (delivered_at, latency) = if m.src == m.dst {
+                    (m.inject_at, 0.0)
                 } else {
-                    let slot = finish as usize;
-                    if slot >= first.len() {
-                        first.resize(slot + 1, NIL);
-                    }
-                    next[msg as usize] = std::mem::replace(&mut first[slot], msg);
+                    (f64::from(finish), f64::from(finish))
+                };
+                MessageDelivery {
+                    id: m.id,
+                    delivered_at,
+                    latency,
+                }
+            })
+            .collect();
+        MessageSimReport::of(deliveries)
+    }
+
+    /// Each unit-traffic message's delivery time (0 when self-addressed).
+    /// The x phase sweeps every (row, direction) and leaves each
+    /// message's x-finish in `finish`; the y phase sweeps every (column,
+    /// direction) with those finishes as ready times (0 for a message
+    /// with no x leg) and leaves the delivery times there.
+    fn finish_times(&self, messages: &[Message]) -> Vec<u32> {
+        let mesh = self.links.mesh();
+        let (width, height) = (usize::from(mesh.width()), usize::from(mesh.height()));
+        let ends: Vec<(Coord, Coord)> = messages
+            .iter()
+            .map(|m| (mesh.coord_of(m.src), mesh.coord_of(m.dst)))
+            .collect();
+        // The x leg runs along the source row, the y leg down the
+        // destination column.
+        let leg = |msg: usize, axis: usize| {
+            let (s, d) = ends[msg];
+            if axis == 0 {
+                Leg::new(s.x, d.x, width, s.y)
+            } else {
+                Leg::new(s.y, d.y, height, d.x)
+            }
+        };
+        let mut finish = vec![0u32; messages.len()];
+        let mut lines = Lines {
+            entrants: Vec::with_capacity(messages.len()),
+            ..Lines::default()
+        };
+        for axis in 0..2 {
+            lines.entrants.clear();
+            for (msg, &ready) in finish.iter().enumerate() {
+                let Leg { key, hops } = leg(msg, axis);
+                if hops > 0 {
+                    let msg = u32::try_from(msg).expect("message indices fit u32");
+                    lines.entrants.push(Entrant { key, ready, msg });
                 }
             }
-            time += 1;
-            let Some(&head) = first.get(time as usize) else {
-                break;
-            };
-            bucket.clear();
-            let mut msg = head;
-            while msg != NIL {
-                bucket.push(msg);
-                msg = next[msg as usize];
-            }
-            bucket.sort_unstable();
+            lines.sort(2 * mesh.num_nodes());
+            let line_len = if axis == 0 { width } else { height };
+            lines.sweep(line_len, |msg| leg(msg, axis).hops, &mut finish);
         }
-        MessageSimReport::of(deliveries)
+        finish
+    }
+}
+
+/// One leg of an x-then-y route, placed on its line. `key` is the line
+/// position the leg enters at, `(2 × line + direction) × len + offset`:
+/// offsets count in travel order, so the leg's next positions are
+/// `key + 1`, `key + 2`, …, and each direction of a line owns a range.
+#[derive(Debug, Clone, Copy)]
+struct Leg {
+    key: usize,
+    hops: u32,
+}
+
+impl Leg {
+    /// The leg from `from` to `to` along line `line` of an axis `len`
+    /// positions long.
+    fn new(from: u16, to: u16, len: usize, line: u16) -> Leg {
+        let up = to >= from;
+        let offset = if up {
+            usize::from(from)
+        } else {
+            len - 1 - usize::from(from)
+        };
+        Leg {
+            key: (2 * usize::from(line) + usize::from(!up)) * len + offset,
+            hops: u32::from(from.abs_diff(to)),
+        }
+    }
+}
+
+/// A message entering a line at position `key`, ready at `ready`.
+/// Ordered by `(key, ready, msg)`: position first, then each link's
+/// own `(ready time, input index)` grant order.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
+struct Entrant {
+    key: usize,
+    ready: u32,
+    msg: u32,
+}
+
+/// A message on a line: it reaches its next link at `time` with `left`
+/// links of the line still to cross.
+#[derive(Debug, Clone, Copy, Default)]
+struct Hop {
+    time: u32,
+    msg: u32,
+    left: u32,
+}
+
+/// A counting sort passes over every line position, so it pays only
+/// once there is at least one entrant per `SPARSE` positions; sparser
+/// entrants (most of the scorer's small jobs) are sorted by comparison.
+const SPARSE: usize = 8;
+
+/// One phase's entrants and the buffers its sort and sweep reuse.
+#[derive(Default)]
+struct Lines {
+    entrants: Vec<Entrant>,
+    sorted: Vec<Entrant>,
+    counts: Vec<u32>,
+    stream: Vec<Hop>,
+    next: Vec<Hop>,
+}
+
+impl Lines {
+    /// Sorts the entrants (pushed in input order) by `(key, ready, msg)`,
+    /// every key below `keys`. Many entrants take two stable counting
+    /// sorts, by ready time and then by key; few take a comparison sort.
+    fn sort(&mut self, keys: usize) {
+        if self.entrants.len() * SPARSE < keys {
+            self.entrants.sort_unstable();
+            return;
+        }
+        let latest = self.entrants.iter().map(|e| e.ready).max().unwrap_or(0);
+        if latest > 0 {
+            self.counting_sort(latest as usize + 1, |e| e.ready as usize);
+        }
+        self.counting_sort(keys, |e| e.key);
+    }
+
+    /// A stable counting sort of the entrants by `bucket`, which is
+    /// below `buckets`.
+    fn counting_sort(&mut self, buckets: usize, bucket: impl Fn(&Entrant) -> usize) {
+        let start = &mut self.counts;
+        start.clear();
+        start.resize(buckets + 1, 0);
+        for e in &self.entrants {
+            start[bucket(e) + 1] += 1;
+        }
+        for b in 1..start.len() {
+            start[b] += start[b - 1];
+        }
+        self.sorted.clear();
+        self.sorted.resize(self.entrants.len(), Entrant::default());
+        for e in &self.entrants {
+            let slot = &mut start[bucket(e)];
+            self.sorted[*slot as usize] = *e;
+            *slot += 1;
+        }
+        std::mem::swap(&mut self.entrants, &mut self.sorted);
+    }
+
+    /// Runs every line of the phase, each `line_len` positions long, over
+    /// the sorted entrants. A line is walked position by position while
+    /// its stream is non-empty; at each position the link grants the
+    /// stream that crossed the link before it merged with the messages
+    /// entering here, in `(ready time, input index)` order.
+    /// `finish[msg]` is written at every crossing, so it ends as the
+    /// finish on the leg's last link.
+    fn sweep(&mut self, line_len: usize, hops: impl Fn(usize) -> u32, finish: &mut [u32]) {
+        let entrants = &self.entrants;
+        let mut i = 0;
+        while i < entrants.len() {
+            let mut at = entrants[i].key;
+            // Until it empties, the stream holds at most the line's
+            // entrants from here on.
+            let line_end = (at / line_len + 1) * line_len;
+            let most = entrants[i..].partition_point(|e| e.key < line_end);
+            if self.next.len() < most {
+                self.stream.resize(most, Hop::default());
+                self.next.resize(most, Hop::default());
+            }
+            let mut len = 0;
+            loop {
+                let (stream, next) = (&self.stream[..len], &mut self.next);
+                let (mut free, mut kept, mut read) = (0u32, 0, 0);
+                let mut cross = |hop: Hop| {
+                    free = free.max(hop.time) + 1;
+                    finish[hop.msg as usize] = free;
+                    next[kept] = Hop {
+                        time: free,
+                        left: hop.left - 1,
+                        ..hop
+                    };
+                    kept += usize::from(hop.left > 1);
+                };
+                while let Some(&e) = entrants.get(i).filter(|e| e.key == at) {
+                    while let Some(&h) = stream
+                        .get(read)
+                        .filter(|h| (h.time, h.msg) < (e.ready, e.msg))
+                    {
+                        cross(h);
+                        read += 1;
+                    }
+                    cross(Hop {
+                        time: e.ready,
+                        msg: e.msg,
+                        left: hops(e.msg as usize),
+                    });
+                    i += 1;
+                }
+                for &h in &stream[read..] {
+                    cross(h);
+                }
+                len = kept;
+                std::mem::swap(&mut self.stream, &mut self.next);
+                if len == 0 {
+                    break;
+                }
+                at += 1;
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use commalloc_mesh::Coord;
+    use commalloc_workload::CommPattern;
     use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     /// Unit-traffic inputs for the kernel-versus-heap pin: any mesh up to
     /// the paper's 16×22 (non-square and one-wide included), up to the
@@ -301,6 +500,191 @@ mod tests {
             // `simulate` itself must pick the kernel's answer for this input.
             prop_assert_eq!(&net.simulate(&messages), &heap);
         }
+    }
+
+    /// One iteration of a pattern the scorer sees, as `score.rs` builds
+    /// it: a `p`-rank job on the first `p` processors (row-major) of a
+    /// window, the pattern's pairs drawn from a seeded generator and
+    /// thinned by stride to at most 2048 messages.
+    fn scorer_traffic() -> impl Strategy<Value = (Mesh2D, Vec<Message>)> {
+        let patterns = [
+            CommPattern::AllToAll,
+            CommPattern::AllPairsPingPong,
+            CommPattern::TestSuite,
+            CommPattern::Stencil2D,
+            CommPattern::Ring,
+            CommPattern::NBody,
+            CommPattern::Random,
+        ];
+        (1u16..=16, 1u16..=22).prop_flat_map(move |(w, h)| {
+            let window = (0..w, 0..h, 1..=w, 1..=h);
+            let job = (sample::select(patterns), 2usize..=352, any::<u64>());
+            (Just(Mesh2D::new(w, h)), window, job).prop_map(|(mesh, window, job)| {
+                let (x0, y0, ww, wh) = window;
+                let (pattern, p, seed) = job;
+                let (x1, y1) = ((x0 + ww).min(mesh.width()), (y0 + wh).min(mesh.height()));
+                let nodes: Vec<NodeId> = (y0..y1)
+                    .flat_map(|y| (x0..x1).map(move |x| mesh.id_of(Coord::new(x, y))))
+                    .take(p)
+                    .collect();
+                let mut rng = StdRng::seed_from_u64(seed);
+                let pairs = pattern.iteration_messages(nodes.len(), &mut rng);
+                let stride = pairs.len().div_ceil(2048).max(1);
+                let messages = pairs
+                    .iter()
+                    .step_by(stride)
+                    .enumerate()
+                    .map(|(i, &(src, dst))| Message {
+                        id: i as u64,
+                        src: nodes[src],
+                        dst: nodes[dst],
+                        inject_at: 0.0,
+                        service_time: 1.0,
+                    })
+                    .collect();
+                (mesh, messages)
+            })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn the_sweep_matches_the_heap_on_the_scorers_own_traffic(
+            (mesh, messages) in scorer_traffic()
+        ) {
+            let net = MessageLevelNetwork::new(mesh);
+            prop_assert_eq!(net.simulate_unit(&messages), net.simulate_heap(&messages));
+        }
+    }
+
+    /// A processor's `(x, y)`.
+    type At = (u16, u16);
+
+    /// Unit messages between `(x, y)` pairs on `mesh`.
+    fn unit(mesh: Mesh2D, pairs: &[(At, At)]) -> Vec<Message> {
+        pairs
+            .iter()
+            .enumerate()
+            .map(|(i, &(src, dst))| msg(mesh, i as u64, src, dst, 0.0))
+            .collect()
+    }
+
+    /// The sweep's latencies, after checking its whole report against
+    /// the heap's.
+    fn swept(mesh: Mesh2D, messages: &[Message]) -> Vec<f64> {
+        let net = MessageLevelNetwork::new(mesh);
+        let report = net.simulate_unit(messages);
+        assert_eq!(report, net.simulate_heap(messages));
+        report.deliveries.iter().map(|d| d.latency).collect()
+    }
+
+    #[test]
+    fn turns_into_one_column_go_in_ready_then_input_order() {
+        // Both x legs end at (2, 0) at time 2 and both turn +y there: the
+        // lower index crosses first, whichever side it came from.
+        let mesh = Mesh2D::new(5, 3);
+        let right_first = unit(mesh, &[((4, 0), (2, 2)), ((0, 0), (2, 2))]);
+        assert_eq!(swept(mesh, &right_first), [4.0, 5.0]);
+        let left_first = unit(mesh, &[((0, 0), (2, 2)), ((4, 0), (2, 2))]);
+        assert_eq!(swept(mesh, &left_first), [4.0, 5.0]);
+        // Without the tie, the earlier x-finish goes first whatever its
+        // index: (3, 0) reaches the turn at time 1, (0, 0) at time 2.
+        let nearer_later = unit(mesh, &[((0, 0), (2, 2)), ((3, 0), (2, 2))]);
+        assert_eq!(swept(mesh, &nearer_later), [4.0, 3.0]);
+    }
+
+    #[test]
+    fn a_turning_message_and_the_column_stream_tie_by_input_index() {
+        // Two messages from one node into one column, neither with an x
+        // leg: both are ready at 0, so the lower index goes first, not
+        // the one that leaves the column sooner.
+        let mesh = Mesh2D::new(3, 4);
+        let from_one_node: Vec<Message> = [(3, 9), (3, 6)]
+            .iter()
+            .enumerate()
+            .map(|(i, &(src, dst))| Message {
+                id: i as u64,
+                src: NodeId(src),
+                dst: NodeId(dst),
+                inject_at: 0.0,
+                service_time: 1.0,
+            })
+            .collect();
+        assert_eq!(swept(mesh, &from_one_node), [2.0, 2.0]);
+        // A message turning at (1, 1) at time 1 meets one that has come
+        // up column 1 from (1, 0) and is ready there at time 1 too.
+        let mesh = Mesh2D::new(4, 4);
+        let stream_first = unit(mesh, &[((1, 0), (1, 3)), ((0, 1), (1, 3))]);
+        assert_eq!(swept(mesh, &stream_first), [3.0, 4.0]);
+        let turn_first = unit(mesh, &[((0, 1), (1, 3)), ((1, 0), (1, 3))]);
+        assert_eq!(swept(mesh, &turn_first), [3.0, 4.0]);
+    }
+
+    #[test]
+    fn a_line_that_empties_and_refills_starts_each_link_free() {
+        // Row 0 carries two messages to (3, 0), then nothing over (3, 0)
+        // to (5, 0), then two more from (5, 0) and (6, 0): the later links
+        // owe nothing to the earlier queue.
+        let mesh = Mesh2D::new(8, 2);
+        let row = unit(
+            mesh,
+            &[
+                ((0, 0), (3, 0)),
+                ((1, 0), (3, 0)),
+                ((5, 0), (7, 0)),
+                ((6, 0), (7, 0)),
+                ((7, 1), (0, 1)),
+            ],
+        );
+        assert_eq!(swept(mesh, &row), [3.0, 2.0, 2.0, 1.0, 7.0]);
+    }
+
+    #[test]
+    fn one_wide_and_one_high_meshes_sweep_their_single_line() {
+        let column = Mesh2D::new(1, 6);
+        let up_and_down = unit(
+            column,
+            &[
+                ((0, 0), (0, 5)),
+                ((0, 3), (0, 0)),
+                ((0, 2), (0, 5)),
+                ((0, 5), (0, 1)),
+                ((0, 1), (0, 4)),
+            ],
+        );
+        assert_eq!(swept(column, &up_and_down), [5.0, 3.0, 3.0, 4.0, 3.0]);
+        let row = Mesh2D::new(6, 1);
+        let left_and_right = unit(
+            row,
+            &[
+                ((0, 0), (5, 0)),
+                ((3, 0), (0, 0)),
+                ((2, 0), (5, 0)),
+                ((5, 0), (1, 0)),
+                ((1, 0), (4, 0)),
+            ],
+        );
+        assert_eq!(swept(row, &left_and_right), [5.0, 3.0, 3.0, 4.0, 3.0]);
+    }
+
+    #[test]
+    fn zero_length_legs_skip_their_phase() {
+        // A self-addressed message, one with no y leg, one with no x leg,
+        // and one with both that queues behind the no-x message in
+        // column 2.
+        let mesh = Mesh2D::new(4, 4);
+        let mixed = unit(
+            mesh,
+            &[
+                ((1, 1), (1, 1)),
+                ((0, 2), (3, 2)),
+                ((2, 0), (2, 3)),
+                ((0, 0), (2, 2)),
+            ],
+        );
+        assert_eq!(swept(mesh, &mixed), [0.0, 3.0, 3.0, 4.0]);
     }
 
     #[test]

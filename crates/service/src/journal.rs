@@ -1415,7 +1415,7 @@ pub fn open_journaled(
                 snapshot_found: snapshot.is_some(),
                 ..RecoveryReport::default()
             };
-            let watermarks = snapshot.as_ref().map(|s| service.apply_snapshot(s));
+            let watermarks = snapshot.map(|s| service.apply_snapshot(s));
             Ok((report, watermarks.transpose()?.unwrap_or_default()))
         },
         |(report, watermarks), seq, record| {
@@ -1423,7 +1423,7 @@ pub fn open_journaled(
             if record.machine().is_some_and(|m| seq <= watermark(m)) {
                 report.skipped += 1;
             } else {
-                service.apply_journal_record(&record)?;
+                service.apply_journal_record(record)?;
                 report.applied += 1;
             }
             Ok(())

@@ -1381,40 +1381,42 @@ impl AllocationService {
     /// non-journaling restore paths (replayed effects must not be
     /// re-appended). Grants re-occupy the exact recorded processors;
     /// releases and policy switches do **not** re-drain, because the
-    /// grants a live drain produced replay as their own records.
-    pub fn apply_journal_record(&self, record: &JournalRecord) -> Result<(), ServiceError> {
+    /// grants a live drain produced replay as their own records. The
+    /// record is consumed: a grant's job and a queue record's request
+    /// move into the machine rather than being copied.
+    pub fn apply_journal_record(&self, record: JournalRecord) -> Result<(), ServiceError> {
         match record {
             JournalRecord::Register { spec, pool } => {
-                self.register_inner(spec, pool.as_deref(), false)
+                self.register_inner(&spec, pool.as_deref(), false)
             }
-            JournalRecord::Grant { machine, job } => self.restore(machine, |entry| {
-                entry.restore_grant(job.clone(), &self.clock)
-            }),
-            JournalRecord::Queue { machine, request } => self.restore(machine, |entry| {
-                entry.restore_queue(request.clone(), &self.clock)
-            }),
+            JournalRecord::Grant { machine, job } => {
+                self.restore(&machine, |entry| entry.restore_grant(job, &self.clock))
+            }
+            JournalRecord::Queue { machine, request } => {
+                self.restore(&machine, |entry| entry.restore_queue(request, &self.clock))
+            }
             JournalRecord::Release { machine, job, held } => {
-                self.restore(machine, |entry| entry.restore_release(*job, *held))
+                self.restore(&machine, |entry| entry.restore_release(job, held))
             }
             JournalRecord::Cancel { machine, job } => {
-                self.restore(machine, |entry| entry.restore_cancel(*job))
+                self.restore(&machine, |entry| entry.restore_cancel(job))
             }
             JournalRecord::SetTenant(spec) => {
-                self.tenants.configure(&spec.tenant, spec.config.clone());
+                self.tenants.configure(&spec.tenant, spec.config);
                 Ok(())
             }
-            JournalRecord::SetFairShare { machine, enabled } => self.restore(machine, |entry| {
-                entry.restore_fair_share(*enabled);
+            JournalRecord::SetFairShare { machine, enabled } => self.restore(&machine, |entry| {
+                entry.restore_fair_share(enabled);
                 Ok(())
             }),
             JournalRecord::SetScheduler { machine, scheduler } => {
-                let kind = parse_scheduler(scheduler)?;
-                self.restore(machine, |entry| {
+                let kind = parse_scheduler(&scheduler)?;
+                self.restore(&machine, |entry| {
                     entry.restore_scheduler(kind);
                     Ok(())
                 })
             }
-            JournalRecord::SetRouter { pool, policy } => self.restore_router(pool, policy),
+            JournalRecord::SetRouter { pool, policy } => self.restore_router(&pool, &policy),
             JournalRecord::Snapshot(_) => Err(ServiceError::InvalidRequest(
                 "snapshot records live in the snapshot file, not the WAL tail".to_string(),
             )),
@@ -1471,11 +1473,13 @@ impl AllocationService {
     /// Recovery: rebuilds the machines, pool table and tenant ledger
     /// from a snapshot image — each fact through the call
     /// [`AllocationService::apply_journal_record`] makes for the record
-    /// the image compacted it from. Returns the per-machine journal
-    /// watermarks the tail fold gates on.
+    /// the image compacted it from, and consumed as that call consumes
+    /// a record: each running job and queued request moves into its
+    /// machine. Returns the per-machine journal watermarks the tail fold
+    /// gates on.
     pub fn apply_snapshot(
         &self,
-        image: &SnapshotImage,
+        image: SnapshotImage,
     ) -> Result<std::collections::HashMap<String, u64>, ServiceError> {
         let mut watermarks = std::collections::HashMap::new();
         for m in &image.machines {
@@ -1483,9 +1487,9 @@ impl AllocationService {
             self.register_inner(&m.spec, None, false)?;
             watermarks.insert(m.spec.machine.clone(), m.seq);
         }
-        for t in &image.tenants {
+        for t in image.tenants {
             self.tenants
-                .restore(&t.spec.tenant, t.spec.config.clone(), t.consumed);
+                .restore(&t.spec.tenant, t.spec.config, t.consumed);
         }
         for p in &image.pools {
             // The machine list and the pool table are photographed under
@@ -1508,7 +1512,7 @@ impl AllocationService {
             // No surviving member: the pool replays entirely from tail
             // records (or was lost with its only registration).
         }
-        for m in &image.machines {
+        for m in image.machines {
             let machine = &m.spec.machine;
             // A virtual clock replays from the snapshot; a wall clock is
             // rebased past the restored stamps instead.
@@ -1520,15 +1524,11 @@ impl AllocationService {
                 entry.restore_fair_share(m.fair_share);
                 Ok(())
             })?;
-            for job in &m.running {
-                self.restore(machine, |entry| {
-                    entry.restore_grant(job.clone(), &self.clock)
-                })?;
+            for job in m.running {
+                self.restore(machine, |entry| entry.restore_grant(job, &self.clock))?;
             }
-            for request in &m.queue {
-                self.restore(machine, |entry| {
-                    entry.restore_queue(request.clone(), &self.clock)
-                })?;
+            for request in m.queue {
+                self.restore(machine, |entry| entry.restore_queue(request, &self.clock))?;
             }
         }
         Ok(watermarks)
@@ -1959,7 +1959,7 @@ mod tests {
         // than resurrecting the poisoned estimate.
         for bad in [f64::NAN, f64::INFINITY, -1.0] {
             assert!(service
-                .apply_journal_record(&JournalRecord::Queue {
+                .apply_journal_record(JournalRecord::Queue {
                     machine: "m0".into(),
                     request: QueuedRequest {
                         job: 8,

@@ -138,7 +138,7 @@ fn restore_rebases_wall_clocks_past_recovered_stamps() {
             tenant: None,
         },
     };
-    service.apply_journal_record(&grant).unwrap();
+    service.apply_journal_record(grant).unwrap();
     assert!(
         service.clock().now() >= 3600.0,
         "clock not rebased past the grant"
@@ -154,7 +154,7 @@ fn restore_rebases_wall_clocks_past_recovered_stamps() {
             tenant: None,
         },
     };
-    service.apply_journal_record(&queue).unwrap();
+    service.apply_journal_record(queue).unwrap();
     assert!(
         service.clock().now() >= 3610.0,
         "clock not rebased past the enqueue"
