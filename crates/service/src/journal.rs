@@ -23,12 +23,16 @@
 //! ## One fact, one codec
 //!
 //! A snapshot is the compacted log, and the types say so. Four durable
-//! facts are each defined once, and everything else *carries* them. A
-//! fact emits its fields once into any `serde_json::Sink` and is read
-//! once through a reader generic over `serde_json::Node`, the schema the
-//! wire protocol uses: lines render through `JsonSink` and parse onto
-//! the thread's reusable tape, with no [`Value`] tree either way, and
-//! the shim alone decides how JSON text is spelled.
+//! facts are each defined once, and everything else *carries* them. Each
+//! fact, each image and [`JournalRecord`] is one `wire!` table, the macro
+//! that declares the wire protocol's messages: a row per field gives its
+//! Rust type and its wire kind, and the table generates the type, its
+//! writer into any `serde_json::Sink` and its reader generic over
+//! `serde_json::Node`. Lines render through `JsonSink` and parse onto the
+//! thread's reusable tape, with no [`Value`] tree either way, and the
+//! shim alone decides how JSON text is spelled. A record or image
+//! carries a fact as a `Flat` field: the fact's fields sit in the
+//! carrier's own object.
 //!
 //! | fact | record whose body it is | image that holds it | live state |
 //! |---|---|---|---|
@@ -37,9 +41,9 @@
 //! | [`MachineSpec`] | `register` (before `"pool"`) | the head of a [`MachineImage`] | — (re-derived at capture) |
 //! | [`TenantSpec`] | `set_tenant` | the head of a [`TenantImage`] | the tenant table's config |
 //!
-//! So a new job attribute is a field of one struct, written and read in
-//! one place each, and recovery restores an image's facts through the
-//! same calls that replay the records they were compacted from.
+//! So a new job attribute is one row of one table, and recovery restores
+//! an image's facts through the same calls that replay the records they
+//! were compacted from.
 //!
 //! ## Ordering discipline
 //!
@@ -103,15 +107,14 @@
 
 use crate::clock::{micros, Clock};
 use crate::protocol::{
-    get_array, get_bool, get_f64, get_f64_opt, get_pattern, get_str, get_str_opt, get_text,
-    get_u64, node_id, opt, present, Nodes,
+    array_items, wire, Array, Fields, Flat, Kind, Null, Opt, Pattern, Req, Skip,
 };
 use crate::registry::ServiceError;
 use crate::tenant::TenantConfig;
 use commalloc_mesh::NodeId;
 use commalloc_workload::CommPattern;
 use serde::{Error, Map, Value};
-use serde_json::{Emit, JsonSink, Node, Sink};
+use serde_json::{JsonSink, Node, Sink};
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufRead, BufReader, Write};
@@ -120,247 +123,278 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 // ---------------------------------------------------------------------------
-// The four durable facts
+// The four durable facts, the records and the images: one table each
 // ---------------------------------------------------------------------------
 
-/// A running job: `job` holds exactly `nodes` since service-clock
-/// `start`. The body of a `grant` record, an entry of a machine image's
-/// `running` array, and an element of the live machine's running vector.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunningJob {
-    /// Job identifier.
-    pub job: u64,
-    /// The committed processors, in rank order.
-    pub nodes: Vec<NodeId>,
-    /// The client's runtime estimate, if any (EASY's planning input).
-    pub walltime: Option<f64>,
-    /// Machine-clock time of the grant.
-    pub start: f64,
-    /// The communication pattern the job declared, if any. On the wire
-    /// the field is present only when declared (absent = none), carrying
-    /// the pattern's canonical name.
-    pub pattern: Option<CommPattern>,
-    /// Tenant the job is attributed to, if any (`None` = the default
-    /// tenant). Present on the wire only when tagged, so untenanted
-    /// logs keep their pre-tenant bytes.
-    pub tenant: Option<String>,
-}
-
-/// A queued request: `job` waits for `size` processors since
-/// service-clock `enqueued_at`. The body of a `queue` record, an entry
-/// of a machine image's `queue` array, and the durable part of a live
-/// [`crate::admission::PendingRequest`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct QueuedRequest {
-    /// Job identifier.
-    pub job: u64,
-    /// Processors requested.
-    pub size: usize,
-    /// The client's runtime estimate, if any.
-    pub walltime: Option<f64>,
-    /// Machine-clock time of the enqueue.
-    pub enqueued_at: f64,
-    /// The communication pattern the job declared, if any (present on
-    /// the wire only when declared).
-    pub pattern: Option<CommPattern>,
-    /// Tenant the job is attributed to, if any (present on the wire
-    /// only when tagged).
-    pub tenant: Option<String>,
-}
-
-/// A machine's registration spec, in the string grammar `register`
-/// accepts on the wire. The body of a `register` record (which adds the
-/// pool joined) and the head of a machine image (which adds the state).
-#[derive(Debug, Clone, PartialEq)]
-pub struct MachineSpec {
-    /// Machine name.
-    pub machine: String,
-    /// Mesh spec (`"WxH"` / `"WxHxD"`).
-    pub mesh: String,
-    /// Allocator (2-D) / curve (3-D) spec; `None` = default. Images
-    /// always name it — derived from the live backing, so defaults are
-    /// made explicit.
-    pub allocator: Option<String>,
-    /// Selection strategy (3-D); `None` = Best Fit.
-    pub strategy: Option<String>,
-    /// Scheduling policy; `None` = FCFS. Images always name it.
-    pub scheduler: Option<String>,
-}
-
-/// A tenant's configuration. The body of a `set_tenant` record (the
-/// *resulting* absolute configuration, so replay is last-writer-wins
-/// regardless of which fields the original request spelled out) and
-/// the head of a tenant image (which adds the consumption).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TenantSpec {
-    /// Tenant name.
-    pub tenant: String,
-    /// Weight, quota and in-flight cap (`"weight"`, `"quota"` and
-    /// `"max_in_flight"` on the wire, the latter two only when set).
-    pub config: TenantConfig,
-}
-
-/// One journaled, state-changing operation (or a full snapshot image).
-/// The wire form is one JSON object per line with a `"rec"` discriminator
-/// and the sink-assigned `"seq"`.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JournalRecord {
-    /// A machine registered, with its full registration config.
-    Register {
-        /// The registration spec.
-        spec: MachineSpec,
-        /// Cluster pool joined at registration.
-        pool: Option<String>,
-    },
-    /// A grant committed (immediately, from the queue, or by a policy
-    /// switch).
-    Grant {
-        /// Machine name.
-        machine: String,
-        /// The job that now runs.
-        job: RunningJob,
-    },
-    /// A request entered the admission queue.
-    Queue {
-        /// Machine name.
-        machine: String,
-        /// The request that now waits.
-        request: QueuedRequest,
-    },
-    /// A running job released its processors.
-    Release {
-        /// Machine name.
-        machine: String,
+wire! {
+    /// A running job: `job` holds exactly `nodes` since service-clock
+    /// `start`. The body of a `grant` record, an entry of a machine image's
+    /// `running` array, and an element of the live machine's running vector.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct RunningJob {
         /// Job identifier.
-        job: u64,
-        /// Seconds the job held its processors, as the live release
-        /// settled them: recovery accrues `nodes × held` to the job's
-        /// tenant. Present on the wire only when non-zero, so a journal
-        /// written before the field existed reads as zero-hold releases.
-        held: f64,
-    },
-    /// A queued request was cancelled before it ever ran.
-    Cancel {
-        /// Machine name.
-        machine: String,
+        job: u64 => Req,
+        /// The committed processors, in rank order.
+        nodes: Vec<NodeId> => Array,
+        /// The client's runtime estimate, if any (EASY's planning input).
+        walltime: Option<f64> => Null,
+        /// Machine-clock time of the grant.
+        start: f64 => Req,
+        /// The communication pattern the job declared, if any. On the wire
+        /// the field is present only when declared (absent = none), carrying
+        /// the pattern's canonical name.
+        pattern: Option<CommPattern> => Pattern,
+        /// Tenant the job is attributed to, if any (`None` = the default
+        /// tenant). Present on the wire only when tagged, so untenanted
+        /// logs keep their pre-tenant bytes.
+        tenant: Option<String> => Opt,
+    }
+}
+
+wire! {
+    /// A queued request: `job` waits for `size` processors since
+    /// service-clock `enqueued_at`. The body of a `queue` record, an entry
+    /// of a machine image's `queue` array, and the durable part of a live
+    /// [`crate::admission::PendingRequest`].
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct QueuedRequest {
         /// Job identifier.
-        job: u64,
-    },
-    /// The machine's scheduling policy was switched at runtime.
-    SetScheduler {
+        job: u64 => Req,
+        /// Processors requested.
+        size: usize => Req,
+        /// The client's runtime estimate, if any.
+        walltime: Option<f64> => Null,
+        /// Machine-clock time of the enqueue.
+        enqueued_at: f64 => Req,
+        /// The communication pattern the job declared, if any (present on
+        /// the wire only when declared).
+        pattern: Option<CommPattern> => Pattern,
+        /// Tenant the job is attributed to, if any (present on the wire
+        /// only when tagged).
+        tenant: Option<String> => Opt,
+    }
+}
+
+wire! {
+    /// A machine's registration spec, in the string grammar `register`
+    /// accepts on the wire. The body of a `register` record (which adds the
+    /// pool joined) and the head of a machine image (which adds the state).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct MachineSpec {
         /// Machine name.
-        machine: String,
-        /// Canonical name of the now-active policy.
-        scheduler: String,
-    },
-    /// A pool's routing policy was switched at runtime.
-    SetRouter {
+        machine: String => Req,
+        /// Mesh spec (`"WxH"` / `"WxHxD"`).
+        mesh: String => Req,
+        /// Allocator (2-D) / curve (3-D) spec; `None` = default. Images
+        /// always name it — derived from the live backing, so defaults are
+        /// made explicit.
+        allocator: Option<String> => Null,
+        /// Selection strategy (3-D); `None` = Best Fit.
+        strategy: Option<String> => Null,
+        /// Scheduling policy; `None` = FCFS. Images always name it.
+        scheduler: Option<String> => Null,
+    }
+}
+
+wire! {
+    /// A tenant's configuration. The body of a `set_tenant` record (the
+    /// *resulting* absolute configuration, so replay is last-writer-wins
+    /// regardless of which fields the original request spelled out) and
+    /// the head of a tenant image (which adds the consumption).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct TenantSpec {
+        /// Tenant name.
+        tenant: String => Req,
+        /// Weight, quota and in-flight cap (`"weight"`, `"quota"` and
+        /// `"max_in_flight"` on the wire, the latter two only when set).
+        config: TenantConfig => Flat,
+    }
+}
+
+wire! {
+    /// One journaled, state-changing operation (or a full snapshot image).
+    /// The wire form is one JSON object per line with a `"rec"` discriminator
+    /// and the sink-assigned `"seq"`.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum JournalRecord {
+        /// A machine registered, with its full registration config.
+        Register [rec "register"] {
+            /// The registration spec.
+            spec: MachineSpec => Flat,
+            /// Cluster pool joined at registration.
+            pool: Option<String> => Null,
+        },
+        /// A grant committed (immediately, from the queue, or by a policy
+        /// switch).
+        Grant [rec "grant"] {
+            /// Machine name.
+            machine: String => Req,
+            /// The job that now runs.
+            job: RunningJob => Flat,
+        },
+        /// A request entered the admission queue.
+        Queue [rec "queue"] {
+            /// Machine name.
+            machine: String => Req,
+            /// The request that now waits.
+            request: QueuedRequest => Flat,
+        },
+        /// A running job released its processors.
+        Release [rec "release"] {
+            /// Machine name.
+            machine: String => Req,
+            /// Job identifier.
+            job: u64 => Req,
+            /// Seconds the job held its processors, as the live release
+            /// settled them: recovery accrues `nodes × held` to the job's
+            /// tenant. Present on the wire only when non-zero, so a journal
+            /// written before the field existed reads as zero-hold releases.
+            held: f64 => Skip,
+        },
+        /// A queued request was cancelled before it ever ran.
+        Cancel [rec "cancel"] {
+            /// Machine name.
+            machine: String => Req,
+            /// Job identifier.
+            job: u64 => Req,
+        },
+        /// The machine's scheduling policy was switched at runtime.
+        SetScheduler [rec "set_scheduler"] {
+            /// Machine name.
+            machine: String => Req,
+            /// Canonical name of the now-active policy.
+            scheduler: String => Req,
+        },
+        /// A pool's routing policy was switched at runtime.
+        SetRouter [rec "set_router"] {
+            /// Pool name.
+            pool: String => Req,
+            /// Canonical name of the now-active routing policy.
+            policy: String => Req,
+        },
+        /// A tenant was configured (created or reconfigured).
+        SetTenant [rec "set_tenant"] (_: TenantSpec => Flat),
+        /// The machine's fair-share admission layer was toggled.
+        SetFairShare [rec "set_fair_share"] {
+            /// Machine name.
+            machine: String => Req,
+            /// Whether the layer is now on.
+            enabled: bool => Req,
+        },
+        /// A full state image; the log before it is redundant.
+        Snapshot [rec "snapshot"] (_: SnapshotImage => Flat),
+    }
+}
+
+wire! {
+    /// A compacted image of the whole service: every machine plus the pool
+    /// table. Replaces all records in segments `<= covers`.
+    #[derive(Debug, Clone, PartialEq, Default)]
+    pub struct SnapshotImage {
+        /// How many times this journal has been recovered from (0 for a
+        /// journal that has only ever run one daemon incarnation).
+        epoch: u64 => Req,
+        /// Highest WAL segment index fully reflected in this image; those
+        /// segments are pruned once the image is durably installed.
+        covers: u64 => Req,
+        /// Every registered machine, photographed under its own lock.
+        machines: Vec<MachineImage> => Array,
+        /// Every pool: members and active routing policy.
+        pools: Vec<PoolImage> => Array,
+        /// Every configured tenant: configuration plus cumulative
+        /// consumption. Rendered only when non-empty, so tenant-free
+        /// snapshots keep their pre-tenant bytes. Outstanding commitments
+        /// are *not* captured — recovery recomputes them exactly from the
+        /// restored running and queued jobs.
+        tenants: Vec<TenantImage> => Tenants,
+    }
+}
+
+wire! {
+    /// One machine's image inside a [`SnapshotImage`]: the registration
+    /// that recreates it plus the state its later records built up.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct MachineImage {
+        /// The registration spec, re-registerable.
+        spec: MachineSpec => Flat,
+        /// Journal watermark: the sequence number of the last record of this
+        /// machine reflected in the image. Tail records with `seq` at or
+        /// below it are skipped during recovery.
+        seq: u64 => Req,
+        /// The service's virtual time, when it runs on one (replay
+        /// harnesses); `None` on wall time, which restarts and is rebased.
+        clock: Option<f64> => Null,
+        /// Whether the fair-share admission layer is on (rendered only when
+        /// true, keeping pre-tenant snapshot bytes).
+        fair_share: bool => Skip,
+        /// Running jobs in **grant order** (the order the running vector
+        /// evolved in — EASY's tie-breaking state, so it must survive).
+        running: Vec<RunningJob> => Array,
+        /// Queued requests in queue order.
+        queue: Vec<QueuedRequest> => Array,
+    }
+}
+
+wire! {
+    /// One configured tenant inside a [`SnapshotImage`].
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct TenantImage {
+        /// The configuration.
+        spec: TenantSpec => Flat,
+        /// Cumulative node-seconds of finished holds.
+        consumed: f64 => Req,
+    }
+}
+
+wire! {
+    /// One pool inside a [`SnapshotImage`].
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct PoolImage {
         /// Pool name.
-        pool: String,
-        /// Canonical name of the now-active routing policy.
-        policy: String,
-    },
-    /// A tenant was configured (created or reconfigured).
-    SetTenant(TenantSpec),
-    /// The machine's fair-share admission layer was toggled.
-    SetFairShare {
-        /// Machine name.
-        machine: String,
-        /// Whether the layer is now on.
-        enabled: bool,
-    },
-    /// A full state image; the log before it is redundant.
-    Snapshot(SnapshotImage),
+        pool: String => Req,
+        /// Member machines, sorted.
+        members: Vec<String> => Members,
+        /// Canonical name of the active routing policy.
+        policy: String => Req,
+    }
 }
 
-/// A compacted image of the whole service: every machine plus the pool
-/// table. Replaces all records in segments `<= covers`.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct SnapshotImage {
-    /// How many times this journal has been recovered from (0 for a
-    /// journal that has only ever run one daemon incarnation).
-    pub epoch: u64,
-    /// Highest WAL segment index fully reflected in this image; those
-    /// segments are pruned once the image is durably installed.
-    pub covers: u64,
-    /// Every registered machine, photographed under its own lock.
-    pub machines: Vec<MachineImage>,
-    /// Every pool: members and active routing policy.
-    pub pools: Vec<PoolImage>,
-    /// Every configured tenant: configuration plus cumulative
-    /// consumption. Rendered only when non-empty, so tenant-free
-    /// snapshots keep their pre-tenant bytes. Outstanding commitments
-    /// are *not* captured — recovery recomputes them exactly from the
-    /// restored running and queued jobs.
-    pub tenants: Vec<TenantImage>,
-}
+/// A snapshot's tenants: an array of objects, left out when empty (an
+/// absent key reads as none).
+struct Tenants;
 
-/// One machine's image inside a [`SnapshotImage`]: the registration
-/// that recreates it plus the state its later records built up.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MachineImage {
-    /// The registration spec, re-registerable.
-    pub spec: MachineSpec,
-    /// Journal watermark: the sequence number of the last record of this
-    /// machine reflected in the image. Tail records with `seq` at or
-    /// below it are skipped during recovery.
-    pub seq: u64,
-    /// The service's virtual time, when it runs on one (replay
-    /// harnesses); `None` on wall time, which restarts and is rebased.
-    pub clock: Option<f64>,
-    /// Whether the fair-share admission layer is on (rendered only when
-    /// true, keeping pre-tenant snapshot bytes).
-    pub fair_share: bool,
-    /// Running jobs in **grant order** (the order the running vector
-    /// evolved in — EASY's tie-breaking state, so it must survive).
-    pub running: Vec<RunningJob>,
-    /// Queued requests in queue order.
-    pub queue: Vec<QueuedRequest>,
-}
-
-/// One configured tenant inside a [`SnapshotImage`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct TenantImage {
-    /// The configuration.
-    pub spec: TenantSpec,
-    /// Cumulative node-seconds of finished holds.
-    pub consumed: f64,
-}
-
-/// One pool inside a [`SnapshotImage`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct PoolImage {
-    /// Pool name.
-    pub pool: String,
-    /// Member machines, sorted.
-    pub members: Vec<String>,
-    /// Canonical name of the active routing policy.
-    pub policy: String,
-}
-
-// ---------------------------------------------------------------------------
-// Wire format
-// ---------------------------------------------------------------------------
-
-/// A fact's fields, emitted into whichever object holds them: its own
-/// (an entry of an image's array) or its record's (after the record's
-/// head), so a fact is spelled alike in both.
-trait Fields {
-    fn fields<S: Sink>(&self, s: &mut S);
-}
-
-/// Facts as a JSON array of objects.
-struct Objects<'a, T>(&'a [T]);
-
-impl<T: Fields> Emit for Objects<'_, T> {
-    fn emit<S: Sink>(&self, s: &mut S) {
-        s.begin_array();
-        for item in self.0 {
-            s.begin_object();
-            item.fields(s);
-            s.end_object();
+impl Kind<Vec<TenantImage>> for Tenants {
+    fn emit<S: Sink>(s: &mut S, key: &str, value: &Vec<TenantImage>) {
+        if !value.is_empty() {
+            Array::emit(s, key, value);
         }
-        s.end_array();
+    }
+    #[deny(clippy::unwrap_used, clippy::expect_used)]
+    fn read<'a, F: Node<'a>>(v: F, key: &str) -> Result<Vec<TenantImage>, Error> {
+        match v.get(key).filter(|tenants| !tenants.is_null()) {
+            None => Ok(Vec::new()),
+            Some(_) => Array::read(v, key),
+        }
+    }
+}
+
+/// A pool's member names: an array of strings.
+struct Members;
+
+impl Kind<Vec<String>> for Members {
+    fn emit<S: Sink>(s: &mut S, key: &str, value: &Vec<String>) {
+        s.entry(key, value);
+    }
+    #[deny(clippy::unwrap_used, clippy::expect_used)]
+    fn read<'a, F: Node<'a>>(v: F, key: &str) -> Result<Vec<String>, Error> {
+        array_items(v, key)?
+            .map(|member| {
+                member
+                    .as_str()
+                    .map(str::to_string)
+                    .ok_or_else(|| Error::msg("non-string pool member"))
+            })
+            .collect()
     }
 }
 
@@ -372,31 +406,6 @@ impl RunningJob {
             Some(w) => self.start + w,
             None => f64::INFINITY,
         }
-    }
-
-    #[deny(clippy::unwrap_used, clippy::expect_used)]
-    fn read<'a, F: Node<'a>>(v: F) -> Result<RunningJob, Error> {
-        Ok(RunningJob {
-            job: get_u64(v, "job")?,
-            nodes: get_array(v, "nodes", node_id)?,
-            walltime: get_f64_opt(v, "walltime")?,
-            start: get_f64(v, "start")?,
-            pattern: get_pattern(v)?,
-            tenant: get_str_opt(v, "tenant")?,
-        })
-    }
-}
-
-impl Fields for RunningJob {
-    fn fields<S: Sink>(&self, s: &mut S) {
-        s.entry("job", &self.job);
-        s.entry("nodes", &Nodes(&self.nodes));
-        s.entry("walltime", &self.walltime);
-        s.entry("start", &self.start);
-        // A job's tags are present only when set, so unpatterned,
-        // untenanted jobs keep their older wire form byte for byte.
-        s.opt_entry("pattern", &self.pattern.map(|p| p.name()));
-        s.opt_entry("tenant", &self.tenant);
     }
 }
 
@@ -413,173 +422,6 @@ impl QueuedRequest {
             tenant: self.tenant,
         }
     }
-
-    #[deny(clippy::unwrap_used, clippy::expect_used)]
-    fn read<'a, F: Node<'a>>(v: F) -> Result<QueuedRequest, Error> {
-        Ok(QueuedRequest {
-            job: get_u64(v, "job")?,
-            size: get_u64(v, "size")? as usize,
-            walltime: get_f64_opt(v, "walltime")?,
-            enqueued_at: get_f64(v, "enqueued_at")?,
-            pattern: get_pattern(v)?,
-            tenant: get_str_opt(v, "tenant")?,
-        })
-    }
-}
-
-impl Fields for QueuedRequest {
-    fn fields<S: Sink>(&self, s: &mut S) {
-        s.entry("job", &self.job);
-        s.entry("size", &self.size);
-        s.entry("walltime", &self.walltime);
-        s.entry("enqueued_at", &self.enqueued_at);
-        s.opt_entry("pattern", &self.pattern.map(|p| p.name()));
-        s.opt_entry("tenant", &self.tenant);
-    }
-}
-
-impl MachineSpec {
-    #[deny(clippy::unwrap_used, clippy::expect_used)]
-    fn read<'a, F: Node<'a>>(v: F) -> Result<MachineSpec, Error> {
-        Ok(MachineSpec {
-            machine: get_str(v, "machine")?,
-            mesh: get_str(v, "mesh")?,
-            allocator: get_str_opt(v, "allocator")?,
-            strategy: get_str_opt(v, "strategy")?,
-            scheduler: get_str_opt(v, "scheduler")?,
-        })
-    }
-}
-
-impl Fields for MachineSpec {
-    fn fields<S: Sink>(&self, s: &mut S) {
-        s.entry("machine", &self.machine);
-        s.entry("mesh", &self.mesh);
-        s.entry("allocator", &self.allocator);
-        s.entry("strategy", &self.strategy);
-        s.entry("scheduler", &self.scheduler);
-    }
-}
-
-impl TenantSpec {
-    #[deny(clippy::unwrap_used, clippy::expect_used)]
-    fn read<'a, F: Node<'a>>(v: F) -> Result<TenantSpec, Error> {
-        Ok(TenantSpec {
-            tenant: get_str(v, "tenant")?,
-            config: TenantConfig {
-                weight: get_f64(v, "weight")?,
-                quota_node_seconds: get_f64_opt(v, "quota")?,
-                max_in_flight: opt(v, "max_in_flight", "non-integer", F::as_u64)?,
-            },
-        })
-    }
-}
-
-impl Fields for TenantSpec {
-    fn fields<S: Sink>(&self, s: &mut S) {
-        s.entry("tenant", &self.tenant);
-        s.entry("weight", &self.config.weight);
-        s.opt_entry("quota", &self.config.quota_node_seconds);
-        s.opt_entry("max_in_flight", &self.config.max_in_flight);
-    }
-}
-
-impl MachineImage {
-    #[deny(clippy::unwrap_used, clippy::expect_used)]
-    fn read<'a, F: Node<'a>>(v: F) -> Result<MachineImage, Error> {
-        Ok(MachineImage {
-            spec: MachineSpec::read(v)?,
-            seq: get_u64(v, "seq")?,
-            clock: get_f64_opt(v, "clock")?,
-            fair_share: opt(v, "fair_share", "non-boolean", F::as_bool)?.unwrap_or(false),
-            running: get_array(v, "running", RunningJob::read)?,
-            queue: get_array(v, "queue", QueuedRequest::read)?,
-        })
-    }
-}
-
-impl Fields for MachineImage {
-    fn fields<S: Sink>(&self, s: &mut S) {
-        self.spec.fields(s);
-        s.entry("seq", &self.seq);
-        s.entry("clock", &self.clock);
-        // Present only when on: pre-tenant images keep their bytes.
-        if self.fair_share {
-            s.entry("fair_share", &true);
-        }
-        s.entry("running", &Objects(&self.running));
-        s.entry("queue", &Objects(&self.queue));
-    }
-}
-
-impl TenantImage {
-    #[deny(clippy::unwrap_used, clippy::expect_used)]
-    fn read<'a, F: Node<'a>>(v: F) -> Result<TenantImage, Error> {
-        Ok(TenantImage {
-            spec: TenantSpec::read(v)?,
-            consumed: get_f64(v, "consumed")?,
-        })
-    }
-}
-
-impl Fields for TenantImage {
-    fn fields<S: Sink>(&self, s: &mut S) {
-        self.spec.fields(s);
-        s.entry("consumed", &self.consumed);
-    }
-}
-
-impl PoolImage {
-    #[deny(clippy::unwrap_used, clippy::expect_used)]
-    fn read<'a, F: Node<'a>>(v: F) -> Result<PoolImage, Error> {
-        Ok(PoolImage {
-            pool: get_str(v, "pool")?,
-            members: get_array(v, "members", |m| {
-                m.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| Error::msg("non-string pool member"))
-            })?,
-            policy: get_str(v, "policy")?,
-        })
-    }
-}
-
-impl Fields for PoolImage {
-    fn fields<S: Sink>(&self, s: &mut S) {
-        s.entry("pool", &self.pool);
-        s.entry("members", &self.members);
-        s.entry("policy", &self.policy);
-    }
-}
-
-impl SnapshotImage {
-    #[deny(clippy::unwrap_used, clippy::expect_used)]
-    fn read<'a, F: Node<'a>>(v: F) -> Result<SnapshotImage, Error> {
-        Ok(SnapshotImage {
-            epoch: get_u64(v, "epoch")?,
-            covers: get_u64(v, "covers")?,
-            machines: get_array(v, "machines", MachineImage::read)?,
-            pools: get_array(v, "pools", PoolImage::read)?,
-            tenants: match present(v, "tenants") {
-                None => Vec::new(),
-                Some(_) => get_array(v, "tenants", TenantImage::read)?,
-            },
-        })
-    }
-}
-
-impl Fields for SnapshotImage {
-    fn fields<S: Sink>(&self, s: &mut S) {
-        s.entry("epoch", &self.epoch);
-        s.entry("covers", &self.covers);
-        s.entry("machines", &Objects(&self.machines));
-        s.entry("pools", &Objects(&self.pools));
-        // Present only when a tenant is configured: tenant-free
-        // snapshots keep their pre-tenant bytes.
-        if !self.tenants.is_empty() {
-            s.entry("tenants", &Objects(&self.tenants));
-        }
-    }
 }
 
 impl JournalRecord {
@@ -587,46 +429,8 @@ impl JournalRecord {
     /// whichever parsed form.
     #[deny(clippy::unwrap_used, clippy::expect_used)]
     pub fn read<'a, F: Node<'a>>(v: F) -> Result<(u64, JournalRecord), Error> {
-        let seq = get_u64(v, "seq")?;
-        let record = match get_text(v, "rec")? {
-            "register" => JournalRecord::Register {
-                spec: MachineSpec::read(v)?,
-                pool: get_str_opt(v, "pool")?,
-            },
-            "grant" => JournalRecord::Grant {
-                machine: get_str(v, "machine")?,
-                job: RunningJob::read(v)?,
-            },
-            "queue" => JournalRecord::Queue {
-                machine: get_str(v, "machine")?,
-                request: QueuedRequest::read(v)?,
-            },
-            "release" => JournalRecord::Release {
-                machine: get_str(v, "machine")?,
-                job: get_u64(v, "job")?,
-                held: get_f64_opt(v, "held")?.unwrap_or(0.0),
-            },
-            "cancel" => JournalRecord::Cancel {
-                machine: get_str(v, "machine")?,
-                job: get_u64(v, "job")?,
-            },
-            "set_scheduler" => JournalRecord::SetScheduler {
-                machine: get_str(v, "machine")?,
-                scheduler: get_str(v, "scheduler")?,
-            },
-            "set_router" => JournalRecord::SetRouter {
-                pool: get_str(v, "pool")?,
-                policy: get_str(v, "policy")?,
-            },
-            "set_tenant" => JournalRecord::SetTenant(TenantSpec::read(v)?),
-            "set_fair_share" => JournalRecord::SetFairShare {
-                machine: get_str(v, "machine")?,
-                enabled: get_bool(v, "enabled")?,
-            },
-            "snapshot" => JournalRecord::Snapshot(SnapshotImage::read(v)?),
-            other => return Err(Error::msg(format!("unknown record kind {other:?}"))),
-        };
-        Ok((seq, record))
+        let seq = Req::read(v, "seq")?;
+        Ok((seq, JournalRecord::read_fields(v)?))
     }
 
     /// Renders the record into `s` as one wire object: `"seq"`, the
@@ -634,59 +438,7 @@ impl JournalRecord {
     pub fn emit<S: Sink>(&self, seq: u64, s: &mut S) {
         s.begin_object();
         s.entry("seq", &seq);
-        match self {
-            JournalRecord::Register { spec, pool } => {
-                s.entry("rec", "register");
-                spec.fields(s);
-                s.entry("pool", pool);
-            }
-            JournalRecord::Grant { machine, job } => {
-                s.entry("rec", "grant");
-                s.entry("machine", machine);
-                job.fields(s);
-            }
-            JournalRecord::Queue { machine, request } => {
-                s.entry("rec", "queue");
-                s.entry("machine", machine);
-                request.fields(s);
-            }
-            JournalRecord::Release { machine, job, held } => {
-                s.entry("rec", "release");
-                s.entry("machine", machine);
-                s.entry("job", job);
-                if *held != 0.0 {
-                    s.entry("held", held);
-                }
-            }
-            JournalRecord::Cancel { machine, job } => {
-                s.entry("rec", "cancel");
-                s.entry("machine", machine);
-                s.entry("job", job);
-            }
-            JournalRecord::SetScheduler { machine, scheduler } => {
-                s.entry("rec", "set_scheduler");
-                s.entry("machine", machine);
-                s.entry("scheduler", scheduler);
-            }
-            JournalRecord::SetRouter { pool, policy } => {
-                s.entry("rec", "set_router");
-                s.entry("pool", pool);
-                s.entry("policy", policy);
-            }
-            JournalRecord::SetTenant(spec) => {
-                s.entry("rec", "set_tenant");
-                spec.fields(s);
-            }
-            JournalRecord::SetFairShare { machine, enabled } => {
-                s.entry("rec", "set_fair_share");
-                s.entry("machine", machine);
-                s.entry("enabled", enabled);
-            }
-            JournalRecord::Snapshot(image) => {
-                s.entry("rec", "snapshot");
-                image.fields(s);
-            }
-        }
+        self.fields(s);
         s.end_object();
     }
 

@@ -1,4 +1,4 @@
-//! The wire protocol: one declaration per message.
+//! The wire protocol: one table row per message.
 //!
 //! One JSON object per line in each direction, or one binary frame (see
 //! [`crate::framing`]). Requests carry an `"op"` discriminator; responses
@@ -6,20 +6,22 @@
 //! full vocabulary). Node identifiers travel as plain integers (dense
 //! [`commalloc_mesh::NodeId`] indices).
 //!
-//! Each [`Request`] and [`Response`] variant states its wire fields in
-//! two places side by side, and every back end runs off them:
+//! [`Request`] and [`Response`] are each one `wire!` table: a row per
+//! variant gives its head and, per field, its Rust type and the wire
+//! *kind* that writes and reads it. From the table the macro generates
+//! the enum and both directions, and every back end runs off them:
 //!
-//! - **`emit`** ([`Emit`]) renders the fields, in wire order, into a
+//! - **writing** ([`Emit`]) renders the fields, in row order, into a
 //!   sink: JSON text for `to_line` and the server's NDJSON outbox, the
 //!   binary tagged tree for binary frames, a [`Value`] for `to_value`.
-//! - **`read`** reads the fields from any [`Node`]: a tape the JSON
-//!   grammar or the binary decoder filled (`from_line`, both server
+//! - **reading** (`read`) takes the fields from any [`Node`]: a tape the
+//!   JSON grammar or the binary decoder filled (`from_line`, both server
 //!   framings) or a `&Value` (`from_value`). One body, so every error
 //!   text is the same whichever way a message arrived.
 //!
-//! The shapes are data-carrying enums, which the workspace's derive shim
-//! deliberately does not cover, and the hand-written bodies double as
-//! precise wire-format documentation.
+//! The journal's records, facts and images are tables of the same macro
+//! (see [`crate::journal`]), so a field is spelled in one row wherever it
+//! travels, and adding one is a one-row change.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -216,1058 +218,1124 @@ impl<'a> AllocArgs<'a> {
     }
 }
 
-/// A client request.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Request {
-    /// Register a machine. `mesh` is `"WxH"` (2-D) or `"WxHxD"` (3-D);
-    /// `allocator` names an [`commalloc_alloc::AllocatorKind`] (2-D) or a
-    /// 3-D curve kind; `strategy` names a selection strategy (3-D only);
-    /// `scheduler` names a scheduling policy (`"fcfs"`, `"backfill"`,
-    /// `"easy"`, `"conservative"` or a full `SchedulerKind` name).
-    Register {
-        /// Machine name.
-        machine: String,
-        /// Mesh dimension spec.
-        mesh: String,
-        /// Allocator (2-D) or curve (3-D) spec; `None` = default.
-        allocator: Option<String>,
-        /// Selection strategy spec (3-D); `None` = Best Fit.
-        strategy: Option<String>,
-        /// Scheduling-policy spec; `None` = FCFS (the paper's policy).
-        scheduler: Option<String>,
-        /// Pool to join (cluster routing); `None` = standalone machine.
-        pool: Option<String>,
-    },
-    /// Allocate `size` processors for `job` on `machine`; `wait` queues
-    /// the request when it cannot be served immediately (admission is
-    /// governed by the machine's scheduling policy). A machine of
-    /// `"@pool"` routes the request across the pool's members under the
-    /// pool's [`crate::cluster::RoutingPolicy`]; the response then names
-    /// the machine that took the job.
-    Alloc {
-        /// Machine name, or `"@pool"` for cluster routing.
-        machine: String,
-        /// Job identifier (client-chosen, unique per machine).
-        job: u64,
-        /// Number of processors.
-        size: usize,
-        /// Queue instead of rejecting on capacity shortfall.
-        wait: bool,
-        /// Runtime estimate in seconds (the reservation input of EASY
-        /// and conservative backfilling; FCFS/first-fit ignore it).
-        /// Must be finite and positive when present — the wire parser
-        /// and the service both reject anything else.
-        walltime: Option<f64>,
-        /// Declared communication pattern of the job (travels as the
-        /// pattern's canonical name, e.g. `"all-to-all"`). Feeds the
-        /// communication-aware routing policy and the allocator's
-        /// contention-scored placement; `None` = pattern-oblivious.
-        pattern: Option<CommPattern>,
-        /// Tenant the job is attributed to. `None` inherits the
-        /// connection's `hello` binding (or the default tenant).
-        tenant: Option<String>,
-    },
-    /// Switch the scheduling policy of a machine at runtime.
-    SetScheduler {
-        /// Machine name.
-        machine: String,
-        /// Scheduling-policy spec (same grammar as `Register`).
-        scheduler: String,
-    },
-    /// Switch the routing policy of a machine pool at runtime.
-    SetRouter {
-        /// Pool name (without the `@` sigil).
-        pool: String,
-        /// Routing-policy spec (`round-robin`/`rr`, `least-loaded`/`ll`,
-        /// `shortest-queue`/`sq`, `power-of-two`/`p2c`).
-        policy: String,
-    },
-    /// Release the processors of `job` (or cancel it while queued).
-    /// `machine` may be a member name or `"@pool"` (the pool job
-    /// index resolves a bare id to its owning member); it may be
-    /// omitted entirely when the [`JobRef`] is qualified.
-    Release {
-        /// Machine name or `"@pool"`; `None` iff `job` names its
-        /// machine itself.
-        machine: Option<String>,
-        /// The job, in any [`JobRef`] form.
-        job: JobRef,
-    },
-    /// Ask where `job` currently stands. Addressing rules match
-    /// [`Request::Release`].
-    Poll {
-        /// Machine name or `"@pool"`; `None` iff `job` names its
-        /// machine itself.
-        machine: Option<String>,
-        /// The job, in any [`JobRef`] form.
-        job: JobRef,
-    },
-    /// Bind this connection to a tenant: subsequent requests without
-    /// an explicit `tenant` field are attributed to it. Creates the
-    /// tenant (with default weight, no quota) when unknown.
-    Hello {
-        /// Tenant name.
-        tenant: String,
-    },
-    /// Create or reconfigure a tenant: fair-share weight, node-second
-    /// quota, in-flight wire cap. Omitted fields keep their current
-    /// values (or the defaults for a new tenant); the resulting
-    /// configuration is journaled absolutely.
-    SetTenant {
-        /// Tenant name.
-        tenant: String,
-        /// Fair-share weight (finite, positive).
-        weight: Option<f64>,
-        /// Node-second quota; `0` clears it back to unlimited.
-        quota: Option<f64>,
-        /// In-flight wire request cap; `0` clears it.
-        max_in_flight: Option<u64>,
-    },
-    /// The tenant table: configuration plus live usage per tenant.
-    Tenants,
-    /// Toggle the weighted fair-share admission layer of a machine:
-    /// while enabled, each queue drain first re-orders the pending
-    /// queue by tenant fair-share key (outstanding node-seconds over
-    /// weight, ties by arrival). Orthogonal to the scheduling policy.
-    SetFairShare {
-        /// Machine name.
-        machine: String,
-        /// Desired fair-share state.
-        enabled: bool,
-    },
-    /// Occupancy snapshot of a machine.
-    Query {
-        /// Machine name.
-        machine: String,
-    },
-    /// Operation counters of a machine (plus server totals).
-    Stats {
-        /// Machine name.
-        machine: String,
-    },
-    /// Operational counters of the write-ahead journal (recovery epoch,
-    /// appended records, segments, fsync policy); answers
-    /// `{"enabled": false}` on a daemon running without `--journal`.
-    JournalStats,
-    /// Toggle the flight recorder (and optionally the placement
-    /// calibration plane) at runtime. While off, request handling pays
-    /// one relaxed atomic load per plane and emits nothing.
-    SetTrace {
-        /// Desired recorder state.
-        enabled: bool,
-        /// Desired calibration-plane state; `None` leaves it unchanged
-        /// (the planes toggle independently).
-        calibration: Option<bool>,
-    },
-    /// Drain the flight recorder: recent span events across all ring
-    /// shards, merged in start-time order, plus buffered routing
-    /// decisions.
-    Trace {
-        /// Keep only the most recent `limit` events; `None` = all.
-        limit: Option<usize>,
-        /// Reset the rings (and drop counters) after reading.
-        clear: bool,
-    },
-    /// Stage-latency histograms and machine counters, as JSON
-    /// (`format: "json"`, the default) or a Prometheus-style text
-    /// exposition (`format: "prometheus"`).
-    Metrics {
-        /// `"json"` or `"prometheus"` (validated at parse time).
-        format: String,
-        /// Restrict stage and pool histograms to a trailing time
-        /// window: `"10s"` or `"60s"` (validated at parse time);
-        /// `None` = cumulative since boot.
-        window: Option<String>,
-    },
-    /// The placement calibration report: per-pattern × per-policy
-    /// predicted-vs-realized histograms and rank correlations, joined
-    /// at release time.
-    Calibration,
-    /// Names of all registered machines.
-    List,
-    /// Liveness check.
-    Ping,
-    /// Several requests on one wire line, answered by one
-    /// [`Response::Batch`] in the same order — the round-trip saver for
-    /// closed-loop clients. Batches do not nest.
-    Batch(Vec<Request>),
-}
-
-/// A server response.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Response {
-    /// The request failed (unknown machine, duplicate job, parse
-    /// error, ...).
-    Error {
-        /// Human-readable reason.
-        message: String,
-        /// Machine-readable error class for errors clients are
-        /// expected to branch on (`"quota_exceeded"`,
-        /// `"ambiguous_job"`); absent for garden-variety failures.
-        code: Option<String>,
-        /// Structured detail for coded errors (e.g. `usage`/`limit`
-        /// for quota denials, the owning `machines` for collisions).
-        detail: Option<Value>,
-    },
-    /// Registration succeeded.
-    Registered {
-        /// Machine name.
-        machine: String,
-    },
-    /// Allocation granted immediately.
-    Granted {
-        /// Job identifier.
-        job: u64,
-        /// Granted processors, in rank order.
-        nodes: Vec<NodeId>,
-        /// The machine that took the job — present exactly when the
-        /// request was routed through a pool (`"@pool"` address).
-        machine: Option<String>,
-    },
-    /// Allocation queued (FCFS).
-    Queued {
-        /// Job identifier.
-        job: u64,
-        /// 1-based queue position at enqueue time.
-        position: usize,
-        /// The machine the job queues on (pool-routed requests only).
-        machine: Option<String>,
-    },
-    /// Allocation rejected (no capacity, `wait` unset).
-    Rejected {
-        /// Job identifier.
-        job: u64,
-        /// Human-readable reason.
-        reason: String,
-        /// The machine that rejected the job (pool-routed requests only).
-        machine: Option<String>,
-    },
-    /// Release succeeded; `granted` lists jobs admitted from the queue.
-    Released {
-        /// The released (or cancelled) job.
-        job: u64,
-        /// Jobs granted from the queue by this release, in grant order.
-        granted: Vec<(u64, Vec<NodeId>)>,
-        /// The machine the job was resolved to — present exactly when
-        /// the request addressed a pool or a qualified [`JobRef`].
-        machine: Option<String>,
-    },
-    /// The scheduling policy was switched; `granted` lists jobs the
-    /// re-drain admitted from the queue.
-    SchedulerSet {
-        /// Machine name.
-        machine: String,
-        /// Canonical name of the now-active policy.
-        scheduler: String,
-        /// Jobs granted by the policy switch, in grant order.
-        granted: Vec<(u64, Vec<NodeId>)>,
-    },
-    /// The routing policy of a pool was switched.
-    RouterSet {
-        /// Pool name.
-        pool: String,
-        /// Canonical name of the now-active routing policy.
-        policy: String,
-    },
-    /// Poll result: the job runs on these processors.
-    Running {
-        /// Job identifier.
-        job: u64,
-        /// The processors the job holds.
-        nodes: Vec<NodeId>,
-        /// The machine the job was resolved to (pool-addressed and
-        /// qualified-ref polls only).
-        machine: Option<String>,
-    },
-    /// Poll result: the job waits at this 1-based position.
-    Waiting {
-        /// Job identifier.
-        job: u64,
-        /// 1-based queue position.
-        position: usize,
-        /// The start time the scheduler currently promises the job
-        /// (service clock), when the policy plans one and it is finite:
-        /// conservative backfilling reserves a start for every queued
-        /// job, EASY for the head. Absent under FCFS/first-fit and for
-        /// unplannable reservations.
-        reserved_start: Option<f64>,
-        /// Machine-readable explanation of what blocks the job right
-        /// now (`code`, `detail`, and optionally `blocking_job` /
-        /// `until` — the rendering of a scheduler
-        /// [`commalloc::scheduler::BlockReason`]).
-        explain: Option<Value>,
-        /// The machine the job was resolved to (pool-addressed and
-        /// qualified-ref polls only).
-        machine: Option<String>,
-    },
-    /// Poll result: the job is not present.
-    Unknown {
-        /// Job identifier.
-        job: u64,
-    },
-    /// The connection is now bound to a tenant.
-    Hello {
-        /// The bound tenant.
-        tenant: String,
-    },
-    /// A tenant was created or reconfigured.
-    TenantSet {
-        /// Tenant name.
-        tenant: String,
-        /// The now-active fair-share weight.
-        weight: f64,
-        /// The now-active node-second quota, if any.
-        quota: Option<f64>,
-        /// The now-active in-flight cap, if any.
-        max_in_flight: Option<u64>,
-    },
-    /// The tenant table (configuration plus live usage, rendered as
-    /// one object per tenant, sorted by name).
-    Tenants(Value),
-    /// The fair-share admission layer of a machine was toggled;
-    /// `granted` lists jobs the re-drain admitted from the queue.
-    FairShareSet {
-        /// Machine name.
-        machine: String,
-        /// The fair-share state after the toggle.
-        enabled: bool,
-        /// Jobs granted by the toggle's re-drain, in grant order.
-        granted: Vec<(u64, Vec<NodeId>)>,
-    },
-    /// Occupancy snapshot (the `MachineSnapshot` serialised fields).
-    Snapshot(Value),
-    /// Counter snapshot.
-    Stats(Value),
-    /// Journal counter snapshot.
-    JournalStats(Value),
-    /// The flight recorder was toggled.
-    TraceSet {
-        /// The recorder state after the toggle.
-        enabled: bool,
-    },
-    /// Drained flight-recorder events (each rendered per
-    /// [`crate::trace::FlightRecorder::event_to_value`]).
-    Trace {
-        /// Span events in start-time order.
-        events: Vec<Value>,
-        /// Events overwritten in the rings before this drain.
-        dropped: u64,
-        /// Whether the recorder is currently enabled.
-        enabled: bool,
-        /// Buffered routing-decision records, oldest first (drained and
-        /// cleared together with the span rings).
-        decisions: Vec<Value>,
-    },
-    /// The placement calibration report.
-    Calibration(Value),
-    /// Metrics export: `metrics` is a JSON object for `format: "json"`,
-    /// a string holding the text exposition for `format: "prometheus"`.
-    Metrics {
-        /// The format the payload is in.
-        format: String,
-        /// The payload.
-        metrics: Value,
-    },
-    /// Registered machine names.
-    Machines(Vec<String>),
-    /// Liveness answer.
-    Pong,
-    /// Per-request answers to a [`Request::Batch`], in request order.
-    Batch(Vec<Response>),
-}
-
 // ---------------------------------------------------------------------------
-// Field readers, generic over the parsed form.
+// The table's machinery: how a field travels, and the generator.
 // ---------------------------------------------------------------------------
 
-/// The error for field `key`: `problem` says what is wrong with it.
+/// How one field travels: its writer and its reader, each written once.
+/// A kind is a unit type named in a [`wire!`] row; the generated code
+/// calls it with the field's key.
+pub(crate) trait Kind<T> {
+    /// Writes the field (or nothing) into the open object.
+    fn emit<S: Sink>(s: &mut S, key: &str, value: &T);
+    /// Reads the field from the object `v`.
+    fn read<'a, F: Node<'a>>(v: F, key: &str) -> Result<T, Error>;
+}
+
+/// A value of one JSON kind, named in errors as `KIND`.
+pub(crate) trait Scalar: Emit + Sized {
+    /// The kind, as errors name it (`missing or non-string field ...`).
+    const KIND: &'static str;
+    /// The value, when `n` is of the kind.
+    fn get<'a, F: Node<'a>>(n: F) -> Option<Self>;
+}
+
+/// The scalar kinds, and the array of trees `trace.decisions` is.
+macro_rules! scalars {
+    ($($ty:ty: $kind:literal, |$n:ident| $get:expr;)*) => {$(
+        impl Scalar for $ty {
+            const KIND: &'static str = $kind;
+            fn get<'a, F: Node<'a>>($n: F) -> Option<Self> {
+                $get
+            }
+        }
+    )*};
+}
+
+scalars! {
+    String: "string", |n| n.as_str().map(str::to_string);
+    u64: "integer", |n| n.as_u64();
+    usize: "integer", |n| n.as_u64().map(|n| n as usize);
+    f64: "numeric", |n| n.as_f64();
+    bool: "boolean", |n| n.as_bool();
+    Vec<Value>: "array", |n| n.items().map(|items| items.map(F::to_value).collect());
+}
+
+/// One element of an array field: its writer and its reader.
+pub(crate) trait Item: Sized {
+    /// Writes the element.
+    fn put<S: Sink>(&self, s: &mut S);
+    /// Reads the element.
+    fn take<'a, F: Node<'a>>(n: F) -> Result<Self, Error>;
+}
+
+/// A processor: a plain integer id. A larger one than a [`NodeId`]
+/// holds is an error, not an id wrapped onto some other processor.
+impl Item for NodeId {
+    fn put<S: Sink>(&self, s: &mut S) {
+        s.u64(self.0 as u64);
+    }
+    fn take<'a, F: Node<'a>>(n: F) -> Result<Self, Error> {
+        let id = n
+            .as_u64()
+            .ok_or_else(|| Error::msg("non-integer node id"))?;
+        u32::try_from(id)
+            .map(NodeId)
+            .map_err(|_| Error::msg(format!("node id {id} out of range")))
+    }
+}
+
+/// A tree, taken whole.
+impl Item for Value {
+    fn put<S: Sink>(&self, s: &mut S) {
+        s.value(self);
+    }
+    fn take<'a, F: Node<'a>>(n: F) -> Result<Self, Error> {
+        Ok(n.to_value())
+    }
+}
+
+/// A grant: `{"job": id, "nodes": [...]}`.
+impl Item for (u64, Vec<NodeId>) {
+    fn put<S: Sink>(&self, s: &mut S) {
+        s.begin_object();
+        Req::emit(s, "job", &self.0);
+        Array::emit(s, "nodes", &self.1);
+        s.end_object();
+    }
+    fn take<'a, F: Node<'a>>(n: F) -> Result<Self, Error> {
+        Ok((Req::read(n, "job")?, Array::read(n, "nodes")?))
+    }
+}
+
+/// A type a [`wire!`] table declares: a message, whose fields follow its
+/// head, or a fact, whose fields sit in whatever object holds it.
+pub(crate) trait Fields: Sized {
+    /// Writes the head (if any) and the fields into the open object.
+    fn fields<S: Sink>(&self, s: &mut S);
+    /// Reads the value from the object `v`.
+    fn read_fields<'a, F: Node<'a>>(v: F) -> Result<Self, Error>;
+}
+
 #[cold]
-fn bad_field(problem: &str, key: &str) -> Error {
-    Error::msg(format!("{problem} field {key:?}"))
+fn missing(kind: &str, key: &str) -> Error {
+    Error::msg(format!("missing or non-{kind} field {key:?}"))
+}
+
+#[cold]
+fn mistyped(kind: &str, key: &str) -> Error {
+    Error::msg(format!("non-{kind} field {key:?}"))
 }
 
 /// The field `key`, unless it is absent or `null`.
 #[inline]
-pub(crate) fn present<'a, F: Node<'a>>(v: F, key: &str) -> Option<F> {
+fn present<'a, F: Node<'a>>(v: F, key: &str) -> Option<F> {
     v.get(key).filter(|field| !field.is_null())
 }
 
-/// An optional field of one kind: absent or `null` is `None`, but a
-/// present value of another kind is a parse error rather than a silent
-/// `None` (a mistyped `"scheduler":5` must not quietly register an FCFS
-/// machine).
+/// An optional field: absent or `null` is `None`, but a present value of
+/// another kind is an error rather than a silent `None` (a mistyped
+/// `"scheduler":5` must not quietly register an FCFS machine).
 #[inline]
-pub(crate) fn opt<'a, F: Node<'a>, T>(
-    v: F,
-    key: &str,
-    kind: &str,
-    read: impl FnOnce(F) -> Option<T>,
-) -> Result<Option<T>, Error> {
+fn opt<'a, F: Node<'a>, T: Scalar>(v: F, key: &str) -> Result<Option<T>, Error> {
     present(v, key)
-        .map(|field| read(field).ok_or_else(|| bad_field(kind, key)))
+        .map(|field| T::get(field).ok_or_else(|| mistyped(T::KIND, key)))
         .transpose()
 }
 
+/// [`opt`] for a string read in place.
+#[inline]
+fn opt_text<'a, F: Node<'a>>(v: F, key: &str) -> Result<Option<&'a str>, Error> {
+    present(v, key)
+        .map(|field| field.as_str().ok_or_else(|| mistyped("string", key)))
+        .transpose()
+}
+
+/// A required string, read in place (the heads' discriminators).
 #[inline]
 pub(crate) fn get_text<'a, F: Node<'a>>(v: F, key: &str) -> Result<&'a str, Error> {
     v.get(key)
         .and_then(F::as_str)
-        .ok_or_else(|| bad_field("missing or non-string", key))
+        .ok_or_else(|| missing("string", key))
 }
 
-#[inline]
-fn get_text_opt<'a, F: Node<'a>>(v: F, key: &str) -> Result<Option<&'a str>, Error> {
-    opt(v, key, "non-string", F::as_str)
-}
-
-#[inline]
-pub(crate) fn get_str<'a, F: Node<'a>>(v: F, key: &str) -> Result<String, Error> {
-    get_text(v, key).map(str::to_string)
-}
-
-#[inline]
-pub(crate) fn get_str_opt<'a, F: Node<'a>>(v: F, key: &str) -> Result<Option<String>, Error> {
-    Ok(get_text_opt(v, key)?.map(str::to_string))
-}
-
-#[inline]
-pub(crate) fn get_u64<'a, F: Node<'a>>(v: F, key: &str) -> Result<u64, Error> {
+/// The elements of the required array `key`, its absence reported as
+/// `missing or non-array field "key"`.
+pub(crate) fn array_items<'a, F: Node<'a>>(v: F, key: &str) -> Result<F::Items, Error> {
     v.get(key)
-        .and_then(F::as_u64)
-        .ok_or_else(|| bad_field("missing or non-integer", key))
-}
-
-#[inline]
-pub(crate) fn get_f64<'a, F: Node<'a>>(v: F, key: &str) -> Result<f64, Error> {
-    v.get(key)
-        .and_then(F::as_f64)
-        .ok_or_else(|| bad_field("missing or non-numeric", key))
-}
-
-#[inline]
-pub(crate) fn get_f64_opt<'a, F: Node<'a>>(v: F, key: &str) -> Result<Option<f64>, Error> {
-    opt(v, key, "non-numeric", F::as_f64)
-}
-
-#[inline]
-pub(crate) fn get_bool<'a, F: Node<'a>>(v: F, key: &str) -> Result<bool, Error> {
-    v.get(key)
-        .and_then(F::as_bool)
-        .ok_or_else(|| bad_field("missing or non-boolean", key))
-}
-
-/// A tree-valued field, taken whole.
-fn get_tree<'a, F: Node<'a>>(v: F, key: &str) -> Result<Value, Error> {
-    v.get(key)
-        .map(F::to_value)
-        .ok_or_else(|| Error::msg(format!("missing {key:?}")))
-}
-
-/// The array field `key`, each element through `read`.
-pub(crate) fn get_array<'a, F: Node<'a>, T>(
-    v: F,
-    key: &str,
-    read: impl FnMut(F) -> Result<T, Error>,
-) -> Result<Vec<T>, Error> {
-    let items = v
-        .get(key)
         .and_then(F::items)
-        .ok_or_else(|| bad_field("missing or non-array", key))?;
-    read_items(items, read)
+        .ok_or_else(|| missing("array", key))
 }
 
-/// As [`get_array`], for the lists whose absence is reported as
-/// `missing "key" array`.
-fn get_list<'a, F: Node<'a>, T>(
-    v: F,
-    key: &str,
-    read: impl FnMut(F) -> Result<T, Error>,
-) -> Result<Vec<T>, Error> {
-    let items = v
-        .get(key)
+/// As [`array_items`], its absence reported as `missing "key" array`.
+fn list_items<'a, F: Node<'a>>(v: F, key: &str) -> Result<F::Items, Error> {
+    v.get(key)
         .and_then(F::items)
-        .ok_or_else(|| Error::msg(format!("missing {key:?} array")))?;
-    read_items(items, read)
+        .ok_or_else(|| Error::msg(format!("missing {key:?} array")))
 }
 
-/// Every element through `read`, into a vector allocated once: both
-/// parsed forms know an array's length before its elements are read.
-fn read_items<'a, F: Node<'a>, T>(
-    items: F::Items,
-    mut read: impl FnMut(F) -> Result<T, Error>,
-) -> Result<Vec<T>, Error> {
+/// Every element through [`Item::take`], into a vector allocated once:
+/// both parsed forms know an array's length before its elements are read.
+fn take_items<'a, F: Node<'a>, T: Item>(items: F::Items) -> Result<Vec<T>, Error> {
     let mut out = Vec::with_capacity(items.size_hint().0);
     for item in items {
-        out.push(read(item)?);
+        out.push(T::take(item)?);
     }
     Ok(out)
 }
 
-/// A processor id: an integer that fits a [`NodeId`]. A larger one is
-/// an error, not an id wrapped onto some other processor.
-pub(crate) fn node_id<'a, F: Node<'a>>(n: F) -> Result<NodeId, Error> {
-    let id = n
-        .as_u64()
-        .ok_or_else(|| Error::msg("non-integer node id"))?;
-    u32::try_from(id)
-        .map(NodeId)
-        .map_err(|_| Error::msg(format!("node id {id} out of range")))
+fn put_items<S: Sink, T: Item>(s: &mut S, key: &str, items: &[T]) {
+    s.key(key);
+    s.begin_array();
+    for item in items {
+        item.put(s);
+    }
+    s.end_array();
 }
 
-/// A `(job, nodes)` grant list.
-fn get_granted<'a, F: Node<'a>>(v: F) -> Result<Vec<(u64, Vec<NodeId>)>, Error> {
-    get_list(v, "granted", |grant| {
-        Ok((get_u64(grant, "job")?, get_array(grant, "nodes", node_id)?))
-    })
+/// Required.
+pub(crate) struct Req;
+
+impl<T: Scalar> Kind<T> for Req {
+    fn emit<S: Sink>(s: &mut S, key: &str, value: &T) {
+        s.entry(key, value);
+    }
+    fn read<'a, F: Node<'a>>(v: F, key: &str) -> Result<T, Error> {
+        v.get(key)
+            .and_then(T::get)
+            .ok_or_else(|| missing(T::KIND, key))
+    }
+}
+
+/// Left out when `None`.
+pub(crate) struct Opt;
+
+impl<T: Scalar> Kind<Option<T>> for Opt {
+    fn emit<S: Sink>(s: &mut S, key: &str, value: &Option<T>) {
+        s.opt_entry(key, value);
+    }
+    fn read<'a, F: Node<'a>>(v: F, key: &str) -> Result<Option<T>, Error> {
+        opt(v, key)
+    }
+}
+
+/// `null` when `None`.
+pub(crate) struct Null;
+
+impl<T: Scalar> Kind<Option<T>> for Null {
+    fn emit<S: Sink>(s: &mut S, key: &str, value: &Option<T>) {
+        s.entry(key, value);
+    }
+    fn read<'a, F: Node<'a>>(v: F, key: &str) -> Result<Option<T>, Error> {
+        opt(v, key)
+    }
+}
+
+/// Always emitted; an absent key reads as the default.
+pub(crate) struct Dflt;
+
+impl<T: Scalar + Default> Kind<T> for Dflt {
+    fn emit<S: Sink>(s: &mut S, key: &str, value: &T) {
+        s.entry(key, value);
+    }
+    fn read<'a, F: Node<'a>>(v: F, key: &str) -> Result<T, Error> {
+        Ok(opt(v, key)?.unwrap_or_default())
+    }
+}
+
+/// Left out when it equals the default; an absent key reads as the
+/// default.
+pub(crate) struct Skip;
+
+impl<T: Scalar + Default + PartialEq> Kind<T> for Skip {
+    fn emit<S: Sink>(s: &mut S, key: &str, value: &T) {
+        if *value != T::default() {
+            s.entry(key, value);
+        }
+    }
+    fn read<'a, F: Node<'a>>(v: F, key: &str) -> Result<T, Error> {
+        Ok(opt(v, key)?.unwrap_or_default())
+    }
+}
+
+/// A required array: `missing or non-array field "key"`.
+pub(crate) struct Array;
+
+impl<T: Item> Kind<Vec<T>> for Array {
+    fn emit<S: Sink>(s: &mut S, key: &str, value: &Vec<T>) {
+        put_items(s, key, value);
+    }
+    fn read<'a, F: Node<'a>>(v: F, key: &str) -> Result<Vec<T>, Error> {
+        take_items::<F, T>(array_items(v, key)?)
+    }
+}
+
+/// A required array whose absence reads `missing "key" array`.
+pub(crate) struct List;
+
+impl<T: Item> Kind<Vec<T>> for List {
+    fn emit<S: Sink>(s: &mut S, key: &str, value: &Vec<T>) {
+        put_items(s, key, value);
+    }
+    fn read<'a, F: Node<'a>>(v: F, key: &str) -> Result<Vec<T>, Error> {
+        take_items::<F, T>(list_items(v, key)?)
+    }
+}
+
+/// A fact whose fields sit in the object that holds it (its key is
+/// not used).
+pub(crate) struct Flat;
+
+impl<T: Fields> Kind<T> for Flat {
+    fn emit<S: Sink>(s: &mut S, _key: &str, value: &T) {
+        value.fields(s);
+    }
+    fn read<'a, F: Node<'a>>(v: F, _key: &str) -> Result<T, Error> {
+        T::read_fields(v)
+    }
+}
+
+/// A tree of any kind, taken whole; required.
+pub(crate) struct Tree;
+
+impl Kind<Value> for Tree {
+    fn emit<S: Sink>(s: &mut S, key: &str, value: &Value) {
+        s.entry(key, value);
+    }
+    fn read<'a, F: Node<'a>>(v: F, key: &str) -> Result<Value, Error> {
+        v.get(key)
+            .map(F::to_value)
+            .ok_or_else(|| Error::msg(format!("missing {key:?}")))
+    }
+}
+
+/// A tree of any kind, left out when `None`.
+pub(crate) struct OptTree;
+
+impl Kind<Option<Value>> for OptTree {
+    fn emit<S: Sink>(s: &mut S, key: &str, value: &Option<Value>) {
+        s.opt_entry(key, value);
+    }
+    fn read<'a, F: Node<'a>>(v: F, key: &str) -> Result<Option<Value>, Error> {
+        Ok(present(v, key).map(F::to_value))
+    }
+}
+
+/// The [`JobRef`] of a `release` or `poll`: the `machine` beside it may
+/// be left out only when the ref names its own.
+pub(crate) struct Job;
+
+impl Kind<JobRef> for Job {
+    fn emit<S: Sink>(s: &mut S, key: &str, value: &JobRef) {
+        s.entry(key, value);
+    }
+    fn read<'a, F: Node<'a>>(v: F, key: &str) -> Result<JobRef, Error> {
+        let field = v
+            .get(key)
+            .ok_or_else(|| Error::msg(format!("missing field {key:?}")))?;
+        let job = JobRef::from_wire(field)?;
+        if job.machine().is_none() && present(v, "machine").is_none() {
+            let op = v.get("op").and_then(F::as_str).unwrap_or_default();
+            return Err(Error::msg(format!(
+                "{op} needs a \"machine\" or a qualified job ref"
+            )));
+        }
+        Ok(job)
+    }
+}
+
+/// A communication pattern, by its canonical name, validated against
+/// the known names: an unknown name is a parse error rather than a
+/// silently pattern-oblivious job. Left out when `None`.
+pub(crate) struct Pattern;
+
+impl Kind<Option<CommPattern>> for Pattern {
+    fn emit<S: Sink>(s: &mut S, key: &str, value: &Option<CommPattern>) {
+        s.opt_entry(key, &value.map(|p| p.name()));
+    }
+    fn read<'a, F: Node<'a>>(v: F, key: &str) -> Result<Option<CommPattern>, Error> {
+        opt_text(v, key)?
+            .map(|name| {
+                CommPattern::parse(name)
+                    .ok_or_else(|| Error::msg(format!("unknown communication pattern {name:?}")))
+            })
+            .transpose()
+    }
 }
 
 /// The single boundary rule on walltime estimates: when present, an
 /// estimate must be a finite, positive number of seconds. Every
-/// validation site — the wire parser below, the typed client, the live
-/// `allocate` path and the journal-restore fold — consults this one
-/// predicate, so the rule cannot drift between layers.
+/// validation site — the wire reader ([`Walltime`]), the typed client,
+/// the live `allocate` path and the journal-restore fold — consults this
+/// one predicate, so the rule cannot drift between layers.
 pub(crate) fn walltime_is_valid(w: f64) -> bool {
     w.is_finite() && w > 0.0
 }
 
-/// A walltime estimate: optional, but gated on [`walltime_is_valid`].
-/// JSON itself cannot spell `NaN`, but it can spell `1e999` (which
-/// parses to infinity) and `0` / negatives — none of which may reach
-/// the reservation math, where non-finite ordering silently corrupts
-/// shadow times. Rejected here, at the wire boundary, so a malformed
-/// estimate is a parse error rather than a grant with poisoned
-/// scheduling state.
-#[inline]
-fn get_walltime<'a, F: Node<'a>>(v: F) -> Result<Option<f64>, Error> {
-    match get_f64_opt(v, "walltime")? {
-        Some(w) if !walltime_is_valid(w) => Err(Error::msg(format!(
-            "field \"walltime\" must be a finite, positive number of seconds, got {w}"
-        ))),
-        other => Ok(other),
+/// A number that must satisfy [`Bound::holds`] when present, or be
+/// refused as `field "key" must be {WHAT}, got {x}`. Left out when
+/// `None`. JSON itself cannot spell `NaN`, but it can spell `1e999`
+/// (which parses to infinity) and `0` / negatives, none of which may
+/// reach the reservation or fair-share math.
+pub(crate) trait Bound {
+    /// What the number must be, as the error says it.
+    const WHAT: &'static str;
+    /// Whether `x` is acceptable.
+    fn holds(x: f64) -> bool;
+}
+
+impl<B: Bound> Kind<Option<f64>> for B {
+    fn emit<S: Sink>(s: &mut S, key: &str, value: &Option<f64>) {
+        s.opt_entry(key, value);
     }
-}
-
-/// An optional communication pattern, validated against the known
-/// pattern names at the wire boundary — an unknown name is a parse
-/// error rather than a silently pattern-oblivious job.
-#[inline]
-pub(crate) fn get_pattern<'a, F: Node<'a>>(v: F) -> Result<Option<CommPattern>, Error> {
-    get_text_opt(v, "pattern")?
-        .map(|name| {
-            CommPattern::parse(name)
-                .ok_or_else(|| Error::msg(format!("unknown communication pattern {name:?}")))
-        })
-        .transpose()
-}
-
-/// The `machine` and `job` of a `release` or `poll`: the machine may be
-/// omitted only when the job ref names its own.
-#[inline]
-fn job_target<'a, F: Node<'a>>(v: F, op: &str) -> Result<(Option<String>, JobRef), Error> {
-    let machine = get_str_opt(v, "machine")?;
-    let job = JobRef::from_wire(
-        v.get("job")
-            .ok_or_else(|| Error::msg("missing field \"job\""))?,
-    )?;
-    if machine.is_none() && job.machine().is_none() {
-        return Err(Error::msg(format!(
-            "{op} needs a \"machine\" or a qualified job ref"
-        )));
-    }
-    Ok((machine, job))
-}
-
-// ---------------------------------------------------------------------------
-// Field writers.
-// ---------------------------------------------------------------------------
-
-/// A grant's processors: plain integer ids, in rank order.
-pub(crate) struct Nodes<'a>(pub(crate) &'a [NodeId]);
-
-impl Emit for Nodes<'_> {
-    fn emit<S: Sink>(&self, s: &mut S) {
-        s.begin_array();
-        for node in self.0 {
-            s.u64(node.0 as u64);
+    fn read<'a, F: Node<'a>>(v: F, key: &str) -> Result<Option<f64>, Error> {
+        match opt(v, key)? {
+            Some(x) if !B::holds(x) => Err(Error::msg(format!(
+                "field {key:?} must be {}, got {x}",
+                B::WHAT
+            ))),
+            other => Ok(other),
         }
-        s.end_array();
     }
 }
 
-/// A `(job, nodes)` grant list (the `release`, `set_scheduler` and
-/// `set_fair_share` responses).
-struct Grants<'a>(&'a [(u64, Vec<NodeId>)]);
+/// A walltime estimate, gated on [`walltime_is_valid`].
+pub(crate) struct Walltime;
 
-impl Emit for Grants<'_> {
-    fn emit<S: Sink>(&self, s: &mut S) {
-        s.begin_array();
-        for (job, nodes) in self.0 {
-            s.begin_object();
-            s.entry("job", job);
-            s.entry("nodes", &Nodes(nodes));
-            s.end_object();
+impl Bound for Walltime {
+    const WHAT: &'static str = "a finite, positive number of seconds";
+    fn holds(w: f64) -> bool {
+        walltime_is_valid(w)
+    }
+}
+
+/// A fair-share weight: finite and positive.
+pub(crate) struct Weight;
+
+impl Bound for Weight {
+    const WHAT: &'static str = "a finite, positive number";
+    fn holds(w: f64) -> bool {
+        w.is_finite() && w > 0.0
+    }
+}
+
+/// A node-second quota: finite and non-negative.
+pub(crate) struct Quota;
+
+impl Bound for Quota {
+    const WHAT: &'static str = "a finite, non-negative number of node-seconds";
+    fn holds(q: f64) -> bool {
+        q.is_finite() && q >= 0.0
+    }
+}
+
+/// The `metrics` format: `"json"` or `"prometheus"`. Always emitted;
+/// an absent key reads as `"json"`.
+pub(crate) struct Format;
+
+impl Kind<String> for Format {
+    fn emit<S: Sink>(s: &mut S, key: &str, value: &String) {
+        s.entry(key, value);
+    }
+    fn read<'a, F: Node<'a>>(v: F, key: &str) -> Result<String, Error> {
+        match opt_text(v, key)?.unwrap_or("json") {
+            format @ ("json" | "prometheus") => Ok(format.to_string()),
+            other => Err(Error::msg(format!(
+                "unknown metrics format {other:?} (expected \"json\" or \"prometheus\")"
+            ))),
         }
-        s.end_array();
     }
 }
 
-/// How every successful response opens.
-fn ok<S: Sink>(s: &mut S, op: &str) {
-    s.entry("ok", &true);
-    s.entry("op", op);
-}
+/// The `metrics` window: `"10s"` or `"60s"`. Left out when `None`.
+pub(crate) struct Window;
 
-// ---------------------------------------------------------------------------
-// Requests.
-// ---------------------------------------------------------------------------
-
-impl Emit for Request {
-    fn emit<S: Sink>(&self, s: &mut S) {
-        s.begin_object();
-        match self {
-            Request::Register {
-                machine,
-                mesh,
-                allocator,
-                strategy,
-                scheduler,
-                pool,
-            } => {
-                s.entry("op", "register");
-                s.entry("machine", machine);
-                s.entry("mesh", mesh);
-                s.opt_entry("allocator", allocator);
-                s.opt_entry("strategy", strategy);
-                s.opt_entry("scheduler", scheduler);
-                s.opt_entry("pool", pool);
-            }
-            Request::Alloc {
-                machine,
-                job,
-                size,
-                wait,
-                walltime,
-                pattern,
-                tenant,
-            } => {
-                s.entry("op", "alloc");
-                s.entry("machine", machine);
-                s.entry("job", job);
-                s.entry("size", size);
-                s.entry("wait", wait);
-                s.opt_entry("walltime", walltime);
-                s.opt_entry("pattern", &pattern.map(|p| p.name()));
-                s.opt_entry("tenant", tenant);
-            }
-            Request::SetScheduler { machine, scheduler } => {
-                s.entry("op", "set_scheduler");
-                s.entry("machine", machine);
-                s.entry("scheduler", scheduler);
-            }
-            Request::SetRouter { pool, policy } => {
-                s.entry("op", "set_router");
-                s.entry("pool", pool);
-                s.entry("policy", policy);
-            }
-            Request::Release { machine, job } => {
-                s.entry("op", "release");
-                s.opt_entry("machine", machine);
-                s.entry("job", job);
-            }
-            Request::Poll { machine, job } => {
-                s.entry("op", "poll");
-                s.opt_entry("machine", machine);
-                s.entry("job", job);
-            }
-            Request::Hello { tenant } => {
-                s.entry("op", "hello");
-                s.entry("tenant", tenant);
-            }
-            Request::SetTenant {
-                tenant,
-                weight,
-                quota,
-                max_in_flight,
-            } => {
-                s.entry("op", "set_tenant");
-                s.entry("tenant", tenant);
-                s.opt_entry("weight", weight);
-                s.opt_entry("quota", quota);
-                s.opt_entry("max_in_flight", max_in_flight);
-            }
-            Request::Tenants => s.entry("op", "tenants"),
-            Request::SetFairShare { machine, enabled } => {
-                s.entry("op", "set_fair_share");
-                s.entry("machine", machine);
-                s.entry("enabled", enabled);
-            }
-            Request::Query { machine } => {
-                s.entry("op", "query");
-                s.entry("machine", machine);
-            }
-            Request::Stats { machine } => {
-                s.entry("op", "stats");
-                s.entry("machine", machine);
-            }
-            Request::JournalStats => s.entry("op", "journal_stats"),
-            Request::SetTrace {
-                enabled,
-                calibration,
-            } => {
-                s.entry("op", "set_trace");
-                s.entry("enabled", enabled);
-                s.opt_entry("calibration", calibration);
-            }
-            Request::Trace { limit, clear } => {
-                s.entry("op", "trace");
-                s.opt_entry("limit", limit);
-                if *clear {
-                    s.entry("clear", &true);
-                }
-            }
-            Request::Metrics { format, window } => {
-                s.entry("op", "metrics");
-                s.entry("format", format);
-                s.opt_entry("window", window);
-            }
-            Request::Calibration => s.entry("op", "calibration"),
-            Request::List => s.entry("op", "list"),
-            Request::Ping => s.entry("op", "ping"),
-            Request::Batch(requests) => {
-                s.entry("op", "batch");
-                s.entry("requests", requests);
-            }
+impl Kind<Option<String>> for Window {
+    fn emit<S: Sink>(s: &mut S, key: &str, value: &Option<String>) {
+        s.opt_entry(key, value);
+    }
+    fn read<'a, F: Node<'a>>(v: F, key: &str) -> Result<Option<String>, Error> {
+        match opt_text(v, key)? {
+            Some(w) if w != "10s" && w != "60s" => Err(Error::msg(format!(
+                "unknown metrics window {w:?} (expected \"10s\" or \"60s\")"
+            ))),
+            w => Ok(w.map(str::to_string)),
         }
-        s.end_object();
     }
 }
 
-impl Request {
-    /// Reads a request from its wire value, in whichever parsed form.
-    pub fn read<'a, F: Node<'a>>(v: F) -> Result<Request, Error> {
-        Ok(match get_text(v, "op")? {
-            "register" => Request::Register {
-                machine: get_str(v, "machine")?,
-                mesh: get_str(v, "mesh")?,
-                allocator: get_str_opt(v, "allocator")?,
-                strategy: get_str_opt(v, "strategy")?,
-                scheduler: get_str_opt(v, "scheduler")?,
-                pool: get_str_opt(v, "pool")?,
-            },
-            "alloc" => Request::Alloc {
-                machine: get_str(v, "machine")?,
-                job: get_u64(v, "job")?,
-                size: get_u64(v, "size")? as usize,
-                wait: opt(v, "wait", "non-boolean", F::as_bool)?.unwrap_or(false),
-                walltime: get_walltime(v)?,
-                pattern: get_pattern(v)?,
-                tenant: get_str_opt(v, "tenant")?,
-            },
-            "set_scheduler" => Request::SetScheduler {
-                machine: get_str(v, "machine")?,
-                scheduler: get_str(v, "scheduler")?,
-            },
-            "set_router" => Request::SetRouter {
-                pool: get_str(v, "pool")?,
-                policy: get_str(v, "policy")?,
-            },
-            "batch" => {
-                let requests = get_list(v, "requests", Request::read)?;
-                if requests.iter().any(|r| matches!(r, Request::Batch(_))) {
-                    return Err(Error::msg("batches do not nest"));
-                }
-                Request::Batch(requests)
-            }
-            "release" => {
-                let (machine, job) = job_target(v, "release")?;
-                Request::Release { machine, job }
-            }
-            "poll" => {
-                let (machine, job) = job_target(v, "poll")?;
-                Request::Poll { machine, job }
-            }
-            "hello" => Request::Hello {
-                tenant: get_str(v, "tenant")?,
-            },
-            "set_tenant" => {
-                let weight = get_f64_opt(v, "weight")?;
-                if let Some(w) = weight.filter(|w| !(w.is_finite() && *w > 0.0)) {
-                    return Err(Error::msg(format!(
-                        "field \"weight\" must be a finite, positive number, got {w}"
-                    )));
-                }
-                let quota = get_f64_opt(v, "quota")?;
-                if let Some(q) = quota.filter(|q| !(q.is_finite() && *q >= 0.0)) {
-                    return Err(Error::msg(format!(
-                        "field \"quota\" must be a finite, non-negative number of node-seconds, got {q}"
-                    )));
-                }
-                let max_in_flight = opt(v, "max_in_flight", "non-integer", F::as_u64)?;
-                Request::SetTenant {
-                    tenant: get_str(v, "tenant")?,
-                    weight,
-                    quota,
-                    max_in_flight,
-                }
-            }
-            "tenants" => Request::Tenants,
-            "set_fair_share" => Request::SetFairShare {
-                machine: get_str(v, "machine")?,
-                enabled: get_bool(v, "enabled")?,
-            },
-            "query" => Request::Query {
-                machine: get_str(v, "machine")?,
-            },
-            "stats" => Request::Stats {
-                machine: get_str(v, "machine")?,
-            },
-            "journal_stats" => Request::JournalStats,
-            "set_trace" => Request::SetTrace {
-                enabled: get_bool(v, "enabled")?,
-                calibration: opt(v, "calibration", "non-boolean", F::as_bool)?,
-            },
-            "trace" => Request::Trace {
-                limit: opt(v, "limit", "non-integer", F::as_u64)?.map(|limit| limit as usize),
-                clear: opt(v, "clear", "non-boolean", F::as_bool)?.unwrap_or(false),
-            },
-            "metrics" => {
-                let format = get_text_opt(v, "format")?.unwrap_or("json");
-                if format != "json" && format != "prometheus" {
-                    return Err(Error::msg(format!(
-                        "unknown metrics format {format:?} (expected \"json\" or \"prometheus\")"
-                    )));
-                }
-                let window = get_text_opt(v, "window")?;
-                if let Some(w) = window.filter(|w| *w != "10s" && *w != "60s") {
-                    return Err(Error::msg(format!(
-                        "unknown metrics window {w:?} (expected \"10s\" or \"60s\")"
-                    )));
-                }
-                Request::Metrics {
-                    format: format.to_string(),
-                    window: window.map(str::to_string),
-                }
-            }
-            "calibration" => Request::Calibration,
-            "list" => Request::List,
-            "ping" => Request::Ping,
-            other => return Err(Error::msg(format!("unknown op {other:?}"))),
-        })
-    }
+/// A promised start: only a finite one travels, since JSON cannot spell
+/// the infinity an unplannable reservation would need (and the explain
+/// already marks that case). Left out when `None`.
+pub(crate) struct Finite;
 
-    /// Parses a request from its wire value.
-    pub fn from_value(v: &Value) -> Result<Request, Error> {
-        Request::read(v)
+impl Kind<Option<f64>> for Finite {
+    fn emit<S: Sink>(s: &mut S, key: &str, value: &Option<f64>) {
+        s.opt_entry(key, &value.filter(|t| t.is_finite()));
     }
-
-    /// Parses a request from one wire line.
-    pub fn from_line(line: &str) -> Result<Request, Error> {
-        serde_json::with_parsed(line, |root| Request::read(root))
-    }
-
-    /// Renders the request as its wire value.
-    pub fn to_value(&self) -> Value {
-        serde_json::emit_to_value(self)
-    }
-
-    /// Renders the request as one wire line (no trailing newline).
-    pub fn to_line(&self) -> String {
-        serde_json::emit_to_string(self)
+    fn read<'a, F: Node<'a>>(v: F, key: &str) -> Result<Option<f64>, Error> {
+        opt(v, key)
     }
 }
 
-// ---------------------------------------------------------------------------
-// Responses.
-// ---------------------------------------------------------------------------
+/// The members of a `batch`, read as a [`List`]; batches do not nest.
+pub(crate) struct Unnested;
 
-impl Emit for Response {
-    fn emit<S: Sink>(&self, s: &mut S) {
-        s.begin_object();
-        match self {
-            Response::Error {
-                message,
-                code,
-                detail,
-            } => {
-                s.entry("ok", &false);
-                s.entry("error", message);
-                s.opt_entry("code", code);
-                s.opt_entry("detail", detail);
-            }
-            Response::Registered { machine } => {
-                ok(s, "register");
-                s.entry("machine", machine);
-            }
-            Response::Granted {
-                job,
-                nodes,
-                machine,
-            } => {
-                ok(s, "alloc");
-                s.entry("status", "granted");
-                s.entry("job", job);
-                s.entry("nodes", &Nodes(nodes));
-                s.opt_entry("machine", machine);
-            }
-            Response::Queued {
-                job,
-                position,
-                machine,
-            } => {
-                ok(s, "alloc");
-                s.entry("status", "queued");
-                s.entry("job", job);
-                s.entry("position", position);
-                s.opt_entry("machine", machine);
-            }
-            Response::Rejected {
-                job,
-                reason,
-                machine,
-            } => {
-                ok(s, "alloc");
-                s.entry("status", "rejected");
-                s.entry("job", job);
-                s.entry("reason", reason);
-                s.opt_entry("machine", machine);
-            }
-            Response::Released {
-                job,
-                granted,
-                machine,
-            } => {
-                ok(s, "release");
-                s.entry("job", job);
-                s.entry("granted", &Grants(granted));
-                s.opt_entry("machine", machine);
-            }
-            Response::SchedulerSet {
-                machine,
-                scheduler,
-                granted,
-            } => {
-                ok(s, "set_scheduler");
-                s.entry("machine", machine);
-                s.entry("scheduler", scheduler);
-                s.entry("granted", &Grants(granted));
-            }
-            Response::RouterSet { pool, policy } => {
-                ok(s, "set_router");
-                s.entry("pool", pool);
-                s.entry("policy", policy);
-            }
-            Response::Running {
-                job,
-                nodes,
-                machine,
-            } => {
-                ok(s, "poll");
-                s.entry("state", "running");
-                s.entry("job", job);
-                s.entry("nodes", &Nodes(nodes));
-                s.opt_entry("machine", machine);
-            }
-            Response::Waiting {
-                job,
-                position,
-                reserved_start,
-                explain,
-                machine,
-            } => {
-                ok(s, "poll");
-                s.entry("state", "queued");
-                s.entry("job", job);
-                s.entry("position", position);
-                // Only finite promises travel: JSON cannot spell the
-                // infinity an unplannable reservation would need, and
-                // the explain already marks that case.
-                s.opt_entry("reserved_start", &reserved_start.filter(|s| s.is_finite()));
-                s.opt_entry("explain", explain);
-                s.opt_entry("machine", machine);
-            }
-            Response::Unknown { job } => {
-                ok(s, "poll");
-                s.entry("state", "unknown");
-                s.entry("job", job);
-            }
-            Response::Hello { tenant } => {
-                ok(s, "hello");
-                s.entry("tenant", tenant);
-            }
-            Response::TenantSet {
-                tenant,
-                weight,
-                quota,
-                max_in_flight,
-            } => {
-                ok(s, "set_tenant");
-                s.entry("tenant", tenant);
-                s.entry("weight", weight);
-                s.opt_entry("quota", quota);
-                s.opt_entry("max_in_flight", max_in_flight);
-            }
-            Response::Tenants(table) => {
-                ok(s, "tenants");
-                s.entry("tenants", table);
-            }
-            Response::FairShareSet {
-                machine,
-                enabled,
-                granted,
-            } => {
-                ok(s, "set_fair_share");
-                s.entry("machine", machine);
-                s.entry("enabled", enabled);
-                s.entry("granted", &Grants(granted));
-            }
-            Response::Snapshot(snapshot) => {
-                ok(s, "query");
-                s.entry("snapshot", snapshot);
-            }
-            Response::Stats(stats) => {
-                ok(s, "stats");
-                s.entry("stats", stats);
-            }
-            Response::JournalStats(stats) => {
-                ok(s, "journal_stats");
-                s.entry("journal", stats);
-            }
-            Response::TraceSet { enabled } => {
-                ok(s, "set_trace");
-                s.entry("enabled", enabled);
-            }
-            Response::Trace {
-                events,
-                dropped,
-                enabled,
-                decisions,
-            } => {
-                ok(s, "trace");
-                s.entry("enabled", enabled);
-                s.entry("dropped", dropped);
-                s.entry("events", events);
-                s.entry("decisions", decisions);
-            }
-            Response::Calibration(report) => {
-                ok(s, "calibration");
-                s.entry("calibration", report);
-            }
-            Response::Metrics { format, metrics } => {
-                ok(s, "metrics");
-                s.entry("format", format);
-                s.entry("metrics", metrics);
-            }
-            Response::Machines(names) => {
-                ok(s, "list");
-                s.entry("machines", names);
-            }
-            Response::Pong => ok(s, "pong"),
-            Response::Batch(responses) => {
-                ok(s, "batch");
-                s.entry("responses", responses);
+impl Kind<Vec<Request>> for Unnested {
+    fn emit<S: Sink>(s: &mut S, key: &str, value: &Vec<Request>) {
+        List::emit(s, key, value);
+    }
+    fn read<'a, F: Node<'a>>(v: F, key: &str) -> Result<Vec<Request>, Error> {
+        let requests: Vec<Request> = List::read(v, key)?;
+        if requests.iter().any(|r| matches!(r, Request::Batch(_))) {
+            return Err(Error::msg("batches do not nest"));
+        }
+        Ok(requests)
+    }
+}
+
+/// Machine names, read as a [`List`] of strings.
+pub(crate) struct Names;
+
+impl Kind<Vec<String>> for Names {
+    fn emit<S: Sink>(s: &mut S, key: &str, value: &Vec<String>) {
+        s.entry(key, value);
+    }
+    fn read<'a, F: Node<'a>>(v: F, key: &str) -> Result<Vec<String>, Error> {
+        list_items(v, key)?
+            .map(|name| {
+                name.as_str()
+                    .map(str::to_string)
+                    .ok_or_else(|| Error::msg("non-string machine name"))
+            })
+            .collect()
+    }
+}
+
+/// Generates a message enum or a fact struct from a table with one row
+/// per variant (or field): the type itself, every doc comment kept, and
+/// its [`Fields`] and [`Item`] impls — the writer into any [`Sink`] and
+/// the reader from any [`Node`]. Nothing else spells a field.
+///
+/// A variant's row is its docs, its name, its **head** in brackets, then
+/// its fields: `{ ... }` for named fields, `("key": Type => Kind)` for
+/// a one-field tuple variant (`_` for a [`Flat`] one), nothing for a
+/// unit variant. The heads:
+///
+/// - `[op "alloc"]`: a request, `"op":"alloc"` first;
+/// - `[ok "release"]`: a successful response, `"ok":true,"op":"release"`;
+///   `[ok "alloc" status "granted"]` adds `"status":"granted"` (the three
+///   `alloc` answers; the three `poll` answers use `state`);
+/// - `[ok false]`: the error response, `"ok":false`;
+/// - `[rec "grant"]`: a journal record (whose caller writes `"seq"`).
+///
+/// A field's row is its docs, its name, `= "key"` when the wire key is
+/// not the name, its Rust type, and its **kind**, which says how it
+/// travels. Fields are written, and read, in row order. The kinds:
+///
+/// - [`Req`] — required;
+/// - [`Opt`] — left out when `None`;
+/// - [`Null`] — `null` when `None` (the journal's `walltime`,
+///   `allocator`, `clock`);
+/// - [`Dflt`] — always emitted, but an absent key reads as the default
+///   (`alloc.wait`, `trace.decisions`);
+/// - [`Skip`] — left out when it equals the default, and an absent key
+///   reads as the default (`trace.clear`, `fair_share`, `held`);
+/// - [`Array`] and [`List`] — an array of [`Item`]s, the two differing
+///   only in how a missing one is reported; [`Flat`] — a fact whose
+///   fields sit in the holding object;
+/// - custom, one reader/writer pair each: [`Job`] (a [`JobRef`] and the
+///   machine-or-qualified-ref rule), [`Pattern`] (by name),
+///   [`Walltime`], [`Weight`] and [`Quota`] (validated numbers),
+///   [`Format`] (always emitted, absent reads `"json"`) and [`Window`]
+///   (the `metrics` sets), [`Finite`] (`reserved_start`), [`Tree`] and
+///   [`OptTree`] (tree-valued fields), [`Unnested`] (a `batch` and its
+///   no-nesting rule), [`Names`], and the journal's `Members` and
+///   `Tenants` (snapshot `tenants`: left out when empty).
+///
+/// A kind is a unit type implementing [`Kind`] for the field's type, so
+/// a new kind is one impl and a new field is one row.
+macro_rules! wire {
+    // The wire key of a field: its name, unless the row gives one.
+    (@key _) => { "" };
+    (@key $key:literal) => { $key };
+    (@key $field:ident) => { stringify!($field) };
+    (@key $field:ident $key:literal) => { $key };
+    (@bind $key:tt $name:ident) => { $name };
+
+    // One field, written or read by its kind.
+    (@put $s:ident $value:expr, $ty:ty => $kind:ty, $($key:tt)+) => {
+        <$kind as $crate::protocol::Kind<$ty>>::emit($s, $crate::protocol::wire!(@key $($key)+), $value)
+    };
+    (@get $v:ident $ty:ty => $kind:ty, $($key:tt)+) => {
+        <$kind as $crate::protocol::Kind<$ty>>::read($v, $crate::protocol::wire!(@key $($key)+))?
+    };
+
+    // A head, written.
+    (@head $s:ident ok false) => { $s.entry("ok", &false); };
+    (@head $s:ident ok $name:literal $($sub:ident $value:literal)?) => {
+        $s.entry("ok", &true);
+        $s.entry("op", $name);
+        $( $s.entry(stringify!($sub), $value); )?
+    };
+    (@head $s:ident $tag:ident $name:literal) => { $s.entry(stringify!($tag), $name); };
+
+    // A head, as the pattern of the tag that `@tag` reads.
+    (@pat ok false) => { (false, _, _) };
+    (@pat ok $name:literal) => { (true, $name, None) };
+    (@pat ok $name:literal $sub:ident $value:literal) => { (true, $name, Some((_, $value))) };
+    (@pat $tag:ident $name:literal) => { $name };
+
+    // The tag of the object `v`, by the family of the first head: the
+    // `op` of a request, the `rec` of a record, or for a response its
+    // `ok`, `op` and (for the rows that have one) `status` or `state`.
+    (@tag $v:ident [$([ok $($head:tt)*])*]) => {
+        match $v.get("ok").and_then(|ok| ok.as_bool()) {
+            None => return Err(::serde::Error::msg("missing \"ok\" field")),
+            Some(false) => (false, "", None),
+            Some(true) => {
+                let op = $crate::protocol::get_text($v, "op")?;
+                let mut sub = None;
+                $( $crate::protocol::wire!(@sub $v op sub ok $($head)*); )*
+                (true, op, sub)
             }
         }
-        s.end_object();
+    };
+    (@sub $v:ident $op:ident $sub:ident ok $name:literal $key:ident $value:literal) => {
+        if $sub.is_none() && $op == $name {
+            $sub = Some((stringify!($key), $crate::protocol::get_text($v, stringify!($key))?));
+        }
+    };
+    (@sub $($other:tt)*) => {};
+    (@tag $v:ident [[$tag:ident $($x:tt)*] $($heads:tt)*]) => {
+        $crate::protocol::get_text($v, stringify!($tag))?
+    };
+
+    // The error for a tag no row has.
+    (@unknown $other:ident [[op $($x:tt)*] $($heads:tt)*]) => {
+        ::serde::Error::msg(format!("unknown op {:?}", $other))
+    };
+    (@unknown $other:ident [[rec $($x:tt)*] $($heads:tt)*]) => {
+        ::serde::Error::msg(format!("unknown record kind {:?}", $other))
+    };
+    (@unknown $other:ident $heads:tt) => {
+        match $other {
+            (_, op, Some((key, value))) => {
+                ::serde::Error::msg(format!("unknown {op} {key} {value:?}"))
+            }
+            (_, op, None) => ::serde::Error::msg(format!("unknown response op {op:?}")),
+        }
+    };
+
+    // A wire message's public codec (a journal record's takes its `seq`).
+    (@api $Enum:ident [[rec $($x:tt)*] $($heads:tt)*]) => {};
+    (@api $Enum:ident $heads:tt) => {
+        impl ::serde_json::Emit for $Enum {
+            fn emit<S: ::serde_json::Sink>(&self, s: &mut S) {
+                $crate::protocol::Item::put(self, s);
+            }
+        }
+
+        impl $Enum {
+            /// Reads the message from its wire value, in whichever parsed form.
+            pub fn read<'a, F: ::serde_json::Node<'a>>(v: F) -> Result<Self, ::serde::Error> {
+                $crate::protocol::Fields::read_fields(v)
+            }
+
+            /// Parses the message from its wire value.
+            pub fn from_value(v: &::serde::Value) -> Result<Self, ::serde::Error> {
+                Self::read(v)
+            }
+
+            /// Parses the message from one wire line.
+            pub fn from_line(line: &str) -> Result<Self, ::serde::Error> {
+                ::serde_json::with_parsed(line, |root| Self::read(root))
+            }
+
+            /// Renders the message as its wire value.
+            pub fn to_value(&self) -> ::serde::Value {
+                ::serde_json::emit_to_value(self)
+            }
+
+            /// Renders the message as one wire line (no trailing newline).
+            pub fn to_line(&self) -> String {
+                ::serde_json::emit_to_string(self)
+            }
+        }
+    };
+
+    // A table type as an array element: one object.
+    (@item $T:ident) => {
+        impl $crate::protocol::Item for $T {
+            #[inline]
+            fn put<S: ::serde_json::Sink>(&self, s: &mut S) {
+                s.begin_object();
+                $crate::protocol::Fields::fields(self, s);
+                s.end_object();
+            }
+            #[inline]
+            fn take<'a, F: ::serde_json::Node<'a>>(n: F) -> Result<Self, ::serde::Error> {
+                <$T as $crate::protocol::Fields>::read_fields(n)
+            }
+        }
+    };
+
+    // A fact: a struct whose fields sit in whatever object holds it.
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $Name:ident {
+            $( $(#[$fmeta:meta])* $f:ident $(= $key:literal)? : $ty:ty => $kind:ty ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis struct $Name {
+            $( $(#[$fmeta])* pub $f: $ty, )*
+        }
+
+        impl $crate::protocol::Fields for $Name {
+            #[inline]
+            fn fields<S: ::serde_json::Sink>(&self, s: &mut S) {
+                $( $crate::protocol::wire!(@put s &self.$f, $ty => $kind, $f $($key)?); )*
+            }
+
+            #[deny(clippy::unwrap_used, clippy::expect_used)]
+            fn read_fields<'a, F: ::serde_json::Node<'a>>(v: F) -> Result<Self, ::serde::Error> {
+                Ok($Name {
+                    $( $f: $crate::protocol::wire!(@get v $ty => $kind, $f $($key)?), )*
+                })
+            }
+        }
+
+        $crate::protocol::wire!(@item $Name);
+    };
+
+    // A message enum: one row per variant.
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $Enum:ident {
+            $(
+                $(#[$vmeta:meta])*
+                $V:ident [$($head:tt)*]
+                $( ($tkey:tt : $tty:ty => $tkind:ty) )?
+                $( {
+                    $( $(#[$fmeta:meta])* $f:ident $(= $key:literal)? : $ty:ty => $kind:ty ),*
+                    $(,)?
+                } )?
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis enum $Enum {
+            $(
+                $(#[$vmeta])*
+                $V $( ($tty) )? $( { $( $(#[$fmeta])* $f: $ty, )* } )?,
+            )*
+        }
+
+        impl $crate::protocol::Fields for $Enum {
+            fn fields<S: ::serde_json::Sink>(&self, s: &mut S) {
+                match self {
+                    $(
+                        $Enum::$V $( ($crate::protocol::wire!(@bind $tkey value)) )?
+                            $( { $($f),* } )? => {
+                            $crate::protocol::wire!(@head s $($head)*);
+                            $( $crate::protocol::wire!(@put s value, $tty => $tkind, $tkey); )?
+                            $($( $crate::protocol::wire!(@put s $f, $ty => $kind, $f $($key)?); )*)?
+                        }
+                    )*
+                }
+            }
+
+            #[deny(clippy::unwrap_used, clippy::expect_used)]
+            fn read_fields<'a, F: ::serde_json::Node<'a>>(v: F) -> Result<Self, ::serde::Error> {
+                Ok(match $crate::protocol::wire!(@tag v [$([$($head)*])*]) {
+                    $(
+                        $crate::protocol::wire!(@pat $($head)*) => $Enum::$V
+                            $( ($crate::protocol::wire!(@get v $tty => $tkind, $tkey)) )?
+                            $( { $(
+                                $f: $crate::protocol::wire!(@get v $ty => $kind, $f $($key)?),
+                            )* } )?,
+                    )*
+                    other => {
+                        return Err($crate::protocol::wire!(@unknown other [$([$($head)*])*]))
+                    }
+                })
+            }
+        }
+
+        $crate::protocol::wire!(@item $Enum);
+        $crate::protocol::wire!(@api $Enum [$([$($head)*])*]);
+    };
+}
+
+pub(crate) use wire;
+
+// ---------------------------------------------------------------------------
+// The tables.
+// ---------------------------------------------------------------------------
+
+wire! {
+    /// A client request.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Request {
+        /// Register a machine. `mesh` is `"WxH"` (2-D) or `"WxHxD"` (3-D);
+        /// `allocator` names an [`commalloc_alloc::AllocatorKind`] (2-D) or a
+        /// 3-D curve kind; `strategy` names a selection strategy (3-D only);
+        /// `scheduler` names a scheduling policy (`"fcfs"`, `"backfill"`,
+        /// `"easy"`, `"conservative"` or a full `SchedulerKind` name).
+        Register [op "register"] {
+            /// Machine name.
+            machine: String => Req,
+            /// Mesh dimension spec.
+            mesh: String => Req,
+            /// Allocator (2-D) or curve (3-D) spec; `None` = default.
+            allocator: Option<String> => Opt,
+            /// Selection strategy spec (3-D); `None` = Best Fit.
+            strategy: Option<String> => Opt,
+            /// Scheduling-policy spec; `None` = FCFS (the paper's policy).
+            scheduler: Option<String> => Opt,
+            /// Pool to join (cluster routing); `None` = standalone machine.
+            pool: Option<String> => Opt,
+        },
+        /// Allocate `size` processors for `job` on `machine`; `wait` queues
+        /// the request when it cannot be served immediately (admission is
+        /// governed by the machine's scheduling policy). A machine of
+        /// `"@pool"` routes the request across the pool's members under the
+        /// pool's [`crate::cluster::RoutingPolicy`]; the response then names
+        /// the machine that took the job.
+        Alloc [op "alloc"] {
+            /// Machine name, or `"@pool"` for cluster routing.
+            machine: String => Req,
+            /// Job identifier (client-chosen, unique per machine).
+            job: u64 => Req,
+            /// Number of processors.
+            size: usize => Req,
+            /// Queue instead of rejecting on capacity shortfall.
+            wait: bool => Dflt,
+            /// Runtime estimate in seconds (the reservation input of EASY
+            /// and conservative backfilling; FCFS/first-fit ignore it).
+            /// Must be finite and positive when present — the wire parser
+            /// and the service both reject anything else.
+            walltime: Option<f64> => Walltime,
+            /// Declared communication pattern of the job (travels as the
+            /// pattern's canonical name, e.g. `"all-to-all"`). Feeds the
+            /// communication-aware routing policy and the allocator's
+            /// contention-scored placement; `None` = pattern-oblivious.
+            pattern: Option<CommPattern> => Pattern,
+            /// Tenant the job is attributed to. `None` inherits the
+            /// connection's `hello` binding (or the default tenant).
+            tenant: Option<String> => Opt,
+        },
+        /// Switch the scheduling policy of a machine at runtime.
+        SetScheduler [op "set_scheduler"] {
+            /// Machine name.
+            machine: String => Req,
+            /// Scheduling-policy spec (same grammar as `Register`).
+            scheduler: String => Req,
+        },
+        /// Switch the routing policy of a machine pool at runtime.
+        SetRouter [op "set_router"] {
+            /// Pool name (without the `@` sigil).
+            pool: String => Req,
+            /// Routing-policy spec (`round-robin`/`rr`, `least-loaded`/`ll`,
+            /// `shortest-queue`/`sq`, `power-of-two`/`p2c`).
+            policy: String => Req,
+        },
+        /// Release the processors of `job` (or cancel it while queued).
+        /// `machine` may be a member name or `"@pool"` (the pool job
+        /// index resolves a bare id to its owning member); it may be
+        /// omitted entirely when the [`JobRef`] is qualified.
+        Release [op "release"] {
+            /// Machine name or `"@pool"`; `None` iff `job` names its
+            /// machine itself.
+            machine: Option<String> => Opt,
+            /// The job, in any [`JobRef`] form.
+            job: JobRef => Job,
+        },
+        /// Ask where `job` currently stands. Addressing rules match
+        /// [`Request::Release`].
+        Poll [op "poll"] {
+            /// Machine name or `"@pool"`; `None` iff `job` names its
+            /// machine itself.
+            machine: Option<String> => Opt,
+            /// The job, in any [`JobRef`] form.
+            job: JobRef => Job,
+        },
+        /// Bind this connection to a tenant: subsequent requests without
+        /// an explicit `tenant` field are attributed to it. Creates the
+        /// tenant (with default weight, no quota) when unknown.
+        Hello [op "hello"] {
+            /// Tenant name.
+            tenant: String => Req,
+        },
+        /// Create or reconfigure a tenant: fair-share weight, node-second
+        /// quota, in-flight wire cap. Omitted fields keep their current
+        /// values (or the defaults for a new tenant); the resulting
+        /// configuration is journaled absolutely.
+        SetTenant [op "set_tenant"] {
+            /// Tenant name.
+            tenant: String => Req,
+            /// Fair-share weight (finite, positive).
+            weight: Option<f64> => Weight,
+            /// Node-second quota; `0` clears it back to unlimited.
+            quota: Option<f64> => Quota,
+            /// In-flight wire request cap; `0` clears it.
+            max_in_flight: Option<u64> => Opt,
+        },
+        /// The tenant table: configuration plus live usage per tenant.
+        Tenants [op "tenants"],
+        /// Toggle the weighted fair-share admission layer of a machine:
+        /// while enabled, each queue drain first re-orders the pending
+        /// queue by tenant fair-share key (outstanding node-seconds over
+        /// weight, ties by arrival). Orthogonal to the scheduling policy.
+        SetFairShare [op "set_fair_share"] {
+            /// Machine name.
+            machine: String => Req,
+            /// Desired fair-share state.
+            enabled: bool => Req,
+        },
+        /// Occupancy snapshot of a machine.
+        Query [op "query"] {
+            /// Machine name.
+            machine: String => Req,
+        },
+        /// Operation counters of a machine (plus server totals).
+        Stats [op "stats"] {
+            /// Machine name.
+            machine: String => Req,
+        },
+        /// Operational counters of the write-ahead journal (recovery epoch,
+        /// appended records, segments, fsync policy); answers
+        /// `{"enabled": false}` on a daemon running without `--journal`.
+        JournalStats [op "journal_stats"],
+        /// Toggle the flight recorder (and optionally the placement
+        /// calibration plane) at runtime. While off, request handling pays
+        /// one relaxed atomic load per plane and emits nothing.
+        SetTrace [op "set_trace"] {
+            /// Desired recorder state.
+            enabled: bool => Req,
+            /// Desired calibration-plane state; `None` leaves it unchanged
+            /// (the planes toggle independently).
+            calibration: Option<bool> => Opt,
+        },
+        /// Drain the flight recorder: recent span events across all ring
+        /// shards, merged in start-time order, plus buffered routing
+        /// decisions.
+        Trace [op "trace"] {
+            /// Keep only the most recent `limit` events; `None` = all.
+            limit: Option<usize> => Opt,
+            /// Reset the rings (and drop counters) after reading.
+            clear: bool => Skip,
+        },
+        /// Stage-latency histograms and machine counters, as JSON
+        /// (`format: "json"`, the default) or a Prometheus-style text
+        /// exposition (`format: "prometheus"`).
+        Metrics [op "metrics"] {
+            /// `"json"` or `"prometheus"` (validated at parse time).
+            format: String => Format,
+            /// Restrict stage and pool histograms to a trailing time
+            /// window: `"10s"` or `"60s"` (validated at parse time);
+            /// `None` = cumulative since boot.
+            window: Option<String> => Window,
+        },
+        /// The placement calibration report: per-pattern × per-policy
+        /// predicted-vs-realized histograms and rank correlations, joined
+        /// at release time.
+        Calibration [op "calibration"],
+        /// Names of all registered machines.
+        List [op "list"],
+        /// Liveness check.
+        Ping [op "ping"],
+        /// Several requests on one wire line, answered by one
+        /// [`Response::Batch`] in the same order — the round-trip saver for
+        /// closed-loop clients. Batches do not nest.
+        Batch [op "batch"] ("requests": Vec<Request> => Unnested),
+    }
+}
+
+wire! {
+    /// A server response.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Response {
+        /// The request failed (unknown machine, duplicate job, parse
+        /// error, ...).
+        Error [ok false] {
+            /// Human-readable reason.
+            message = "error": String => Req,
+            /// Machine-readable error class for errors clients are
+            /// expected to branch on (`"quota_exceeded"`,
+            /// `"ambiguous_job"`); absent for garden-variety failures.
+            code: Option<String> => Opt,
+            /// Structured detail for coded errors (e.g. `usage`/`limit`
+            /// for quota denials, the owning `machines` for collisions).
+            detail: Option<Value> => OptTree,
+        },
+        /// Registration succeeded.
+        Registered [ok "register"] {
+            /// Machine name.
+            machine: String => Req,
+        },
+        /// Allocation granted immediately.
+        Granted [ok "alloc" status "granted"] {
+            /// Job identifier.
+            job: u64 => Req,
+            /// Granted processors, in rank order.
+            nodes: Vec<NodeId> => Array,
+            /// The machine that took the job — present exactly when the
+            /// request was routed through a pool (`"@pool"` address).
+            machine: Option<String> => Opt,
+        },
+        /// Allocation queued (FCFS).
+        Queued [ok "alloc" status "queued"] {
+            /// Job identifier.
+            job: u64 => Req,
+            /// 1-based queue position at enqueue time.
+            position: usize => Req,
+            /// The machine the job queues on (pool-routed requests only).
+            machine: Option<String> => Opt,
+        },
+        /// Allocation rejected (no capacity, `wait` unset).
+        Rejected [ok "alloc" status "rejected"] {
+            /// Job identifier.
+            job: u64 => Req,
+            /// Human-readable reason.
+            reason: String => Req,
+            /// The machine that rejected the job (pool-routed requests only).
+            machine: Option<String> => Opt,
+        },
+        /// Release succeeded; `granted` lists jobs admitted from the queue.
+        Released [ok "release"] {
+            /// The released (or cancelled) job.
+            job: u64 => Req,
+            /// Jobs granted from the queue by this release, in grant order.
+            granted: Vec<(u64, Vec<NodeId>)> => List,
+            /// The machine the job was resolved to — present exactly when
+            /// the request addressed a pool or a qualified [`JobRef`].
+            machine: Option<String> => Opt,
+        },
+        /// The scheduling policy was switched; `granted` lists jobs the
+        /// re-drain admitted from the queue.
+        SchedulerSet [ok "set_scheduler"] {
+            /// Machine name.
+            machine: String => Req,
+            /// Canonical name of the now-active policy.
+            scheduler: String => Req,
+            /// Jobs granted by the policy switch, in grant order.
+            granted: Vec<(u64, Vec<NodeId>)> => List,
+        },
+        /// The routing policy of a pool was switched.
+        RouterSet [ok "set_router"] {
+            /// Pool name.
+            pool: String => Req,
+            /// Canonical name of the now-active routing policy.
+            policy: String => Req,
+        },
+        /// Poll result: the job runs on these processors.
+        Running [ok "poll" state "running"] {
+            /// Job identifier.
+            job: u64 => Req,
+            /// The processors the job holds.
+            nodes: Vec<NodeId> => Array,
+            /// The machine the job was resolved to (pool-addressed and
+            /// qualified-ref polls only).
+            machine: Option<String> => Opt,
+        },
+        /// Poll result: the job waits at this 1-based position.
+        Waiting [ok "poll" state "queued"] {
+            /// Job identifier.
+            job: u64 => Req,
+            /// 1-based queue position.
+            position: usize => Req,
+            /// The start time the scheduler currently promises the job
+            /// (service clock), when the policy plans one and it is finite:
+            /// conservative backfilling reserves a start for every queued
+            /// job, EASY for the head. Absent under FCFS/first-fit and for
+            /// unplannable reservations.
+            reserved_start: Option<f64> => Finite,
+            /// Machine-readable explanation of what blocks the job right
+            /// now (`code`, `detail`, and optionally `blocking_job` /
+            /// `until` — the rendering of a scheduler
+            /// [`commalloc::scheduler::BlockReason`]).
+            explain: Option<Value> => OptTree,
+            /// The machine the job was resolved to (pool-addressed and
+            /// qualified-ref polls only).
+            machine: Option<String> => Opt,
+        },
+        /// Poll result: the job is not present.
+        Unknown [ok "poll" state "unknown"] {
+            /// Job identifier.
+            job: u64 => Req,
+        },
+        /// The connection is now bound to a tenant.
+        Hello [ok "hello"] {
+            /// The bound tenant.
+            tenant: String => Req,
+        },
+        /// A tenant was created or reconfigured.
+        TenantSet [ok "set_tenant"] {
+            /// Tenant name.
+            tenant: String => Req,
+            /// The now-active fair-share weight.
+            weight: f64 => Req,
+            /// The now-active node-second quota, if any.
+            quota: Option<f64> => Opt,
+            /// The now-active in-flight cap, if any.
+            max_in_flight: Option<u64> => Opt,
+        },
+        /// The tenant table (configuration plus live usage, rendered as
+        /// one object per tenant, sorted by name).
+        Tenants [ok "tenants"] ("tenants": Value => Tree),
+        /// The fair-share admission layer of a machine was toggled;
+        /// `granted` lists jobs the re-drain admitted from the queue.
+        FairShareSet [ok "set_fair_share"] {
+            /// Machine name.
+            machine: String => Req,
+            /// The fair-share state after the toggle.
+            enabled: bool => Req,
+            /// Jobs granted by the toggle's re-drain, in grant order.
+            granted: Vec<(u64, Vec<NodeId>)> => List,
+        },
+        /// Occupancy snapshot (the `MachineSnapshot` serialised fields).
+        Snapshot [ok "query"] ("snapshot": Value => Tree),
+        /// Counter snapshot.
+        Stats [ok "stats"] ("stats": Value => Tree),
+        /// Journal counter snapshot.
+        JournalStats [ok "journal_stats"] ("journal": Value => Tree),
+        /// The flight recorder was toggled.
+        TraceSet [ok "set_trace"] {
+            /// The recorder state after the toggle.
+            enabled: bool => Req,
+        },
+        /// Drained flight-recorder events (each rendered per
+        /// [`crate::trace::FlightRecorder::event_to_value`]).
+        Trace [ok "trace"] {
+            /// Whether the recorder is currently enabled.
+            enabled: bool => Req,
+            /// Events overwritten in the rings before this drain.
+            dropped: u64 => Req,
+            /// Span events in start-time order.
+            events: Vec<Value> => List,
+            /// Buffered routing-decision records, oldest first (drained and
+            /// cleared together with the span rings). Absent on lines from
+            /// pre-calibration daemons, which read as an empty drain.
+            decisions: Vec<Value> => Dflt,
+        },
+        /// The placement calibration report.
+        Calibration [ok "calibration"] ("calibration": Value => Tree),
+        /// Metrics export: `metrics` is a JSON object for `format: "json"`,
+        /// a string holding the text exposition for `format: "prometheus"`.
+        Metrics [ok "metrics"] {
+            /// The format the payload is in.
+            format: String => Req,
+            /// The payload.
+            metrics: Value => Tree,
+        },
+        /// Registered machine names.
+        Machines [ok "list"] ("machines": Vec<String> => Names),
+        /// Liveness answer.
+        Pong [ok "pong"],
+        /// Per-request answers to a [`Request::Batch`], in request order.
+        Batch [ok "batch"] ("responses": Vec<Response> => List),
     }
 }
 
@@ -1279,141 +1347,6 @@ impl Response {
             code: None,
             detail: None,
         }
-    }
-
-    /// Reads a response from its wire value, in whichever parsed form.
-    pub fn read<'a, F: Node<'a>>(v: F) -> Result<Response, Error> {
-        let ok = v
-            .get("ok")
-            .and_then(F::as_bool)
-            .ok_or_else(|| Error::msg("missing \"ok\" field"))?;
-        if !ok {
-            return Ok(Response::Error {
-                message: get_str(v, "error")?,
-                code: get_str_opt(v, "code")?,
-                detail: present(v, "detail").map(F::to_value),
-            });
-        }
-        Ok(match get_text(v, "op")? {
-            "register" => Response::Registered {
-                machine: get_str(v, "machine")?,
-            },
-            "alloc" => match get_text(v, "status")? {
-                "granted" => Response::Granted {
-                    job: get_u64(v, "job")?,
-                    nodes: get_array(v, "nodes", node_id)?,
-                    machine: get_str_opt(v, "machine")?,
-                },
-                "queued" => Response::Queued {
-                    job: get_u64(v, "job")?,
-                    position: get_u64(v, "position")? as usize,
-                    machine: get_str_opt(v, "machine")?,
-                },
-                "rejected" => Response::Rejected {
-                    job: get_u64(v, "job")?,
-                    reason: get_str(v, "reason")?,
-                    machine: get_str_opt(v, "machine")?,
-                },
-                other => return Err(Error::msg(format!("unknown alloc status {other:?}"))),
-            },
-            "release" => Response::Released {
-                job: get_u64(v, "job")?,
-                granted: get_granted(v)?,
-                machine: get_str_opt(v, "machine")?,
-            },
-            "set_scheduler" => Response::SchedulerSet {
-                machine: get_str(v, "machine")?,
-                scheduler: get_str(v, "scheduler")?,
-                granted: get_granted(v)?,
-            },
-            "set_router" => Response::RouterSet {
-                pool: get_str(v, "pool")?,
-                policy: get_str(v, "policy")?,
-            },
-            "hello" => Response::Hello {
-                tenant: get_str(v, "tenant")?,
-            },
-            "set_tenant" => Response::TenantSet {
-                tenant: get_str(v, "tenant")?,
-                weight: get_f64(v, "weight")?,
-                quota: get_f64_opt(v, "quota")?,
-                max_in_flight: opt(v, "max_in_flight", "non-integer", F::as_u64)?,
-            },
-            "tenants" => Response::Tenants(get_tree(v, "tenants")?),
-            "set_fair_share" => Response::FairShareSet {
-                machine: get_str(v, "machine")?,
-                enabled: get_bool(v, "enabled")?,
-                granted: get_granted(v)?,
-            },
-            "poll" => match get_text(v, "state")? {
-                "running" => Response::Running {
-                    job: get_u64(v, "job")?,
-                    nodes: get_array(v, "nodes", node_id)?,
-                    machine: get_str_opt(v, "machine")?,
-                },
-                "queued" => Response::Waiting {
-                    job: get_u64(v, "job")?,
-                    position: get_u64(v, "position")? as usize,
-                    reserved_start: get_f64_opt(v, "reserved_start")?,
-                    explain: present(v, "explain").map(F::to_value),
-                    machine: get_str_opt(v, "machine")?,
-                },
-                "unknown" => Response::Unknown {
-                    job: get_u64(v, "job")?,
-                },
-                other => return Err(Error::msg(format!("unknown poll state {other:?}"))),
-            },
-            "query" => Response::Snapshot(get_tree(v, "snapshot")?),
-            "stats" => Response::Stats(get_tree(v, "stats")?),
-            "journal_stats" => Response::JournalStats(get_tree(v, "journal")?),
-            "set_trace" => Response::TraceSet {
-                enabled: get_bool(v, "enabled")?,
-            },
-            "trace" => Response::Trace {
-                events: get_list(v, "events", |event| Ok(event.to_value()))?,
-                dropped: get_u64(v, "dropped")?,
-                enabled: get_bool(v, "enabled")?,
-                // Absent on lines from pre-calibration daemons: decode
-                // as an empty drain rather than a parse error.
-                decisions: opt(v, "decisions", "non-array", |d| {
-                    d.items().map(|items| items.map(F::to_value).collect())
-                })?
-                .unwrap_or_default(),
-            },
-            "calibration" => Response::Calibration(get_tree(v, "calibration")?),
-            "metrics" => Response::Metrics {
-                format: get_str(v, "format")?,
-                metrics: get_tree(v, "metrics")?,
-            },
-            "list" => Response::Machines(get_list(v, "machines", |name| {
-                name.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| Error::msg("non-string machine name"))
-            })?),
-            "pong" => Response::Pong,
-            "batch" => Response::Batch(get_list(v, "responses", Response::read)?),
-            other => return Err(Error::msg(format!("unknown response op {other:?}"))),
-        })
-    }
-
-    /// Parses a response from its wire value.
-    pub fn from_value(v: &Value) -> Result<Response, Error> {
-        Response::read(v)
-    }
-
-    /// Parses a response from one wire line.
-    pub fn from_line(line: &str) -> Result<Response, Error> {
-        serde_json::with_parsed(line, |root| Response::read(root))
-    }
-
-    /// Renders the response as its wire value.
-    pub fn to_value(&self) -> Value {
-        serde_json::emit_to_value(self)
-    }
-
-    /// Renders the response as one wire line (no trailing newline).
-    pub fn to_line(&self) -> String {
-        serde_json::emit_to_string(self)
     }
 }
 

@@ -8,6 +8,8 @@
 //! invariant requires (an allocate must observe the state left by the
 //! previous allocate/release on the same machine).
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use crate::admission::{AdmissionQueue, PendingRequest};
 use crate::calibration::{CalibrationSample, CalibrationStore, PlacementRecord, PLACEMENT_CAP};
 use crate::clock::{micros, Clock};
@@ -422,41 +424,64 @@ impl Backing {
     }
 
     /// Re-occupies exactly `nodes` — the journal-recovery path, which
-    /// replays committed grants instead of re-running an allocator.
-    /// Validates every node is in range, free, and unrepeated before
-    /// touching anything, so a corrupt record cannot half-apply. The
-    /// 2-D curve allocators resynchronise their interval index from the
-    /// machine bitmap automatically (the `MachineState::generation`
-    /// protocol), so occupying behind their back is safe.
+    /// replays committed grants instead of re-running an allocator. A
+    /// grant with a node out of range, repeated within it, or already
+    /// busy is refused whole (a corrupt record cannot half-apply), and
+    /// the fault reported is the one a check in that order meets first.
+    /// Nodes are occupied one by one, so a repeat shows as a node this
+    /// grant already holds: no set is built, and a fault rolls back what
+    /// was occupied. The 2-D curve allocators resynchronise their
+    /// interval index from the machine bitmap automatically (the
+    /// `MachineState::generation` protocol), so occupying behind their
+    /// back is safe.
     fn restore_occupy(&mut self, nodes: &[NodeId]) -> Result<(), String> {
+        // Only ever called on a fault: the first node repeating an
+        // earlier one among the first `upto`.
+        let first_repeat = |upto: usize| {
+            (1..upto)
+                .find(|&j| nodes[..j].contains(&nodes[j]))
+                .map(|j| format!("node {} repeats within one grant", nodes[j]))
+        };
         let total = self.total_nodes();
-        let mut seen = std::collections::HashSet::with_capacity(nodes.len());
-        for &node in nodes {
-            if node.index() >= total {
-                return Err(format!("node {node} is out of range for this machine"));
-            }
-            if !seen.insert(node) {
-                return Err(format!("node {node} repeats within one grant"));
-            }
+        if let Some(at) = nodes.iter().position(|n| n.index() >= total) {
+            return Err(first_repeat(at).unwrap_or_else(|| {
+                format!("node {} is out of range for this machine", nodes[at])
+            }));
         }
+        let Some(at) = nodes.iter().position(|&n| !self.occupy_node(n)) else {
+            return Ok(());
+        };
+        for &node in &nodes[..at] {
+            self.release_node(node);
+        }
+        Err(first_repeat(nodes.len())
+            .unwrap_or_else(|| format!("node {} is already busy", nodes[at])))
+    }
+
+    /// Marks `node` busy; `false` (and nothing changed) when it is not
+    /// free.
+    fn occupy_node(&mut self, node: NodeId) -> bool {
         match self {
             Backing::TwoD { machine, .. } => {
-                if let Some(node) = nodes.iter().find(|&&n| !machine.is_free(n)) {
-                    return Err(format!("node {node} is already busy"));
+                let free = machine.is_free(node);
+                if free {
+                    machine.occupy(&[node]);
                 }
-                machine.occupy(nodes);
+                free
             }
+            Backing::ThreeD { curve, index, .. } => index.occupy_rank(curve.rank_of(node)),
+        }
+    }
+
+    /// Undoes [`Backing::occupy_node`].
+    fn release_node(&mut self, node: NodeId) {
+        match self {
+            Backing::TwoD { machine, .. } => machine.release(&[node]),
             Backing::ThreeD { curve, index, .. } => {
-                let ranks: Vec<usize> = nodes.iter().map(|&n| curve.rank_of(n)).collect();
-                if let Some(at) = ranks.iter().position(|&r| !index.is_free(r)) {
-                    return Err(format!("node {} is already busy", nodes[at]));
-                }
-                if !index.occupy_ranks(&ranks) {
-                    return Err("interval index refused a validated grant".to_string());
-                }
+                let applied = index.release_rank(curve.rank_of(node));
+                debug_assert!(applied, "rolled back a free rank");
             }
         }
-        Ok(())
     }
 
     /// Returns the nodes of `job_id` to the free pool.
@@ -962,7 +987,12 @@ impl MachineEntry {
         if let Some((_, nodes)) = granted.into_iter().find(|(id, _)| *id == job_id) {
             return Ok(AllocOutcome::Granted(nodes));
         }
-        if !self.queue.contains(job_id) {
+        let Some((index, pending)) = self
+            .queue
+            .iter()
+            .enumerate()
+            .find(|(_, p)| p.request.job == job_id)
+        else {
             // The drain dropped the request: the machine was empty and the
             // allocator still refused (contiguous strategies with no
             // suitable rectangle), so waiting could never help.
@@ -971,7 +1001,10 @@ impl MachineEntry {
                  even on an empty machine",
                 size
             )));
-        }
+        };
+        // The request stays queued: that *is* the durable effect (the
+        // drain's own grants and drops were logged as they happened).
+        let journaled = (wait && self.journaled).then(|| pending.request.clone());
         // Not granted: record *why* on the trace — the binding
         // constraint the scheduler names — computed only when tracing
         // is live (the outlook walks the queue).
@@ -992,24 +1025,14 @@ impl MachineEntry {
         }
         if wait {
             self.metrics.queued += 1;
-            // The request stays queued: that *is* the durable effect (the
-            // drain's own grants and drops were logged as they happened).
-            if self.journaled {
-                let request = self
-                    .queue
-                    .iter()
-                    .find(|p| p.request.job == job_id)
-                    .map(|p| p.request.clone())
-                    .expect("job is queued");
+            if let Some(request) = journaled {
                 self.outbox.push(JournalRecord::Queue {
                     machine: self.name.clone(),
                     request,
                 });
             }
             self.tenants.note_enqueued(tenant);
-            Ok(AllocOutcome::Queued(
-                self.queue.position(job_id).expect("job is queued"),
-            ))
+            Ok(AllocOutcome::Queued(index + 1))
         } else {
             self.queue.remove(job_id);
             self.metrics.rejected += 1;
@@ -1865,6 +1888,50 @@ mod tests {
                 Ok(())
             })
             .unwrap();
+        }
+    }
+
+    #[test]
+    fn a_faulty_restored_grant_names_its_fault_and_changes_nothing() {
+        let r = AllocationService::new();
+        let clock = Clock::wall();
+        r.register("m0", "16x16", None, None, None).unwrap();
+        r.register("cube", "4x4x4", None, None, None).unwrap();
+        let grant = |job: u64, nodes: &[u32]| RunningJob {
+            job,
+            nodes: nodes.iter().map(|&n| NodeId(n)).collect(),
+            walltime: None,
+            start: 0.0,
+            pattern: None,
+            tenant: None,
+        };
+        for name in ["m0", "cube"] {
+            let restore = |job: RunningJob| {
+                r.with_entry(name, |m| {
+                    m.restore_grant(job, &clock)
+                        .map_err(ServiceError::InvalidRequest)
+                })
+            };
+            restore(grant(1, &[0, 1])).unwrap();
+            for (nodes, fault) in [
+                (&[2, 999][..], "node n999 is out of range for this machine"),
+                (&[2, 3, 2][..], "node n2 repeats within one grant"),
+                (&[2, 1][..], "node n1 is already busy"),
+                // Of two faults, the one a check in order meets first.
+                (&[1, 2, 2][..], "node n2 repeats within one grant"),
+                (&[2, 2, 999][..], "node n2 repeats within one grant"),
+            ] {
+                assert_eq!(
+                    restore(grant(2, nodes)),
+                    Err(ServiceError::InvalidRequest(fault.to_string())),
+                    "{name}"
+                );
+                let busy = r.with_entry(name, |m| Ok(m.num_busy())).unwrap();
+                assert_eq!(busy, 2, "{name}: a refused grant occupied nothing");
+                assert_invariants(&r, name);
+            }
+            restore(grant(2, &[2, 3])).unwrap();
+            assert_invariants(&r, name);
         }
     }
 

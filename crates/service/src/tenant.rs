@@ -27,6 +27,7 @@
 //! tenant field at all, so pre-tenant journals and untenanted grant
 //! logs stay byte-identical.
 
+use crate::protocol::{wire, Opt, Req};
 use std::collections::HashMap;
 use std::sync::Mutex;
 
@@ -48,15 +49,19 @@ pub fn job_cost(size: usize, walltime: Option<f64>) -> f64 {
     size as f64 * walltime.unwrap_or(DEFAULT_QUOTA_WALLTIME)
 }
 
-/// Per-tenant configuration: weight, quota, wire cap.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TenantConfig {
-    /// Fair-share weight; finite and positive. Default 1.0.
-    pub weight: f64,
-    /// Node-second quota; `None` = unlimited.
-    pub quota_node_seconds: Option<f64>,
-    /// In-flight wire request cap; `None` = uncapped.
-    pub max_in_flight: Option<u64>,
+wire! {
+    /// Per-tenant configuration: weight, quota, wire cap. On the journal
+    /// it sits in a tenant spec's object, as `"weight"`, `"quota"` and
+    /// `"max_in_flight"` (the latter two only when set).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct TenantConfig {
+        /// Fair-share weight; finite and positive. Default 1.0.
+        weight: f64 => Req,
+        /// Node-second quota; `None` = unlimited.
+        quota_node_seconds = "quota": Option<f64> => Opt,
+        /// In-flight wire request cap; `None` = uncapped.
+        max_in_flight: Option<u64> => Opt,
+    }
 }
 
 impl Default for TenantConfig {
