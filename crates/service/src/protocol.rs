@@ -128,17 +128,6 @@ impl JobRef {
             _ => Err(bad()),
         }
     }
-
-    /// Parses the wire value: an integer is a bare ref, a string is
-    /// parsed per [`JobRef::parse_str`].
-    pub fn from_wire<'a, F: Node<'a>>(v: F) -> Result<JobRef, Error> {
-        match v.as_str() {
-            Some(s) => JobRef::parse_str(s),
-            None => v.as_u64().map(JobRef::Bare).ok_or_else(|| {
-                Error::msg("job ref must be an integer id or a \"pool/machine/id\" string")
-            }),
-        }
-    }
 }
 
 impl fmt::Display for JobRef {
@@ -147,17 +136,6 @@ impl fmt::Display for JobRef {
             JobRef::Bare(id) => write!(f, "{id}"),
             JobRef::Member { machine, id } => write!(f, "{machine}/{id}"),
             JobRef::Pooled { pool, machine, id } => write!(f, "{pool}/{machine}/{id}"),
-        }
-    }
-}
-
-/// Bare refs stay plain integers; qualified refs become `/`-joined
-/// strings.
-impl Emit for JobRef {
-    fn emit<S: Sink>(&self, s: &mut S) {
-        match self {
-            JobRef::Bare(id) => s.u64(*id),
-            _ => s.str(&self.to_string()),
         }
     }
 }
@@ -240,7 +218,8 @@ pub(crate) trait Scalar: Emit + Sized {
     fn get<'a, F: Node<'a>>(n: F) -> Option<Self>;
 }
 
-/// The scalar kinds, and the array of trees `trace.decisions` is.
+/// The scalar kinds, plus a tree of any kind (an error's `detail`, a
+/// poll's `explain`) and the array of trees `trace.decisions` is.
 macro_rules! scalars {
     ($($ty:ty: $kind:literal, |$n:ident| $get:expr;)*) => {$(
         impl Scalar for $ty {
@@ -258,6 +237,7 @@ scalars! {
     usize: "integer", |n| n.as_u64().map(|n| n as usize);
     f64: "numeric", |n| n.as_f64();
     bool: "boolean", |n| n.as_bool();
+    Value: "tree", |n| Some(n.to_value());
     Vec<Value>: "array", |n| n.items().map(|items| items.map(F::to_value).collect());
 }
 
@@ -397,9 +377,11 @@ fn put_items<S: Sink, T: Item>(s: &mut S, key: &str, items: &[T]) {
 pub(crate) struct Req;
 
 impl<T: Scalar> Kind<T> for Req {
+    #[inline]
     fn emit<S: Sink>(s: &mut S, key: &str, value: &T) {
         s.entry(key, value);
     }
+    #[inline]
     fn read<'a, F: Node<'a>>(v: F, key: &str) -> Result<T, Error> {
         v.get(key)
             .and_then(T::get)
@@ -411,9 +393,11 @@ impl<T: Scalar> Kind<T> for Req {
 pub(crate) struct Opt;
 
 impl<T: Scalar> Kind<Option<T>> for Opt {
+    #[inline]
     fn emit<S: Sink>(s: &mut S, key: &str, value: &Option<T>) {
         s.opt_entry(key, value);
     }
+    #[inline]
     fn read<'a, F: Node<'a>>(v: F, key: &str) -> Result<Option<T>, Error> {
         opt(v, key)
     }
@@ -423,9 +407,11 @@ impl<T: Scalar> Kind<Option<T>> for Opt {
 pub(crate) struct Null;
 
 impl<T: Scalar> Kind<Option<T>> for Null {
+    #[inline]
     fn emit<S: Sink>(s: &mut S, key: &str, value: &Option<T>) {
         s.entry(key, value);
     }
+    #[inline]
     fn read<'a, F: Node<'a>>(v: F, key: &str) -> Result<Option<T>, Error> {
         opt(v, key)
     }
@@ -435,9 +421,11 @@ impl<T: Scalar> Kind<Option<T>> for Null {
 pub(crate) struct Dflt;
 
 impl<T: Scalar + Default> Kind<T> for Dflt {
+    #[inline]
     fn emit<S: Sink>(s: &mut S, key: &str, value: &T) {
         s.entry(key, value);
     }
+    #[inline]
     fn read<'a, F: Node<'a>>(v: F, key: &str) -> Result<T, Error> {
         Ok(opt(v, key)?.unwrap_or_default())
     }
@@ -448,11 +436,13 @@ impl<T: Scalar + Default> Kind<T> for Dflt {
 pub(crate) struct Skip;
 
 impl<T: Scalar + Default + PartialEq> Kind<T> for Skip {
+    #[inline]
     fn emit<S: Sink>(s: &mut S, key: &str, value: &T) {
         if *value != T::default() {
             s.entry(key, value);
         }
     }
+    #[inline]
     fn read<'a, F: Node<'a>>(v: F, key: &str) -> Result<T, Error> {
         Ok(opt(v, key)?.unwrap_or_default())
     }
@@ -462,9 +452,11 @@ impl<T: Scalar + Default + PartialEq> Kind<T> for Skip {
 pub(crate) struct Array;
 
 impl<T: Item> Kind<Vec<T>> for Array {
+    #[inline]
     fn emit<S: Sink>(s: &mut S, key: &str, value: &Vec<T>) {
         put_items(s, key, value);
     }
+    #[inline]
     fn read<'a, F: Node<'a>>(v: F, key: &str) -> Result<Vec<T>, Error> {
         take_items::<F, T>(array_items(v, key)?)
     }
@@ -474,9 +466,11 @@ impl<T: Item> Kind<Vec<T>> for Array {
 pub(crate) struct List;
 
 impl<T: Item> Kind<Vec<T>> for List {
+    #[inline]
     fn emit<S: Sink>(s: &mut S, key: &str, value: &Vec<T>) {
         put_items(s, key, value);
     }
+    #[inline]
     fn read<'a, F: Node<'a>>(v: F, key: &str) -> Result<Vec<T>, Error> {
         take_items::<F, T>(list_items(v, key)?)
     }
@@ -487,9 +481,11 @@ impl<T: Item> Kind<Vec<T>> for List {
 pub(crate) struct Flat;
 
 impl<T: Fields> Kind<T> for Flat {
+    #[inline]
     fn emit<S: Sink>(s: &mut S, _key: &str, value: &T) {
         value.fields(s);
     }
+    #[inline]
     fn read<'a, F: Node<'a>>(v: F, _key: &str) -> Result<T, Error> {
         T::read_fields(v)
     }
@@ -509,31 +505,31 @@ impl Kind<Value> for Tree {
     }
 }
 
-/// A tree of any kind, left out when `None`.
-pub(crate) struct OptTree;
-
-impl Kind<Option<Value>> for OptTree {
-    fn emit<S: Sink>(s: &mut S, key: &str, value: &Option<Value>) {
-        s.opt_entry(key, value);
-    }
-    fn read<'a, F: Node<'a>>(v: F, key: &str) -> Result<Option<Value>, Error> {
-        Ok(present(v, key).map(F::to_value))
-    }
-}
-
-/// The [`JobRef`] of a `release` or `poll`: the `machine` beside it may
-/// be left out only when the ref names its own.
+/// The [`JobRef`] of a `release` or `poll`: a bare ref is the integer
+/// it always was, a qualified one its `/`-joined string (parsed per
+/// [`JobRef::parse_str`]). The `machine` beside it may be left out only
+/// when the ref names its own.
 pub(crate) struct Job;
 
 impl Kind<JobRef> for Job {
+    #[inline]
     fn emit<S: Sink>(s: &mut S, key: &str, value: &JobRef) {
-        s.entry(key, value);
+        match value {
+            JobRef::Bare(id) => s.entry(key, id),
+            _ => s.entry(key, &value.to_string()),
+        }
     }
+    #[inline]
     fn read<'a, F: Node<'a>>(v: F, key: &str) -> Result<JobRef, Error> {
         let field = v
             .get(key)
             .ok_or_else(|| Error::msg(format!("missing field {key:?}")))?;
-        let job = JobRef::from_wire(field)?;
+        let job = match field.as_str() {
+            Some(text) => JobRef::parse_str(text)?,
+            None => field.as_u64().map(JobRef::Bare).ok_or_else(|| {
+                Error::msg("job ref must be an integer id or a \"pool/machine/id\" string")
+            })?,
+        };
         if job.machine().is_none() && present(v, "machine").is_none() {
             let op = v.get("op").and_then(F::as_str).unwrap_or_default();
             return Err(Error::msg(format!(
@@ -550,9 +546,11 @@ impl Kind<JobRef> for Job {
 pub(crate) struct Pattern;
 
 impl Kind<Option<CommPattern>> for Pattern {
+    #[inline]
     fn emit<S: Sink>(s: &mut S, key: &str, value: &Option<CommPattern>) {
         s.opt_entry(key, &value.map(|p| p.name()));
     }
+    #[inline]
     fn read<'a, F: Node<'a>>(v: F, key: &str) -> Result<Option<CommPattern>, Error> {
         opt_text(v, key)?
             .map(|name| {
@@ -585,9 +583,11 @@ pub(crate) trait Bound {
 }
 
 impl<B: Bound> Kind<Option<f64>> for B {
+    #[inline]
     fn emit<S: Sink>(s: &mut S, key: &str, value: &Option<f64>) {
         s.opt_entry(key, value);
     }
+    #[inline]
     fn read<'a, F: Node<'a>>(v: F, key: &str) -> Result<Option<f64>, Error> {
         match opt(v, key)? {
             Some(x) if !B::holds(x) => Err(Error::msg(format!(
@@ -670,9 +670,11 @@ impl Kind<Option<String>> for Window {
 pub(crate) struct Finite;
 
 impl Kind<Option<f64>> for Finite {
+    #[inline]
     fn emit<S: Sink>(s: &mut S, key: &str, value: &Option<f64>) {
         s.opt_entry(key, &value.filter(|t| t.is_finite()));
     }
+    #[inline]
     fn read<'a, F: Node<'a>>(v: F, key: &str) -> Result<Option<f64>, Error> {
         opt(v, key)
     }
@@ -729,9 +731,10 @@ impl Kind<Vec<String>> for Names {
 /// - `[ok false]`: the error response, `"ok":false`;
 /// - `[rec "grant"]`: a journal record (whose caller writes `"seq"`).
 ///
-/// A field's row is its docs, its name, `= "key"` when the wire key is
-/// not the name, its Rust type, and its **kind**, which says how it
-/// travels. Fields are written, and read, in row order. The kinds:
+/// A fact is a struct whose rows are its fields (all `pub`). A field's
+/// row is its docs, its name, `= "key"` when the wire key is not the
+/// name, its Rust type, and its **kind**, which says how it travels.
+/// Fields are written, and read, in row order. The kinds:
 ///
 /// - [`Req`] — required;
 /// - [`Opt`] — left out when `None`;
@@ -748,10 +751,11 @@ impl Kind<Vec<String>> for Names {
 ///   machine-or-qualified-ref rule), [`Pattern`] (by name),
 ///   [`Walltime`], [`Weight`] and [`Quota`] (validated numbers),
 ///   [`Format`] (always emitted, absent reads `"json"`) and [`Window`]
-///   (the `metrics` sets), [`Finite`] (`reserved_start`), [`Tree`] and
-///   [`OptTree`] (tree-valued fields), [`Unnested`] (a `batch` and its
-///   no-nesting rule), [`Names`], and the journal's `Members` and
-///   `Tenants` (snapshot `tenants`: left out when empty).
+///   (the `metrics` sets), [`Finite`] (`reserved_start`), [`Tree`] (a
+///   required tree-valued field; an optional one is [`Opt`]),
+///   [`Unnested`] (a `batch` and its no-nesting rule), [`Names`], and
+///   the journal's `Members` and `Tenants` (snapshot `tenants`: left
+///   out when empty).
 ///
 /// A kind is a unit type implementing [`Kind`] for the field's type, so
 /// a new kind is one impl and a new field is one row.
@@ -898,6 +902,7 @@ macro_rules! wire {
                 $( $crate::protocol::wire!(@put s &self.$f, $ty => $kind, $f $($key)?); )*
             }
 
+            #[inline]
             #[deny(clippy::unwrap_used, clippy::expect_used)]
             fn read_fields<'a, F: ::serde_json::Node<'a>>(v: F) -> Result<Self, ::serde::Error> {
                 Ok($Name {
@@ -933,6 +938,7 @@ macro_rules! wire {
         }
 
         impl $crate::protocol::Fields for $Enum {
+            #[inline]
             fn fields<S: ::serde_json::Sink>(&self, s: &mut S) {
                 match self {
                     $(
@@ -946,6 +952,7 @@ macro_rules! wire {
                 }
             }
 
+            #[inline]
             #[deny(clippy::unwrap_used, clippy::expect_used)]
             fn read_fields<'a, F: ::serde_json::Node<'a>>(v: F) -> Result<Self, ::serde::Error> {
                 Ok(match $crate::protocol::wire!(@tag v [$([$($head)*])*]) {
@@ -1168,7 +1175,7 @@ wire! {
             code: Option<String> => Opt,
             /// Structured detail for coded errors (e.g. `usage`/`limit`
             /// for quota denials, the owning `machines` for collisions).
-            detail: Option<Value> => OptTree,
+            detail: Option<Value> => Opt,
         },
         /// Registration succeeded.
         Registered [ok "register"] {
@@ -1256,7 +1263,7 @@ wire! {
             /// now (`code`, `detail`, and optionally `blocking_job` /
             /// `until` — the rendering of a scheduler
             /// [`commalloc::scheduler::BlockReason`]).
-            explain: Option<Value> => OptTree,
+            explain: Option<Value> => Opt,
             /// The machine the job was resolved to (pool-addressed and
             /// qualified-ref polls only).
             machine: Option<String> => Opt,
