@@ -233,6 +233,7 @@ enum Backing {
         /// 2-D machine — MBS, paging, genetic — can serve patterned
         /// jobs the same way).
         probe: CurveOrder,
+        memo: ScoreMemo,
     },
     /// A 3-D mesh served by one-dimensional reduction along a 3-D curve,
     /// with the free-interval index as the single source of truth.
@@ -241,8 +242,20 @@ enum Backing {
         curve: Curve3Order,
         index: FreeIntervalIndex,
         strategy: SelectionStrategy,
+        memo: ScoreMemo,
     },
 }
+
+/// The scores of windows this machine has weighed, keyed by `(curve
+/// start, size, pattern)`. The curve is fixed, so a start and a size
+/// name a window's nodes exactly, and a score is a pure function of the
+/// mesh, those nodes, the pattern and the job id, of which only the
+/// `Random` pattern reads the id: every other key scores the same for
+/// every job, whatever the occupancy. So the memo is never invalidated,
+/// never journaled or snapshotted (a re-registered or recovered machine
+/// starts empty), and `Random` is never stored. It is cleared when it
+/// holds [`Backing::MEMO_CAP`] entries.
+type ScoreMemo = HashMap<(usize, usize, CommPattern), ScoreBreakdown>;
 
 impl Backing {
     fn total_nodes(&self) -> usize {
@@ -267,7 +280,7 @@ impl Backing {
     /// success. Does not touch the queue or metrics.
     ///
     /// A declared communication pattern reroutes the decision through
-    /// [`Backing::scored_candidates`]: the fitting candidate node set
+    /// [`Backing::best_window`]: the fitting candidate node set
     /// with the **lowest predicted contention** wins, committed straight
     /// onto the occupancy state (safe behind the allocator's back — the
     /// 2-D allocators resynchronise from the machine bitmap via the
@@ -330,12 +343,13 @@ impl Backing {
         }
     }
 
-    /// Candidate placements for a patterned job: windows of `size`
-    /// consecutive free positions, one per maximal free run along the
-    /// probe curve (2-D) or free-interval index (3-D), capped at
-    /// [`Backing::CANDIDATE_CAP`] in curve order. Empty when no run is
-    /// long enough — the caller falls back to the unpatterned path.
-    fn scored_candidates(&self, size: usize) -> Vec<Vec<NodeId>> {
+    /// Candidate placements for a patterned job, as curve starts:
+    /// windows of `size` consecutive free positions, one per maximal free
+    /// run along the probe curve (2-D) or free-interval index (3-D),
+    /// capped at [`Backing::CANDIDATE_CAP`] in curve order. Empty when no
+    /// run is long enough — the caller falls back to the unpatterned
+    /// path.
+    fn window_starts(&self, size: usize) -> Vec<usize> {
         if size == 0 || size > self.num_free() {
             return Vec::new();
         }
@@ -354,19 +368,24 @@ impl Backing {
                         run == size
                     })
                     .take(Self::CANDIDATE_CAP)
-                    .map(|end| (end + 1 - size..=end).map(|r| probe.node_at(r)).collect())
+                    .map(|end| end + 1 - size)
                     .collect()
             }
-            Backing::ThreeD { curve, index, .. } => index
+            Backing::ThreeD { index, .. } => index
                 .intervals()
                 .filter(|iv| iv.len >= size)
                 .take(Self::CANDIDATE_CAP)
-                .map(|iv| {
-                    (iv.start..iv.start + size)
-                        .map(|r| curve.node_at(r))
-                        .collect()
-                })
+                .map(|iv| iv.start)
                 .collect(),
+        }
+    }
+
+    /// The nodes of the window of `size` curve positions from `start`.
+    fn window(&self, start: usize, size: usize) -> Vec<NodeId> {
+        let ranks = start..start + size;
+        match self {
+            Backing::TwoD { probe, .. } => ranks.map(|r| probe.node_at(r)).collect(),
+            Backing::ThreeD { curve, .. } => ranks.map(|r| curve.node_at(r)).collect(),
         }
     }
 
@@ -374,6 +393,14 @@ impl Backing {
     /// score runs a message-level simulation, so an unboundedly
     /// fragmented machine must not make one grant arbitrarily slow.
     const CANDIDATE_CAP: usize = 8;
+
+    /// The [`ScoreMemo`] is cleared when it holds this many entries.
+    /// Std's map fills to 7/8 of a power-of-two slot count, so 1 792
+    /// entries never take more than 2 048 slots of 49 bytes (a 24-byte
+    /// key, a 24-byte score, a control byte): about 98 KiB per machine
+    /// at worst. At the next power of two, `trace_replay`'s peak RSS
+    /// read 12 % higher.
+    const MEMO_CAP: usize = 1792;
 
     /// Scores a candidate against the declared pattern (lower total is
     /// better). Deterministic in `(backing mesh, nodes, pattern,
@@ -394,33 +421,60 @@ impl Backing {
         }
     }
 
+    /// [`Backing::score_candidate`] of the window at curve `start`,
+    /// computed once per machine and read from the [`ScoreMemo`] after
+    /// (except for the job-seeded `Random` pattern).
+    fn score_window(
+        &mut self,
+        start: usize,
+        size: usize,
+        pattern: CommPattern,
+        job_id: u64,
+    ) -> ScoreBreakdown {
+        let fresh =
+            |backing: &Self| backing.score_candidate(&backing.window(start, size), pattern, job_id);
+        if pattern == CommPattern::Random {
+            return fresh(self);
+        }
+        let key = (start, size, pattern);
+        let (Backing::TwoD { memo, .. } | Backing::ThreeD { memo, .. }) = self;
+        if let Some(&score) = memo.get(&key) {
+            return score;
+        }
+        let score = fresh(self);
+        let (Backing::TwoD { memo, .. } | Backing::ThreeD { memo, .. }) = self;
+        if memo.len() >= Self::MEMO_CAP {
+            memo.clear();
+        }
+        memo.insert(key, score);
+        score
+    }
+
     /// The fitting candidate with the lowest predicted contention (ties
     /// break towards the earlier curve position), or `None` when no
     /// contiguous window fits, with the winner's breakdown and how many
     /// candidates were weighed. A lone candidate wins unscored unless
     /// `score_lone`: the arg-min of one window needs no score, so only a
     /// reader of the score (calibration, the comm-aware router's
-    /// sample) pays for it. Read-only.
+    /// sample) pays for it. Scores go through the machine's memo, so
+    /// this may fill it; occupancy is not touched.
     fn best_window(
-        &self,
+        &mut self,
         job_id: u64,
         size: usize,
         pattern: CommPattern,
         score_lone: bool,
     ) -> Option<ScoredGrant> {
-        let mut candidates = self.scored_candidates(size);
-        let considered = candidates.len();
+        let starts = self.window_starts(size);
+        let considered = starts.len();
         if considered == 1 && !score_lone {
-            return candidates.pop().map(|nodes| (nodes, None));
+            return Some((self.window(starts[0], size), None));
         }
-        candidates
+        starts
             .into_iter()
-            .map(|nodes| {
-                let score = self.score_candidate(&nodes, pattern, job_id);
-                (nodes, score)
-            })
+            .map(|start| (start, self.score_window(start, size, pattern, job_id)))
             .min_by(|(_, a), (_, b)| a.total().total_cmp(&b.total()))
-            .map(|(nodes, score)| (nodes, Some((score, considered))))
+            .map(|(start, score)| (self.window(start, size), Some((score, considered))))
     }
 
     /// Re-occupies exactly `nodes` — the journal-recovery path, which
@@ -638,6 +692,7 @@ impl MachineEntry {
                 allocator: kind.build(mesh),
                 kind,
                 probe: CurveOrder::build(CurveKind::Hilbert, mesh),
+                memo: ScoreMemo::new(),
             },
             scheduler,
             tenants,
@@ -665,6 +720,7 @@ impl MachineEntry {
                 curve,
                 index,
                 strategy,
+                memo: ScoreMemo::new(),
             },
             scheduler,
             tenants,
@@ -846,9 +902,9 @@ impl MachineEntry {
     /// pattern, `contention` carries the lowest predicted contention this
     /// machine could offer it right now (`None` when no contiguous window
     /// fits, or no pattern was declared). The comm-aware routing policy
-    /// keys on this field.
+    /// keys on this field. Scoring may fill the machine's score memo.
     pub fn sample_for(
-        &self,
+        &mut self,
         job_id: u64,
         size: usize,
         pattern: Option<CommPattern>,
@@ -1889,6 +1945,99 @@ mod tests {
             })
             .unwrap();
         }
+    }
+
+    /// The decision with every window scored afresh: no memo read.
+    fn fresh_best(
+        b: &Backing,
+        job: u64,
+        size: usize,
+        pattern: CommPattern,
+    ) -> Option<(Vec<NodeId>, Option<ScoreBreakdown>)> {
+        b.window_starts(size)
+            .into_iter()
+            .map(|start| b.window(start, size))
+            .map(|nodes| (b.score_candidate(&nodes, pattern, job), nodes))
+            .min_by(|(a, _), (b, _)| a.total().total_cmp(&b.total()))
+            .map(|(score, nodes)| (nodes, Some(score)))
+    }
+
+    fn memo_len(b: &Backing) -> usize {
+        let (Backing::TwoD { memo, .. } | Backing::ThreeD { memo, .. }) = b;
+        memo.len()
+    }
+
+    #[test]
+    fn the_score_memo_changes_no_decision() {
+        // Seeded patterned alloc/release churn; sizes from a short list,
+        // so windows, sizes and patterns recur across jobs.
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let r = AllocationService::new();
+        r.register("m0", "16x16", None, None, None).unwrap();
+        r.register("cube", "8x8x4", None, None, None).unwrap();
+        for (name, seed) in [("m0", 1), ("m0", 2), ("cube", 3), ("cube", 4)] {
+            r.with_entry(name, |m| {
+                let b = &mut m.backing;
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut live: Vec<(u64, Vec<NodeId>)> = Vec::new();
+                let mut seen = [false; 9];
+                for job in 1..=300 {
+                    if !live.is_empty() && rng.gen_bool(0.4) {
+                        let (id, nodes) = live.swap_remove(rng.gen_range(0..live.len()));
+                        b.release(&nodes, id);
+                        continue;
+                    }
+                    let size: usize = [2, 3, 5, 8, 13, 20, 32, 48][rng.gen_range(0..8usize)];
+                    let at: usize = rng.gen_range(0..9);
+                    let pattern = CommPattern::all()[at];
+                    seen[at] = true;
+                    let got = b.best_window(job, size, pattern, true);
+                    let got = got.map(|(nodes, scored)| (nodes, scored.map(|(score, _)| score)));
+                    assert_eq!(
+                        got,
+                        fresh_best(b, job, size, pattern),
+                        "{name} seed {seed}: job {job}, {pattern} x{size}"
+                    );
+                    if let Some((nodes, _)) = b.try_allocate(job, size, Some(pattern), false) {
+                        live.push((job, nodes));
+                    }
+                }
+                assert_eq!(seen, [true; 9], "{name} seed {seed}: every pattern drawn");
+                assert!(memo_len(b) > 0);
+                Ok(())
+            })
+            .unwrap();
+        }
+    }
+
+    #[test]
+    fn a_full_score_memo_is_cleared_and_answers_alike() {
+        let r = AllocationService::new();
+        r.register("m0", "8x8", None, None, None).unwrap();
+        r.with_entry("m0", |m| {
+            let b = &mut m.backing;
+            let keys: Vec<(usize, usize, CommPattern)> = (1..=64)
+                .flat_map(|size| (0..=64 - size).map(move |start| (start, size)))
+                .flat_map(|(start, size)| CommPattern::all().map(|p| (start, size, p)))
+                .filter(|&(_, _, p)| p != CommPattern::Random)
+                .take(Backing::MEMO_CAP + 8)
+                .collect();
+            let fresh = |b: &Backing, (start, size, p): (usize, usize, CommPattern)| {
+                b.score_candidate(&b.window(start, size), p, 7)
+            };
+            for (i, &key) in keys.iter().enumerate() {
+                let score = b.score_window(key.0, key.1, key.2, 7);
+                assert_eq!(score, fresh(b, key));
+                assert_eq!(memo_len(b), i % Backing::MEMO_CAP + 1, "cleared at the cap");
+                // A deterministic pattern's memoised score serves any job.
+                assert_eq!(b.score_window(key.0, key.1, key.2, 8), score);
+            }
+            for &key in &keys[..16] {
+                assert_eq!(b.score_window(key.0, key.1, key.2, 7), fresh(b, key));
+            }
+            Ok(())
+        })
+        .unwrap();
     }
 
     #[test]

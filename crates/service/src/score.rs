@@ -23,6 +23,13 @@
 //! SplitMix64, so the offline cluster router and the live service compute
 //! byte-identical scores — the property the cluster sim-equivalence
 //! harness extends over the comm-aware policy.
+//!
+//! The same determinism lets a machine reuse a score. Only `Random`
+//! reads the job id, and nothing here reads occupancy, so every other
+//! pattern scores a given node set alike for every job and at every
+//! moment. A machine's candidate windows are runs of its fixed curve, so
+//! it keeps each window's score by `(curve start, size, pattern)` and
+//! computes it once (`registry.rs`, `ScoreMemo`).
 
 use commalloc_mesh::{Mesh2D, Mesh3D, NodeId};
 use commalloc_net::msglevel::{Message, MessageLevelNetwork};
@@ -32,7 +39,8 @@ use rand::SeedableRng;
 
 /// Cap on simulated messages per score: one all-to-all iteration is
 /// O(p²) messages, so large jobs are thinned (deterministically, by
-/// stride) to keep a single score O(cap × hops) events.
+/// stride) to keep a single score O(cap × hops) events. Only the kept
+/// messages are ever built.
 const MAX_SCORED_MESSAGES: usize = 2048;
 
 /// The SplitMix64 stream's increment (the golden-ratio constant).
@@ -95,20 +103,18 @@ pub fn predicted_contention_2d(
 ) -> ScoreBreakdown {
     let p = nodes.len();
     let mut rng = StdRng::seed_from_u64(splitmix64(job_id));
-    let pairs = pattern.iteration_messages(p, &mut rng);
-    let stride = pairs.len().div_ceil(MAX_SCORED_MESSAGES).max(1);
-    let messages: Vec<Message> = pairs
-        .iter()
-        .step_by(stride)
-        .enumerate()
-        .map(|(i, &(src, dst))| Message {
-            id: i as u64,
+    let count = pattern.messages_per_iteration(p) as usize;
+    let stride = count.div_ceil(MAX_SCORED_MESSAGES).max(1);
+    let mut messages = Vec::with_capacity(count.div_ceil(stride));
+    pattern.visit_messages(p, &mut rng, stride, |(src, dst)| {
+        messages.push(Message {
+            id: messages.len() as u64,
             src: nodes[src],
             dst: nodes[dst],
             inject_at: 0.0,
             service_time: 1.0,
         })
-        .collect();
+    });
     let mean = MessageLevelNetwork::new(mesh)
         .simulate(&messages)
         .mean_latency();

@@ -10,7 +10,10 @@
 //! * an **explicit message list** ([`CommPattern::iteration_messages`]) — the
 //!   messages of one pattern iteration in order, used by the flit-level and
 //!   message-level simulators. Iterations are repeated until a job's message
-//!   quota is met, exactly as in the paper.
+//!   quota is met, exactly as in the paper. The list is the walk
+//!   [`CommPattern::visit_messages`] makes, collected; a consumer that
+//!   thins the iteration (the placement scorer) visits every
+//!   `stride`-th message instead and never builds the rest.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -151,50 +154,81 @@ impl CommPattern {
                     + CommPattern::AllPairsPingPong.messages_per_iteration(p)
                     + CommPattern::Ring.messages_per_iteration(p)
             }
-            CommPattern::Stencil2D => stencil_messages(p).len() as u64,
-            CommPattern::Butterfly => butterfly_messages(p).len() as u64,
-            CommPattern::BroadcastTree => broadcast_tree_messages(p).len() as u64,
+            CommPattern::Stencil2D => stencil_messages(p).count() as u64,
+            CommPattern::Butterfly => butterfly_messages(p).count() as u64,
+            CommPattern::BroadcastTree => broadcast_tree_messages(p).count() as u64,
         }
     }
 
-    /// The messages (ordered `(src_rank, dst_rank)` pairs) of one iteration.
-    ///
-    /// The random pattern draws a single random pair per iteration using
-    /// `rng`; all other patterns are deterministic and ignore it.
+    /// The messages (ordered `(src_rank, dst_rank)` pairs) of one
+    /// iteration: every one [`CommPattern::visit_messages`] visits.
     pub fn iteration_messages<R: Rng + ?Sized>(
         &self,
         p: usize,
         rng: &mut R,
     ) -> Vec<(usize, usize)> {
+        let mut msgs = Vec::with_capacity(self.messages_per_iteration(p) as usize);
+        self.visit_messages(p, rng, 1, |m| msgs.push(m));
+        msgs
+    }
+
+    /// Hands `visit` every `stride`-th message of one iteration, from the
+    /// first and in order: the pairs `iteration_messages(..).iter()
+    /// .step_by(stride)` gives, with the rest never built. A countdown
+    /// picks them as the pattern's iterator is walked:
+    /// `step_by` would reach each through `nth`, which costs two to four
+    /// times as much on the short iterations that keep every message.
+    ///
+    /// # Panics
+    ///
+    /// If `stride` is 0.
+    pub fn visit_messages<R: Rng + ?Sized>(
+        &self,
+        p: usize,
+        rng: &mut R,
+        stride: usize,
+        mut visit: impl FnMut((usize, usize)),
+    ) {
+        assert!(stride > 0, "a message stride must be positive");
+        if stride == 1 {
+            return self.walk_messages(p, rng, visit);
+        }
+        let mut skip = 0;
+        self.walk_messages(p, rng, |m| {
+            if skip == 0 {
+                visit(m);
+                skip = stride;
+            }
+            skip -= 1;
+        })
+    }
+
+    /// Hands `visit` every message of one iteration, in order: the one
+    /// definition of each pattern's message order. Each pattern's
+    /// iterator is walked by `for_each`, which compiles to its loops.
+    ///
+    /// The random pattern draws its single pair from `rng`; all other
+    /// patterns are deterministic and ignore it.
+    fn walk_messages<R: Rng + ?Sized>(
+        &self,
+        p: usize,
+        rng: &mut R,
+        mut visit: impl FnMut((usize, usize)),
+    ) {
         if p < 2 {
-            return Vec::new();
+            return;
         }
         match self {
-            CommPattern::AllToAll => {
-                let mut msgs = Vec::with_capacity(p * (p - 1));
-                for i in 0..p {
-                    for j in 0..p {
-                        if i != j {
-                            msgs.push((i, j));
-                        }
-                    }
-                }
-                msgs
-            }
+            CommPattern::AllToAll => all_to_all_messages(p).for_each(visit),
             CommPattern::NBody => {
-                // For even p the chordal pairing is mutual (i ↔ i + p/2), so
+                // ⌊p/2⌋ ring subphases, then the chordal subphase. For
+                // even p the chordal pairing is mutual (i ↔ i + p/2), so
                 // only ranks below p/2 initiate a chordal message.
                 let chord_senders = if p.is_multiple_of(2) { p / 2 } else { p };
-                let mut msgs = Vec::with_capacity((p / 2) * p + chord_senders);
-                for _phase in 0..p / 2 {
-                    for i in 0..p {
-                        msgs.push((i, (i + 1) % p));
-                    }
-                }
-                for i in 0..chord_senders {
-                    msgs.push((i, (i + p / 2) % p));
-                }
-                msgs
+                (0..p / 2)
+                    .flat_map(|_| ring_messages(p))
+                    .chain((0..chord_senders).map(|i| (i, (i + p / 2) % p)))
+                    .for_each(visit)
             }
             CommPattern::Random => {
                 let src = rng.gen_range(0..p);
@@ -202,28 +236,17 @@ impl CommPattern {
                 if dst >= src {
                     dst += 1;
                 }
-                vec![(src, dst)]
+                visit((src, dst))
             }
-            CommPattern::Ring => (0..p).map(|i| (i, (i + 1) % p)).collect(),
-            CommPattern::Stencil2D => stencil_messages(p),
-            CommPattern::Butterfly => butterfly_messages(p),
-            CommPattern::BroadcastTree => broadcast_tree_messages(p),
-            CommPattern::AllPairsPingPong => {
-                let mut msgs = Vec::with_capacity(p * (p - 1));
-                for i in 0..p {
-                    for j in i + 1..p {
-                        msgs.push((i, j));
-                        msgs.push((j, i));
-                    }
-                }
-                msgs
-            }
-            CommPattern::TestSuite => {
-                let mut msgs = CommPattern::AllToAll.iteration_messages(p, rng);
-                msgs.extend(CommPattern::AllPairsPingPong.iteration_messages(p, rng));
-                msgs.extend(CommPattern::Ring.iteration_messages(p, rng));
-                msgs
-            }
+            CommPattern::Ring => ring_messages(p).for_each(visit),
+            CommPattern::Stencil2D => stencil_messages(p).for_each(visit),
+            CommPattern::Butterfly => butterfly_messages(p).for_each(visit),
+            CommPattern::BroadcastTree => broadcast_tree_messages(p).for_each(visit),
+            CommPattern::AllPairsPingPong => ping_pong_messages(p).for_each(visit),
+            CommPattern::TestSuite => all_to_all_messages(p)
+                .chain(ping_pong_messages(p))
+                .chain(ring_messages(p))
+                .for_each(visit),
         }
     }
 
@@ -341,14 +364,10 @@ impl CommPattern {
             CommPattern::Stencil2D | CommPattern::Butterfly | CommPattern::BroadcastTree => {
                 // Deterministic extension patterns: every message of one
                 // iteration carries an equal share of the job's traffic.
-                let msgs = match self {
-                    CommPattern::Stencil2D => stencil_messages(p),
-                    CommPattern::Butterfly => butterfly_messages(p),
-                    _ => broadcast_tree_messages(p),
-                };
-                let w = 1.0 / msgs.len() as f64;
+                let w = 1.0 / self.messages_per_iteration(p) as f64;
                 merge_entries(
-                    msgs.into_iter()
+                    self.iteration_messages(p, rng)
+                        .into_iter()
                         .map(|(src, dst)| TrafficEntry {
                             src,
                             dst,
@@ -361,67 +380,62 @@ impl CommPattern {
     }
 }
 
+/// Messages of one all-to-all iteration: rank `i` to every other rank,
+/// `i` in order, then its destinations in order.
+fn all_to_all_messages(p: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..p).flat_map(move |i| (0..i).chain(i + 1..p).map(move |j| (i, j)))
+}
+
+/// Messages of one all-pairs ping-pong: for every pair `i < j` in order,
+/// `i → j` then `j → i`.
+fn ping_pong_messages(p: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..p).flat_map(move |i| (i + 1..p).flat_map(move |j| [(i, j), (j, i)]))
+}
+
+/// Messages of one ring iteration: every rank to its successor.
+fn ring_messages(p: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..p).map(move |i| (i, (i + 1) % p))
+}
+
 /// Messages of one five-point-stencil halo exchange: ranks are laid out
 /// row-major on the near-square grid of [`CommPattern::stencil_grid`] and
-/// each rank sends to every existing up/down/left/right neighbour.
-fn stencil_messages(p: usize) -> Vec<(usize, usize)> {
+/// each rank sends to every existing left/right/up/down neighbour, in
+/// that order.
+fn stencil_messages(p: usize) -> impl Iterator<Item = (usize, usize)> {
     let (cols, _rows) = CommPattern::stencil_grid(p);
-    let mut msgs = Vec::with_capacity(4 * p);
-    for rank in 0..p {
+    (0..p).flat_map(move |rank| {
         let (col, row) = (rank % cols, rank / cols);
-        let mut push_if_valid = |c: isize, r: isize| {
-            if c < 0 || r < 0 {
-                return;
-            }
-            let (c, r) = (c as usize, r as usize);
-            if c >= cols {
-                return;
-            }
-            let neighbour = r * cols + c;
-            if neighbour < p && neighbour != rank {
-                msgs.push((rank, neighbour));
-            }
-        };
-        push_if_valid(col as isize - 1, row as isize);
-        push_if_valid(col as isize + 1, row as isize);
-        push_if_valid(col as isize, row as isize - 1);
-        push_if_valid(col as isize, row as isize + 1);
-    }
-    msgs
+        let left = (col > 0).then(|| rank - 1);
+        let right = (col + 1 < cols).then_some(rank + 1);
+        let up = (row > 0).then(|| rank - cols);
+        [left, right, up, Some(rank + cols)]
+            .into_iter()
+            .flatten()
+            .filter(move |&neighbour| neighbour < p)
+            .map(move |neighbour| (rank, neighbour))
+    })
 }
 
 /// Messages of one butterfly (recursive-doubling) exchange: for every
 /// dimension `d`, rank `i` sends to `i XOR 2^d` when that partner exists.
-fn butterfly_messages(p: usize) -> Vec<(usize, usize)> {
-    let dims = usize::BITS - (p - 1).leading_zeros();
-    let mut msgs = Vec::new();
-    for d in 0..dims {
+fn butterfly_messages(p: usize) -> impl Iterator<Item = (usize, usize)> {
+    let dims = usize::BITS - p.saturating_sub(1).leading_zeros();
+    (0..dims).flat_map(move |d| {
         let bit = 1usize << d;
-        for i in 0..p {
+        (0..p).filter_map(move |i| {
             let partner = i ^ bit;
-            if partner < p {
-                msgs.push((i, partner));
-            }
-        }
-    }
-    msgs
+            (partner < p).then_some((i, partner))
+        })
+    })
 }
 
 /// Messages of one binomial-tree broadcast from rank 0: in round `k`, every
 /// rank below `2^k` forwards to the rank `2^k` above it (if it exists).
-fn broadcast_tree_messages(p: usize) -> Vec<(usize, usize)> {
-    let mut msgs = Vec::with_capacity(p.saturating_sub(1));
-    let mut span = 1usize;
-    while span < p {
-        for i in 0..span {
-            let dst = i + span;
-            if dst < p {
-                msgs.push((i, dst));
-            }
-        }
-        span *= 2;
-    }
-    msgs
+fn broadcast_tree_messages(p: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..usize::BITS)
+        .map(|k| 1usize << k)
+        .take_while(move |&span| span < p)
+        .flat_map(move |span| (0..span.min(p - span)).map(move |i| (i, i + span)))
 }
 
 impl fmt::Display for CommPattern {
@@ -530,6 +544,98 @@ mod tests {
                 pattern,
                 p
             );
+        }
+    }
+
+    /// Each pattern's messages built by explicit loops into one `Vec`:
+    /// the reference order the walk must keep.
+    fn listed_messages(pattern: CommPattern, p: usize, rng: &mut StdRng) -> Vec<(usize, usize)> {
+        let mut msgs = Vec::new();
+        if p < 2 {
+            return msgs;
+        }
+        let all_to_all = (0..p).flat_map(|i| (0..p).map(move |j| (i, j)));
+        let ring: Vec<_> = (0..p).map(|i| (i, (i + 1) % p)).collect();
+        match pattern {
+            CommPattern::AllToAll => msgs.extend(all_to_all.filter(|(i, j)| i != j)),
+            CommPattern::NBody => {
+                for _ in 0..p / 2 {
+                    msgs.extend(&ring);
+                }
+                let chord_senders = if p.is_multiple_of(2) { p / 2 } else { p };
+                msgs.extend((0..chord_senders).map(|i| (i, (i + p / 2) % p)));
+            }
+            CommPattern::Random => {
+                let src = rng.gen_range(0..p);
+                let dst = rng.gen_range(0..p - 1);
+                msgs.push((src, dst + usize::from(dst >= src)));
+            }
+            CommPattern::Ring => msgs = ring,
+            CommPattern::AllPairsPingPong => {
+                for (i, j) in all_to_all.filter(|(i, j)| i < j) {
+                    msgs.extend([(i, j), (j, i)]);
+                }
+            }
+            CommPattern::TestSuite => {
+                for sub in [
+                    CommPattern::AllToAll,
+                    CommPattern::AllPairsPingPong,
+                    CommPattern::Ring,
+                ] {
+                    msgs.extend(listed_messages(sub, p, rng));
+                }
+            }
+            CommPattern::Stencil2D => {
+                let cols = CommPattern::stencil_grid(p).0 as isize;
+                for rank in 0..p as isize {
+                    let (c, r) = (rank % cols, rank / cols);
+                    for (c, r) in [(c - 1, r), (c + 1, r), (c, r - 1), (c, r + 1)] {
+                        let n = r * cols + c;
+                        if c >= 0 && r >= 0 && c < cols && n < p as isize && n != rank {
+                            msgs.push((rank as usize, n as usize));
+                        }
+                    }
+                }
+            }
+            CommPattern::Butterfly => {
+                for d in 0..usize::BITS - (p - 1).leading_zeros() {
+                    msgs.extend((0..p).map(|i| (i, i ^ (1 << d))).filter(|&(_, j)| j < p));
+                }
+            }
+            CommPattern::BroadcastTree => {
+                let mut span = 1;
+                while span < p {
+                    msgs.extend((0..span).map(|i| (i, i + span)).filter(|&(_, j)| j < p));
+                    span *= 2;
+                }
+            }
+        }
+        msgs
+    }
+
+    #[test]
+    fn thinned_message_streams_keep_the_listed_pairs_in_order() {
+        // The scorer keeps every `stride`-th message of the stream, with
+        // the stride taken from the declared count; the kept pairs must be
+        // those a thinned list gives, for every pattern and job size.
+        for pattern in CommPattern::all() {
+            for p in 0..=300 {
+                let listed = listed_messages(pattern, p, &mut rng());
+                assert_eq!(
+                    pattern.iteration_messages(p, &mut rng()),
+                    listed,
+                    "{pattern} p={p}"
+                );
+                for cap in [2048, 7] {
+                    let stride = (pattern.messages_per_iteration(p) as usize)
+                        .div_ceil(cap)
+                        .max(1);
+                    let mut kept = Vec::new();
+                    pattern.visit_messages(p, &mut rng(), stride, |m| kept.push(m));
+                    let thinned: Vec<_> = listed.iter().copied().step_by(stride).collect();
+                    assert_eq!(kept, thinned, "{pattern} p={p} cap={cap}");
+                }
+            }
         }
     }
 
