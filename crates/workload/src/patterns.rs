@@ -191,6 +191,7 @@ impl CommPattern {
     ) {
         assert!(stride > 0, "a message stride must be positive");
         if stride == 1 {
+            // No countdown: it made the full walk up to 3× slower.
             return self.walk_messages(p, rng, visit);
         }
         let mut skip = 0;
