@@ -167,17 +167,22 @@ impl CommPattern {
         p: usize,
         rng: &mut R,
     ) -> Vec<(usize, usize)> {
-        let mut msgs = Vec::with_capacity(self.messages_per_iteration(p) as usize);
+        let mut msgs = Vec::new();
         self.visit_messages(p, rng, 1, |m| msgs.push(m));
         msgs
     }
 
     /// Hands `visit` every `stride`-th message of one iteration, from the
     /// first and in order: the pairs `iteration_messages(..).iter()
-    /// .step_by(stride)` gives, with the rest never built. A countdown
-    /// picks them as the pattern's iterator is walked:
-    /// `step_by` would reach each through `nth`, which costs two to four
-    /// times as much on the short iterations that keep every message.
+    /// .step_by(stride)` gives, with the rest never built. This is the one
+    /// definition of each pattern's message order. Each pattern's iterator
+    /// is walked by `for_each`, which compiles to its loops, and a
+    /// countdown picks the kept messages: `step_by` would reach each
+    /// through `nth`, which costs two to four times as much on the short
+    /// iterations that keep every message.
+    ///
+    /// The random pattern draws its single pair from `rng`; all other
+    /// patterns are deterministic and ignore it.
     ///
     /// # Panics
     ///
@@ -190,37 +195,19 @@ impl CommPattern {
         mut visit: impl FnMut((usize, usize)),
     ) {
         assert!(stride > 0, "a message stride must be positive");
-        if stride == 1 {
-            // No countdown: it made the full walk up to 3× slower.
-            return self.walk_messages(p, rng, visit);
+        if p < 2 {
+            return;
         }
         let mut skip = 0;
-        self.walk_messages(p, rng, |m| {
+        let mut keep = |m| {
             if skip == 0 {
                 visit(m);
                 skip = stride;
             }
             skip -= 1;
-        })
-    }
-
-    /// Hands `visit` every message of one iteration, in order: the one
-    /// definition of each pattern's message order. Each pattern's
-    /// iterator is walked by `for_each`, which compiles to its loops.
-    ///
-    /// The random pattern draws its single pair from `rng`; all other
-    /// patterns are deterministic and ignore it.
-    fn walk_messages<R: Rng + ?Sized>(
-        &self,
-        p: usize,
-        rng: &mut R,
-        mut visit: impl FnMut((usize, usize)),
-    ) {
-        if p < 2 {
-            return;
-        }
+        };
         match self {
-            CommPattern::AllToAll => all_to_all_messages(p).for_each(visit),
+            CommPattern::AllToAll => all_to_all_messages(p).for_each(keep),
             CommPattern::NBody => {
                 // ⌊p/2⌋ ring subphases, then the chordal subphase. For
                 // even p the chordal pairing is mutual (i ↔ i + p/2), so
@@ -229,7 +216,7 @@ impl CommPattern {
                 (0..p / 2)
                     .flat_map(|_| ring_messages(p))
                     .chain((0..chord_senders).map(|i| (i, (i + p / 2) % p)))
-                    .for_each(visit)
+                    .for_each(keep)
             }
             CommPattern::Random => {
                 let src = rng.gen_range(0..p);
@@ -237,17 +224,17 @@ impl CommPattern {
                 if dst >= src {
                     dst += 1;
                 }
-                visit((src, dst))
+                keep((src, dst))
             }
-            CommPattern::Ring => ring_messages(p).for_each(visit),
-            CommPattern::Stencil2D => stencil_messages(p).for_each(visit),
-            CommPattern::Butterfly => butterfly_messages(p).for_each(visit),
-            CommPattern::BroadcastTree => broadcast_tree_messages(p).for_each(visit),
-            CommPattern::AllPairsPingPong => ping_pong_messages(p).for_each(visit),
+            CommPattern::Ring => ring_messages(p).for_each(keep),
+            CommPattern::Stencil2D => stencil_messages(p).for_each(keep),
+            CommPattern::Butterfly => butterfly_messages(p).for_each(keep),
+            CommPattern::BroadcastTree => broadcast_tree_messages(p).for_each(keep),
+            CommPattern::AllPairsPingPong => ping_pong_messages(p).for_each(keep),
             CommPattern::TestSuite => all_to_all_messages(p)
                 .chain(ping_pong_messages(p))
                 .chain(ring_messages(p))
-                .for_each(visit),
+                .for_each(keep),
         }
     }
 
@@ -365,10 +352,10 @@ impl CommPattern {
             CommPattern::Stencil2D | CommPattern::Butterfly | CommPattern::BroadcastTree => {
                 // Deterministic extension patterns: every message of one
                 // iteration carries an equal share of the job's traffic.
-                let w = 1.0 / self.messages_per_iteration(p) as f64;
+                let msgs = self.iteration_messages(p, rng);
+                let w = 1.0 / msgs.len() as f64;
                 merge_entries(
-                    self.iteration_messages(p, rng)
-                        .into_iter()
+                    msgs.into_iter()
                         .map(|(src, dst)| TrafficEntry {
                             src,
                             dst,
