@@ -39,6 +39,11 @@
 //! instant, and the next link orders them by input index, not by the order
 //! they left in. And the sweep's integer clock cannot hold fractional
 //! injection or service times.
+//!
+//! The placement scorer reads only the mean latency, so it calls
+//! [`UnitSweep::mean_latency`]: the same sweep over the bounding box of a
+//! window's nodes, with its buffers kept between calls and no message or
+//! delivery record built.
 
 use crate::assert_unique_ids;
 use crate::link::{LinkTable, RouteCursor};
@@ -219,15 +224,23 @@ impl MessageLevelNetwork {
     }
 
     /// The line sweep for unit traffic (`inject_at == 0.0`,
-    /// `service_time == 1.0` throughout); the module doc gives the three
-    /// facts it rests on. Times are integers this small, which convert to
-    /// `f64` exactly, so the report is the heap's to the bit.
+    /// `service_time == 1.0` throughout) over the whole mesh; the module
+    /// doc gives the three facts it rests on. Times are integers this
+    /// small, which convert to `f64` exactly, so the report is the heap's
+    /// to the bit.
     fn simulate_unit(&self, messages: &[Message]) -> MessageSimReport {
-        let finish = self.finish_times(messages);
+        let mesh = self.links.mesh();
+        let at: Vec<Coord> = messages
+            .iter()
+            .flat_map(|m| [mesh.coord_of(m.src), mesh.coord_of(m.dst)])
+            .collect();
+        let pairs: Vec<(usize, usize)> = (0..messages.len()).map(|i| (2 * i, 2 * i + 1)).collect();
+        let mut sweep = UnitSweep::default();
+        let finish = sweep.finish_times(mesh.width(), mesh.height(), &at, &pairs);
         let deliveries = messages
             .iter()
             .zip(finish)
-            .map(|(m, finish)| {
+            .map(|(m, &finish)| {
                 let (delivered_at, latency) = if m.src == m.dst {
                     (m.inject_at, 0.0)
                 } else {
@@ -242,34 +255,85 @@ impl MessageLevelNetwork {
             .collect();
         MessageSimReport::of(deliveries)
     }
+}
 
-    /// Each unit-traffic message's delivery time (0 when self-addressed).
-    /// The x phase sweeps every (row, direction) and leaves each
-    /// message's x-finish in `finish`; the y phase sweeps every (column,
-    /// direction) with those finishes as ready times (0 for a message
-    /// with no x leg) and leaves the delivery times there.
-    fn finish_times(&self, messages: &[Message]) -> Vec<u32> {
-        let mesh = self.links.mesh();
-        let (width, height) = (usize::from(mesh.width()), usize::from(mesh.height()));
-        let ends: Vec<(Coord, Coord)> = messages
+/// The unit-traffic line sweep and the buffers it reuses. A caller that
+/// sweeps many inputs keeps one (the placement scorer keeps one per
+/// machine), so a sweep allocates only when its input outgrows every
+/// earlier one. It then holds 60 bytes a message and 4 bytes a key (two
+/// a box node, or one a time step of the latest ready time, whichever
+/// is more) of the largest input it swept.
+#[derive(Debug, Default)]
+pub struct UnitSweep {
+    finish: Vec<u32>,
+    lines: Lines,
+}
+
+impl UnitSweep {
+    /// The mean delivery latency of unit traffic (every message injected
+    /// at `0.0` with service time `1.0`) inside a `width × height` box:
+    /// message `i` runs from `at[pairs[i].0]` to `at[pairs[i].1]`, both
+    /// coordinates in the box. An x-then-y route never leaves the box its
+    /// ends span, so this is `MessageLevelNetwork::simulate(..)
+    /// .mean_latency()` of the same messages on any mesh holding the box,
+    /// wherever it sits there, to the bit; no message and no delivery
+    /// record is built. 0 without messages.
+    ///
+    /// # Panics
+    ///
+    /// If a rank is not an index of `at`, or a coordinate lies outside
+    /// the box.
+    pub fn mean_latency(
+        &mut self,
+        width: u16,
+        height: u16,
+        at: &[Coord],
+        pairs: &[(usize, usize)],
+    ) -> f64 {
+        if pairs.is_empty() {
+            return 0.0;
+        }
+        // Every latency is an integer and so is every partial sum, far
+        // below 2^53: the report's `f64` sum is exact, and equals this.
+        let total: u64 = self
+            .finish_times(width, height, at, pairs)
             .iter()
-            .map(|m| (mesh.coord_of(m.src), mesh.coord_of(m.dst)))
-            .collect();
+            .map(|&finish| u64::from(finish))
+            .sum();
+        total as f64 / pairs.len() as f64
+    }
+
+    /// Each message's delivery time (0 when self-addressed). The x phase
+    /// sweeps every (row, direction) of the box and leaves each message's
+    /// x-finish in `finish`; the y phase sweeps every (column, direction)
+    /// with those finishes as ready times (0 for a message with no x leg)
+    /// and leaves the delivery times there.
+    fn finish_times(
+        &mut self,
+        width: u16,
+        height: u16,
+        at: &[Coord],
+        pairs: &[(usize, usize)],
+    ) -> &[u32] {
+        let (width, height) = (usize::from(width), usize::from(height));
+        assert!(
+            at.iter()
+                .all(|c| usize::from(c.x) < width && usize::from(c.y) < height),
+            "a coordinate lies outside the {width}x{height} box"
+        );
         // The x leg runs along the source row, the y leg down the
         // destination column.
         let leg = |msg: usize, axis: usize| {
-            let (s, d) = ends[msg];
+            let (s, d) = (at[pairs[msg].0], at[pairs[msg].1]);
             if axis == 0 {
                 Leg::new(s.x, d.x, width, s.y)
             } else {
                 Leg::new(s.y, d.y, height, d.x)
             }
         };
-        let mut finish = vec![0u32; messages.len()];
-        let mut lines = Lines {
-            entrants: Vec::with_capacity(messages.len()),
-            ..Lines::default()
-        };
+        let (finish, lines) = (&mut self.finish, &mut self.lines);
+        finish.clear();
+        finish.resize(pairs.len(), 0);
         for axis in 0..2 {
             lines.entrants.clear();
             for (msg, &ready) in finish.iter().enumerate() {
@@ -279,9 +343,9 @@ impl MessageLevelNetwork {
                     lines.entrants.push(Entrant { key, ready, msg });
                 }
             }
-            lines.sort(2 * mesh.num_nodes());
+            lines.sort(2 * width * height);
             let line_len = if axis == 0 { width } else { height };
-            lines.sweep(line_len, |msg| leg(msg, axis).hops, &mut finish);
+            lines.sweep(line_len, |msg| leg(msg, axis).hops, finish);
         }
         finish
     }
@@ -339,7 +403,7 @@ struct Hop {
 const SPARSE: usize = 8;
 
 /// One phase's entrants and the buffers its sort and sweep reuse.
-#[derive(Default)]
+#[derive(Debug, Default)]
 struct Lines {
     entrants: Vec<Entrant>,
     sorted: Vec<Entrant>,
@@ -499,6 +563,63 @@ mod tests {
             prop_assert_eq!(kernel.mean_latency().to_bits(), heap.mean_latency().to_bits());
             // `simulate` itself must pick the kernel's answer for this input.
             prop_assert_eq!(&net.simulate(&messages), &heap);
+        }
+    }
+
+    /// `messages`' mean latency from [`UnitSweep::mean_latency`], each
+    /// message remapped into the bounding box of all their endpoints.
+    fn boxed_mean(mesh: Mesh2D, messages: &[Message]) -> f64 {
+        let at: Vec<Coord> = messages
+            .iter()
+            .flat_map(|m| [mesh.coord_of(m.src), mesh.coord_of(m.dst)])
+            .collect();
+        let low = |axis: fn(&Coord) -> u16| at.iter().map(axis).min().unwrap_or(0);
+        let (x0, y0) = (low(|c| c.x), low(|c| c.y));
+        let boxed: Vec<Coord> = at.iter().map(|c| Coord::new(c.x - x0, c.y - y0)).collect();
+        let high = |axis: fn(&Coord) -> u16| boxed.iter().map(axis).max().unwrap_or(0) + 1;
+        let pairs: Vec<(usize, usize)> = (0..messages.len()).map(|i| (2 * i, 2 * i + 1)).collect();
+        UnitSweep::default().mean_latency(high(|c| c.x), high(|c| c.y), &boxed, &pairs)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn the_boxed_mean_is_the_simulated_mean_on_unit_traffic(
+            (mesh, messages) in unit_traffic()
+        ) {
+            let simulated = MessageLevelNetwork::new(mesh).simulate(&messages).mean_latency();
+            prop_assert_eq!(boxed_mean(mesh, &messages).to_bits(), simulated.to_bits());
+        }
+
+        #[test]
+        fn the_boxed_mean_is_the_simulated_mean_on_the_scorers_traffic(
+            (mesh, messages) in scorer_traffic()
+        ) {
+            let simulated = MessageLevelNetwork::new(mesh).simulate(&messages).mean_latency();
+            prop_assert_eq!(boxed_mean(mesh, &messages).to_bits(), simulated.to_bits());
+        }
+    }
+
+    #[test]
+    fn one_sweep_serves_inputs_of_every_size_in_turn() {
+        // Buffers grown by a large input and reused by a smaller one, and
+        // the other way round, answer as fresh ones do.
+        let mesh = Mesh2D::new(6, 5);
+        let big: Vec<Message> = (0..120)
+            .map(|i| msg(mesh, i, ((i % 6) as u16, 0), (5 - (i % 6) as u16, 4), 0.0))
+            .collect();
+        let small = unit(mesh, &[((0, 0), (2, 1)), ((2, 1), (0, 0))]);
+        let mut sweep = UnitSweep::default();
+        for messages in [&small[..], &big[..], &small[..], &[][..], &big[..]] {
+            let at: Vec<Coord> = messages
+                .iter()
+                .flat_map(|m| [mesh.coord_of(m.src), mesh.coord_of(m.dst)])
+                .collect();
+            let pairs: Vec<(usize, usize)> =
+                (0..messages.len()).map(|i| (2 * i, 2 * i + 1)).collect();
+            let reused = sweep.mean_latency(mesh.width(), mesh.height(), &at, &pairs);
+            assert_eq!(reused.to_bits(), boxed_mean(mesh, messages).to_bits());
         }
     }
 

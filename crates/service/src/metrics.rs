@@ -591,6 +591,15 @@ pub struct MachineMetrics {
     pub released: u64,
     /// High-water mark of busy processors.
     pub peak_busy: u64,
+    /// Candidate-window scores the machine's score memo served. The three
+    /// memo counts are the memo's own, copied in when the counters are
+    /// read (`MachineEntry::counters`).
+    pub score_memo_hits: u64,
+    /// Candidate-window scores computed and offered to the memo (every
+    /// score but a `random` one's, which is never memoised).
+    pub score_memo_misses: u64,
+    /// Times the score memo was emptied at its cap.
+    pub score_memo_clears: u64,
     /// Queue-to-grant wait times of this machine's admission queue.
     pub wait: WaitStats,
 }

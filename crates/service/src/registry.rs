@@ -16,7 +16,7 @@ use crate::clock::{micros, Clock};
 use crate::journal::{JournalRecord, MachineImage, MachineSpec, QueuedRequest, RunningJob};
 use crate::metrics::MachineMetrics;
 use crate::protocol::AllocArgs;
-use crate::score::ScoreBreakdown;
+use crate::score::{ScoreBreakdown, ScoreScratch};
 use crate::tenant::{job_cost, TenantTable};
 use crate::trace::{RequestCtx, Stage};
 use commalloc::scheduler::{BlockReason, QueuedJob, RunningSnapshot, SchedulerKind};
@@ -234,6 +234,9 @@ enum Backing {
         /// jobs the same way).
         probe: CurveOrder,
         memo: ScoreMemo,
+        /// The buffers every 2-D score of this machine reuses (boxed: the
+        /// 3-D variant has none).
+        scratch: Box<ScoreScratch>,
     },
     /// A 3-D mesh served by one-dimensional reduction along a 3-D curve,
     /// with the free-interval index as the single source of truth.
@@ -246,16 +249,67 @@ enum Backing {
     },
 }
 
-/// The scores of windows this machine has weighed, keyed by `(curve
-/// start, size, pattern)`. The curve is fixed, so a start and a size
-/// name a window's nodes exactly, and a score is a pure function of the
-/// mesh, those nodes, the pattern and the job id, of which only the
-/// `Random` pattern reads the id: every other key scores the same for
-/// every job, whatever the occupancy. So the memo is never invalidated,
-/// never journaled or snapshotted (a re-registered or recovered machine
-/// starts empty), and `Random` is never stored. It is cleared when it
-/// holds [`Backing::MEMO_CAP`] entries.
-type ScoreMemo = HashMap<(usize, usize, CommPattern), ScoreBreakdown>;
+/// The scores of windows this machine has weighed, one entry per window
+/// *shape*: its nodes' coordinates relative to one another, in rank
+/// order. A score is a pure function of the mesh, the window's nodes in
+/// rank order, the pattern and the job id, of which only `Random` reads
+/// the id; it reads the nodes only through their shape (and the mesh only
+/// through its diameter), so every translate of a window scores alike,
+/// for every job, whatever the occupancy.
+///
+/// A window is a run of the machine's fixed curve, so its shape is the
+/// run of *steps* (the move from each curve position to the next) inside
+/// it: two windows of one size are translates exactly when those runs are
+/// equal. An entry is keyed by a fingerprint of the run, the size and the
+/// pattern, and holds its score and the curve start of the window it was
+/// computed for. A hit is confirmed by comparing the two runs, O(size); a
+/// window whose fingerprint meets another shape is scored afresh and not
+/// stored. The memo is never invalidated, never journaled or snapshotted
+/// (a re-registered or recovered machine starts empty), and `Random` is
+/// never stored. It is cleared when it holds [`Backing::MEMO_CAP`]
+/// entries.
+#[derive(Default)]
+struct ScoreMemo {
+    entries: HashMap<ShapeKey, (usize, ScoreBreakdown)>,
+    /// `steps[r]`: the move from curve position `r - 1` to `r`, each
+    /// axis's difference wrapped to 16 bits (`steps[0]` is 0). Built on
+    /// the first memoised score: 8 bytes a node.
+    steps: Vec<u64>,
+    /// Scores served from an entry.
+    hits: u64,
+    /// Scores computed for the memo: a new shape, or a fingerprint that
+    /// met another shape. `Random` scores are neither hits nor misses.
+    misses: u64,
+    /// Times the memo was emptied at its cap.
+    clears: u64,
+}
+
+/// A window shape's fingerprint, the window's size and the pattern.
+type ShapeKey = (u64, u32, CommPattern);
+
+// The cap's byte bound counts 48 bytes a key and entry, none on the heap,
+// and a window, at most a whole machine, has a size that fits the key.
+const _: () = assert!(std::mem::size_of::<(ShapeKey, (usize, ScoreBreakdown))>() == 48);
+const _: () = assert!(crate::service::MAX_MACHINE_NODES <= u32::MAX as u64);
+
+impl ScoreMemo {
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// The steps inside the window of `size` curve positions from
+    /// `start`: its shape.
+    fn shape(&self, start: usize, size: usize) -> &[u64] {
+        &self.steps[start + 1..start + size]
+    }
+}
+
+/// A 64-bit hash of a window's steps.
+fn fingerprint(shape: &[u64]) -> u64 {
+    shape.iter().fold(0, |hash, &step| {
+        (hash.rotate_left(26) ^ step).wrapping_mul(crate::score::SPLITMIX64_GAMMA)
+    })
+}
 
 impl Backing {
     fn total_nodes(&self) -> usize {
@@ -396,15 +450,16 @@ impl Backing {
 
     /// The [`ScoreMemo`] is cleared when it holds this many entries.
     /// Std's map fills to 7/8 of a power-of-two slot count, so 1 792
-    /// entries never take more than 2 048 slots of 49 bytes (a 24-byte
-    /// key, a 24-byte score, a control byte): about 98 KiB per machine
-    /// at worst. At the next power of two, `trace_replay`'s peak RSS
-    /// read 12 % higher.
+    /// entries never take more than 2 048 slots of 49 bytes (a 16-byte
+    /// key, a 32-byte start and score, a control byte): about 98 KiB per
+    /// machine at worst. At the next power of two, `trace_replay`'s peak
+    /// RSS read 12 % higher.
     const MEMO_CAP: usize = 1792;
 
-    /// Scores a candidate against the declared pattern (lower total is
-    /// better). Deterministic in `(backing mesh, nodes, pattern,
-    /// job_id)` — see [`crate::score`].
+    /// Scores a candidate afresh, with buffers of its own: the reference
+    /// the memo's tests compare with. Deterministic in `(backing mesh,
+    /// nodes, pattern, job_id)` — see [`crate::score`].
+    #[cfg(test)]
     fn score_candidate(
         &self,
         nodes: &[NodeId],
@@ -421,8 +476,56 @@ impl Backing {
         }
     }
 
-    /// [`Backing::score_candidate`] of the window at curve `start`,
-    /// computed once per machine and read from the [`ScoreMemo`] after
+    /// Scores the window at curve `start` against the declared pattern
+    /// (lower total is better), in the machine's scoring buffers.
+    fn score_fresh(
+        &mut self,
+        start: usize,
+        size: usize,
+        pattern: CommPattern,
+        job_id: u64,
+    ) -> ScoreBreakdown {
+        let nodes = self.window(start, size);
+        match self {
+            Backing::TwoD { mesh, scratch, .. } => {
+                crate::score::predicted_contention_2d_in(scratch, *mesh, &nodes, pattern, job_id)
+            }
+            Backing::ThreeD { mesh, .. } => {
+                crate::score::predicted_contention_3d(*mesh, &nodes, pattern, job_id)
+            }
+        }
+    }
+
+    /// The move from each curve position to the next, for
+    /// [`ScoreMemo::steps`].
+    fn curve_steps(&self) -> Vec<u64> {
+        let at: Vec<[u16; 3]> = match self {
+            Backing::TwoD { mesh, probe, .. } => (0..probe.len())
+                .map(|rank| mesh.coord_of(probe.node_at(rank)))
+                .map(|c| [c.x, c.y, 0])
+                .collect(),
+            Backing::ThreeD { mesh, curve, .. } => (0..curve.len())
+                .map(|rank| mesh.coord_of(curve.node_at(rank)))
+                .map(|c| [c.x, c.y, c.z])
+                .collect(),
+        };
+        let step = |from: [u16; 3], to: [u16; 3]| {
+            (0..3).fold(0, |word, axis| {
+                word | u64::from(to[axis].wrapping_sub(from[axis])) << (16 * axis)
+            })
+        };
+        std::iter::once(0)
+            .chain(at.windows(2).map(|pair| step(pair[0], pair[1])))
+            .collect()
+    }
+
+    fn memo_mut(&mut self) -> &mut ScoreMemo {
+        let (Backing::TwoD { memo, .. } | Backing::ThreeD { memo, .. }) = self;
+        memo
+    }
+
+    /// The score of the window at curve `start`, computed once per
+    /// machine and window shape and read from the [`ScoreMemo`] after
     /// (except for the job-seeded `Random` pattern).
     fn score_window(
         &mut self,
@@ -431,22 +534,32 @@ impl Backing {
         pattern: CommPattern,
         job_id: u64,
     ) -> ScoreBreakdown {
-        let fresh =
-            |backing: &Self| backing.score_candidate(&backing.window(start, size), pattern, job_id);
         if pattern == CommPattern::Random {
-            return fresh(self);
+            return self.score_fresh(start, size, pattern, job_id);
         }
-        let key = (start, size, pattern);
-        let (Backing::TwoD { memo, .. } | Backing::ThreeD { memo, .. }) = self;
-        if let Some(&score) = memo.get(&key) {
+        if self.memo_mut().steps.is_empty() {
+            let steps = self.curve_steps();
+            self.memo_mut().steps = steps;
+        }
+        let memo = self.memo_mut();
+        let shape = memo.shape(start, size);
+        let key = (fingerprint(shape), size as u32, pattern);
+        let found = memo.entries.get(&key).copied();
+        let hit = found.filter(|&(at, _)| at == start || memo.shape(at, size) == shape);
+        if let Some((_, score)) = hit {
+            memo.hits += 1;
             return score;
         }
-        let score = fresh(self);
-        let (Backing::TwoD { memo, .. } | Backing::ThreeD { memo, .. }) = self;
-        if memo.len() >= Self::MEMO_CAP {
-            memo.clear();
+        let score = self.score_fresh(start, size, pattern, job_id);
+        let memo = self.memo_mut();
+        memo.misses += 1;
+        if found.is_none() {
+            if memo.len() >= Self::MEMO_CAP {
+                memo.entries.clear();
+                memo.clears += 1;
+            }
+            memo.entries.insert(key, (start, score));
         }
-        memo.insert(key, score);
         score
     }
 
@@ -640,6 +753,18 @@ impl MachineEntry {
         }
     }
 
+    /// The machine's operation counters, its score memo's counts
+    /// included.
+    pub fn counters(&self) -> MachineMetrics {
+        let (Backing::TwoD { memo, .. } | Backing::ThreeD { memo, .. }) = &self.backing;
+        MachineMetrics {
+            score_memo_hits: memo.hits,
+            score_memo_misses: memo.misses,
+            score_memo_clears: memo.clears,
+            ..self.metrics.clone()
+        }
+    }
+
     /// Whether the fair-share admission layer is enabled here.
     pub fn fair_share(&self) -> bool {
         self.fair_share
@@ -692,7 +817,8 @@ impl MachineEntry {
                 allocator: kind.build(mesh),
                 kind,
                 probe: CurveOrder::build(CurveKind::Hilbert, mesh),
-                memo: ScoreMemo::new(),
+                memo: ScoreMemo::default(),
+                scratch: Box::default(),
             },
             scheduler,
             tenants,
@@ -720,7 +846,7 @@ impl MachineEntry {
                 curve,
                 index,
                 strategy,
-                memo: ScoreMemo::new(),
+                memo: ScoreMemo::default(),
             },
             scheduler,
             tenants,
@@ -2010,18 +2136,46 @@ mod tests {
         }
     }
 
+    /// The window's nodes less their least coordinate on each axis, in
+    /// rank order, on a 2-D machine: the tests' own reading of a shape.
+    fn shape_of(b: &Backing, start: usize, size: usize) -> Vec<(u16, u16)> {
+        let Backing::TwoD { mesh, .. } = b else {
+            panic!("a 2-D machine")
+        };
+        let at: Vec<_> = b
+            .window(start, size)
+            .iter()
+            .map(|&n| mesh.coord_of(n))
+            .collect();
+        let x0 = at.iter().map(|c| c.x).min().unwrap();
+        let y0 = at.iter().map(|c| c.y).min().unwrap();
+        at.iter().map(|c| (c.x - x0, c.y - y0)).collect()
+    }
+
+    /// One `(start, size, pattern)` per window shape and deterministic
+    /// pattern of a 2-D machine, smaller windows first.
+    fn distinct_keys(b: &Backing) -> Vec<(usize, usize, CommPattern)> {
+        let nodes = b.total_nodes();
+        let mut seen = std::collections::HashSet::new();
+        (1..=nodes)
+            .flat_map(|size| (0..=nodes - size).map(move |start| (start, size)))
+            .filter(|&(start, size)| seen.insert(shape_of(b, start, size)))
+            .flat_map(|(start, size)| CommPattern::all().map(|p| (start, size, p)))
+            .filter(|&(_, _, p)| p != CommPattern::Random)
+            .collect()
+    }
+
     #[test]
     fn a_full_score_memo_is_cleared_and_answers_alike() {
         let r = AllocationService::new();
         r.register("m0", "8x8", None, None, None).unwrap();
         r.with_entry("m0", |m| {
             let b = &mut m.backing;
-            let keys: Vec<(usize, usize, CommPattern)> = (1..=64)
-                .flat_map(|size| (0..=64 - size).map(move |start| (start, size)))
-                .flat_map(|(start, size)| CommPattern::all().map(|p| (start, size, p)))
-                .filter(|&(_, _, p)| p != CommPattern::Random)
+            let keys: Vec<(usize, usize, CommPattern)> = distinct_keys(b)
+                .into_iter()
                 .take(Backing::MEMO_CAP + 8)
                 .collect();
+            assert_eq!(keys.len(), Backing::MEMO_CAP + 8, "enough distinct shapes");
             let fresh = |b: &Backing, (start, size, p): (usize, usize, CommPattern)| {
                 b.score_candidate(&b.window(start, size), p, 7)
             };
@@ -2038,6 +2192,118 @@ mod tests {
             Ok(())
         })
         .unwrap();
+    }
+
+    #[test]
+    fn a_window_shares_its_entry_with_its_translates_only() {
+        // Of two windows whose nodes are translates of one another as
+        // sets, one the curve visits in the same rank order is the same
+        // shape, and shares the entry; one visited in another order is
+        // another shape, which some patterns score differently.
+        let r = AllocationService::new();
+        r.register("m0", "16x16", None, None, None).unwrap();
+        r.with_entry("m0", |m| {
+            let b = &mut m.backing;
+            let sorted = |mut shape: Vec<(u16, u16)>| {
+                shape.sort_unstable();
+                shape
+            };
+            let mut pairs = Vec::new();
+            for size in 2..=8 {
+                let shapes: Vec<_> = (0..=256 - size).map(|s| shape_of(b, s, size)).collect();
+                for (a, shape_a) in shapes.iter().enumerate() {
+                    for (c, shape_c) in shapes.iter().enumerate().skip(a + 1) {
+                        if sorted(shape_a.clone()) == sorted(shape_c.clone()) {
+                            pairs.push((a, c, size, shape_a == shape_c));
+                        }
+                    }
+                }
+            }
+            let (mut shared, mut told_apart) = (0, 0);
+            for (a, c, size, translate) in pairs.into_iter().step_by(7) {
+                for pattern in CommPattern::all() {
+                    if pattern == CommPattern::Random {
+                        continue;
+                    }
+                    b.memo_mut().entries.clear();
+                    let fresh_a = b.score_candidate(&b.window(a, size), pattern, 1);
+                    let fresh_c = b.score_candidate(&b.window(c, size), pattern, 2);
+                    assert_eq!(b.score_window(a, size, pattern, 1), fresh_a);
+                    let hits = b.memo_mut().hits;
+                    assert_eq!(b.score_window(c, size, pattern, 2), fresh_c);
+                    if translate {
+                        assert_eq!(fresh_c, fresh_a, "a translate scores alike to the bit");
+                        assert_eq!(memo_len(b), 1, "one entry serves both");
+                        assert_eq!(b.memo_mut().hits, hits + 1, "the translate is a hit");
+                        shared += 1;
+                    } else {
+                        told_apart += usize::from(fresh_a != fresh_c);
+                    }
+                }
+            }
+            assert!(
+                shared > 100 && told_apart > 0,
+                "{shared} shared, {told_apart} apart"
+            );
+            Ok(())
+        })
+        .unwrap();
+    }
+
+    #[test]
+    fn stats_count_the_score_memo() {
+        // 16×16 `Hilbert w/BF`: four unpatterned jobs of 64 take the four
+        // quadrants, curve positions 64·(k-1) to 64·k. Releasing jobs 2
+        // and 4 leaves two free runs, so a patterned job weighs two
+        // windows, at positions 64 and 192.
+        let (r, clock) = service_with(SchedulerKind::Fcfs);
+        let counts = |r: &AllocationService| {
+            let stats = r.stats("m0").unwrap();
+            let counters = stats.get("counters").unwrap();
+            ["hits", "misses", "clears"].map(|name| {
+                counters
+                    .get(&format!("score_memo_{name}"))
+                    .and_then(serde::Value::as_u64)
+            })
+        };
+        assert_eq!(counts(&r), [Some(0); 3]);
+        r.with_entry("m0", |m| {
+            (1..=4).try_for_each(|job| alloc(m, &clock, job, 64, false, None).map(drop))?;
+            m.release(2, &mut untraced(&clock))?;
+            m.release(4, &mut untraced(&clock))
+        })
+        .unwrap();
+        let patterned = |job: u64, size: usize, pattern: CommPattern| {
+            r.with_entry("m0", |m| {
+                let args = AllocArgs {
+                    pattern: Some(pattern),
+                    ..AllocArgs::new(job, size)
+                };
+                m.allocate(&args, "direct", &mut untraced(&clock))?;
+                m.release(job, &mut untraced(&clock))
+            })
+            .unwrap();
+        };
+        // The windows at 64 and 192 lie in quadrants the curve turns
+        // differently, so each shape is scored once, then served.
+        patterned(10, 4, CommPattern::Ring);
+        assert_eq!(counts(&r), [Some(0), Some(2), Some(0)]);
+        patterned(11, 4, CommPattern::Ring);
+        assert_eq!(counts(&r), [Some(2), Some(2), Some(0)]);
+        // Another pattern is another entry; `random` is never memoised.
+        patterned(12, 4, CommPattern::AllToAll);
+        patterned(13, 4, CommPattern::Random);
+        assert_eq!(counts(&r), [Some(2), Some(4), Some(0)]);
+        // Filling the memo past its cap clears it once.
+        r.with_entry("m0", |m| {
+            let b = &mut m.backing;
+            for (start, size, pattern) in distinct_keys(b).into_iter().take(Backing::MEMO_CAP + 8) {
+                b.score_window(start, size, pattern, 1);
+            }
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(counts(&r)[2], Some(1));
     }
 
     #[test]

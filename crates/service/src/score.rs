@@ -8,7 +8,10 @@
 //! * on a 2-D mesh, one pattern iteration is run through the
 //!   message-level network simulator ([`commalloc_net::msglevel`]) over
 //!   the candidate's actual nodes — per-link queueing included — and the
-//!   mean message latency is the contention estimate;
+//!   mean message latency is the contention estimate. The scorer hands
+//!   the simulator rank pairs and each rank's place in the nodes'
+//!   bounding box, and reads back only the mean
+//!   ([`UnitSweep::mean_latency`]);
 //! * on a 3-D mesh (the message-level simulator is 2-D), the pattern's
 //!   traffic matrix weights the pairwise mesh distances instead — the
 //!   fluid-model proxy for the same quantity.
@@ -27,12 +30,18 @@
 //! The same determinism lets a machine reuse a score. Only `Random`
 //! reads the job id, and nothing here reads occupancy, so every other
 //! pattern scores a given node set alike for every job and at every
-//! moment. A machine's candidate windows are runs of its fixed curve, so
-//! it keeps each window's score by `(curve start, size, pattern)` and
-//! computes it once (`registry.rs`, `ScoreMemo`).
+//! moment. Nor does a score read where the node set sits: the simulation
+//! runs in the set's bounding box, distances and components do not move
+//! with it, and the mesh enters only through its diameter. So a score
+//! depends on the window's *shape* (each rank's coordinates less the
+//! box's corner, in rank order) and the pattern, and every translate of a
+//! window scores alike to the bit. Each machine keeps one entry per shape
+//! and pattern, at most 1 792 of 48 bytes with none on the heap (about
+//! 98 KiB of map at worst), and computes each once (`registry.rs`,
+//! `ScoreMemo`).
 
-use commalloc_mesh::{Mesh2D, Mesh3D, NodeId};
-use commalloc_net::msglevel::{Message, MessageLevelNetwork};
+use commalloc_mesh::{Coord, Mesh2D, Mesh3D, NodeId};
+use commalloc_net::msglevel::UnitSweep;
 use commalloc_workload::CommPattern;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -90,34 +99,76 @@ fn locality_and_dispersal(avg_pairwise: f64, components: usize, diameter: f64) -
     (avg_pairwise, components.saturating_sub(1) as f64 * diameter)
 }
 
+/// The buffers a 2-D score reuses: each rank's coordinates in the
+/// bounding box of its window, the kept rank pairs, and the line sweep's
+/// own. A machine keeps one (`registry.rs`), so a score allocates only
+/// when its window or its thinned iteration outgrows every earlier one.
+/// At most [`MAX_SCORED_MESSAGES`] pairs are kept, so it holds at most
+/// 2 048 × (16 + 60) bytes (about 152 KiB) for the pairs and the sweep,
+/// plus 4 bytes a node of the mesh for the coordinates, and 4 bytes a
+/// key of the sweep's counting sort: two keys a box node, or one a step
+/// of the latest ready time (at most 2 048 plus the box width),
+/// whichever is more.
+#[derive(Debug, Default)]
+pub struct ScoreScratch {
+    at: Vec<Coord>,
+    pairs: Vec<(usize, usize)>,
+    sweep: UnitSweep,
+}
+
 /// Predicted contention of placing a `pattern`-declared job on exactly
 /// `nodes` (rank `i` on `nodes[i]`) of a 2-D `mesh`: the mean message
 /// latency of one simulated pattern iteration plus the locality terms,
 /// returned per component. Deterministic in `(mesh, nodes, pattern,
-/// job_id)`.
+/// job_id)`, and the same for any translate of `nodes` inside `mesh`.
 pub fn predicted_contention_2d(
     mesh: Mesh2D,
     nodes: &[NodeId],
     pattern: CommPattern,
     job_id: u64,
 ) -> ScoreBreakdown {
+    predicted_contention_2d_in(&mut ScoreScratch::default(), mesh, nodes, pattern, job_id)
+}
+
+/// [`predicted_contention_2d`], with its buffers in `scratch`. The kept
+/// messages are rank pairs, and each rank's coordinates are taken once,
+/// relative to the bounding box of `nodes` (of the messages' ends, when
+/// they are fewer than the ranks): the simulation sweeps that box, not
+/// the mesh.
+pub(crate) fn predicted_contention_2d_in(
+    scratch: &mut ScoreScratch,
+    mesh: Mesh2D,
+    nodes: &[NodeId],
+    pattern: CommPattern,
+    job_id: u64,
+) -> ScoreBreakdown {
+    let ScoreScratch { at, pairs, sweep } = scratch;
     let p = nodes.len();
     let mut rng = StdRng::seed_from_u64(splitmix64(job_id));
     let count = pattern.messages_per_iteration(p) as usize;
     let stride = count.div_ceil(MAX_SCORED_MESSAGES).max(1);
-    let mut messages = Vec::with_capacity(count.div_ceil(stride));
-    pattern.visit_messages(p, &mut rng, stride, |(src, dst)| {
-        messages.push(Message {
-            id: messages.len() as u64,
-            src: nodes[src],
-            dst: nodes[dst],
-            inject_at: 0.0,
-            service_time: 1.0,
-        })
+    pairs.clear();
+    pattern.visit_messages(p, &mut rng, stride, |pair| pairs.push(pair));
+    at.clear();
+    if 2 * pairs.len() < p {
+        // Fewer message ends than ranks (a `random` draw): only the ends
+        // are placed, and the box is theirs.
+        for (src, dst) in pairs.iter_mut() {
+            at.extend([mesh.coord_of(nodes[*src]), mesh.coord_of(nodes[*dst])]);
+            (*src, *dst) = (at.len() - 2, at.len() - 1);
+        }
+    } else {
+        at.extend(nodes.iter().map(|&node| mesh.coord_of(node)));
+    }
+    let low = at.iter().fold(Coord::new(u16::MAX, u16::MAX), |low, c| {
+        Coord::new(low.x.min(c.x), low.y.min(c.y))
     });
-    let mean = MessageLevelNetwork::new(mesh)
-        .simulate(&messages)
-        .mean_latency();
+    let (mut width, mut height) = (1, 1);
+    for c in at.iter_mut() {
+        *c = Coord::new(c.x - low.x, c.y - low.y);
+        (width, height) = (width.max(c.x + 1), height.max(c.y + 1));
+    }
+    let network = sweep.mean_latency(width, height, at, pairs);
     let diameter = (mesh.width() + mesh.height()) as f64;
     let (locality, dispersal) = locality_and_dispersal(
         mesh.avg_pairwise_distance(nodes),
@@ -125,7 +176,7 @@ pub fn predicted_contention_2d(
         diameter,
     );
     ScoreBreakdown {
-        network: mean,
+        network,
         locality,
         dispersal,
     }
@@ -135,7 +186,8 @@ pub fn predicted_contention_2d(
 /// `nodes` of a 3-D `mesh`: the traffic-matrix-weighted mean pairwise
 /// distance (the fluid proxy — the message-level simulator is 2-D only)
 /// plus the locality terms, returned per component. Deterministic in
-/// `(mesh, nodes, pattern, job_id)`.
+/// `(mesh, nodes, pattern, job_id)`, and the same for any translate of
+/// `nodes` inside `mesh`.
 pub fn predicted_contention_3d(
     mesh: Mesh3D,
     nodes: &[NodeId],
@@ -166,7 +218,8 @@ pub fn predicted_contention_3d(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use commalloc_mesh::Coord;
+    use commalloc_mesh::Coord3;
+    use proptest::prelude::*;
 
     fn row(mesh: Mesh2D, y: u16, count: usize) -> Vec<NodeId> {
         (0..count as u16)
@@ -277,5 +330,95 @@ mod tests {
             .map(|id| predicted_contention_2d(mesh, &nodes, CommPattern::Random, id).total())
             .any(|s| s != a1);
         assert!(distinct, "job id must seed the random pattern's draws");
+    }
+
+    /// Every pattern but `random`, whose draws the job id seeds.
+    fn deterministic() -> Vec<CommPattern> {
+        CommPattern::all()
+            .into_iter()
+            .filter(|&p| p != CommPattern::Random)
+            .collect()
+    }
+
+    /// Up to 40 distinct cells of a box, in drawn (rank) order.
+    fn ranked<T: Copy + Eq + std::hash::Hash>(cells: Vec<T>) -> Vec<T> {
+        let mut seen = std::collections::HashSet::new();
+        cells.into_iter().filter(|&c| seen.insert(c)).collect()
+    }
+
+    fn bits(b: ScoreBreakdown) -> [u64; 3] {
+        [b.network, b.locality, b.dispersal].map(f64::to_bits)
+    }
+
+    /// A node set of a 2-D mesh up to 16×22, in rank order, and a
+    /// translate of it that stays in the mesh.
+    fn translated_2d() -> impl Strategy<Value = (Mesh2D, Vec<NodeId>, Vec<NodeId>)> {
+        (1u16..=16, 1u16..=22)
+            .prop_flat_map(|(w, h)| (Just(Mesh2D::new(w, h)), 1..=w, 1..=h))
+            .prop_flat_map(|(mesh, bw, bh)| {
+                let cells = prop::collection::vec((0..bw, 0..bh), 1..=40);
+                let corner = (0..=mesh.width() - bw, 0..=mesh.height() - bh);
+                (Just(mesh), cells, corner.clone(), corner)
+            })
+            .prop_map(|(mesh, cells, a, b)| {
+                let cells = ranked(cells);
+                let at = |(x0, y0): (u16, u16)| -> Vec<NodeId> {
+                    cells
+                        .iter()
+                        .map(|&(x, y)| mesh.id_of(Coord::new(x0 + x, y0 + y)))
+                        .collect()
+                };
+                (mesh, at(a), at(b))
+            })
+    }
+
+    /// A node set of the 8×8×4 mesh, in rank order, and a translate of
+    /// it that stays in the mesh.
+    fn translated_3d() -> impl Strategy<Value = (Mesh3D, Vec<NodeId>, Vec<NodeId>)> {
+        let mesh = Mesh3D::new(8, 8, 4);
+        (1u16..=8, 1u16..=8, 1u16..=4)
+            .prop_flat_map(|(bw, bh, bd)| {
+                let cells = prop::collection::vec((0..bw, 0..bh, 0..bd), 1..=40);
+                let corner = (0..=8 - bw, 0..=8 - bh, 0..=4 - bd);
+                (cells, corner.clone(), corner)
+            })
+            .prop_map(move |(cells, a, b)| {
+                let cells = ranked(cells);
+                let at = |(x0, y0, z0): (u16, u16, u16)| -> Vec<NodeId> {
+                    cells
+                        .iter()
+                        .map(|&(x, y, z)| mesh.id_of(Coord3::new(x0 + x, y0 + y, z0 + z)))
+                        .collect()
+                };
+                (mesh, at(a), at(b))
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn a_translate_scores_alike_on_a_2d_mesh(
+            (mesh, nodes, translate) in translated_2d(),
+            pattern in prop::sample::select(deterministic()),
+            job in any::<u64>(),
+        ) {
+            prop_assert_eq!(
+                bits(predicted_contention_2d(mesh, &nodes, pattern, job)),
+                bits(predicted_contention_2d(mesh, &translate, pattern, job))
+            );
+        }
+
+        #[test]
+        fn a_translate_scores_alike_on_a_3d_mesh(
+            (mesh, nodes, translate) in translated_3d(),
+            pattern in prop::sample::select(deterministic()),
+            job in any::<u64>(),
+        ) {
+            prop_assert_eq!(
+                bits(predicted_contention_3d(mesh, &nodes, pattern, job)),
+                bits(predicted_contention_3d(mesh, &translate, pattern, job))
+            );
+        }
     }
 }

@@ -1078,7 +1078,7 @@ impl AllocationService {
     /// Counter snapshot of `machine` combined with server totals.
     pub fn stats(&self, machine: &str) -> Result<Value, ServiceError> {
         let (snapshot, machine_metrics) = self.with_entry(machine, |entry| {
-            Ok((entry.snapshot(self.clock.now()), entry.metrics.clone()))
+            Ok((entry.snapshot(self.clock.now()), entry.counters()))
         })?;
         let mut m = Map::new();
         m.insert("machine".into(), snapshot.to_value());

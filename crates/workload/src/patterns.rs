@@ -154,9 +154,26 @@ impl CommPattern {
                     + CommPattern::AllPairsPingPong.messages_per_iteration(p)
                     + CommPattern::Ring.messages_per_iteration(p)
             }
-            CommPattern::Stencil2D => stencil_messages(p).count() as u64,
-            CommPattern::Butterfly => butterfly_messages(p).count() as u64,
-            CommPattern::BroadcastTree => broadcast_tree_messages(p).count() as u64,
+            // Two messages per grid edge: every full row has `cols - 1`
+            // horizontal edges and the ragged last row one fewer than its
+            // ranks, and each rank below `p - cols` has one below it.
+            CommPattern::Stencil2D => {
+                let (cols, rows) = CommPattern::stencil_grid(p);
+                let last_row = p - (rows - 1) * cols;
+                let horizontal = (rows - 1) * (cols - 1) + last_row - 1;
+                2 * (horizontal + p.saturating_sub(cols)) as u64
+            }
+            // In dimension `d` each rank with bit `d` set and its partner
+            // below it exchange, so twice the ranks below `p` with the bit.
+            CommPattern::Butterfly => butterfly_dims(p)
+                .map(|bit| {
+                    let with_bit = p / (2 * bit) * bit + (p % (2 * bit)).saturating_sub(bit);
+                    2 * with_bit as u64
+                })
+                .sum(),
+            CommPattern::BroadcastTree => broadcast_spans(p)
+                .map(|span| span.min(p - span) as u64)
+                .sum(),
         }
     }
 
@@ -407,9 +424,7 @@ fn stencil_messages(p: usize) -> impl Iterator<Item = (usize, usize)> {
 /// Messages of one butterfly (recursive-doubling) exchange: for every
 /// dimension `d`, rank `i` sends to `i XOR 2^d` when that partner exists.
 fn butterfly_messages(p: usize) -> impl Iterator<Item = (usize, usize)> {
-    let dims = usize::BITS - p.saturating_sub(1).leading_zeros();
-    (0..dims).flat_map(move |d| {
-        let bit = 1usize << d;
+    butterfly_dims(p).flat_map(move |bit| {
         (0..p).filter_map(move |i| {
             let partner = i ^ bit;
             (partner < p).then_some((i, partner))
@@ -417,13 +432,24 @@ fn butterfly_messages(p: usize) -> impl Iterator<Item = (usize, usize)> {
     })
 }
 
+/// The butterfly's dimensions on `p` ranks, as their bits `2^d`: one per
+/// bit of `p - 1`.
+fn butterfly_dims(p: usize) -> impl Iterator<Item = usize> {
+    let dims = usize::BITS - p.saturating_sub(1).leading_zeros();
+    (0..dims).map(|d| 1usize << d)
+}
+
 /// Messages of one binomial-tree broadcast from rank 0: in round `k`, every
 /// rank below `2^k` forwards to the rank `2^k` above it (if it exists).
 fn broadcast_tree_messages(p: usize) -> impl Iterator<Item = (usize, usize)> {
+    broadcast_spans(p).flat_map(move |span| (0..span.min(p - span)).map(move |i| (i, i + span)))
+}
+
+/// The broadcast tree's round spans `2^k` below `p`.
+fn broadcast_spans(p: usize) -> impl Iterator<Item = usize> {
     (0..usize::BITS)
         .map(|k| 1usize << k)
         .take_while(move |&span| span < p)
-        .flat_map(move |span| (0..span.min(p - span)).map(move |i| (i, i + span)))
 }
 
 impl fmt::Display for CommPattern {
