@@ -8,8 +8,9 @@ use commalloc_mesh::{Coord, Mesh2D, NodeId};
 use commalloc_net::flit::{FlitMessage, FlitNetwork};
 use commalloc_net::fluid::{FluidNetwork, RateModel};
 use commalloc_net::msglevel::{Message, MessageLevelNetwork};
-use commalloc_net::traffic::{JobTraffic, RankTraffic};
+use commalloc_net::traffic::JobTraffic;
 use commalloc_net::LinkTable;
+use commalloc_workload::CommPattern;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -76,15 +77,7 @@ fn bench_fluid_rate_computation(c: &mut Criterion) {
                 let row = (j % mesh.height() as usize) as u16;
                 let nodes: Vec<NodeId> =
                     (0..16u16).map(|x| mesh.id_of(Coord::new(x, row))).collect();
-                let traffic: Vec<RankTraffic> = (0..16)
-                    .flat_map(|a| {
-                        (0..16).filter(move |&b| b != a).map(move |b| RankTraffic {
-                            src: a,
-                            dst: b,
-                            weight: 1.0 / 240.0,
-                        })
-                    })
-                    .collect();
+                let traffic = CommPattern::AllToAll.traffic(16, 1, &mut StdRng::seed_from_u64(0));
                 JobTraffic::new(mesh, &links, j as u64, &nodes, &traffic, 1.0)
             })
             .collect();

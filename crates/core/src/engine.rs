@@ -25,7 +25,7 @@ use crate::stats::{JobRecord, SimSummary};
 use commalloc_alloc::{AllocRequest, Allocation, Allocator, AllocatorKind, MachineState};
 use commalloc_mesh::Mesh2D;
 use commalloc_net::fluid::{FluidNetwork, RateModel, ZeroContentionModel};
-use commalloc_net::traffic::{JobTraffic, RankTraffic};
+use commalloc_net::traffic::JobTraffic;
 use commalloc_net::LinkTable;
 use commalloc_workload::{CommPattern, Trace};
 use rand::rngs::StdRng;
@@ -375,22 +375,12 @@ fn simulate_impl(
                 config.seed ^ queued.job_id.wrapping_mul(0x9e37_79b9_7f4a_7c15),
             );
             let quota = trace_job.message_quota();
-            let rank_traffic: Vec<RankTraffic> = config
-                .pattern
-                .traffic(queued.size, quota, &mut job_rng)
-                .into_iter()
-                .map(|e| RankTraffic {
-                    src: e.src,
-                    dst: e.dst,
-                    weight: e.weight,
-                })
-                .collect();
             let mut traffic = JobTraffic::new(
                 mesh,
                 &links,
                 queued.job_id,
                 &allocation.nodes,
-                &rank_traffic,
+                &config.pattern.traffic(queued.size, quota, &mut job_rng),
                 1.0,
             );
             // Charge the per-hop routing cost against the nominal pacing:

@@ -221,8 +221,8 @@ impl RateModel for FluidNetwork {
 mod tests {
     use super::*;
     use crate::link::LinkTable;
-    use crate::traffic::RankTraffic;
     use commalloc_mesh::{Coord, Mesh2D};
+    use commalloc_workload::TrafficEntry;
 
     fn setup() -> (Mesh2D, LinkTable) {
         let mesh = Mesh2D::new(8, 8);
@@ -241,7 +241,7 @@ mod tests {
             links,
             id,
             &[mesh.id_of(src), mesh.id_of(dst)],
-            &[RankTraffic {
+            &[TrafficEntry {
                 src: 0,
                 dst: 1,
                 weight: 1.0,

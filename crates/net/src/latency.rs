@@ -115,8 +115,8 @@ impl LatencyEstimator {
 mod tests {
     use super::*;
     use crate::link::LinkTable;
-    use crate::traffic::RankTraffic;
     use commalloc_mesh::{Coord, Mesh2D};
+    use commalloc_workload::TrafficEntry;
 
     fn pair_traffic(
         mesh: Mesh2D,
@@ -130,7 +130,7 @@ mod tests {
             links,
             id,
             &[mesh.id_of(src), mesh.id_of(dst)],
-            &[RankTraffic {
+            &[TrafficEntry {
                 src: 0,
                 dst: 1,
                 weight: 1.0,

@@ -2,20 +2,8 @@
 
 use crate::link::{LinkId, LinkTable};
 use commalloc_mesh::{Mesh2D, NodeId};
+use commalloc_workload::TrafficEntry;
 use serde::{Deserialize, Serialize};
-
-/// A rank-level traffic entry: ranks `src → dst` carry `weight` fraction of
-/// the job's messages (mirrors `commalloc_workload::TrafficEntry`; duplicated
-/// here so the network crate does not depend on the workload crate).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RankTraffic {
-    /// Sending rank.
-    pub src: usize,
-    /// Receiving rank.
-    pub dst: usize,
-    /// Fraction of the job's messages on this pair.
-    pub weight: f64,
-}
 
 /// A running job's traffic mapped onto the physical mesh.
 ///
@@ -44,15 +32,16 @@ impl JobTraffic {
     /// Builds the physical traffic description of a job.
     ///
     /// `nodes` is the allocation in rank order (rank `r` runs on `nodes[r]`)
-    /// and `traffic` the rank-level matrix produced by the communication
-    /// pattern. Entries whose ranks fall outside the allocation are a caller
-    /// bug and panic in debug builds.
+    /// and `traffic` the rank-level matrix of its communication pattern
+    /// ([`commalloc_workload::CommPattern::traffic`]). Entries whose ranks
+    /// fall outside the allocation are a caller bug and panic in debug
+    /// builds.
     pub fn new(
         mesh: Mesh2D,
         links: &LinkTable,
         job_id: u64,
         nodes: &[NodeId],
-        traffic: &[RankTraffic],
+        traffic: &[TrafficEntry],
         nominal_rate: f64,
     ) -> Self {
         let mut demand = vec![0.0f64; links.num_slots()];
@@ -108,8 +97,8 @@ mod tests {
         let (mesh, links) = mesh_and_links();
         // Four processors in a row, ring pattern (0->1->2->3->0).
         let nodes: Vec<NodeId> = (0..4).map(|x| mesh.id_of(Coord::new(x, 0))).collect();
-        let traffic: Vec<RankTraffic> = (0..4)
-            .map(|i| RankTraffic {
+        let traffic: Vec<TrafficEntry> = (0..4)
+            .map(|i| TrafficEntry {
                 src: i,
                 dst: (i + 1) % 4,
                 weight: 0.25,
@@ -133,7 +122,7 @@ mod tests {
             &links,
             7,
             &[n, n],
-            &[RankTraffic {
+            &[TrafficEntry {
                 src: 0,
                 dst: 1,
                 weight: 1.0,
@@ -159,9 +148,9 @@ mod tests {
             mesh.id_of(Coord::new(0, 7)),
             mesh.id_of(Coord::new(7, 7)),
         ];
-        let all_pairs: Vec<RankTraffic> = (0..4)
+        let all_pairs: Vec<TrafficEntry> = (0..4)
             .flat_map(|i| {
-                (0..4).filter(move |&j| j != i).map(move |j| RankTraffic {
+                (0..4).filter(move |&j| j != i).map(move |j| TrafficEntry {
                     src: i,
                     dst: j,
                     weight: 1.0 / 12.0,

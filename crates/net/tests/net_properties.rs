@@ -4,8 +4,9 @@ use commalloc_mesh::{Mesh2D, NodeId};
 use commalloc_net::flit::{FlitMessage, FlitNetwork};
 use commalloc_net::fluid::{FluidNetwork, RateModel};
 use commalloc_net::msglevel::{Message, MessageLevelNetwork};
-use commalloc_net::traffic::{JobTraffic, RankTraffic};
+use commalloc_net::traffic::JobTraffic;
 use commalloc_net::LinkTable;
+use commalloc_workload::TrafficEntry;
 use proptest::prelude::*;
 
 fn arb_node(max: u32) -> impl Strategy<Value = NodeId> {
@@ -114,7 +115,7 @@ proptest! {
                     &links,
                     i as u64,
                     &[a, b],
-                    &[RankTraffic { src: 0, dst: 1, weight: 1.0 }],
+                    &[TrafficEntry { src: 0, dst: 1, weight: 1.0 }],
                     1.0,
                 )
             })

@@ -12,9 +12,9 @@
 //!   the simulator rank pairs and each rank's place in the nodes'
 //!   bounding box, and reads back only the mean
 //!   ([`UnitSweep::mean_latency`]);
-//! * on a 3-D mesh (the message-level simulator is 2-D), the pattern's
-//!   traffic matrix weights the pairwise mesh distances instead — the
-//!   fluid-model proxy for the same quantity.
+//! * on a 3-D mesh (the message-level simulator is 2-D), the mean mesh
+//!   distance over the same kept messages stands in — a proxy for the
+//!   same quantity.
 //!
 //! Both scores add the placement's curve-locality terms (average pairwise
 //! distance, a diameter-sized penalty per extra connected component), so
@@ -74,8 +74,8 @@ pub(crate) fn splitmix64(mut x: u64) -> u64 {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScoreBreakdown {
     /// Network-simulation term: mean simulated message latency of one
-    /// pattern iteration (2-D), or the traffic-matrix-weighted pairwise
-    /// distance sum (3-D fluid proxy).
+    /// pattern iteration (2-D), or the mean distance over the same
+    /// messages (3-D proxy).
     pub network: f64,
     /// Locality term: average pairwise distance of the placement.
     pub locality: f64,
@@ -92,6 +92,16 @@ impl ScoreBreakdown {
     pub fn total(&self) -> f64 {
         self.network + (self.locality + self.dispersal)
     }
+}
+
+/// Hands `visit` the rank pairs both scores read: every `stride`-th
+/// message of one `pattern` iteration on `p` ranks, at most
+/// [`MAX_SCORED_MESSAGES`] of them, `random`'s draws seeded by `job`.
+fn scored_messages(pattern: CommPattern, p: usize, job: u64, visit: impl FnMut((usize, usize))) {
+    let mut rng = StdRng::seed_from_u64(splitmix64(job));
+    let count = pattern.messages_per_iteration(p) as usize;
+    let stride = count.div_ceil(MAX_SCORED_MESSAGES).max(1);
+    pattern.visit_messages(p, &mut rng, stride, visit);
 }
 
 /// The locality and dispersal terms shared by both meshes.
@@ -144,11 +154,8 @@ pub(crate) fn predicted_contention_2d_in(
 ) -> ScoreBreakdown {
     let ScoreScratch { at, pairs, sweep } = scratch;
     let p = nodes.len();
-    let mut rng = StdRng::seed_from_u64(splitmix64(job_id));
-    let count = pattern.messages_per_iteration(p) as usize;
-    let stride = count.div_ceil(MAX_SCORED_MESSAGES).max(1);
     pairs.clear();
-    pattern.visit_messages(p, &mut rng, stride, |pair| pairs.push(pair));
+    scored_messages(pattern, p, job_id, |pair| pairs.push(pair));
     at.clear();
     if 2 * pairs.len() < p {
         // Fewer message ends than ranks (a `random` draw): only the ends
@@ -183,10 +190,10 @@ pub(crate) fn predicted_contention_2d_in(
 }
 
 /// Predicted contention of placing a `pattern`-declared job on exactly
-/// `nodes` of a 3-D `mesh`: the traffic-matrix-weighted mean pairwise
-/// distance (the fluid proxy — the message-level simulator is 2-D only)
-/// plus the locality terms, returned per component. Deterministic in
-/// `(mesh, nodes, pattern, job_id)`, and the same for any translate of
+/// `nodes` of a 3-D `mesh`: the mean distance over the messages a 2-D
+/// score would simulate (a proxy — the message-level simulator is 2-D
+/// only) plus the locality terms, returned per component. Deterministic
+/// in `(mesh, nodes, pattern, job_id)`, and the same for any translate of
 /// `nodes` inside `mesh`.
 pub fn predicted_contention_3d(
     mesh: Mesh3D,
@@ -194,14 +201,12 @@ pub fn predicted_contention_3d(
     pattern: CommPattern,
     job_id: u64,
 ) -> ScoreBreakdown {
-    let p = nodes.len();
-    let mut rng = StdRng::seed_from_u64(splitmix64(job_id));
-    let quota = pattern.messages_per_iteration(p).max(1);
-    let weighted: f64 = pattern
-        .traffic(p, quota, &mut rng)
-        .iter()
-        .map(|e| e.weight * mesh.distance(nodes[e.src], nodes[e.dst]) as f64)
-        .sum();
+    let (mut hops, mut messages) = (0.0, 0usize);
+    scored_messages(pattern, nodes.len(), job_id, |(src, dst)| {
+        hops += mesh.distance(nodes[src], nodes[dst]) as f64;
+        messages += 1;
+    });
+    let network = hops / messages.max(1) as f64;
     let diameter = (mesh.width() + mesh.height() + mesh.depth()) as f64;
     let (locality, dispersal) = locality_and_dispersal(
         mesh.avg_pairwise_distance(nodes),
@@ -209,7 +214,7 @@ pub fn predicted_contention_3d(
         diameter,
     );
     ScoreBreakdown {
-        network: weighted,
+        network,
         locality,
         dispersal,
     }
@@ -314,6 +319,35 @@ mod tests {
         let c = predicted_contention_3d(mesh, &compact, CommPattern::AllToAll, 1).total();
         let s = predicted_contention_3d(mesh, &spread, CommPattern::AllToAll, 1).total();
         assert!(c < s, "compact {c} should beat spread {s}");
+    }
+
+    #[test]
+    fn the_3d_network_term_is_the_mean_distance_over_the_kept_messages() {
+        // A thinned 96-rank window (all-to-all keeps every fifth of its
+        // 9 120 messages; at stride 2 the kept half would mirror the rest
+        // and hide the thinning) and an unthinned 6-rank set, every
+        // pattern: the kept messages are the iteration's, stepped by the
+        // 2-D stride.
+        let mesh = Mesh3D::new(8, 8, 4);
+        let window: Vec<NodeId> = (0..96).map(NodeId).collect();
+        let scattered: Vec<NodeId> = (0..6).map(|i| NodeId(i * 37)).collect();
+        for nodes in [window, scattered] {
+            let p = nodes.len();
+            for pattern in CommPattern::all() {
+                let count = pattern.messages_per_iteration(p) as usize;
+                let stride = count.div_ceil(MAX_SCORED_MESSAGES).max(1);
+                let mut rng = StdRng::seed_from_u64(splitmix64(7));
+                let kept = pattern.iteration_messages(p, &mut rng);
+                let kept: Vec<_> = kept.into_iter().step_by(stride).collect();
+                let hops: f64 = kept
+                    .iter()
+                    .map(|&(src, dst)| mesh.distance(nodes[src], nodes[dst]) as f64)
+                    .sum();
+                let network = predicted_contention_3d(mesh, &nodes, pattern, 7).network;
+                let mean = hops / kept.len() as f64;
+                assert_eq!(network.to_bits(), mean.to_bits(), "{pattern} p={p}");
+            }
+        }
     }
 
     #[test]

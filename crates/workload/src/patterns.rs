@@ -2,18 +2,21 @@
 //!
 //! A job's processors are numbered by *rank* `0..p` in the order the
 //! allocator granted them; a pattern describes which ranks exchange messages.
-//! Patterns are consumed in two forms:
+//! [`CommPattern::visit_messages`] walks the messages of one pattern
+//! iteration in order; it is the one definition of each pattern. Its
+//! consumers read it in two forms:
 //!
-//! * a **traffic matrix** ([`CommPattern::traffic`]) — the long-run fraction
-//!   of the job's messages on each ordered rank pair, used by the fluid
-//!   contention model;
 //! * an **explicit message list** ([`CommPattern::iteration_messages`]) — the
-//!   messages of one pattern iteration in order, used by the flit-level and
-//!   message-level simulators. Iterations are repeated until a job's message
-//!   quota is met, exactly as in the paper. The list is the walk
-//!   [`CommPattern::visit_messages`] makes, collected; a consumer that
-//!   thins the iteration (the placement scorer) visits every
-//!   `stride`-th message instead and never builds the rest.
+//!   walk collected, used by the flit-level and message-level simulators.
+//!   Iterations are repeated until a job's message quota is met, exactly
+//!   as in the paper. A consumer that thins the iteration (the placement
+//!   scorer) visits every `stride`-th message instead and never builds
+//!   the rest;
+//! * a **traffic matrix** ([`CommPattern::traffic`]) — the walk counted:
+//!   each ordered rank pair's share of the iteration's messages, used by
+//!   the fluid contention model. It is not a second form of the pattern;
+//!   only the random pattern, whose pairs are drawn, samples its matrix
+//!   from its message quota instead.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -256,11 +259,14 @@ impl CommPattern {
     }
 
     /// The job's traffic matrix: the fraction of its `quota` messages sent on
-    /// each ordered rank pair. Deterministic patterns ignore `quota` and
-    /// `rng`; the random pattern samples an empirical matrix (multinomial
-    /// over all ordered pairs) so that different jobs see different — and for
-    /// small quotas, lumpy — realisations, mirroring its behaviour in a
-    /// message-level simulation.
+    /// each ordered rank pair, in `(src, dst)` order. A deterministic
+    /// pattern's matrix is its walk counted: each pair's share of the
+    /// messages [`CommPattern::visit_messages`] visits in one iteration,
+    /// with `quota` and `rng` unused. The random pattern samples an
+    /// empirical matrix instead (multinomial over all ordered pairs, one
+    /// draw per message of the quota), so that different jobs see
+    /// different — and for small quotas, lumpy — realisations, mirroring
+    /// its behaviour in a message-level simulation.
     ///
     /// Weights always sum to 1 (up to floating-point rounding); the result is
     /// empty for single-processor jobs.
@@ -268,120 +274,35 @@ impl CommPattern {
         if p < 2 {
             return Vec::new();
         }
-        match self {
-            CommPattern::AllToAll | CommPattern::AllPairsPingPong => {
-                let w = 1.0 / (p * (p - 1)) as f64;
-                let mut entries = Vec::with_capacity(p * (p - 1));
-                for i in 0..p {
-                    for j in 0..p {
-                        if i != j {
-                            entries.push(TrafficEntry {
-                                src: i,
-                                dst: j,
-                                weight: w,
-                            });
-                        }
-                    }
-                }
-                entries
+        let mut counts = vec![0u32; p * p];
+        let mut total = 0usize;
+        if *self == CommPattern::Random {
+            // Cap the number of draws: beyond ~10^4 the empirical matrix is
+            // statistically indistinguishable from uniform for the job
+            // sizes in the trace.
+            total = quota.clamp(1, 10_000) as usize;
+            for _ in 0..total {
+                // A draw numbers the ordered pairs row by row, without `src == dst`.
+                let pair = rng.gen_range(0..p * (p - 1));
+                let (src, k) = (pair / (p - 1), pair % (p - 1));
+                counts[src * p + k + usize::from(k >= src)] += 1;
             }
-            CommPattern::NBody => {
-                let total = self.messages_per_iteration(p) as f64;
-                let ring_w = (p / 2) as f64 / total;
-                let chord_w = 1.0 / total;
-                let chord_senders = if p.is_multiple_of(2) { p / 2 } else { p };
-                let mut entries = Vec::new();
-                for i in 0..p {
-                    entries.push(TrafficEntry {
-                        src: i,
-                        dst: (i + 1) % p,
-                        weight: ring_w,
-                    });
-                    if i < chord_senders {
-                        // For small p the chordal partner can coincide with
-                        // the ring successor (p ∈ {2, 3}); merge_entries sums
-                        // the duplicate pair below.
-                        entries.push(TrafficEntry {
-                            src: i,
-                            dst: (i + p / 2) % p,
-                            weight: chord_w,
-                        });
-                    }
-                }
-                merge_entries(entries)
-            }
-            CommPattern::Random => {
-                // Empirical multinomial over ordered pairs. Cap the number of
-                // draws: beyond ~10^4 the empirical matrix is statistically
-                // indistinguishable from uniform for the job sizes in the
-                // trace.
-                let pairs = p * (p - 1);
-                let draws = quota.clamp(1, 10_000) as usize;
-                let mut counts = vec![0u32; pairs];
-                for _ in 0..draws {
-                    counts[rng.gen_range(0..pairs)] += 1;
-                }
-                let mut entries = Vec::with_capacity(pairs);
-                let mut idx = 0usize;
-                for i in 0..p {
-                    for j in 0..p {
-                        if i != j {
-                            if counts[idx] > 0 {
-                                entries.push(TrafficEntry {
-                                    src: i,
-                                    dst: j,
-                                    weight: counts[idx] as f64 / draws as f64,
-                                });
-                            }
-                            idx += 1;
-                        }
-                    }
-                }
-                entries
-            }
-            CommPattern::Ring => (0..p)
-                .map(|i| TrafficEntry {
-                    src: i,
-                    dst: (i + 1) % p,
-                    weight: 1.0 / p as f64,
-                })
-                .collect(),
-            CommPattern::TestSuite => {
-                // Combine the three sub-patterns weighted by their share of
-                // one test-suite iteration.
-                let total = self.messages_per_iteration(p) as f64;
-                let mut entries: Vec<TrafficEntry> = Vec::new();
-                for sub in [
-                    CommPattern::AllToAll,
-                    CommPattern::AllPairsPingPong,
-                    CommPattern::Ring,
-                ] {
-                    let share = sub.messages_per_iteration(p) as f64 / total;
-                    for e in sub.traffic(p, quota, rng) {
-                        entries.push(TrafficEntry {
-                            weight: e.weight * share,
-                            ..e
-                        });
-                    }
-                }
-                merge_entries(entries)
-            }
-            CommPattern::Stencil2D | CommPattern::Butterfly | CommPattern::BroadcastTree => {
-                // Deterministic extension patterns: every message of one
-                // iteration carries an equal share of the job's traffic.
-                let msgs = self.iteration_messages(p, rng);
-                let w = 1.0 / msgs.len() as f64;
-                merge_entries(
-                    msgs.into_iter()
-                        .map(|(src, dst)| TrafficEntry {
-                            src,
-                            dst,
-                            weight: w,
-                        })
-                        .collect(),
-                )
-            }
+        } else {
+            self.visit_messages(p, rng, 1, |(src, dst)| {
+                counts[src * p + dst] += 1;
+                total += 1;
+            });
         }
+        counts
+            .iter()
+            .enumerate()
+            .filter(|&(_, &count)| count > 0)
+            .map(|(pair, &count)| TrafficEntry {
+                src: pair / p,
+                dst: pair % p,
+                weight: count as f64 / total as f64,
+            })
+            .collect()
     }
 }
 
@@ -456,18 +377,6 @@ impl fmt::Display for CommPattern {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
     }
-}
-
-/// Merges duplicate (src, dst) entries by summing their weights.
-fn merge_entries(entries: Vec<TrafficEntry>) -> Vec<TrafficEntry> {
-    use std::collections::BTreeMap;
-    let mut map: BTreeMap<(usize, usize), f64> = BTreeMap::new();
-    for e in entries {
-        *map.entry((e.src, e.dst)).or_insert(0.0) += e.weight;
-    }
-    map.into_iter()
-        .map(|((src, dst), weight)| TrafficEntry { src, dst, weight })
-        .collect()
 }
 
 #[cfg(test)]
@@ -649,6 +558,31 @@ mod tests {
                     let thinned: Vec<_> = listed.iter().copied().step_by(stride).collect();
                     assert_eq!(kept, thinned, "{pattern} p={p} cap={cap}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn traffic_is_the_listed_messages_counted() {
+        // Each deterministic pattern's matrix is its iteration's pair
+        // counts over the message total, to the bit, in (src, dst) order.
+        for pattern in CommPattern::all() {
+            if pattern == CommPattern::Random {
+                continue;
+            }
+            for p in 0..=300 {
+                let mut listed = listed_messages(pattern, p, &mut rng());
+                listed.sort_unstable();
+                let counted: Vec<_> = listed
+                    .chunk_by(|a, b| a == b)
+                    .map(|run| (run[0], (run.len() as f64 / listed.len() as f64).to_bits()))
+                    .collect();
+                let traffic: Vec<_> = pattern
+                    .traffic(p, 1, &mut rng())
+                    .iter()
+                    .map(|e| ((e.src, e.dst), e.weight.to_bits()))
+                    .collect();
+                assert_eq!(traffic, counted, "{pattern} p={p}");
             }
         }
     }

@@ -15,7 +15,7 @@
 use commalloc::prelude::*;
 use commalloc_alloc::AllocRequest;
 use commalloc_net::latency::LatencyEstimator;
-use commalloc_net::traffic::{JobTraffic, RankTraffic};
+use commalloc_net::traffic::JobTraffic;
 use commalloc_net::LinkTable;
 use commalloc_workload::Job;
 use rand::rngs::StdRng;
@@ -28,15 +28,7 @@ fn job_traffic(
     nodes: &[commalloc_mesh::NodeId],
 ) -> JobTraffic {
     let mut rng = StdRng::seed_from_u64(id);
-    let traffic: Vec<RankTraffic> = CommPattern::AllToAll
-        .traffic(nodes.len(), 1000, &mut rng)
-        .into_iter()
-        .map(|e| RankTraffic {
-            src: e.src,
-            dst: e.dst,
-            weight: e.weight,
-        })
-        .collect();
+    let traffic = CommPattern::AllToAll.traffic(nodes.len(), 1000, &mut rng);
     JobTraffic::new(mesh, links, id, nodes, &traffic, 1.0)
 }
 
